@@ -23,9 +23,9 @@ from modinvar.gluing import (diagonal_glue, full_hom_module, glue,
                              singular_form_group, subfield_hom_module,
                              thin_glue_regular)
 from modinvar.groups import (DEFAULT_CAP, EnumerationCapError, FormSpec,
-                             MatrixGroup, field_from_order, gk_order,
-                             gl_group, gl_order, p_k_subgroup, parabolic_g_k,
-                             pk_order, sp_group, sp_order,
+                             MatrixGroup, element_orders, field_from_order,
+                             gk_order, gl_group, gl_order, p_k_subgroup,
+                             parabolic_g_k, pk_order, sp_group, sp_order,
                              stabilizer_of_polynomial, stabilizer_sp,
                              stabilizer_sp_order, trivial_group,
                              unipotent_order, unipotent_upper, usp_group,
@@ -337,7 +337,7 @@ def check_thin_glue(params, budgets) -> VerificationReport:
                                   witness=f"order {R.order()} != {expected}; "
                                           "kernel is nontrivial",
                                   millis=(time.time() - t0) * 1000)
-    maxorder = max(g.order() for g in R.elements)
+    maxorder = max(element_orders(field, [g.matrix for g in R.elements]))
     if maxorder != p ** (r + 1):
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"maximal element order {maxorder} "

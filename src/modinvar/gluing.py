@@ -14,8 +14,9 @@ import itertools
 
 from modinvar.gfq import FieldSpec, Scalar
 from modinvar.groups import (DEFAULT_CAP, GroupElement, MatrixGroup,
-                             anti_identity, gl_group, mat_add, mat_mul,
-                             mat_neg, mat_scale, mat_transpose, sp_group,
+                             NotEnumeratedError, anti_identity, gl_group,
+                             mat_add, mat_mul, mat_neg, mat_scale,
+                             mat_transpose, sp_group,
                              trivial_group, FormSpec, form_preserved,
                              stabilizer_of_polynomial)
 from modinvar.linalg import (fp_coordinates, fp_membership, fp_rref,
@@ -137,7 +138,7 @@ class GluingGroup:
         order = None
         try:
             order = G1.order() * M.module_order() * G2.order()
-        except Exception:
+        except NotEnumeratedError:
             pass
         self.realized = MatrixGroup(self.field, self.m + self.n, gens,
                                     name=name or f"{G1.name}x_M{G2.name}",
@@ -384,7 +385,7 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
     order = None
     try:
         order = G.order() * M.module_order()
-    except Exception:
+    except NotEnumeratedError:
         pass
     gluing.realized = MatrixGroup(field, 2 * G.n, gens,
                                   name=f"diag({G.name})x_M",

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.mvpoly import Polynomial
 
 DEFAULT_CAP = 10 ** 6
+
+# Bound on the entries of one batched product array; keeps the working set of
+# a closure or an order computation small whatever the group order.
+CHUNK_ENTRIES = 1 << 14
 
 
 class EnumerationCapError(RuntimeError):
@@ -147,6 +153,157 @@ def parse_matrix(field: FieldSpec, text: str):
     return tuple(rows)
 
 
+# -- batched kernel over F_p --
+#
+# GF(p^r) acts on itself by F_p-linear maps: the index a becomes the r x r
+# block sum_i digit_i(a) C^i, with C the companion matrix of the modulus, so
+# an n x n index matrix becomes an nr x nr matrix over F_p and products agree.
+# Column 0 of a block holds the digits of its entry, which gives the index
+# back.  A prime field is the case r = 1.
+
+def _index_dtype(field):
+    """Smallest unsigned dtype holding q - 1, big-endian so that the bytes of
+    an index row sort as the row does."""
+    return np.min_scalar_type(field.q - 1).newbyteorder(">")
+
+
+def _fp_dtype(field, n):
+    """float64 while every sum of nr products of residues stays below 2^53,
+    where BLAS products are exact; Python ints beyond that."""
+    return np.float64 if n * field.r * (field.p - 1) ** 2 < 2 ** 53 else object
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p for arrays from `_expand`, as exact integers.  Float
+    remainder is slow, so float64 products are reduced as int64."""
+    prod = a @ b
+    if prod.dtype != object:
+        prod = prod.astype(np.int64)
+    prod %= p
+    return prod
+
+
+def _companion_powers(field):
+    """(r, r, r) array of C^0 .. C^(r-1) mod p."""
+    p, r = field.p, field.r
+    C = np.zeros((r, r), dtype=np.int64)
+    C[1:, :-1] = np.eye(r - 1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in field.modulus[:r]]
+    powers = [np.eye(r, dtype=np.int64)]
+    for _ in range(r - 1):
+        powers.append(powers[-1] @ C % p)
+    return np.array(powers)
+
+
+def _expand(field, rows):
+    """(..., n, n) index arrays -> (..., nr, nr) matrices over F_p."""
+    p, r = field.p, field.r
+    digits = rows.astype(np.int64)[..., None] // p ** np.arange(r) % p
+    blocks = np.tensordot(digits, _companion_powers(field), axes=1) % p
+    *lead, n, _, _, _ = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, n * r, n * r) \
+        .astype(_fp_dtype(field, n))
+
+
+def _keys(rows):
+    """One opaque byte key per index matrix; keys sort as the matrices do."""
+    rows = np.ascontiguousarray(rows)
+    return rows.reshape(len(rows), -1).view(
+        np.dtype((np.void, rows[0].nbytes))).ravel()
+
+
+def _sorted_unique(keys):
+    """The distinct keys in sorted order.  (np.unique would import numpy.ma,
+    about 1.5 MB, on its first call.)"""
+    keys = np.sort(keys, kind="stable")
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _contains(keys, probe):
+    """Mask of the probe keys found in the sorted key array."""
+    pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return keys[pos] == probe
+
+
+def _closure(field, n, generators, cap, name="group"):
+    """Sorted keys of the group generated by one or more n x n index
+    matrices.
+
+    Layer by layer: the whole frontier is multiplied on the right by every
+    generator, one batched matmul mod p per chunk, and the products new to
+    the group form the next frontier.  Raises EnumerationCapError as soon as
+    a layer takes the count past cap.
+    """
+    dtype = _index_dtype(field)
+    seen = _keys(np.eye(n, dtype=dtype)[None])
+    p, r, k = field.p, field.r, len(generators)
+    # column 0 of every block of every generator, side by side: (nr, k n)
+    gcols = np.hstack([_expand(field, np.array(g))[:, ::r] for g in generators])
+    step = max(1, CHUNK_ENTRIES // (k * n * n * r))
+    frontier = seen
+    while len(frontier):
+        layer = []
+        for start in range(0, len(frontier), step):
+            chunk = frontier[start:start + step].view(dtype).reshape(-1, n, n)
+            c = len(chunk)
+            prod = _matmul_mod(_expand(field, chunk).reshape(c * n * r, n * r),
+                               gcols, p).reshape(c, n, r, k, n)
+            idx = prod[:, :, 0]
+            for x in range(1, r):
+                idx = idx + prod[:, :, x] * p ** x
+            cand = np.empty((c, k, n, n), dtype=dtype)
+            cand[...] = idx.transpose(0, 2, 1, 3)
+            cand = _keys(cand.reshape(c * k, n, n))
+            layer.append(cand[~_contains(seen, cand)])
+        frontier = _sorted_unique(np.concatenate(layer))
+        if len(seen) + len(frontier) > cap:
+            raise EnumerationCapError(f"{name} exceeds cap {cap}")
+        # a stable sort merges the two sorted runs in linear time
+        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
+    return seen
+
+
+def _row_elements(field, n, keys):
+    """GroupElements of n x n keys, converted a chunk at a time."""
+    rows = keys.view(_index_dtype(field)).reshape(len(keys), n, n)
+    step = max(1, CHUNK_ENTRIES // max(1, n * n))
+    trusted = GroupElement._trusted
+    out = []
+    for start in range(0, len(rows), step):
+        out.extend(trusted(field, tuple(map(tuple, m)))
+                   for m in rows[start:start + step].tolist())
+    return out
+
+
+def element_orders(field, matrices):
+    """Multiplicative order of each invertible n x n index matrix: the least
+    k with A^k = I, from batched powers over F_p."""
+    if not matrices:
+        return []
+    n = len(matrices[0])
+    nr = n * field.r
+    eye = np.eye(nr, dtype=_fp_dtype(field, n))
+    step = max(1, CHUNK_ENTRIES // max(1, nr * nr))
+    orders = []
+    for start in range(0, len(matrices), step):
+        chunk = matrices[start:start + step]
+        base = _expand(field, np.array(chunk, dtype=np.int64)
+                       .reshape(len(chunk), n, n))
+        found = np.zeros(len(base), dtype=np.int64)
+        todo = np.arange(len(base))
+        power, k = base, 1
+        while len(todo):
+            done = (power == eye).all(axis=(1, 2))
+            found[todo[done]] = k
+            todo, power = todo[~done], power[~done]
+            power = _matmul_mod(power, base[todo], field.p)
+            k += 1
+        orders.extend(found.tolist())
+    return orders
+
+
 class GroupElement:
     """An invertible matrix over a FieldSpec, hashable by its entries."""
 
@@ -160,6 +317,15 @@ class GroupElement:
         self.field = field
         self.matrix = matrix
         self._inv = None
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, matrix) -> "GroupElement":
+        """An element of a tuple of tuples of indices, taken as it is."""
+        g = cls.__new__(cls)
+        g.field = field
+        g.matrix = matrix
+        g._inv = None
+        return g
 
     @property
     def n(self):
@@ -183,12 +349,7 @@ class GroupElement:
         return self.matrix == identity_matrix(self.n)
 
     def order(self) -> int:
-        e = identity_matrix(self.n)
-        g, k = self.matrix, 1
-        while g != e:
-            g = mat_mul(self.field, g, self.matrix)
-            k += 1
-        return k
+        return element_orders(self.field, [self.matrix])[0]
 
     def apply(self, vector):
         """g.v for a column vector of field indices or scalars."""
@@ -215,9 +376,14 @@ class GroupElement:
 class MatrixGroup:
     """A matrix group given by generators, optionally fully enumerated.
 
-    Enumeration is breadth-first closure under right multiplication;
-    the resulting element list is sorted canonically so it does not depend
-    on generator order.
+    Enumeration closes the generators layer by layer in numpy: each layer
+    multiplies the whole frontier by every generator in batched matmuls over
+    F_p (GF(p^r) through its regular representation) and keeps the products
+    not seen before.  Layers are stored as index arrays in the smallest
+    unsigned dtype holding q - 1, only the frontier chunk being multiplied is
+    expanded over F_p, and products come in chunks of at most about
+    CHUNK_ENTRIES entries.  The resulting element list is sorted canonically
+    so it does not depend on generator order.
     """
 
     def __init__(self, field: FieldSpec, n: int, generators, name: str = "",
@@ -255,26 +421,12 @@ class MatrixGroup:
             raise ValueError("cap must be positive")
         if self.elements is not None:
             return self
-        seen = {identity_matrix(self.n)}
-        frontier = [self.identity()]
-        found = [self.identity()]
-        gens = self.generators
-        field = self.field
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in gens:
-                    m = mat_mul(field, e.matrix, g.matrix)
-                    if m not in seen:
-                        seen.add(m)
-                        if len(seen) > cap:
-                            raise EnumerationCapError(
-                                f"{self.name or 'group'} exceeds cap {cap}")
-                        el = GroupElement(field, m, check=False)
-                        new.append(el)
-                        found.append(el)
-            frontier = new
-        self._set_elements(found)
+        if not self.generators:
+            self._set_elements([self.identity()])
+            return self
+        keys = _closure(self.field, self.n, [g.matrix for g in self.generators],
+                        cap, self.name or "group")
+        self._set_elements(_row_elements(self.field, self.n, keys))
         return self
 
     def order(self) -> int:
@@ -300,29 +452,29 @@ class MatrixGroup:
 
 
 def minimal_generators(field, elements):
-    """Greedy small generating set for an enumerated element list."""
+    """Greedy small generating set for an enumerated element list.
+
+    Walks the elements in canonical order and keeps each one not yet in the
+    subgroup generated by those kept, until that subgroup is all of them.
+    The elements must form a group: each re-closure is capped at their
+    number.
+    """
+    if not elements:
+        return []
+    ordered = sorted(elements, key=lambda g: g.matrix)
+    n = len(ordered[0].matrix)
+    target = _keys(np.array([g.matrix for g in ordered], dtype=_index_dtype(field)))
+    everything = _sorted_unique(target)
     gens = []
-    closed = {identity_matrix(len(elements[0].matrix))} if elements else set()
-    target = {e.matrix for e in elements}
-    for e in sorted(elements, key=lambda g: g.matrix):
-        if e.matrix in closed:
+    inside = np.zeros(len(ordered), dtype=bool)
+    for i, e in enumerate(ordered):
+        if inside[i] or e.is_identity():
             continue
         gens.append(e)
-        frontier = list(closed)
-        closed.add(e.matrix)
-        # re-close under the enlarged generating set
-        frontier = [m for m in target if m in closed]
-        changed = True
-        while changed:
-            changed = False
-            for m in list(closed):
-                for g in gens:
-                    prod = mat_mul(field, m, g.matrix)
-                    if prod not in closed:
-                        closed.add(prod)
-                        changed = True
-        if closed == target:
+        closed = _closure(field, n, [g.matrix for g in gens], len(everything))
+        if np.array_equal(closed, everything):
             break
+        inside = _contains(closed, target)
     return gens
 
 

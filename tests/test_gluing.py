@@ -81,6 +81,25 @@ def test_gluing_order_formula():
             G2.enumerate().order()
 
 
+def test_gluing_claimed_order_needs_known_factor_orders(monkeypatch):
+    """Only an unknown factor order leaves the claimed order unset; any other
+    error from a factor propagates."""
+    M = zero_module(2, 2, F2)
+    G1 = MatrixGroup(F2, 2, unipotent_upper(2, F2).generators)
+    assert GluingGroup(G1, unipotent_upper(2, F2), M).realized.claimed_order is None
+    assert diagonal_glue(G1, M).realized.claimed_order is None
+
+    def broken_order():
+        raise ZeroDivisionError("broken factor")
+
+    G2 = unipotent_upper(2, F2)
+    monkeypatch.setattr(G2, "order", broken_order)
+    with pytest.raises(ZeroDivisionError):
+        GluingGroup(unipotent_upper(2, F2), G2, M)
+    with pytest.raises(ZeroDivisionError):
+        diagonal_glue(G2, M)
+
+
 def test_m_block_subgroup_is_normal():
     gluing = glue(unipotent_upper(2, F2), unipotent_upper(2, F2),
                   full_hom_module(2, 2, F2))

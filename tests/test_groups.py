@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modinvar.gfq import build_field
 from modinvar.groups import (DEFAULT_CAP, EnumerationCapError, FormSpec,
                              GroupElement, MatrixGroup, NotEnumeratedError,
-                             anti_identity, field_from_order, form_preserved,
-                             gk_order, gl_group, gl_order, is_symplectic,
-                             mat_mul, o3_sylow_generators,
+                             anti_identity, element_orders, field_from_order,
+                             form_preserved, gk_order, gl_group, gl_order,
+                             is_symplectic, mat_det, mat_mul,
+                             minimal_generators, o3_sylow_generators,
                              o4_plus_sylow_generators, p_k_subgroup,
                              parabolic_g_k, parabolic_gl_order, parse_matrix,
                              pk_order, sp_group, sp_order, stabilizer_of_polynomial,
@@ -80,7 +82,7 @@ def test_not_enumerated_errors():
 
 
 @pytest.mark.parametrize("m,field,expected", [
-    (1, F2, 6), (1, F3, 24), (2, F2, 720),
+    (1, F2, 6), (1, F3, 24), (2, F2, 720), (2, F3, 51840),
 ])
 def test_sp_orders(m, field, expected):
     assert sp_order(m, field.q) == expected
@@ -289,3 +291,123 @@ def test_sylow_subgroup_of_o3():
         gens = o3_sylow_generators(field)
         G = MatrixGroup(field, 3, gens).enumerate()
         assert G.order() == field.q
+
+
+# -- the batched closure against the scalar reference --
+
+def naive_closure(field, n, gens, cap):
+    """Scalar breadth-first closure under right multiplication, one mat_mul
+    per (element, generator) pair: the reference for MatrixGroup.enumerate."""
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(field, m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    if len(seen) > cap:
+                        raise EnumerationCapError(f"exceeds cap {cap}")
+                    new.append(prod)
+        frontier = new
+    return sorted(seen)
+
+
+def naive_order(field, m):
+    """Scalar reference for element orders: repeated mat_mul until I."""
+    ident = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
+    g, k = m, 1
+    while g != ident:
+        g = mat_mul(field, g, m)
+        k += 1
+    return k
+
+
+DIFF_FIELDS = [build_field(2), build_field(3), build_field(5),
+               build_field(2, 2), build_field(2, 3), build_field(3, 2)]
+DIFF_CAP = 400
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 invertible matrices of one dimension 1-4 over one small field.
+
+    Unitriangular and monomial draws keep many of the groups below the cap;
+    unrestricted draws mostly generate large groups and exercise the cap."""
+    field = draw(st.sampled_from(DIFF_FIELDS))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=0, max_value=field.q - 1)
+    unit = st.integers(min_value=1, max_value=field.q - 1)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["any", "unitriangular", "monomial"]))
+        if kind == "monomial":
+            perm = draw(st.permutations(range(n)))
+            m = tuple(tuple(draw(unit) if j == perm[i] else 0 for j in range(n))
+                      for i in range(n))
+        else:
+            m = tuple(tuple(draw(entry) if kind == "any" or j > i else int(i == j)
+                            for j in range(n)) for i in range(n))
+        assume(mat_det(field, m) != 0)
+        gens.append(m)
+    return field, n, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+def test_batched_enumerate_matches_naive_closure(case):
+    field, n, gens = case
+    G = MatrixGroup(field, n, [GroupElement(field, m) for m in gens])
+    try:
+        expected = naive_closure(field, n, gens, DIFF_CAP)
+    except EnumerationCapError:
+        with pytest.raises(EnumerationCapError):
+            G.enumerate(DIFF_CAP)
+        return
+    assert [g.matrix for g in G.enumerate(DIFF_CAP).elements] == expected
+    sample = expected[:: max(1, len(expected) // 40)] + gens
+    assert element_orders(field, sample) == \
+        [naive_order(field, m) for m in sample]
+
+
+@pytest.mark.parametrize("field", [F3, build_field(2, 3)])
+def test_enumerate_cap_is_exact(field):
+    order = len(gl_group(2, field).enumerate().elements)
+    assert gl_group(2, field).enumerate(cap=order).order() == order
+    with pytest.raises(EnumerationCapError):
+        gl_group(2, field).enumerate(cap=order - 1)
+
+
+def test_enumerate_without_generators():
+    G = MatrixGroup(F3, 3, []).enumerate(cap=1)
+    assert G.order() == 1
+    assert G.elements[0].is_identity()
+
+
+def test_enumerate_beyond_exact_float_range():
+    """For a prime this large the F_p products are exact Python ints."""
+    field = build_field(2 ** 31 - 1)
+    gens = [((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+            ((field.neg(1), 0, 0), (0, 1, 0), (0, 0, 1))]
+    G = MatrixGroup(field, 3, [GroupElement(field, m) for m in gens]).enumerate()
+    assert [g.matrix for g in G.elements] == naive_closure(field, 3, gens, 100)
+    assert element_orders(field, gens) == [3, 2]
+
+
+def test_minimal_generators_match_naive_greedy():
+    """The greedy choice is unchanged: re-closing with the scalar reference
+    picks the same generators."""
+    for G in (gl_group(2, F4).enumerate(), sp_group(1, F3).enumerate(),
+              usp_group(2, F2).enumerate()):
+        target = sorted(g.matrix for g in G.elements)
+        closed, expected = {G.identity().matrix}, []
+        for m in target:
+            if m in closed:
+                continue
+            expected.append(m)
+            closed = set(naive_closure(G.field, G.n, expected, len(target)))
+            if len(closed) == len(target):
+                break
+        chosen = minimal_generators(G.field, G.elements)
+        assert [g.matrix for g in chosen] == expected
