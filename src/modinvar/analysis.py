@@ -11,15 +11,13 @@ import time
 
 import numpy as np
 
-from modinvar.gfq import FieldSpec, Scalar
 from modinvar.gluing import GluingGroup
 from modinvar.groups import MatrixGroup, NotEnumeratedError
 from modinvar.invariants import (GeneratorFamily, dickson_in,
-                                 dickson_via_moore, n_k, n_x, orbit_product,
-                                 partial_dickson, psi_substitute, fp_span,
-                                 subspace_product, symplectic_l_names,
-                                 u_tilde, xi, xi_power)
-from modinvar.linalg import in_row_space, rref_field, rref_mod_p
+                                 dickson_via_moore, n_k, orbit_product,
+                                 partial_dickson, psi_substitute,
+                                 symplectic_l_names, u_tilde, xi, xi_power)
+from modinvar.linalg import fp_expand, in_row_space, rref_field, rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, gluing_space,
                              monomials_of_degree, symplectic_space)
 
@@ -148,9 +146,6 @@ class TransferImage:
         self.space = space
         self.bases = bases  # degree -> list of (reduced) Polynomials
 
-    def all_polynomials(self):
-        return [p for polys in self.bases.values() for p in polys]
-
 
 def _rows_to_polys(space, monos, rows):
     out = []
@@ -166,14 +161,10 @@ def _rows_to_polys(space, monos, rows):
 
 
 def _reduce_rows(space, monos, rows):
-    field = space.field
     if not rows:
         return []
-    if field.r == 1:
-        reduced, _ = rref_mod_p(np.array(rows, dtype=np.int64), field.p)
-        return _rows_to_polys(space, monos, reduced.tolist())
-    reduced, _ = rref_field(rows, field)
-    return _rows_to_polys(space, monos, reduced)
+    reduced, _ = rref_field(rows, space.field)
+    return _rows_to_polys(space, monos, reduced.tolist())
 
 
 def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
@@ -277,12 +268,10 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
         for e, c in poly._terms.items():
             row[index[e]] = c
         rows.append(row)
-    field = image.space.field
-    reduced, pivots = rref_field(rows, field)
     tau_row = [0] * len(monos)
     for e, c in tau._terms.items():
         tau_row[index[e]] = c
-    if not in_row_space(tau_row, reduced, pivots, field):
+    if not in_row_space(tau_row, rows, image.space.field):
         return VerificationReport("transfer_principal", params, "fail",
                                   witness="tau is not attained in the image "
                                           f"row space at degree {dtau}",
@@ -318,24 +307,16 @@ def invariant_dimension(group: MatrixGroup, d: int,
     if not gens:
         return K
     field = space.field
-    rows = []
+    rows = np.zeros((K, K * len(gens)), dtype=np.min_scalar_type(field.q - 1))
     for k, e in enumerate(monos):
-        row = [0] * (K * len(gens))
         base = space.monomial(e)
-        nonzero = False
         for gi, g in enumerate(gens):
             moved = base.act(g) - base
             for pe, c in moved._terms.items():
-                row[gi * K + index[pe]] = c
-                nonzero = True
-        rows.append(row)
-    if field.r == 1:
-        reduced, _ = rref_mod_p(np.array(rows, dtype=np.int64), field.p)
-        rank = len(reduced)
-    else:
-        reduced, _ = rref_field(rows, field)
-        rank = len(reduced)
-    return K - rank
+                rows[k, gi * K + index[pe]] = c
+    # only the rank matters: the F_p rank of the expanded rows is r times it
+    _, pivots = rref_mod_p(fp_expand(rows, field), field.p)
+    return K - len(pivots) // field.r
 
 
 class HilbertClaim:
@@ -364,14 +345,6 @@ class HilbertClaim:
             if c < 0:
                 return k
         return None
-
-    @staticmethod
-    def for_family(fam: GeneratorFamily) -> "HilbertClaim":
-        if fam.structure == "polynomial_algebra":
-            return HilbertClaim(fam.degrees)
-        if fam.structure == "complete_intersection":
-            return HilbertClaim(fam.degrees, fam.relation_degrees or [])
-        raise ValueError(f"family {fam.name} does not claim a series shape")
 
 
 def hilbert_check(claim: HilbertClaim, group: MatrixGroup, D: int,

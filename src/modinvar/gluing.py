@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from modinvar.gfq import FieldSpec, Scalar
 from modinvar.groups import (DEFAULT_CAP, GroupElement, MatrixGroup,
-                             NotEnumeratedError, anti_identity, gl_group,
-                             mat_add, mat_mul, mat_neg, mat_scale,
-                             mat_transpose, sp_group,
-                             trivial_group, FormSpec, form_preserved,
-                             stabilizer_of_polynomial)
-from modinvar.linalg import (fp_coordinates, fp_membership, fp_rref,
-                             nullspace_field, rref_field)
+                             NotEnumeratedError, gl_group, mat_add, mat_mul,
+                             mat_scale, mat_transpose, sp_group,
+                             trivial_group, FormSpec, form_preserved)
+from modinvar.linalg import (fp_coordinates, nullspace_field, rref_field,
+                             rref_mod_p)
 
 
 class BimoduleClosureError(ValueError):
@@ -44,12 +44,14 @@ class BimoduleBasis:
         for mat in self.mats:
             if len(mat) != m or any(len(row) != n for row in mat):
                 raise ValueError("basis matrix has wrong shape")
-        vectors = [self._fp_vector(mat) for mat in self.mats]
-        rows, pivots = fp_rref(vectors, field.p)
-        if len(rows) != len(self.mats):
+        self._vectors = np.array(
+            [self._fp_vector(mat) for mat in self.mats], dtype=np.int64
+        ).reshape(len(self.mats), m * n * field.r)
+        if self._fp_rank(self._vectors) != len(self.mats):
             raise ValueError("bimodule basis matrices are F_p-dependent")
-        self._rows = rows
-        self._pivots = pivots
+
+    def _fp_rank(self, vectors):
+        return len(rref_mod_p(vectors, self.field.p)[1])
 
     @property
     def fp_dim(self) -> int:
@@ -63,8 +65,8 @@ class BimoduleBasis:
         return fp_coordinates(flat, self.field)
 
     def contains(self, mat) -> bool:
-        return fp_membership(self._fp_vector(mat), self._rows, self._pivots,
-                             self.field.p) is not None
+        vectors = np.vstack([self._vectors, [self._fp_vector(mat)]])
+        return self._fp_rank(vectors) == self.fp_dim
 
     def elements(self):
         """All p^dim matrices of the module, zero first, deterministic order."""
@@ -264,13 +266,10 @@ def subfield_hom_module(m: int, n: int, q_sub: int, field: FieldSpec) -> Bimodul
     elems, r_sub = subfield_elements(field, q_sub)
     # deterministic F_p-basis of the subfield: greedy by element index
     basis = []
-    rows, pivots = [], []
     for a in elems:
-        cand = fp_coordinates([a], field)
-        if fp_membership(cand, rows, pivots, field.p) is None:
+        vectors = [fp_coordinates([b], field) for b in basis + [a]]
+        if len(rref_mod_p(np.array(vectors), field.p)[1]) > len(basis):
             basis.append(a)
-            rows, pivots = fp_rref([fp_coordinates([b], field) for b in basis],
-                                   field.p)
         if len(basis) == r_sub:
             break
     mats = []
@@ -396,15 +395,12 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
 def _extend_to_basis(field, vectors, dim):
     """Extend independent columns to a full basis, greedily by standard
     vectors in index order."""
-    rows = [list(v) for v in vectors]
-    reduced, pivots = rref_field(rows, field) if rows else ([], [])
     basis = [list(v) for v in vectors]
     for j in range(dim):
         cand = [0] * dim
         cand[j] = 1
         trial = basis + [cand]
-        reduced2, _ = rref_field([list(v) for v in trial], field)
-        if len(reduced2) == len(trial):
+        if len(rref_field(trial, field)[1]) == len(trial):
             basis.append(cand)
         if len(basis) == dim:
             break

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
+from modinvar.linalg import _companion_powers
 from modinvar.mvpoly import Polynomial
 
 DEFAULT_CAP = 10 ** 6
@@ -156,8 +157,9 @@ def parse_matrix(field: FieldSpec, text: str):
 # -- batched kernel over F_p --
 #
 # GF(p^r) acts on itself by F_p-linear maps: the index a becomes the r x r
-# block sum_i digit_i(a) C^i, with C the companion matrix of the modulus, so
-# an n x n index matrix becomes an nr x nr matrix over F_p and products agree.
+# block sum_i digit_i(a) C^i, with C the companion matrix of the modulus
+# (`linalg._companion_powers`), so an n x n index matrix becomes an nr x nr
+# matrix over F_p and products agree.
 # Column 0 of a block holds the digits of its entry, which gives the index
 # back.  A prime field is the case r = 1.
 
@@ -181,18 +183,6 @@ def _matmul_mod(a, b, p):
         prod = prod.astype(np.int64)
     prod %= p
     return prod
-
-
-def _companion_powers(field):
-    """(r, r, r) array of C^0 .. C^(r-1) mod p."""
-    p, r = field.p, field.r
-    C = np.zeros((r, r), dtype=np.int64)
-    C[1:, :-1] = np.eye(r - 1, dtype=np.int64)
-    C[:, -1] = [-c % p for c in field.modulus[:r]]
-    powers = [np.eye(r, dtype=np.int64)]
-    for _ in range(r - 1):
-        powers.append(powers[-1] @ C % p)
-    return np.array(powers)
 
 
 def _expand(field, rows):
@@ -399,10 +389,11 @@ class MatrixGroup:
         self.elements = None
         self._elem_set = None
         if elements is not None:
-            self._set_elements(elements)
+            self._set_elements(sorted(set(elements), key=lambda g: g.matrix))
 
     def _set_elements(self, elements):
-        self.elements = sorted(set(elements), key=lambda g: g.matrix)
+        """Store elements, which must be distinct and in canonical order."""
+        self.elements = elements
         self._elem_set = {g.matrix for g in self.elements}
         if self.claimed_order is not None and len(self.elements) != self.claimed_order:
             raise AssertionError(
@@ -835,10 +826,6 @@ class FormSpec:
     def _twist(self, A):
         e = self.field.p ** (self.field.r // 2)
         return tuple(tuple(self.field.pow(a, e) for a in row) for row in A)
-
-    def radical_dimension(self) -> int:
-        from modinvar.linalg import nullspace_field
-        return len(nullspace_field(self.polar_gram(), self.field))
 
     def polar_gram(self):
         """Gram matrix of the (polarized) bilinear form."""

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 
-from modinvar.gfq import FieldSpec, Scalar
+import numpy as np
+
+from modinvar.gfq import FieldSpec
 from modinvar.gluing import GluingGroup
 from modinvar.groups import MatrixGroup, gl_group, p_k_subgroup, parabolic_gl_order, \
-    parabolic_g_k, sp_group, stabilizer_sp, usp_group, GroupElement, gl_order, \
-    MatrixGroup as _MG
-from modinvar.linalg import fp_coordinates, fp_membership, fp_rref
-from modinvar.mvpoly import (LinearForm, Polynomial, VariableSpace,
-                             balanced_product, gluing_space, symplectic_space,
-                             x_space)
+    parabolic_g_k, sp_group, stabilizer_sp, usp_group, GroupElement
+from modinvar.linalg import fp_coordinates, rref_mod_p
+from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
+                             gluing_space, symplectic_space, x_space)
 
 
 class DegenerateSpanError(ValueError):
@@ -76,9 +76,8 @@ def orbit_product(form: Polynomial, u_basis) -> Polynomial:
         return form
     for u in u_basis:
         _require_linear(u)
-    vectors = [_form_fp_vector(u) for u in u_basis]
-    rows, _ = fp_rref(vectors, space.field.p)
-    if len(rows) != len(u_basis):
+    vectors = np.array([_form_fp_vector(u) for u in u_basis])
+    if len(rref_mod_p(vectors, space.field.p)[1]) != len(u_basis):
         raise DegenerateSpanError("orbit-product basis is F_p-dependent")
     factors = [form + u for u in fp_span(list(u_basis))]
     return balanced_product(factors, space)
@@ -103,14 +102,12 @@ def orbit_product_under_group(form: Polynomial, group: MatrixGroup):
             raise OrbitShapeError("orbit is not of the form (linear form + subspace)")
         offsets.append(off)
     basis = []
-    rows, pivots = [], []
     for off in sorted(offsets, key=lambda f: sorted(f._terms.items())):
         if off.is_zero():
             continue
-        vec = _form_fp_vector(off)
-        if fp_membership(vec, rows, pivots, field.p) is None:
+        vectors = np.array([_form_fp_vector(b) for b in basis + [off]])
+        if len(rref_mod_p(vectors, field.p)[1]) > len(basis):
             basis.append(off)
-            rows, pivots = fp_rref([_form_fp_vector(b) for b in basis], field.p)
     if field.p ** len(basis) != len(offsets):
         raise OrbitShapeError("orbit offsets do not fill out an F_p-subspace")
     span_keys = {frozenset((form + u)._terms.items())

@@ -1,9 +1,15 @@
-"""Row reduction over GF(q) and over the prime subfield.
+"""Row reduction over GF(q), all of it through one numpy kernel over F_p.
 
-Pure-Python routines work for any FieldSpec; a numpy fast path handles the
-prime-field bulk jobs (transfer image row spaces, invariant dimensions).
-Pivoting is deterministic: scan columns left to right, take the first
-unprocessed row with a nonzero entry.
+`rref_mod_p` holds the only elimination loop.  GF(p^r) is an r-dimensional
+F_p-space with basis 1, t, ..., t^(r-1), so a GF(q) index row v is written
+over F_p as the r rows t^j v (j < r), column (k, x) holding digit x of
+(t^j v)_k (`fp_expand`).  If R is the GF(q) reduced row echelon form, with
+pivots c_i, the rows t^j R_i are reduced over F_p with pivots c_i r + j and
+span the same F_p-space, so by uniqueness they are its F_p rref.  The rows
+whose pivot column is divisible by r, folded back into indices, are R
+exactly, and the GF(q) rank is the F_p rank divided by r.  A prime field is
+the case r = 1.  Pivoting is deterministic: scan columns left to right, take
+the first unprocessed row with a nonzero entry.
 """
 
 from __future__ import annotations
@@ -13,59 +19,112 @@ import numpy as np
 from modinvar.gfq import FieldSpec
 
 
-def rref_field(rows, field: FieldSpec):
-    """Reduced row echelon form over a FieldSpec.
+def _residue_dtype(p: int):
+    """Smallest signed dtype holding (p-1)^2 + p, so that residues mod p and
+    every intermediate of an elimination or expansion step fit; Python ints
+    beyond int64."""
+    bound = (p - 1) ** 2 + p
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
 
-    rows: list of lists of element indices.  Returns (reduced_rows, pivots)
-    with zero rows dropped.
+
+def _companion_powers(field):
+    """(r, r, r) array of C^0 .. C^(r-1) mod p, C the companion matrix of the
+    modulus: C^j maps the digits of a to the digits of t^j a."""
+    p, r = field.p, field.r
+    C = np.zeros((r, r), dtype=np.int64)
+    C[1:, :-1] = np.eye(r - 1, dtype=np.int64)
+    C[:, -1] = [-c % p for c in field.modulus[:r]]
+    powers = [np.eye(r, dtype=np.int64)]
+    for _ in range(r - 1):
+        powers.append(powers[-1] @ C % p)
+    return np.array(powers)
+
+
+def fp_expand(rows, field: FieldSpec) -> np.ndarray:
+    """The (m r, n r) matrix over F_p of an m x n matrix of GF(q) indices:
+    row j of block i holds t^j times row i, column x of block k digit x of
+    entry k.  Built in the dtype of `rref_mod_p`, never in int64 beyond it."""
+    p, r = field.p, field.r
+    dtype = _residue_dtype(p)
+    rows = np.asarray(rows, dtype=np.min_scalar_type(field.q - 1))
+    if rows.ndim == 1:  # no rows at all
+        rows = rows.reshape(0, 0)
+    m, n = rows.shape
+    digits = np.empty((m, n, r), dtype=dtype)
+    for x in range(r):
+        digits[..., x] = rows % p
+        rows = rows // p
+    if r == 1:
+        return digits.reshape(m, n)
+    out = np.zeros((m, r, n, r), dtype=dtype)
+    for j, power in enumerate(_companion_powers(field)):
+        for y in range(r):
+            out[:, j] += digits[..., y, None] * power[:, y].astype(dtype)
+            out[:, j] %= p
+    return out.reshape(m * r, n * r)
+
+
+def rref_mod_p(A, p: int):
+    """Reduced row echelon form of an integer matrix mod a prime p.
+
+    Returns (reduced, pivots); reduced has zero rows dropped.  The work is
+    done in `_residue_dtype(p)`, on one copy of A reduced mod p.
     """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
+    dtype = _residue_dtype(p)
+    A = (np.asarray(A) % p).astype(dtype, copy=False)
+    nrows, ncols = A.shape
     rank = 0
+    pivots = []
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+        nz = np.flatnonzero(A[rank:, col])
+        if nz.size == 0:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
+        pivot = rank + int(nz[0])
+        if pivot != rank:
+            A[[rank, pivot]] = A[[pivot, rank]]
+        # the pivot row is zero left of col, so only columns from col on move
+        inv = pow(int(A[rank, col]), -1, p)
         if inv != 1:
-            rows[rank] = [field.mul(inv, a) for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rr, pr = rows[r], rows[rank]
-                rows[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(rr, pr)]
+            A[rank, col:] = A[rank, col:] * inv % p
+        factors = A[:, col].copy()
+        factors[rank] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            A[hit, col:] = (A[hit, col:]
+                            - np.outer(factors[hit], A[rank, col:])) % p
         pivots.append(col)
         rank += 1
-        if rank == len(rows):
+        if rank == nrows:
             break
-    return [r for r in rows[:rank]], pivots
+    return A[:rank], pivots
 
 
-def rank_field(rows, field: FieldSpec) -> int:
-    reduced, _ = rref_field(rows, field)
-    return len(reduced)
+def rref_field(rows, field: FieldSpec):
+    """Reduced row echelon form over a FieldSpec, through `rref_mod_p`.
+
+    rows: m x n element indices.  Returns (reduced, pivots): an array of the
+    nonzero reduced index rows, in the smallest unsigned dtype holding q - 1,
+    and their pivot columns.
+    """
+    p, r = field.p, field.r
+    reduced, fp_pivots = rref_mod_p(fp_expand(rows, field), p)
+    keep = [i for i, c in enumerate(fp_pivots) if c % r == 0]
+    digits = reduced[keep].reshape(len(keep), reduced.shape[1] // r, r) \
+        .astype(np.min_scalar_type(field.q - 1))
+    out = digits[..., r - 1]
+    for x in range(r - 2, -1, -1):
+        out = out * p + digits[..., x]
+    return out, [fp_pivots[i] // r for i in keep]
 
 
-def reduce_vector(vector, reduced_rows, pivots, field: FieldSpec):
-    """Remainder of vector modulo the row space of an rref basis."""
-    v = list(vector)
-    for row, col in zip(reduced_rows, pivots):
-        c = v[col]
-        if c:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return v
-
-
-def in_row_space(vector, reduced_rows, pivots, field: FieldSpec) -> bool:
-    return not any(reduce_vector(vector, reduced_rows, pivots, field))
+def in_row_space(vector, rows, field: FieldSpec) -> bool:
+    """Whether vector lies in the GF(q) row space of rows."""
+    rows = [list(row) for row in rows]
+    rank = len(rref_field(rows, field)[1])
+    return len(rref_field(rows + [list(vector)], field)[1]) == rank
 
 
 def nullspace_field(matrix, field: FieldSpec):
@@ -81,44 +140,9 @@ def nullspace_field(matrix, field: FieldSpec):
         v = [0] * ncols
         v[fc] = 1
         for row, pc in zip(reduced, pivots):
-            v[pc] = field.neg(row[fc])
+            v[pc] = field.neg(int(row[fc]))
         basis.append(v)
     return basis
-
-
-def rref_mod_p(A: np.ndarray, p: int):
-    """Vectorized rref of an integer matrix mod a prime p.
-
-    Returns (reduced, pivots); reduced has zero rows dropped.
-    """
-    A = np.array(A, dtype=np.int64) % p
-    nrows, ncols = A.shape
-    inverses = [0] * p
-    for a in range(1, p):
-        inverses[a] = pow(a, p - 2, p)
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        block = A[rank:, col]
-        nz = np.nonzero(block)[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + nz[0]
-        if pivot != rank:
-            A[[rank, pivot]] = A[[pivot, rank]]
-        inv = inverses[int(A[rank, col])]
-        if inv != 1:
-            A[rank] = (A[rank] * inv) % p
-        factors = A[:, col].copy()
-        factors[rank] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            A[hit] = (A[hit] - np.outer(factors[hit], A[rank])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return A[:rank], pivots
 
 
 def fp_coordinates(indices, field: FieldSpec):
@@ -127,25 +151,3 @@ def fp_coordinates(indices, field: FieldSpec):
     for idx in indices:
         out.extend(field._digits(idx))
     return out
-
-
-def fp_rref(vectors, p: int):
-    """rref over F_p of integer residue vectors; returns (rows, pivots)."""
-    if not vectors:
-        return [], []
-    A, pivots = rref_mod_p(np.array(vectors, dtype=np.int64), p)
-    return A.tolist(), pivots
-
-
-def fp_membership(vector, rows, pivots, p: int):
-    """Coefficients writing vector in the F_p row space, or None."""
-    v = [x % p for x in vector]
-    coeffs = []
-    for row, col in zip(rows, pivots):
-        c = v[col] % p
-        coeffs.append(c)
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    if any(v):
-        return None
-    return coeffs

@@ -91,9 +91,6 @@ class VariableSpace:
             return Polynomial(self, {})
         return Polynomial(self, {tuple(exponents): c.index})
 
-    def linear_form(self, coefficients) -> "LinearForm":
-        return LinearForm.from_coefficients(self, coefficients)
-
 
 def symplectic_space(field: FieldSpec, m: int) -> VariableSpace:
     """Dual variables y1..ym, xm..x1 matching the pinned symplectic basis."""

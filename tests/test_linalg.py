@@ -1,0 +1,164 @@
+"""Row reduction over GF(q) through the F_p kernel, against a scalar
+reference."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from modinvar.gfq import FieldSpec, build_field
+from modinvar.linalg import (fp_expand, in_row_space, nullspace_field,
+                             rref_field, rref_mod_p)
+
+
+def naive_rref_field(rows, field):
+    """Scalar Gauss-Jordan elimination over a FieldSpec, one entry at a time.
+
+    This is the pure-Python `rref_field` that `linalg` used before every
+    GF(q) reduction went through `rref_mod_p`; it is kept here only as the
+    cross-check oracle.  Returns (reduced rows as lists, pivots).
+    """
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        if inv != 1:
+            rows[rank] = [field.mul(inv, a) for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rr, pr = rows[r], rows[rank]
+                rows[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(rr, pr)]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def mat_vec(field, rows, v):
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, v):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
+
+
+DIFF_FIELDS = [build_field(2), build_field(3), build_field(5),
+               build_field(2, 2), build_field(2, 3), build_field(3, 2),
+               build_field(2, 4), build_field(3, 3)]
+
+
+@st.composite
+def index_matrices(draw):
+    """0-6 rows of width 1-7 over one small field, with zero rows and
+    repeated rows mixed in."""
+    field = draw(st.sampled_from(DIFF_FIELDS))
+    width = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(st.integers(min_value=0, max_value=field.q - 1),
+                   min_size=width, max_size=width)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["any", "any", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(row))
+    return field, width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_matrices())
+def test_rref_field_matches_scalar_elimination(case):
+    field, width, rows = case
+    reduced, pivots = rref_field(rows, field)
+    expected, expected_pivots = naive_rref_field(rows, field)
+    assert reduced.tolist() == expected
+    assert pivots == expected_pivots
+    if rows:
+        assert reduced.shape == (len(expected), width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_matrices())
+def test_nullspace_field_is_the_kernel(case):
+    field, width, rows = case
+    basis = nullspace_field(rows, field)
+    if not rows:
+        assert basis == []
+        return
+    assert len(basis) == width - len(naive_rref_field(rows, field)[1])
+    for v in basis:
+        assert mat_vec(field, rows, v) == [0] * len(rows)
+    if basis:
+        assert len(rref_field(basis, field)[1]) == len(basis)
+
+
+def test_in_row_space_members_and_non_members():
+    F4 = build_field(2, 2)
+    rows = [[1, 2, 0], [0, 0, 1]]
+    # a GF(4)-combination: 3 * row0 + 2 * row1
+    member = [F4.add(F4.mul(3, a), F4.mul(2, b)) for a, b in zip(*rows)]
+    assert in_row_space(member, rows, F4)
+    assert in_row_space([0, 0, 0], rows, F4)
+    assert not in_row_space([0, 1, 0], rows, F4)
+    assert not in_row_space([1, 3, 0], rows, F4)
+    assert in_row_space([0, 0, 0], [], F4)
+    assert not in_row_space([0, 1, 0], [], F4)
+
+
+def test_in_row_space_over_a_prime_field():
+    F5 = build_field(5)
+    rows = [[1, 2, 3, 4], [0, 1, 1, 1]]
+    assert in_row_space([2, 0, 2, 4], rows, F5)  # 2*row0 - 4*row1
+    assert not in_row_space([0, 0, 0, 1], rows, F5)
+
+
+def test_empty_input():
+    F9 = build_field(3, 2)
+    reduced, pivots = rref_field([], F9)
+    assert reduced.shape[0] == 0 and pivots == []
+    reduced, pivots = rref_field([[0, 0, 0], [0, 0, 0]], F9)
+    assert reduced.shape == (0, 3) and pivots == []
+    assert nullspace_field([], F9) == []
+    reduced, pivots = rref_mod_p(np.zeros((0, 4), dtype=np.int64), 3)
+    assert reduced.shape == (0, 4) and pivots == []
+
+
+def test_rref_over_a_prime_above_two_to_the_32():
+    """Only the pivots are inverted, and residues this large are reduced as
+    Python ints."""
+    field = FieldSpec(4294967311)
+    rows = [[1, 2, 0], [3, 4, 5], [4, 6, 5], [field.neg(2), field.neg(4), 0]]
+    reduced, pivots = rref_field(rows, field)
+    expected, expected_pivots = naive_rref_field(rows, field)
+    assert reduced.tolist() == expected
+    assert pivots == expected_pivots
+    assert rref_mod_p(np.array([[1, 2], [3, 4]]), 4294967311)[1] == [0, 1]
+
+
+def test_fp_expand_is_multiplication_by_powers_of_t():
+    F8 = build_field(2, 3)
+    t = F8.p
+    rows = [[5, 0, 7], [1, 6, 3]]
+    expanded = fp_expand(rows, F8)
+    assert expanded.shape == (6, 9)
+    for i, row in enumerate(rows):
+        for j in range(F8.r):
+            tj = F8.pow(t, j)
+            digits = [d for a in row for d in F8._digits(F8.mul(tj, a))]
+            assert expanded[i * F8.r + j].tolist() == digits
