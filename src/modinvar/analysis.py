@@ -167,27 +167,65 @@ def _reduce_rows(space, monos, rows):
     return _rows_to_polys(space, monos, reduced.tolist())
 
 
+class TranslationSums:
+    """The translation structure of a group (`_translation_structure`) and
+    the factor sums sum_u (y_i + u)^b already formed, memoized by (i, b)
+    and by y-exponent key.  One instance serves every degree of one
+    transfer image; `structure` is None when the group is not a product of
+    independent translations."""
+
+    def __init__(self, group: MatrixGroup, space: VariableSpace, m: int):
+        self.space = space
+        self.structure = _translation_structure(group, m, space.dim - m)
+        self._factors = {}
+        self._sums = {}
+
+    def factor(self, i, b):
+        """sum over the translations u of y_i of (y_i + u)^b."""
+        key = (i, b)
+        got = self._factors.get(key)
+        if got is None:
+            space = self.space
+            m = len(self.structure)
+            yvar = space.variable(space.names[i])
+            got = space.zero()
+            for offsets in self.structure[i]:
+                form = yvar
+                for j, c in enumerate(offsets):
+                    if c:
+                        form = form + space.variable(space.names[m + j]).scale(c)
+                got = got + form ** b
+            self._factors[key] = got
+        return got
+
+    def orbit_sum(self, ypowers):
+        """sum over the translation group of prod_i (y_i + u_i)^(b_i), factor
+        by factor; valid because the translations are independent."""
+        got = self._sums.get(ypowers)
+        if got is None:
+            got = self.space.one()
+            for i, b in enumerate(ypowers):
+                got = got * self.factor(i, b)
+            self._sums[ypowers] = got
+        return got
+
+
 def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
-                          m_split=None):
-    """Row-space basis of {Tr(monomial) : monomial of degree d}."""
+                          m_split=None, sums: TranslationSums = None):
+    """Row-space basis of {Tr(monomial) : monomial of degree d}.  With
+    m_split, `sums` (built here when not given) carries the translation
+    structure and the orbit sums shared with other degrees."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer image needs an enumerated group")
     monos = monomials_of_degree(space, d)
     index = {e: k for k, e in enumerate(monos)}
-    field = space.field
-    structure = None
-    if m_split is not None:
-        structure = _translation_structure(group, m_split, space.dim - m_split)
+    if m_split is not None and sums is None:
+        sums = TranslationSums(group, space, m_split)
     rows = []
-    if structure is not None:
-        m = m_split
-        shift_cache = {}
+    if sums is not None and sums.structure is not None:
+        m = len(sums.structure)
         for e in monos:
-            key = e[:m]
-            prod = shift_cache.get(key)
-            if prod is None:
-                prod = _structured_orbit_sum(space, structure, key)
-                shift_cache[key] = prod
+            prod = sums.orbit_sum(e[:m])
             row = [0] * len(monos)
             xs = e[m:]
             nonzero = False
@@ -209,30 +247,15 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
     return _reduce_rows(space, monos, rows), monos
 
 
-def _structured_orbit_sum(space, structure, ypowers):
-    """sum over the translation group of prod_i (y_i + u_i)^(b_i), computed
-    factor by factor; valid because the translations are independent."""
-    field = space.field
-    m = len(structure)
-    acc = None
-    for i, b in enumerate(ypowers):
-        total = space.zero()
-        yvar = space.variable(space.names[i])
-        for offsets in structure[i]:
-            form = yvar
-            for j, c in enumerate(offsets):
-                if c:
-                    form = form + space.variable(space.names[m + j]).scale(c)
-            total = total + form ** b
-        acc = total if acc is None else acc * total
-    return acc if acc is not None else space.one()
-
-
 def transfer_image_basis(group: MatrixGroup, space: VariableSpace, D: int,
                          m_split=None) -> TransferImage:
+    sums = None
+    if m_split is not None and group.is_enumerated:
+        sums = TranslationSums(group, space, m_split)
     bases = {}
     for d in range(D + 1):
-        polys, _ = transfer_image_degree(group, space, d, m_split=m_split)
+        polys, _ = transfer_image_degree(group, space, d, m_split=m_split,
+                                         sums=sums)
         bases[d] = polys
     return TransferImage(space, bases)
 

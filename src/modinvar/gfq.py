@@ -4,12 +4,15 @@ Elements are residue vectors with respect to the power basis 1, t, ..., t^(r-1)
 of GF(p)[t] modulo a monic irreducible polynomial.  Internally an element is a
 single integer index in [0, q): the base-p digits of the index are the
 coordinates, so index 0 is the zero element and index 1 is the identity.  For
-small fields (q <= 512) all arithmetic is table driven.
+small fields (q <= 512) all arithmetic is table driven, except addition and
+negation over prime fields, which reduce mod p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 TABLE_LIMIT = 512
 
@@ -120,6 +123,8 @@ class FieldSpec:
             if r > 1 and not _poly_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         if self.q <= TABLE_LIMIT:
@@ -162,11 +167,21 @@ class FieldSpec:
                     inv[a] = b
                     break
         self._inv_table = inv
+        if r > 1:
+            # digit-wise sums and negatives; prime fields add with % p
+            digits = np.array([self._digits(a) for a in range(q)],
+                              dtype=np.int64)
+            place = p ** np.arange(r, dtype=np.int64)
+            self._add_table = [((da + digits) % p @ place).tolist()
+                               for da in digits]
+            self._neg_table = ((-digits) % p @ place).tolist()
 
     def add(self, a: int, b: int) -> int:
         p = self.p
         if self.r == 1:
             return (a + b) % p
+        if self._add_table is not None:
+            return self._add_table[a][b]
         s, shift = 0, 1
         while a or b:
             s += ((a % p + b % p) % p) * shift
@@ -179,6 +194,8 @@ class FieldSpec:
         p = self.p
         if self.r == 1:
             return (-a) % p
+        if self._neg_table is not None:
+            return self._neg_table[a]
         s, shift = 0, 1
         while a:
             s += ((p - a % p) % p) * shift

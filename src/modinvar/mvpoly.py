@@ -8,14 +8,33 @@ equality of text forms and the division algorithm.
 Powers use the Frobenius shortcut f^(p*e) = frobenius(f)^e, which keeps
 q-power exponents (ubiquitous in orbit products and Dickson invariants) cheap
 and exact.
+
+Large products over a prime field run in numpy on packed exponents
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007); every other product runs the scalar
+dict loop.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from functools import reduce
+from itertools import chain
+
+import numpy as np
 
 from modinvar.gfq import FieldMismatchError, FieldSpec, Scalar
+
+# Products of at least this many term pairs over a prime field go to numpy;
+# below it the dict loop is faster (8x8 terms: 97 us against 107 us).
+NUMPY_MIN_PRODUCTS = 64
+# Term products formed at once by the numpy product, bounding its memory.
+NUMPY_CHUNK = 1 << 16
+# Coefficient products of residues below this prime bound fit in int64.
+NUMPY_PRIME_LIMIT = 1 << 31
+# Packed exponent keys (and their sums) must stay below this.
+PACKED_KEY_LIMIT = 1 << 62
 
 
 class SpaceMismatchError(ValueError):
@@ -215,6 +234,10 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
+        """Product.  Over GF(p) with p < 2^31 and at least
+        NUMPY_MIN_PRODUCTS term pairs it runs in numpy (`_mul_packed`);
+        small products, GF(p^r) with r > 1, p >= 2^31 and exponents whose
+        packed keys would reach 2^62 run the scalar dict loop below."""
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -224,6 +247,11 @@ class Polynomial:
         if not a:
             return Polynomial(self.space, {})
         field = self.space.field
+        if field.r == 1 and field.p < NUMPY_PRIME_LIMIT and \
+                len(a) * len(b) >= NUMPY_MIN_PRODUCTS:
+            out = _mul_packed(a, b, field.p, self.space.dim)
+            if out is not None:
+                return Polynomial(self.space, out)
         mul, add = field.mul, field.add
         out = {}
         get = out.get
@@ -466,11 +494,74 @@ class Polynomial:
     @staticmethod
     def from_json(space: VariableSpace, data) -> "Polynomial":
         field = space.field
-        out = space.zero()
+        out = {}
         for item in data:
-            c = field.parse_scalar(item["coefficient"])
-            out = out + space.monomial(item["exponents"], Scalar(field, c))
-        return out
+            _add_term(field, out, tuple(item["exponents"]),
+                      field.parse_scalar(item["coefficient"]))
+        return Polynomial(space, out)
+
+
+def _add_term(field: FieldSpec, terms: dict, e: tuple, c: int):
+    """terms[e] += c in place, dropping the term when it cancels."""
+    s = field.add(terms.get(e, 0), c)
+    if s:
+        terms[e] = s
+    else:
+        terms.pop(e, None)
+
+
+def _exponent_array(terms, n):
+    """The exponent tuples of a term dict as an int64 (len, n) array."""
+    flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
+                       count=len(terms) * n)
+    return flat.reshape(len(terms), n)
+
+
+def _combine_keys(keys, coeffs, p):
+    """Sum the coefficients of equal keys mod p; drop the zero sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, starts) % p
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
+def _mul_packed(a, b, p, n):
+    """Product of two term dicts over GF(p), p < 2^31, as a term dict, or
+    None when the packed keys would reach PACKED_KEY_LIMIT.
+
+    Exponent vectors are packed into int64 keys in a mixed radix whose digit
+    for each variable exceeds the largest exponent of that variable in the
+    product, so key sums are exponent sums.  The outer sums of keys and
+    products of coefficients are combined a chunk of rows of a at a time,
+    and the chunks' partial sums once more at the end."""
+    try:
+        ea, eb = _exponent_array(a, n), _exponent_array(b, n)
+    except OverflowError:
+        return None
+    radix = [x + y + 1 for x, y in zip(ea.max(axis=0).tolist(),
+                                       eb.max(axis=0).tolist())]
+    if math.prod(radix) >= PACKED_KEY_LIMIT:
+        return None
+    weights = [1] * n
+    for i in range(n - 1, 0, -1):
+        weights[i - 1] = weights[i] * radix[i]
+    weights = np.array(weights, dtype=np.int64)
+    ka, kb = ea @ weights, eb @ weights
+    ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
+    cb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
+    step = max(1, NUMPY_CHUNK // len(b))
+    parts = [_combine_keys((ka[s:s + step, None] + kb).ravel(),
+                           (ca[s:s + step, None] * cb % p).ravel(), p)
+             for s in range(0, len(a), step)]
+    if len(parts) == 1:
+        keys, coeffs = parts[0]
+    else:
+        keys, coeffs = _combine_keys(np.concatenate([k for k, _ in parts]),
+                                     np.concatenate([c for _, c in parts]), p)
+    exps = keys[:, None] // weights % np.array(radix, dtype=np.int64)
+    return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
 
 
 class LinearForm(Polynomial):
@@ -558,7 +649,7 @@ def format_polynomial(f: Polynomial) -> str:
 def parse_polynomial(space: VariableSpace, text: str) -> Polynomial:
     """Inverse of format_polynomial; also accepts '-' separators."""
     field = space.field
-    out = space.zero()
+    out = {}
     pos = 0
     n = len(text)
 
@@ -625,9 +716,9 @@ def parse_polynomial(space: VariableSpace, text: str) -> Polynomial:
             break
         if sign < 0:
             coeff = field.neg(coeff)
-        out = out + space.monomial(exps, Scalar(field, coeff))
+        _add_term(field, out, tuple(exps), coeff)
         pos = skip_ws(pos)
-    return out
+    return Polynomial(space, out)
 
 
 def monomials_of_degree(space: VariableSpace, d: int):

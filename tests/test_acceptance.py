@@ -12,26 +12,21 @@ analysis.  They are deliberately NOT weakened here:
   over GF(2) (the dimension oracle and the order count force degree 6).
 """
 
-import itertools
-import json
 import random
 import time
 
 import pytest
 
 from modinvar.analysis import (HilbertClaim, hilbert_check, identity_suite,
-                               invariant_dimension, principal_transfer_check,
-                               transfer, transfer_image_basis)
+                               principal_transfer_check, transfer,
+                               transfer_image_basis)
 from modinvar.checks import run_check
 from modinvar.cli import load_scenario, run_scenario
 from modinvar.gfq import build_field
-from modinvar.gluing import (full_hom_module, glue, semidirect_mul,
-                             thin_glue_regular)
-from modinvar.groups import (gl_group, p_k_subgroup, parabolic_g_k, sp_group,
-                             stabilizer_of_polynomial, unipotent_upper,
-                             usp_group)
-from modinvar.invariants import dickson_in, family, parabolic_glue, \
-    parabolic_gl_group, psi_substitute, xi
+from modinvar.gluing import full_hom_module, glue
+from modinvar.groups import (gl_group, p_k_subgroup, stabilizer_of_polynomial,
+                             unipotent_upper)
+from modinvar.invariants import dickson_in, xi
 from modinvar.mvpoly import (VariableSpace, gluing_space, monomials_of_degree,
                              parse_polynomial, symplectic_space)
 

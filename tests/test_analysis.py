@@ -3,7 +3,8 @@ import random
 import pytest
 
 from modinvar.gfq import build_field
-from modinvar.analysis import (HilbertClaim, VerificationReport,
+from modinvar.analysis import (HilbertClaim, TranslationSums,
+                               VerificationReport,
                                degree_product_check, hilbert_check,
                                identity_suite, invariant_dimension,
                                is_invariant, principal_transfer_check,
@@ -98,14 +99,43 @@ def test_transfer_factorization_zero_module():
 
 
 def test_transfer_image_fast_path_matches_general():
+    """Every degree of a transfer image with shared translation sums equals
+    a fresh structured degree and the unstructured transfer."""
     for field in (F2, F3):
-        gl = _u2_gluing(field)
-        msub = gl.m_subgroup()
+        msub = _u2_gluing(field).m_subgroup()
         sp = gluing_space(field, 2, 2)
-        for d in range(0, 6):
-            fast, _ = transfer_image_degree(msub, sp, d, m_split=2)
+        image = transfer_image_basis(msub, sp, 8, m_split=2)
+        assert sorted(image.bases) == list(range(9))
+        for d in range(9):
+            shared = [f._terms for f in image.bases[d]]
+            fresh, _ = transfer_image_degree(msub, sp, d, m_split=2)
+            assert shared == [f._terms for f in fresh]
             slow, _ = transfer_image_degree(msub, sp, d, m_split=None)
-            assert [f._terms for f in fast] == [s._terms for s in slow]
+            assert shared == [f._terms for f in slow]
+
+
+def test_translation_sums_memoize_factors():
+    msub = _u2_gluing(F3).m_subgroup()
+    sp = gluing_space(F3, 2, 2)
+    sums = TranslationSums(msub, sp, 2)
+    assert [len(s) for s in sums.structure] == [9, 9]
+    assert sums.factor(0, 4) is sums.factor(0, 4)
+    assert sums.orbit_sum((1, 3)) is sums.orbit_sum((1, 3))
+    assert sums.orbit_sum((1, 3)) == sums.factor(0, 1) * sums.factor(1, 3)
+    assert sums.orbit_sum(()) == sp.one()
+    # each factor is the sum over the translations of its own variable
+    x1, x2 = sp.variable("x1"), sp.variable("x2")
+    for i, name in enumerate(("y1", "y2")):
+        y = sp.variable(name)
+        for b in range(18):
+            direct = sp.zero()
+            for c1, c2 in sums.structure[i]:
+                direct = direct + (y + x1.scale(c1) + x2.scale(c2)) ** b
+            assert sums.factor(i, b) == direct
+        assert name in sums.factor(i, 17).variables_used()
+    # not a translation group: the general path runs
+    whole = _u2_gluing(F3).enumerate()
+    assert TranslationSums(whole, sp, 2).structure is None
 
 
 def test_transfer_image_divisibility_and_attainment():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -154,3 +155,48 @@ def test_primitive_element():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def digit_add(field, a, b):
+    """The digit loop `FieldSpec.add` runs above TABLE_LIMIT, kept as the
+    oracle of the addition table."""
+    p = field.p
+    s, shift = 0, 1
+    while a or b:
+        s += ((a % p + b % p) % p) * shift
+        a //= p
+        b //= p
+        shift *= p
+    return s
+
+
+def digit_neg(field, a):
+    p = field.p
+    s, shift = 0, 1
+    while a:
+        s += ((p - a % p) % p) * shift
+        a //= p
+        shift *= p
+    return s
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2),
+                                 (3, 3)])
+def test_add_neg_sub_tables_match_digit_loop(p, r):
+    F = build_field(p, r)
+    assert F._add_table is not None and F._neg_table is not None
+    for a in range(F.q):
+        assert F.neg(a) == digit_neg(F, a)
+        for b in range(F.q):
+            assert F.add(a, b) == digit_add(F, a, b)
+            assert F.sub(a, b) == digit_add(F, a, digit_neg(F, b))
+
+
+def test_digit_loop_above_table_limit():
+    F = build_field(2, 10)
+    assert F._add_table is None
+    rng = random.Random(4)
+    for _ in range(200):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.add(a, b) == digit_add(F, a, b)
+        assert F.neg(a) == digit_neg(F, a)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -11,8 +10,7 @@ from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
                              subfield_hom_module, thin_glue_regular,
                              zero_module)
 from modinvar.groups import (FormSpec, GroupElement, MatrixGroup, gl_group,
-                             mat_mul, sp_order, trivial_group,
-                             unipotent_upper)
+                             trivial_group, unipotent_upper)
 
 F2 = build_field(2)
 F3 = build_field(3)

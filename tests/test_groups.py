@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modinvar.gfq import build_field
-from modinvar.groups import (DEFAULT_CAP, EnumerationCapError, FormSpec,
-                             GroupElement, MatrixGroup, NotEnumeratedError,
-                             anti_identity, element_orders, field_from_order,
-                             form_preserved, gk_order, gl_group, gl_order,
+from modinvar.groups import (EnumerationCapError, FormSpec, GroupElement,
+                             MatrixGroup, NotEnumeratedError, element_orders,
+                             field_from_order, form_preserved, gk_order,
+                             gl_group, gl_order,
                              is_symplectic, mat_det, mat_mul,
                              minimal_generators, o3_sylow_generators,
                              o4_plus_sylow_generators, p_k_subgroup,

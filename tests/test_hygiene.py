@@ -1,0 +1,56 @@
+"""Every name a module under src/modinvar or tests/ imports is used there."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (module, name, why the unused import stays)
+ALLOWED = {
+    ("src/modinvar/checks.py", "invariant_dimension",
+     "the benchmark tracer binds analysis functions through checks"),
+}
+
+
+def _modules():
+    for folder in (ROOT / "src" / "modinvar", ROOT / "tests"):
+        yield from sorted(folder.glob("*.py"))
+
+
+def unused_imports(path):
+    """(line, name) of each imported name the module never references; the
+    strings in ``__all__`` count as references."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    allowed = {(module, name) for module, name, _ in ALLOWED}
+    found = []
+    for path in _modules():
+        rel = path.relative_to(ROOT).as_posix()
+        found += [f"{rel}:{line}: {name}"
+                  for line, name in unused_imports(path)
+                  if (rel, name) not in allowed]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_allowlist_entries_are_still_unused():
+    for module, name, _ in ALLOWED:
+        assert name in [n for _, n in unused_imports(ROOT / module)], name

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from modinvar.gfq import build_field
@@ -8,15 +6,14 @@ from modinvar.groups import (gl_group, sp_group, trivial_group,
                              unipotent_upper, usp_order)
 from modinvar.invariants import (DegenerateSpanError, GeneratorFamily,
                                  InvarianceError, OrbitShapeError, dickson,
-                                 dickson_in, dickson_via_moore,
-                                 dickson_coefficients, family, fp_span,
+                                 dickson_in, dickson_via_moore, family,
                                  moore_determinant, n_k, n_x, orbit_product,
                                  orbit_product_under_group, parabolic_glue,
                                  parabolic_gl_group, partial_dickson,
                                  psi_substitute, subspace_product,
                                  symplectic_l_names, u_tilde, xi, xi_power)
-from modinvar.mvpoly import (VariableSpace, gluing_space, parse_polynomial,
-                             symplectic_space, x_space)
+from modinvar.mvpoly import (VariableSpace, gluing_space, symplectic_space,
+                             x_space)
 
 F2 = build_field(2)
 F3 = build_field(3)

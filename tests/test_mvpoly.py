@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modinvar import mvpoly
 from modinvar.gfq import build_field
 from modinvar.groups import GroupElement
 from modinvar.mvpoly import (InexactDivisionError, LinearForm, ParseError,
@@ -196,6 +199,13 @@ def test_parse_signs_and_coefficients():
     sp = space(F3, "x1", "x2")
     f = parse_polynomial(sp, "-x1 + 2*x2 - x1")
     assert f == sp.variable("x1") + sp.variable("x2").scale(2)
+    # repeated monomials combine, and a cancelled term is not stored
+    assert parse_polynomial(sp, "x1 + x1") == sp.variable("x1").scale(2)
+    assert parse_polynomial(sp, "x1 + 2*x1").is_zero()
+    assert parse_polynomial(sp, "x1 + 2*x1 + x2")._terms == {(0, 1): 1}
+    data = [{"exponents": [1, 0], "coefficient": "1"},
+            {"exponents": [1, 0], "coefficient": "2"}]
+    assert Polynomial.from_json(sp, data).is_zero()
     g = parse_polynomial(space(F4, "x1"), "(1+t)*x1^2")
     assert g.coefficient((2,)) == F4.scalar([1, 1])
 
@@ -266,3 +276,141 @@ def test_grevlex_leading_term():
     f = parse_polynomial(sp, "x1^2*x2 + x1*x2^2")
     e, c = f.leading_term()
     assert e == (2, 1)
+
+
+def test_text_and_json_roundtrip_of_a_large_polynomial():
+    rng = random.Random(5)
+    sp = space(F3, "x1", "x2", "x3")
+    f = Polynomial(sp, {e: rng.randrange(1, 3)
+                        for d in range(15) for e in monomials_of_degree(sp, d)})
+    assert len(f) >= 500
+    assert parse_polynomial(sp, format_polynomial(f))._terms == f._terms
+    assert Polynomial.from_json(sp, f.to_json())._terms == f._terms
+
+
+# -- the numpy product against the scalar dict loop --
+
+def scalar_product(a: Polynomial, b: Polynomial) -> dict:
+    """The scalar dict-loop product, kept as the oracle of `__mul__`."""
+    field = a.space.field
+    out = {}
+    for e1, c1 in a._terms.items():
+        for e2, c2 in b._terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = field.add(out.get(e, 0), field.mul(c1, c2))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+# p = 2^31 - 1 is the largest prime the numpy product takes
+MUL_PRIMES = (2, 3, 5, 7, 2 ** 31 - 1)
+
+
+@st.composite
+def product_operands(draw, min_terms=8, max_terms=40, max_exp=12):
+    field = build_field(draw(st.sampled_from(MUL_PRIMES)))
+    n = draw(st.integers(min_value=1, max_value=5))
+    sp = VariableSpace(field, [f"x{i}" for i in range(n)])
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * n),
+        st.integers(min_value=1, max_value=field.p - 1),
+        min_size=min_terms, max_size=max_terms)
+    return Polynomial(sp, draw(terms)), Polynomial(sp, draw(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands())
+def test_numpy_product_matches_dict_loop(operands):
+    a, b = operands
+    assert len(a) * len(b) >= mvpoly.NUMPY_MIN_PRODUCTS
+    assert (a * b)._terms == scalar_product(a, b)
+    assert (b * a)._terms == scalar_product(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_operands(), st.integers(min_value=1, max_value=200))
+def test_numpy_product_over_several_chunks(operands, chunk):
+    a, b = operands
+    with mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
+        assert (a * b)._terms == scalar_product(a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(product_operands(min_terms=64, max_terms=80, max_exp=80),
+       st.integers(min_value=0, max_value=2 ** 31 - 2))
+def test_constant_times_large_polynomial(operands, c):
+    a, _ = operands
+    k = a.space.constant(c)
+    assert (k * a)._terms == scalar_product(k, a)
+    assert (a * k)._terms == a.scale(c)._terms
+
+
+@pytest.mark.parametrize("p", MUL_PRIMES)
+def test_numpy_product_cancellation(p):
+    # (x1^k - x2^k) / (x1 - x2) * (x1 - x2): every cross term cancels
+    sp = space(build_field(p), "x1", "x2")
+    x1, x2 = sp.variables()
+    k = 100
+    quotient = Polynomial(sp, {(j, k - 1 - j): 1 for j in range(k)})
+    for chunk in (mvpoly.NUMPY_CHUNK, 7):
+        with mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
+            assert quotient * (x1 - x2) == x1 ** k - x2 ** k
+    if p > 40:
+        return
+    # (x1 + x2)^(n - 1) * (x1 + x2) with n a power of p: every middle
+    # coefficient is a binomial that vanishes mod p
+    n = p ** next(k for k in range(1, 7) if p ** k >= 40)
+    f = Polynomial(sp, {(j, n - 1 - j): math.comb(n - 1, j) % p
+                        for j in range(n)})
+    assert len(f) == n
+    assert f * (x1 + x2) == x1 ** n + x2 ** n
+
+
+def test_large_operands_span_several_chunks():
+    rng = random.Random(11)
+    sp = space(F3, "x1", "x2", "x3")
+    a = Polynomial(sp, {tuple(rng.randrange(30) for _ in range(3)):
+                        rng.randrange(1, 3) for _ in range(400)})
+    b = Polynomial(sp, {tuple(rng.randrange(30) for _ in range(3)):
+                        rng.randrange(1, 3) for _ in range(400)})
+    assert len(a) * len(b) > 2 * mvpoly.NUMPY_CHUNK
+    assert (a * b)._terms == scalar_product(a, b)
+
+
+def test_radix_overflow_falls_back_to_dict_loop():
+    rng = random.Random(2)
+    F5 = build_field(5)
+    sp = space(F5, "a", "b", "c", "d")
+    a = Polynomial(sp, {tuple(rng.randrange(2 ** 20) for _ in range(4)):
+                        rng.randrange(1, 5) for _ in range(10)})
+    b = Polynomial(sp, {tuple(rng.randrange(2 ** 20) for _ in range(4)):
+                        rng.randrange(1, 5) for _ in range(10)})
+    assert mvpoly._mul_packed(a._terms, b._terms, F5.p, 4) is None
+    assert (a * b)._terms == scalar_product(a, b)
+    # exponents beyond int64 fall back too
+    sp = space(F5, "a")
+    a = Polynomial(sp, {(2 ** 70 + j,): 1 for j in range(10)})
+    assert mvpoly._mul_packed(a._terms, a._terms, F5.p, 1) is None
+    assert (a * a)._terms == scalar_product(a, a)
+
+
+def test_product_dispatch():
+    """numpy runs for large prime-field products only."""
+    big_p = 2 ** 31 + 11
+
+    def operand(field, n_terms):
+        sp = space(field, "x1", "x2")
+        return Polynomial(sp, {(j, 2 * j): 1 for j in range(n_terms)})
+
+    cases = [(F3, 8, 8, True), (F3, 2, 8, False), (F4, 8, 8, False),
+             (build_field(big_p), 8, 8, False)]
+    for field, la, lb, packed in cases:
+        a, b = operand(field, la), operand(field, lb)
+        with mock.patch.object(mvpoly, "_mul_packed",
+                               wraps=mvpoly._mul_packed) as spy:
+            product = a * b
+        assert spy.called == packed, field
+        assert product._terms == scalar_product(a, b)
