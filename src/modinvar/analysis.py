@@ -7,12 +7,10 @@ always carries a concrete witness (the nonzero difference).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from modinvar.gluing import GluingGroup
-from modinvar.groups import MatrixGroup, NotEnumeratedError
+from modinvar.groups import BudgetExceeded, MatrixGroup, NotEnumeratedError
 from modinvar.invariants import (GeneratorFamily, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute,
@@ -25,15 +23,14 @@ from modinvar.mvpoly import (Polynomial, VariableSpace, gluing_space,
 class VerificationReport:
     """Outcome of a named check: pass/fail/skipped, witness on failure."""
 
-    def __init__(self, check, params, status, witness=None, millis=0.0,
-                 notes=None):
+    def __init__(self, check, params, status, witness=None, notes=None):
         if status == "fail" and witness is None:
             raise ValueError("fail reports must carry a witness")
         self.check = check
         self.params = dict(params)
         self.status = status
         self.witness = witness
-        self.millis = millis
+        self.millis = 0.0
         self.notes = notes
 
     @property
@@ -63,14 +60,12 @@ def _difference_witness(diff: Polynomial) -> str:
             f"leading term exponents {e} coefficient {c}")
 
 
-def _identity_report(name, params, lhs, rhs, t0, notes=None):
+def _identity_report(name, params, lhs, rhs, notes=None):
     diff = lhs - rhs
     if diff.is_zero():
-        return VerificationReport(name, params, "pass",
-                                  millis=(time.time() - t0) * 1000, notes=notes)
+        return VerificationReport(name, params, "pass", notes=notes)
     return VerificationReport(name, params, "fail",
-                              witness=_difference_witness(diff),
-                              millis=(time.time() - t0) * 1000, notes=notes)
+                              witness=_difference_witness(diff), notes=notes)
 
 
 # -- transfer --
@@ -97,14 +92,12 @@ def is_invariant(f: Polynomial, group: MatrixGroup) -> bool:
 def transfer_factorization_check(f: Polynomial, gluing: GluingGroup,
                                  cap=10 ** 6) -> VerificationReport:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over M."""
-    t0 = time.time()
     whole = gluing.enumerate(cap)
     msub = gluing.m_subgroup()
     factors = gluing.factor_subgroup().enumerate(cap)
     lhs = transfer(f, whole)
     rhs = transfer(transfer(f, msub), factors)
-    return _identity_report("transfer_factorization", {"f": repr(f)},
-                            lhs, rhs, t0)
+    return _identity_report("transfer_factorization", {"f": repr(f)}, lhs, rhs)
 
 
 def _translation_structure(group: MatrixGroup, m: int, n: int):
@@ -265,7 +258,6 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
                              ) -> VerificationReport:
     """Every image basis element is exactly divisible by tau, and tau itself
     lies in the image row space at its degree."""
-    t0 = time.time()
     params = {"tau_degree": tau.degree()}
     for d, polys in sorted(image.bases.items()):
         for poly in polys:
@@ -273,8 +265,7 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
                 return VerificationReport(
                     "transfer_principal", params, "fail",
                     witness=f"image element of degree {d} not divisible: "
-                            f"{_difference_witness(poly)}",
-                    millis=(time.time() - t0) * 1000)
+                            f"{_difference_witness(poly)}")
     dtau = tau.degree()
     if dtau in image.bases:
         polys = image.bases[dtau]
@@ -297,10 +288,8 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
     if not in_row_space(tau_row, rows, image.space.field):
         return VerificationReport("transfer_principal", params, "fail",
                                   witness="tau is not attained in the image "
-                                          f"row space at degree {dtau}",
-                                  millis=(time.time() - t0) * 1000)
-    return VerificationReport("transfer_principal", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                          f"row space at degree {dtau}")
+    return VerificationReport("transfer_principal", params, "pass")
 
 
 # -- invariant dimensions and Hilbert series --
@@ -321,7 +310,7 @@ def invariant_dimension(group: MatrixGroup, d: int,
         return 1
     monos = monomials_of_degree(space, d)
     if len(monos) > MAX_KERNEL_MONOMIALS:
-        raise MemoryError(
+        raise BudgetExceeded(
             f"degree {d} needs {len(monos)} monomials, over the "
             f"{MAX_KERNEL_MONOMIALS} budget")
     index = {e: k for k, e in enumerate(monos)}
@@ -372,15 +361,13 @@ class HilbertClaim:
 
 def hilbert_check(claim: HilbertClaim, group: MatrixGroup, D: int,
                   space: VariableSpace = None) -> VerificationReport:
-    t0 = time.time()
     params = {"generators": claim.generator_degrees,
               "relations": claim.relation_degrees, "D": D}
     bad = claim.consistent(D)
     if bad is not None:
         return VerificationReport("hilbert", params, "fail",
                                   witness=f"series coefficient negative at "
-                                          f"degree {bad}",
-                                  millis=(time.time() - t0) * 1000)
+                                          f"degree {bad}")
     series = claim.series(D)
     for d in range(D + 1):
         actual = invariant_dimension(group, d, space)
@@ -388,17 +375,14 @@ def hilbert_check(claim: HilbertClaim, group: MatrixGroup, D: int,
             return VerificationReport(
                 "hilbert", params, "fail",
                 witness=f"degree {d}: claimed dimension {series[d]}, "
-                        f"invariant dimension {actual}",
-                millis=(time.time() - t0) * 1000)
-    return VerificationReport("hilbert", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                        f"invariant dimension {actual}")
+    return VerificationReport("hilbert", params, "pass")
 
 
 def degree_product_check(fam: GeneratorFamily,
                          group: MatrixGroup = None) -> VerificationReport:
     """Nakajima-style certificate: the degree product of a claimed polynomial
     generating set must equal the group order."""
-    t0 = time.time()
     if fam.structure != "polynomial_algebra":
         raise ValueError("degree product certificate needs a polynomial claim")
     group = group or fam.group
@@ -406,12 +390,10 @@ def degree_product_check(fam: GeneratorFamily,
     order = group.order()
     params = {"family": fam.name, **fam.params}
     if prod == order:
-        return VerificationReport("degree_product", params, "pass",
-                                  millis=(time.time() - t0) * 1000)
+        return VerificationReport("degree_product", params, "pass")
     return VerificationReport("degree_product", params, "fail",
                               witness=f"degree product {prod} != group order "
-                                      f"{order}",
-                              millis=(time.time() - t0) * 1000)
+                                      f"{order}")
 
 
 # -- the identity suite --
@@ -680,7 +662,6 @@ IDENTITY_CHECKS = {
 
 def identity_suite(name: str, params: dict) -> VerificationReport:
     """Run one named exact identity check; both sides expand fully."""
-    t0 = time.time()
     if name not in IDENTITY_CHECKS:
         raise ValueError(f"unknown identity {name!r}; known: "
                          f"{sorted(IDENTITY_CHECKS)}")
@@ -698,4 +679,4 @@ def identity_suite(name: str, params: dict) -> VerificationReport:
         lhs, rhs, notes = out
     else:
         lhs, rhs = out
-    return _identity_report(name, params, lhs, rhs, t0, notes=notes)
+    return _identity_report(name, params, lhs, rhs, notes=notes)

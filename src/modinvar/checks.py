@@ -1,9 +1,12 @@
 """Named verification checks: the vocabulary shared by the CLI `verify`
 subcommand and scenario files.
 
-Every check returns a VerificationReport.  Budget violations (enumeration
-caps, oversized degree bounds) surface as status "skipped" with a reason, so
-scenario runs can degrade rather than crash.
+Every check returns a VerificationReport and runs through `run_check`, the
+one place that times a check (`millis`, from `time.perf_counter`) and the
+one place that turns a budget overrun into a report: a `BudgetExceeded`
+(an enumeration cap, a monomial budget, an exhaustive-search limit) raised
+anywhere inside a check becomes status "skipped" with its message as the
+note, so scenario runs degrade rather than crash.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from modinvar.gfq import build_field
 from modinvar.gluing import (diagonal_glue, full_hom_module, glue,
                              scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
-from modinvar.groups import (DEFAULT_CAP, EnumerationCapError, FormSpec,
+from modinvar.groups import (DEFAULT_CAP, BudgetExceeded, FormSpec,
                              MatrixGroup, element_orders, field_from_order,
                              gk_order, gl_group, gl_order, p_k_subgroup,
-                             parabolic_g_k, pk_order, sp_group, sp_order,
-                             stabilizer_of_polynomial, stabilizer_sp,
-                             stabilizer_sp_order, trivial_group,
-                             unipotent_order, unipotent_upper, usp_group,
-                             usp_order)
+                             parabolic_g_k, parse_matrix, pk_order, sp_group,
+                             sp_order, stabilizer_of_polynomial,
+                             stabilizer_sp, stabilizer_sp_order,
+                             trivial_group, unipotent_order, unipotent_upper,
+                             usp_group, usp_order)
 from modinvar.invariants import (InvarianceError, dickson_in, family,
                                  orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute, xi)
@@ -82,14 +85,8 @@ def group_formula_order(kind: str, params: dict) -> int:
     return GROUP_KINDS[kind][1](params)
 
 
-def _skip(name, params, reason, t0):
-    return VerificationReport(name, params, "skipped", notes=reason,
-                              millis=(time.time() - t0) * 1000)
-
-
 def check_group_order(params, budgets) -> VerificationReport:
     """Enumerated order equals the closed-form order (and an explicit pin)."""
-    t0 = time.time()
     kind = params["kind"]
     cap = budgets.get("cap", DEFAULT_CAP)
     expected = group_formula_order(kind, params)
@@ -97,60 +94,42 @@ def check_group_order(params, budgets) -> VerificationReport:
     if pinned is not None and pinned != expected:
         return VerificationReport("group_order", params, "fail",
                                   witness=f"formula order {expected} != "
-                                          f"pinned order {pinned}",
-                                  millis=(time.time() - t0) * 1000)
-    try:
-        G = build_group(kind, params).enumerate(cap)
-    except EnumerationCapError as exc:
-        return _skip("group_order", params, str(exc), t0)
+                                          f"pinned order {pinned}")
+    G = build_group(kind, params).enumerate(cap)
     if G.order() != expected:
         return VerificationReport("group_order", params, "fail",
                                   witness=f"enumerated {G.order()}, "
-                                          f"formula {expected}",
-                                  millis=(time.time() - t0) * 1000)
-    return VerificationReport("group_order", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                          f"formula {expected}")
+    return VerificationReport("group_order", params, "pass")
 
 
 def check_glued_order(params, budgets) -> VerificationReport:
     """|realized| = |G1| * |M| * |G2| for a described gluing."""
-    t0 = time.time()
     cap = budgets.get("cap", DEFAULT_CAP)
     gluing = build_gluing(params)
     expected = params.get("order")
-    try:
-        R = gluing.enumerate(cap)
-    except EnumerationCapError as exc:
-        return _skip("glued_order", params, str(exc), t0)
+    R = gluing.enumerate(cap)
     product = gluing.G1.enumerate(cap).order() * gluing.M.module_order() * \
         gluing.G2.enumerate(cap).order()
     if R.order() != product:
         return VerificationReport("glued_order", params, "fail",
                                   witness=f"realized {R.order()} != product "
-                                          f"{product}",
-                                  millis=(time.time() - t0) * 1000)
+                                          f"{product}")
     if expected is not None and R.order() != expected:
         return VerificationReport("glued_order", params, "fail",
                                   witness=f"realized {R.order()} != pinned "
-                                          f"{expected}",
-                                  millis=(time.time() - t0) * 1000)
-    return VerificationReport("glued_order", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                          f"{expected}")
+    return VerificationReport("glued_order", params, "pass")
 
 
 def _module_from_file(field, m, n, path):
-    """Bimodule basis from a text file: one matrix per line, rows separated
-    by ';' and entries by ','."""
+    """Bimodule basis from a text file: one `parse_matrix` text per line;
+    blank lines and lines starting with '#' are skipped."""
     from modinvar.gluing import BimoduleBasis
-    mats = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows = tuple(tuple(field.parse_scalar(e) for e in r.split(","))
-                         for r in line.split(";"))
-            mats.append(rows)
+        lines = [line.strip() for line in handle]
+    mats = [parse_matrix(field, line) for line in lines
+            if line and not line.startswith("#")]
     return BimoduleBasis(field, m, n, mats)
 
 
@@ -207,7 +186,6 @@ def build_gluing(params):
 def check_stabilizer_order(params, budgets) -> VerificationReport:
     """Order of the stabilizer of a named polynomial inside an enumerated
     general linear group."""
-    t0 = time.time()
     q = params["q"]
     field = field_from_order(q)
     cap = budgets.get("cap", DEFAULT_CAP)
@@ -223,19 +201,14 @@ def check_stabilizer_order(params, budgets) -> VerificationReport:
         G = gl_group(3, field)
     else:
         raise ValueError(f"unknown polynomial token {which!r}")
-    try:
-        G = G.enumerate(cap)
-    except EnumerationCapError as exc:
-        return _skip("stabilizer_order", params, str(exc), t0)
+    G = G.enumerate(cap)
     S = stabilizer_of_polynomial(G, f)
     expected = params["order"]
     if S.order() != expected:
         return VerificationReport("stabilizer_order", params, "fail",
                                   witness=f"stabilizer order {S.order()}, "
-                                          f"expected {expected}",
-                                  millis=(time.time() - t0) * 1000)
-    return VerificationReport("stabilizer_order", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                          f"expected {expected}")
+    return VerificationReport("stabilizer_order", params, "pass")
 
 
 def check_hilbert(params, budgets) -> VerificationReport:
@@ -264,22 +237,18 @@ def check_degree_product(params, budgets) -> VerificationReport:
 
 def check_family(params, budgets) -> VerificationReport:
     """Construct a family; construction validates degrees and invariance."""
-    t0 = time.time()
     try:
         fam = family(params["family"], **params.get("params", {}))
     except InvarianceError as exc:
-        return VerificationReport("family", params, "fail", witness=str(exc),
-                                  millis=(time.time() - t0) * 1000)
+        return VerificationReport("family", params, "fail", witness=str(exc))
     return VerificationReport("family", params, "pass",
                               notes=f"{len(fam.members)} members, degrees "
-                                    f"{fam.degrees}",
-                              millis=(time.time() - t0) * 1000)
+                                    f"{fam.degrees}")
 
 
 def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     """Triple product law against block matrix multiplication."""
     from modinvar.gluing import semidirect_mul
-    t0 = time.time()
     cap = budgets.get("cap", DEFAULT_CAP)
     gluing = build_gluing(params)
     G1 = gluing.G1.enumerate(cap)
@@ -306,44 +275,34 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
         if gluing.triple(*prod) != gluing.triple(*t1) * gluing.triple(*t2):
             return VerificationReport(
                 "semidirect_law", params, "fail",
-                witness=f"triple law fails for {t1!r} * {t2!r}",
-                millis=(time.time() - t0) * 1000)
+                witness=f"triple law fails for {t1!r} * {t2!r}")
         checked += 1
     return VerificationReport("semidirect_law", params, "pass",
-                              notes=f"{checked} of {total} pairs checked",
-                              millis=(time.time() - t0) * 1000)
+                              notes=f"{checked} of {total} pairs checked")
 
 
 def check_thin_glue(params, budgets) -> VerificationReport:
     """Dimension p^r + 1, faithfulness, and an element of order p^(r+1)."""
-    t0 = time.time()
     p, r = params["p"], params["r"]
     field = build_field(p, r)
     cap = budgets.get("cap", DEFAULT_CAP)
     gluing = thin_glue_regular(p, r, field)
-    try:
-        R = gluing.enumerate(cap)
-    except EnumerationCapError as exc:
-        return _skip("thin_glue", params, str(exc), t0)
+    R = gluing.enumerate(cap)
     size = p ** r
     if R.n != size + 1:
         return VerificationReport("thin_glue", params, "fail",
-                                  witness=f"dimension {R.n} != {size + 1}",
-                                  millis=(time.time() - t0) * 1000)
+                                  witness=f"dimension {R.n} != {size + 1}")
     expected = size * p ** size
     if R.order() != expected:
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"order {R.order()} != {expected}; "
-                                          "kernel is nontrivial",
-                                  millis=(time.time() - t0) * 1000)
+                                          "kernel is nontrivial")
     maxorder = max(element_orders(field, [g.matrix for g in R.elements]))
     if maxorder != p ** (r + 1):
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"maximal element order {maxorder} "
-                                          f"!= {p ** (r + 1)}",
-                                  millis=(time.time() - t0) * 1000)
-    return VerificationReport("thin_glue", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                          f"!= {p ** (r + 1)}")
+    return VerificationReport("thin_glue", params, "pass")
 
 
 def _u4_setting(p, tau_power=2):
@@ -358,7 +317,6 @@ def _u4_setting(p, tau_power=2):
 def check_transfer_example(params, budgets) -> VerificationReport:
     """Image of the module transfer: divisibility by tau up to the degree
     bound and attainment of tau at its own degree."""
-    t0 = time.time()
     p = params["p"]
     D = params.get("D", budgets.get("degree_bound", 12))
     gluing, space, tau = _u4_setting(p, params.get("tau_power", 2))
@@ -367,12 +325,10 @@ def check_transfer_example(params, budgets) -> VerificationReport:
     rep = principal_transfer_check(image, tau, group=msub, space=space,
                                    m_split=2)
     return VerificationReport("transfer_example", params, rep.status,
-                              witness=rep.witness,
-                              millis=(time.time() - t0) * 1000)
+                              witness=rep.witness)
 
 
 def check_transfer_factorization(params, budgets) -> VerificationReport:
-    t0 = time.time()
     gluing = build_gluing(params)
     space = gluing_space(gluing.field, gluing.m, gluing.n)
     rng = random.Random(params.get("seed", 0))
@@ -386,14 +342,12 @@ def check_transfer_factorization(params, budgets) -> VerificationReport:
             rep.params.update(params)
             return rep
     return VerificationReport("transfer_factorization", params, "pass",
-                              notes=f"{count} monomials checked",
-                              millis=(time.time() - t0) * 1000)
+                              notes=f"{count} monomials checked")
 
 
 def check_parabolic_family(params, budgets) -> VerificationReport:
     """Substituted generators of a parabolic gluing: invariance under every
     realized generator and the degree-product count."""
-    t0 = time.time()
     q = params["q"]
     partition = tuple(params.get("partition", (1, 1)))
     field = field_from_order(q)
@@ -417,8 +371,7 @@ def check_parabolic_family(params, budgets) -> VerificationReport:
             if poly.act(g) != poly:
                 return VerificationReport(
                     "parabolic_family", params, "fail",
-                    witness=f"{label} moves under realized generator #{gi}",
-                    millis=(time.time() - t0) * 1000)
+                    witness=f"{label} moves under realized generator #{gi}")
     degprod = 1
     for _, poly in members:
         degprod *= poly.degree()
@@ -427,17 +380,14 @@ def check_parabolic_family(params, budgets) -> VerificationReport:
     if degprod != order:
         return VerificationReport("parabolic_family", params, "fail",
                                   witness=f"degree product {degprod} != "
-                                          f"glued order {order}",
-                                  millis=(time.time() - t0) * 1000)
+                                          f"glued order {order}")
     return VerificationReport("parabolic_family", params, "pass",
                               notes=f"degrees {[p_.degree() for _, p_ in members]}, "
-                                    f"order {order}",
-                              millis=(time.time() - t0) * 1000)
+                                    f"order {order}")
 
 
 def check_singular_form(params, budgets) -> VerificationReport:
     """Alternating rank-2 form on a 3-space: glued order and preservation."""
-    t0 = time.time()
     q = params["q"]
     field = field_from_order(q)
     z = 0
@@ -449,21 +399,17 @@ def check_singular_form(params, budgets) -> VerificationReport:
     expected = gl_order(1, q) * q ** 2 * sp_order(1, q)
     if R.order() != expected:
         return VerificationReport("singular_form", params, "fail",
-                                  witness=f"order {R.order()} != {expected}",
-                                  millis=(time.time() - t0) * 1000)
+                                  witness=f"order {R.order()} != {expected}")
     from modinvar.groups import form_preserved
     for g in R.elements:
         if not form_preserved(g, gluing.form):
             return VerificationReport("singular_form", params, "fail",
-                                      witness=f"element breaks the form: {g!r}",
-                                      millis=(time.time() - t0) * 1000)
-    return VerificationReport("singular_form", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                      witness=f"element breaks the form: {g!r}")
+    return VerificationReport("singular_form", params, "pass")
 
 
 def check_orbit_additivity(params, budgets) -> VerificationReport:
     """Orbit products over a fixed span are additive in the moving form."""
-    t0 = time.time()
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
@@ -484,51 +430,39 @@ def check_orbit_additivity(params, budgets) -> VerificationReport:
             if lhs != rhs:
                 return VerificationReport(
                     "orbit_additivity", params, "fail",
-                    witness=f"additivity fails for {fa!r} + {fb!r}",
-                    millis=(time.time() - t0) * 1000)
-    return VerificationReport("orbit_additivity", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                    witness=f"additivity fails for {fa!r} + {fb!r}")
+    return VerificationReport("orbit_additivity", params, "pass")
 
 
 def check_field_axioms(params, budgets) -> VerificationReport:
     import itertools as it
-    t0 = time.time()
     p, r = params["p"], params.get("r", 1)
     field = build_field(p, r)
     if field.q > 9:
-        return _skip("field_axioms", params, "exhaustive check limited to q <= 9", t0)
+        raise BudgetExceeded("exhaustive check limited to q <= 9")
     elems = field.elements()
     for a, b, c in it.product(elems, repeat=3):
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c) \
                 or a * (b + c) != a * b + a * c:
             return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"axiom fails at ({a},{b},{c})",
-                                      millis=(time.time() - t0) * 1000)
+                                      witness=f"axiom fails at ({a},{b},{c})")
     for a in elems:
         if a ** field.q != a:
             return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"a^q != a at {a}",
-                                      millis=(time.time() - t0) * 1000)
+                                      witness=f"a^q != a at {a}")
     for a, b in it.product(elems, repeat=2):
         if (a + b).frobenius() != a.frobenius() + b.frobenius():
             return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"frobenius not additive at ({a},{b})",
-                                      millis=(time.time() - t0) * 1000)
-    return VerificationReport("field_axioms", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                      witness=f"frobenius not additive at ({a},{b})")
+    return VerificationReport("field_axioms", params, "pass")
 
 
 def check_action_compatibility(params, budgets) -> VerificationReport:
-    t0 = time.time()
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
     cap = budgets.get("cap", DEFAULT_CAP)
-    G = gl_group(n, field)
-    try:
-        G = G.enumerate(cap)
-    except EnumerationCapError as exc:
-        return _skip("action_compatibility", params, str(exc), t0)
+    G = gl_group(n, field).enumerate(cap)
     rng = random.Random(params.get("seed", 0))
     space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
     samples = params.get("samples", 30)
@@ -546,16 +480,13 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
             if f.act(g * h) != f.act(g).act(h):
                 return VerificationReport(
                     "action_compatibility", params, "fail",
-                    witness=f"compatibility fails for f={f!r}",
-                    millis=(time.time() - t0) * 1000)
-    return VerificationReport("action_compatibility", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                    witness=f"compatibility fails for f={f!r}")
+    return VerificationReport("action_compatibility", params, "pass")
 
 
 def check_transfer_module(params, budgets) -> VerificationReport:
     """Transfer is G-stable on translates and F[V]^G-linear on invariant
     multiples."""
-    t0 = time.time()
     p = params.get("p", 2)
     gluing, space, _ = _u4_setting(p)
     msub = gluing.m_subgroup()
@@ -569,15 +500,12 @@ def check_transfer_module(params, budgets) -> VerificationReport:
         g = rng.choice(msub.elements)
         if transfer(f.act(g), msub) != tf:
             return VerificationReport("transfer_module", params, "fail",
-                                      witness=f"Tr(f.g) != Tr(f) at {e}",
-                                      millis=(time.time() - t0) * 1000)
+                                      witness=f"Tr(f.g) != Tr(f) at {e}")
         h = rng.choice(invariants)
         if transfer(h * f, msub) != h * tf:
             return VerificationReport("transfer_module", params, "fail",
-                                      witness=f"Tr(h f) != h Tr(f) at {e}",
-                                      millis=(time.time() - t0) * 1000)
-    return VerificationReport("transfer_module", params, "pass",
-                              millis=(time.time() - t0) * 1000)
+                                      witness=f"Tr(h f) != h Tr(f) at {e}")
+    return VerificationReport("transfer_module", params, "pass")
 
 
 def check_identity(params, budgets) -> VerificationReport:
@@ -616,10 +544,15 @@ CHECKS = {
 
 
 def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationReport:
+    """Run one named check, timed by a monotonic clock into `millis`.  A
+    BudgetExceeded raised anywhere inside the check becomes a skipped report
+    carrying its message; every other exception propagates."""
     if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}; known: {sorted(CHECKS)}")
-    budgets = budgets or {}
+    t0 = time.perf_counter()
     try:
-        return CHECKS[kind](params, budgets)
-    except EnumerationCapError as exc:
-        return VerificationReport(kind, params, "skipped", notes=str(exc))
+        report = CHECKS[kind](params, budgets or {})
+    except BudgetExceeded as exc:
+        report = VerificationReport(kind, params, "skipped", notes=str(exc))
+    report.millis = (time.perf_counter() - t0) * 1000
+    return report

@@ -3,8 +3,10 @@ invariants, and run verification scenarios with machine-readable reports.
 
 Scenario files are YAML: a name, optional budgets/seed, and a list of checks
 with expected statuses.  Reports are emitted as JSON lines (one object per
-check) plus a human-readable summary table; the exit code is 0 exactly when
-every non-skipped check matches its expected status.
+check, written as soon as it exists) plus a human-readable summary table; an
+entry whose check raises yields status "error" and the run goes on.  The exit
+code is 0 exactly when every non-skipped check matches its expected status,
+so any "error" makes it 1.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 import yaml
 
 from modinvar import checks as checks_mod
-from modinvar.analysis import identity_suite
+from modinvar.analysis import VerificationReport
 from modinvar.checks import (build_gluing, build_group, group_formula_order,
                              run_check)
 from modinvar.gfq import build_field
@@ -141,10 +145,10 @@ def cmd_verify(args):
         if value is not None:
             params[key] = value
     budgets = {"cap": args.cap, "degree_bound": args.degree_bound}
-    if args.name in checks_mod.CHECKS and args.name != "identity":
-        report = run_check(args.name, params, budgets)
-    else:
-        report = identity_suite(args.name, params)
+    kind = args.name
+    if kind not in checks_mod.CHECKS or kind == "identity":
+        kind, params = "identity", {"name": args.name, "params": params}
+    report = run_check(kind, params, budgets)
     line = json.dumps(report.to_dict(), sort_keys=True)
     print(line)
     return 0 if report.status == "pass" else 1
@@ -188,24 +192,30 @@ def run_scenario(data, json_path=None, quiet=False):
     budgets = dict(data.get("budgets") or {})
     seed = data.get("seed", 1234)
     reports = []
-    expectations = []
-    for entry in data["checks"]:
-        params = dict(entry.get("params") or {})
-        params.setdefault("seed", seed)
-        report = run_check(entry["check"], params, budgets)
-        reports.append(report)
-        expectations.append(entry.get("expect", "pass"))
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    if json_path:
-        Path(json_path).write_text("\n".join(lines) + "\n")
+    lines = []
     ok = True
     rows = []
-    for report, expect in zip(reports, expectations):
-        matched = report.status == "skipped" or report.status == expect
-        ok = ok and matched
-        mark = "ok" if matched else "MISMATCH"
-        rows.append((report.check, json.dumps(report.params, sort_keys=True),
-                     report.status, expect, mark))
+    with (open(json_path, "w") if json_path else nullcontext()) as sink:
+        for entry in data["checks"]:
+            params = dict(entry.get("params") or {})
+            params.setdefault("seed", seed)
+            try:
+                report = run_check(entry["check"], params, budgets)
+            except Exception as exc:  # one raising entry loses no other report
+                traceback.print_exc()
+                report = VerificationReport(
+                    entry["check"], params, "error",
+                    witness=f"{type(exc).__name__}: {exc}")
+            reports.append(report)
+            lines.append(json.dumps(report.to_dict(), sort_keys=True))
+            if sink:
+                sink.write(lines[-1] + "\n")
+                sink.flush()
+            expect = entry.get("expect", "pass")
+            matched = report.status == "skipped" or report.status == expect
+            ok = ok and matched
+            rows.append((report.check, json.dumps(report.params, sort_keys=True),
+                         report.status, expect, "ok" if matched else "MISMATCH"))
     if not quiet:
         name = data.get("name", "scenario")
         print(f"scenario: {name}")
@@ -245,7 +255,7 @@ def cmd_report(args):
     if not path.exists():
         print(f"error: no report at {path}", file=sys.stderr)
         return 2
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    counts = {"pass": 0, "fail": 0, "skipped": 0, "error": 0}
     for line in path.read_text().splitlines():
         if not line.strip():
             continue
@@ -255,8 +265,8 @@ def cmd_report(args):
         print(f"{obj['status']:8s} {obj['check']} "
               f"{json.dumps(obj['params'], sort_keys=True)}{tail}")
     print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-          f"{counts['skipped']} skipped")
-    return 0 if counts["fail"] == 0 else 1
+          f"{counts['skipped']} skipped, {counts['error']} error")
+    return 0 if counts["fail"] == counts["error"] == 0 else 1
 
 
 def build_parser():

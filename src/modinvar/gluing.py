@@ -105,7 +105,11 @@ def _zero_phi(m, n):
 
 
 class GluingGroup:
-    """The block realization of G1 x_M G2 together with its pieces."""
+    """The block realization of G1 x_M G2 together with its pieces.
+
+    With flavor "diagonal" (G1 = G2 = G) the realized group is the subgroup
+    of pairs (g, g): each generator of G is paired with itself, and its order
+    is |G| * |M|."""
 
     def __init__(self, G1: MatrixGroup, G2: MatrixGroup, M: BimoduleBasis,
                  flavor: str = "generic", name: str = "", transform=None,
@@ -119,27 +123,26 @@ class GluingGroup:
         self.n = M.n
         self.transform = transform
         self.form = form
-        gens = []
-        em, en = _zero_phi(self.m, self.n), None
+        em = _zero_phi(self.m, self.n)
         id1 = tuple(tuple(1 if i == j else 0 for j in range(self.m))
                     for i in range(self.m))
         id2 = tuple(tuple(1 if i == j else 0 for j in range(self.n))
                     for i in range(self.n))
-        for g in G1.generators:
-            gens.append(GroupElement(self.field,
-                                     _block_matrix(self.field, self.m, self.n,
-                                                   g.matrix, em, id2), check=False))
-        for g in G2.generators:
-            gens.append(GroupElement(self.field,
-                                     _block_matrix(self.field, self.m, self.n,
-                                                   id1, em, g.matrix), check=False))
-        for phi in M.mats:
-            gens.append(GroupElement(self.field,
-                                     _block_matrix(self.field, self.m, self.n,
-                                                   id1, phi, id2), check=False))
+        diagonal = flavor == "diagonal"
+        if diagonal:
+            blocks = [(g.matrix, em, g.matrix) for g in G1.generators]
+        else:
+            blocks = [(g.matrix, em, id2) for g in G1.generators] + \
+                [(id1, em, g.matrix) for g in G2.generators]
+        blocks += [(id1, phi, id2) for phi in M.mats]
+        gens = [GroupElement(self.field,
+                             _block_matrix(self.field, self.m, self.n, *block),
+                             check=False)
+                for block in blocks]
         order = None
         try:
-            order = G1.order() * M.module_order() * G2.order()
+            order = G1.order() * M.module_order() * \
+                (1 if diagonal else G2.order())
         except NotEnumeratedError:
             pass
         self.realized = MatrixGroup(self.field, self.m + self.n, gens,
@@ -361,35 +364,7 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
             if not M.contains(moved):
                 raise BimoduleClosureError(
                     f"conjugation closure fails: generator #{gi}, basis #{bi}")
-    gluing = GluingGroup.__new__(GluingGroup)
-    gluing.G1 = G
-    gluing.G2 = G
-    gluing.M = M
-    gluing.flavor = "diagonal"
-    gluing.field = field
-    gluing.m = M.m
-    gluing.n = M.n
-    gluing.transform = None
-    gluing.form = None
-    gens = []
-    idn = tuple(tuple(1 if i == j else 0 for j in range(G.n)) for i in range(G.n))
-    zero = _zero_phi(G.n, G.n)
-    for g in G.generators:
-        gens.append(GroupElement(field, _block_matrix(field, G.n, G.n,
-                                                      g.matrix, zero, g.matrix),
-                                 check=False))
-    for phi in M.mats:
-        gens.append(GroupElement(field, _block_matrix(field, G.n, G.n,
-                                                      idn, phi, idn), check=False))
-    order = None
-    try:
-        order = G.order() * M.module_order()
-    except NotEnumeratedError:
-        pass
-    gluing.realized = MatrixGroup(field, 2 * G.n, gens,
-                                  name=f"diag({G.name})x_M",
-                                  claimed_order=order)
-    return gluing
+    return GluingGroup(G, G, M, flavor="diagonal", name=f"diag({G.name})x_M")
 
 
 def _extend_to_basis(field, vectors, dim):

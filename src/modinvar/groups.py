@@ -23,8 +23,9 @@ DEFAULT_CAP = 10 ** 6
 CHUNK_ENTRIES = 1 << 14
 
 
-class EnumerationCapError(RuntimeError):
-    """Closure exceeded the enumeration cap."""
+class BudgetExceeded(RuntimeError):
+    """A computation would exceed its budget (an enumeration cap, a monomial
+    count); `checks.run_check` reports it as skipped."""
 
 
 class NotEnumeratedError(RuntimeError):
@@ -145,12 +146,15 @@ def mat_inv(field, A):
 def format_matrix(field, A) -> str:
     return ";".join(",".join(field.format_scalar(a) for a in row) for row in A)
 
+
 def parse_matrix(field: FieldSpec, text: str):
+    """Inverse of `format_matrix`: rows separated by ';', entries by ','.
+    Rows must have equal length; the matrix need not be square."""
     rows = []
     for rtext in text.strip().split(";"):
         rows.append(tuple(field.parse_scalar(e) for e in rtext.split(",")))
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix text is not square")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix text rows differ in length")
     return tuple(rows)
 
 
@@ -223,7 +227,7 @@ def _closure(field, n, generators, cap, name="group"):
 
     Layer by layer: the whole frontier is multiplied on the right by every
     generator, one batched matmul mod p per chunk, and the products new to
-    the group form the next frontier.  Raises EnumerationCapError as soon as
+    the group form the next frontier.  Raises BudgetExceeded as soon as
     a layer takes the count past cap.
     """
     dtype = _index_dtype(field)
@@ -249,7 +253,7 @@ def _closure(field, n, generators, cap, name="group"):
             layer.append(cand[~_contains(seen, cand)])
         frontier = _sorted_unique(np.concatenate(layer))
         if len(seen) + len(frontier) > cap:
-            raise EnumerationCapError(f"{name} exceeds cap {cap}")
+            raise BudgetExceeded(f"{name} exceeds cap {cap}")
         # a stable sort merges the two sorted runs in linear time
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     return seen

@@ -564,47 +564,6 @@ def _mul_packed(a, b, p, n):
     return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
 
 
-class LinearForm(Polynomial):
-    """Degree <= 1 polynomial with zero constant term."""
-
-    def __init__(self, space, terms):
-        for e in terms:
-            if sum(e) != 1:
-                raise ValueError("linear form terms must have total degree 1")
-        super().__init__(space, terms)
-
-    @staticmethod
-    def from_coefficients(space: VariableSpace, coefficients) -> "LinearForm":
-        field = space.field
-        if len(coefficients) != space.dim:
-            raise ValueError("coefficient vector has wrong length")
-        terms = {}
-        for i, c in enumerate(coefficients):
-            idx = field.scalar(c).index
-            if idx:
-                e = [0] * space.dim
-                e[i] = 1
-                terms[tuple(e)] = idx
-        return LinearForm(space, terms)
-
-    @staticmethod
-    def from_polynomial(f: Polynomial) -> "LinearForm":
-        return LinearForm(f.space, dict(f._terms))
-
-    def coefficients(self):
-        field = self.space.field
-        out = [field.zero()] * self.space.dim
-        for e, c in self._terms.items():
-            out[e.index(1)] = Scalar(field, c)
-        return out
-
-    def coefficient_indices(self):
-        out = [0] * self.space.dim
-        for e, c in self._terms.items():
-            out[e.index(1)] = c
-        return out
-
-
 def balanced_product(factors, space: VariableSpace) -> Polynomial:
     """Product accumulated smallest-pair-first to bound intermediate sizes."""
     polys = [f for f in factors]

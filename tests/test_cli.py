@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from modinvar import cli
+from modinvar.checks import run_check
 from modinvar.cli import load_scenario, main, run_scenario
 
 
@@ -90,11 +92,15 @@ def test_glue_kinds(capsys):
 
 def test_glue_module_from_file(tmp_path, capsys):
     path = tmp_path / "module.txt"
-    path.write_text("# scalar line in a 1x1 hom space\n1\n")
-    code, out, _ = run_cli(capsys, "glue", "--kind", "hom", "--q", "2",
-                           "--m", "1", "--n", "1", "--module", "file",
-                           "--module-file", str(path))
-    assert code == 0 and "realized order: 2" in out
+    for text, m, g1, order in [
+            ("# scalar line in a 1x1 hom space\n1\n", 1, "trivial", 2),
+            ("# all of Hom(F2, F2^2): two 2x1 matrices\n1;0\n\n0;1\n",
+             2, "u", 8)]:
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "glue", "--kind", "hom", "--q", "2",
+                               "--m", str(m), "--n", "1", "--g1", g1,
+                               "--module", "file", "--module-file", str(path))
+        assert code == 0 and f"realized order: {order}" in out
 
 
 def test_inv_orbit(capsys):
@@ -170,6 +176,41 @@ def test_json_report_and_summary(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "report", str(out_path))
     assert code == 0
     assert "8 pass" in out
+
+
+def test_raising_entry_is_an_error_and_no_report_is_lost(tmp_path, capsys):
+    scen = tmp_path / "x.yaml"
+    scen.write_text(
+        "name: x\nchecks:\n"
+        "  - check: field_axioms\n    params: {p: 2}\n"
+        "  - check: identity\n    params: {name: u_lem, params: {m: 1}}\n"
+        "  - check: field_axioms\n    params: {p: 3}\n")
+    out_path = tmp_path / "out.jsonl"
+    code, out, _ = run_cli(capsys, "run", str(scen), "--json", str(out_path))
+    assert code == 1 and "MISMATCH" in out
+    objs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [o["status"] for o in objs] == ["pass", "error", "pass"]
+    assert objs[1]["check"] == "identity"
+    assert objs[1]["witness"].startswith(
+        "ValueError: identity u_lem missing parameters")
+    code, out, _ = run_cli(capsys, "report", str(out_path))
+    assert code == 1
+    assert "summary: 2 pass, 0 fail, 0 skipped, 1 error" in out
+
+
+def test_run_writes_each_report_line_before_the_next_check(tmp_path,
+                                                          monkeypatch):
+    out_path = tmp_path / "out.jsonl"
+    lines_before = []
+
+    def spy(kind, params, budgets):
+        lines_before.append(len(out_path.read_text().splitlines()))
+        return run_check(kind, params, budgets)
+
+    monkeypatch.setattr(cli, "run_check", spy)
+    run_scenario(load_scenario("orders_small"), json_path=out_path, quiet=True)
+    assert lines_before == list(range(8))
+    assert len(out_path.read_text().splitlines()) == 8
 
 
 def test_determinism_modulo_millis():

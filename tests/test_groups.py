@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modinvar.gfq import build_field
-from modinvar.groups import (EnumerationCapError, FormSpec, GroupElement,
+from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              MatrixGroup, NotEnumeratedError, element_orders,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order,
@@ -71,7 +71,7 @@ def test_closure_determinism():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(BudgetExceeded):
         gl_group(2, F3).enumerate(cap=10)
 
 
@@ -308,7 +308,7 @@ def naive_closure(field, n, gens, cap):
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
-                        raise EnumerationCapError(f"exceeds cap {cap}")
+                        raise BudgetExceeded(f"exceeds cap {cap}")
                     new.append(prod)
         frontier = new
     return sorted(seen)
@@ -361,8 +361,8 @@ def test_batched_enumerate_matches_naive_closure(case):
     G = MatrixGroup(field, n, [GroupElement(field, m) for m in gens])
     try:
         expected = naive_closure(field, n, gens, DIFF_CAP)
-    except EnumerationCapError:
-        with pytest.raises(EnumerationCapError):
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
             G.enumerate(DIFF_CAP)
         return
     assert [g.matrix for g in G.enumerate(DIFF_CAP).elements] == expected
@@ -375,7 +375,7 @@ def test_batched_enumerate_matches_naive_closure(case):
 def test_enumerate_cap_is_exact(field):
     order = len(gl_group(2, field).enumerate().elements)
     assert gl_group(2, field).enumerate(cap=order).order() == order
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(BudgetExceeded):
         gl_group(2, field).enumerate(cap=order - 1)
 
 

@@ -54,3 +54,26 @@ def test_no_unused_imports():
 def test_allowlist_entries_are_still_unused():
     for module, name, _ in ALLOWED:
         assert name in [n for _, n in unused_imports(ROOT / module)], name
+
+
+def wall_clock_calls(path):
+    """Lines of a module that read the wall clock through `time.time`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "time" and \
+                isinstance(node.value, ast.Name) and node.value.id == "time":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "time" and \
+                any(alias.name == "time" for alias in node.names):
+            found.append(node.lineno)
+    return found
+
+
+def test_src_times_with_a_monotonic_clock():
+    """Check times come from `time.perf_counter` in `checks.run_check`; the
+    wall clock can step backwards or jump."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line in wall_clock_calls(path)]
+    assert not found, "time.time in src:\n" + "\n".join(found)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from modinvar import mvpoly
 from modinvar.gfq import build_field
 from modinvar.groups import GroupElement
-from modinvar.mvpoly import (InexactDivisionError, LinearForm, ParseError,
-                             Polynomial, SpaceMismatchError, VariableSpace,
+from modinvar.mvpoly import (InexactDivisionError, ParseError, Polynomial,
+                             SpaceMismatchError, VariableSpace,
                              balanced_product, format_polynomial,
                              monomials_of_degree, parse_polynomial)
 
@@ -241,15 +241,6 @@ def test_text_roundtrip_random(f):
 @given(poly_strategy())
 def test_json_roundtrip_random(f):
     assert Polynomial.from_json(f.space, f.to_json()) == f
-
-
-def test_linear_form_views():
-    sp = space(F3, "y1", "x1")
-    lf = LinearForm.from_coefficients(sp, [2, 1])
-    assert lf.coefficient_indices() == [2, 1]
-    assert lf == sp.variable("y1").scale(2) + sp.variable("x1")
-    with pytest.raises(ValueError):
-        LinearForm.from_polynomial(sp.one())
 
 
 def test_balanced_product_equals_sequential():
