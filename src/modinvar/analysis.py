@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from modinvar.gluing import GluingGroup
-from modinvar.groups import BudgetExceeded, MatrixGroup, NotEnumeratedError
+from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
+                             _keys, _rows, _sorted_unique)
 from modinvar.invariants import (GeneratorFamily, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute,
@@ -103,33 +104,25 @@ def transfer_factorization_check(f: Polynomial, gluing: GluingGroup,
 def _translation_structure(group: MatrixGroup, m: int, n: int):
     """If every element fixes the last n variables and shifts each of the
     first m variables independently by a form in the last n, return the m
-    per-variable translation sets (as coefficient tuples); else None."""
-    dim = m + n
-    sets = [dict() for _ in range(m)]
-    for g in group.elements:
-        mat = g.matrix
-        ok = True
-        for i in range(m, dim):
-            row = mat[i]
-            if any(row[j] != (1 if j == i else 0) for j in range(dim)):
-                ok = False
-                break
-        if ok:
-            for i in range(m):
-                row = mat[i]
-                if any(row[j] != (1 if j == i else 0) for j in range(m)):
-                    ok = False
-                    break
-        if not ok:
-            return None
-        for i in range(m):
-            sets[i][mat[i][m:]] = True
+    per-variable translation sets (as sorted coefficient tuples); else None.
+    Read off the group's index array: identity rows, then the distinct
+    translation rows of each variable."""
+    rows = group.rows()
+    eye = np.eye(m + n, dtype=np.int64)
+    if not ((rows[:, m:] == eye[m:]).all() and
+            (rows[:, :m, :m] == eye[:m, :m]).all()):
+        return None
+    sets = []
+    for i in range(m):
+        shifts = _sorted_unique(_keys(rows[:, i, m:]))
+        sets.append([tuple(row) for row in
+                     _rows(group.field, shifts, n).tolist()])
     sizes = 1
     for s in sets:
         sizes *= len(s)
-    if sizes != len(group.elements):
+    if sizes != group.order():
         return None
-    return [sorted(s) for s in sets]
+    return sets
 
 
 class TransferImage:

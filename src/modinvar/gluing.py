@@ -150,12 +150,25 @@ class GluingGroup:
                                     claimed_order=order)
 
     def triple(self, g1, phi, g2) -> GroupElement:
-        """The realized block matrix of the triple (g1, phi, g2)."""
+        """The realized block matrix of the triple (g1, phi, g2).
+
+        No check calls it; it stays as a benchmark tracer target and as the
+        scalar oracle of the batched triple law in the tests."""
         m1 = g1.matrix if isinstance(g1, GroupElement) else g1
         m2 = g2.matrix if isinstance(g2, GroupElement) else g2
         return GroupElement(self.field,
                             _block_matrix(self.field, self.m, self.n, m1, phi, m2),
                             check=False)
+
+    def blocks(self, g1_rows, phis, g2_rows) -> np.ndarray:
+        """The (N, m+n, m+n) index arrays of N triples given as index
+        arrays: the batched `triple`."""
+        m, n = self.m, self.n
+        out = np.zeros((len(phis), m + n, m + n), dtype=np.int64)
+        out[:, :m, :m] = g1_rows
+        out[:, :m, m:] = phis
+        out[:, m:, m:] = g2_rows
+        return out
 
     def m_subgroup(self) -> MatrixGroup:
         """The normal subgroup of blocks [[I, phi], [0, I]], fully enumerated."""
@@ -188,7 +201,11 @@ class GluingGroup:
 
 
 def semidirect_mul(gluing: GluingGroup, t1, t2):
-    """(g1, phi, g2).(g1', phi', g2') = (g1 g1', g1 phi' + phi g2', g2 g2')."""
+    """(g1, phi, g2).(g1', phi', g2') = (g1 g1', g1 phi' + phi g2', g2 g2').
+
+    The `semidirect_law` check forms this product batched over F_p; this
+    scalar form stays as a benchmark tracer target and as the oracle of that
+    batched check in the tests."""
     field = gluing.field
     g1, phi, g2 = t1
     h1, psi, h2 = t2

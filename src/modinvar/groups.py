@@ -9,6 +9,7 @@ identity.  All symplectic constructors use it.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -199,11 +200,28 @@ def _expand(field, rows):
         .astype(_fp_dtype(field, n))
 
 
+def _from_digits(prod, p):
+    """Field indices from the base-p digits on axis 2 of a product over
+    F_p, where column 0 of each block of `_expand` puts them."""
+    idx = prod[:, :, 0]
+    for x in range(1, prod.shape[2]):
+        idx = idx + prod[:, :, x] * p ** x
+    return idx
+
+
 def _keys(rows):
-    """One opaque byte key per index matrix; keys sort as the matrices do."""
-    rows = np.ascontiguousarray(rows)
-    return rows.reshape(len(rows), -1).view(
-        np.dtype((np.void, rows[0].nbytes))).ravel()
+    """One opaque byte key per index matrix; keys sort as the matrices do.
+    Empty (0 x 0) matrices get one zero byte each."""
+    rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="V1")
+    return rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+
+
+def _rows(field, keys, *shape):
+    """The index arrays of N keys as one (N, *shape) view."""
+    return keys.view(_index_dtype(field))[:len(keys) * math.prod(shape)] \
+        .reshape(len(keys), *shape)
 
 
 def _sorted_unique(keys):
@@ -240,15 +258,12 @@ def _closure(field, n, generators, cap, name="group"):
     while len(frontier):
         layer = []
         for start in range(0, len(frontier), step):
-            chunk = frontier[start:start + step].view(dtype).reshape(-1, n, n)
+            chunk = _rows(field, frontier[start:start + step], n, n)
             c = len(chunk)
             prod = _matmul_mod(_expand(field, chunk).reshape(c * n * r, n * r),
                                gcols, p).reshape(c, n, r, k, n)
-            idx = prod[:, :, 0]
-            for x in range(1, r):
-                idx = idx + prod[:, :, x] * p ** x
             cand = np.empty((c, k, n, n), dtype=dtype)
-            cand[...] = idx.transpose(0, 2, 1, 3)
+            cand[...] = _from_digits(prod, p).transpose(0, 2, 1, 3)
             cand = _keys(cand.reshape(c * k, n, n))
             layer.append(cand[~_contains(seen, cand)])
         frontier = _sorted_unique(np.concatenate(layer))
@@ -261,7 +276,7 @@ def _closure(field, n, generators, cap, name="group"):
 
 def _row_elements(field, n, keys):
     """GroupElements of n x n keys, converted a chunk at a time."""
-    rows = keys.view(_index_dtype(field)).reshape(len(keys), n, n)
+    rows = _rows(field, keys, n, n)
     step = max(1, CHUNK_ENTRIES // max(1, n * n))
     trusted = GroupElement._trusted
     out = []
@@ -272,9 +287,10 @@ def _row_elements(field, n, keys):
 
 
 def element_orders(field, matrices):
-    """Multiplicative order of each invertible n x n index matrix: the least
-    k with A^k = I, from batched powers over F_p."""
-    if not matrices:
+    """Multiplicative order of each invertible n x n index matrix (a sequence
+    of matrices or an (N, n, n) index array): the least k with A^k = I, from
+    batched powers over F_p."""
+    if not len(matrices):
         return []
     n = len(matrices[0])
     nr = n * field.r
@@ -376,8 +392,14 @@ class MatrixGroup:
     not seen before.  Layers are stored as index arrays in the smallest
     unsigned dtype holding q - 1, only the frontier chunk being multiplied is
     expanded over F_p, and products come in chunks of at most about
-    CHUNK_ENTRIES entries.  The resulting element list is sorted canonically
-    so it does not depend on generator order.
+    CHUNK_ENTRIES entries.
+
+    An enumerated group stores only the sorted byte keys of its index
+    matrices (`keys`; `rows()` views them as an (N, n, n) array), so the
+    canonical order does not depend on generator order, the order is the key
+    count and membership is a binary search.  `elements`, the GroupElement
+    list in that order, is built on first access and cached; it is None
+    before enumeration.
     """
 
     def __init__(self, field: FieldSpec, n: int, generators, name: str = "",
@@ -390,23 +412,39 @@ class MatrixGroup:
                 raise ValueError("generator dimension mismatch")
         self.name = name
         self.claimed_order = claimed_order
-        self.elements = None
-        self._elem_set = None
+        self.keys = None
+        self._elements = None
         if elements is not None:
-            self._set_elements(sorted(set(elements), key=lambda g: g.matrix))
+            matrices = [g.matrix for g in elements]
+            rows = np.array(matrices, dtype=_index_dtype(field)) \
+                .reshape(len(matrices), n, n)
+            self._set_keys(_sorted_unique(_keys(rows)))
 
-    def _set_elements(self, elements):
-        """Store elements, which must be distinct and in canonical order."""
-        self.elements = elements
-        self._elem_set = {g.matrix for g in self.elements}
-        if self.claimed_order is not None and len(self.elements) != self.claimed_order:
+    def _set_keys(self, keys):
+        """Store the sorted, distinct keys of the whole group."""
+        self.keys = keys
+        if self.claimed_order is not None and len(keys) != self.claimed_order:
             raise AssertionError(
-                f"{self.name or 'group'}: enumerated order {len(self.elements)} "
+                f"{self.name or 'group'}: enumerated order {len(keys)} "
                 f"!= claimed order {self.claimed_order}")
 
     @property
     def is_enumerated(self) -> bool:
-        return self.elements is not None
+        return self.keys is not None
+
+    @property
+    def elements(self):
+        """The GroupElements in canonical order, or None before enumeration."""
+        if self._elements is None and self.keys is not None:
+            self._elements = _row_elements(self.field, self.n, self.keys)
+        return self._elements
+
+    def rows(self):
+        """The (N, n, n) index matrices of the enumerated group, in canonical
+        order."""
+        if self.keys is None:
+            raise NotEnumeratedError(f"{self.name or 'group'} is not enumerated")
+        return _rows(self.field, self.keys, self.n, self.n)
 
     def identity(self) -> GroupElement:
         return GroupElement(self.field, identity_matrix(self.n), check=False)
@@ -414,34 +452,40 @@ class MatrixGroup:
     def enumerate(self, cap: int = DEFAULT_CAP) -> "MatrixGroup":
         if cap < 1:
             raise ValueError("cap must be positive")
-        if self.elements is not None:
+        if self.keys is not None:
             return self
-        if not self.generators:
-            self._set_elements([self.identity()])
-            return self
-        keys = _closure(self.field, self.n, [g.matrix for g in self.generators],
-                        cap, self.name or "group")
-        self._set_elements(_row_elements(self.field, self.n, keys))
+        if self.generators:
+            keys = _closure(self.field, self.n,
+                            [g.matrix for g in self.generators], cap,
+                            self.name or "group")
+        else:
+            keys = _keys(np.eye(self.n, dtype=_index_dtype(self.field))[None])
+        self._set_keys(keys)
         return self
 
     def order(self) -> int:
-        if self.elements is not None:
-            return len(self.elements)
+        if self.keys is not None:
+            return len(self.keys)
         if self.claimed_order is not None:
             return self.claimed_order
         raise NotEnumeratedError(f"{self.name or 'group'} has unknown order")
 
     def __contains__(self, g):
-        if self.elements is None:
+        if self.keys is None:
             raise NotEnumeratedError("membership requires enumeration")
-        m = g.matrix if isinstance(g, GroupElement) else tuple(map(tuple, g))
-        return m in self._elem_set
+        m = g.matrix if isinstance(g, GroupElement) else g
+        if len(m) != self.n or any(len(row) != self.n for row in m) or \
+                any(not 0 <= e < self.field.q for row in m for e in row):
+            return False
+        probe = _keys(np.array(m, dtype=_index_dtype(self.field))
+                      .reshape(1, self.n, self.n))
+        return bool(_contains(self.keys, probe)[0])
 
     def __len__(self):
         return self.order()
 
     def __repr__(self):
-        state = f"order {len(self.elements)}" if self.elements else \
+        state = f"order {len(self.keys)}" if self.keys is not None else \
             f"{len(self.generators)} generators"
         return f"MatrixGroup({self.name or 'unnamed'}, dim {self.n}, {state})"
 
@@ -779,11 +823,48 @@ def parabolic_g_k(m: int, k: int, field: FieldSpec) -> MatrixGroup:
                        claimed_order=gk_order(m, k, field.q))
 
 
+def _keeps_values(field, rows, f):
+    """Mask of the n x n index matrices g with f(g.v) = f(v) at every v in
+    F_q^n, where (g.v)_i = sum_j g[i][j] v_j.  f is evaluated once on all
+    q^n points; the images g.v are formed over F_p a chunk at a time."""
+    n = rows.shape[1]
+    p, r, q = field.p, field.r, field.q
+    points = list(itertools.product(range(q), repeat=n))
+    values = np.array([f.evaluate(v).index for v in points])
+    # the base-p digits of every point, one column per point: (n r, q^n)
+    digits = (np.array(points, dtype=np.int64).reshape(len(points), n, 1)
+              // p ** np.arange(r) % p).reshape(len(points), n * r).T
+    digits = digits.astype(_fp_dtype(field, n))
+    place = q ** np.arange(n - 1, -1, -1)
+    step = max(1, CHUNK_ENTRIES // (n * r * len(points)))
+    keep = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        image = _matmul_mod(_expand(field, chunk), digits, p) \
+            .reshape(len(chunk), n, r, len(points))
+        moved = np.tensordot(place, _from_digits(image, p).astype(np.int64),
+                             axes=([0], [1]))
+        keep[start:start + step] = (values[moved] == values).all(axis=1)
+    return keep
+
+
 def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
-    """{g in G | f.g = f} for an enumerated G."""
+    """{g in G | f.g = f} for an enumerated G.
+
+    f.g = f implies f(g.v) = f(v) for every v in F_q^n, since f.g sends x_i
+    to sum_j g[i][j] x_j (`Polynomial.act`).  When q^n <= |G| that sound
+    prefilter (`_keeps_values`) rejects elements in batches first, which
+    costs no more than the exact loop; the survivors, or else all elements,
+    are checked exactly with `act`."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
-    fixed = [g for g in group.elements if f.act(g) == f]
+    field, n = group.field, group.n
+    if field.q ** n <= group.order():
+        candidates = _row_elements(
+            field, n, group.keys[_keeps_values(field, group.rows(), f)])
+    else:
+        candidates = group.elements
+    fixed = [g for g in candidates if f.act(g) == f]
     gens = minimal_generators(group.field, fixed) if len(fixed) > 1 else []
     return MatrixGroup(group.field, group.n, gens,
                        name=f"Stab({group.name})", elements=fixed)

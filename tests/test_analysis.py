@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import build_field
 from modinvar.analysis import (HilbertClaim, TranslationSums,
+                               _translation_structure,
                                VerificationReport,
                                degree_product_check, hilbert_check,
                                identity_suite, invariant_dimension,
@@ -11,7 +13,8 @@ from modinvar.analysis import (HilbertClaim, TranslationSums,
                                transfer, transfer_factorization_check,
                                transfer_image_basis, transfer_image_degree)
 from modinvar.gluing import full_hom_module, glue, zero_module
-from modinvar.groups import (gl_group, p_k_subgroup, trivial_group,
+from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
+                             gl_group, p_k_subgroup, trivial_group,
                              unipotent_upper)
 from modinvar.invariants import dickson_in, family, xi
 from modinvar.mvpoly import gluing_space, symplectic_space, monomials_of_degree
@@ -112,6 +115,60 @@ def test_transfer_image_fast_path_matches_general():
             assert shared == [f._terms for f in fresh]
             slow, _ = transfer_image_degree(msub, sp, d, m_split=None)
             assert shared == [f._terms for f in slow]
+
+
+def scalar_translation_structure(group, m, n):
+    """The element loop `_translation_structure` replaced: the reference."""
+    dim = m + n
+    sets = [dict() for _ in range(m)]
+    for g in group.elements:
+        mat = g.matrix
+        if any(mat[i][j] != (i == j) for i in range(m, dim)
+               for j in range(dim)) or \
+                any(mat[i][j] != (i == j) for i in range(m) for j in range(m)):
+            return None
+        for i in range(m):
+            sets[i][mat[i][m:]] = True
+    sizes = 1
+    for s in sets:
+        sizes *= len(s)
+    if sizes != len(group.elements):
+        return None
+    return [sorted(s) for s in sets]
+
+
+@st.composite
+def split_groups(draw):
+    """A group on m + n coordinates generated by translations [[I, T], [0, I]],
+    some of them disturbed off the translation shape, and a split point."""
+    field = draw(st.sampled_from([F2, F3, build_field(2, 2)]))
+    dim = draw(st.integers(2, 4))
+    entry = st.integers(0, field.q - 1)
+    m = draw(st.integers(1, dim - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for i in range(m):
+            for j in range(m, dim):
+                mat[i][j] = draw(entry)
+        if draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(0, dim - 2))
+            mat[i][i + 1] = draw(entry)
+        gens.append(GroupElement(field, tuple(map(tuple, mat))))
+    split = draw(st.integers(1, dim - 1))
+    return MatrixGroup(field, dim, gens), split
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_groups())
+def test_translation_structure_matches_element_loop(case):
+    G, split = case
+    try:
+        G.enumerate(cap=2000)
+    except BudgetExceeded:
+        return
+    assert _translation_structure(G, split, G.n - split) == \
+        scalar_translation_structure(G, split, G.n - split)
 
 
 def test_translation_sums_memoize_factors():

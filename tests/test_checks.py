@@ -1,11 +1,18 @@
 """`run_check` is the one place that times a check and that turns a budget
-overrun (`BudgetExceeded`) into a skipped report."""
+overrun (`BudgetExceeded`) into a skipped report; the batched triple law
+against the scalar loop it replaced."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modinvar import analysis
-from modinvar.checks import run_check
+from modinvar import analysis, checks
+from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, run_scenario
+from modinvar.gluing import semidirect_mul
+from modinvar.groups import _expand
 
 
 def test_monomial_budget_is_skipped(monkeypatch):
@@ -39,3 +46,116 @@ def test_every_report_is_timed():
     assert len(reports) == 8
     assert all(r.millis > 0 for r in reports)
     assert run_check("gk_non_ci_conjecture", {}).millis > 0
+
+
+# -- the batched semidirect law against the scalar loop --
+
+LAW_SHAPES = [
+    {"q": 3, "m": 1, "n": 2, "g1": "gl", "g2": "u", "module": "full"},
+    {"q": 4, "m": 1, "n": 2, "g1": "gl", "g2": "u", "module": "full"},
+    {"q": 2, "m": 2, "n": 2, "g1": "u", "g2": "u", "module": "full"},
+    {"q": 9, "m": 2, "n": 1, "g1": "u", "g2": "gl", "module": "full"},
+    {"kind": "thin", "p": 2, "r": 2},
+]
+
+
+def _law_setting(params):
+    gluing = build_gluing(params)
+    G1, G2 = gluing.G1.enumerate(), gluing.G2.enumerate()
+    return gluing, G1, list(gluing.M.elements()), G2
+
+
+def scalar_law_pairs(G1, phis, G2, params, seed):
+    """The pairs the scalar check drew or listed: the reference order."""
+    if params.get("mode") == "exhaustive":
+        triples = [(a, phi, b) for a in G1.elements for phi in phis
+                   for b in G2.elements]
+        return [(t1, t2) for t1 in triples for t2 in triples]
+    rng = random.Random(params.get("seed", seed))
+
+    def sample():
+        return (rng.choice(G1.elements), rng.choice(phis),
+                rng.choice(G2.elements))
+    return [(sample(), sample()) for _ in range(params.get("samples", 10000))]
+
+
+def scalar_law(gluing, pairs):
+    """The scalar check: the first pair whose triple product differs from
+    the block product, or None."""
+    for t1, t2 in pairs:
+        prod = semidirect_mul(gluing, t1, t2)
+        if gluing.triple(*prod) != gluing.triple(*t1) * gluing.triple(*t2):
+            return t1, t2
+    return None
+
+
+def _as_triples(G1, phis, G2, ids):
+    sizes = (G1.order(), len(phis), G2.order())
+    out = []
+    for t in ids.ravel().tolist():
+        a, k, b = np.unravel_index(t, sizes)
+        out.append((G1.elements[a], phis[k], G2.elements[b]))
+    return list(zip(out[::2], out[1::2]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(LAW_SHAPES), st.integers(0, 10 ** 6),
+       st.integers(0, 60))
+def test_batched_law_draws_the_scalar_pairs(shape, seed, samples):
+    params = dict(shape, samples=samples)
+    gluing, G1, phis, G2 = _law_setting(params)
+    sizes = (G1.order(), len(phis), G2.order())
+    total, distinct, pair_ids = _law_pairs(sizes, params, seed)
+    ids = pair_ids(0, total)
+    assert total == samples and ids.shape == (samples, 2)
+    assert distinct.tolist() == sorted(set(ids.ravel().tolist()))
+    assert _as_triples(G1, phis, G2, ids) == \
+        scalar_law_pairs(G1, phis, G2, params, seed)
+    rep = run_check("semidirect_law", dict(params, seed=seed))
+    assert rep.status == "pass" and scalar_law(gluing, _as_triples(
+        G1, phis, G2, ids)) is None
+    assert rep.notes == f"{samples} of {samples} pairs checked"
+
+
+def test_exhaustive_law_pairs_keep_their_order():
+    params = dict(LAW_SHAPES[2], mode="exhaustive")
+    _, G1, phis, G2 = _law_setting(params)
+    total, distinct, pair_ids = _law_pairs((2, 16, 2), params, 0)
+    assert total == 64 ** 2 and distinct.tolist() == list(range(64))
+    ids = np.concatenate([pair_ids(s, min(total, s + 1000))
+                          for s in range(0, total, 1000)])
+    assert _as_triples(G1, phis, G2, ids) == \
+        scalar_law_pairs(G1, phis, G2, params, 0)
+
+
+def _corrupt_products_of(monkeypatch, gluing, triple):
+    """Make the batched block product wrong wherever its left factor is the
+    block matrix of `triple`."""
+    field = gluing.field
+    target = _expand(field, np.array([gluing.triple(*triple).matrix]))[0]
+    size = target.shape[0]
+    honest = checks._matmul_mod
+
+    def corrupted(a, b, p):
+        out = honest(a, b, p)
+        if a.shape[-2:] == (size, size):
+            hit = (a == target).all(axis=(1, 2))
+            out[hit, 0, 0] = (out[hit, 0, 0] + 1) % p
+        return out
+    monkeypatch.setattr(checks, "_matmul_mod", corrupted)
+
+
+@pytest.mark.parametrize("params", [
+    dict(LAW_SHAPES[0], samples=400, seed=7),
+    dict(LAW_SHAPES[1], samples=400, seed=11),
+    dict(LAW_SHAPES[2], mode="exhaustive"),
+])
+def test_forced_mismatch_reports_the_first_failing_pair(monkeypatch, params):
+    gluing, G1, phis, G2 = _law_setting(params)
+    pairs = scalar_law_pairs(G1, phis, G2, params, 0)
+    culprit = pairs[len(pairs) // 3][0]
+    first = next((t1, t2) for t1, t2 in pairs if t1 == culprit)
+    _corrupt_products_of(monkeypatch, gluing, culprit)
+    rep = run_check("semidirect_law", params)
+    assert rep.status == "fail"
+    assert rep.witness == f"triple law fails for {first[0]!r} * {first[1]!r}"

@@ -151,6 +151,15 @@ def test_run_unknown_check_kind(tmp_path, capsys):
     assert "bogus_kind" in err
 
 
+def test_unwritable_json_path_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "x.jsonl"
+    code, out, err = run_cli(capsys, "run", "orders_small", "--json",
+                             str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err and not out
+
+
 def test_run_expectation_mismatch_exit(tmp_path, capsys):
     scen = tmp_path / "mismatch.yaml"
     scen.write_text(

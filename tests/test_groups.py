@@ -411,3 +411,97 @@ def test_minimal_generators_match_naive_greedy():
                 break
         chosen = minimal_generators(G.field, G.elements)
         assert [g.matrix for g in chosen] == expected
+
+
+# -- array-backed groups against a tuple-set oracle --
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_array_backed_group_matches_tuple_set_oracle(case, rnd):
+    field, n, gens = case
+    try:
+        oracle = naive_closure(field, n, gens, DIFF_CAP)
+    except BudgetExceeded:
+        return
+    members = set(oracle)
+    G = MatrixGroup(field, n, [GroupElement(field, m) for m in gens])
+    assert G.elements is None and not G.is_enumerated
+    with pytest.raises(NotEnumeratedError):
+        G.rows()
+    G.enumerate(DIFF_CAP)
+    strangers = [tuple(tuple(rnd.randrange(field.q) for _ in range(n))
+                       for _ in range(n)) for _ in range(20)]
+    shuffled = [GroupElement(field, m, check=False) for m in oracle * 2]
+    rnd.shuffle(shuffled)
+    H = MatrixGroup(field, n, [], elements=shuffled, claimed_order=len(oracle))
+    for K in (G, H):
+        assert K.order() == len(K) == len(oracle)
+        assert [g.matrix for g in K.elements] == oracle
+        assert K.rows().tolist() == [list(map(list, m)) for m in oracle]
+        for m in oracle + strangers:
+            assert (m in K) == (GroupElement(field, m, check=False) in K) \
+                == (m in members)
+        assert ((0,) * (n + 1),) not in K
+        assert tuple(tuple(field.q if i == j else 0 for j in range(n))
+                     for i in range(n)) not in K
+    with pytest.raises(AssertionError, match="claimed order"):
+        MatrixGroup(field, n, [], elements=shuffled,
+                    claimed_order=len(oracle) + 1)
+    with pytest.raises(AssertionError, match="claimed order"):
+        MatrixGroup(field, n, [GroupElement(field, m) for m in gens],
+                    claimed_order=len(oracle) + 1).enumerate(DIFF_CAP)
+
+
+def test_dimension_zero_group():
+    T = trivial_group(F3, 0)
+    assert T.order() == 1 and T.rows().shape == (1, 0, 0)
+    assert [g.matrix for g in T.elements] == [()]
+    assert () in T
+
+
+# -- the stabilizer prefilter against the exact loop --
+
+def _prefilter_groups():
+    out = []
+    for field in (F2, F3, F4):
+        out += [gl_group(2, field), unipotent_upper(2, field),
+                unipotent_upper(3, field),
+                MatrixGroup(field, 3, o3_sylow_generators(field))]
+    out.append(gl_group(3, F2))
+    return [G.enumerate() for G in out]
+
+
+PREFILTER_GROUPS = _prefilter_groups()
+
+
+def test_prefilter_groups_cover_both_paths():
+    sides = {G.field.q ** G.n <= G.order() for G in PREFILTER_GROUPS}
+    assert sides == {True, False}
+
+
+@st.composite
+def group_and_polynomial(draw):
+    """A group from PREFILTER_GROUPS and a random polynomial on its space,
+    sometimes times x^q - x, which vanishes at every point, so that elements
+    pass the value filter yet move the polynomial."""
+    G = draw(st.sampled_from(PREFILTER_GROUPS))
+    field, n = G.field, G.n
+    space = VariableSpace(field, [f"x{i}" for i in range(1, n + 1)])
+    exponents = st.tuples(*[st.integers(0, field.q + 1)] * n)
+    f = space.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        f = f + space.monomial(draw(exponents),
+                               draw(st.integers(1, field.q - 1)))
+    if draw(st.booleans()):
+        x = space.variable(f"x{draw(st.integers(1, n))}")
+        f = f * (x ** field.q - x) + space.monomial(draw(exponents))
+    return G, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_and_polynomial())
+def test_stabilizer_prefilter_matches_exact_loop(case):
+    G, f = case
+    S = stabilizer_of_polynomial(G, f)
+    assert [g.matrix for g in S.elements] == \
+        [g.matrix for g in G.elements if f.act(g) == f]
