@@ -28,7 +28,8 @@ from modinvar.gluing import (diagonal_glue, full_hom_module, glue,
                              scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
 from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
-                             FormSpec, MatrixGroup, _expand, _matmul_mod,
+                             FormSpec, MatrixGroup, _digit_matmul, _digits,
+                             _expand, _from_digits, _matmul_mod,
                              _sorted_unique, element_orders, field_from_order,
                              gk_order, gl_group, gl_order, p_k_subgroup,
                              parabolic_g_k, parse_matrix, pk_order, sp_group,
@@ -275,11 +276,15 @@ def _law_pairs(sizes, params, seed):
 def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     """Triple product law against block matrix multiplication.
 
-    Every distinct triple's block matrix is expanded over F_p once
-    (`groups._expand`), and each chunk of pairs (`_law_pairs`) compares the
-    formula (g1 h1, g1 psi + phi h2, g2 h2), formed block by block, with the
-    block product X Y.  Only column 0 of each r x r block is formed, which
-    gives the GF(q) entry back.  The first failing pair is reported."""
+    Two routes that share no arithmetic meet on each pair of triples
+    (`_law_pairs`), a chunk of pairs at a time.  The block product X Y of
+    the two block matrices (`GluingGroup.blocks`) is formed over F_p through
+    the regular representation (`groups._expand`; only column 0 of each
+    r x r block, which holds the digits of the GF(q) entry).  The triple
+    formula (g1 h1, g1 psi + phi h2, g2 h2) is formed from the factor
+    matrices in the field's own digit-polynomial arithmetic
+    (`groups._digit_matmul`).  The first pair whose block matrices differ
+    is reported."""
     cap = budgets.get("cap", DEFAULT_CAP)
     gluing = build_gluing(params)
     G1 = gluing.G1.enumerate(cap)
@@ -291,24 +296,27 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     p, r = field.p, field.r
     a, k, b = np.unravel_index(distinct, sizes)
     phi_rows = np.array(phis, dtype=np.int64).reshape(len(phis), m, n)
-    expanded = _expand(field, gluing.blocks(G1.rows()[a], phi_rows[k],
-                                            G2.rows()[b]))
-    mr = m * r
+    g1s, psis, g2s = G1.rows()[a], phi_rows[k], G2.rows()[b]
+    expanded = _expand(field, gluing.blocks(g1s, psis, g2s))
+    g1s, psis, g2s = (_digits(field, x) for x in (g1s, psis, g2s))
+    place = p ** np.arange(r)
     step = max(1, CHUNK_ENTRIES // ((m + n) * r) ** 2)
     for start in range(0, total, step):
-        ids = np.searchsorted(distinct, pair_ids(start, min(total, start + step)))
-        x = expanded[ids[:, 0]]
-        y = expanded[ids[:, 1]][..., ::r]
-        product = _matmul_mod(x, y, p)
-        formula = np.zeros_like(product)
-        formula[:, :mr, :m] = _matmul_mod(x[:, :mr, :mr], y[:, :mr, :m], p)
-        formula[:, :mr, m:] = (_matmul_mod(x[:, :mr, :mr], y[:, :mr, m:], p)
-                               + _matmul_mod(x[:, :mr, mr:], y[:, mr:, m:], p)) % p
-        formula[:, mr:, m:] = _matmul_mod(x[:, mr:, mr:], y[:, mr:, m:], p)
+        left, right = np.searchsorted(
+            distinct, pair_ids(start, min(total, start + step))).T
+        product = _matmul_mod(expanded[left], expanded[right][..., ::r], p)
+        product = _from_digits(product.reshape(len(left), m + n, r, m + n), p)
+        mid = _digit_matmul(field, g1s[left], psis[right]) + \
+            _digit_matmul(field, psis[left], g2s[right])
+        formula = gluing.blocks(
+            _digit_matmul(field, g1s[left], g1s[right]) @ place,
+            mid % p @ place,
+            _digit_matmul(field, g2s[left], g2s[right]) @ place)
         bad = (formula != product).any(axis=(1, 2))
         if bad.any():
-            t1, t2 = ((G1.elements[a[i]], phis[k[i]], G2.elements[b[i]])
-                      for i in ids[np.argmax(bad)])
+            i = np.argmax(bad)
+            t1, t2 = ((G1.elements[a[t]], phis[k[t]], G2.elements[b[t]])
+                      for t in (left[i], right[i]))
             return VerificationReport(
                 "semidirect_law", params, "fail",
                 witness=f"triple law fails for {t1!r} * {t2!r}")

@@ -203,9 +203,10 @@ class GluingGroup:
 def semidirect_mul(gluing: GluingGroup, t1, t2):
     """(g1, phi, g2).(g1', phi', g2') = (g1 g1', g1 phi' + phi g2', g2 g2').
 
-    The `semidirect_law` check forms this product batched over F_p; this
-    scalar form stays as a benchmark tracer target and as the oracle of that
-    batched check in the tests."""
+    The `semidirect_law` check forms this product batched, in the field's
+    digit arithmetic (`groups._digit_matmul`); this scalar form stays as a
+    benchmark tracer target and as the oracle of that batched check in the
+    tests."""
     field = gluing.field
     g1, phi, g2 = t1
     h1, psi, h2 = t2

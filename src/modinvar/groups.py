@@ -190,14 +190,37 @@ def _matmul_mod(a, b, p):
     return prod
 
 
+def _digits(field, rows):
+    """(..., r) base-p digits of an index array, lowest first."""
+    return rows.astype(np.int64)[..., None] // field.p ** np.arange(field.r) \
+        % field.p
+
+
 def _expand(field, rows):
     """(..., n, n) index arrays -> (..., nr, nr) matrices over F_p."""
     p, r = field.p, field.r
-    digits = rows.astype(np.int64)[..., None] // p ** np.arange(r) % p
-    blocks = np.tensordot(digits, _companion_powers(field), axes=1) % p
+    blocks = np.tensordot(_digits(field, rows), _companion_powers(field),
+                          axes=1) % p
     *lead, n, _, _, _ = blocks.shape
     return blocks.swapaxes(-3, -2).reshape(*lead, n * r, n * r) \
         .astype(_fp_dtype(field, n))
+
+
+def _digit_matmul(field, a, b):
+    """a @ b over GF(q) for (N, i, j, r) and (N, j, k, r) digit arrays
+    (`_digits`): each entry product is the product of the digit polynomials
+    reduced by the modulus.  This is the field's own arithmetic, not the
+    regular representation of `_expand`, so the two can check each other."""
+    p, r = field.p, field.r
+    conv = np.einsum("nijs,njkt->nikst", a, b)
+    coeffs = np.zeros(conv.shape[:3] + (2 * r - 1,), dtype=np.int64)
+    for s in range(r):
+        coeffs[..., s:s + r] += conv[..., s, :]
+    # t^d = -t^(d-r) (c_0 + ... + c_(r-1) t^(r-1)) for the monic modulus
+    low = np.array(field.modulus[:r], dtype=np.int64)
+    for d in range(2 * r - 2, r - 1, -1):
+        coeffs[..., d - r:d] -= coeffs[..., d, None] % p * low
+    return coeffs[..., :r] % p
 
 
 def _from_digits(prod, p):
@@ -211,10 +234,11 @@ def _from_digits(prod, p):
 
 def _keys(rows):
     """One opaque byte key per index matrix; keys sort as the matrices do.
-    Empty (0 x 0) matrices get one zero byte each."""
+    Empty (0 x 0) matrices get one zero index each, so that `_rows` can
+    view the keys in the index dtype."""
     rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
     if not rows.shape[1]:
-        return np.zeros(len(rows), dtype="V1")
+        return np.zeros(len(rows), dtype=(np.void, rows.dtype.itemsize))
     return rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
 
 
@@ -832,9 +856,8 @@ def _keeps_values(field, rows, f):
     points = list(itertools.product(range(q), repeat=n))
     values = np.array([f.evaluate(v).index for v in points])
     # the base-p digits of every point, one column per point: (n r, q^n)
-    digits = (np.array(points, dtype=np.int64).reshape(len(points), n, 1)
-              // p ** np.arange(r) % p).reshape(len(points), n * r).T
-    digits = digits.astype(_fp_dtype(field, n))
+    digits = _digits(field, np.array(points, dtype=np.int64)) \
+        .reshape(len(points), n * r).T.astype(_fp_dtype(field, n))
     place = q ** np.arange(n - 1, -1, -1)
     step = max(1, CHUNK_ENTRIES // (n * r * len(points)))
     keep = np.empty(len(rows), dtype=bool)
@@ -852,18 +875,14 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     """{g in G | f.g = f} for an enumerated G.
 
     f.g = f implies f(g.v) = f(v) for every v in F_q^n, since f.g sends x_i
-    to sum_j g[i][j] x_j (`Polynomial.act`).  When q^n <= |G| that sound
-    prefilter (`_keeps_values`) rejects elements in batches first, which
-    costs no more than the exact loop; the survivors, or else all elements,
-    are checked exactly with `act`."""
+    to sum_j g[i][j] x_j (`Polynomial.act`).  That sound prefilter
+    (`_keeps_values`) rejects elements in batches, and the survivors are
+    checked exactly with `act`."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, n = group.field, group.n
-    if field.q ** n <= group.order():
-        candidates = _row_elements(
-            field, n, group.keys[_keeps_values(field, group.rows(), f)])
-    else:
-        candidates = group.elements
+    candidates = _row_elements(
+        field, n, group.keys[_keeps_values(field, group.rows(), f)])
     fixed = [g for g in candidates if f.act(g) == f]
     gens = minimal_generators(group.field, fixed) if len(fixed) > 1 else []
     return MatrixGroup(group.field, group.n, gens,

@@ -1,6 +1,7 @@
 """`run_check` is the one place that times a check and that turns a budget
 overrun (`BudgetExceeded`) into a skipped report; the batched triple law
-against the scalar loop it replaced."""
+against the scalar loop it replaced, and its two routes against each
+other."""
 
 import random
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modinvar import analysis, checks
+from modinvar import analysis, checks, groups
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, run_scenario
 from modinvar.gluing import semidirect_mul
+from modinvar.gfq import FieldSpec
 from modinvar.groups import _expand
+from modinvar.linalg import _companion_powers
 
 
 def test_monomial_budget_is_skipped(monkeypatch):
@@ -159,3 +162,19 @@ def test_forced_mismatch_reports_the_first_failing_pair(monkeypatch, params):
     rep = run_check("semidirect_law", params)
     assert rep.status == "fail"
     assert rep.witness == f"triple law fails for {first[0]!r} * {first[1]!r}"
+
+
+def test_law_fails_when_the_block_product_uses_another_field(monkeypatch):
+    """The block product goes through the regular representation, the
+    triple formula through the digit polynomials: with GF(9) represented
+    modulo x^2 + x + 2 instead of its own modulus the two disagree."""
+    params = dict(LAW_SHAPES[3], samples=200)
+    gluing = build_gluing(params)
+    other = FieldSpec(3, 2, modulus=(2, 1, 1))
+    assert other != gluing.field
+    assert run_check("semidirect_law", params).status == "pass"
+    monkeypatch.setattr(groups, "_companion_powers", lambda field: (
+        _companion_powers(other if field == gluing.field else field)))
+    rep = run_check("semidirect_law", params)
+    assert rep.status == "fail"
+    assert rep.witness.startswith("triple law fails for ")

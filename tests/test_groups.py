@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from modinvar.gfq import build_field
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
+                             _digit_matmul, _digits,
                              MatrixGroup, NotEnumeratedError, element_orders,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order,
@@ -452,14 +454,18 @@ def test_array_backed_group_matches_tuple_set_oracle(case, rnd):
                     claimed_order=len(oracle) + 1).enumerate(DIFF_CAP)
 
 
-def test_dimension_zero_group():
-    T = trivial_group(F3, 0)
+@pytest.mark.parametrize("field", [F3, build_field(257)])
+def test_dimension_zero_group(field):
+    T = trivial_group(field, 0)
     assert T.order() == 1 and T.rows().shape == (1, 0, 0)
     assert [g.matrix for g in T.elements] == [()]
     assert () in T
+    E = MatrixGroup(field, 0, [], elements=[T.identity()], claimed_order=1)
+    assert E.order() == 1 and [g.matrix for g in E.elements] == [()]
 
 
 # -- the stabilizer prefilter against the exact loop --
+# The groups include some with q^n > |G|, where most points are moved.
 
 def _prefilter_groups():
     out = []
@@ -472,11 +478,6 @@ def _prefilter_groups():
 
 
 PREFILTER_GROUPS = _prefilter_groups()
-
-
-def test_prefilter_groups_cover_both_paths():
-    sides = {G.field.q ** G.n <= G.order() for G in PREFILTER_GROUPS}
-    assert sides == {True, False}
 
 
 @st.composite
@@ -505,3 +506,24 @@ def test_stabilizer_prefilter_matches_exact_loop(case):
     S = stabilizer_of_polynomial(G, f)
     assert [g.matrix for g in S.elements] == \
         [g.matrix for g in G.elements if f.act(g) == f]
+
+
+# -- the digit-polynomial product against the scalar table arithmetic --
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                        (257, 1), (3, 6)]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_digit_matmul_matches_mat_mul(pr, i, j, k, rnd):
+    field = build_field(*pr)
+    A = [tuple(tuple(rnd.randrange(field.q) for _ in range(j))
+               for _ in range(i)) for _ in range(3)]
+    B = [tuple(tuple(rnd.randrange(field.q) for _ in range(k))
+               for _ in range(j)) for _ in range(3)]
+    digits = [_digits(field, np.array(X, dtype=np.int64).reshape(3, *shape))
+              for X, shape in ((A, (i, j)), (B, (j, k)))]
+    prod = _digit_matmul(field, *digits) @ field.p ** np.arange(field.r)
+    assert prod.shape == (3, i, k)
+    for a, b, c in zip(A, B, prod.tolist()):
+        assert tuple(map(tuple, c)) == mat_mul(field, a, b)
