@@ -585,6 +585,31 @@ CHECKS = {
     "gk_non_ci_conjecture": check_gk_non_ci_conjecture,
 }
 
+# The params each check kind reads without a default; `cli.load_scenario`
+# refuses an entry that lacks one.  Keys a check needs only for some values
+# of another (the gluing tokens of `build_gluing`, the group tokens of
+# `build_group`) are left to the check.
+REQUIRED_PARAMS = {
+    "identity": ("name",),
+    "group_order": ("kind",),
+    "glued_order": (),
+    "stabilizer_order": ("q", "polynomial", "order"),
+    "hilbert": ("group", "generators"),
+    "degree_product": ("family",),
+    "family": ("family",),
+    "semidirect_law": (),
+    "thin_glue": ("p", "r"),
+    "transfer_example": ("p",),
+    "transfer_factorization": (),
+    "parabolic_family": ("q",),
+    "singular_form": ("q",),
+    "orbit_additivity": (),
+    "field_axioms": ("p",),
+    "action_compatibility": (),
+    "transfer_module": (),
+    "gk_non_ci_conjecture": (),
+}
+
 
 def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationReport:
     """Run one named check, timed by a monotonic clock into `millis`.  A

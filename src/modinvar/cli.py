@@ -181,8 +181,13 @@ def load_scenario(path_text):
     for entry in data["checks"]:
         if "check" not in entry:
             raise ValueError(f"scenario entry without a 'check' kind: {entry}")
-        if entry["check"] not in checks_mod.CHECKS:
-            raise ValueError(f"unknown check kind {entry['check']!r}")
+        kind = entry["check"]
+        if kind not in checks_mod.CHECKS:
+            raise ValueError(f"unknown check kind {kind!r}")
+        for key in checks_mod.REQUIRED_PARAMS[kind]:
+            if key not in (entry.get("params") or {}):
+                raise ValueError(f"{kind} entry lacks required param "
+                                 f"{key!r}: {entry}")
         if entry.get("expect", "pass") not in ("pass", "fail", "skipped"):
             raise ValueError(f"bad expected status in {entry}")
     return data

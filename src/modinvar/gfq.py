@@ -146,31 +146,30 @@ class FieldSpec:
         return i
 
     def _build_tables(self):
+        """Multiplication, inverse, and (r > 1) addition and negation tables
+        as nested lists, built in numpy for all pairs at once.  The product
+        is bilinear in the digits: digit x of a b is
+        sum_(i, j) a_i b_j [t^(i+j) mod modulus]_x, mod p."""
         p, q, r = self.p, self.q, self.r
         mod = list(self.modulus)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(a, q):
-                db = self._digits(b)
-                prod = _poly_rem(_poly_mul_mod_p(da, db, p), mod, p) if r > 1 \
-                    else [(a * b) % p]
-                c = self._index(prod + [0] * (r - len(prod)))
-                mul[a][b] = c
-                mul[b][a] = c
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        powers = []  # digits of t^s mod the modulus, s < 2r - 1
+        for s in range(2 * r - 1):
+            rem = _poly_rem([0] * s + [1], mod, p)
+            powers.append(rem + [0] * (r - len(rem)))
+        # q <= TABLE_LIMIT, so every sum below (at most r^2 (p-1)^3) fits
+        digits = (np.arange(q, dtype=np.int32)[:, None]
+                  // p ** np.arange(r, dtype=np.int32) % p)
+        bilinear = np.array(powers, dtype=np.int32)[
+            np.add.outer(np.arange(r), np.arange(r))]
+        times_a = np.tensordot(digits, bilinear, axes=1)
+        mul = np.einsum("ajx,bj->abx", times_a, digits) % p \
+            @ p ** np.arange(r)
+        self._mul_table = mul.tolist()
+        inv = np.argmax(mul == 1, axis=1)
+        self._inv_table = inv.tolist()
         if r > 1:
             # digit-wise sums and negatives; prime fields add with % p
-            digits = np.array([self._digits(a) for a in range(q)],
-                              dtype=np.int64)
+            digits = digits.astype(np.int64)
             place = p ** np.arange(r, dtype=np.int64)
             self._add_table = [((da + digits) % p @ place).tolist()
                                for da in digits]

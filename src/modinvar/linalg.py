@@ -10,9 +10,25 @@ whose pivot column is divisible by r, folded back into indices, are R
 exactly, and the GF(q) rank is the F_p rank divided by r.  A prime field is
 the case r = 1.  Pivoting is deterministic: scan columns left to right, take
 the first unprocessed row with a nonzero entry.
+
+Sparse matrices (the kernel stacks of `analysis.invariant_dimension`, well
+under 1 % nonzero) take another route to their rank.  `fp_expand_coo` is
+`fp_expand` on COO entries whose values are base-p digit vectors, and
+`sparse_rank_mod_p` is structured elimination in the sense of LaMacchia and
+Odlyzko ("Solving large sparse linear systems over finite fields", CRYPTO
+'90).  Rows and columns with a single entry are pivots found without
+arithmetic and are pruned in numpy, repeatedly.  The rows left become
+{column: residue} dicts of Python ints, so any p works; they are inserted
+sparsest first (ties by leading column) into an echelon form keyed by
+leading column; each new row is reduced by the pivots its leading entries
+hit, and only a row that survives as a new pivot is normalised.  No row is
+ever densified, and no back-substitution is done, since only the rank is
+wanted.  The dense `rref_mod_p` rank is its test oracle.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -65,6 +81,100 @@ def fp_expand(rows, field: FieldSpec) -> np.ndarray:
             out[:, j] += digits[..., y, None] * power[:, y].astype(dtype)
             out[:, j] %= p
     return out.reshape(m * r, n * r)
+
+
+def _wide_dtype(p: int):
+    """`_residue_dtype` widened to int64, so that sums of many residues fit
+    as well."""
+    return np.promote_types(_residue_dtype(p), np.int64)
+
+
+def fp_expand_coo(rows, cols, digits, field: FieldSpec):
+    """`fp_expand` for a sparse GF(q) matrix: entry (rows[e], cols[e]) has
+    the base-p digits digits[e] (shape (nnz, r)).  Returns the nonzero
+    entries (rows, cols, residues) of its (m r, n r) expansion over F_p:
+    row i r + j, column k r + x holds digit x of t^j times entry (i, k), the
+    digits of t^j a being C^j applied to those of a (`_companion_powers`)."""
+    p, r = field.p, field.r
+    digits = np.asarray(digits, dtype=_wide_dtype(p))
+    values = np.zeros((len(digits), r, r), dtype=digits.dtype)
+    for y, column in enumerate(_companion_powers(field).transpose(2, 0, 1)):
+        values = (values + column.astype(digits.dtype)
+                  * digits[:, y, None, None]) % p
+    e, j, x = np.nonzero(values)
+    return (np.asarray(rows, dtype=np.int64)[e] * r + j,
+            np.asarray(cols, dtype=np.int64)[e] * r + x, values[e, j, x])
+
+
+def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
+    """Rank mod a prime p of the sparse matrix with entries values[e] at
+    (rows[e], cols[e]); positions are distinct.
+
+    First the pruning steps of structured elimination, in numpy, until
+    neither applies: a row with one entry is a pivot, so its column is
+    cleared from every other row; a column with one entry makes its row a
+    pivot, so the row is dropped.  Then echelon insertion on {column:
+    residue} dict rows of Python ints.  Rows go in by (nonzero count,
+    leading column), sparsest first, so that the pivots stay short.  Each
+    row is reduced by the pivot of its leading column until its leading
+    column is free, where it becomes the pivot (normalised to a leading 1),
+    or until it vanishes; a heap of the row's columns yields the leading
+    one.  Stops once every column holds a pivot."""
+    values = np.asarray(values) % p
+    keep = np.flatnonzero(values)
+    rows = np.asarray(rows, dtype=np.int64)[keep]
+    cols = np.asarray(cols, dtype=np.int64)[keep]
+    values = values[keep]
+    rank = 0
+    while len(rows):
+        cleared = np.zeros(cols.max() + 1, dtype=bool)
+        cleared[cols[np.bincount(rows)[rows] == 1]] = True
+        lone = (np.bincount(cols)[cols] == 1) & ~cleared[cols]
+        dropped = np.zeros(rows.max() + 1, dtype=bool)
+        dropped[rows[lone]] = True
+        found = int(cleared.sum() + dropped.sum())
+        if not found:
+            break
+        rank += found
+        keep = ~cleared[cols] & ~dropped[rows]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(starts[1:], len(rows))
+    insert = np.lexsort((cols[starts], ends - starts))
+    full = len(np.unique(cols))
+    starts, ends = starts[insert].tolist(), ends[insert].tolist()
+    cols, values = cols.tolist(), values[order].tolist()
+    pivots = {}
+    for start, end in zip(starts, ends):
+        row = dict(zip(cols[start:end], values[start:end]))
+        heap = cols[start:end]  # sorted, so already a heap
+        while heap:
+            lead = heapq.heappop(heap)
+            f = row.get(lead)
+            if f is None:  # cancelled earlier
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, p)
+                if inv != 1:
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[lead] = row
+                break
+            for c, v in pivot.items():
+                if c in row:
+                    v = (row[c] - f * v) % p
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                else:
+                    row[c] = -f * v % p
+                    heapq.heappush(heap, c)
+        if len(pivots) == full:
+            break
+    return rank + len(pivots)
 
 
 def rref_mod_p(A, p: int):

@@ -518,12 +518,14 @@ def _exponent_array(terms, n):
 
 
 def _combine_keys(keys, coeffs, p):
-    """Sum the coefficients of equal keys mod p; drop the zero sums."""
+    """Sum the coefficients of equal keys mod p; drop the zero sums.  A
+    coefficient may be a row of base-p digits (coeffs of shape (len, r)),
+    summed digit-wise; it is dropped when every digit is zero."""
     order = np.argsort(keys, kind="stable")
     keys, coeffs = keys[order], coeffs[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(coeffs, starts) % p
-    keep = sums != 0
+    keep = (sums != 0).reshape(len(sums), -1).any(axis=1)
     return keys[starts][keep], sums[keep]
 
 

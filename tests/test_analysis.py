@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modinvar import analysis
 from modinvar.gfq import build_field
-from modinvar.analysis import (HilbertClaim, TranslationSums,
+from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
                                _translation_structure,
                                VerificationReport,
                                degree_product_check, hilbert_check,
@@ -14,10 +16,12 @@ from modinvar.analysis import (HilbertClaim, TranslationSums,
                                transfer_image_basis, transfer_image_degree)
 from modinvar.gluing import full_hom_module, glue, zero_module
 from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
-                             gl_group, p_k_subgroup, trivial_group,
-                             unipotent_upper)
+                             gl_group, mat_mul, p_k_subgroup, trivial_group,
+                             unipotent_upper, usp_group)
 from modinvar.invariants import dickson_in, family, xi
-from modinvar.mvpoly import gluing_space, symplectic_space, monomials_of_degree
+from modinvar.linalg import fp_expand, rref_mod_p
+from modinvar.mvpoly import (VariableSpace, gluing_space, monomials_of_degree,
+                             symplectic_space)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -304,3 +308,104 @@ def test_xi_stabilizer_cross_check():
     fixed = [g for g in G.elements if f.act(g) == f]
     assert len(fixed) == 24
     assert is_invariant(f, trivial_group(F3, 2))
+
+
+def _dense_invariant_dimension(group, d, space):
+    """The dense route `invariant_dimension` replaced, kept here only as the
+    oracle: each kernel row built with one `Polynomial.act` and one
+    subtraction per monomial and generator, the rank taken by `rref_mod_p`
+    on the `fp_expand` of the dense stack."""
+    monos = monomials_of_degree(space, d)
+    index = {e: k for k, e in enumerate(monos)}
+    K = len(monos)
+    field = space.field
+    rows = np.zeros((K, K * len(group.generators)), dtype=np.int64)
+    for k, e in enumerate(monos):
+        base = space.monomial(e)
+        for gi, g in enumerate(group.generators):
+            for pe, c in (base.act(g) - base)._terms.items():
+                rows[k, gi * K + index[pe]] = c
+    _, pivots = rref_mod_p(fp_expand(rows, field), field.p)
+    return K - len(pivots) // field.r
+
+
+ORACLE_FIELDS = [build_field(2), build_field(3), build_field(2, 2),
+                 build_field(5), build_field(2, 3), build_field(3, 2)]
+
+
+@st.composite
+def small_groups(draw):
+    """1-3 random invertible generators P L U over one of GF(2), GF(3),
+    GF(4), GF(5), GF(8), GF(9), in 1-4 variables: P a permutation, L unit
+    lower and U upper triangular with a nonzero diagonal, their entries
+    zero often enough that sparse generators occur."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=0, max_value=field.q - 1)
+    unit = st.integers(min_value=1, max_value=field.q - 1)
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        perm = draw(st.permutations(range(n)))
+        P = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+        L = [[draw(entry) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+        U = [[draw(unit) if i == j else draw(entry) if j > i else 0
+              for j in range(n)] for i in range(n)]
+        gens.append(GroupElement(field,
+                                 mat_mul(field, P, mat_mul(field, L, U))))
+    return MatrixGroup(field, n, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups(), st.integers(min_value=1, max_value=6))
+def test_invariant_dimension_matches_dense_act_oracle(group, top):
+    """Every degree up to `top` through one shared SymmetricPowers, and the
+    top degree through a fresh one, against the dense oracle."""
+    space = VariableSpace(group.field,
+                          [f"z{i}" for i in range(1, group.n + 1)])
+    powers = SymmetricPowers(group, group.field)
+    for d in range(1, top + 1):
+        assert invariant_dimension(group, d, space, powers) == \
+            _dense_invariant_dimension(group, d, space)
+    assert invariant_dimension(group, top) == \
+        _dense_invariant_dimension(group, top, space)
+
+
+def test_symmetric_powers_match_act():
+    """Row k of S^d(g) is the image of monomial k under `Polynomial.act`."""
+    F9 = build_field(3, 2)
+    g = GroupElement(F9, ((1, 3, 0), (0, 4, 2), (5, 0, 1)))
+    space = VariableSpace(F9, ["z1", "z2", "z3"])
+    powers = SymmetricPowers(MatrixGroup(F9, 3, [g]), F9)
+    for d in (1, 2, 4, 3):
+        size, [(rows, cols, digits)] = powers.at(d)
+        monos = [tuple(e) for e in powers._exps.tolist()]
+        assert size == len(monos) == len(monomials_of_degree(space, d))
+        image = {}
+        for k, c, x in zip(rows.tolist(), cols.tolist(), digits.tolist()):
+            image.setdefault(k, {})[monos[c]] = F9._index(x)
+        for k, e in enumerate(monos):
+            assert image.get(k, {}) == space.monomial(e).act(g)._terms
+
+
+def test_symmetric_powers_check_the_budget_first(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_KERNEL_MONOMIALS", 10)
+    powers = SymmetricPowers(unipotent_upper(3, F2), F2)
+    assert powers.at(3)[0] == 10
+    with pytest.raises(BudgetExceeded,
+                       match="degree 4 needs 15 monomials, over the 10"):
+        powers.at(4)
+    assert powers.degree == 3
+
+
+def test_sylow_stretch_pins():
+    """Cheap pins of the two Sylow stretch checks (`hilbert_sylow`): the
+    claimed series give 23 at degree 16 for Sp4(F3) and 33 at degree 10 for
+    Sp6(F2)."""
+    G = usp_group(2, F3)
+    assert invariant_dimension(G, 16, symplectic_space(F3, 2)) == 23 == \
+        HilbertClaim([4, 10, 1, 3, 9, 27], [12, 30]).series(16)[16]
+    G = usp_group(3, F2)
+    assert invariant_dimension(G, 10, symplectic_space(F2, 3)) == 33 == \
+        HilbertClaim([3, 5, 9, 17, 1, 2, 4, 8, 16, 32],
+                     [12, 18, 20, 34]).series(10)[10]

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from modinvar import cli
+from modinvar import checks, cli
 from modinvar.checks import run_check
-from modinvar.cli import load_scenario, main, run_scenario
+from modinvar.cli import SCENARIO_DIR, load_scenario, main, run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -244,3 +244,30 @@ def test_scenario_validation():
     data = load_scenario("acceptance")
     assert data["name"] == "acceptance"
     assert all("check" in c for c in data["checks"])
+
+
+def test_every_bundled_scenario_loads():
+    names = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
+    assert "hilbert_sylow" in names
+    for name in names:
+        data = load_scenario(name)
+        assert data["checks"], name
+
+
+def test_required_params_are_declared_for_every_check():
+    assert set(checks.REQUIRED_PARAMS) == set(checks.CHECKS)
+
+
+def test_missing_required_param_is_refused_before_any_check(tmp_path,
+                                                            capsys):
+    scen = tmp_path / "no_generators.yaml"
+    scen.write_text("name: x\nchecks:\n"
+                    "  - check: field_axioms\n    params: {p: 2}\n"
+                    "  - check: hilbert\n"
+                    "    params: {group: {kind: u, n: 2, q: 2}, D: 3}\n")
+    with pytest.raises(ValueError, match="hilbert entry lacks required "
+                                         "param 'generators'"):
+        load_scenario(str(scen))
+    code, out, err = run_cli(capsys, "run", str(scen))
+    assert code == 2 and not out
+    assert "hilbert" in err and "'generators'" in err

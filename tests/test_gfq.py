@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from modinvar.gfq import (FieldMismatchError, build_field, enumerate_field,
-                          frobenius, is_prime, _poly_is_irreducible)
+from modinvar.gfq import (FieldMismatchError, FieldSpec, build_field,
+                          enumerate_field, frobenius, is_prime,
+                          _poly_is_irreducible, _poly_mul_mod_p, _poly_rem)
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3)]
 
@@ -200,3 +201,23 @@ def test_digit_loop_above_table_limit():
         a, b = rng.randrange(F.q), rng.randrange(F.q)
         assert F.add(a, b) == digit_add(F, a, b)
         assert F.neg(a) == digit_neg(F, a)
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (2, 8), (2, 9)])
+def test_tables_match_digit_polynomial_products(p, r):
+    """The numpy-built tables against the digit-polynomial product reduced
+    by the modulus, pair by pair (the way they were filled before)."""
+    F = FieldSpec(p, r)
+    mod = list(F.modulus)
+    digits = [F._digits(a) for a in range(F.q)]
+    for a in range(F.q):
+        row = F._mul_table[a]
+        for b in range(a, F.q):
+            prod = _poly_rem(_poly_mul_mod_p(digits[a], digits[b], p), mod, p)
+            expected = F._index(prod + [0] * (r - len(prod)))
+            assert row[b] == F._mul_table[b][a] == expected
+        if a:
+            assert row[F._inv_table[a]] == 1
+    assert F._inv_table[0] == 0
+    assert all(type(c) is int for c in F._mul_table[F.q - 1])

@@ -1,12 +1,13 @@
 """Row reduction over GF(q) through the F_p kernel, against a scalar
-reference."""
+reference; the sparse rank against the dense one."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import FieldSpec, build_field
-from modinvar.linalg import (fp_expand, in_row_space, nullspace_field,
-                             rref_field, rref_mod_p)
+from modinvar.linalg import (fp_expand, fp_expand_coo, in_row_space,
+                             nullspace_field, rref_field, rref_mod_p,
+                             sparse_rank_mod_p)
 
 
 def naive_rref_field(rows, field):
@@ -162,3 +163,62 @@ def test_fp_expand_is_multiplication_by_powers_of_t():
             tj = F8.pow(t, j)
             digits = [d for a in row for d in F8._digits(F8.mul(tj, a))]
             assert expanded[i * F8.r + j].tolist() == digits
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse matrix mod p as (dense array, p): up to 9 x 9, each entry
+    nonzero with a drawn density, repeated rows mixed in; p includes a prime
+    above 2^32, whose residues need Python ints."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 4294967311]))
+    m = draw(st.integers(min_value=0, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=9))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    entry = st.integers(min_value=1, max_value=p - 1)
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+            continue
+        mask = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+        rows.append([draw(entry) if x < density else 0 for x in mask])
+    return np.array(rows, dtype=object).reshape(m, n), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_matches_dense_rank(case):
+    A, p = case
+    rows, cols = np.nonzero(A != 0)
+    expected = len(rref_mod_p(A, p)[1]) if A.shape[0] else 0
+    assert sparse_rank_mod_p(rows, cols, A[rows, cols], p) == expected
+
+
+def test_sparse_rank_prunes_and_eliminates():
+    """Singleton rows and columns are pruned; the 3-cycle of differences
+    that is left has rank 2, found by elimination."""
+    A = np.array([[1, 0, 0, 0, 0],
+                  [1, 1, 0, 0, 0],
+                  [0, 0, 1, 2, 0],
+                  [0, 0, 0, 1, 2],
+                  [0, 0, 2, 0, 1]])
+    rows, cols = np.nonzero(A)
+    assert sparse_rank_mod_p(rows, cols, A[rows, cols], 3) == 4
+    assert sparse_rank_mod_p(rows, cols, A[rows, cols], 3) == \
+        len(rref_mod_p(A, 3)[1])
+    assert sparse_rank_mod_p([], [], [], 5) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_matrices())
+def test_fp_expand_coo_matches_fp_expand(case):
+    field, width, rows = case
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    i, k = np.nonzero(A)
+    digits = [field._digits(int(a)) for a in A[i, k]]
+    R, C, V = fp_expand_coo(i, k, np.array(digits).reshape(len(i), field.r),
+                            field)
+    dense = np.zeros((len(rows) * field.r, width * field.r), dtype=np.int64)
+    dense[R, C] = V
+    assert (V != 0).all()
+    assert (dense == fp_expand(A, field)).all()
