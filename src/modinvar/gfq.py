@@ -5,7 +5,9 @@ of GF(p)[t] modulo a monic irreducible polynomial.  Internally an element is a
 single integer index in [0, q): the base-p digits of the index are the
 coordinates, so index 0 is the zero element and index 1 is the identity.  For
 small fields (q <= 512) all arithmetic is table driven, except addition and
-negation over prime fields, which reduce mod p.
+negation over prime fields, which reduce mod p.  The multiplication table and
+the digits of every index are also kept as numpy arrays, from which the
+polynomial product gathers its coefficient products.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ class FieldSpec:
         self._neg_table = None
         self._mul_table = None
         self._inv_table = None
+        self._mul_array = None
+        self._digit_array = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -149,7 +153,11 @@ class FieldSpec:
         """Multiplication, inverse, and (r > 1) addition and negation tables
         as nested lists, built in numpy for all pairs at once.  The product
         is bilinear in the digits: digit x of a b is
-        sum_(i, j) a_i b_j [t^(i+j) mod modulus]_x, mod p."""
+        sum_(i, j) a_i b_j [t^(i+j) mod modulus]_x, mod p.
+
+        The numpy multiplication table (`_mul_array`, q x q indices) and the
+        base-p digits of every index (`_digit_array`, q x r) are kept for the
+        polynomial product (`mvpoly._mul_packed`)."""
         p, q, r = self.p, self.q, self.r
         mod = list(self.modulus)
         powers = []  # digits of t^s mod the modulus, s < 2r - 1
@@ -165,6 +173,8 @@ class FieldSpec:
         mul = np.einsum("ajx,bj->abx", times_a, digits) % p \
             @ p ** np.arange(r)
         self._mul_table = mul.tolist()
+        self._mul_array = mul.astype(np.min_scalar_type(q - 1))
+        self._digit_array = digits.astype(np.min_scalar_type(p - 1))
         inv = np.argmax(mul == 1, axis=1)
         self._inv_table = inv.tolist()
         if r > 1:

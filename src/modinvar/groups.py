@@ -386,7 +386,9 @@ class GroupElement:
         return element_orders(self.field, [self.matrix])[0]
 
     def apply(self, vector):
-        """g.v for a column vector of field indices or scalars."""
+        """g.v for a column vector of field indices or scalars.  The test
+        oracle of the right action: evaluate(f.act(g), v) must equal
+        evaluate(f, g.apply(v)) at every point v."""
         v = tuple(x.index if isinstance(x, Scalar) else x for x in vector)
         return mat_apply(self.field, self.matrix, v)
 

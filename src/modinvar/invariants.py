@@ -12,6 +12,7 @@ which all expansion identities in this package are exact.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,9 +123,17 @@ def orbit_product_under_group(form: Polynomial, group: MatrixGroup):
 def dickson_coefficients(space: VariableSpace, var_names):
     """All product-expansion coefficients [d_0=1, d_1, ..., d_k] of
     prod_(v in F_q-span of vars)(T + v), via the q-linearized recursion
-    f_(k+1)(T) = f_k(T)^q - f_k(next var)^(q-1) f_k(T)."""
-    field = space.field
-    q = field.q
+    f_(k+1)(T) = f_k(T)^q - f_k(next var)^(q-1) f_k(T).
+
+    Memoized by (space, variable names), the last 128 of them, since
+    polynomials are immutable; each call returns a new list, so callers
+    cannot change the memo."""
+    return list(_dickson_expansion(space, tuple(var_names)))
+
+
+@lru_cache(maxsize=128)
+def _dickson_expansion(space: VariableSpace, var_names):
+    q = space.field.q
     coeffs = [space.one()]
     for k, name in enumerate(var_names):
         u = space.variable(name)
@@ -137,7 +146,7 @@ def dickson_coefficients(space: VariableSpace, var_names):
             cq = coeffs[j] ** q if j <= k else space.zero()
             new.append(cq - hq * coeffs[j - 1])
         coeffs = new
-    return coeffs
+    return tuple(coeffs)
 
 
 def dickson_in(space: VariableSpace, var_names, i: int) -> Polynomial:

@@ -9,10 +9,11 @@ Powers use the Frobenius shortcut f^(p*e) = frobenius(f)^e, which keeps
 q-power exponents (ubiquitous in orbit products and Dickson invariants) cheap
 and exact.
 
-Large products over a prime field run in numpy on packed exponents
-(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007); every other product runs the scalar
-dict loop.
+Large products run in numpy on packed exponents (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007) over every field with tables (q <= gfq.TABLE_LIMIT) and
+every prime field with p < 2^31, in memory that grows with the output; small
+products and the remaining fields run the scalar dict loop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from modinvar.gfq import FieldMismatchError, FieldSpec, Scalar
 
-# Products of at least this many term pairs over a prime field go to numpy;
+# Products of at least this many term pairs go to numpy;
 # below it the dict loop is faster (8x8 terms: 97 us against 107 us).
 NUMPY_MIN_PRODUCTS = 64
 # Term products formed at once by the numpy product, bounding its memory.
@@ -234,9 +235,10 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
-        """Product.  Over GF(p) with p < 2^31 and at least
-        NUMPY_MIN_PRODUCTS term pairs it runs in numpy (`_mul_packed`);
-        small products, GF(p^r) with r > 1, p >= 2^31 and exponents whose
+        """Product.  With at least NUMPY_MIN_PRODUCTS term pairs over a
+        field with tables (q <= gfq.TABLE_LIMIT) or a prime field with
+        p < 2^31 it runs in numpy (`_mul_packed`); small products, GF(p^r)
+        with r > 1 over gfq.TABLE_LIMIT, p >= 2^31 and exponents whose
         packed keys would reach 2^62 run the scalar dict loop below."""
         other = self._check(other)
         if other is NotImplemented:
@@ -247,9 +249,10 @@ class Polynomial:
         if not a:
             return Polynomial(self.space, {})
         field = self.space.field
-        if field.r == 1 and field.p < NUMPY_PRIME_LIMIT and \
-                len(a) * len(b) >= NUMPY_MIN_PRODUCTS:
-            out = _mul_packed(a, b, field.p, self.space.dim)
+        if len(a) * len(b) >= NUMPY_MIN_PRODUCTS and (
+                field._mul_array is not None
+                or field.r == 1 and field.p < NUMPY_PRIME_LIMIT):
+            out = _mul_packed(a, b, field, self.space.dim)
             if out is not None:
                 return Polynomial(self.space, out)
         mul, add = field.mul, field.add
@@ -466,7 +469,7 @@ class Polynomial:
                     del out[e3]
         return Polynomial(space, out)
 
-    # -- text and JSON forms --
+    # -- text form and equality --
 
     def __repr__(self):
         return format_polynomial(self)
@@ -485,20 +488,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.space, frozenset(self._terms.items())))
         return self._hash
-
-    def to_json(self):
-        field = self.space.field
-        return [{"exponents": list(e), "coefficient": field.format_scalar(c)}
-                for e, c in self.sorted_terms()]
-
-    @staticmethod
-    def from_json(space: VariableSpace, data) -> "Polynomial":
-        field = space.field
-        out = {}
-        for item in data:
-            _add_term(field, out, tuple(item["exponents"]),
-                      field.parse_scalar(item["coefficient"]))
-        return Polynomial(space, out)
 
 
 def _add_term(field: FieldSpec, terms: dict, e: tuple, c: int):
@@ -520,24 +509,39 @@ def _exponent_array(terms, n):
 def _combine_keys(keys, coeffs, p):
     """Sum the coefficients of equal keys mod p; drop the zero sums.  A
     coefficient may be a row of base-p digits (coeffs of shape (len, r)),
-    summed digit-wise; it is dropped when every digit is zero."""
-    order = np.argsort(keys, kind="stable")
+    summed digit-wise; it is dropped when every digit is zero.  The sums
+    keep the dtype of coeffs, which must hold every residue mod p."""
+    order = np.argsort(keys)
     keys, coeffs = keys[order], coeffs[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(coeffs, starts) % p
+    sums = (np.add.reduceat(coeffs, starts) % p).astype(coeffs.dtype,
+                                                         copy=False)
     keep = (sums != 0).reshape(len(sums), -1).any(axis=1)
     return keys[starts][keep], sums[keep]
 
 
-def _mul_packed(a, b, p, n):
-    """Product of two term dicts over GF(p), p < 2^31, as a term dict, or
-    None when the packed keys would reach PACKED_KEY_LIMIT.
+def _mul_packed(a, b, field: FieldSpec, n):
+    """Product of two term dicts over GF(q), with q <= gfq.TABLE_LIMIT or
+    q = p < NUMPY_PRIME_LIMIT, as a term dict, or None when the packed keys
+    would reach PACKED_KEY_LIMIT.  `a` is the operand with fewer terms.
 
     Exponent vectors are packed into int64 keys in a mixed radix whose digit
     for each variable exceeds the largest exponent of that variable in the
-    product, so key sums are exponent sums.  The outer sums of keys and
-    products of coefficients are combined a chunk of rows of a at a time,
-    and the chunks' partial sums once more at the end."""
+    product, so key sums are exponent sums.  Over GF(p) a coefficient product
+    is a residue product; over GF(p^r) it is a gather from the field's
+    multiplication table, turned into a row of base-p digits, which
+    `_combine_keys` sums digit-wise; the digit rows become indices once, at
+    the end.
+
+    Term pairs are formed at most NUMPY_CHUNK at a time: all of a against a
+    block of b's terms in key order (a block of a against one term of b when
+    a has more terms than that), each chunk combined on its own.  The pending
+    chunk results are folded into the running sum whenever their total size
+    passes both NUMPY_CHUNK and the running sum's size, so the folds sort at
+    most twice the keys of the chunk results they take in, and the largest
+    array holds about twice the running sum plus twice NUMPY_CHUNK.  Without cancellation every term of a running
+    sum is a term of the product, so peak memory grows with the output plus
+    NUMPY_CHUNK; terms that cancel between chunks are held until they do."""
     try:
         ea, eb = _exponent_array(a, n), _exponent_array(b, n)
     except OverflowError:
@@ -553,17 +557,42 @@ def _mul_packed(a, b, p, n):
     ka, kb = ea @ weights, eb @ weights
     ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
     cb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
-    step = max(1, NUMPY_CHUNK // len(b))
-    parts = [_combine_keys((ka[s:s + step, None] + kb).ravel(),
-                           (ca[s:s + step, None] * cb % p).ravel(), p)
-             for s in range(0, len(a), step)]
-    if len(parts) == 1:
-        keys, coeffs = parts[0]
+    order = np.argsort(kb)
+    kb, cb = kb[order], cb[order]
+    p = field.p
+    if field.r == 1:
+        def products(x, y):
+            return (x[:, None] * y % p).ravel()
     else:
-        keys, coeffs = _combine_keys(np.concatenate([k for k, _ in parts]),
-                                     np.concatenate([c for _, c in parts]), p)
+        table, digits = field._mul_array, field._digit_array
+
+        def products(x, y):
+            return digits[table[x[:, None], y].ravel()]
+    rows = min(len(a), NUMPY_CHUNK)
+    cols = max(1, NUMPY_CHUNK // rows)
+    parts, running, pending = [], 0, 0  # after a fold, parts[0] is the sum
+    for s in range(0, len(b), cols):
+        for t in range(0, len(a), rows):
+            parts.append(_combine_keys(
+                (ka[t:t + rows, None] + kb[s:s + cols]).ravel(),
+                products(ca[t:t + rows], cb[s:s + cols]), p))
+            pending += len(parts[-1][0])
+            if pending > max(NUMPY_CHUNK, running):
+                parts = [_fold(parts, p)]
+                running, pending = len(parts[0][0]), 0
+    keys, coeffs = _fold(parts, p)
+    if field.r > 1:
+        coeffs = coeffs @ p ** np.arange(field.r, dtype=np.int64)
     exps = keys[:, None] // weights % np.array(radix, dtype=np.int64)
     return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
+
+
+def _fold(parts, p):
+    """One (keys, coefficients) pair summing the combined parts."""
+    if len(parts) == 1:
+        return parts[0]
+    return _combine_keys(np.concatenate([k for k, _ in parts]),
+                         np.concatenate([c for _, c in parts]), p)
 
 
 def balanced_product(factors, space: VariableSpace) -> Polynomial:

@@ -6,7 +6,8 @@ from modinvar.groups import (gl_group, sp_group, trivial_group,
                              unipotent_upper, usp_order)
 from modinvar.invariants import (DegenerateSpanError, GeneratorFamily,
                                  InvarianceError, OrbitShapeError, dickson,
-                                 dickson_in, dickson_via_moore, family,
+                                 dickson_coefficients, dickson_in,
+                                 dickson_via_moore, family,
                                  moore_determinant, n_k, n_x, orbit_product,
                                  orbit_product_under_group, parabolic_glue,
                                  parabolic_gl_group, partial_dickson,
@@ -116,6 +117,19 @@ def test_dickson_f2_frozen_values():
     x1, x2 = sp.variables()
     assert dickson(2, 2, 1) == x1 ** 2 + x1 * x2 + x2 ** 2
     assert dickson(2, 2, 2) == x1 ** 2 * x2 + x1 * x2 ** 2
+
+
+def test_dickson_coefficients_are_memoized_as_fresh_lists():
+    sp = x_space(F4, 2)
+    first = dickson_coefficients(sp, ["x1", "x2"])
+    first[1] = first.pop()
+    again = dickson_coefficients(sp, ("x1", "x2"))
+    assert len(again) == 3 and again is not first
+    assert again[2] is first[1]
+    assert again[1] == dickson_in(sp, ["x1", "x2"], 1) != again[2]
+    assert dickson_coefficients(sp, ["x2", "x1"]) == again
+    other = dickson_coefficients(x_space(F4, 3), ["x1", "x2"])
+    assert other[2].space != sp and other[2].degree() == again[2].degree()
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2)])
