@@ -294,6 +294,9 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
 # -- invariant dimensions and Hilbert series --
 
 MAX_KERNEL_MONOMIALS = 20000
+# Bound on n times the entries of one S^(d-1)(g), the size of the arrays a
+# degree step builds; the bundled scenarios and the benchmark reach 423,840.
+MAX_STEP_ENTRIES = 10 ** 6
 
 
 class SymmetricPowers:
@@ -321,7 +324,10 @@ class SymmetricPowers:
     the elimination against ascending order.
 
     `MAX_KERNEL_MONOMIALS` bounds the monomials of any degree asked for
-    (`at`), before any array of that degree is built."""
+    (`at`), before any array of that degree is built, and
+    `MAX_STEP_ENTRIES` bounds n times the entries of each S^(d-1)(g) before
+    the step to degree d, so that a dense generator reports `skipped`
+    instead of filling memory."""
 
     def __init__(self, group: MatrixGroup, field):
         self.field = field
@@ -346,7 +352,8 @@ class SymmetricPowers:
     def at(self, d: int):
         """(K, powers): the number K of degree-d monomials and, for each
         generator, S^d(g) as (rows, cols, digits).  Raises BudgetExceeded
-        when K is over MAX_KERNEL_MONOMIALS."""
+        when K is over MAX_KERNEL_MONOMIALS or a step is over
+        MAX_STEP_ENTRIES."""
         size = math.comb(self.n + d - 1, d)
         if size > MAX_KERNEL_MONOMIALS:
             raise BudgetExceeded(
@@ -357,6 +364,11 @@ class SymmetricPowers:
         if d < self.degree:
             self._reset()
         while self.degree < d:
+            entries = self.n * max(len(rows) for rows, _, _ in self._powers)
+            if entries > MAX_STEP_ENTRIES:
+                raise BudgetExceeded(
+                    f"degree {self.degree + 1} needs {entries} symmetric-power "
+                    f"entries, over the {MAX_STEP_ENTRIES} budget")
             self._step()
         return size, self._powers
 

@@ -398,6 +398,23 @@ def test_symmetric_powers_check_the_budget_first(monkeypatch):
     assert powers.degree == 3
 
 
+def test_symmetric_powers_check_the_step_budget(monkeypatch):
+    """A dense generator makes S^d(g) dense; the entry budget is checked on
+    the parent degree before each step."""
+    g = ((1, 2, 1, 1), (1, 1, 2, 1), (2, 1, 1, 1), (1, 1, 1, 2))
+    G = MatrixGroup(F3, 4, [GroupElement(F3, g)])
+    powers = SymmetricPowers(G, F3)
+    _, [(rows, _, _)] = powers.at(2)
+    assert len(rows) == 76  # of the 100 entries of S^2(g)
+    monkeypatch.setattr(analysis, "MAX_STEP_ENTRIES", 4 * 76 - 1)
+    with pytest.raises(BudgetExceeded,
+                       match="degree 3 needs 304 symmetric-power entries, "
+                             "over the 303 budget"):
+        invariant_dimension(G, 3, powers=powers)
+    assert powers.degree == 2
+    monkeypatch.setattr(analysis, "MAX_STEP_ENTRIES", 4 * 76)
+    assert powers.at(3)[0] == 20 and powers.degree == 3
+
 def test_sylow_stretch_pins():
     """Cheap pins of the two Sylow stretch checks (`hilbert_sylow`): the
     claimed series give 23 at degree 16 for Sp4(F3) and 33 at degree 10 for

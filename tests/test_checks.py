@@ -28,6 +28,16 @@ def test_monomial_budget_is_skipped(monkeypatch):
     assert rep.notes == "degree 4 needs 15 monomials, over the 10 budget"
 
 
+def test_step_budget_is_skipped(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_STEP_ENTRIES", 5)
+    params = {"group": {"kind": "u", "n": 3, "q": 2},
+              "generators": [1, 2, 4], "D": 6}
+    rep = run_check("hilbert", params)
+    assert rep.status == "skipped"
+    assert rep.notes == ("degree 2 needs 12 symmetric-power entries, over "
+                         "the 5 budget")
+
+
 def test_field_axioms_beyond_q9_is_skipped():
     rep = run_check("field_axioms", {"p": 2, "r": 4})
     assert rep.status == "skipped"

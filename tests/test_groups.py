@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modinvar import groups
 from modinvar.gfq import build_field
+from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _digit_matmul, _digits,
+                             _digit_matmul, _digits, _index_dtype, _key_codec,
+                             _keys, _working_field,
                              MatrixGroup, NotEnumeratedError, element_orders,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order,
@@ -326,8 +329,15 @@ def naive_order(field, m):
     return k
 
 
-DIFF_FIELDS = [build_field(2), build_field(3), build_field(5),
-               build_field(2, 2), build_field(2, 3), build_field(3, 2)]
+# 13^16 < 2^63 < 16^16 < 17^16: at n = 4 the closure keys of GF(13) are
+# int64 and those of GF(16) and GF(17) byte keys.
+DIFF_FIELDS = [build_field(2), build_field(3), build_field(5), build_field(13),
+               build_field(17), build_field(2, 2), build_field(2, 3),
+               build_field(3, 2), build_field(2, 4)]
+# Extension fields for generators with entries in the prime subfield, which
+# close over F_p; GF(729) has 2-byte indices, F_3 1-byte ones.
+SUBFIELD_FIELDS = [build_field(2, 2), build_field(2, 3), build_field(3, 2),
+                   build_field(3, 6)]
 DIFF_CAP = 400
 
 
@@ -336,11 +346,15 @@ def generator_sets(draw):
     """1-4 invertible matrices of one dimension 1-4 over one small field.
 
     Unitriangular and monomial draws keep many of the groups below the cap;
-    unrestricted draws mostly generate large groups and exercise the cap."""
-    field = draw(st.sampled_from(DIFF_FIELDS))
+    unrestricted draws mostly generate large groups and exercise the cap.
+    "Prime subfield" sets take every entry below p over an extension
+    field."""
+    subfield = draw(st.booleans())
+    field = draw(st.sampled_from(SUBFIELD_FIELDS if subfield else DIFF_FIELDS))
     n = draw(st.integers(min_value=1, max_value=4))
-    entry = st.integers(min_value=0, max_value=field.q - 1)
-    unit = st.integers(min_value=1, max_value=field.q - 1)
+    top = field.p if subfield else field.q
+    entry = st.integers(min_value=0, max_value=top - 1)
+    unit = st.integers(min_value=1, max_value=top - 1)
     gens = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         kind = draw(st.sampled_from(["any", "unitriangular", "monomial"]))
@@ -356,7 +370,7 @@ def generator_sets(draw):
     return field, n, gens
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(generator_sets())
 def test_batched_enumerate_matches_naive_closure(case):
     field, n, gens = case
@@ -368,9 +382,109 @@ def test_batched_enumerate_matches_naive_closure(case):
             G.enumerate(DIFF_CAP)
         return
     assert [g.matrix for g in G.enumerate(DIFF_CAP).elements] == expected
+    # the byte keys of the index rows, in the field's index dtype
+    keys = _keys(np.array(expected, dtype=_index_dtype(field))
+                 .reshape(len(expected), n, n))
+    assert G.keys.dtype == keys.dtype and G.keys.tobytes() == keys.tobytes()
     sample = expected[:: max(1, len(expected) // 40)] + gens
     assert element_orders(field, sample) == \
         [naive_order(field, m) for m in sample]
+
+
+GF729 = build_field(3, 6)
+F17 = build_field(17)
+CYCLE4 = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def _closure_route(G):
+    """(order of the field the closure multiplies over, key kind: "i" for
+    int64 keys, "V" for byte keys) of G's generators."""
+    gens = np.array([g.matrix for g in G.generators]).reshape(-1, G.n, G.n)
+    work = _working_field(G.field, gens)
+    encode, _ = _key_codec(work, G.n, _index_dtype(G.field))
+    return work.q, encode(np.eye(G.n, dtype=np.int64)[None]).dtype.kind
+
+
+def _signed_cycles(field):
+    """The signed cyclic shifts of dimension 4, a group of order 64."""
+    minus = ((field.neg(1), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, 1))
+    return MatrixGroup(field, 4, [GroupElement(field, CYCLE4),
+                                  GroupElement(field, minus)])
+
+
+@pytest.mark.parametrize("make,route", [
+    # entries below p descend to F_p; 2^81 > 2^63 for the thin gluing
+    (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized, (2, "V")),
+    (lambda: _signed_cycles(GF729), (3, "i")),
+    (lambda: unipotent_upper(4, build_field(2, 4)), (16, "V")),  # 16^16 keys
+    (lambda: MatrixGroup(build_field(2, 4), 4, [GroupElement(
+        build_field(2, 4), CYCLE4)]), (2, "i")),
+    # a prime field stays; GF(4)'s primitive element is index 2
+    (lambda: sp_group(3, F2), (2, "i")),
+    (lambda: gl_group(2, F4), (4, "i")),
+    (lambda: gl_group(4, build_field(13)), (13, "i")),
+    (lambda: _signed_cycles(F17), (17, "V")),
+])
+def test_closure_route(make, route):
+    assert _closure_route(make()) == route
+
+
+@pytest.mark.parametrize("field", [F17, GF729])
+def test_signed_cycles_match_naive_closure(field):
+    """Byte keys over GF(17) at n = 4, and F_3 products stored as the 2-byte
+    indices of GF(729)."""
+    G = _signed_cycles(field).enumerate()
+    gens = [g.matrix for g in G.generators]
+    expected = naive_closure(field, 4, gens, DIFF_CAP)
+    assert len(expected) == 64
+    assert [g.matrix for g in G.elements] == expected
+    assert G.rows().dtype == _index_dtype(field)
+    sample = expected[::4] + gens
+    assert element_orders(field, sample) == \
+        [naive_order(field, m) for m in sample]
+
+
+@pytest.mark.parametrize("make,chunk", [
+    (lambda: sp_group(2, F2), 1024),
+    (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized, 16),
+    (lambda: _signed_cycles(F17), 64),
+])
+def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
+    """No closure product holds more than CHUNK_ENTRIES entries, or one
+    frontier row's products when those alone are more, and no decoded key
+    array (the final int64-to-byte key conversion included) holds more
+    than CHUNK_ENTRIES entries or one matrix."""
+    G = make()
+    expected = MatrixGroup(G.field, G.n, G.generators).enumerate().keys
+    products, decoded = [], []
+    matmul_mod, key_codec = groups._matmul_mod, groups._key_codec
+
+    def spy_matmul(a, b, p):
+        out = matmul_mod(a, b, p)
+        products.append(out.size)
+        return out
+
+    def spy_codec(work, n, dtype):
+        encode, decode = key_codec(work, n, dtype)
+
+        def spy_decode(keys):
+            rows = decode(keys)
+            decoded.append(rows.size)
+            return rows
+        return encode, spy_decode
+
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(groups, "_matmul_mod", spy_matmul)
+    monkeypatch.setattr(groups, "_key_codec", spy_codec)
+    keys = MatrixGroup(G.field, G.n, G.generators).enumerate().keys
+    assert keys.dtype == expected.dtype and keys.tobytes() == expected.tobytes()
+    work_r = _working_field(G.field, np.array(
+        [g.matrix for g in G.generators])).r
+    row_products = len(G.generators) * G.n * G.n * work_r
+    assert max(products) <= max(chunk, row_products)
+    assert max(decoded) <= max(chunk, G.n * G.n)
+    assert sum(decoded) >= len(keys) * G.n * G.n
 
 
 @pytest.mark.parametrize("field", [F3, build_field(2, 3)])
