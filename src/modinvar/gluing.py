@@ -177,16 +177,12 @@ class GluingGroup:
                     for i in range(self.m))
         id2 = tuple(tuple(1 if i == j else 0 for j in range(self.n))
                     for i in range(self.n))
-        elements = [GroupElement(field,
-                                 _block_matrix(field, self.m, self.n, id1, phi, id2),
-                                 check=False)
-                    for phi in self.M.elements()]
         gens = [GroupElement(field,
                              _block_matrix(field, self.m, self.n, id1, phi, id2),
                              check=False)
                 for phi in self.M.mats]
         return MatrixGroup(field, self.m + self.n, gens, name="M-block",
-                           elements=elements, claimed_order=self.M.module_order())
+                           claimed_order=self.M.module_order()).enumerate()
 
     def factor_subgroup(self) -> MatrixGroup:
         """Block-diagonal realization of G1 x G2 inside the gluing."""

@@ -304,7 +304,8 @@ def _key_codec(work, n, dtype):
 
 def _closure(field, n, generators, cap, name="group"):
     """Sorted byte keys (`_keys`, in the field's index dtype) of the group
-    generated by one or more n x n index matrices.
+    generated by n x n index matrices; with none, or with n = 0, the
+    identity alone.
 
     Layer by layer: the whole frontier is multiplied on the right by every
     generator, one batched matmul mod p per chunk of about CHUNK_ENTRIES
@@ -316,6 +317,8 @@ def _closure(field, n, generators, cap, name="group"):
     a chunk at a time at the end.
     """
     dtype = _index_dtype(field)
+    if n == 0 or not len(generators):  # the trivial group
+        return _keys(np.eye(n, dtype=dtype)[None])
     gens = np.array(generators, dtype=np.int64).reshape(len(generators), n, n)
     work = _working_field(field, gens)
     encode, decode = _key_codec(work, n, dtype)
@@ -467,6 +470,11 @@ class GroupElement:
 class MatrixGroup:
     """A matrix group given by generators, optionally fully enumerated.
 
+    Constructors return generators with a claimed order; `enumerate()`,
+    the only enumeration, checks its count against that order.  `elements=`
+    is only for subsets picked by a predicate (`stabilizer_of_polynomial`,
+    `gluing.singular_form_group`).
+
     Enumeration closes the generators layer by layer in numpy: each layer
     multiplies the whole frontier by every generator in batched matmuls over
     F_p (GF(p^r) through its regular representation, or over F_p itself when
@@ -536,13 +544,9 @@ class MatrixGroup:
             raise ValueError("cap must be positive")
         if self.keys is not None:
             return self
-        if self.generators:
-            keys = _closure(self.field, self.n,
-                            [g.matrix for g in self.generators], cap,
-                            self.name or "group")
-        else:
-            keys = _keys(np.eye(self.n, dtype=_index_dtype(self.field))[None])
-        self._set_keys(keys)
+        self._set_keys(_closure(self.field, self.n,
+                                [g.matrix for g in self.generators], cap,
+                                self.name or "group"))
         return self
 
     def order(self) -> int:
@@ -642,8 +646,7 @@ def parabolic_gl_order(partition, q: int) -> int:
 # -- constructors --
 
 def trivial_group(field: FieldSpec, n: int) -> MatrixGroup:
-    e = GroupElement(field, identity_matrix(n), check=False)
-    return MatrixGroup(field, n, [], name="trivial", elements=[e], claimed_order=1)
+    return MatrixGroup(field, n, [], name="trivial", claimed_order=1).enumerate()
 
 
 def _elementary(field, n, i, j, c_idx):
@@ -762,86 +765,35 @@ def _pk_assemble(field, m, k, B1, B2, A):
     return GroupElement(field, tuple(map(tuple, M)), check=False)
 
 
-def _pk_particular_a(field, m, k, B1, B2):
-    """Particular solution of A^T Q_k - Q_k A = B2^T Q B1 - B1^T Q B2."""
-    Qk = anti_identity(k)
-    if m == k:
-        return tuple(tuple(0 for _ in range(k)) for _ in range(k))
-    Qmk = anti_identity(m - k)
-    S = mat_add(field,
-                mat_mul(field, mat_mul(field, mat_transpose(B2), Qmk), B1),
-                mat_neg(field, mat_mul(field, mat_mul(field, mat_transpose(B1), Qmk), B2)))
-    if field.p != 2:
-        half = field.inv(field.add(1, 1))
-        return mat_scale(field, mat_mul(field, Qk, S), field.neg(half))
-    # char 2: S is symmetric with zero diagonal; T = strict upper of S solves
-    # T^T + T = S, then A = Q_k T.
-    T = [[S[i][j] if j > i else 0 for j in range(k)] for i in range(k)]
-    return mat_mul(field, Qk, tuple(map(tuple, T)))
-
-
-def _symmetric_matrices(field, k):
-    """All k x k matrices S with S = S^T, in deterministic order."""
-    coords = [(i, j) for i in range(k) for j in range(i, k)]
-    for combo in itertools.product(range(field.q), repeat=len(coords)):
-        S = [[0] * k for _ in range(k)]
-        for (i, j), c in zip(coords, combo):
-            S[i][j] = c
-            S[j][i] = c
-        yield tuple(map(tuple, S))
-
-
-def _rect_matrices(field, rows, cols):
-    if rows == 0 or cols == 0:
-        yield tuple(tuple(() if cols == 0 else (0,) * cols) for _ in range(rows))
-        return
-    for combo in itertools.product(range(field.q), repeat=rows * cols):
-        yield tuple(tuple(combo[i * cols + j] for j in range(cols))
-                    for i in range(rows))
-
-
 def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
-    """The unipotent radical P_k of the type-k maximal parabolic, enumerated
-    directly from its free parameters."""
+    """The unipotent radical P_k of the type-k maximal parabolic: one
+    generator per free parameter (an entry of B1, of B2 or of the symmetric
+    S in A = Q_k S) and F_p-basis element, with claimed order `pk_order`.
+    `enumerate()` closes them, and its order check certifies that they
+    generate P_k."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     q = field.q
     Qk = anti_identity(k)
-    elements = []
-    gens = []
-    zeroB = tuple(tuple(0 for _ in range(k)) for _ in range(m - k))
-    for B1 in _rect_matrices(field, m - k, k):
-        for B2 in _rect_matrices(field, m - k, k):
-            Apart = _pk_particular_a(field, m, k, B1, B2)
-            for S in _symmetric_matrices(field, k):
-                A = mat_add(field, Apart, mat_mul(field, Qk, S))
-                elements.append(_pk_assemble(field, m, k, B1, B2, A))
-    # generators: one free parameter at a time, over an F_p basis
+    zeroB = ((0,) * k,) * (m - k)
+    zk = ((0,) * k,) * k
     basis = [b.index for b in field.fp_basis()]
-    zk = tuple(tuple(0 for _ in range(k)) for _ in range(k))
-    for i in range(m - k):
-        for j in range(k):
-            for b in basis:
-                B = [[0] * k for _ in range(m - k)]
-                B[i][j] = b
-                B = tuple(map(tuple, B))
-                gens.append(_pk_assemble(field, m, k, B, zeroB,
-                                         _pk_particular_a(field, m, k, B, zeroB)))
-                gens.append(_pk_assemble(field, m, k, zeroB, B,
-                                         _pk_particular_a(field, m, k, zeroB, B)))
-    for i in range(k):
-        for j in range(i, k):
-            for b in basis:
-                S = [[0] * k for _ in range(k)]
-                S[i][j] = b
-                S[j][i] = b
-                A = mat_mul(field, Qk, tuple(map(tuple, S)))
-                gens.append(_pk_assemble(field, m, k, zeroB, zeroB, A))
-    _check_symplectic(field, [GroupElement(field, e.matrix, check=False)
-                              for e in elements], m, f"P_{k}")
-    group = MatrixGroup(field, 2 * m, gens, name=f"P{k}(m={m},F{q})",
-                        elements=elements, claimed_order=pk_order(m, k, q))
-    return group
+    gens = []
+    # with B1 = 0 or B2 = 0, A = 0 solves the symplectic relations
+    for i, j, b in itertools.product(range(m - k), range(k), basis):
+        B = tuple(tuple(b if (r, c) == (i, j) else 0 for c in range(k))
+                  for r in range(m - k))
+        gens.append(_pk_assemble(field, m, k, B, zeroB, zk))
+        gens.append(_pk_assemble(field, m, k, zeroB, B, zk))
+    for i, j, b in itertools.product(range(k), range(k), basis):
+        if i <= j:
+            S = tuple(tuple(b if {r, c} == {i, j} else 0 for c in range(k))
+                      for r in range(k))
+            gens.append(_pk_assemble(field, m, k, zeroB, zeroB,
+                                     mat_mul(field, Qk, S)))
+    _check_symplectic(field, gens, m, f"P_{k}")
+    return MatrixGroup(field, 2 * m, gens, name=f"P{k}(m={m},F{q})",
+                       claimed_order=pk_order(m, k, q))
 
 
 def sp_group(m: int, field: FieldSpec) -> MatrixGroup:

@@ -363,13 +363,23 @@ class Polynomial:
             target = space
         if target.field != space.field:
             raise FieldMismatchError("substitution into a different field")
-        for i, name in enumerate(space.names):
-            if i not in images:
-                images[i] = target.variable(name)
-        return self._compose(target, images)
+        if target != space:
+            for i, name in enumerate(space.names):
+                if i not in images:
+                    images[i] = target.variable(name)
+        return self._substitute(target, images)
 
-    def _compose(self, target: VariableSpace, images: dict) -> "Polynomial":
-        field = self.space.field
+    def _substitute(self, target: VariableSpace, images: dict) -> "Polynomial":
+        """The image in `target` under variable position -> Polynomial.  A
+        variable without an image keeps its exponent, so `target` must be
+        this space unless every variable has one; skipping fixed variables
+        pays off for transvection-style generators, which move only a couple
+        of rows."""
+        space = self.space
+        same = target == space
+        if not same and len(images) < space.dim:
+            raise ValueError("variables without an image need the same space")
+        field = space.field
         cache = {}
 
         def power(i, e):
@@ -379,14 +389,27 @@ class Polynomial:
                 got = cache[key] = images[i] ** e
             return got
 
-        acc = target.zero()
+        add, mul = field.add, field.mul
+        zero = (0,) * target.dim
+        out = {}
         for e, c in self._terms.items():
-            factors = [power(i, ei) for i, ei in enumerate(e) if ei]
-            term = target.constant(Scalar(field, c))
-            for fct in sorted(factors, key=len):
-                term = term * fct
-            acc = acc + term
-        return acc
+            fixed = tuple(0 if i in images else ei for i, ei in enumerate(e)) \
+                if same else zero
+            factors = [power(i, ei) for i, ei in enumerate(e)
+                       if ei and i in images]
+            if factors:
+                prod = reduce(lambda u, v: u * v, sorted(factors, key=len))
+                image = [(tuple(map(int.__add__, fixed, e2)), mul(c, c2))
+                         for e2, c2 in prod._terms.items()]
+            else:
+                image = [(fixed, c)]
+            for e3, c3 in image:
+                s = add(out.get(e3, 0), c3)
+                if s:
+                    out[e3] = s
+                elif e3 in out:
+                    del out[e3]
+        return Polynomial(target, out)
 
     def evaluate(self, point) -> Scalar:
         """Value at a point given as scalars (or ints) per variable."""
@@ -414,7 +437,6 @@ class Polynomial:
             raise ValueError(
                 f"matrix dimension {len(matrix)} does not match {n} variables")
         images = {}
-        moved = {}
         for i in range(n):
             row = matrix[i]
             terms = {}
@@ -424,50 +446,13 @@ class Polynomial:
                     e = [0] * n
                     e[j] = 1
                     terms[tuple(e)] = idx
-            img = Polynomial(self.space, terms)
-            images[i] = img
             e = [0] * n
             e[i] = 1
-            moved[i] = terms != {tuple(e): 1}
-        if not any(moved.values()):
+            if terms != {tuple(e): 1}:  # the fixed variables get no image
+                images[i] = Polynomial(self.space, terms)
+        if not images:
             return self
-        return self._act_sparse(images, moved)
-
-    def _act_sparse(self, images, moved):
-        """Substitution that skips fixed variables (transvection-style
-        generators move only a couple of rows)."""
-        space = self.space
-        field = space.field
-        cache = {}
-
-        def power(i, e):
-            key = (i, e)
-            got = cache.get(key)
-            if got is None:
-                got = cache[key] = images[i] ** e
-            return got
-
-        add, mul = field.add, field.mul
-        out = {}
-        for e, c in self._terms.items():
-            fixed = tuple(ei if not moved[i] else 0 for i, ei in enumerate(e))
-            factors = [power(i, ei) for i, ei in enumerate(e) if ei and moved[i]]
-            if not factors:
-                s = add(out.get(fixed, 0), c)
-                if s:
-                    out[fixed] = s
-                elif fixed in out:
-                    del out[fixed]
-                continue
-            prod = reduce(lambda u, v: u * v, sorted(factors, key=len))
-            for e2, c2 in prod._terms.items():
-                e3 = tuple(map(int.__add__, fixed, e2))
-                s = add(out.get(e3, 0), mul(c, c2))
-                if s:
-                    out[e3] = s
-                elif e3 in out:
-                    del out[e3]
-        return Polynomial(space, out)
+        return self._substitute(self.space, images)
 
     # -- text form and equality --
 

@@ -1,20 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 
 from modinvar.gfq import build_field
 from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
-                             diagonal_glue, full_hom_module, glue,
+                             _block_matrix, diagonal_glue, full_hom_module,
+                             glue,
                              parabolic_module, scalar_line_module,
                              semidirect_mul, singular_form_group,
                              subfield_hom_module, thin_glue_regular,
                              zero_module)
-from modinvar.groups import (FormSpec, GroupElement, MatrixGroup, gl_group,
-                             trivial_group, unipotent_upper)
+from modinvar.groups import (FormSpec, GroupElement, MatrixGroup,
+                             _index_dtype, _keys, gl_group, trivial_group,
+                             unipotent_upper)
 
 F2 = build_field(2)
 F3 = build_field(3)
 F4 = build_field(2, 2)
+F9 = build_field(3, 2)
 
 
 def test_full_hom_module_dimensions():
@@ -109,6 +113,44 @@ def test_m_block_subgroup_is_normal():
         for h in Msub.generators:
             conj = g * h * ginv
             assert conj.matrix in mset
+
+
+def _m_block_keys(M):
+    """Sorted keys of the blocks [[I, phi], [0, I]] listed over every phi of
+    `M.elements()`, the enumeration the closure replaced."""
+    id1 = tuple(tuple(int(i == j) for j in range(M.m)) for i in range(M.m))
+    id2 = tuple(tuple(int(i == j) for j in range(M.n)) for i in range(M.n))
+    blocks = [_block_matrix(M.field, M.m, M.n, id1, phi, id2)
+              for phi in M.elements()]
+    return np.sort(_keys(np.array(blocks, dtype=_index_dtype(M.field))))
+
+
+M_BLOCK_MODULES = {
+    "hom-2x2-F2": full_hom_module(2, 2, F2),
+    "hom-2x1-F3": full_hom_module(2, 1, F3),
+    "hom-1x2-F4": full_hom_module(1, 2, F4),
+    "hom-2x1-F9": full_hom_module(2, 1, F9),
+    "subfield-1x2-F2-in-F4": subfield_hom_module(1, 2, 2, F4),
+    "subfield-2x2-F3-in-F9": subfield_hom_module(2, 2, 3, F9),
+    "scalar-2-F3": scalar_line_module(2, F3),
+    "scalar-3-F4": scalar_line_module(3, F4),
+    "scalar-2-F9": scalar_line_module(2, F9),
+    "parabolic-11-F2": parabolic_module((1, 1), F2),
+    "parabolic-12-F3": parabolic_module((1, 2), F3),
+    "parabolic-11-F4": parabolic_module((1, 1), F4),
+    "parabolic-11-F9": parabolic_module((1, 1), F9),
+}
+
+
+@pytest.mark.parametrize("name", M_BLOCK_MODULES)
+def test_m_subgroup_closure_matches_module_elements(name):
+    M = M_BLOCK_MODULES[name]
+    msub = GluingGroup(trivial_group(M.field, M.m),
+                       trivial_group(M.field, M.n), M).m_subgroup()
+    oracle = _m_block_keys(M)
+    assert len(oracle) == M.module_order()
+    assert msub.keys.dtype == oracle.dtype
+    assert msub.keys.tobytes() == oracle.tobytes()
 
 
 def test_semidirect_mul_matches_block_product_exhaustive():

@@ -9,11 +9,13 @@ from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              _digit_matmul, _digits, _index_dtype, _key_codec,
-                             _keys, _working_field,
-                             MatrixGroup, NotEnumeratedError, element_orders,
+                             _keys, _pk_assemble, _working_field,
+                             MatrixGroup, NotEnumeratedError, anti_identity,
+                             element_orders,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order,
-                             is_symplectic, mat_det, mat_mul,
+                             is_symplectic, mat_add, mat_det, mat_mul, mat_neg,
+                             mat_scale, mat_transpose,
                              minimal_generators, o3_sylow_generators,
                              o4_plus_sylow_generators, p_k_subgroup,
                              parabolic_g_k, parabolic_gl_order, parse_matrix,
@@ -127,27 +129,88 @@ def test_usp_elements_upper_unipotent():
 ])
 def test_pk_orders(m, k, field, expected):
     assert pk_order(m, k, field.q) == expected
-    G = p_k_subgroup(m, k, field)
+    G = p_k_subgroup(m, k, field).enumerate()
     assert G.order() == expected
     assert len(set(G.elements)) == expected
 
 
 def test_pk_all_elements_symplectic():
-    G = p_k_subgroup(2, 1, F3)
+    G = p_k_subgroup(2, 1, F3).enumerate()
     J = symplectic_j(2, F3)
     assert all(is_symplectic(F3, g.matrix, J) for g in G.elements)
 
 
-def test_pk_generators_generate():
-    for (m, k, field) in [(2, 1, F2), (2, 2, F3), (2, 1, F3)]:
-        G = p_k_subgroup(m, k, field)
-        regen = MatrixGroup(field, 2 * m, G.generators).enumerate()
-        assert set(regen.elements) == set(G.elements)
+# -- P_k from its free parameters, the enumeration the closure replaced --
+
+def _rect_matrices(field, rows, cols):
+    if rows == 0 or cols == 0:
+        yield tuple(tuple(() if cols == 0 else (0,) * cols) for _ in range(rows))
+        return
+    for combo in itertools.product(range(field.q), repeat=rows * cols):
+        yield tuple(tuple(combo[i * cols + j] for j in range(cols))
+                    for i in range(rows))
+
+
+def _symmetric_matrices(field, k):
+    coords = [(i, j) for i in range(k) for j in range(i, k)]
+    for combo in itertools.product(range(field.q), repeat=len(coords)):
+        S = [[0] * k for _ in range(k)]
+        for (i, j), c in zip(coords, combo):
+            S[i][j] = c
+            S[j][i] = c
+        yield tuple(map(tuple, S))
+
+
+def _pk_particular_a(field, m, k, B1, B2):
+    """Particular solution of A^T Q_k - Q_k A = B2^T Q B1 - B1^T Q B2."""
+    Qk = anti_identity(k)
+    if m == k:
+        return tuple(tuple(0 for _ in range(k)) for _ in range(k))
+    Qmk = anti_identity(m - k)
+    S = mat_add(field,
+                mat_mul(field, mat_mul(field, mat_transpose(B2), Qmk), B1),
+                mat_neg(field, mat_mul(field, mat_mul(field, mat_transpose(B1), Qmk), B2)))
+    if field.p != 2:
+        half = field.inv(field.add(1, 1))
+        return mat_scale(field, mat_mul(field, Qk, S), field.neg(half))
+    # char 2: S is symmetric with zero diagonal; T = strict upper of S solves
+    # T^T + T = S, then A = Q_k T.
+    T = [[S[i][j] if j > i else 0 for j in range(k)] for i in range(k)]
+    return mat_mul(field, Qk, tuple(map(tuple, T)))
+
+
+def _pk_parametric_keys(m, k, field):
+    """Sorted keys of every P_k element listed from B1, B2 and S, with
+    A = A_particular(B1, B2) + Q_k S; each element is checked symplectic."""
+    Qk = anti_identity(k)
+    J = symplectic_j(m, field)
+    mats = []
+    for B1 in _rect_matrices(field, m - k, k):
+        for B2 in _rect_matrices(field, m - k, k):
+            Apart = _pk_particular_a(field, m, k, B1, B2)
+            for S in _symmetric_matrices(field, k):
+                A = mat_add(field, Apart, mat_mul(field, Qk, S))
+                mats.append(_pk_assemble(field, m, k, B1, B2, A).matrix)
+    assert all(is_symplectic(field, mat, J) for mat in mats)
+    return np.sort(_keys(np.array(mats, dtype=_index_dtype(field))))
+
+
+@pytest.mark.parametrize("m,k,field", [
+    (1, 1, F2), (2, 1, F3), (2, 2, F3), (2, 1, F4), (3, 3, F3), (3, 2, F3),
+])
+def test_pk_closure_matches_parametric_enumeration(m, k, field):
+    G = p_k_subgroup(m, k, field)
+    assert not G.is_enumerated
+    keys = G.enumerate().keys
+    oracle = _pk_parametric_keys(m, k, field)
+    assert len(oracle) == pk_order(m, k, field.q)
+    assert keys.dtype == oracle.dtype
+    assert keys.tobytes() == oracle.tobytes()
 
 
 def test_pm_elementary_abelian():
     for m, field in [(2, F2), (2, F3)]:
-        G = p_k_subgroup(m, m, field)
+        G = p_k_subgroup(m, m, field).enumerate()
         p = field.p
         for g in G.elements:
             if not g.is_identity():
@@ -157,7 +220,7 @@ def test_pm_elementary_abelian():
 
 
 def test_pk_nonabelian_for_small_k():
-    G = p_k_subgroup(2, 1, F3)
+    G = p_k_subgroup(2, 1, F3).enumerate()
     assert any(a * b != b * a
                for a in G.elements for b in G.elements)
 
@@ -576,6 +639,9 @@ def test_dimension_zero_group(field):
     assert () in T
     E = MatrixGroup(field, 0, [], elements=[T.identity()], claimed_order=1)
     assert E.order() == 1 and [g.matrix for g in E.elements] == [()]
+    C = MatrixGroup(field, 0, [GroupElement(field, ())],
+                    claimed_order=1).enumerate()
+    assert C.keys.tobytes() == T.keys.tobytes() and C.keys.dtype == T.keys.dtype
 
 
 # -- the stabilizer prefilter against the exact loop --

@@ -80,3 +80,48 @@ def test_src_times_with_a_monotonic_clock():
              for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
              for line in wall_clock_calls(path)]
     assert not found, "time.time in src:\n" + "\n".join(found)
+
+
+# Functions that pick a subset of an enumerated group by a predicate and so
+# hand `MatrixGroup` its elements; every other group is enumerated from its
+# generators by `MatrixGroup.enumerate`.
+PREDICATE_SUBSETS = {"stabilizer_of_polynomial", "singular_form_group"}
+
+
+def element_list_groups(path):
+    """(line, enclosing function) of each `MatrixGroup(...)` call in a
+    module that passes `elements=`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else \
+                getattr(callee, "attr", None)
+            if name == "MatrixGroup" and \
+                    any(k.arg == "elements" for k in node.keywords):
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_groups_are_enumerated_by_the_closure():
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line} in {function}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line, function in element_list_groups(path)
+             if function not in PREDICATE_SUBSETS]
+    assert not found, "MatrixGroup(elements=...) outside the predicate " \
+        "subsets:\n" + "\n".join(found)
+
+
+def test_predicate_subsets_still_pass_elements():
+    functions = {function
+                 for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+                 for _, function in element_list_groups(path)}
+    assert functions == PREDICATE_SUBSETS

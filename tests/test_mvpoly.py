@@ -117,6 +117,81 @@ def test_substitute_mixed_space_error():
         sp.variable("y1").substitute({"y1": other.variable("x1")})
 
 
+# -- the substitution kernel against the composition it replaced --
+
+def compose_oracle(f: Polynomial, assignment: dict) -> Polynomial:
+    """`substitute` before the kernel merged with the action's: every
+    variable gets an image (unassigned ones their namesake in the target
+    space), and each term's image is added to the running sum."""
+    images = {f.space.position(name): img for name, img in assignment.items()}
+    target = next(iter(assignment.values())).space if assignment else f.space
+    for i, name in enumerate(f.space.names):
+        images.setdefault(i, target.variable(name))
+    acc = target.zero()
+    for e, c in f._terms.items():
+        term = target.constant(c)
+        for fct in sorted((images[i] ** ei for i, ei in enumerate(e) if ei),
+                          key=len):
+            term = term * fct
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def small_poly(draw, sp, max_terms=6, max_exp=3):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * sp.dim),
+        st.integers(min_value=1, max_value=sp.field.q - 1),
+        max_size=max_terms))
+    return Polynomial(sp, terms)
+
+
+SUBSTITUTION_FIELDS = (F2, F3, F4, F9)
+
+
+@st.composite
+def same_space_assignment(draw):
+    """A polynomial and images for a subset of its variables, in its own
+    space (the shape of the action's images: fixed variables unassigned)."""
+    sp = space(draw(st.sampled_from(SUBSTITUTION_FIELDS)), "x1", "x2", "x3")
+    f = draw(small_poly(sp, max_terms=12, max_exp=4))
+    names = draw(st.lists(st.sampled_from(sp.names), unique=True))
+    return f, {name: draw(small_poly(sp)) for name in names}
+
+
+@st.composite
+def lift_assignment(draw):
+    """A polynomial in y1, y2 and images in the space y1, y2, x1, x2: the
+    namesake lift of the parabolic-family check, or random images, with
+    any variable left unassigned lifted to its namesake."""
+    field = draw(st.sampled_from(SUBSTITUTION_FIELDS))
+    source = space(field, "y1", "y2")
+    target = space(field, "y1", "y2", "x1", "x2")
+    f = draw(small_poly(source, max_terms=12, max_exp=4))
+    names = draw(st.lists(st.sampled_from(source.names), unique=True,
+                          min_size=1))
+    lift = draw(st.booleans())
+    return f, {name: target.variable(name) if lift
+               else draw(small_poly(target)) for name in names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(same_space_assignment(), lift_assignment()))
+def test_substitute_matches_composition(case):
+    f, assignment = case
+    got = f.substitute(assignment)
+    want = compose_oracle(f, assignment)
+    assert got.space == want.space
+    assert got._terms == want._terms
+
+
+def test_substitute_kernel_needs_every_image_across_spaces():
+    sp = space(F3, "y1", "x1")
+    other = space(F3, "y1", "x1", "x2")
+    with pytest.raises(ValueError):
+        sp.variable("y1")._substitute(other, {0: other.variable("x2")})
+
+
 def test_act_identity_and_permutation():
     sp = space(F3, "x1", "x2")
     x1, x2 = sp.variables()
