@@ -28,15 +28,15 @@ from modinvar.gluing import (diagonal_glue, full_hom_module, glue,
                              scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
 from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
-                             FormSpec, MatrixGroup, _digit_matmul, _digits,
-                             _expand, _from_digits, _matmul_mod,
-                             _sorted_unique, element_orders, field_from_order,
-                             gk_order, gl_group, gl_order, p_k_subgroup,
-                             parabolic_g_k, parse_matrix, pk_order, sp_group,
-                             sp_order, stabilizer_of_polynomial,
-                             stabilizer_sp, stabilizer_sp_order,
-                             trivial_group, unipotent_order, unipotent_upper,
-                             usp_group, usp_order)
+                             FormSpec, MatrixGroup, _digit_matmul, _expand,
+                             _matmul_mod, _sorted_unique, element_orders,
+                             field_from_order, gk_order, gl_group, gl_order,
+                             p_k_subgroup, parabolic_g_k, parse_matrix,
+                             pk_order, sp_group, sp_order,
+                             stabilizer_of_polynomial, stabilizer_sp,
+                             stabilizer_sp_order, trivial_group,
+                             unipotent_order, unipotent_upper, usp_group,
+                             usp_order)
 from modinvar.invariants import (InvarianceError, dickson_in, family,
                                  orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute, xi)
@@ -298,20 +298,20 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     phi_rows = np.array(phis, dtype=np.int64).reshape(len(phis), m, n)
     g1s, psis, g2s = G1.rows()[a], phi_rows[k], G2.rows()[b]
     expanded = _expand(field, gluing.blocks(g1s, psis, g2s))
-    g1s, psis, g2s = (_digits(field, x) for x in (g1s, psis, g2s))
-    place = p ** np.arange(r)
+    g1s, psis, g2s = (field.digits(x) for x in (g1s, psis, g2s))
     step = max(1, CHUNK_ENTRIES // ((m + n) * r) ** 2)
     for start in range(0, total, step):
         left, right = np.searchsorted(
             distinct, pair_ids(start, min(total, start + step))).T
         product = _matmul_mod(expanded[left], expanded[right][..., ::r], p)
-        product = _from_digits(product.reshape(len(left), m + n, r, m + n), p)
+        product = field.indices(
+            product.reshape(len(left), m + n, r, m + n), axis=2)
         mid = _digit_matmul(field, g1s[left], psis[right]) + \
             _digit_matmul(field, psis[left], g2s[right])
         formula = gluing.blocks(
-            _digit_matmul(field, g1s[left], g1s[right]) @ place,
-            mid % p @ place,
-            _digit_matmul(field, g2s[left], g2s[right]) @ place)
+            field.indices(_digit_matmul(field, g1s[left], g1s[right])),
+            field.indices(mid % p),
+            field.indices(_digit_matmul(field, g2s[left], g2s[right])))
         bad = (formula != product).any(axis=(1, 2))
         if bad.any():
             i = np.argmax(bad)

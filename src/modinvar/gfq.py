@@ -8,6 +8,12 @@ small fields (q <= 512) all arithmetic is table driven, except addition and
 negation over prime fields, which reduce mod p.  The multiplication table and
 the digits of every index are also kept as numpy arrays, from which the
 polynomial product gathers its coefficient products.
+
+`FieldSpec.digits`, `indices` and `regular` are the one place where GF(p^r)
+is written over F_p for numpy: base-p digits of index arrays, and "multiply
+by a" as the r x r matrix sum_i digit_i(a) C^i, C the companion matrix of
+the modulus.  Row reduction, group closure, symmetric powers and the
+polynomial product all work over F_p through them.
 """
 
 from __future__ import annotations
@@ -125,6 +131,14 @@ class FieldSpec:
             if r > 1 and not _poly_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
+        # column j of C^i holds the digits of t^(i+j) mod the modulus
+        powers = [_poly_rem([0] * s + [1], list(modulus), p)
+                  for s in range(2 * r - 1)]
+        powers = np.array([rem + [0] * (r - len(rem)) for rem in powers],
+                          dtype=np.int64)
+        self._companion = powers[np.add.outer(np.arange(r), np.arange(r))] \
+            .transpose(0, 2, 1)
+        self._place = p ** np.arange(r, dtype=np.int64)
         self._add_table = None
         self._neg_table = None
         self._mul_table = None
@@ -149,29 +163,41 @@ class FieldSpec:
             i = i * self.p + (c % self.p)
         return i
 
+    def digits(self, indices) -> np.ndarray:
+        """(..., r) int64 base-p digits of an index array, lowest first."""
+        return np.asarray(indices, dtype=np.int64)[..., None] \
+            // self._place % self.p
+
+    def indices(self, digits, axis: int = -1) -> np.ndarray:
+        """The indices of base-p digit arrays, digit x at position x of
+        `axis`: the inverse of `digits`.  Folded Horner-style in int64, or
+        in Python ints where the digits are objects; over a prime field the
+        result may be a view of `digits`."""
+        digits = np.asarray(digits)
+        head = (slice(None),) * (axis % digits.ndim)
+        out = digits[head + (self.r - 1,)].astype(
+            object if digits.dtype == object else np.int64, copy=False)
+        for x in range(self.r - 2, -1, -1):
+            out = out * self.p + digits[head + (x,)]
+        return out
+
+    def regular(self, digits) -> np.ndarray:
+        """(..., r, r) matrices over F_p of "multiply by a" for (..., r)
+        digit arrays of elements a: sum_i digit_i(a) C^i, whose column j
+        holds the digits of t^j a."""
+        return np.tensordot(digits, self._companion, axes=1) % self.p
+
     def _build_tables(self):
         """Multiplication, inverse, and (r > 1) addition and negation tables
-        as nested lists, built in numpy for all pairs at once.  The product
-        is bilinear in the digits: digit x of a b is
-        sum_(i, j) a_i b_j [t^(i+j) mod modulus]_x, mod p.
+        as nested lists, built in numpy for all pairs at once: digit x of
+        a b is row x of regular(a) times the digits of b.
 
         The numpy multiplication table (`_mul_array`, q x q indices) and the
         base-p digits of every index (`_digit_array`, q x r) are kept for the
         polynomial product (`mvpoly._mul_packed`)."""
         p, q, r = self.p, self.q, self.r
-        mod = list(self.modulus)
-        powers = []  # digits of t^s mod the modulus, s < 2r - 1
-        for s in range(2 * r - 1):
-            rem = _poly_rem([0] * s + [1], mod, p)
-            powers.append(rem + [0] * (r - len(rem)))
-        # q <= TABLE_LIMIT, so every sum below (at most r^2 (p-1)^3) fits
-        digits = (np.arange(q, dtype=np.int32)[:, None]
-                  // p ** np.arange(r, dtype=np.int32) % p)
-        bilinear = np.array(powers, dtype=np.int32)[
-            np.add.outer(np.arange(r), np.arange(r))]
-        times_a = np.tensordot(digits, bilinear, axes=1)
-        mul = np.einsum("ajx,bj->abx", times_a, digits) % p \
-            @ p ** np.arange(r)
+        digits = self.digits(np.arange(q))
+        mul = self.indices(self.regular(digits) @ digits.T % p, axis=1)
         self._mul_table = mul.tolist()
         self._mul_array = mul.astype(np.min_scalar_type(q - 1))
         self._digit_array = digits.astype(np.min_scalar_type(p - 1))
@@ -179,11 +205,9 @@ class FieldSpec:
         self._inv_table = inv.tolist()
         if r > 1:
             # digit-wise sums and negatives; prime fields add with % p
-            digits = digits.astype(np.int64)
-            place = p ** np.arange(r, dtype=np.int64)
-            self._add_table = [((da + digits) % p @ place).tolist()
-                               for da in digits]
-            self._neg_table = ((-digits) % p @ place).tolist()
+            self._add_table = self.indices(
+                (digits[:, None] + digits) % p).tolist()
+            self._neg_table = self.indices(-digits % p).tolist()
 
     def add(self, a: int, b: int) -> int:
         p = self.p

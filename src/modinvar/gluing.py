@@ -19,8 +19,7 @@ from modinvar.groups import (DEFAULT_CAP, GroupElement, MatrixGroup,
                              NotEnumeratedError, gl_group, mat_add, mat_mul,
                              mat_scale, mat_transpose, sp_group,
                              trivial_group, FormSpec, form_preserved)
-from modinvar.linalg import (fp_coordinates, nullspace_field, rref_field,
-                             rref_mod_p)
+from modinvar.linalg import nullspace_field, rref_field, rref_mod_p
 
 
 class BimoduleClosureError(ValueError):
@@ -44,9 +43,9 @@ class BimoduleBasis:
         for mat in self.mats:
             if len(mat) != m or any(len(row) != n for row in mat):
                 raise ValueError("basis matrix has wrong shape")
-        self._vectors = np.array(
-            [self._fp_vector(mat) for mat in self.mats], dtype=np.int64
-        ).reshape(len(self.mats), m * n * field.r)
+        # the F_p coordinates of each matrix: its entries' digits, row-major
+        self._vectors = field.digits(np.array(self.mats, dtype=np.int64)) \
+            .reshape(len(self.mats), m * n * field.r)
         if self._fp_rank(self._vectors) != len(self.mats):
             raise ValueError("bimodule basis matrices are F_p-dependent")
 
@@ -60,12 +59,10 @@ class BimoduleBasis:
     def module_order(self) -> int:
         return self.field.p ** self.fp_dim
 
-    def _fp_vector(self, mat):
-        flat = [e for row in mat for e in row]
-        return fp_coordinates(flat, self.field)
-
     def contains(self, mat) -> bool:
-        vectors = np.vstack([self._vectors, [self._fp_vector(mat)]])
+        vector = self.field.digits(np.array(mat, dtype=np.int64)).reshape(
+            1, self._vectors.shape[1])
+        vectors = np.vstack([self._vectors, vector])
         return self._fp_rank(vectors) == self.fp_dim
 
     def elements(self):
@@ -280,15 +277,10 @@ def subfield_elements(field: FieldSpec, q_sub: int):
 
 def subfield_hom_module(m: int, n: int, q_sub: int, field: FieldSpec) -> BimoduleBasis:
     """Matrices with entries in the subfield GF(q_sub) of GF(q)."""
-    elems, r_sub = subfield_elements(field, q_sub)
-    # deterministic F_p-basis of the subfield: greedy by element index
-    basis = []
-    for a in elems:
-        vectors = [fp_coordinates([b], field) for b in basis + [a]]
-        if len(rref_mod_p(np.array(vectors), field.p)[1]) > len(basis):
-            basis.append(a)
-        if len(basis) == r_sub:
-            break
+    elems, _ = subfield_elements(field, q_sub)
+    # deterministic F_p-basis of the subfield, greedy by element index: the
+    # pivot columns of the elements' digit columns
+    basis = [elems[c] for c in rref_mod_p(field.digits(elems).T, field.p)[1]]
     mats = []
     for i in range(m):
         for j in range(n):
@@ -383,17 +375,14 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
 
 def _extend_to_basis(field, vectors, dim):
     """Extend independent columns to a full basis, greedily by standard
-    vectors in index order."""
-    basis = [list(v) for v in vectors]
-    for j in range(dim):
-        cand = [0] * dim
-        cand[j] = 1
-        trial = basis + [cand]
-        if len(rref_field(trial, field)[1]) == len(trial):
-            basis.append(cand)
-        if len(basis) == dim:
-            break
-    return basis
+    vectors in index order: those at the pivot columns of the matrix with
+    the vectors, then the standard vectors, as its columns."""
+    m = len(vectors)
+    identity = np.eye(dim, dtype=np.int64)
+    columns = np.hstack([np.array(vectors, dtype=np.int64).reshape(m, dim).T,
+                         identity])
+    return [list(v) for v in vectors] + [
+        identity[c - m].tolist() for c in rref_field(columns, field)[1][m:]]
 
 
 def _symplectic_basis_transform(field, gram):

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
-from modinvar.linalg import _companion_powers
 from modinvar.mvpoly import Polynomial
 
 DEFAULT_CAP = 10 ** 6
@@ -162,11 +161,11 @@ def parse_matrix(field: FieldSpec, text: str):
 # -- batched kernel over F_p --
 #
 # GF(p^r) acts on itself by F_p-linear maps: the index a becomes the r x r
-# block sum_i digit_i(a) C^i, with C the companion matrix of the modulus
-# (`linalg._companion_powers`), so an n x n index matrix becomes an nr x nr
+# block `FieldSpec.regular` of its digits, sum_i digit_i(a) C^i with C the
+# companion matrix of the modulus, so an n x n index matrix becomes an nr x nr
 # matrix over F_p and products agree.
-# Column 0 of a block holds the digits of its entry, which gives the index
-# back.  A prime field is the case r = 1.
+# Column 0 of a block holds the digits of its entry, which `FieldSpec.indices`
+# folds back into the index.  A prime field is the case r = 1.
 # The indices below p are the elements of the prime subfield F_p, with the
 # same index, so matrices whose entries all lie below p are multiplied as
 # matrices over F_p (r = 1), r^3 times fewer flops (`_working_field`).
@@ -201,19 +200,12 @@ def _matmul_mod(a, b, p):
     return prod
 
 
-def _digits(field, rows):
-    """(..., r) base-p digits of an index array, lowest first."""
-    return rows.astype(np.int64)[..., None] // field.p ** np.arange(field.r) \
-        % field.p
-
-
 def _expand(field, rows):
     """(..., n, n) index arrays -> (..., nr, nr) matrices over F_p."""
-    p, r = field.p, field.r
+    r = field.r
     if r == 1:  # the indices are the residues
         return rows.astype(_fp_dtype(field, rows.shape[-1]))
-    blocks = np.tensordot(_digits(field, rows), _companion_powers(field),
-                          axes=1) % p
+    blocks = field.regular(field.digits(rows))
     *lead, n, _, _, _ = blocks.shape
     return blocks.swapaxes(-3, -2).reshape(*lead, n * r, n * r) \
         .astype(_fp_dtype(field, n))
@@ -221,9 +213,10 @@ def _expand(field, rows):
 
 def _digit_matmul(field, a, b):
     """a @ b over GF(q) for (N, i, j, r) and (N, j, k, r) digit arrays
-    (`_digits`): each entry product is the product of the digit polynomials
-    reduced by the modulus.  This is the field's own arithmetic, not the
-    regular representation of `_expand`, so the two can check each other."""
+    (`FieldSpec.digits`): each entry product is the product of the digit
+    polynomials reduced by the modulus.  This is the field's own arithmetic, not the
+    regular representation of `_expand`, so the two can check each other:
+    it stays as the oracle of `checks.check_semidirect_law`."""
     p, r = field.p, field.r
     conv = np.einsum("nijs,njkt->nikst", a, b)
     coeffs = np.zeros(conv.shape[:3] + (2 * r - 1,), dtype=np.int64)
@@ -234,15 +227,6 @@ def _digit_matmul(field, a, b):
     for d in range(2 * r - 2, r - 1, -1):
         coeffs[..., d - r:d] -= coeffs[..., d, None] % p * low
     return coeffs[..., :r] % p
-
-
-def _from_digits(prod, p):
-    """Field indices from the base-p digits on axis 2 of a product over
-    F_p, where column 0 of each block of `_expand` puts them."""
-    idx = prod[:, :, 0]
-    for x in range(1, prod.shape[2]):
-        idx = idx + prod[:, :, x] * p ** x
-    return idx
 
 
 def _keys(rows):
@@ -335,7 +319,7 @@ def _closure(field, n, generators, cap, name="group"):
             c = len(chunk)
             prod = _matmul_mod(_expand(work, chunk).reshape(c * n * r, n * r),
                                gcols, p).reshape(c, n, r, k, n)
-            cand = encode(_from_digits(prod, p).transpose(0, 2, 1, 3)
+            cand = encode(work.indices(prod, axis=2).transpose(0, 2, 1, 3)
                           .reshape(c * k, n, n))
             layer.append(cand[~_contains(seen, cand)])
         frontier = _sorted_unique(np.concatenate(layer))
@@ -866,8 +850,8 @@ def _keeps_values(field, rows, f):
     points = list(itertools.product(range(q), repeat=n))
     values = np.array([f.evaluate(v).index for v in points])
     # the base-p digits of every point, one column per point: (n r, q^n)
-    digits = _digits(field, np.array(points, dtype=np.int64)) \
-        .reshape(len(points), n * r).T.astype(_fp_dtype(field, n))
+    digits = field.digits(points).reshape(len(points), n * r).T \
+        .astype(_fp_dtype(field, n))
     place = q ** np.arange(n - 1, -1, -1)
     step = max(1, CHUNK_ENTRIES // (n * r * len(points)))
     keep = np.empty(len(rows), dtype=bool)
@@ -875,7 +859,7 @@ def _keeps_values(field, rows, f):
         chunk = rows[start:start + step]
         image = _matmul_mod(_expand(field, chunk), digits, p) \
             .reshape(len(chunk), n, r, len(points))
-        moved = np.tensordot(place, _from_digits(image, p).astype(np.int64),
+        moved = np.tensordot(place, field.indices(image, axis=2),
                              axes=([0], [1]))
         keep[start:start + step] = (values[moved] == values).all(axis=1)
     return keep

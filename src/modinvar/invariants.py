@@ -20,7 +20,7 @@ from modinvar.gfq import FieldSpec
 from modinvar.gluing import GluingGroup
 from modinvar.groups import MatrixGroup, gl_group, p_k_subgroup, parabolic_gl_order, \
     parabolic_g_k, sp_group, stabilizer_sp, usp_group, GroupElement
-from modinvar.linalg import fp_coordinates, rref_mod_p
+from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
                              gluing_space, symplectic_space, x_space)
 
@@ -46,7 +46,7 @@ def _form_fp_vector(form: Polynomial):
     row = [0] * form.space.dim
     for e, c in form._terms.items():
         row[e.index(1)] = c
-    return fp_coordinates(row, form.space.field)
+    return form.space.field.digits(row).ravel()
 
 
 def fp_span(forms, space=None):
@@ -102,13 +102,10 @@ def orbit_product_under_group(form: Polynomial, group: MatrixGroup):
         if off.degree() > 1 or any(not any(e) for e in off._terms):
             raise OrbitShapeError("orbit is not of the form (linear form + subspace)")
         offsets.append(off)
-    basis = []
-    for off in sorted(offsets, key=lambda f: sorted(f._terms.items())):
-        if off.is_zero():
-            continue
-        vectors = np.array([_form_fp_vector(b) for b in basis + [off]])
-        if len(rref_mod_p(vectors, field.p)[1]) > len(basis):
-            basis.append(off)
+    # greedy in sorted order: the pivot columns of the offsets' F_p columns
+    offsets.sort(key=lambda f: sorted(f._terms.items()))
+    columns = np.array([_form_fp_vector(off) for off in offsets]).T
+    basis = [offsets[c] for c in rref_mod_p(columns, field.p)[1]]
     if field.p ** len(basis) != len(offsets):
         raise OrbitShapeError("orbit offsets do not fill out an F_p-subspace")
     span_keys = {frozenset((form + u)._terms.items())

@@ -3,13 +3,15 @@
 `rref_mod_p` holds the only elimination loop.  GF(p^r) is an r-dimensional
 F_p-space with basis 1, t, ..., t^(r-1), so a GF(q) index row v is written
 over F_p as the r rows t^j v (j < r), column (k, x) holding digit x of
-(t^j v)_k (`fp_expand`).  If R is the GF(q) reduced row echelon form, with
-pivots c_i, the rows t^j R_i are reduced over F_p with pivots c_i r + j and
-span the same F_p-space, so by uniqueness they are its F_p rref.  The rows
-whose pivot column is divisible by r, folded back into indices, are R
-exactly, and the GF(q) rank is the F_p rank divided by r.  A prime field is
-the case r = 1.  Pivoting is deterministic: scan columns left to right, take
-the first unprocessed row with a nonzero entry.
+(t^j v)_k (`fp_expand`, from the digits and regular matrices of
+`FieldSpec`, which owns every F_p coordinate).  If R is the GF(q) reduced
+row echelon form, with pivots c_i, the rows t^j R_i are reduced over F_p
+with pivots c_i r + j and span the same F_p-space, so by uniqueness they are
+its F_p rref.  The rows whose pivot column is divisible by r, folded back
+into indices (`FieldSpec.indices`), are R exactly, and the GF(q) rank is the
+F_p rank divided by r.  A prime field is the case r = 1.  Pivoting is
+deterministic: scan columns left to right, take the first unprocessed row
+with a nonzero entry.
 
 Sparse matrices (the kernel stacks of `analysis.invariant_dimension`, well
 under 1 % nonzero) take another route to their rank.  `fp_expand_coo` is
@@ -46,41 +48,18 @@ def _residue_dtype(p: int):
     return np.dtype(object)
 
 
-def _companion_powers(field):
-    """(r, r, r) array of C^0 .. C^(r-1) mod p, C the companion matrix of the
-    modulus: C^j maps the digits of a to the digits of t^j a."""
-    p, r = field.p, field.r
-    C = np.zeros((r, r), dtype=np.int64)
-    C[1:, :-1] = np.eye(r - 1, dtype=np.int64)
-    C[:, -1] = [-c % p for c in field.modulus[:r]]
-    powers = [np.eye(r, dtype=np.int64)]
-    for _ in range(r - 1):
-        powers.append(powers[-1] @ C % p)
-    return np.array(powers)
-
-
 def fp_expand(rows, field: FieldSpec) -> np.ndarray:
     """The (m r, n r) matrix over F_p of an m x n matrix of GF(q) indices:
     row j of block i holds t^j times row i, column x of block k digit x of
-    entry k.  Built in the dtype of `rref_mod_p`, never in int64 beyond it."""
-    p, r = field.p, field.r
-    dtype = _residue_dtype(p)
+    entry k, so block (i, k) is the transposed `FieldSpec.regular` matrix of
+    entry (i, k).  Returned in the dtype of `rref_mod_p`."""
     rows = np.asarray(rows, dtype=np.min_scalar_type(field.q - 1))
     if rows.ndim == 1:  # no rows at all
         rows = rows.reshape(0, 0)
     m, n = rows.shape
-    digits = np.empty((m, n, r), dtype=dtype)
-    for x in range(r):
-        digits[..., x] = rows % p
-        rows = rows // p
-    if r == 1:
-        return digits.reshape(m, n)
-    out = np.zeros((m, r, n, r), dtype=dtype)
-    for j, power in enumerate(_companion_powers(field)):
-        for y in range(r):
-            out[:, j] += digits[..., y, None] * power[:, y].astype(dtype)
-            out[:, j] %= p
-    return out.reshape(m * r, n * r)
+    r = field.r
+    return field.regular(field.digits(rows)).transpose(0, 3, 1, 2) \
+        .reshape(m * r, n * r).astype(_residue_dtype(field.p))
 
 
 def _wide_dtype(p: int):
@@ -93,14 +72,11 @@ def fp_expand_coo(rows, cols, digits, field: FieldSpec):
     """`fp_expand` for a sparse GF(q) matrix: entry (rows[e], cols[e]) has
     the base-p digits digits[e] (shape (nnz, r)).  Returns the nonzero
     entries (rows, cols, residues) of its (m r, n r) expansion over F_p:
-    row i r + j, column k r + x holds digit x of t^j times entry (i, k), the
-    digits of t^j a being C^j applied to those of a (`_companion_powers`)."""
-    p, r = field.p, field.r
-    digits = np.asarray(digits, dtype=_wide_dtype(p))
-    values = np.zeros((len(digits), r, r), dtype=digits.dtype)
-    for y, column in enumerate(_companion_powers(field).transpose(2, 0, 1)):
-        values = (values + column.astype(digits.dtype)
-                  * digits[:, y, None, None]) % p
+    row i r + j, column k r + x holds digit x of t^j times entry (i, k),
+    column j of the entry's `FieldSpec.regular` matrix."""
+    r = field.r
+    values = field.regular(np.asarray(digits, dtype=_wide_dtype(field.p))) \
+        .swapaxes(1, 2)
     e, j, x = np.nonzero(values)
     return (np.asarray(rows, dtype=np.int64)[e] * r + j,
             np.asarray(cols, dtype=np.int64)[e] * r + x, values[e, j, x])
@@ -219,15 +195,13 @@ def rref_field(rows, field: FieldSpec):
     nonzero reduced index rows, in the smallest unsigned dtype holding q - 1,
     and their pivot columns.
     """
-    p, r = field.p, field.r
-    reduced, fp_pivots = rref_mod_p(fp_expand(rows, field), p)
+    r = field.r
+    reduced, fp_pivots = rref_mod_p(fp_expand(rows, field), field.p)
     keep = [i for i, c in enumerate(fp_pivots) if c % r == 0]
-    digits = reduced[keep].reshape(len(keep), reduced.shape[1] // r, r) \
-        .astype(np.min_scalar_type(field.q - 1))
-    out = digits[..., r - 1]
-    for x in range(r - 2, -1, -1):
-        out = out * p + digits[..., x]
-    return out, [fp_pivots[i] // r for i in keep]
+    out = field.indices(
+        reduced[keep].reshape(len(keep), reduced.shape[1] // r, r))
+    return (out.astype(np.min_scalar_type(field.q - 1)),
+            [fp_pivots[i] // r for i in keep])
 
 
 def in_row_space(vector, rows, field: FieldSpec) -> bool:
@@ -253,11 +227,3 @@ def nullspace_field(matrix, field: FieldSpec):
             v[pc] = field.neg(int(row[fc]))
         basis.append(v)
     return basis
-
-
-def fp_coordinates(indices, field: FieldSpec):
-    """Flatten GF(q) element indices into residue coordinates over F_p."""
-    out = []
-    for idx in indices:
-        out.extend(field._digits(idx))
-    return out

@@ -461,7 +461,10 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):
-            other = self.space.constant(other)
+            try:
+                other = self.space.constant(other)
+            except ValueError:
+                return NotImplemented
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.space == other.space and self._terms == other._terms
@@ -567,7 +570,7 @@ def _mul_packed(a, b, field: FieldSpec, n):
                 running, pending = len(parts[0][0]), 0
     keys, coeffs = _fold(parts, p)
     if field.r > 1:
-        coeffs = coeffs @ p ** np.arange(field.r, dtype=np.int64)
+        coeffs = field.indices(coeffs)
     exps = keys[:, None] // weights % np.array(radix, dtype=np.int64)
     return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
 

@@ -1,11 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import (FieldMismatchError, FieldSpec, build_field,
                           enumerate_field, frobenius, is_prime,
                           _poly_is_irreducible, _poly_mul_mod_p, _poly_rem)
+from modinvar.groups import _index_dtype
 
 SMALL_QS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3)]
 
@@ -221,3 +224,48 @@ def test_tables_match_digit_polynomial_products(p, r):
             assert row[F._inv_table[a]] == 1
     assert F._inv_table[0] == 0
     assert all(type(c) is int for c in F._mul_table[F.q - 1])
+
+
+# -- the F_p coordinate layer against the scalar digits and products --
+
+@st.composite
+def index_pairs(draw):
+    """A field (GF(2^10) above TABLE_LIMIT) and two equal-shaped index
+    arrays of up to 3 x 4 elements."""
+    field = build_field(*draw(st.sampled_from(
+        [(2, 1), (257, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 10)])))
+    shape = draw(st.sampled_from([(0,), (1,), (5,), (3, 4)]))
+    size = int(np.prod(shape))
+    entries = st.lists(st.integers(0, field.q - 1), min_size=size,
+                       max_size=size)
+    return (field, np.array(draw(entries), dtype=np.int64).reshape(shape),
+            np.array(draw(entries), dtype=np.int64).reshape(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_pairs())
+def test_digits_indices_and_regular_match_the_scalar_field(case):
+    F, a, b = case
+    digits = F.digits(a)
+    assert digits.dtype == np.int64 and digits.shape == a.shape + (F.r,)
+    assert digits.reshape(-1, F.r).tolist() == [F._digits(x)
+                                                for x in a.ravel().tolist()]
+    assert (F.indices(digits) == a).all()
+    # the big-endian index views the closure decodes
+    assert (F.digits(a.astype(_index_dtype(F))) == digits).all()
+    # digits on another axis, and as Python ints
+    assert (F.indices(np.moveaxis(digits, -1, 0), axis=0) == a).all()
+    assert (F.indices(digits.astype(object)) == a).all()
+    product = (F.regular(digits) @ F.digits(b)[..., None])[..., 0] % F.p
+    assert F.indices(product).tolist() == np.vectorize(F.mul, otypes=[
+        np.int64])(a, b).tolist()
+
+
+def test_indices_fold_uint8_digit_rows_in_int64():
+    """The polynomial product folds rows of the uint8 `_digit_array`; at
+    q = 512 their indices pass 255."""
+    F = build_field(2, 9)
+    assert F._digit_array.dtype == np.uint8
+    folded = F.indices(F._digit_array)
+    assert folded.dtype == np.int64
+    assert folded.tolist() == list(range(F.q))

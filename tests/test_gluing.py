@@ -5,15 +5,16 @@ import pytest
 
 from modinvar.gfq import build_field
 from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
-                             _block_matrix, diagonal_glue, full_hom_module,
-                             glue,
+                             _block_matrix, _extend_to_basis, diagonal_glue,
+                             full_hom_module, glue,
                              parabolic_module, scalar_line_module,
                              semidirect_mul, singular_form_group,
-                             subfield_hom_module, thin_glue_regular,
-                             zero_module)
+                             subfield_elements, subfield_hom_module,
+                             thin_glue_regular, zero_module)
 from modinvar.groups import (FormSpec, GroupElement, MatrixGroup,
                              _index_dtype, _keys, gl_group, trivial_group,
                              unipotent_upper)
+from modinvar.linalg import nullspace_field, rref_field, rref_mod_p
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -36,6 +37,27 @@ def test_subfield_hom_module():
     assert all(mat[0][0] in (0, 1) for mat in mats)
     with pytest.raises(ValueError):
         subfield_hom_module(1, 1, 3, F4)
+
+
+def greedy_subfield_basis(field, q_sub):
+    """The F_p-basis loop `subfield_hom_module` ran: keep each subfield
+    element, by index, that raises the F_p rank of those kept."""
+    elems, r_sub = subfield_elements(field, q_sub)
+    basis = []
+    for a in elems:
+        vectors = [field._digits(b) for b in basis + [a]]
+        if len(rref_mod_p(np.array(vectors), field.p)[1]) > len(basis):
+            basis.append(a)
+        if len(basis) == r_sub:
+            break
+    return basis
+
+
+@pytest.mark.parametrize("p,r,q_sub", [(2, 3, 2), (3, 2, 3), (2, 4, 4)])
+def test_subfield_basis_is_the_greedy_choice(p, r, q_sub):
+    field = build_field(p, r)
+    M = subfield_hom_module(1, 1, q_sub, field)
+    assert [mat[0][0] for mat in M.mats] == greedy_subfield_basis(field, q_sub)
 
 
 def test_bimodule_independence_validation():
@@ -311,6 +333,39 @@ def test_singular_alternating_f3():
     from modinvar.groups import form_preserved
     for g in R.generators:
         assert form_preserved(g, gluing.form)
+
+
+def greedy_extension(field, vectors, dim):
+    """The loop `_extend_to_basis` ran: append each standard vector, in
+    index order, that keeps the columns independent."""
+    basis = [list(v) for v in vectors]
+    for j in range(dim):
+        cand = [0] * dim
+        cand[j] = 1
+        trial = basis + [cand]
+        if len(rref_field(trial, field)[1]) == len(trial):
+            basis.append(cand)
+        if len(basis) == dim:
+            break
+    return basis
+
+
+@pytest.mark.parametrize("field,kind,gram", [
+    (F2, "alternating", ((0, 0, 0), (0, 0, 1), (0, 1, 0))),
+    (F3, "alternating", ((0, 0, 0), (0, 0, 1), (0, 2, 0))),
+    (F3, "alternating", ((0, 1, 1), (2, 0, 0), (2, 0, 0))),
+    (F4, "alternating", ((0, 0, 0, 0), (0, 0, 2, 3), (0, 2, 0, 3),
+                         (0, 3, 3, 0))),
+    (F3, "alternating", ((0, 0), (0, 0))),
+    (F3, "symmetric", ((0, 0, 0), (0, 1, 0), (0, 0, 2))),
+    (F9, "symmetric", ((1, 3, 4), (3, 0, 0), (4, 0, 0)))])
+def test_extend_to_basis_is_the_greedy_choice(field, kind, gram):
+    """On the radicals `singular_form_group` extends."""
+    form = FormSpec(kind, field, gram=gram)
+    radical = nullspace_field(form.polar_gram(), field)
+    assert radical
+    assert _extend_to_basis(field, radical, form.dim) == \
+        greedy_extension(field, radical, form.dim)
 
 
 def test_singular_zero_form_gives_gl():

@@ -8,7 +8,7 @@ from modinvar import groups
 from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _digit_matmul, _digits, _index_dtype, _key_codec,
+                             _digit_matmul, _index_dtype, _key_codec,
                              _keys, _pk_assemble, _working_field,
                              MatrixGroup, NotEnumeratedError, anti_identity,
                              element_orders,
@@ -701,7 +701,7 @@ def test_digit_matmul_matches_mat_mul(pr, i, j, k, rnd):
                for _ in range(i)) for _ in range(3)]
     B = [tuple(tuple(rnd.randrange(field.q) for _ in range(k))
                for _ in range(j)) for _ in range(3)]
-    digits = [_digits(field, np.array(X, dtype=np.int64).reshape(3, *shape))
+    digits = [field.digits(np.array(X, dtype=np.int64).reshape(3, *shape))
               for X, shape in ((A, (i, j)), (B, (j, k)))]
     prod = _digit_matmul(field, *digits) @ field.p ** np.arange(field.r)
     assert prod.shape == (3, i, k)

@@ -125,3 +125,36 @@ def test_predicate_subsets_still_pass_elements():
                  for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
                  for _, function in element_list_groups(path)}
     assert functions == PREDICATE_SUBSETS
+
+
+def f_p_coordinate_layer_uses(path):
+    """(line, what) of each place a module names the companion powers or
+    forms base-p place values (`p ** np.arange(...)`, `field.p ** ...`).
+    Base-q radices, such as the closure's int64 keys, are another concept
+    and are not flagged."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.alias, ast.FunctionDef)):
+            name = node.name
+        if isinstance(name, str) and "companion" in name:
+            found.append((getattr(node, "lineno", 0), name))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and \
+                isinstance(node.right, ast.Call) and \
+                getattr(node.right.func, "attr", None) == "arange" and \
+                "p" in (getattr(node.left, "id", None),
+                        getattr(node.left, "attr", None)):
+            found.append((node.lineno, "p ** np.arange"))
+    return found
+
+
+def test_f_p_coordinates_live_in_gfq():
+    """GF(p^r) is written over F_p only by `FieldSpec.digits`, `indices`
+    and `regular`; every other module goes through them."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}: {what}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             if path.name != "gfq.py"
+             for line, what in f_p_coordinate_layer_uses(path)]
+    assert not found, "F_p coordinates outside gfq:\n" + "\n".join(found)
+    assert f_p_coordinate_layer_uses(ROOT / "src" / "modinvar" / "gfq.py")

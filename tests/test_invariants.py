@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from modinvar.checks import _u4_setting
 from modinvar.gfq import build_field
 from modinvar.gluing import full_hom_module, glue, subfield_hom_module
 from modinvar.groups import (gl_group, sp_group, trivial_group,
@@ -13,6 +15,7 @@ from modinvar.invariants import (DegenerateSpanError, GeneratorFamily,
                                  parabolic_gl_group, partial_dickson,
                                  psi_substitute, subspace_product,
                                  symplectic_l_names, u_tilde, xi, xi_power)
+from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (VariableSpace, gluing_space, symplectic_space,
                              x_space)
 
@@ -88,6 +91,57 @@ def test_orbit_product_under_full_hom_1x2():
     assert prod.degree() == 4  # q^n with n = 2
     assert len(basis) == 2
     assert prod == orbit_product(y1, basis)
+
+
+def greedy_offset_basis(form, group):
+    """The basis loop `orbit_product_under_group` ran: over the orbit
+    offsets in sorted order, keep each that raises the F_p rank of those
+    kept, with F_p coordinates from the scalar digits."""
+    field = form.space.field
+    orbit = {frozenset(form.act(g)._terms.items()): form.act(g)
+             for g in group.elements}
+
+    def fp_vector(f):
+        row = [0] * f.space.dim
+        for e, c in f._terms.items():
+            row[e.index(1)] = c
+        return [d for c in row for d in field._digits(c)]
+
+    basis = []
+    for off in sorted((moved - form for moved in orbit.values()),
+                      key=lambda f: sorted(f._terms.items())):
+        if off.is_zero():
+            continue
+        vectors = np.array([fp_vector(b) for b in basis + [off]])
+        if len(rref_mod_p(vectors, field.p)[1]) > len(basis):
+            basis.append(off)
+    return basis
+
+
+@pytest.mark.parametrize("m,n,q", [(1, 1, 2), (1, 2, 2), (2, 1, 3),
+                                   (1, 1, 4), (1, 2, 3)])
+def test_orbit_basis_is_the_greedy_choice_on_fqexam(m, n, q):
+    """On the M-subgroups of the fqexam family."""
+    field = build_field(*{2: (2,), 3: (3,), 4: (2, 2)}[q])
+    msub = glue(trivial_group(field, m), trivial_group(field, n),
+                full_hom_module(m, n, field)).m_subgroup()
+    space = gluing_space(field, m, n)
+    for j in range(1, m + 1):
+        y = space.variable(f"y{j}")
+        assert orbit_product_under_group(y, msub)[1] == \
+            greedy_offset_basis(y, msub)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_basis_is_the_greedy_choice_on_the_u4_gluing(p):
+    """As `psi_substitute` calls it on the glued unipotent group."""
+    gluing, space, _ = _u4_setting(p)
+    msub = gluing.m_subgroup()
+    for name in space.names[:gluing.m]:
+        y = space.variable(name)
+        basis = orbit_product_under_group(y, msub)[1]
+        assert len(basis) == gluing.n
+        assert basis == greedy_offset_basis(y, msub)
 
 
 def test_orbit_shape_error_for_non_affine_orbit():

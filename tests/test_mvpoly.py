@@ -51,6 +51,16 @@ def test_mul_identity():
     assert f * sp.zero() == sp.zero()
 
 
+def test_equality_with_an_int_that_is_not_a_field_index():
+    """As for Scalar, an int outside 0..q-1 of GF(p^r) compares unequal
+    instead of raising."""
+    x1 = space(F4, "x1", "x2").variable("x1")
+    assert not x1 == 7
+    assert x1 != 7
+    assert space(F4, "x1").constant(3) == 3
+    assert F4.scalar(1) != 7
+
+
 def test_degree_sentinel():
     sp = space(F2, "x1")
     assert sp.zero().degree() == -1
