@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from modinvar.gluing import GluingGroup
+from modinvar.gfq import build_field
+from modinvar.gluing import GluingGroup, full_hom_module, glue
 from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
-                             _keys, _rows, _sorted_unique)
+                             _keys, _rows, _sorted_unique, unipotent_upper)
 from modinvar.invariants import (GeneratorFamily, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute,
@@ -81,7 +82,7 @@ def transfer(f: Polynomial, group: MatrixGroup) -> Polynomial:
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer needs an enumerated group")
     acc = f.space.zero()
-    for g in group.elements:
+    for g in group.rows().tolist():
         acc = acc + f.act(g)
     return acc
 
@@ -609,18 +610,17 @@ def _check_ck_sp4(q):
     return lhs, rhs
 
 
-def _u4_gluing(p):
-    from modinvar.gluing import full_hom_module, glue
-    from modinvar.groups import unipotent_upper
-    from modinvar.gfq import build_field
+def u4_gluing(p):
+    """U2 x_M U2 over F_p with M the full 2 x 2 hom module: the glued
+    unipotent group of the transfer example and its identities."""
     field = build_field(p)
-    U2 = unipotent_upper(2, field)
-    return glue(U2, unipotent_upper(2, field), full_hom_module(2, 2, field)), field
+    return glue(unipotent_upper(2, field), unipotent_upper(2, field),
+                full_hom_module(2, 2, field))
 
 
 def _check_wilkerson_d33(p):
-    gluing, field = _u4_gluing(p)
-    sp = gluing_space(field, 2, 2)
+    gluing = u4_gluing(p)
+    sp = gluing_space(gluing.field, 2, 2)
     y1 = sp.variable("y1")
     psi_v = psi_substitute(y1 ** (p - 1), gluing)
     d33 = dickson_in(sp, ["x1", "x2", "y1"], 3)
@@ -631,8 +631,8 @@ def _check_wilkerson_d33(p):
 def _check_transfer_delta(p, sign=-1):
     """tau psi(u) psi(v) = sign * delta with tau = d_{2,2}^2,
     u = d_{1,1}(x1), v = d_{1,1}(y1), delta = d_{1,1} d_{2,2} d_{3,3}."""
-    gluing, field = _u4_gluing(p)
-    sp = gluing_space(field, 2, 2)
+    gluing = u4_gluing(p)
+    sp = gluing_space(gluing.field, 2, 2)
     tau = dickson_in(sp, ["x1", "x2"], 2) ** 2
     u = dickson_in(sp, ["x1"], 1)
     v = dickson_in(sp, ["y1"], 1)

@@ -22,8 +22,7 @@ import yaml
 
 from modinvar import checks as checks_mod
 from modinvar.analysis import VerificationReport
-from modinvar.checks import (build_gluing, build_group, group_formula_order,
-                             run_check)
+from modinvar.checks import build_gluing, build_group, run_check
 from modinvar.gfq import build_field
 from modinvar.groups import field_from_order, format_matrix
 from modinvar.invariants import (dickson, family, n_k, orbit_product,
@@ -61,10 +60,10 @@ def cmd_field(args):
 def cmd_group(args):
     params = {k: v for k, v in vars(args).items()
               if k in ("n", "m", "k", "q") and v is not None}
-    if args.action == "order":
-        print(group_formula_order(args.kind, params))
-        return 0
     G = build_group(args.kind, params)
+    if args.action == "order":
+        print(G.claimed_order)
+        return 0
     if args.action == "generators":
         for g in G.generators:
             print(format_matrix(G.field, g.matrix))
@@ -73,8 +72,8 @@ def cmd_group(args):
         G = G.enumerate(args.cap)
         print(f"order {G.order()}")
         if args.verbose:
-            for g in G.elements:
-                print(format_matrix(G.field, g.matrix))
+            for g in G.rows().tolist():
+                print(format_matrix(G.field, g))
         return 0
     raise ValueError(f"unknown action {args.action}")
 

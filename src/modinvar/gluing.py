@@ -15,10 +15,11 @@ import itertools
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar
-from modinvar.groups import (DEFAULT_CAP, GroupElement, MatrixGroup,
-                             NotEnumeratedError, gl_group, mat_add, mat_mul,
-                             mat_scale, mat_transpose, sp_group,
-                             trivial_group, FormSpec, form_preserved)
+from modinvar.groups import (DEFAULT_CAP, ClaimRefuted, GroupElement,
+                             MatrixGroup, NotEnumeratedError, gl_group,
+                             mat_add, mat_mul, mat_scale, mat_transpose,
+                             sp_group, trivial_group, FormSpec,
+                             form_preserved)
 from modinvar.linalg import nullspace_field, rref_field, rref_mod_p
 
 
@@ -450,7 +451,9 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
 
     The result lives in a new basis listing the radical first; the
     transformed form is stored on the gluing and every realized generator is
-    checked to preserve it.
+    checked to preserve it (ClaimRefuted otherwise), which certifies the
+    whole realized group, since preservation is closed under products and
+    inverses.
     """
     field = form.field
     gram = form.polar_gram()
@@ -504,7 +507,7 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         gluing.form = new_form
         for g in gluing.realized.generators:
             if not form_preserved(g, new_form):
-                raise AssertionError("realized generator does not preserve the form")
+                raise ClaimRefuted("realized generator does not preserve the form")
     return gluing
 
 

@@ -28,6 +28,12 @@ class BudgetExceeded(RuntimeError):
     count); `checks.run_check` reports it as skipped."""
 
 
+class ClaimRefuted(AssertionError):
+    """A certificate disproved a stated claim (an enumerated count against a
+    claimed order, a generator against the form it should preserve);
+    `checks.run_check` reports it as fail."""
+
+
 class NotEnumeratedError(RuntimeError):
     """Operation requires a fully enumerated group."""
 
@@ -455,9 +461,9 @@ class MatrixGroup:
     """A matrix group given by generators, optionally fully enumerated.
 
     Constructors return generators with a claimed order; `enumerate()`,
-    the only enumeration, checks its count against that order.  `elements=`
-    is only for subsets picked by a predicate (`stabilizer_of_polynomial`,
-    `gluing.singular_form_group`).
+    the only enumeration, certifies that claim: a count that differs raises
+    ClaimRefuted.  `elements=` is only for subsets picked by a predicate
+    (`stabilizer_of_polynomial`, `gluing.singular_form_group`).
 
     Enumeration closes the generators layer by layer in numpy: each layer
     multiplies the whole frontier by every generator in batched matmuls over
@@ -498,7 +504,7 @@ class MatrixGroup:
         """Store the sorted, distinct keys of the whole group."""
         self.keys = keys
         if self.claimed_order is not None and len(keys) != self.claimed_order:
-            raise AssertionError(
+            raise ClaimRefuted(
                 f"{self.name or 'group'}: enumerated order {len(keys)} "
                 f"!= claimed order {self.claimed_order}")
 
@@ -695,7 +701,7 @@ def _check_symplectic(field, gens, m, name):
     J = symplectic_j(m, field)
     for g in gens:
         if not is_symplectic(field, g.matrix, J):
-            raise AssertionError(f"{name}: generator fails A^T J A = J:\n{g!r}")
+            raise ClaimRefuted(f"{name}: generator fails A^T J A = J:\n{g!r}")
     return gens
 
 

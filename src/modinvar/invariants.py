@@ -18,8 +18,9 @@ import numpy as np
 
 from modinvar.gfq import FieldSpec
 from modinvar.gluing import GluingGroup
-from modinvar.groups import MatrixGroup, gl_group, p_k_subgroup, parabolic_gl_order, \
-    parabolic_g_k, sp_group, stabilizer_sp, usp_group, GroupElement
+from modinvar.groups import ClaimRefuted, MatrixGroup, gl_group, p_k_subgroup, \
+    parabolic_gl_order, parabolic_g_k, sp_group, stabilizer_sp, usp_group, \
+    GroupElement
 from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
                              gluing_space, symplectic_space, x_space)
@@ -33,8 +34,9 @@ class OrbitShapeError(ValueError):
     """A group orbit of a linear form is not of the shape form + subspace."""
 
 
-class InvarianceError(AssertionError):
-    """A family member moved under a generator of its group."""
+class InvarianceError(ClaimRefuted):
+    """A family member moved under a generator of its group, or has another
+    degree than declared."""
 
 
 def _require_linear(form: Polynomial):
@@ -93,7 +95,7 @@ def orbit_product_under_group(form: Polynomial, group: MatrixGroup):
     field = space.field
     _require_linear(form)
     orbit = {}
-    for g in group.elements:
+    for g in group.rows().tolist():
         moved = form.act(g)
         orbit[frozenset(moved._terms.items())] = moved
     offsets = []

@@ -13,7 +13,8 @@ from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
                                identity_suite, invariant_dimension,
                                is_invariant, principal_transfer_check,
                                transfer, transfer_factorization_check,
-                               transfer_image_basis, transfer_image_degree)
+                               transfer_image_basis, transfer_image_degree,
+                               u4_gluing)
 from modinvar.gluing import full_hom_module, glue, zero_module
 from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
                              gl_group, mat_mul, p_k_subgroup, trivial_group,
@@ -27,11 +28,6 @@ F2 = build_field(2)
 F3 = build_field(3)
 
 
-def _u2_gluing(field):
-    return glue(unipotent_upper(2, field), unipotent_upper(2, field),
-                full_hom_module(2, 2, field))
-
-
 def test_transfer_trivial_group():
     sp = gluing_space(F2, 1, 1)
     f = sp.variable("y1") ** 2 + sp.variable("x1")
@@ -39,10 +35,29 @@ def test_transfer_trivial_group():
 
 
 def test_transfer_of_constant_vanishes_for_p_group():
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     msub = gl.m_subgroup()
     sp = gluing_space(F2, 2, 2)
     assert transfer(sp.one(), msub).is_zero()
+
+
+@pytest.mark.parametrize("group, exponents", [
+    (lambda: u4_gluing(3).m_subgroup(), [(8, 8, 0, 0), (8, 8, 1, 2),
+                                         (2, 1, 0, 1)]),
+    (lambda: gl_group(2, F3).enumerate(), [(6, 8), (2, 6), (1, 2)]),
+], ids=["u4-M-subgroup-F3", "GL2(F3)"])
+def test_transfer_over_rows_is_the_sum_over_elements(group, exponents):
+    """`transfer` acts by the index rows; the reference sums f.g over the
+    GroupElement list."""
+    G = group()
+    sp = VariableSpace(F3, [f"z{i}" for i in range(1, G.n + 1)])
+    for f in [sp.monomial(e) for e in exponents] + \
+            [sp.monomial(exponents[0]) + sp.monomial(exponents[1], 2)]:
+        expected = sp.zero()
+        for g in G.elements:
+            expected = expected + f.act(g)
+        assert transfer(f, G) == expected
+    assert not expected.is_zero()
 
 
 def test_transfer_1x1_example():
@@ -56,7 +71,7 @@ def test_transfer_1x1_example():
 
 
 def test_transfer_equivariance_and_linearity():
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     msub = gl.m_subgroup()
     sp = gluing_space(F2, 2, 2)
     rng = random.Random(5)
@@ -70,7 +85,7 @@ def test_transfer_equivariance_and_linearity():
 
 
 def test_transfer_factorization_trivial_and_random():
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     sp = gluing_space(F2, 2, 2)
     rep = transfer_factorization_check(sp.one(), gl)
     assert rep.passed
@@ -83,7 +98,7 @@ def test_transfer_factorization_trivial_and_random():
 def test_transfer_product_splits_over_factors():
     """Tr over the block product group sends f(y) h(x) to the product of the
     factor transfers."""
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     factors = gl.factor_subgroup().enumerate()
     sp = gluing_space(F2, 2, 2)
     y1, y2, x1, x2 = (sp.variable(v) for v in ("y1", "y2", "x1", "x2"))
@@ -109,7 +124,7 @@ def test_transfer_image_fast_path_matches_general():
     """Every degree of a transfer image with shared translation sums equals
     a fresh structured degree and the unstructured transfer."""
     for field in (F2, F3):
-        msub = _u2_gluing(field).m_subgroup()
+        msub = u4_gluing(field.p).m_subgroup()
         sp = gluing_space(field, 2, 2)
         image = transfer_image_basis(msub, sp, 8, m_split=2)
         assert sorted(image.bases) == list(range(9))
@@ -176,7 +191,7 @@ def test_translation_structure_matches_element_loop(case):
 
 
 def test_translation_sums_memoize_factors():
-    msub = _u2_gluing(F3).m_subgroup()
+    msub = u4_gluing(3).m_subgroup()
     sp = gluing_space(F3, 2, 2)
     sums = TranslationSums(msub, sp, 2)
     assert [len(s) for s in sums.structure] == [9, 9]
@@ -195,12 +210,12 @@ def test_translation_sums_memoize_factors():
             assert sums.factor(i, b) == direct
         assert name in sums.factor(i, 17).variables_used()
     # not a translation group: the general path runs
-    whole = _u2_gluing(F3).enumerate()
+    whole = u4_gluing(3).enumerate()
     assert TranslationSums(whole, sp, 2).structure is None
 
 
 def test_transfer_image_divisibility_and_attainment():
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     msub = gl.m_subgroup()
     sp = gluing_space(F2, 2, 2)
     tau = dickson_in(sp, ["x1", "x2"], 2) ** 2
@@ -212,7 +227,7 @@ def test_transfer_image_divisibility_and_attainment():
 
 
 def test_principal_check_wrong_tau_fails():
-    gl = _u2_gluing(F2)
+    gl = u4_gluing(2)
     msub = gl.m_subgroup()
     sp = gluing_space(F2, 2, 2)
     wrong = dickson_in(sp, ["x1", "x2"], 2)  # no square

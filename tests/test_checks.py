@@ -1,17 +1,18 @@
 """`run_check` is the one place that times a check and that turns a budget
-overrun (`BudgetExceeded`) into a skipped report; the batched triple law
-against the scalar loop it replaced, and its two routes against each
-other."""
+overrun (`BudgetExceeded`) into a skipped report and a refuted claim
+(`ClaimRefuted`) into a failed one; the batched triple law against the
+scalar loop it replaced, and its two routes against each other."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modinvar import analysis, checks
+from modinvar import analysis, checks, groups, invariants
 from modinvar.checks import _law_pairs, build_gluing, run_check
-from modinvar.cli import load_scenario, run_scenario
+from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul
 from modinvar.gfq import FieldSpec
 from modinvar.groups import _expand
@@ -51,6 +52,64 @@ def test_enumeration_cap_is_skipped():
 def test_other_exceptions_propagate():
     with pytest.raises(KeyError):
         run_check("group_order", {"kind": "gl", "n": 2}, {})
+
+
+# -- a refuted claim is a failed report --
+
+def test_refuted_group_order_claim_is_a_fail(monkeypatch):
+    monkeypatch.setattr(groups, "gl_order", lambda n, q: 7)
+    rep = run_check("group_order", {"kind": "gl", "n": 2, "q": 2})
+    assert rep.status == "fail" and rep.millis > 0
+    assert rep.witness == "GL2(F2): enumerated order 6 != claimed order 7"
+
+
+def test_pinned_order_is_compared_with_the_claim():
+    rep = run_check("group_order", {"kind": "gl", "n": 2, "q": 2,
+                                    "order": 7})
+    assert rep.status == "fail"
+    assert rep.witness == "formula order 6 != pinned order 7"
+
+
+def test_refuted_factor_claim_fails_the_glued_order(monkeypatch):
+    monkeypatch.setattr(groups, "gl_order", lambda n, q: 7)
+    rep = run_check("glued_order", {"q": 2, "m": 2, "n": 1, "g1": "gl",
+                                    "module": "full"})
+    assert rep.status == "fail" and "claimed order" in rep.witness
+
+
+def test_non_invariant_family_member_fails_the_degree_product(monkeypatch):
+    honest = invariants.FAMILY_BUILDERS["eapg"]
+
+    def with_a_moved_member(**params):
+        fam = honest(**params)
+        y1 = fam.members[0].poly.space.variable("y1")
+        return invariants.GeneratorFamily(
+            fam.name, fam.params,
+            fam.members + [invariants.FamilyMember("y1", y1, 1)], fam.group)
+    monkeypatch.setitem(invariants.FAMILY_BUILDERS, "eapg",
+                        with_a_moved_member)
+    rep = run_check("degree_product", {"family": "eapg",
+                                       "params": {"m": 1, "q": 2}})
+    assert rep.status == "fail"
+    assert rep.witness.startswith("eapg") and "is not fixed" in rep.witness
+
+
+def test_refuted_claim_in_a_scenario_is_a_fail_line(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(groups, "gl_order", lambda n, q: 7)
+    scen = tmp_path / "refuted.yaml"
+    scen.write_text(
+        "name: refuted\nchecks:\n"
+        "  - check: group_order\n"
+        "    params: {kind: gl, n: 2, q: 2}\n"
+        "    expect: fail\n")
+    out_path = tmp_path / "out.jsonl"
+    assert main(["run", str(scen), "--json", str(out_path)]) == 0
+    (line,) = out_path.read_text().splitlines()
+    obj = json.loads(line)
+    assert obj["status"] == "fail"
+    assert obj["witness"] == "GL2(F2): enumerated order 6 != claimed order 7"
+    assert "result: all checks matched" in capsys.readouterr().out
 
 
 def test_every_report_is_timed():

@@ -27,6 +27,14 @@ def test_group_order_example(capsys):
     assert out.strip() == "720"
 
 
+def test_group_order_refuses_a_field_order_that_is_not_a_prime_power(
+        capsys):
+    code, out, err = run_cli(capsys, "group", "order", "--kind", "gl",
+                             "--n", "1", "--q", "6")
+    assert code == 2 and not out
+    assert err.strip() == "error: q = 6 is not a prime power"
+
+
 def test_verify_u_lem_example(capsys):
     code, out, _ = run_cli(capsys, "verify", "u_lem", "--m", "2", "--k", "1",
                            "--i", "0", "--j", "1", "--q", "2")

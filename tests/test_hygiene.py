@@ -158,3 +158,62 @@ def test_f_p_coordinates_live_in_gfq():
              for line, what in f_p_coordinate_layer_uses(path)]
     assert not found, "F_p coordinates outside gfq:\n" + "\n".join(found)
     assert f_p_coordinate_layer_uses(ROOT / "src" / "modinvar" / "gfq.py")
+
+
+# Exceptions that `checks.run_check` alone turns into a report: a budget
+# overrun into "skipped", a refuted claim into "fail".
+REPORTED_EXCEPTIONS = {"BudgetExceeded", "ClaimRefuted", "InvarianceError"}
+
+
+def reported_exception_handlers(path):
+    """(line, enclosing function, name) of each `except` clause in a module
+    that names one of REPORTED_EXCEPTIONS."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def names(node):
+        if node is None:
+            return []
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        return [getattr(node, "id", None) or getattr(node, "attr", None)]
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            found.extend((node.lineno, function, name)
+                         for name in names(node.type)
+                         if name in REPORTED_EXCEPTIONS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_run_check_turns_exceptions_into_reports():
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line} in {function}: "
+             f"{name}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line, function, name in reported_exception_handlers(path)
+             if (path.name, function) != ("checks.py", "run_check")]
+    assert not found, "handlers outside checks.run_check:\n" + \
+        "\n".join(found)
+    handled = {name for _, _, name in reported_exception_handlers(
+        ROOT / "src" / "modinvar" / "checks.py")}
+    assert handled == {"BudgetExceeded", "ClaimRefuted"}
+
+
+def test_checks_restate_no_order_formula():
+    """A group's order is claimed by its constructor and certified by
+    `MatrixGroup.enumerate()`; checks do not compute it a second time.
+    (`field_from_order` builds GF(q) from q and is no order formula.)"""
+    tree = ast.parse((ROOT / "src" / "modinvar" / "checks.py").read_text())
+    found = [f"{node.lineno}: {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "modinvar.groups"
+             for alias in node.names if alias.name.endswith("_order")
+             and alias.name != "field_from_order"]
+    assert not found, "order formulas imported by checks:\n" + \
+        "\n".join(found)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modinvar.checks import _u4_setting
+from modinvar.analysis import u4_gluing
 from modinvar.gfq import build_field
 from modinvar.gluing import full_hom_module, glue, subfield_hom_module
 from modinvar.groups import (gl_group, sp_group, trivial_group,
@@ -135,7 +135,8 @@ def test_orbit_basis_is_the_greedy_choice_on_fqexam(m, n, q):
 @pytest.mark.parametrize("p", [2, 3])
 def test_orbit_basis_is_the_greedy_choice_on_the_u4_gluing(p):
     """As `psi_substitute` calls it on the glued unipotent group."""
-    gluing, space, _ = _u4_setting(p)
+    gluing = u4_gluing(p)
+    space = gluing_space(gluing.field, 2, 2)
     msub = gluing.m_subgroup()
     for name in space.names[:gluing.m]:
         y = space.variable(name)
