@@ -229,17 +229,25 @@ def _law_pairs(sizes, params, seed):
     stop - 1 as an (N, 2) id array, and distinct holds every id they use,
     sorted.  Exhaustive mode takes all pairs in order; sampled triples are
     drawn index by index, the same draws in the same order as
-    `rng.choice` over the elements themselves."""
+    `rng.choice` over the elements themselves: an index below size is
+    getrandbits(size.bit_length()), drawn again while it is not below
+    size, which is how `random.Random` picks it."""
     triples = sizes[0] * sizes[1] * sizes[2]
     if params.get("mode", "sample") == "exhaustive":
         def pair_ids(start, stop):
             return np.stack(np.divmod(np.arange(start, stop), triples), axis=1)
         return triples ** 2, np.arange(triples), pair_ids
-    rng = random.Random(params.get("seed", seed))
+    getrandbits = random.Random(params.get("seed", seed)).getrandbits
     total = params.get("samples", 10000)
-    axes = [range(size) for size in sizes]
-    picks = np.array([rng.choice(axis) for _ in range(2 * total)
-                      for axis in axes], dtype=np.int64).reshape(total, 2, 3)
+    axes = [(size, size.bit_length()) for size in sizes]
+    picks = []
+    for _ in range(2 * total):
+        for size, bits in axes:
+            pick = getrandbits(bits)
+            while pick >= size:
+                pick = getrandbits(bits)
+            picks.append(pick)
+    picks = np.array(picks, dtype=np.int64).reshape(total, 2, 3)
     drawn = np.ravel_multi_index(np.moveaxis(picks, -1, 0), sizes)
     return total, _sorted_unique(drawn.ravel()), \
         lambda start, stop: drawn[start:stop]

@@ -18,8 +18,6 @@ import traceback
 from contextlib import nullcontext
 from pathlib import Path
 
-import yaml
-
 from modinvar import checks as checks_mod
 from modinvar.analysis import VerificationReport
 from modinvar.checks import build_gluing, build_group, run_check
@@ -168,9 +166,16 @@ def _resolve_scenario(path_text):
 
 
 def load_scenario(path_text):
+    """The checked contents of a scenario file.  Raises FileNotFoundError
+    for a missing file and ValueError for a malformed one."""
+    import yaml  # here, so that only commands that read a scenario load it
     path = _resolve_scenario(path_text)
     with open(path) as handle:
-        data = yaml.safe_load(handle)
+        try:
+            data = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"scenario file {path} is not valid YAML: "
+                             f"{exc}") from exc
     if not isinstance(data, dict) or "checks" not in data:
         raise ValueError(f"scenario file {path} must be a mapping with a "
                          "'checks' list")
@@ -241,7 +246,7 @@ def run_scenario(data, json_path=None, quiet=False):
 def cmd_run(args):
     try:
         data = load_scenario(args.scenario)
-    except (FileNotFoundError, ValueError, yaml.YAMLError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.cap:

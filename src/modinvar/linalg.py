@@ -19,13 +19,18 @@ under 1 % nonzero) take another route to their rank.  `fp_expand_coo` is
 `sparse_rank_mod_p` is structured elimination in the sense of LaMacchia and
 Odlyzko ("Solving large sparse linear systems over finite fields", CRYPTO
 '90).  Rows and columns with a single entry are pivots found without
-arithmetic and are pruned in numpy, repeatedly.  The rows left become
-{column: residue} dicts of Python ints, so any p works; they are inserted
-sparsest first (ties by leading column) into an echelon form keyed by
-leading column; each new row is reduced by the pivots its leading entries
-hit, and only a row that survives as a new pivot is normalised.  No row is
-ever densified, and no back-substitution is done, since only the rank is
-wanted.  The dense `rref_mod_p` rank is its test oracle.
+arithmetic and are pruned in numpy, repeatedly.  The rows left are
+inserted sparsest first (ties by leading column) into an echelon form keyed
+by leading column; each new row is reduced by the pivots its leading
+entries hit, and only a row that survives as a new pivot is normalised.
+For odd p a row is a {column: residue} dict of Python ints, so p may be of
+any size.  For p = 2 it is a bitset, one Python int with one bit per
+column, the first column in the highest bit: its leading column is read off
+its `bit_length()`, a reduction is one XOR, and there is nothing to
+normalise.  Both row types give the same pivots.  A dict row holds only
+its nonzero entries; a bitset holds one bit for each column left after
+pruning.  No back-substitution is done, since only the rank is wanted.  The
+dense `rref_mod_p` rank is the test oracle of both row types.
 """
 
 from __future__ import annotations
@@ -89,13 +94,15 @@ def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
     First the pruning steps of structured elimination, in numpy, until
     neither applies: a row with one entry is a pivot, so its column is
     cleared from every other row; a column with one entry makes its row a
-    pivot, so the row is dropped.  Then echelon insertion on {column:
-    residue} dict rows of Python ints.  Rows go in by (nonzero count,
-    leading column), sparsest first, so that the pivots stay short.  Each
-    row is reduced by the pivot of its leading column until its leading
-    column is free, where it becomes the pivot (normalised to a leading 1),
-    or until it vanishes; a heap of the row's columns yields the leading
-    one.  Stops once every column holds a pivot."""
+    pivot, so the row is dropped.  Then echelon insertion of the rows left.
+    Rows go in by (nonzero count, leading column), sparsest first, so that
+    the pivots stay short.  Each row is reduced by the pivot of its leading
+    column until its leading column is free, where it becomes the pivot,
+    or until it vanishes.  Stops once every column holds a pivot.
+
+    For odd p the rows are {column: residue} dicts of Python ints, a heap
+    of the row's columns yields the leading one, and a new pivot is
+    normalised to a leading 1.  For p = 2 they are bitsets (`_f2_rank`)."""
     values = np.asarray(values) % p
     keep = np.flatnonzero(values)
     rows = np.asarray(rows, dtype=np.int64)[keep]
@@ -116,10 +123,17 @@ def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
         rows, cols, values = rows[keep], cols[keep], values[keep]
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    fresh = np.diff(rows, prepend=-1) != 0
+    starts = np.flatnonzero(fresh)
     ends = np.append(starts[1:], len(rows))
     insert = np.lexsort((cols[starts], ends - starts))
-    full = len(np.unique(cols))
+    used = np.bincount(cols) > 0
+    full = int(np.count_nonzero(used))
+    if p == 2:
+        # rows and columns renumbered 0, 1, ... in order, so that the
+        # bitsets are no wider than the columns left
+        return rank + _f2_rank(np.cumsum(fresh) - 1,
+                               np.cumsum(used)[cols] - 1, insert, full)
     starts, ends = starts[insert].tolist(), ends[insert].tolist()
     cols, values = cols.tolist(), values[order].tolist()
     pivots = {}
@@ -151,6 +165,41 @@ def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
         if len(pivots) == full:
             break
     return rank + len(pivots)
+
+
+def _f2_rank(rows, cols, insert, width: int) -> int:
+    """The echelon insertion of `sparse_rank_mod_p` over F_2, on bitset
+    rows.  Entries come sorted by row, then column, with rows numbered
+    0, 1, ... and columns below width; rows go in in the order insert.
+
+    Row i is the Python int of bits = 8 ceil(width / 8) bits with bit
+    bits - 1 - c set for each entry (i, c): the first column is the highest
+    bit, so a row's leading column is bits minus its `bit_length()`, read
+    in constant time, and pivots are keyed by that length.  Reducing a row
+    by a pivot is an XOR, and a row whose leading column is free becomes
+    that column's pivot as it is.  The rows are packed into one big-endian
+    byte buffer in numpy, and each is read into an int when its turn
+    comes."""
+    nbytes = (width + 7) // 8
+    byte = rows * nbytes + (cols >> 3)
+    first = np.flatnonzero(np.diff(byte, prepend=-1))
+    packed = np.zeros(len(insert) * nbytes, dtype=np.uint8)
+    packed[byte[first]] = np.bitwise_or.reduceat(
+        np.right_shift(0x80, cols & 7).astype(np.uint8), first)
+    packed = packed.tobytes()
+    pivots = {}
+    for i in insert.tolist():
+        row = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "big")
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+        if len(pivots) == width:
+            break
+    return len(pivots)
 
 
 def rref_mod_p(A, p: int):

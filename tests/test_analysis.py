@@ -396,6 +396,7 @@ def test_symmetric_powers_match_act():
         size, [(rows, cols, digits)] = powers.at(d)
         monos = [tuple(e) for e in powers._exps.tolist()]
         assert size == len(monos) == len(monomials_of_degree(space, d))
+        assert monos == sorted(set(monos), reverse=True)
         image = {}
         for k, c, x in zip(rows.tolist(), cols.tolist(), digits.tolist()):
             image.setdefault(k, {})[monos[c]] = F9._index(x)

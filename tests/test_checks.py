@@ -188,6 +188,29 @@ def test_batched_law_draws_the_scalar_pairs(shape, seed, samples):
     assert rep.notes == f"{samples} of {samples} pairs checked"
 
 
+LAW_AXIS_SIZES = [1, 2, 4, 8, 16, 64, 1024, 48, 81, 27]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LAW_AXIS_SIZES), min_size=2, max_size=2),
+       st.sampled_from(LAW_AXIS_SIZES + [2 ** 31]), st.integers(0, 2),
+       st.integers(0, 2 ** 64), st.integers(1, 40))
+def test_law_pairs_draw_what_rng_choice_draws(sizes, size, axis, seed,
+                                              samples):
+    """The rejection draws of `_law_pairs` are `rng.choice` over each axis,
+    for sizes of one, powers of two, the group sizes of the benchmark and
+    one axis of 2^31 (two would overflow the int64 triple ids)."""
+    sizes.insert(axis, size)
+    total, distinct, pair_ids = _law_pairs(tuple(sizes), {"samples": samples},
+                                           seed)
+    rng = random.Random(seed)
+    picks = [[rng.choice(range(size)) for size in sizes]
+             for _ in range(2 * samples)]
+    ids = pair_ids(0, total).ravel().tolist()
+    assert [list(np.unravel_index(t, sizes)) for t in ids] == picks
+    assert distinct.tolist() == sorted(set(ids))
+
+
 def test_exhaustive_law_pairs_keep_their_order():
     params = dict(LAW_SHAPES[2], mode="exhaustive")
     _, G1, phis, G2 = _law_setting(params)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,7 +152,39 @@ def test_run_malformed_scenario(tmp_path, capsys):
     bad.write_text("checks:\n  - {параметр: [unclosed\n")
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 2
-    assert err.strip()
+    assert err.startswith(f"error: scenario file {bad} is not valid YAML")
+
+
+def fresh_interpreter(code):
+    """Standard output of `code` run in a new interpreter that imports
+    modinvar from this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_checks_and_cli_import_without_yaml():
+    """Only `load_scenario` needs PyYAML, so a process that runs checks
+    without a scenario file does not load it."""
+    out = fresh_interpreter("import sys, modinvar.cli, modinvar.checks; "
+                            "print('yaml' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_hilbert_checks_leave_numpy_ma_unimported():
+    """numpy.ma, which `np.unique` imports, costs about 12 ms and 1.4 MB;
+    the Hilbert checks over F_2 and GF(4) run without it."""
+    out = fresh_interpreter("""
+import sys
+from modinvar.checks import run_check
+pk = {"group": {"kind": "pk", "m": 2, "k": 2, "q": 2},
+      "generators": [1, 1, 3, 4, 4], "relations": [6], "D": 8}
+u3 = {"group": {"kind": "u", "n": 3, "q": 4}, "generators": [1, 4, 16],
+      "D": 8}
+print(run_check("hilbert", pk).status, run_check("hilbert", u3).status)
+print("numpy.ma" in sys.modules)
+""")
+    assert out.split() == ["pass", "pass", "False"]
 
 
 def test_run_unknown_check_kind(tmp_path, capsys):

@@ -217,3 +217,22 @@ def test_checks_restate_no_order_formula():
              and alias.name != "field_from_order"]
     assert not found, "order formulas imported by checks:\n" + \
         "\n".join(found)
+
+
+def numpy_unique_uses(path):
+    """Lines where a module names `np.unique`: its first call imports
+    numpy.ma, about 12 ms and 1.4 MB, which no pass otherwise needs
+    (`groups._sorted_unique` and the sorts of `SymmetricPowers._step` and
+    `linalg.sparse_rank_mod_p` do the same work without it)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                and getattr(node.value, "id", None) in ("np", "numpy"))
+            or (isinstance(node, ast.alias) and node.name == "unique")]
+
+
+def test_src_does_not_call_np_unique():
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line in numpy_unique_uses(path)]
+    assert not found, "np.unique in src:\n" + "\n".join(found)

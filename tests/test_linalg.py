@@ -209,6 +209,62 @@ def test_sparse_rank_prunes_and_eliminates():
     assert sparse_rank_mod_p([], [], [], 5) == 0
 
 
+@st.composite
+def f2_matrices(draw):
+    """A 0/1 matrix over F_2 of up to 40 x 200, so that its bitset rows are
+    wider than 64 bits.  Its rows are random at a drawn density, repeats of
+    earlier rows, or the rows e_a + e_b of a cycle of columns, which keep
+    two entries in every row and column of the cycle and so survive the
+    pruning."""
+    m = draw(st.integers(min_value=0, max_value=40))
+    n = draw(st.integers(min_value=1, max_value=200))
+    density = draw(st.sampled_from([0.01, 0.05, 0.2, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    while len(rows) < m:
+        kind = draw(st.sampled_from(["random", "repeat", "cycle"]))
+        if kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))].copy())
+        elif kind == "cycle" and n >= 2:
+            length = draw(st.integers(min_value=2, max_value=min(n, 12)))
+            ring = rng.choice(n, size=length, replace=False)
+            for a, b in zip(ring, np.roll(ring, -1)):
+                row = np.zeros(n, dtype=np.int64)
+                row[[a, b]] = 1
+                rows.append(row)
+        else:
+            rows.append((rng.random(n) < density).astype(np.int64))
+    return np.array(rows[:m], dtype=np.int64).reshape(m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_matrices())
+def test_f2_bitset_rank_matches_dense_rank(A):
+    rows, cols = np.nonzero(A)
+    expected = len(rref_mod_p(A, 2)[1]) if A.shape[0] else 0
+    assert sparse_rank_mod_p(rows, cols, A[rows, cols], 2) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([build_field(2, 2), build_field(2, 3),
+                        build_field(2, 4)]),
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=30),
+       st.sampled_from([0.05, 0.2, 0.6]), st.integers(0, 2 ** 32 - 1))
+def test_f2_bitset_rank_of_gf2r_stacks(field, m, n, density, seed):
+    """A sparse GF(2^r) matrix written over F_2 by `fp_expand_coo`, as the
+    Hilbert checks over GF(4) write theirs: its F_2 rank is the dense one,
+    r times the GF(2^r) rank."""
+    rng = np.random.default_rng(seed)
+    A = np.where(rng.random((m, n)) < density,
+                 rng.integers(1, field.q, (m, n)), 0)
+    i, k = np.nonzero(A)
+    R, C, V = fp_expand_coo(i, k, field.digits(A[i, k]), field)
+    rank = sparse_rank_mod_p(R, C, V, 2)
+    assert rank == (len(rref_mod_p(fp_expand(A, field), 2)[1]) if m else 0)
+    assert rank == field.r * (len(rref_field(A, field)[1]) if m else 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(index_matrices())
 def test_fp_expand_coo_matches_fp_expand(case):
