@@ -19,11 +19,13 @@ from modinvar.invariants import (GeneratorFamily, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute,
                                  symplectic_l_names, u_tilde, xi, xi_power)
-# rref_mod_p is unused here; the benchmark's tracer self-test binds it
-from modinvar.linalg import (_wide_dtype, fp_expand_coo, in_row_space,
-                             rref_field, rref_mod_p, sparse_rank_mod_p)
+# in_row_space and rref_mod_p are unused here; the benchmark's tracer
+# self-test binds them
+from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
+                             in_reduced_row_space, in_row_space, rref_field,
+                             rref_mod_p, sparse_rank_mod_p)
 from modinvar.mvpoly import (Polynomial, VariableSpace, _combine_keys,
-                             gluing_space, monomials_of_degree,
+                             _exponent_array, gluing_space, monomial_array,
                              symplectic_space)
 
 
@@ -127,63 +129,81 @@ def _translation_structure(group: MatrixGroup, m: int, n: int):
 
 
 class TransferImage:
-    """Per-degree row-space bases of {Tr(monomial)}."""
+    """Per-degree row-space bases of {Tr(monomial)}: `bases[d]` holds the
+    basis polynomials of degree d, read off `reduced[d]`, the reduced row
+    echelon form of the degree-d transfers (GF(q) index rows over the
+    degree-d monomials, grevlex-descending)."""
 
-    def __init__(self, space, bases):
+    def __init__(self, space, bases, reduced):
         self.space = space
         self.bases = bases  # degree -> list of (reduced) Polynomials
+        self.reduced = reduced  # degree -> index array, a row per polynomial
 
 
-def _rows_to_polys(space, monos, rows):
-    out = []
-    for row in rows:
-        terms = {}
-        for e, c in zip(monos, row):
-            c = int(c)
-            if c:
-                terms[e] = c
-        if terms:
-            out.append(Polynomial(space, terms))
+def _monomial_keys(dim, d):
+    """The degree-d monomials in dim variables (`monomial_array`) and the
+    weights (d + 1)^i of their packed keys, which increase along the rows;
+    the weights are Python ints where (d + 1)^dim passes int64."""
+    fits = (d + 1) ** dim <= np.iinfo(np.int64).max
+    weights = np.array([(d + 1) ** i for i in range(dim)],
+                       dtype=np.int64 if fits else object)
+    return monomial_array(dim, d), weights
+
+
+def _term_arrays(poly: Polynomial):
+    """The exponents (an int64 (len, dim) array) and coefficient indices of
+    a nonzero polynomial's terms."""
+    return (_exponent_array(poly._terms, poly.space.dim),
+            np.fromiter(poly._terms.values(), dtype=np.int64, count=len(poly)))
+
+
+def _rows_to_polys(space, monos, reduced):
+    """The polynomials of nonzero index rows over the exponent rows monos."""
+    rows, cols = np.nonzero(reduced)
+    values = reduced[rows, cols].tolist()
+    terms = list(zip(*monos[cols].T.tolist()))
+    out, start = [], 0
+    for end in np.searchsorted(rows, np.arange(1, len(reduced) + 1)).tolist():
+        out.append(Polynomial(space, dict(zip(terms[start:end],
+                                              values[start:end]))))
+        start = end
     return out
-
-
-def _reduce_rows(space, monos, rows):
-    if not rows:
-        return []
-    reduced, _ = rref_field(rows, space.field)
-    return _rows_to_polys(space, monos, reduced.tolist())
 
 
 class TranslationSums:
     """The translation structure of a group (`_translation_structure`) and
-    the factor sums sum_u (y_i + u)^b already formed, memoized by (i, b)
-    and by y-exponent key.  One instance serves every degree of one
-    transfer image; `structure` is None when the group is not a product of
-    independent translations."""
+    the sums over it that a transfer image is assembled from: the factor
+    sums sum_u (y_i + u)^b, built one degree on from the last, and the
+    orbit sums of the y-exponents, memoized by y-exponent and stacked by
+    degree.  One instance serves every degree of one transfer image;
+    `structure` is None when the group is not a product of independent
+    translations."""
 
     def __init__(self, group: MatrixGroup, space: VariableSpace, m: int):
         self.space = space
         self.structure = _translation_structure(group, m, space.dim - m)
-        self._factors = {}
         self._sums = {}
+        self._blocks = {}
+        if self.structure is None:
+            return
+        ys, xs = space.variables()[:m], space.variables()[m:]
+        self._forms = [[sum((x.scale(c) for x, c in zip(xs, offsets)), y)
+                        for offsets in shifts]
+                       for y, shifts in zip(ys, self.structure)]
+        self._powers = [[space.one()] * len(forms) for forms in self._forms]
+        self._factors = [[] for _ in self._forms]
 
     def factor(self, i, b):
-        """sum over the translations u of y_i of (y_i + u)^b."""
-        key = (i, b)
-        got = self._factors.get(key)
-        if got is None:
-            space = self.space
-            m = len(self.structure)
-            yvar = space.variable(space.names[i])
-            got = space.zero()
-            for offsets in self.structure[i]:
-                form = yvar
-                for j, c in enumerate(offsets):
-                    if c:
-                        form = form + space.variable(space.names[m + j]).scale(c)
-                got = got + form ** b
-            self._factors[key] = got
-        return got
+        """sum over the translations u of y_i of (y_i + u)^b.  The running
+        powers (y_i + u)^k of every offset u are kept, and the step to
+        k + 1 multiplies each once by its linear form y_i + u."""
+        done = self._factors[i]
+        while len(done) <= b:
+            if done:
+                self._powers[i] = [f * form for f, form in
+                                   zip(self._powers[i], self._forms[i])]
+            done.append(sum(self._powers[i], self.space.zero()))
+        return done[b]
 
     def orbit_sum(self, ypowers):
         """sum over the translation group of prod_i (y_i + u_i)^(b_i), factor
@@ -196,42 +216,74 @@ class TranslationSums:
             self._sums[ypowers] = got
         return got
 
+    def orbit_block(self, s):
+        """The nonzero orbit sums of the y-exponents of degree s, stacked:
+        (exponents, coefficients, the sum each term belongs to, number of
+        sums), or None when every sum vanishes; memoized by s."""
+        if s not in self._blocks:
+            ys = monomial_array(len(self.structure), s).T.tolist()
+            polys = [f for f in map(self.orbit_sum, zip(*ys)) if f]
+            got = None
+            if polys:
+                exps, coeffs = zip(*map(_term_arrays, polys))
+                got = (np.concatenate(exps), np.concatenate(coeffs),
+                       np.repeat(np.arange(len(polys)), list(map(len, polys))),
+                       len(polys))
+            self._blocks[s] = got
+        return self._blocks[s]
+
 
 def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
                           m_split=None, sums: TranslationSums = None):
-    """Row-space basis of {Tr(monomial) : monomial of degree d}.  With
-    m_split, `sums` (built here when not given) carries the translation
-    structure and the orbit sums shared with other degrees."""
+    """Row-space basis of {Tr(monomial) : monomial of degree d}, as (basis
+    polynomials, their reduced index rows).  With m_split, `sums` (built
+    here when not given) carries the translation structure and the orbit
+    sums shared with other degrees.
+
+    The transfers go into one index matrix, a row for each nonzero one and
+    a column for each degree-d monomial, grevlex-descending; a term's column
+    is found from its packed key (`_monomial_keys`) by `searchsorted`.
+    Under a translation structure the transfer of y^a x^c is the orbit sum
+    of a times x^c, so each stacked block of orbit sums of degree s is
+    shifted by all x-parts of degree d - s at once."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer image needs an enumerated group")
-    monos = monomials_of_degree(space, d)
-    index = {e: k for k, e in enumerate(monos)}
+    field = space.field
+    monos, weights = _monomial_keys(space.dim, d)
     if m_split is not None and sums is None:
         sums = TranslationSums(group, space, m_split)
-    rows = []
+    rows, keys, values = [], [], []
+    nrows = 0
     if sums is not None and sums.structure is not None:
         m = len(sums.structure)
-        for e in monos:
-            prod = sums.orbit_sum(e[:m])
-            row = [0] * len(monos)
-            xs = e[m:]
-            nonzero = False
-            for pe, c in prod._terms.items():
-                full = pe[:m] + tuple(a + b for a, b in zip(pe[m:], xs))
-                row[index[full]] = c
-                nonzero = True
-            if nonzero:
-                rows.append(row)
-    else:
-        for e in monos:
-            tr = transfer(space.monomial(e), group)
-            if tr.is_zero():
+        for s in range(d + 1):
+            block = sums.orbit_block(s)
+            if block is None:
                 continue
-            row = [0] * len(monos)
-            for pe, c in tr._terms.items():
-                row[index[pe]] = c
-            rows.append(row)
-    return _reduce_rows(space, monos, rows), monos
+            exps, coeffs, owner, count = block
+            xkeys = monomial_array(space.dim - m, d - s) @ weights[m:]
+            shift = np.arange(len(xkeys))[:, None]
+            rows.append((nrows + owner * len(xkeys) + shift).ravel())
+            keys.append((exps @ weights + xkeys[:, None]).ravel())
+            values.append(np.broadcast_to(coeffs, (len(xkeys), len(coeffs)))
+                          .ravel())
+            nrows += count * len(xkeys)
+    else:
+        for e in zip(*monos.T.tolist()):
+            tr = transfer(space.monomial(e), group)
+            if tr:
+                exps, coeffs = _term_arrays(tr)
+                rows.append(np.full(len(coeffs), nrows))
+                keys.append(exps @ weights)
+                values.append(coeffs)
+                nrows += 1
+    matrix = np.zeros((nrows, len(monos)), dtype=_matrix_dtype(field))
+    if nrows:
+        matrix[np.concatenate(rows),
+               np.searchsorted(monos @ weights, np.concatenate(keys))] = \
+            np.concatenate(values)
+    reduced, _ = rref_field(matrix, field)
+    return _rows_to_polys(space, monos, reduced), reduced
 
 
 def transfer_image_basis(group: MatrixGroup, space: VariableSpace, D: int,
@@ -239,19 +291,19 @@ def transfer_image_basis(group: MatrixGroup, space: VariableSpace, D: int,
     sums = None
     if m_split is not None and group.is_enumerated:
         sums = TranslationSums(group, space, m_split)
-    bases = {}
+    bases, reduced = {}, {}
     for d in range(D + 1):
-        polys, _ = transfer_image_degree(group, space, d, m_split=m_split,
-                                         sums=sums)
-        bases[d] = polys
-    return TransferImage(space, bases)
+        bases[d], reduced[d] = transfer_image_degree(
+            group, space, d, m_split=m_split, sums=sums)
+    return TransferImage(space, bases, reduced)
 
 
 def principal_transfer_check(image: TransferImage, tau: Polynomial,
                              group=None, space=None, m_split=None
                              ) -> VerificationReport:
     """Every image basis element is exactly divisible by tau, and tau itself
-    lies in the image row space at its degree."""
+    lies in the image row space at its degree, tested against the reduced
+    rows of that degree (`in_reduced_row_space`)."""
     params = {"tau_degree": tau.degree()}
     for d, polys in sorted(image.bases.items()):
         for poly in polys:
@@ -261,25 +313,15 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
                     witness=f"image element of degree {d} not divisible: "
                             f"{_difference_witness(poly)}")
     dtau = tau.degree()
-    if dtau in image.bases:
-        polys = image.bases[dtau]
-    else:
-        src_group = group
-        src_space = space or image.space
-        polys, _ = transfer_image_degree(src_group, src_space, dtau,
-                                         m_split=m_split)
-    monos = monomials_of_degree(image.space, dtau)
-    index = {e: k for k, e in enumerate(monos)}
-    rows = []
-    for poly in polys:
-        row = [0] * len(monos)
-        for e, c in poly._terms.items():
-            row[index[e]] = c
-        rows.append(row)
-    tau_row = [0] * len(monos)
-    for e, c in tau._terms.items():
-        tau_row[index[e]] = c
-    if not in_row_space(tau_row, rows, image.space.field):
+    reduced = image.reduced.get(dtau)
+    if reduced is None:
+        _, reduced = transfer_image_degree(group, space or image.space, dtau,
+                                           m_split=m_split)
+    monos, weights = _monomial_keys(image.space.dim, dtau)
+    exps, coeffs = _term_arrays(tau)
+    vector = np.zeros(len(monos), dtype=reduced.dtype)
+    vector[np.searchsorted(monos @ weights, exps @ weights)] = coeffs
+    if not in_reduced_row_space(vector, reduced, image.space.field):
         return VerificationReport("transfer_principal", params, "fail",
                                   witness="tau is not attained in the image "
                                           f"row space at degree {dtau}")

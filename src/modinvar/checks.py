@@ -422,11 +422,11 @@ def check_orbit_additivity(params, budgets) -> VerificationReport:
     forms = [y1, y2, y1 + y2]
     for c in range(2, field.q):
         forms.append(y1.scale(c) + y2)
+    products = {f: orbit_product(f, basis) for f in forms}
     for fa in (y1, y2):
         for fb in forms:
             lhs = orbit_product(fa + fb, basis)
-            rhs = orbit_product(fa, basis) + orbit_product(fb, basis)
-            if lhs != rhs:
+            if lhs != products[fa] + products[fb]:
                 return VerificationReport(
                     "orbit_additivity", params, "fail",
                     witness=f"additivity fails for {fa!r} + {fb!r}")

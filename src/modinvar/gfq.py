@@ -360,8 +360,11 @@ class FieldSpec:
         return total
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus))
+        # fields are interned by `_cached_field`, so equal ones are mostly one
+        return self is other or (
+            isinstance(other, FieldSpec)
+            and (self.p, self.r, self.modulus) == (other.p, other.r,
+                                                   other.modulus))
 
     def __ne__(self, other):
         return not self == other

@@ -53,16 +53,28 @@ def _residue_dtype(p: int):
     return np.dtype(object)
 
 
+def _matrix_dtype(field: FieldSpec):
+    """The dtype `fp_expand` reads a GF(q) index matrix in: the smallest
+    unsigned one holding q - 1, or over a prime field `_residue_dtype(p)`,
+    in which the matrix is its own expansion."""
+    if field.r == 1:
+        return _residue_dtype(field.p)
+    return np.min_scalar_type(field.q - 1)
+
+
 def fp_expand(rows, field: FieldSpec) -> np.ndarray:
     """The (m r, n r) matrix over F_p of an m x n matrix of GF(q) indices:
     row j of block i holds t^j times row i, column x of block k digit x of
     entry k, so block (i, k) is the transposed `FieldSpec.regular` matrix of
-    entry (i, k).  Returned in the dtype of `rref_mod_p`."""
-    rows = np.asarray(rows, dtype=np.min_scalar_type(field.q - 1))
+    entry (i, k).  Returned in the dtype of `rref_mod_p`; over a prime field
+    that is the matrix itself, not copied when in `_matrix_dtype` already."""
+    rows = np.asarray(rows, dtype=_matrix_dtype(field))
     if rows.ndim == 1:  # no rows at all
         rows = rows.reshape(0, 0)
-    m, n = rows.shape
     r = field.r
+    if r == 1:
+        return rows
+    m, n = rows.shape
     return field.regular(field.digits(rows)).transpose(0, 3, 1, 2) \
         .reshape(m * r, n * r).astype(_residue_dtype(field.p))
 
@@ -206,14 +218,18 @@ def rref_mod_p(A, p: int):
     """Reduced row echelon form of an integer matrix mod a prime p.
 
     Returns (reduced, pivots); reduced has zero rows dropped.  The work is
-    done in `_residue_dtype(p)`, on one copy of A reduced mod p.
+    done in `_residue_dtype(p)`, on one copy of A reduced mod p.  Columns
+    that are zero in every row are never scanned: row operations keep them
+    zero.
     """
     dtype = _residue_dtype(p)
     A = (np.asarray(A) % p).astype(dtype, copy=False)
-    nrows, ncols = A.shape
+    nrows = len(A)
     rank = 0
     pivots = []
-    for col in range(ncols):
+    for col in np.flatnonzero(A.any(axis=0)).tolist():
+        if rank == nrows:
+            break
         nz = np.flatnonzero(A[rank:, col])
         if nz.size == 0:
             continue
@@ -232,8 +248,6 @@ def rref_mod_p(A, p: int):
                             - np.outer(factors[hit], A[rank, col:])) % p
         pivots.append(col)
         rank += 1
-        if rank == nrows:
-            break
     return A[:rank], pivots
 
 
@@ -253,11 +267,28 @@ def rref_field(rows, field: FieldSpec):
             [fp_pivots[i] // r for i in keep])
 
 
+def in_reduced_row_space(vector, reduced, field: FieldSpec) -> bool:
+    """Whether a GF(q) index vector lies in the row space of `reduced`, the
+    reduced row echelon form of `rref_field`.  Over F_p the rows t^j R_i of
+    its expansion are reduced too, with pivots c_i r + j (see the module
+    docstring), so the expanded vector is in their span exactly when
+    subtracting, for each pivot, its entry there times that row leaves
+    zero.  Only the rows of the vector's nonzero pivot entries are
+    widened for the sum."""
+    p, r = field.p, field.r
+    vector = fp_expand([vector], field)[0].astype(_wide_dtype(p))
+    if len(reduced):
+        pivots = np.argmax(np.asarray(reduced) != 0, axis=1)
+        coeffs = vector[(pivots[:, None] * r + np.arange(r)).ravel()]
+        hit = np.flatnonzero(coeffs)
+        rows = fp_expand(reduced, field)[hit].astype(vector.dtype)
+        vector = (vector - coeffs[hit] @ rows) % p
+    return not vector.any()
+
+
 def in_row_space(vector, rows, field: FieldSpec) -> bool:
     """Whether vector lies in the GF(q) row space of rows."""
-    rows = [list(row) for row in rows]
-    rank = len(rref_field(rows, field)[1])
-    return len(rref_field(rows + [list(vector)], field)[1]) == rank
+    return in_reduced_row_space(vector, rref_field(rows, field)[0], field)
 
 
 def nullspace_field(matrix, field: FieldSpec):

@@ -73,8 +73,9 @@ class VariableSpace:
         return self._pos[name]
 
     def __eq__(self, other):
-        return (isinstance(other, VariableSpace)
-                and self.field == other.field and self.names == other.names)
+        return self is other or (isinstance(other, VariableSpace)
+                                 and self.field == other.field
+                                 and self.names == other.names)
 
     def __ne__(self, other):
         return not self == other
@@ -699,16 +700,30 @@ def parse_polynomial(space: VariableSpace, text: str) -> Polynomial:
     return Polynomial(space, out)
 
 
+def monomial_array(n: int, d: int) -> np.ndarray:
+    """The exponents of all monomials of degree d in n variables as an int64
+    (count, n) array, grevlex-descending: for a fixed degree that is
+    ascending in e[n-1], then in e[n-2], and so on, so that the packed keys
+    sum_i e_i (d + 1)^i increase along the rows.
+
+    The compositions of d are grown one variable at a time: a row with r
+    left to place spawns the rows with 0, 1, ..., r in the next variable,
+    and the last variable takes what is left; one `lexsort` orders them."""
+    if n == 0:
+        return np.zeros((int(d == 0), 0), dtype=np.int64)
+    exps = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([d], dtype=np.int64)
+    for _ in range(n - 1):
+        spawn = np.repeat(np.arange(len(exps)), left + 1)
+        first = np.cumsum(left + 1) - (left + 1)
+        value = np.arange(len(spawn)) - first[spawn]
+        exps = np.column_stack((exps[spawn], value))
+        left = left[spawn] - value
+    exps = np.column_stack((exps, left))
+    return exps[np.lexsort(exps.T)]
+
+
 def monomials_of_degree(space: VariableSpace, d: int):
-    """All exponent tuples of total degree d, grevlex-descending."""
-    n = space.dim
-
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    return sorted(rec(d, n), key=grevlex_key)
+    """All exponent tuples of total degree d, grevlex-descending
+    (`monomial_array`)."""
+    return list(map(tuple, monomial_array(space.dim, d).tolist()))

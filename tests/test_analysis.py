@@ -120,20 +120,38 @@ def test_transfer_factorization_zero_module():
                                         gl).passed
 
 
+def translations_f3():
+    """y1 -> y1 + x1 and y2 -> y2 + x2 over F3 (order 9), whose transfer
+    image starts at degree 4, where the u4 M-subgroup's starts at 16."""
+    gens = []
+    for i, j in ((0, 2), (1, 3)):
+        mat = [[int(a == b) for b in range(4)] for a in range(4)]
+        mat[i][j] = 1
+        gens.append(GroupElement(F3, tuple(map(tuple, mat))))
+    return MatrixGroup(F3, 4, gens).enumerate()
+
+
 def test_transfer_image_fast_path_matches_general():
     """Every degree of a transfer image with shared translation sums equals
-    a fresh structured degree and the unstructured transfer."""
-    for field in (F2, F3):
-        msub = u4_gluing(field.p).m_subgroup()
+    a fresh structured degree and the unstructured transfer, polynomials
+    and reduced rows alike.  Over F3 the u4 M-subgroup's image is zero up
+    to degree 16, so a smaller translation group is taken as well."""
+    cases = [(F2, u4_gluing(2).m_subgroup()), (F3, u4_gluing(3).m_subgroup()),
+             (F3, translations_f3())]
+    for field, msub in cases:
         sp = gluing_space(field, 2, 2)
         image = transfer_image_basis(msub, sp, 8, m_split=2)
-        assert sorted(image.bases) == list(range(9))
+        assert sorted(image.bases) == sorted(image.reduced) == list(range(9))
         for d in range(9):
             shared = [f._terms for f in image.bases[d]]
-            fresh, _ = transfer_image_degree(msub, sp, d, m_split=2)
+            assert len(shared) == len(image.reduced[d])
+            fresh, fresh_rows = transfer_image_degree(msub, sp, d, m_split=2)
             assert shared == [f._terms for f in fresh]
-            slow, _ = transfer_image_degree(msub, sp, d, m_split=None)
+            slow, slow_rows = transfer_image_degree(msub, sp, d, m_split=None)
             assert shared == [f._terms for f in slow]
+            assert image.reduced[d].tolist() == fresh_rows.tolist() \
+                == slow_rows.tolist()
+    assert image.bases[3] == [] and len(image.bases[4]) > 0  # translations_f3
 
 
 def scalar_translation_structure(group, m, n):
@@ -212,6 +230,63 @@ def test_translation_sums_memoize_factors():
     # not a translation group: the general path runs
     whole = u4_gluing(3).enumerate()
     assert TranslationSums(whole, sp, 2).structure is None
+
+
+def test_transfer_image_with_keys_beyond_int64():
+    """In 42 variables the packed keys of degree 2 reach 2 * 3^41 > 2^63,
+    so they are Python ints; both paths still agree: Tr(y1 x) = x1 x for
+    the translation y1 -> y1 + x1 over F2."""
+    n = 42
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    mat[0][1] = 1
+    G = MatrixGroup(F2, n, [GroupElement(F2, tuple(map(tuple, mat)))])
+    G.enumerate()
+    sp = gluing_space(F2, 1, n - 1)
+    fast, rows = transfer_image_degree(G, sp, 2, m_split=1)
+    slow, _ = transfer_image_degree(G, sp, 2)
+    assert [f._terms for f in fast] == [f._terms for f in slow]
+    x1 = sp.variable("x1")
+    assert fast == [x1 * v for v in sp.variables()[1:]]
+    assert rows.shape == (n - 1, n * (n + 1) // 2)
+
+
+@st.composite
+def translation_groups(draw):
+    """A group of translations y_i -> y_i + (form in x_1..x_n), each drawn
+    generator moving one y, so that the y's move independently; and the
+    factor degrees to ask for, in drawn order."""
+    field = draw(st.sampled_from([F2, F3, build_field(5), build_field(2, 2)]))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mat = [[int(i == j) for j in range(m + n)] for i in range(m + n)]
+        i = draw(st.integers(0, m - 1))
+        for j in range(m, m + n):
+            mat[i][j] = draw(st.integers(0, field.q - 1))
+        gens.append(GroupElement(field, tuple(map(tuple, mat))))
+    degrees = draw(st.lists(st.integers(0, 14), min_size=1, max_size=5))
+    return MatrixGroup(field, m + n, gens), m, degrees
+
+
+@settings(max_examples=40, deadline=None)
+@given(translation_groups())
+def test_incremental_factor_sums_match_direct_powers(case):
+    """`TranslationSums.factor` steps running powers up one degree at a
+    time; the reference forms each sum_u (y_i + u)^b with `**`."""
+    G, m, degrees = case
+    G.enumerate()
+    sp = gluing_space(G.field, m, G.n - m)
+    sums = TranslationSums(G, sp, m)
+    xs = sp.variables()[m:]
+    for b in degrees:
+        for i in range(m):
+            direct = sp.zero()
+            for offsets in sums.structure[i]:
+                form = sp.variables()[i]
+                for x, c in zip(xs, offsets):
+                    form = form + x.scale(c)
+                direct = direct + form ** b
+            assert sums.factor(i, b) == direct
 
 
 def test_transfer_image_divisibility_and_attainment():

@@ -268,3 +268,12 @@ def test_law_fails_when_the_block_product_uses_another_field(monkeypatch):
     rep = run_check("semidirect_law", params)
     assert rep.status == "fail"
     assert rep.witness.startswith("triple law fails for ")
+
+
+def test_unattained_tau_keeps_its_witness():
+    """The negative control of the transfer image: tau without its square
+    is not attained at its own degree."""
+    rep = run_check("transfer_example", {"p": 2, "tau_power": 1, "D": 8}, {})
+    assert rep.status == "fail"
+    assert rep.witness == ("tau is not attained in the image row space at "
+                           "degree 3")

@@ -12,6 +12,9 @@ ALLOWED = {
     ("src/modinvar/analysis.py", "rref_mod_p",
      "the benchmark tracer self-test binds it in analysis, where the dense "
      "Hilbert rank used it"),
+    ("src/modinvar/analysis.py", "in_row_space",
+     "the benchmark tracer self-test binds it in analysis, where the "
+     "principal transfer check used it"),
 }
 
 

@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import FieldSpec, build_field
-from modinvar.linalg import (fp_expand, fp_expand_coo, in_row_space,
+from modinvar.linalg import (_residue_dtype, fp_expand, fp_expand_coo,
+                             in_reduced_row_space, in_row_space,
                              nullspace_field, rref_field, rref_mod_p,
                              sparse_rank_mod_p)
 
@@ -122,6 +123,29 @@ def test_in_row_space_members_and_non_members():
     assert not in_row_space([0, 1, 0], [], F4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(index_matrices(), st.data())
+def test_in_row_space_matches_the_rank_test(case, data):
+    """One reduction and a subtraction along the pivots, against the two
+    ranks `in_row_space` used to compare; the vector is drawn at random or
+    as a combination of the rows."""
+    field, width, rows = case
+    entry = st.integers(min_value=0, max_value=field.q - 1)
+    if rows and data.draw(st.booleans()):
+        vector = [0] * width
+        for row in rows:
+            c = data.draw(entry)
+            vector = [field.add(v, field.mul(c, a)) for v, a in zip(vector, row)]
+    else:
+        vector = data.draw(st.lists(entry, min_size=width, max_size=width))
+    rank = len(naive_rref_field(rows, field)[1])
+    expected = len(naive_rref_field(rows + [vector], field)[1]) == rank
+    assert in_row_space(vector, rows, field) == expected
+    if rows:
+        reduced = rref_field(rows, field)[0]
+        assert in_reduced_row_space(vector, reduced, field) == expected
+
+
 def test_in_row_space_over_a_prime_field():
     F5 = build_field(5)
     rows = [[1, 2, 3, 4], [0, 1, 1, 1]]
@@ -163,6 +187,17 @@ def test_fp_expand_is_multiplication_by_powers_of_t():
             tj = F8.pow(t, j)
             digits = [d for a in row for d in F8._digits(F8.mul(tj, a))]
             assert expanded[i * F8.r + j].tolist() == digits
+
+
+def test_fp_expand_of_a_prime_field_is_the_matrix():
+    """Over GF(p) the expansion is the index matrix in the residue dtype,
+    as the digit-and-regular-matrix route computes it."""
+    for field in (build_field(3), build_field(251), FieldSpec(4294967311)):
+        rows = [[0, 1, 2], [field.neg(1), 2, 0]]
+        expanded = fp_expand(rows, field)
+        assert expanded.dtype == _residue_dtype(field.p)
+        general = field.regular(field.digits(rows))
+        assert expanded.tolist() == general.reshape(2, 3).tolist() == rows
 
 
 @st.composite

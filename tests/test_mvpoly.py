@@ -3,6 +3,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +12,9 @@ from modinvar.gfq import build_field
 from modinvar.groups import GroupElement
 from modinvar.mvpoly import (InexactDivisionError, ParseError, Polynomial,
                              SpaceMismatchError, VariableSpace,
-                             balanced_product, format_polynomial,
-                             monomials_of_degree, parse_polynomial)
+                             balanced_product, format_polynomial, grevlex_key,
+                             monomial_array, monomials_of_degree,
+                             parse_polynomial)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -336,6 +338,37 @@ def test_monomials_of_degree():
     assert len(mons) == 6
     assert len(set(mons)) == 6
     assert all(sum(e) == 2 for e in mons)
+
+
+def recursive_monomials(n, d):
+    """The recursive generator and sort that `monomials_of_degree` replaced,
+    kept as its oracle."""
+    def rec(remaining, slots):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining, -1, -1):
+            for rest in rec(remaining - first, slots - 1):
+                yield (first,) + rest
+
+    return sorted(rec(d, n), key=grevlex_key)
+
+
+def test_monomials_of_no_variables():
+    sp = VariableSpace(F3, [])
+    assert monomials_of_degree(sp, 0) == [()]
+    assert monomials_of_degree(sp, 2) == []
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monomials_of_degree_match_the_recursive_generator(n):
+    sp = VariableSpace(F3, [f"z{i}" for i in range(n)])
+    for d in range(13):
+        mons = monomials_of_degree(sp, d)
+        assert mons == recursive_monomials(n, d)
+        assert all(type(a) is int for e in mons for a in e)
+        keys = monomial_array(n, d) @ (d + 1) ** np.arange(n)
+        assert (np.diff(keys) > 0).all()
 
 
 def test_grevlex_leading_term():
