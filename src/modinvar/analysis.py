@@ -17,8 +17,9 @@ from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
                              _keys, _rows, _sorted_unique, unipotent_upper)
 from modinvar.invariants import (GeneratorFamily, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
-                                 partial_dickson, psi_substitute,
-                                 symplectic_l_names, u_tilde, xi, xi_power)
+                                 partial_dickson, psi_substitute, span_basis,
+                                 subspace_product, symplectic_l_names,
+                                 u_tilde, xi, xi_power)
 # in_row_space and rref_mod_p are unused here; the benchmark's tracer
 # self-test binds them
 from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
@@ -89,10 +90,6 @@ def transfer(f: Polynomial, group: MatrixGroup) -> Polynomial:
     return acc
 
 
-def is_invariant(f: Polynomial, group: MatrixGroup) -> bool:
-    return all(f.act(g) == f for g in group.generators)
-
-
 def transfer_factorization_check(f: Polynomial, gluing: GluingGroup,
                                  cap=10 ** 6) -> VerificationReport:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over M."""
@@ -132,10 +129,14 @@ class TransferImage:
     """Per-degree row-space bases of {Tr(monomial)}: `bases[d]` holds the
     basis polynomials of degree d, read off `reduced[d]`, the reduced row
     echelon form of the degree-d transfers (GF(q) index rows over the
-    degree-d monomials, grevlex-descending)."""
+    degree-d monomials, grevlex-descending).  It keeps the group and space
+    it was built from and their translation sums (`sums`, None without a
+    translation split), so that further degrees extend the same sums."""
 
-    def __init__(self, space, bases, reduced):
+    def __init__(self, group, space, sums, bases, reduced):
+        self.group = group
         self.space = space
+        self.sums = sums
         self.bases = bases  # degree -> list of (reduced) Polynomials
         self.reduced = reduced  # degree -> index array, a row per polynomial
 
@@ -148,6 +149,17 @@ def _monomial_keys(dim, d):
     weights = np.array([(d + 1) ** i for i in range(dim)],
                        dtype=np.int64 if fits else object)
     return monomial_array(dim, d), weights
+
+
+def _scatter(monos, weights, nrows, rows, keys, values, dtype):
+    """The (nrows, len(monos)) index matrix with each value in its row and
+    in the column of the monomial with its packed key (`_monomial_keys`);
+    rows, keys and values are lists of arrays, concatenated."""
+    matrix = np.zeros((nrows, len(monos)), dtype=dtype)
+    if nrows:
+        matrix[np.concatenate(rows), np.searchsorted(
+            monos @ weights, np.concatenate(keys))] = np.concatenate(values)
+    return matrix
 
 
 def _term_arrays(poly: Polynomial):
@@ -277,11 +289,8 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
                 keys.append(exps @ weights)
                 values.append(coeffs)
                 nrows += 1
-    matrix = np.zeros((nrows, len(monos)), dtype=_matrix_dtype(field))
-    if nrows:
-        matrix[np.concatenate(rows),
-               np.searchsorted(monos @ weights, np.concatenate(keys))] = \
-            np.concatenate(values)
+    matrix = _scatter(monos, weights, nrows, rows, keys, values,
+                      _matrix_dtype(field))
     reduced, _ = rref_field(matrix, field)
     return _rows_to_polys(space, monos, reduced), reduced
 
@@ -295,15 +304,15 @@ def transfer_image_basis(group: MatrixGroup, space: VariableSpace, D: int,
     for d in range(D + 1):
         bases[d], reduced[d] = transfer_image_degree(
             group, space, d, m_split=m_split, sums=sums)
-    return TransferImage(space, bases, reduced)
+    return TransferImage(group, space, sums, bases, reduced)
 
 
-def principal_transfer_check(image: TransferImage, tau: Polynomial,
-                             group=None, space=None, m_split=None
+def principal_transfer_check(image: TransferImage, tau: Polynomial
                              ) -> VerificationReport:
     """Every image basis element is exactly divisible by tau, and tau itself
     lies in the image row space at its degree, tested against the reduced
-    rows of that degree (`in_reduced_row_space`)."""
+    rows of that degree (`in_reduced_row_space`); past the image's degree
+    bound those rows are built from the image's own group and sums."""
     params = {"tau_degree": tau.degree()}
     for d, polys in sorted(image.bases.items()):
         for poly in polys:
@@ -315,13 +324,13 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial,
     dtau = tau.degree()
     reduced = image.reduced.get(dtau)
     if reduced is None:
-        _, reduced = transfer_image_degree(group, space or image.space, dtau,
-                                           m_split=m_split)
+        _, reduced = transfer_image_degree(image.group, image.space, dtau,
+                                           sums=image.sums)
     monos, weights = _monomial_keys(image.space.dim, dtau)
     exps, coeffs = _term_arrays(tau)
-    vector = np.zeros(len(monos), dtype=reduced.dtype)
-    vector[np.searchsorted(monos @ weights, exps @ weights)] = coeffs
-    if not in_reduced_row_space(vector, reduced, image.space.field):
+    vector = _scatter(monos, weights, 1, [np.zeros_like(coeffs)],
+                      [exps @ weights], [coeffs], _matrix_dtype(image.space.field))
+    if not in_reduced_row_space(vector, reduced, image.space.field)[0]:
         return VerificationReport("transfer_principal", params, "fail",
                                   witness="tau is not attained in the image "
                                           f"row space at degree {dtau}")
@@ -583,13 +592,8 @@ def symplectic_space_from_q(q, m):
 def _nbar(sp, k, form):
     """prod over the F_q-span of x1..xk of (form - u); the span is symmetric
     under negation, so this is the plain orbit product."""
-    field = sp.field
-    basis = []
-    for jj in range(1, k + 1):
-        v = sp.variable(f"x{jj}")
-        for b in field.fp_basis():
-            basis.append(v.scale(b))
-    return orbit_product(form, basis)
+    return orbit_product(form, span_basis(
+        [sp.variable(f"x{jj}") for jj in range(1, k + 1)]))
 
 
 def _xibar(m, k, i, q):
@@ -698,12 +702,8 @@ def _check_nk_expansion(k, m, q):
     ext = VariableSpace(field, list(base.names) + ["T"])
     T = ext.variable("T")
     ell = 2 * m - k
-    basis = []
-    for name in symplectic_l_names(m)[:ell]:
-        v = ext.variable(name)
-        for b in field.fp_basis():
-            basis.append(v.scale(b))
-    lhs = orbit_product(T, basis)
+    lhs = orbit_product(T, span_basis(
+        [ext.variable(name) for name in symplectic_l_names(m)[:ell]]))
     qq = field.q
     rhs = ext.zero()
     for j in range(ell + 1):
@@ -727,13 +727,8 @@ def _check_para_action(q):
     sp = gluing_space(field, 2, 2)
     y1, y2, x1, x2 = (sp.variable(v) for v in ("y1", "y2", "x1", "x2"))
     qq = field.q
-    basis1 = []
-    for v in (x1, x2):
-        for b in field.fp_basis():
-            basis1.append(v.scale(b))
-    basis2 = [x2.scale(b) for b in field.fp_basis()]
-    N1y1 = orbit_product(y1, basis1)
-    N2y2 = orbit_product(y2, basis2)
+    N1y1 = orbit_product(y1, span_basis([x1, x2]))
+    N2y2 = orbit_product(y2, span_basis([x2]))
     from modinvar.groups import GroupElement
     one, zero = 1, 0
     g = GroupElement(field, ((one, one, zero, zero),
@@ -789,16 +784,23 @@ def _check_xi31_gl1(m, q):
 
 
 def _check_dickson_routes(n, q):
+    """Three independent routes to the Dickson invariants of x1..xn: the
+    q-linearized recursion, the Moore-determinant quotients, and the
+    literal product over the F_q-span, prod (T + v) = sum_i T^(q^(n-i)) d_i
+    (`subspace_product`)."""
     from modinvar.invariants import _as_field
     field = _as_field(q)
-    from modinvar.mvpoly import x_space
-    sp = x_space(field, n)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    sp = VariableSpace(field, names + ["T"])
+    T = sp.variable("T")
+    total = sp.zero()
     for i in range(n + 1):
-        a = dickson_in(sp, sp.names, i)
-        b = dickson_via_moore(sp, sp.names, i)
+        a = dickson_in(sp, names, i)
+        b = dickson_via_moore(sp, names, i)
         if a != b:
             return a, b
-    return sp.zero(), sp.zero()
+        total = total + T ** (field.q ** (n - i)) * a
+    return subspace_product(sp, names, T), total
 
 
 IDENTITY_CHECKS = {

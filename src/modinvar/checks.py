@@ -34,7 +34,7 @@ from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
                              ClaimRefuted, FormSpec, GroupElement,
                              MatrixGroup, _digit_matmul, _expand,
                              _matmul_mod, _sorted_unique, element_orders,
-                             field_from_order, gl_group,
+                             field_from_order, gl_group, index_matmul,
                              o3_sylow_generators, o4_plus_sylow_generators,
                              p_k_subgroup, parabolic_g_k, parse_matrix,
                              sp_group, stabilizer_of_polynomial,
@@ -42,7 +42,8 @@ from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
                              usp_group)
 from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
-                                 parabolic_gl_group, psi_substitute, xi)
+                                 parabolic_gl_group, psi_substitute,
+                                 span_basis, xi)
 from modinvar.mvpoly import (gluing_space, parse_polynomial, symplectic_space,
                              VariableSpace)
 
@@ -269,14 +270,13 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     gluing = build_gluing(params)
     G1 = gluing.G1.enumerate(cap)
     G2 = gluing.G2.enumerate(cap)
-    phis = list(gluing.M.elements())
+    phis = gluing.M.elements()
     sizes = (G1.order(), len(phis), G2.order())
     total, distinct, pair_ids = _law_pairs(sizes, params, seed)
     field, m, n = gluing.field, gluing.m, gluing.n
     p, r = field.p, field.r
     a, k, b = np.unravel_index(distinct, sizes)
-    phi_rows = np.array(phis, dtype=np.int64).reshape(len(phis), m, n)
-    g1s, psis, g2s = G1.rows()[a], phi_rows[k], G2.rows()[b]
+    g1s, psis, g2s = G1.rows()[a], phis[k], G2.rows()[b]
     expanded = _expand(field, gluing.blocks(g1s, psis, g2s))
     g1s, psis, g2s = (field.digits(x) for x in (g1s, psis, g2s))
     step = max(1, CHUNK_ENTRIES // ((m + n) * r) ** 2)
@@ -297,7 +297,7 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
             i = np.argmax(bad)
             t1, t2 = ((GroupElement(field, G1.rows()[a[t]].tolist(),
                                     check=False),
-                       phis[k[t]],
+                       tuple(map(tuple, phis[k[t]].tolist())),
                        GroupElement(field, G2.rows()[b[t]].tolist(),
                                     check=False))
                       for t in (left[i], right[i]))
@@ -339,8 +339,7 @@ def check_transfer_example(params, budgets) -> VerificationReport:
     tau = dickson_in(space, ["x1", "x2"], 2) ** params.get("tau_power", 2)
     msub = gluing.m_subgroup()
     image = transfer_image_basis(msub, space, D, m_split=2)
-    rep = principal_transfer_check(image, tau, group=msub, space=space,
-                                   m_split=2)
+    rep = principal_transfer_check(image, tau)
     return VerificationReport("transfer_example", params, rep.status,
                               witness=rep.witness)
 
@@ -398,11 +397,9 @@ def check_parabolic_family(params, budgets) -> VerificationReport:
 def check_singular_form(params, budgets) -> VerificationReport:
     """Alternating rank-2 form on a 3-space: the glued order
     |GL1| * q^2 * |Sp2|, certified by enumeration, and preservation of the
-    form, certified on the generators by `singular_form_group`."""
-    field = field_from_order(params["q"])
-    z = 0
-    gram = ((z, z, z), (z, z, 1), (z, field.neg(1), z))
-    gluing = singular_form_group(FormSpec("alternating", field, gram=gram))
+    form, certified on the generators by `singular_form_group`; the form is
+    the one of `build_gluing`'s "singular" kind."""
+    gluing = build_gluing({"kind": "singular", "q": params["q"]})
     gluing.enumerate(budgets.get("cap", DEFAULT_CAP))
     return VerificationReport("singular_form", params, "pass")
 
@@ -413,11 +410,7 @@ def check_orbit_additivity(params, budgets) -> VerificationReport:
     n = params.get("n", 2)
     field = field_from_order(q)
     space = gluing_space(field, 2, n)
-    basis = []
-    for i in range(1, n + 1):
-        v = space.variable(f"x{i}")
-        for b in field.fp_basis():
-            basis.append(v.scale(b))
+    basis = span_basis([space.variable(f"x{i}") for i in range(1, n + 1)])
     y1, y2 = space.variable("y1"), space.variable("y2")
     forms = [y1, y2, y1 + y2]
     for c in range(2, field.q):
@@ -457,26 +450,38 @@ def check_field_axioms(params, budgets) -> VerificationReport:
 
 
 def check_action_compatibility(params, budgets) -> VerificationReport:
+    """f.(g h) = (f.g).h for random polynomials f and pairs of elements of
+    GL_n: all pairs when there are at most 2500, else 50 pairs per
+    polynomial, drawn as `rng.choice` over the elements draws them.  The
+    products g h of a pair list are formed together (`index_matmul`), the
+    list of all pairs once."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
     cap = budgets.get("cap", DEFAULT_CAP)
-    G = gl_group(n, field).enumerate(cap)
+    rows = gl_group(n, field).enumerate(cap).rows()
+    elements, order = rows.tolist(), len(rows)
     rng = random.Random(params.get("seed", 0))
     space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
     samples = params.get("samples", 30)
-    exhaustive_pairs = G.order() ** 2 <= 2500
+    exhaustive = order ** 2 <= 2500
+
+    def products(left, right):
+        return list(zip(left, right, index_matmul(
+            field, rows[left], rows[right]).tolist()))
+
+    if exhaustive:
+        pairs = products(*np.divmod(np.arange(order ** 2), order))
     for _ in range(samples):
         f = space.zero()
         for _ in range(rng.randrange(5)):
             e = tuple(rng.randrange(4) for _ in range(n))
             f = f + space.monomial(e, rng.randrange(1, field.q))
-        pairs = ((a, b) for a in G.elements for b in G.elements) \
-            if exhaustive_pairs else \
-            (((rng.choice(G.elements), rng.choice(G.elements)))
-             for _ in range(50))
-        for g, h in pairs:
-            if f.act(g * h) != f.act(g).act(h):
+        if not exhaustive:
+            draws = [rng.choice(range(order)) for _ in range(100)]
+            pairs = products(draws[0::2], draws[1::2])
+        for a, b, product in pairs:
+            if f.act(product) != f.act(elements[a]).act(elements[b]):
                 return VerificationReport(
                     "action_compatibility", params, "fail",
                     witness=f"compatibility fails for f={f!r}")

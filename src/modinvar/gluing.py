@@ -10,17 +10,18 @@ which suffices by linearity.
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
-from modinvar.gfq import FieldSpec, Scalar
+from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.groups import (DEFAULT_CAP, ClaimRefuted, GroupElement,
-                             MatrixGroup, NotEnumeratedError, gl_group,
-                             mat_add, mat_mul, mat_scale, mat_transpose,
-                             sp_group, trivial_group, FormSpec,
-                             form_preserved)
-from modinvar.linalg import nullspace_field, rref_field, rref_mod_p
+                             MatrixGroup, NotEnumeratedError, _element,
+                             _element_rows, _row_elements, gl_group,
+                             index_matmul, mat_mul, sp_group, trivial_group,
+                             FormSpec, form_preserved)
+from modinvar.linalg import (in_reduced_row_space, nullspace_field, rref_field,
+                             rref_mod_p)
 
 
 class BimoduleClosureError(ValueError):
@@ -30,28 +31,28 @@ class BimoduleClosureError(ValueError):
 class BimoduleBasis:
     """An F_p-basis of a finite sub-bimodule of Hom(W2, W1).
 
-    mats: m-by-n matrices over the field (tuples of tuples of indices),
-    required to be F_p-linearly independent.
+    mats: m-by-n matrices over the field, required to be F_p-linearly
+    independent; kept as an (fp_dim, m, n) index array.
     """
 
     def __init__(self, field: FieldSpec, m: int, n: int, mats):
         self.field = field
         self.m = m
         self.n = n
-        self.mats = [tuple(tuple(field.scalar(e).index if isinstance(e, (Scalar, str))
-                                 else e for e in row) for row in mat)
-                     for mat in mats]
-        for mat in self.mats:
+        mats = [tuple(tuple(field.scalar(e).index if isinstance(e, (Scalar, str))
+                            else e for e in row) for row in mat)
+                for mat in mats]
+        for mat in mats:
             if len(mat) != m or any(len(row) != n for row in mat):
                 raise ValueError("basis matrix has wrong shape")
-        # the F_p coordinates of each matrix: its entries' digits, row-major
-        self._vectors = field.digits(np.array(self.mats, dtype=np.int64)) \
-            .reshape(len(self.mats), m * n * field.r)
-        if self._fp_rank(self._vectors) != len(self.mats):
+        self.mats = np.array(mats, dtype=np.int64).reshape(len(mats), m, n)
+        # the F_p coordinates of each matrix: its entries' digits, row-major,
+        # and their reduced row echelon form, against which membership is
+        # tested
+        self._vectors = field.digits(self.mats).reshape(len(mats), m * n * field.r)
+        self._reduced, pivots = rref_mod_p(self._vectors, field.p)
+        if len(pivots) != len(mats):
             raise ValueError("bimodule basis matrices are F_p-dependent")
-
-    def _fp_rank(self, vectors):
-        return len(rref_mod_p(vectors, self.field.p)[1])
 
     @property
     def fp_dim(self) -> int:
@@ -60,46 +61,31 @@ class BimoduleBasis:
     def module_order(self) -> int:
         return self.field.p ** self.fp_dim
 
-    def contains(self, mat) -> bool:
-        vector = self.field.digits(np.array(mat, dtype=np.int64)).reshape(
-            1, self._vectors.shape[1])
-        vectors = np.vstack([self._vectors, vector])
-        return self._fp_rank(vectors) == self.fp_dim
+    def contains(self, mats) -> np.ndarray:
+        """Mask, over the leading axes, of the m x n index matrices of
+        `mats` that lie in the module: their F_p coordinates against the
+        reduced basis (`in_reduced_row_space` over F_p)."""
+        field, lead = self.field, np.shape(mats)[:-2]
+        coords = field.digits(mats).reshape(math.prod(lead),
+                                            self._vectors.shape[1])
+        return in_reduced_row_space(coords, self._reduced,
+                                    build_field(field.p)).reshape(lead)
 
-    def elements(self):
-        """All p^dim matrices of the module, zero first, deterministic order."""
+    def elements(self) -> np.ndarray:
+        """All p^dim matrices of the module as a (p^dim, m, n) index array,
+        zero first, in `itertools.product` order of the coefficients: one
+        product of the coefficient rows with the basis coordinates."""
         field = self.field
-        zero = tuple(tuple(0 for _ in range(self.n)) for _ in range(self.m))
-        for combo in itertools.product(range(field.p), repeat=self.fp_dim):
-            acc = zero
-            for c, mat in zip(combo, self.mats):
-                if c:
-                    acc = mat_add(field, acc, mat_scale(field, mat, c))
-            yield acc
+        coeffs = np.indices((field.p,) * self.fp_dim) \
+            .reshape(self.fp_dim, field.p ** self.fp_dim).T
+        digits = coeffs @ self._vectors % field.p
+        return field.indices(digits.reshape(len(coeffs), self.m, self.n, field.r))
 
     def __len__(self):
         return self.fp_dim
 
     def __repr__(self):
         return f"BimoduleBasis({self.m}x{self.n} over GF({self.field.q}), dim {self.fp_dim})"
-
-
-def _block_matrix(field, m, n, g1, phi, g2):
-    size = m + n
-    M = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            M[i][j] = g1[i][j]
-        for j in range(n):
-            M[i][m + j] = phi[i][j]
-    for i in range(n):
-        for j in range(n):
-            M[m + i][m + j] = g2[i][j]
-    return tuple(map(tuple, M))
-
-
-def _zero_phi(m, n):
-    return tuple(tuple(0 for _ in range(n)) for _ in range(m))
 
 
 class GluingGroup:
@@ -121,22 +107,18 @@ class GluingGroup:
         self.n = M.n
         self.transform = transform
         self.form = form
-        em = _zero_phi(self.m, self.n)
-        id1 = tuple(tuple(1 if i == j else 0 for j in range(self.m))
-                    for i in range(self.m))
-        id2 = tuple(tuple(1 if i == j else 0 for j in range(self.n))
-                    for i in range(self.n))
+        zero = np.zeros((self.m, self.n), dtype=np.int64)
+        id1, id2 = np.eye(self.m, dtype=np.int64), np.eye(self.n, dtype=np.int64)
+        gens1 = _element_rows(G1.generators, self.m)
         diagonal = flavor == "diagonal"
         if diagonal:
-            blocks = [(g.matrix, em, g.matrix) for g in G1.generators]
+            parts = [(gens1, zero, gens1)]
         else:
-            blocks = [(g.matrix, em, id2) for g in G1.generators] + \
-                [(id1, em, g.matrix) for g in G2.generators]
-        blocks += [(id1, phi, id2) for phi in M.mats]
-        gens = [GroupElement(self.field,
-                             _block_matrix(self.field, self.m, self.n, *block),
-                             check=False)
-                for block in blocks]
+            parts = [(gens1, zero, id2),
+                     (id1, zero, _element_rows(G2.generators, self.n))]
+        parts.append((id1, M.mats, id2))
+        gens = _row_elements(self.field, self.m + self.n, np.concatenate(
+            [self.blocks(*part) for part in parts]))
         order = None
         try:
             order = G1.order() * M.module_order() * \
@@ -154,31 +136,27 @@ class GluingGroup:
         scalar oracle of the batched triple law in the tests."""
         m1 = g1.matrix if isinstance(g1, GroupElement) else g1
         m2 = g2.matrix if isinstance(g2, GroupElement) else g2
-        return GroupElement(self.field,
-                            _block_matrix(self.field, self.m, self.n, m1, phi, m2),
-                            check=False)
+        return _element(self.field, self.blocks(m1, phi, m2))
 
     def blocks(self, g1_rows, phis, g2_rows) -> np.ndarray:
-        """The (N, m+n, m+n) index arrays of N triples given as index
-        arrays: the batched `triple`."""
+        """The (..., m+n, m+n) index arrays [[g1, phi], [0, g2]] of triples
+        given as index arrays, broadcast over their leading axes (a single
+        matrix stands for every triple): the batched `triple`."""
         m, n = self.m, self.n
-        out = np.zeros((len(phis), m + n, m + n), dtype=np.int64)
-        out[:, :m, :m] = g1_rows
-        out[:, :m, m:] = phis
-        out[:, m:, m:] = g2_rows
+        lead = np.broadcast_shapes(*(np.shape(x)[:-2]
+                                     for x in (g1_rows, phis, g2_rows)))
+        out = np.zeros(lead + (m + n, m + n), dtype=np.int64)
+        out[..., :m, :m] = g1_rows
+        out[..., :m, m:] = phis
+        out[..., m:, m:] = g2_rows
         return out
 
     def m_subgroup(self) -> MatrixGroup:
         """The normal subgroup of blocks [[I, phi], [0, I]], fully enumerated."""
         field = self.field
-        id1 = tuple(tuple(1 if i == j else 0 for j in range(self.m))
-                    for i in range(self.m))
-        id2 = tuple(tuple(1 if i == j else 0 for j in range(self.n))
-                    for i in range(self.n))
-        gens = [GroupElement(field,
-                             _block_matrix(field, self.m, self.n, id1, phi, id2),
-                             check=False)
-                for phi in self.M.mats]
+        gens = _row_elements(field, self.m + self.n, self.blocks(
+            np.eye(self.m, dtype=np.int64), self.M.mats,
+            np.eye(self.n, dtype=np.int64)))
         return MatrixGroup(field, self.m + self.n, gens, name="M-block",
                            claimed_order=self.M.module_order()).enumerate()
 
@@ -200,7 +178,8 @@ def semidirect_mul(gluing: GluingGroup, t1, t2):
     The `semidirect_law` check forms this product batched, in the field's
     digit arithmetic (`groups._digit_matmul`); this scalar form stays as a
     benchmark tracer target and as the oracle of that batched check in the
-    tests."""
+    tests.  The middle entry is one product: [g1 | phi] times phi' stacked
+    on g2'."""
     field = gluing.field
     g1, phi, g2 = t1
     h1, psi, h2 = t2
@@ -210,28 +189,38 @@ def semidirect_mul(gluing: GluingGroup, t1, t2):
     n2 = h2.matrix if isinstance(h2, GroupElement) else h2
     if len(m1) != len(n1) or len(m2) != len(n2):
         raise ValueError("triple shapes do not match")
-    new_phi = mat_add(field, mat_mul(field, m1, psi), mat_mul(field, phi, n2))
+    new_phi = mat_mul(field, [tuple(a) + tuple(b) for a, b in zip(m1, phi)],
+                      tuple(psi) + tuple(n2))
     return (GroupElement(field, mat_mul(field, m1, n1), check=False),
             new_phi,
             GroupElement(field, mat_mul(field, m2, n2), check=False))
 
 
+def _first_outside(M, moved):
+    """(generator, basis index) of the first matrix of the (generators,
+    basis, m, n) array `moved` outside the module M, or None."""
+    inside = M.contains(moved)
+    if inside.all():
+        return None
+    return tuple(np.argwhere(~inside)[0].tolist())
+
+
 def _validate_closure(G1, G2, M):
-    field = M.field
-    for gi, g in enumerate(G1.generators):
-        for bi, phi in enumerate(M.mats):
-            moved = mat_mul(field, g.matrix, phi)
-            if not M.contains(moved):
-                raise BimoduleClosureError(
-                    f"left action violates closure: generator #{gi} of "
-                    f"{G1.name or 'G1'} times basis matrix #{bi}")
-    for gi, g in enumerate(G2.generators):
-        for bi, phi in enumerate(M.mats):
-            moved = mat_mul(field, phi, g.matrix)
-            if not M.contains(moved):
-                raise BimoduleClosureError(
-                    f"right action violates closure: basis matrix #{bi} "
-                    f"times generator #{gi} of {G2.name or 'G2'}")
+    """Every g.phi and phi.g of a generator and a basis matrix lies in M; the
+    products of each side are formed together (`index_matmul`)."""
+    field, basis = M.field, M.mats[None]
+    bad = _first_outside(M, index_matmul(
+        field, _element_rows(G1.generators, M.m)[:, None], basis))
+    if bad:
+        raise BimoduleClosureError(
+            f"left action violates closure: generator #{bad[0]} of "
+            f"{G1.name or 'G1'} times basis matrix #{bad[1]}")
+    bad = _first_outside(M, index_matmul(
+        field, basis, _element_rows(G2.generators, M.n)[:, None]))
+    if bad:
+        raise BimoduleClosureError(
+            f"right action violates closure: basis matrix #{bad[1]} "
+            f"times generator #{bad[0]} of {G2.name or 'G2'}")
 
 
 def glue(G1: MatrixGroup, G2: MatrixGroup, M: BimoduleBasis,
@@ -361,16 +350,16 @@ def thin_glue_regular(p: int, r: int, field: FieldSpec) -> GluingGroup:
 def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
     """Subgroup of pairs (g, g) glued through M; requires M closed under
     conjugation g.phi.g^(-1)."""
-    field = G.field
     if M.m != G.n or M.n != G.n:
         raise ValueError("diagonal gluing needs a square module of matching size")
-    for gi, g in enumerate(G.generators):
-        inv = g.inverse()
-        for bi, phi in enumerate(M.mats):
-            moved = mat_mul(field, mat_mul(field, g.matrix, phi), inv.matrix)
-            if not M.contains(moved):
-                raise BimoduleClosureError(
-                    f"conjugation closure fails: generator #{gi}, basis #{bi}")
+    gens = _element_rows(G.generators, G.n)
+    inverses = _element_rows([g.inverse() for g in G.generators], G.n)
+    moved = index_matmul(G.field, index_matmul(G.field, gens[:, None],
+                                               M.mats[None]), inverses[:, None])
+    bad = _first_outside(M, moved)
+    if bad:
+        raise BimoduleClosureError(
+            f"conjugation closure fails: generator #{bad[0]}, basis #{bad[1]}")
     return GluingGroup(G, G, M, flavor="diagonal", name=f"diag({G.name})x_M")
 
 
@@ -392,8 +381,6 @@ def _symplectic_basis_transform(field, gram):
     from modinvar.groups import symplectic_j
     n = len(gram)
     m = n // 2
-    remaining = []
-    basis = [None] * n
 
     def pair_value(u, v):
         s = 0
@@ -438,11 +425,15 @@ def _symplectic_basis_transform(field, gram):
         cols[i] = e
         cols[n - 1 - i] = f
     P = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    J = symplectic_j(m, field)
-    check = mat_mul(field, mat_mul(field, mat_transpose(P), gram), P)
-    if check != J:
+    if (_congruent(field, P, gram) != symplectic_j(m, field)).any():
         raise AssertionError("symplectic basis transform failed")
     return P
+
+
+def _congruent(field, P, gram):
+    """P^T gram P as an index array (`index_matmul`)."""
+    P = np.array(P, dtype=np.int64).reshape(len(P), len(P))
+    return index_matmul(field, index_matmul(field, P.T, np.array(gram)), P)
 
 
 def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
@@ -465,10 +456,10 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         raise ValueError("form is nondegenerate; use the classical group directly")
     basis_cols = _extend_to_basis(field, radical, dim)
     P = tuple(tuple(basis_cols[j][i] for j in range(dim)) for i in range(dim))
-    gram_new = mat_mul(field, mat_mul(field, mat_transpose(P), gram), P)
-    for i in range(m):
-        if any(gram_new[i]) or any(row[i] for row in gram_new):
-            raise AssertionError("radical block not cleared by basis change")
+    moved = _congruent(field, P, gram)
+    if moved[:m].any() or moved[:, :m].any():
+        raise AssertionError("radical block not cleared by basis change")
+    gram_new = tuple(map(tuple, moved.tolist()))
     G1 = gl_group(m, field)
     if n == 0:
         M = zero_module(m, 0, field)
@@ -476,16 +467,13 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         gluing = GluingGroup(G1, G2, M, flavor="singular")
         gluing.transform = P
         return gluing
-    quotient_gram = tuple(tuple(gram_new[m + i][m + j] for j in range(n))
-                          for i in range(n))
+    quotient_gram = tuple(map(tuple, moved[m:, m:].tolist()))
     if form.kind == "alternating":
         T = _symplectic_basis_transform(field, quotient_gram)
         Tinv = GroupElement(field, T, check=True).inverse().matrix
-        gens = []
-        for g in sp_group(n // 2, field).generators:
-            gens.append(GroupElement(field,
-                                     mat_mul(field, mat_mul(field, T, g.matrix), Tinv),
-                                     check=False))
+        gens = _row_elements(field, n, index_matmul(
+            field, index_matmul(field, T, _element_rows(
+                sp_group(n // 2, field).generators, n)), Tinv))
         from modinvar.groups import sp_order
         G2 = MatrixGroup(field, n, gens, name=f"Sp{n}(F{field.q})~",
                          claimed_order=sp_order(n // 2, field.q))
@@ -493,8 +481,8 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         # enumerate the full linear group and filter; desk-scale fallback
         quotient_form = FormSpec(form.kind, field, gram=quotient_gram) \
             if form.kind != "quadratic" else _quadratic_on_quotient(form, P, m, n)
-        big = gl_group(n, field).enumerate(cap)
-        elems = [g for g in big.elements if form_preserved(g, quotient_form)]
+        rows = gl_group(n, field).enumerate(cap).rows()
+        elems = _row_elements(field, n, rows[form_preserved(rows, quotient_form)])
         from modinvar.groups import minimal_generators
         G2 = MatrixGroup(field, n, minimal_generators(field, elems),
                          name=f"Isom({form.kind})", elements=elems)
@@ -505,9 +493,9 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         if form.kind != "quadratic" else None
     if new_form is not None:
         gluing.form = new_form
-        for g in gluing.realized.generators:
-            if not form_preserved(g, new_form):
-                raise ClaimRefuted("realized generator does not preserve the form")
+        if not form_preserved([g.matrix for g in gluing.realized.generators],
+                              new_form).all():
+            raise ClaimRefuted("realized generator does not preserve the form")
     return gluing
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
+from modinvar.linalg import rref_field
 from modinvar.mvpoly import Polynomial
 
 DEFAULT_CAP = 10 ** 6
@@ -55,13 +56,15 @@ def field_from_order(q: int) -> FieldSpec:
     return build_field(p, r)
 
 
-# -- raw matrix helpers (entries are field element indices) --
+# -- tuple matrices (entries are field element indices) --
 
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 def mat_mul(field, A, B):
-    n = len(A)
+    """A @ B entry by entry in the field's scalar arithmetic: the oracle of
+    the batched `index_matmul`, called only by `GroupElement.__mul__`,
+    `GroupElement.apply` and `gluing.semidirect_mul`."""
     mul, add = field.mul, field.add
     Bcols = tuple(zip(*B))
     out = []
@@ -78,75 +81,6 @@ def mat_mul(field, A, B):
 
 def mat_transpose(A):
     return tuple(zip(*A))
-
-def mat_neg(field, A):
-    return tuple(tuple(field.neg(a) for a in row) for row in A)
-
-def mat_add(field, A, B):
-    return tuple(tuple(field.add(a, b) for a, b in zip(ra, rb))
-                 for ra, rb in zip(A, B))
-
-def mat_scale(field, A, c):
-    return tuple(tuple(field.mul(a, c) for a in row) for row in A)
-
-def mat_apply(field, A, v):
-    """Matrix times column vector."""
-    mul, add = field.mul, field.add
-    out = []
-    for row in A:
-        s = 0
-        for a, x in zip(row, v):
-            if a and x:
-                s = add(s, mul(a, x))
-        out.append(s)
-    return tuple(out)
-
-def mat_det(field, A):
-    n = len(A)
-    M = [list(row) for row in A]
-    det = 1
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if M[row][col]:
-                pivot = row
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = field.neg(det)
-        det = field.mul(det, M[col][col])
-        inv = field.inv(M[col][col])
-        for row in range(col + 1, n):
-            c = M[row][col]
-            if c:
-                f = field.mul(c, inv)
-                M[row] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(M[row], M[col])]
-    return det
-
-def mat_inv(field, A):
-    n = len(A)
-    M = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if M[row][col]:
-                pivot = row
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = field.inv(M[col][col])
-        M[col] = [field.mul(inv, a) for a in M[col]]
-        for row in range(n):
-            if row != col and M[row][col]:
-                c = M[row][col]
-                M[row] = [field.sub(a, field.mul(c, b))
-                          for a, b in zip(M[row], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
 
 
 def format_matrix(field, A) -> str:
@@ -207,14 +141,30 @@ def _matmul_mod(a, b, p):
 
 
 def _expand(field, rows):
-    """(..., n, n) index arrays -> (..., nr, nr) matrices over F_p."""
+    """(..., n, k) index arrays -> (..., nr, kr) matrices over F_p, in the
+    dtype `_fp_dtype` gives the larger of n and k."""
     r = field.r
+    dtype = _fp_dtype(field, max(rows.shape[-2:]))
     if r == 1:  # the indices are the residues
-        return rows.astype(_fp_dtype(field, rows.shape[-1]))
+        return rows.astype(dtype)
     blocks = field.regular(field.digits(rows))
-    *lead, n, _, _, _ = blocks.shape
-    return blocks.swapaxes(-3, -2).reshape(*lead, n * r, n * r) \
-        .astype(_fp_dtype(field, n))
+    *lead, n, k, _, _ = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, n * r, k * r).astype(dtype)
+
+
+def index_matmul(field, a, b):
+    """a @ b over GF(q) for (..., n, k) and (..., k, l) index arrays,
+    broadcast over the leading axes, as (..., n, l) int64 indices: one
+    matmul mod p of the expansions over F_p (`_expand`), of b only column 0
+    of each r x r block, which holds the digits of the product's entry
+    (`FieldSpec.indices`).  `mat_mul` is its scalar oracle."""
+    r = field.r
+    a, b = _expand(field, np.asarray(a)), _expand(field, np.asarray(b))[..., ::r]
+    if a.dtype != b.dtype:  # exact Python-int products for both
+        a, b = (x.astype(np.int64).astype(object) for x in (a, b))
+    prod = _matmul_mod(a, b, field.p)
+    *lead, nr, l = prod.shape
+    return field.indices(prod.reshape(*lead, nr // r, r, l), axis=-2)
 
 
 def _digit_matmul(field, a, b):
@@ -344,9 +294,9 @@ def _closure(field, n, generators, cap, name="group"):
     return out
 
 
-def _row_elements(field, n, keys):
-    """GroupElements of n x n keys, converted a chunk at a time."""
-    rows = _rows(field, keys, n, n)
+def _row_elements(field, n, rows):
+    """GroupElements of an (N, n, n) index array, converted a chunk at a
+    time."""
     step = max(1, CHUNK_ENTRIES // max(1, n * n))
     trusted = GroupElement._trusted
     out = []
@@ -394,7 +344,7 @@ class GroupElement:
     def __init__(self, field: FieldSpec, matrix, check: bool = True):
         matrix = tuple(tuple(field.scalar(e).index if isinstance(e, (Scalar, str))
                              else e for e in row) for row in matrix)
-        if check and mat_det(field, matrix) == 0:
+        if check and len(rref_field(matrix, field)[1]) != len(matrix):
             raise ValueError("matrix is singular")
         self.field = field
         self.matrix = matrix
@@ -414,6 +364,8 @@ class GroupElement:
         return len(self.matrix)
 
     def __mul__(self, other):
+        """The product in scalar arithmetic (`mat_mul`): the oracle of the
+        batched products, which go through `index_matmul`."""
         if not isinstance(other, GroupElement):
             return NotImplemented
         if other.field != self.field:
@@ -422,9 +374,16 @@ class GroupElement:
                             check=False)
 
     def inverse(self) -> "GroupElement":
+        """The right half of the reduced row echelon form of [A | I]."""
         if self._inv is None:
-            self._inv = GroupElement(self.field, mat_inv(self.field, self.matrix),
-                                     check=False)
+            n = self.n
+            reduced, pivots = rref_field(
+                np.hstack([np.array(self.matrix, dtype=np.int64).reshape(n, n),
+                           np.eye(n, dtype=np.int64)]), self.field)
+            if pivots != list(range(n)):
+                raise ValueError("matrix is singular")
+            self._inv = GroupElement._trusted(
+                self.field, tuple(map(tuple, reduced[:, n:].tolist())))
         return self._inv
 
     def is_identity(self) -> bool:
@@ -437,14 +396,11 @@ class GroupElement:
         """g.v for a column vector of field indices or scalars.  The test
         oracle of the right action: evaluate(f.act(g), v) must equal
         evaluate(f, g.apply(v)) at every point v."""
-        v = tuple(x.index if isinstance(x, Scalar) else x for x in vector)
-        return mat_apply(self.field, self.matrix, v)
+        column = tuple((x.index if isinstance(x, Scalar) else x,) for x in vector)
+        return tuple(row[0] for row in mat_mul(self.field, self.matrix, column))
 
     def transpose(self) -> "GroupElement":
         return GroupElement(self.field, mat_transpose(self.matrix), check=False)
-
-    def det(self) -> Scalar:
-        return Scalar(self.field, mat_det(self.field, self.matrix))
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
@@ -516,7 +472,7 @@ class MatrixGroup:
     def elements(self):
         """The GroupElements in canonical order, or None before enumeration."""
         if self._elements is None and self.keys is not None:
-            self._elements = _row_elements(self.field, self.n, self.keys)
+            self._elements = _row_elements(self.field, self.n, self.rows())
         return self._elements
 
     def rows(self):
@@ -679,10 +635,6 @@ def unipotent_upper(n: int, field: FieldSpec) -> MatrixGroup:
                        claimed_order=unipotent_order(n, field.q))
 
 
-def anti_identity(k):
-    return tuple(tuple(1 if i + j == k - 1 else 0 for j in range(k)) for i in range(k))
-
-
 def symplectic_j(m: int, field: FieldSpec):
     """The pinned form matrix [[0, Q], [-Q, 0]] on basis e1..em, fm..f1."""
     n = 2 * m
@@ -693,66 +645,65 @@ def symplectic_j(m: int, field: FieldSpec):
     return tuple(map(tuple, J))
 
 
-def is_symplectic(field, matrix, J) -> bool:
-    return mat_mul(field, mat_mul(field, mat_transpose(matrix), J), matrix) == J
+def _neg(field, rows):
+    """-rows for an index array, digit by digit over F_p."""
+    return field.indices(-field.digits(rows) % field.p)
+
+
+def _element(field, rows) -> GroupElement:
+    """The GroupElement of an n x n index array, taken as it is."""
+    return GroupElement._trusted(field, tuple(map(tuple, np.asarray(rows).tolist())))
+
+
+def _element_rows(elements, n):
+    """The (N, n, n) int64 index array of N GroupElements."""
+    return np.array([g.matrix for g in elements], dtype=np.int64) \
+        .reshape(len(elements), n, n)
 
 
 def _check_symplectic(field, gens, m, name):
-    J = symplectic_j(m, field)
-    for g in gens:
-        if not is_symplectic(field, g.matrix, J):
-            raise ClaimRefuted(f"{name}: generator fails A^T J A = J:\n{g!r}")
+    """Raise ClaimRefuted for the first generator A with A^T J A != J; the
+    products of all generators are formed together (`index_matmul`)."""
+    J = np.array(symplectic_j(m, field), dtype=np.int64)
+    A = _element_rows(gens, 2 * m)
+    bad = (index_matmul(field, index_matmul(field, A.transpose(0, 2, 1), J), A)
+           != J).any(axis=(1, 2))
+    if bad.any():
+        raise ClaimRefuted(f"{name}: generator fails A^T J A = J:\n"
+                           f"{gens[int(np.argmax(bad))]!r}")
     return gens
 
 
-def _embed_gl_block(field, A, m, k):
-    """diag(A, I_(2m-2k), Q_k (A^-1)^T Q_k) as a 2m x 2m matrix."""
-    n = 2 * m
-    Q = anti_identity(k)
-    Ainv_t = mat_transpose(mat_inv(field, A))
-    corner = mat_mul(field, mat_mul(field, Q, Ainv_t), Q)
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(k):
-        for j in range(k):
-            M[i][j] = A[i][j]
-            M[n - k + i][n - k + j] = corner[i][j]
-    for i in range(k, n - k):
-        for j in range(k, n - k):
-            M[i][j] = 1 if i == j else 0
-    return GroupElement(field, tuple(map(tuple, M)), check=False)
+# With Q the anti-identity, Q X reverses the rows of X and X Q its columns.
+
+def _embed_gl_block(field, g, m, k):
+    """diag(A, I_(2m-2k), Q_k (A^-1)^T Q_k) as a 2m x 2m matrix, for A the
+    k x k matrix of g: the corner is (A^-1)^T reversed both ways."""
+    M = np.eye(2 * m, dtype=np.int64)
+    M[:k, :k] = g.matrix
+    M[2 * m - k:, 2 * m - k:] = np.array(g.inverse().matrix).T[::-1, ::-1]
+    return _element(field, M)
 
 
 def _embed_sp_block(field, B, m, k):
-    n = 2 * m
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(2 * (m - k)):
-        for j in range(2 * (m - k)):
-            M[k + i][k + j] = B[i][j]
-    return GroupElement(field, tuple(map(tuple, M)), check=False)
+    M = np.eye(2 * m, dtype=np.int64)
+    M[k:2 * m - k, k:2 * m - k] = B
+    return _element(field, M)
 
 
 def _pk_assemble(field, m, k, B1, B2, A):
-    """P_k block matrix with C1, C2 forced by the symplectic relations."""
-    Qk = anti_identity(k)
-    Qmk = anti_identity(m - k)
-    C1 = mat_neg(field, mat_mul(field, mat_mul(field, Qk, mat_transpose(B2)), Qmk)) \
-        if m > k else None
-    C2 = mat_mul(field, mat_mul(field, Qk, mat_transpose(B1)), Qmk) if m > k else None
+    """P_k block matrix with C1 = -Q_k B2^T Q_(m-k) and C2 = Q_k B1^T Q_(m-k),
+    forced by the symplectic relations: transposes reversed both ways."""
     n = 2 * m
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(k):
-        for j in range(k):
-            M[i][n - k + j] = A[i][j]
+    M = np.eye(n, dtype=np.int64)
+    M[:k, n - k:] = A
     if m > k:
-        for i in range(k):
-            for j in range(m - k):
-                M[i][k + j] = C1[i][j]
-                M[i][m + j] = C2[i][j]
-        for i in range(m - k):
-            for j in range(k):
-                M[k + i][n - k + j] = B1[i][j]
-                M[m + i][n - k + j] = B2[i][j]
-    return GroupElement(field, tuple(map(tuple, M)), check=False)
+        B1, B2 = (np.array(B, dtype=np.int64).reshape(m - k, k) for B in (B1, B2))
+        M[:k, k:m] = _neg(field, B2.T[::-1, ::-1])
+        M[:k, m:n - k] = B1.T[::-1, ::-1]
+        M[k:m, n - k:] = B1
+        M[m:n - k, n - k:] = B2
+    return _element(field, M)
 
 
 def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
@@ -764,7 +715,6 @@ def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     q = field.q
-    Qk = anti_identity(k)
     zeroB = ((0,) * k,) * (m - k)
     zk = ((0,) * k,) * k
     basis = [b.index for b in field.fp_basis()]
@@ -779,8 +729,8 @@ def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
         if i <= j:
             S = tuple(tuple(b if {r, c} == {i, j} else 0 for c in range(k))
                       for r in range(k))
-            gens.append(_pk_assemble(field, m, k, zeroB, zeroB,
-                                     mat_mul(field, Qk, S)))
+            # A = Q_k S: the rows of S reversed
+            gens.append(_pk_assemble(field, m, k, zeroB, zeroB, S[::-1]))
     _check_symplectic(field, gens, m, f"P_{k}")
     return MatrixGroup(field, 2 * m, gens, name=f"P{k}(m={m},F{q})",
                        claimed_order=pk_order(m, k, q))
@@ -792,7 +742,7 @@ def sp_group(m: int, field: FieldSpec) -> MatrixGroup:
     q = field.q
     gens = []
     for g in gl_group(m, field).generators:
-        gens.append(_embed_gl_block(field, g.matrix, m, m))
+        gens.append(_embed_gl_block(field, g, m, m))
     gens.extend(p_k_subgroup(m, m, field).generators)
     n = 2 * m
     W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -810,7 +760,7 @@ def usp_group(m: int, field: FieldSpec) -> MatrixGroup:
     """Upper-triangular unipotent symplectic matrices, a Sylow p-subgroup."""
     gens = []
     for g in unipotent_upper(m, field).generators:
-        gens.append(_embed_gl_block(field, g.matrix, m, m))
+        gens.append(_embed_gl_block(field, g, m, m))
     gens.extend(p_k_subgroup(m, m, field).generators)
     _check_symplectic(field, gens, m, f"USp{2*m}")
     return MatrixGroup(field, 2 * m, gens, name=f"USp{2*m}(F{field.q})",
@@ -837,7 +787,7 @@ def parabolic_g_k(m: int, k: int, field: FieldSpec) -> MatrixGroup:
         raise ValueError("need 1 <= k <= m")
     gens = []
     for g in gl_group(k, field).generators:
-        gens.append(_embed_gl_block(field, g.matrix, m, k))
+        gens.append(_embed_gl_block(field, g, m, k))
     if m - k > 0:
         for g in sp_group(m - k, field).generators:
             gens.append(_embed_sp_block(field, g.matrix, m, k))
@@ -881,8 +831,8 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, n = group.field, group.n
-    candidates = _row_elements(
-        field, n, group.keys[_keeps_values(field, group.rows(), f)])
+    rows = group.rows()
+    candidates = _row_elements(field, n, rows[_keeps_values(field, rows, f)])
     fixed = [g for g in candidates if f.act(g) == f]
     gens = minimal_generators(group.field, fixed) if len(fixed) > 1 else []
     return MatrixGroup(group.field, group.n, gens,
@@ -913,23 +863,23 @@ class FormSpec:
                            for e in row) for row in gram)
         self.gram = gram
         self.dim = len(gram)
-        T = mat_transpose(gram)
+        G = np.array(gram, dtype=np.int64).reshape(self.dim, self.dim)
         if kind == "alternating":
-            if T != mat_neg(field, gram) or any(gram[i][i] for i in range(self.dim)):
+            if (G.T != _neg(field, G)).any() or G.diagonal().any():
                 raise ValueError("alternating Gram must be skew with zero diagonal")
         elif kind == "symmetric":
-            if T != gram:
+            if (G.T != G).any():
                 raise ValueError("symmetric Gram must equal its transpose")
         elif kind == "hermitian":
             if field.r % 2:
                 raise ValueError("hermitian forms need a square field order")
-            twist = self._twist(gram)
-            if mat_transpose(twist) != gram:
+            if (self._twist(G).T != G).any():
                 raise ValueError("hermitian Gram must be conjugate-symmetric")
 
-    def _twist(self, A):
+    def _twist(self, rows):
+        """Each entry of an index array raised to the power p^(r/2)."""
         e = self.field.p ** (self.field.r // 2)
-        return tuple(tuple(self.field.pow(a, e) for a in row) for row in A)
+        return np.array([self.field.pow(a, e) for a in range(self.field.q)])[rows]
 
     def polar_gram(self):
         """Gram matrix of the (polarized) bilinear form."""
@@ -951,16 +901,22 @@ class FormSpec:
         return tuple(map(tuple, gram))
 
 
-def form_preserved(g: GroupElement, form: FormSpec) -> bool:
-    field = form.field
-    if g.n != form.dim:
+def form_preserved(rows, form: FormSpec) -> np.ndarray:
+    """Mask of the n x n index matrices A in `rows` that preserve the form:
+    A^T G A = G for its Gram matrix G (A^T twisted entrywise for a hermitian
+    form), with the products of all of them formed together
+    (`index_matmul`); f.A = f for a quadratic form f (`Polynomial.act`)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape[1:] != (form.dim, form.dim):
         raise ValueError("dimension mismatch between element and form")
     if form.kind == "quadratic":
-        return form.quadratic.act(g) == form.quadratic
-    A = g.matrix
-    left = mat_transpose(form._twist(A)) if form.kind == "hermitian" \
-        else mat_transpose(A)
-    return mat_mul(field, mat_mul(field, left, form.gram), A) == form.gram
+        f = form.quadratic
+        return np.array([f.act(A) == f for A in rows.tolist()], dtype=bool)
+    field = form.field
+    gram = np.array(form.gram, dtype=np.int64).reshape(form.dim, form.dim)
+    left = form._twist(rows) if form.kind == "hermitian" else rows
+    return (index_matmul(field, index_matmul(field, left.transpose(0, 2, 1), gram),
+                         rows) == gram).all(axis=(1, 2))
 
 
 def o3_sylow_generators(field: FieldSpec):

@@ -67,6 +67,12 @@ def fp_span(forms, space=None):
     return out
 
 
+def span_basis(forms):
+    """An F_p-basis of the F_q-span of linear forms: each form times each
+    element of the field's F_p-basis (`FieldSpec.fp_basis`), form by form."""
+    return [v.scale(b) for v in forms for b in v.space.field.fp_basis()]
+
+
 def orbit_product(form: Polynomial, u_basis) -> Polynomial:
     """prod over the F_p-span of u_basis of (form + u).
 
@@ -163,14 +169,10 @@ def dickson(n: int, q, i: int) -> Polynomial:
 
 def subspace_product(space: VariableSpace, basis_names, t_form: Polynomial) -> Polynomial:
     """Literal prod over the F_q-span of the named variables of (t_form + v).
-    Independent of the recursion; used as a cross-check oracle."""
-    field = space.field
-    forms = [space.variable(v) for v in basis_names]
-    fq_basis = []
-    for f in forms:
-        for b in field.fp_basis():
-            fq_basis.append(f.scale(b))
-    factors = [t_form + u for u in fp_span(fq_basis)]
+    Independent of the recursion; the cross-check oracle of the third route
+    of the `dickson_routes` identity."""
+    factors = [t_form + u for u in
+               fp_span(span_basis([space.variable(v) for v in basis_names]))]
     return balanced_product(factors, space)
 
 
@@ -260,26 +262,16 @@ def n_k(form: Polynomial, k: int, m: int, q) -> Polynomial:
     2m-k entries of the pinned list x1..xm, ym..y1."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    field = _as_field(q)
-    space = symplectic_space(field, m)
-    basis = []
-    for name in symplectic_l_names(m)[: 2 * m - k]:
-        v = space.variable(name)
-        for b in field.fp_basis():
-            basis.append(v.scale(b))
-    return orbit_product(form, basis)
+    space = symplectic_space(_as_field(q), m)
+    return orbit_product(form, span_basis(
+        [space.variable(name) for name in symplectic_l_names(m)[: 2 * m - k]]))
 
 
 def n_x(i: int, m: int, q) -> Polynomial:
     """N(x_i): product of x_i + v over the F_q-span of x_1..x_(i-1)."""
-    field = _as_field(q)
-    space = symplectic_space(field, m)
-    basis = []
-    for jj in range(1, i):
-        v = space.variable(f"x{jj}")
-        for b in field.fp_basis():
-            basis.append(v.scale(b))
-    return orbit_product(space.variable(f"x{i}"), basis)
+    space = symplectic_space(_as_field(q), m)
+    return orbit_product(space.variable(f"x{i}"), span_basis(
+        [space.variable(f"x{jj}") for jj in range(1, i)]))
 
 
 def partial_dickson(i: int, ell: int, m: int, q) -> Polynomial:
@@ -525,14 +517,9 @@ def parabolic_orbit_norm(space, partition, j: int) -> Polynomial:
     block_of = []
     for bi, s in enumerate(sizes):
         block_of.extend([bi] * s)
-    field = space.field
     myblock = block_of[j - 1]
-    basis = []
-    for kk in range(1, n + 1):
-        if block_of[kk - 1] > myblock:
-            v = space.variable(space.names[kk - 1])
-            for b in field.fp_basis():
-                basis.append(v.scale(b))
+    basis = span_basis([space.variable(space.names[kk]) for kk in range(n)
+                        if block_of[kk] > myblock])
     return orbit_product(space.variable(space.names[j - 1]), basis)
 
 
@@ -650,7 +637,6 @@ def psi_substitute(f: Polynomial, gluing: GluingGroup) -> Polynomial:
 
 def _psi_parabolic(f, gluing):
     space = f.space
-    field = gluing.field
     partition = gluing.partition
     sizes, starts, n = _parabolic_blocks(partition)
     block_of = []
@@ -663,12 +649,8 @@ def _psi_parabolic(f, gluing):
     window = min(block_of[j] for j in used_y)
     # N_(window+1): orbit product over the span of x-variables in blocks
     # window, window+1, ... (the image of (W / F_window)^* in W2*)
-    basis = []
-    for kk in range(n):
-        if block_of[kk] >= window:
-            v = space.variable(f"x{kk + 1}")
-            for b in field.fp_basis():
-                basis.append(v.scale(b))
+    basis = span_basis([space.variable(f"x{kk + 1}") for kk in range(n)
+                        if block_of[kk] >= window])
     sub = {}
     for j in used_y:
         yvar = space.variable(space.names[j])

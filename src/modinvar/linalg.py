@@ -267,28 +267,30 @@ def rref_field(rows, field: FieldSpec):
             [fp_pivots[i] // r for i in keep])
 
 
-def in_reduced_row_space(vector, reduced, field: FieldSpec) -> bool:
-    """Whether a GF(q) index vector lies in the row space of `reduced`, the
-    reduced row echelon form of `rref_field`.  Over F_p the rows t^j R_i of
-    its expansion are reduced too, with pivots c_i r + j (see the module
-    docstring), so the expanded vector is in their span exactly when
-    subtracting, for each pivot, its entry there times that row leaves
-    zero.  Only the rows of the vector's nonzero pivot entries are
-    widened for the sum."""
+def in_reduced_row_space(vectors, reduced, field: FieldSpec) -> np.ndarray:
+    """Mask of the GF(q) index rows `vectors` that lie in the row space of
+    `reduced`, the reduced row echelon form of `rref_field`.  Over F_p the
+    rows t^j R_i of its expansion are reduced too, with pivots c_i r + j
+    (see the module docstring), so the digits of a vector are in their span
+    exactly when subtracting, for each pivot, the vector's digit there times
+    that row leaves zero.  Only the rows at pivots where some vector is
+    nonzero are widened for the sum."""
     p, r = field.p, field.r
-    vector = fp_expand([vector], field)[0].astype(_wide_dtype(p))
+    # row 0 of each expanded block holds the digits of its vector
+    coords = fp_expand(vectors, field)[::r].astype(_wide_dtype(p))
     if len(reduced):
         pivots = np.argmax(np.asarray(reduced) != 0, axis=1)
-        coeffs = vector[(pivots[:, None] * r + np.arange(r)).ravel()]
-        hit = np.flatnonzero(coeffs)
-        rows = fp_expand(reduced, field)[hit].astype(vector.dtype)
-        vector = (vector - coeffs[hit] @ rows) % p
-    return not vector.any()
+        coeffs = coords[:, (pivots[:, None] * r + np.arange(r)).ravel()]
+        hit = np.flatnonzero(coeffs.any(axis=0))
+        rows = fp_expand(reduced, field)[hit].astype(coords.dtype)
+        coords = (coords - coeffs[:, hit] @ rows) % p
+    return ~coords.any(axis=1)
 
 
 def in_row_space(vector, rows, field: FieldSpec) -> bool:
     """Whether vector lies in the GF(q) row space of rows."""
-    return in_reduced_row_space(vector, rref_field(rows, field)[0], field)
+    return bool(in_reduced_row_space([vector], rref_field(rows, field)[0],
+                                     field)[0])
 
 
 def nullspace_field(matrix, field: FieldSpec):

@@ -724,6 +724,8 @@ def monomial_array(n: int, d: int) -> np.ndarray:
 
 
 def monomials_of_degree(space: VariableSpace, d: int):
-    """All exponent tuples of total degree d, grevlex-descending
-    (`monomial_array`)."""
+    """All exponent tuples of total degree d, grevlex-descending: the rows
+    of `monomial_array` as tuples.  No module calls it; it stays as a test
+    oracle, the monomial list that the dense invariant-dimension and
+    transfer routes of the tests run over."""
     return list(map(tuple, monomial_array(space.dim, d).tolist()))

@@ -62,8 +62,7 @@ def test_criterion_2_transfer_image(p):
     space = gluing_space(field, 2, 2)
     tau = dickson_in(space, ["x1", "x2"], 2) ** 2
     image = transfer_image_basis(msub, space, 12, m_split=2)
-    rep = principal_transfer_check(image, tau, group=msub, space=space,
-                                   m_split=2)
+    rep = principal_transfer_check(image, tau)
     # raw transfers, not just reduced basis rows
     rng = random.Random(1234)
     for _ in range(5):

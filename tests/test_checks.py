@@ -133,7 +133,8 @@ LAW_SHAPES = [
 def _law_setting(params):
     gluing = build_gluing(params)
     G1, G2 = gluing.G1.enumerate(), gluing.G2.enumerate()
-    return gluing, G1, list(gluing.M.elements()), G2
+    return gluing, G1, [tuple(map(tuple, phi))
+                        for phi in gluing.M.elements().tolist()], G2
 
 
 def scalar_law_pairs(G1, phis, G2, params, seed):

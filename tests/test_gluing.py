@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from modinvar.gfq import build_field
 from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
-                             _block_matrix, _extend_to_basis, diagonal_glue,
+                             _extend_to_basis, diagonal_glue,
                              full_hom_module, glue,
                              parabolic_module, scalar_line_module,
                              semidirect_mul, singular_form_group,
@@ -137,13 +138,20 @@ def test_m_block_subgroup_is_normal():
             assert conj.matrix in mset
 
 
+def block_matrix(m, n, g1, phi, g2):
+    """The block matrix [[g1, phi], [0, g2]] as a tuple of tuples, entry by
+    entry: the oracle of `GluingGroup.blocks`."""
+    top = [tuple(g1[i]) + tuple(phi[i]) for i in range(m)]
+    return tuple(top + [(0,) * m + tuple(g2[i]) for i in range(n)])
+
+
 def _m_block_keys(M):
     """Sorted keys of the blocks [[I, phi], [0, I]] listed over every phi of
     `M.elements()`, the enumeration the closure replaced."""
     id1 = tuple(tuple(int(i == j) for j in range(M.m)) for i in range(M.m))
     id2 = tuple(tuple(int(i == j) for j in range(M.n)) for i in range(M.n))
-    blocks = [_block_matrix(M.field, M.m, M.n, id1, phi, id2)
-              for phi in M.elements()]
+    blocks = [block_matrix(M.m, M.n, id1, phi, id2)
+              for phi in M.elements().tolist()]
     return np.sort(_keys(np.array(blocks, dtype=_index_dtype(M.field))))
 
 
@@ -164,6 +172,44 @@ M_BLOCK_MODULES = {
 }
 
 
+def scalar_module_elements(M):
+    """The loop `BimoduleBasis.elements` ran: every F_p-combination of the
+    basis in `itertools.product` order, summed entry by entry."""
+    field = M.field
+    for combo in itertools.product(range(field.p), repeat=M.fp_dim):
+        acc = [[0] * M.n for _ in range(M.m)]
+        for c, mat in zip(combo, M.mats.tolist()):
+            acc = [[field.add(a, field.mul(b, c)) for a, b in zip(ra, rb)]
+                   for ra, rb in zip(acc, mat)]
+        yield tuple(map(tuple, acc))
+
+
+@pytest.mark.parametrize("name", M_BLOCK_MODULES)
+def test_module_elements_keep_the_scalar_order(name):
+    M = M_BLOCK_MODULES[name]
+    assert [tuple(map(tuple, e)) for e in M.elements().tolist()] == \
+        list(scalar_module_elements(M))
+
+
+@pytest.mark.parametrize("name", M_BLOCK_MODULES)
+def test_module_membership_matches_the_rank_test(name):
+    """The batched mask of `contains` against one F_p rank per matrix, on
+    module elements and random matrices."""
+    M = M_BLOCK_MODULES[name]
+    field = M.field
+    rng = random.Random(len(name))
+    elements = M.elements()
+    mats = np.concatenate([
+        elements[[rng.randrange(len(elements)) for _ in range(10)]],
+        np.array([rng.randrange(field.q) for _ in range(20 * M.m * M.n)])
+        .reshape(20, M.m, M.n)])
+    basis = field.digits(M.mats).reshape(M.fp_dim, -1)
+    expected = [len(rref_mod_p(np.vstack([basis, field.digits(mat).reshape(
+        1, -1)]), field.p)[1]) == M.fp_dim for mat in mats]
+    assert M.contains(mats).tolist() == expected
+    assert M.contains(mats[:10]).all()
+
+
 @pytest.mark.parametrize("name", M_BLOCK_MODULES)
 def test_m_subgroup_closure_matches_module_elements(name):
     M = M_BLOCK_MODULES[name]
@@ -173,6 +219,27 @@ def test_m_subgroup_closure_matches_module_elements(name):
     assert len(oracle) == M.module_order()
     assert msub.keys.dtype == oracle.dtype
     assert msub.keys.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("flavor", ["generic", "diagonal"])
+def test_realized_generators_are_the_block_matrices(flavor):
+    """Factor generators beside identities, then the module basis beside
+    identities, in that order; a diagonal gluing pairs each generator of G
+    with itself.  `triple` builds the same blocks."""
+    G = gl_group(2, F3)
+    M = scalar_line_module(2, F3)
+    gluing = GluingGroup(G, G, M, flavor=flavor)
+    eye, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    if flavor == "diagonal":
+        blocks = [(g.matrix, zero, g.matrix) for g in G.generators]
+    else:
+        blocks = [(g.matrix, zero, eye) for g in G.generators] + \
+            [(eye, zero, g.matrix) for g in G.generators]
+    blocks += [(eye, phi, eye) for phi in M.mats.tolist()]
+    assert [g.matrix for g in gluing.realized.generators] == \
+        [block_matrix(2, 2, *block) for block in blocks]
+    assert [gluing.triple(*block).matrix for block in blocks] == \
+        [block_matrix(2, 2, *block) for block in blocks]
 
 
 def test_semidirect_mul_matches_block_product_exhaustive():
@@ -224,8 +291,16 @@ def test_closure_violation_reported():
     # G1 = GL_2(F_3) does not stabilize the single-matrix span {E_11}
     G1 = gl_group(2, F3)
     M = BimoduleBasis(F3, 2, 2, [((1, 0), (0, 0))])
-    with pytest.raises(BimoduleClosureError):
+    with pytest.raises(BimoduleClosureError, match="left action violates "
+                       r"closure: generator #1 of GL2\(F3\) times basis "
+                       "matrix #0$"):
         glue(G1, trivial_group(F3, 2), M)
+    # E_22 g stays in the span, E_11 g leaves it for the first generator
+    M = BimoduleBasis(F3, 2, 2, [((0, 0), (0, 1)), ((1, 0), (0, 0))])
+    with pytest.raises(BimoduleClosureError, match="right action violates "
+                       "closure: basis matrix #1 times generator #0 of "
+                       r"GL2\(F3\)$"):
+        glue(trivial_group(F3, 2), G1, M)
 
 
 def test_dimension_mismatch():
@@ -304,6 +379,13 @@ def test_diagonal_closure_violation():
     M = BimoduleBasis(field, 2, 2, [((0, 0), (1, 0))])
     with pytest.raises(BimoduleClosureError):
         diagonal_glue(G, M)
+    # the scalar generator fixes E_11 under conjugation, the transvection
+    # does not
+    G = MatrixGroup(field, 2, [GroupElement(field, ((2, 0), (0, 1))), g])
+    M = BimoduleBasis(field, 2, 2, [((1, 0), (0, 0)), ((0, 0), (1, 0))])
+    with pytest.raises(BimoduleClosureError, match="conjugation closure "
+                       "fails: generator #1, basis #0$"):
+        diagonal_glue(G, M)
 
 
 def _alternating_rank2_dim3(field):
@@ -321,8 +403,7 @@ def test_singular_alternating_f2():
     assert R.order() == 1 * 4 * 6  # |GL_1| * |M| * |Sp_2(F_2)|
     assert gluing.form is not None
     from modinvar.groups import form_preserved
-    for g in R.elements:
-        assert form_preserved(g, gluing.form)
+    assert form_preserved(R.rows(), gluing.form).all()
 
 
 def test_singular_alternating_f3():
@@ -331,8 +412,7 @@ def test_singular_alternating_f3():
     R = gluing.enumerate()
     assert R.order() == 2 * 9 * 24
     from modinvar.groups import form_preserved
-    for g in R.generators:
-        assert form_preserved(g, gluing.form)
+    assert form_preserved([g.matrix for g in R.generators], gluing.form).all()
 
 
 def greedy_extension(field, vectors, dim):
@@ -392,5 +472,4 @@ def test_singular_symmetric_odd_char():
     o2 = len(gluing.G2.elements)
     assert R.order() == 2 * 9 * o2
     from modinvar.groups import form_preserved
-    for g in R.generators:
-        assert form_preserved(g, gluing.form)
+    assert form_preserved([g.matrix for g in R.generators], gluing.form).all()

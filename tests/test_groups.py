@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              _digit_matmul, _index_dtype, _key_codec,
                              _keys, _pk_assemble, _working_field,
-                             MatrixGroup, NotEnumeratedError, anti_identity,
+                             MatrixGroup, NotEnumeratedError,
                              element_orders,
                              field_from_order, form_preserved, gk_order,
-                             gl_group, gl_order,
-                             is_symplectic, mat_add, mat_det, mat_mul, mat_neg,
-                             mat_scale, mat_transpose,
+                             gl_group, gl_order, identity_matrix,
+                             index_matmul, mat_mul, mat_transpose,
                              minimal_generators, o3_sylow_generators,
                              o4_plus_sylow_generators, p_k_subgroup,
                              parabolic_g_k, parabolic_gl_order, parse_matrix,
@@ -24,6 +24,53 @@ from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              unipotent_order, unipotent_upper, usp_group,
                              usp_order, format_matrix)
 from modinvar.mvpoly import VariableSpace, parse_polynomial, symplectic_space
+
+
+# -- scalar matrix helpers, the oracles of the batched kernel --
+
+def anti_identity(k):
+    return tuple(tuple(1 if i + j == k - 1 else 0 for j in range(k))
+                 for i in range(k))
+
+
+def mat_add(field, A, B):
+    return tuple(tuple(field.add(a, b) for a, b in zip(ra, rb))
+                 for ra, rb in zip(A, B))
+
+
+def mat_neg(field, A):
+    return tuple(tuple(field.neg(a) for a in row) for row in A)
+
+
+def mat_scale(field, A, c):
+    return tuple(tuple(field.mul(a, c) for a in row) for row in A)
+
+
+def is_symplectic(field, matrix, J):
+    return mat_mul(field, mat_mul(field, mat_transpose(matrix), J), matrix) == J
+
+
+def mat_det(field, A):
+    """The determinant by Gaussian elimination in scalar arithmetic."""
+    n = len(A)
+    M = [list(row) for row in A]
+    det = 1
+    for col in range(n):
+        pivot = next((row for row in range(col, n) if M[row][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = field.neg(det)
+        det = field.mul(det, M[col][col])
+        inv = field.inv(M[col][col])
+        for row in range(col + 1, n):
+            if M[row][col]:
+                f = field.mul(M[row][col], inv)
+                M[row] = [field.sub(a, field.mul(f, b))
+                          for a, b in zip(M[row], M[col])]
+    return det
+
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -291,20 +338,16 @@ def test_form_preserved_identity_and_o3():
     space = VariableSpace(F3, ["x1", "x2", "x3"])
     delta = parse_polynomial(space, "x2^2 - x1*x3")
     form = FormSpec("quadratic", F3, quadratic=delta)
-    ident = GroupElement(F3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert form_preserved(ident, form)
+    assert form_preserved([identity_matrix(3)], form).tolist() == [True]
     for q in (3, 5):
         field = build_field(q)
         spc = VariableSpace(field, ["x1", "x2", "x3"])
         d = parse_polynomial(spc, "x2^2 - x1*x3")
         fm = FormSpec("quadratic", field, quadratic=d)
-        for c in range(field.q):
-            two_c = field.mul(2, c)
-            g = GroupElement(field, ((1, two_c, field.mul(c, c)),
-                                     (0, 1, c), (0, 0, 1)))
-            assert form_preserved(g, fm)
-        for g in o3_sylow_generators(field):
-            assert form_preserved(g, fm)
+        mats = [((1, field.mul(2, c), field.mul(c, c)), (0, 1, c), (0, 0, 1))
+                for c in range(field.q)]
+        mats += [g.matrix for g in o3_sylow_generators(field)]
+        assert form_preserved(mats, fm).all()
 
 
 def test_form_preserved_o4_plus():
@@ -313,26 +356,48 @@ def test_form_preserved_o4_plus():
         spc = VariableSpace(field, ["x1", "x2", "x3", "x4"])
         u = parse_polynomial(spc, "x2*x3 - x1*x4")
         fm = FormSpec("quadratic", field, quadratic=u)
-        for c1 in range(q):
-            for c2 in range(q):
-                g = GroupElement(field, ((1, c1, c2, field.mul(c1, c2)),
-                                         (0, 1, 0, c2),
-                                         (0, 0, 1, c1),
-                                         (0, 0, 0, 1)))
-                assert form_preserved(g, fm)
-        for g in o4_plus_sylow_generators(field):
-            assert form_preserved(g, fm)
+        mats = [((1, c1, c2, field.mul(c1, c2)), (0, 1, 0, c2), (0, 0, 1, c1),
+                 (0, 0, 0, 1)) for c1 in range(q) for c2 in range(q)]
+        mats += [g.matrix for g in o4_plus_sylow_generators(field)]
+        assert form_preserved(mats, fm).all()
 
 
 def test_form_preserved_alternating():
     J = symplectic_j(1, F3)
     form = FormSpec("alternating", F3, gram=J)
-    for g in sp_group(1, F3).generators:
-        assert form_preserved(g, form)
-    bad = GroupElement(F3, ((1, 1), (0, 1)))
-    assert form_preserved(bad, form)  # transvections are symplectic in dim 2
-    scal = GroupElement(F3, ((2, 0), (0, 1)))
-    assert not form_preserved(scal, form)
+    assert form_preserved([g.matrix for g in sp_group(1, F3).generators],
+                          form).all()
+    # transvections are symplectic in dim 2, a non-unit scalar block is not
+    assert form_preserved([((1, 1), (0, 1)), ((2, 0), (0, 1))],
+                          form).tolist() == [True, False]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        form_preserved([identity_matrix(3)], form)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("alternating", F3, ((0, 1), (2, 0))),
+                        ("symmetric", build_field(5), ((1, 2), (2, 0))),
+                        ("hermitian", F4, ((0, 1), (1, 0))),
+                        ("hermitian", F4, ((1, 0), (0, 1))),
+                        ("alternating", build_field(3, 2),
+                         ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 5),
+                          (0, 0, 7, 0)))]),
+       st.randoms(use_true_random=False))
+def test_form_preserved_matches_scalar_products(case, rnd):
+    """The batched mask against A^T G A = G in scalar arithmetic, on the
+    generators of the isometry group and random matrices."""
+    kind, field, gram = case
+    form = FormSpec(kind, field, gram=gram)
+    n = len(gram)
+    mats = [tuple(tuple(rnd.randrange(field.q) for _ in range(n))
+                  for _ in range(n)) for _ in range(12)]
+    if kind == "alternating":
+        mats += [g.matrix for g in sp_group(n // 2, field).generators]
+    twist = field.p ** (field.r // 2) if kind == "hermitian" else 1
+    expected = [mat_mul(field, mat_mul(field, mat_transpose(
+        tuple(tuple(field.pow(a, twist) for a in row) for row in A)), gram),
+        A) == gram for A in mats]
+    assert form_preserved(mats, form).tolist() == expected
 
 
 def test_form_spec_validation():
@@ -688,22 +753,95 @@ def test_stabilizer_prefilter_matches_exact_loop(case):
         [g.matrix for g in G.elements if f.act(g) == f]
 
 
-# -- the digit-polynomial product against the scalar table arithmetic --
+# -- the digit-polynomial and batched products against the scalar table
+# arithmetic --
 
-@settings(max_examples=60, deadline=None)
+def _mat_mul_reference(field, a, b, k):
+    """mat_mul, with the i x k zero matrix when the inner dimension is 0
+    (mat_mul reads the columns off b, which has no rows then)."""
+    return mat_mul(field, a, b) if b else ((0,) * k,) * len(a)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2),
                         (257, 1), (3, 6)]),
-       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from([(3,), (2, 2), (1, 3)]),
        st.randoms(use_true_random=False))
-def test_digit_matmul_matches_mat_mul(pr, i, j, k, rnd):
+def test_digit_matmul_matches_mat_mul(pr, i, j, k, lead, rnd):
+    """Three routes to the products of random index matrices: `mat_mul`, the
+    digit polynomials of `_digit_matmul` and `index_matmul`, the latter on
+    batch shapes, broadcast against a single right factor and with empty
+    dimensions."""
     field = build_field(*pr)
-    A = [tuple(tuple(rnd.randrange(field.q) for _ in range(j))
-               for _ in range(i)) for _ in range(3)]
-    B = [tuple(tuple(rnd.randrange(field.q) for _ in range(k))
-               for _ in range(j)) for _ in range(3)]
-    digits = [field.digits(np.array(X, dtype=np.int64).reshape(3, *shape))
-              for X, shape in ((A, (i, j)), (B, (j, k)))]
+    count = int(np.prod(lead))
+    A = np.array([rnd.randrange(field.q) for _ in range(count * i * j)],
+                 dtype=np.int64).reshape(*lead, i, j)
+    B = np.array([rnd.randrange(field.q) for _ in range(count * j * k)],
+                 dtype=np.int64).reshape(*lead, j, k)
+    pairs = zip(A.reshape(count, i, j).tolist(), B.reshape(count, j, k).tolist())
+    expected = [_mat_mul_reference(field, a, b, k) for a, b in pairs]
+    batched = index_matmul(field, A, B)
+    assert batched.shape == (*lead, i, k)
+    assert [tuple(map(tuple, c)) for c in batched.reshape(count, i, k).tolist()] \
+        == expected
+    single = B.reshape(count, j, k)[0]
+    broadcast = index_matmul(field, A, single).reshape(count, i, k).tolist()
+    assert [tuple(map(tuple, c)) for c in broadcast] == [
+        _mat_mul_reference(field, a, single.tolist(), k)
+        for a in A.reshape(count, i, j).tolist()]
+    digits = [field.digits(X.reshape(count, *X.shape[-2:])) for X in (A, B)]
     prod = _digit_matmul(field, *digits) @ field.p ** np.arange(field.r)
-    assert prod.shape == (3, i, k)
-    for a, b, c in zip(A, B, prod.tolist()):
-        assert tuple(map(tuple, c)) == mat_mul(field, a, b)
+    assert prod.shape == (count, i, k)
+    assert [tuple(map(tuple, c)) for c in prod.tolist()] == expected
+
+
+def test_index_matmul_of_large_residues_is_exact():
+    """Over GF(2^31 - 1) the F_p products are Python ints.  Over
+    GF(2^26 - 5) a 1 x 1 factor expands to float64 and a 1 x 3 one to
+    Python ints; the product is taken in Python ints."""
+    for p, shapes in ((2 ** 31 - 1, ((2, 2), (2, 2))),
+                      (2 ** 26 - 5, ((1, 1), (1, 3)))):
+        field = build_field(p)
+        a, b = (np.arange(p - math.prod(s), p, dtype=np.int64).reshape(s)
+                for s in shapes)
+        product = index_matmul(field, a, b)
+        assert product.tolist() == \
+            list(map(list, mat_mul(field, a.tolist(), b.tolist())))
+        assert all(type(x) is int for x in product.ravel().tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+def test_inverse_matches_mat_mul(case):
+    """A A^-1 = A^-1 A = I in scalar arithmetic, for the right half of the
+    reduced [A | I]."""
+    field, n, gens = case
+    for m in gens:
+        inv = GroupElement(field, m).inverse().matrix
+        assert mat_mul(field, m, inv) == identity_matrix(n)
+        assert mat_mul(field, inv, m) == identity_matrix(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIFF_FIELDS[:4] + DIFF_FIELDS[5:8]),
+       st.integers(0, 4), st.randoms(use_true_random=False))
+def test_singular_matrices_are_refused(field, n, rnd):
+    """The rank test of `GroupElement` against the scalar determinant, on
+    random matrices and on ones with a repeated row."""
+    m = [[rnd.randrange(field.q) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rnd.random() < 0.5:
+        m[-1] = list(m[0])
+    m = tuple(map(tuple, m))
+    if mat_det(field, m) == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            GroupElement(field, m)
+        with pytest.raises(ValueError, match="matrix is singular"):
+            GroupElement(field, m, check=False).inverse()
+    else:
+        assert mat_mul(field, m, GroupElement(field, m).inverse().matrix) \
+            == identity_matrix(n)
+
+
+def test_inverse_of_the_empty_matrix():
+    assert GroupElement(F3, ()).inverse().matrix == ()

@@ -239,3 +239,60 @@ def test_src_does_not_call_np_unique():
              for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
              for line in numpy_unique_uses(path)]
     assert not found, "np.unique in src:\n" + "\n".join(found)
+
+
+# The scalar matrix products that stay, each the oracle of a batched route
+# through `groups.index_matmul` and named so in its docstring.
+SCALAR_ORACLES = {"GroupElement.__mul__", "GroupElement.apply",
+                  "semidirect_mul"}
+
+# Scalar matrix helpers and Gaussian eliminations that the batched kernel,
+# `GluingGroup.blocks` and `linalg.rref_mod_p` replaced.
+REPLACED = {"mat_neg", "mat_add", "mat_scale", "mat_apply", "mat_det",
+            "mat_inv", "det", "is_symplectic", "_block_matrix", "_zero_phi"}
+
+
+def functions_calling(path, callee):
+    """(line, enclosing function as Class.name or name) of each call of
+    `callee` by name in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = f"{owner}.{node.name}" if owner else node.name
+            owner = None
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == callee:
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    visit(tree, None, None)
+    return found
+
+
+def defined_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_mat_mul_is_called_only_by_the_scalar_oracles():
+    callers = {function
+               for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+               for _, function in functions_calling(path, "mat_mul")}
+    assert callers == SCALAR_ORACLES
+
+
+def test_rref_mod_p_is_the_only_dense_elimination():
+    """`groups` defines no determinant or inverse loop of its own, and no
+    module keeps a replaced scalar helper."""
+    groups = defined_functions(ROOT / "src" / "modinvar" / "groups.py")
+    assert not groups & {"mat_det", "mat_inv", "det"}
+    found = {f"{path.name}: {name}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for name in defined_functions(path) & REPLACED}
+    assert not found, "replaced scalar helpers in src:\n" + "\n".join(found)

@@ -143,7 +143,30 @@ def test_in_row_space_matches_the_rank_test(case, data):
     assert in_row_space(vector, rows, field) == expected
     if rows:
         reduced = rref_field(rows, field)[0]
-        assert in_reduced_row_space(vector, reduced, field) == expected
+        assert in_reduced_row_space([vector], reduced, field).tolist() == \
+            [expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_matrices(), st.data())
+def test_in_reduced_row_space_mask_matches_each_row(case, data):
+    """The batched membership mask against `in_row_space` row by row, on
+    vectors drawn at random and as combinations of the rows."""
+    field, width, rows = case
+    entry = st.integers(min_value=0, max_value=field.q - 1)
+    vectors = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        vector = data.draw(st.lists(entry, min_size=width, max_size=width))
+        if rows and data.draw(st.booleans()):
+            vector = [0] * width
+            for row in rows:
+                c = data.draw(entry)
+                vector = [field.add(v, field.mul(c, a))
+                          for v, a in zip(vector, row)]
+        vectors.append(vector)
+    mask = in_reduced_row_space(np.array(vectors).reshape(len(vectors), width),
+                                rref_field(rows, field)[0], field)
+    assert mask.tolist() == [in_row_space(v, rows, field) for v in vectors]
 
 
 def test_in_row_space_over_a_prime_field():
