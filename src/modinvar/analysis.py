@@ -15,7 +15,7 @@ from modinvar.gfq import build_field
 from modinvar.gluing import GluingGroup, full_hom_module, glue
 from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
                              _keys, _rows, _sorted_unique, unipotent_upper)
-from modinvar.invariants import (GeneratorFamily, dickson_in,
+from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute, span_basis,
                                  subspace_product, symplectic_l_names,
@@ -375,15 +375,13 @@ class SymmetricPowers:
     the step to degree d, so that a dense generator reports `skipped`
     instead of filling memory."""
 
-    def __init__(self, group: MatrixGroup, field):
-        self.field = field
+    def __init__(self, group: MatrixGroup):
+        self.field = field = group.field
         self.n = group.n
         self._dtype = _wide_dtype(field.p)
-        self._mats = []
-        for g in group.generators:
-            g = np.array(g.matrix, dtype=np.int64).reshape(self.n, self.n)
-            mats = field.regular(field.digits(g)).astype(self._dtype)
-            self._mats.append((g != 0, mats))
+        self._mats = [(g != 0,
+                       field.regular(field.digits(g)).astype(self._dtype))
+                      for g in group.generator_rows]
         self._reset()
 
     def _reset(self):
@@ -458,7 +456,6 @@ class SymmetricPowers:
 
 
 def invariant_dimension(group: MatrixGroup, d: int,
-                        space: VariableSpace = None,
                         powers: SymmetricPowers = None) -> int:
     """Dimension of the degree-d homogeneous invariants: K minus the rank of
     the stacked maps S^d(g) - I over the K monomials of degree d.
@@ -467,19 +464,14 @@ def invariant_dimension(group: MatrixGroup, d: int,
     generator and monomial (`linalg.fp_expand_coo`, `sparse_rank_mod_p`);
     the GF(q) rank is the F_p rank divided by r.  `powers` (built here when
     not given) carries the symmetric powers shared with other degrees."""
-    if space is None:
-        space = VariableSpace(group.field,
-                              [f"z{i}" for i in range(1, group.n + 1)])
-    if space.dim != group.n:
-        raise ValueError("space dimension does not match the group")
     if d == 0:
         return 1
     if powers is None:
-        powers = SymmetricPowers(group, space.field)
+        powers = SymmetricPowers(group)
     size, blocks = powers.at(d)
     if not blocks:
         return size
-    field = space.field
+    field = group.field
     diagonal = np.arange(size)
     minus_one = np.zeros((size, field.r), dtype=blocks[0][2].dtype)
     minus_one[:, 0] = field.p - 1
@@ -525,8 +517,8 @@ class HilbertClaim:
         return None
 
 
-def hilbert_check(claim: HilbertClaim, group: MatrixGroup, D: int,
-                  space: VariableSpace = None) -> VerificationReport:
+def hilbert_check(claim: HilbertClaim, group: MatrixGroup,
+                  D: int) -> VerificationReport:
     params = {"generators": claim.generator_degrees,
               "relations": claim.relation_degrees, "D": D}
     bad = claim.consistent(D)
@@ -535,9 +527,9 @@ def hilbert_check(claim: HilbertClaim, group: MatrixGroup, D: int,
                                   witness=f"series coefficient negative at "
                                           f"degree {bad}")
     series = claim.series(D)
-    powers = SymmetricPowers(group, (space or group).field)
+    powers = SymmetricPowers(group)
     for d in range(D + 1):
-        actual = invariant_dimension(group, d, space, powers)
+        actual = invariant_dimension(group, d, powers)
         if actual != series[d]:
             return VerificationReport(
                 "hilbert", params, "fail",
@@ -585,7 +577,6 @@ def _check_u_lem(m, k, i, j, q):
 
 
 def symplectic_space_from_q(q, m):
-    from modinvar.invariants import _as_field
     return symplectic_space(_as_field(q), m)
 
 
@@ -696,7 +687,6 @@ def _check_transfer_delta(p, sign=-1):
 
 
 def _check_nk_expansion(k, m, q):
-    from modinvar.invariants import _as_field
     field = _as_field(q)
     base = symplectic_space(field, m)
     ext = VariableSpace(field, list(base.names) + ["T"])
@@ -722,19 +712,14 @@ def _check_nk_expansion(k, m, q):
 
 
 def _check_para_action(q):
-    from modinvar.invariants import _as_field
     field = _as_field(q)
     sp = gluing_space(field, 2, 2)
     y1, y2, x1, x2 = (sp.variable(v) for v in ("y1", "y2", "x1", "x2"))
     qq = field.q
     N1y1 = orbit_product(y1, span_basis([x1, x2]))
     N2y2 = orbit_product(y2, span_basis([x2]))
-    from modinvar.groups import GroupElement
-    one, zero = 1, 0
-    g = GroupElement(field, ((one, one, zero, zero),
-                             (zero, one, zero, zero),
-                             (zero, zero, one, zero),
-                             (zero, zero, zero, one)), check=False)
+    g = np.eye(4, dtype=np.int64)
+    g[0, 1] = 1
     lhs = N1y1.act(g)
     d12 = dickson_in(sp, ["x1", "x2"], 1)
     rhs = N1y1 + N2y2 ** qq + (d12 + x2 ** (qq * (qq - 1))) * N2y2
@@ -788,7 +773,6 @@ def _check_dickson_routes(n, q):
     q-linearized recursion, the Moore-determinant quotients, and the
     literal product over the F_q-span, prod (T + v) = sum_i T^(q^(n-i)) d_i
     (`subspace_product`)."""
-    from modinvar.invariants import _as_field
     field = _as_field(q)
     names = [f"x{i}" for i in range(1, n + 1)]
     sp = VariableSpace(field, names + ["T"])

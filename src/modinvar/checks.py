@@ -27,12 +27,12 @@ from modinvar.analysis import (HilbertClaim, VerificationReport,
                                transfer_factorization_check,
                                transfer_image_basis, u4_gluing)
 from modinvar.gfq import build_field
-from modinvar.gluing import (diagonal_glue, full_hom_module, glue,
-                             scalar_line_module, singular_form_group,
+from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
+                             glue, scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
 from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
                              ClaimRefuted, FormSpec, GroupElement,
-                             MatrixGroup, _digit_matmul, _expand,
+                             MatrixGroup, _digit_matmul, _expand, _keys,
                              _matmul_mod, _sorted_unique, element_orders,
                              field_from_order, gl_group, index_matmul,
                              o3_sylow_generators, o4_plus_sylow_generators,
@@ -106,7 +106,6 @@ def check_glued_order(params, budgets) -> VerificationReport:
 def _module_from_file(field, m, n, path):
     """Bimodule basis from a text file: one `parse_matrix` text per line;
     blank lines and lines starting with '#' are skipped."""
-    from modinvar.gluing import BimoduleBasis
     with open(path) as handle:
         lines = [line.strip() for line in handle]
     mats = [parse_matrix(field, line) for line in lines
@@ -193,15 +192,10 @@ def check_stabilizer_order(params, budgets) -> VerificationReport:
 
 
 def check_hilbert(params, budgets) -> VerificationReport:
-    kind = params["group"]["kind"]
-    G = build_group(kind, params["group"])
+    G = build_group(params["group"]["kind"], params["group"])
     D = params.get("D", budgets.get("degree_bound", 10))
     claim = HilbertClaim(params["generators"], params.get("relations", []))
-    if kind in ("sp", "usp", "pk", "gk", "spstab"):
-        space = symplectic_space(G.field, params["group"]["m"])
-    else:
-        space = None
-    return hilbert_check(claim, G, D, space)
+    return hilbert_check(claim, G, D)
 
 
 def check_degree_product(params, budgets) -> VerificationReport:
@@ -454,12 +448,16 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     GL_n: all pairs when there are at most 2500, else 50 pairs per
     polynomial, drawn as `rng.choice` over the elements draws them.  The
     products g h of a pair list are formed together (`index_matmul`), the
-    list of all pairs once."""
+    list of all pairs once, and each is named by its index in the
+    enumerated group (one `searchsorted` of its key).  f is acted on by each
+    element at most once per polynomial, so a pair costs only the action
+    of h on f.g."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
     cap = budgets.get("cap", DEFAULT_CAP)
-    rows = gl_group(n, field).enumerate(cap).rows()
+    G = gl_group(n, field).enumerate(cap)
+    rows = G.rows()
     elements, order = rows.tolist(), len(rows)
     rng = random.Random(params.get("seed", 0))
     space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
@@ -467,8 +465,9 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     exhaustive = order ** 2 <= 2500
 
     def products(left, right):
-        return list(zip(left, right, index_matmul(
-            field, rows[left], rows[right]).tolist()))
+        product = index_matmul(field, rows[left], rows[right])
+        return list(zip(left, right, np.searchsorted(
+            G.keys, _keys(product.astype(rows.dtype))).tolist()))
 
     if exhaustive:
         pairs = products(*np.divmod(np.arange(order ** 2), order))
@@ -480,8 +479,12 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
         if not exhaustive:
             draws = [rng.choice(range(order)) for _ in range(100)]
             pairs = products(draws[0::2], draws[1::2])
-        for a, b, product in pairs:
-            if f.act(product) != f.act(elements[a]).act(elements[b]):
+        acted = [None] * order  # f.g for each element g, once it is needed
+        for a, b, c in pairs:
+            for i in (a, c):
+                if acted[i] is None:
+                    acted[i] = f.act(elements[i])
+            if acted[c] != acted[a].act(elements[b]):
                 return VerificationReport(
                     "action_compatibility", params, "fail",
                     witness=f"compatibility fails for f={f!r}")

@@ -25,7 +25,8 @@ from modinvar.gfq import build_field
 from modinvar.groups import field_from_order, format_matrix
 from modinvar.invariants import (dickson, family, n_k, orbit_product,
                                  partial_dickson, xi)
-from modinvar.mvpoly import format_polynomial, symplectic_space
+from modinvar.mvpoly import (VariableSpace, format_polynomial,
+                             parse_polynomial, symplectic_space)
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
@@ -63,8 +64,8 @@ def cmd_group(args):
         print(G.claimed_order)
         return 0
     if args.action == "generators":
-        for g in G.generators:
-            print(format_matrix(G.field, g.matrix))
+        for g in G.generator_rows.tolist():
+            print(format_matrix(G.field, g))
         return 0
     if args.action == "enumerate":
         G = G.enumerate(args.cap)
@@ -113,7 +114,6 @@ def cmd_inv(args):
     elif args.what == "partial-dickson":
         print(format_polynomial(partial_dickson(args.i, args.ell, args.m, args.q)))
     elif args.what == "orbit":
-        from modinvar.mvpoly import VariableSpace, parse_polynomial
         field = field_from_order(args.q)
         space = VariableSpace(field, args.space.split(","))
         form = parse_polynomial(space, args.form)

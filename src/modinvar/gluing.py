@@ -10,18 +10,21 @@ which suffices by linearity.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.groups import (DEFAULT_CAP, ClaimRefuted, GroupElement,
-                             MatrixGroup, NotEnumeratedError, _element,
-                             _element_rows, _row_elements, gl_group,
-                             index_matmul, mat_mul, sp_group, trivial_group,
-                             FormSpec, form_preserved)
+                             MatrixGroup, NotEnumeratedError, _index_rows,
+                             gl_group, index_inverse, index_matmul, mat_mul,
+                             minimal_generators, product_group, sp_group,
+                             sp_order, symplectic_j, trivial_group, FormSpec,
+                             form_preserved)
 from modinvar.linalg import (in_reduced_row_space, nullspace_field, rref_field,
                              rref_mod_p)
+from modinvar.mvpoly import VariableSpace
 
 
 class BimoduleClosureError(ValueError):
@@ -31,21 +34,18 @@ class BimoduleClosureError(ValueError):
 class BimoduleBasis:
     """An F_p-basis of a finite sub-bimodule of Hom(W2, W1).
 
-    mats: m-by-n matrices over the field, required to be F_p-linearly
-    independent; kept as an (fp_dim, m, n) index array.
+    mats: m-by-n index matrices (an index array-like), required to be
+    F_p-linearly independent; kept as an (fp_dim, m, n) index array.
     """
 
     def __init__(self, field: FieldSpec, m: int, n: int, mats):
         self.field = field
         self.m = m
         self.n = n
-        mats = [tuple(tuple(field.scalar(e).index if isinstance(e, (Scalar, str))
-                            else e for e in row) for row in mat)
-                for mat in mats]
-        for mat in mats:
-            if len(mat) != m or any(len(row) != n for row in mat):
-                raise ValueError("basis matrix has wrong shape")
-        self.mats = np.array(mats, dtype=np.int64).reshape(len(mats), m, n)
+        try:
+            self.mats = mats = _index_rows(mats, m, n)
+        except ValueError:
+            raise ValueError("basis matrix has wrong shape") from None
         # the F_p coordinates of each matrix: its entries' digits, row-major,
         # and their reduced row echelon form, against which membership is
         # tested
@@ -109,16 +109,14 @@ class GluingGroup:
         self.form = form
         zero = np.zeros((self.m, self.n), dtype=np.int64)
         id1, id2 = np.eye(self.m, dtype=np.int64), np.eye(self.n, dtype=np.int64)
-        gens1 = _element_rows(G1.generators, self.m)
+        gens1 = G1.generator_rows
         diagonal = flavor == "diagonal"
         if diagonal:
             parts = [(gens1, zero, gens1)]
         else:
-            parts = [(gens1, zero, id2),
-                     (id1, zero, _element_rows(G2.generators, self.n))]
+            parts = [(gens1, zero, id2), (id1, zero, G2.generator_rows)]
         parts.append((id1, M.mats, id2))
-        gens = _row_elements(self.field, self.m + self.n, np.concatenate(
-            [self.blocks(*part) for part in parts]))
+        gens = np.concatenate([self.blocks(*part) for part in parts])
         order = None
         try:
             order = G1.order() * M.module_order() * \
@@ -136,7 +134,8 @@ class GluingGroup:
         scalar oracle of the batched triple law in the tests."""
         m1 = g1.matrix if isinstance(g1, GroupElement) else g1
         m2 = g2.matrix if isinstance(g2, GroupElement) else g2
-        return _element(self.field, self.blocks(m1, phi, m2))
+        return GroupElement(self.field, self.blocks(m1, phi, m2).tolist(),
+                            check=False)
 
     def blocks(self, g1_rows, phis, g2_rows) -> np.ndarray:
         """The (..., m+n, m+n) index arrays [[g1, phi], [0, g2]] of triples
@@ -153,16 +152,13 @@ class GluingGroup:
 
     def m_subgroup(self) -> MatrixGroup:
         """The normal subgroup of blocks [[I, phi], [0, I]], fully enumerated."""
-        field = self.field
-        gens = _row_elements(field, self.m + self.n, self.blocks(
-            np.eye(self.m, dtype=np.int64), self.M.mats,
-            np.eye(self.n, dtype=np.int64)))
-        return MatrixGroup(field, self.m + self.n, gens, name="M-block",
+        gens = self.blocks(np.eye(self.m, dtype=np.int64), self.M.mats,
+                           np.eye(self.n, dtype=np.int64))
+        return MatrixGroup(self.field, self.m + self.n, gens, name="M-block",
                            claimed_order=self.M.module_order()).enumerate()
 
     def factor_subgroup(self) -> MatrixGroup:
         """Block-diagonal realization of G1 x G2 inside the gluing."""
-        from modinvar.groups import product_group
         return product_group(self.G1, self.G2, name="G1xG2-block")
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
@@ -210,13 +206,13 @@ def _validate_closure(G1, G2, M):
     products of each side are formed together (`index_matmul`)."""
     field, basis = M.field, M.mats[None]
     bad = _first_outside(M, index_matmul(
-        field, _element_rows(G1.generators, M.m)[:, None], basis))
+        field, G1.generator_rows[:, None], basis))
     if bad:
         raise BimoduleClosureError(
             f"left action violates closure: generator #{bad[0]} of "
             f"{G1.name or 'G1'} times basis matrix #{bad[1]}")
     bad = _first_outside(M, index_matmul(
-        field, basis, _element_rows(G2.generators, M.n)[:, None]))
+        field, basis, G2.generator_rows[:, None]))
     if bad:
         raise BimoduleClosureError(
             f"right action violates closure: basis matrix #{bad[1]} "
@@ -237,17 +233,22 @@ def glue(G1: MatrixGroup, G2: MatrixGroup, M: BimoduleBasis,
 
 # -- module constructors --
 
+def _cell_module(field, m, n, cells, basis):
+    """The module with F_p-basis b E_ij, for each cell (i, j) in turn and
+    each index b of `basis`: the m x n matrices b at (i, j), zero
+    elsewhere."""
+    i, j = np.array(list(cells), dtype=np.int64).reshape(-1, 2).T
+    t = np.arange(len(i) * len(basis))
+    mats = np.zeros((len(t), m, n), dtype=np.int64)
+    mats[t, np.repeat(i, len(basis)), np.repeat(j, len(basis))] = \
+        np.tile(basis, len(i))
+    return BimoduleBasis(field, m, n, mats)
+
+
 def full_hom_module(m: int, n: int, field: FieldSpec) -> BimoduleBasis:
     """Hom(W2, W1) over the field: elementary matrices times a field basis."""
-    mats = []
-    basis = [b.index for b in field.fp_basis()]
-    for i in range(m):
-        for j in range(n):
-            for b in basis:
-                mat = [[0] * n for _ in range(m)]
-                mat[i][j] = b
-                mats.append(tuple(map(tuple, mat)))
-    return BimoduleBasis(field, m, n, mats)
+    return _cell_module(field, m, n, itertools.product(range(m), range(n)),
+                        [b.index for b in field.fp_basis()])
 
 
 def subfield_elements(field: FieldSpec, q_sub: int):
@@ -271,45 +272,37 @@ def subfield_hom_module(m: int, n: int, q_sub: int, field: FieldSpec) -> Bimodul
     # deterministic F_p-basis of the subfield, greedy by element index: the
     # pivot columns of the elements' digit columns
     basis = [elems[c] for c in rref_mod_p(field.digits(elems).T, field.p)[1]]
-    mats = []
-    for i in range(m):
-        for j in range(n):
-            for b in basis:
-                mat = [[0] * n for _ in range(m)]
-                mat[i][j] = b
-                mats.append(tuple(map(tuple, mat)))
-    return BimoduleBasis(field, m, n, mats)
+    return _cell_module(field, m, n, itertools.product(range(m), range(n)),
+                        basis)
+
+
+def _parabolic_blocks(partition):
+    """(sizes, starts, block_of) of a partition of n: the block sizes, the
+    first coordinate of each block, and the block index of each of the n
+    coordinates."""
+    sizes = list(partition)
+    if any(s < 1 for s in sizes):
+        raise ValueError("partition entries must be positive")
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    block_of = [bi for bi, s in enumerate(sizes) for _ in range(s)]
+    return sizes, starts, block_of
 
 
 def parabolic_module(partition, field: FieldSpec) -> BimoduleBasis:
     """Flag-consistent endomorphisms: block upper-triangular matrices."""
-    sizes = list(partition)
-    if any(s < 1 for s in sizes):
-        raise ValueError("partition entries must be positive")
-    n = sum(sizes)
-    block_of = []
-    for bi, s in enumerate(sizes):
-        block_of.extend([bi] * s)
-    mats = []
-    basis = [b.index for b in field.fp_basis()]
-    for i in range(n):
-        for j in range(n):
-            if block_of[i] <= block_of[j]:
-                for b in basis:
-                    mat = [[0] * n for _ in range(n)]
-                    mat[i][j] = b
-                    mats.append(tuple(map(tuple, mat)))
-    return BimoduleBasis(field, n, n, mats)
+    _, _, block_of = _parabolic_blocks(partition)
+    n = len(block_of)
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if block_of[i] <= block_of[j]]
+    return _cell_module(field, n, n, cells, [b.index for b in field.fp_basis()])
 
 
 def scalar_line_module(n: int, field: FieldSpec) -> BimoduleBasis:
     """Scalar multiples of the identity map, one dimension per field basis
     element."""
-    mats = []
-    for b in field.fp_basis():
-        mat = [[b.index if i == j else 0 for j in range(n)] for i in range(n)]
-        mats.append(tuple(map(tuple, mat)))
-    return BimoduleBasis(field, n, n, mats)
+    basis = np.array([b.index for b in field.fp_basis()], dtype=np.int64)
+    return BimoduleBasis(field, n, n,
+                         basis[:, None, None] * np.eye(n, dtype=np.int64))
 
 
 def zero_module(m: int, n: int, field: FieldSpec) -> BimoduleBasis:
@@ -331,19 +324,12 @@ def thin_glue_regular(p: int, r: int, field: FieldSpec) -> GluingGroup:
     if r < 1:
         raise ValueError("r must be positive")
     size = p ** r
-    cyc = [[0] * size for _ in range(size)]
-    for j in range(size):
-        cyc[(j + 1) % size][j] = 1
-    G1 = MatrixGroup(field, size, [GroupElement(field, tuple(map(tuple, cyc)),
-                                                check=False)],
+    eye = np.eye(size, dtype=np.int64)
+    G1 = MatrixGroup(field, size, np.roll(eye, 1, axis=0)[None],
                      name=f"C{size}", claimed_order=size)
     G2 = trivial_group(field, 1)
-    mats = []
-    for i in range(size):
-        mat = [[0] for _ in range(size)]
-        mat[i][0] = 1
-        mats.append(tuple(map(tuple, mat)))
-    M = BimoduleBasis(field, size, 1, mats)
+    # basis vector i of the module is the i-th standard column
+    M = BimoduleBasis(field, size, 1, eye[:, :, None])
     return glue(G1, G2, M, flavor="thin", name=f"C{size}|xE")
 
 
@@ -352,8 +338,9 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
     conjugation g.phi.g^(-1)."""
     if M.m != G.n or M.n != G.n:
         raise ValueError("diagonal gluing needs a square module of matching size")
-    gens = _element_rows(G.generators, G.n)
-    inverses = _element_rows([g.inverse() for g in G.generators], G.n)
+    gens = G.generator_rows
+    inverses = np.array([index_inverse(G.field, g) for g in gens],
+                        dtype=np.int64).reshape(gens.shape)
     moved = index_matmul(G.field, index_matmul(G.field, gens[:, None],
                                                M.mats[None]), inverses[:, None])
     bad = _first_outside(M, moved)
@@ -378,7 +365,6 @@ def _extend_to_basis(field, vectors, dim):
 def _symplectic_basis_transform(field, gram):
     """P with P^T gram P equal to the pinned J, for a nondegenerate
     alternating gram."""
-    from modinvar.groups import symplectic_j
     n = len(gram)
     m = n // 2
 
@@ -470,11 +456,9 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
     quotient_gram = tuple(map(tuple, moved[m:, m:].tolist()))
     if form.kind == "alternating":
         T = _symplectic_basis_transform(field, quotient_gram)
-        Tinv = GroupElement(field, T, check=True).inverse().matrix
-        gens = _row_elements(field, n, index_matmul(
-            field, index_matmul(field, T, _element_rows(
-                sp_group(n // 2, field).generators, n)), Tinv))
-        from modinvar.groups import sp_order
+        gens = index_matmul(field, index_matmul(
+            field, T, sp_group(n // 2, field).generator_rows),
+            index_inverse(field, T))
         G2 = MatrixGroup(field, n, gens, name=f"Sp{n}(F{field.q})~",
                          claimed_order=sp_order(n // 2, field.q))
     else:
@@ -482,8 +466,7 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         quotient_form = FormSpec(form.kind, field, gram=quotient_gram) \
             if form.kind != "quadratic" else _quadratic_on_quotient(form, P, m, n)
         rows = gl_group(n, field).enumerate(cap).rows()
-        elems = _row_elements(field, n, rows[form_preserved(rows, quotient_form)])
-        from modinvar.groups import minimal_generators
+        elems = rows[form_preserved(rows, quotient_form)]
         G2 = MatrixGroup(field, n, minimal_generators(field, elems),
                          name=f"Isom({form.kind})", elements=elems)
     M = full_hom_module(m, n, field)
@@ -493,8 +476,7 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         if form.kind != "quadratic" else None
     if new_form is not None:
         gluing.form = new_form
-        if not form_preserved([g.matrix for g in gluing.realized.generators],
-                              new_form).all():
+        if not form_preserved(gluing.realized.generator_rows, new_form).all():
             raise ClaimRefuted("realized generator does not preserve the form")
     return gluing
 
@@ -512,7 +494,6 @@ def _quadratic_on_quotient(form, P, m, n):
                 img = img + space.variable(space.names[i]).scale(Scalar(field, c))
         sub[name] = img
     moved = form.quadratic.substitute(sub)
-    from modinvar.mvpoly import VariableSpace
     qspace = VariableSpace(field, space.names[:n])
     out = qspace.zero()
     for e, c in moved._terms.items():

@@ -79,9 +79,6 @@ def mat_mul(field, A, B):
         out.append(tuple(orow))
     return tuple(out)
 
-def mat_transpose(A):
-    return tuple(zip(*A))
-
 
 def format_matrix(field, A) -> str:
     return ";".join(",".join(field.format_scalar(a) for a in row) for row in A)
@@ -294,6 +291,40 @@ def _closure(field, n, generators, cap, name="group"):
     return out
 
 
+def _index_rows(matrices, m, n, what="generator"):
+    """The (N, m, n) int64 index array of N m x n matrices, given as an
+    index array-like or as GroupElements, read through `.matrix` as
+    `Polynomial.act` reads them; ValueError for a matrix of another
+    shape."""
+    if not isinstance(matrices, np.ndarray):
+        matrices = [getattr(a, "matrix", a) for a in matrices]
+    rows = np.array(matrices, dtype=np.int64)
+    if not rows.size and rows.ndim < 3:  # no matrices, or empty ones
+        rows = rows.reshape(len(rows), m, n)
+    if rows.shape[1:] != (m, n):
+        raise ValueError(f"{what} dimension mismatch")
+    return rows
+
+
+def _identities(count, n):
+    """count copies of the n x n identity, one (count, n, n) int64 array to
+    place blocks into."""
+    return np.eye(n, dtype=np.int64)[None].repeat(count, axis=0)
+
+
+def index_inverse(field, a):
+    """A^-1 for an n x n index array A: the right half of the reduced row
+    echelon form of [A | I]; ValueError("matrix is singular") if A has no
+    inverse."""
+    n = len(a)
+    reduced, pivots = rref_field(
+        np.hstack([np.asarray(a, dtype=np.int64).reshape(n, n),
+                   np.eye(n, dtype=np.int64)]), field)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return reduced[:, n:].astype(np.int64)
+
+
 def _row_elements(field, n, rows):
     """GroupElements of an (N, n, n) index array, converted a chunk at a
     time."""
@@ -374,16 +405,10 @@ class GroupElement:
                             check=False)
 
     def inverse(self) -> "GroupElement":
-        """The right half of the reduced row echelon form of [A | I]."""
+        """The inverse matrix (`index_inverse`)."""
         if self._inv is None:
-            n = self.n
-            reduced, pivots = rref_field(
-                np.hstack([np.array(self.matrix, dtype=np.int64).reshape(n, n),
-                           np.eye(n, dtype=np.int64)]), self.field)
-            if pivots != list(range(n)):
-                raise ValueError("matrix is singular")
-            self._inv = GroupElement._trusted(
-                self.field, tuple(map(tuple, reduced[:, n:].tolist())))
+            self._inv = GroupElement._trusted(self.field, tuple(map(
+                tuple, index_inverse(self.field, self.matrix).tolist())))
         return self._inv
 
     def is_identity(self) -> bool:
@@ -399,9 +424,6 @@ class GroupElement:
         column = tuple((x.index if isinstance(x, Scalar) else x,) for x in vector)
         return tuple(row[0] for row in mat_mul(self.field, self.matrix, column))
 
-    def transpose(self) -> "GroupElement":
-        return GroupElement(self.field, mat_transpose(self.matrix), check=False)
-
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
                 and self.field == other.field and self.matrix == other.matrix)
@@ -416,9 +438,16 @@ class GroupElement:
 class MatrixGroup:
     """A matrix group given by generators, optionally fully enumerated.
 
+    The generators are kept as one (k, n, n) int64 index array,
+    `generator_rows`, from the constructor to the closure; the constructor
+    reads any index array-like, GroupElements through `.matrix`.
+    `generators`, the GroupElement list in the same order, is built on
+    first access and cached.
+
     Constructors return generators with a claimed order; `enumerate()`,
     the only enumeration, certifies that claim: a count that differs raises
-    ClaimRefuted.  `elements=` is only for subsets picked by a predicate
+    ClaimRefuted.  `elements=`, the (N, n, n) index matrices of a subset
+    picked by a predicate, is only for those subsets
     (`stabilizer_of_polynomial`, `gluing.singular_form_group`).
 
     Enumeration closes the generators layer by layer in numpy: each layer
@@ -442,19 +471,16 @@ class MatrixGroup:
                  elements=None, claimed_order=None):
         self.field = field
         self.n = n
-        self.generators = list(generators)
-        for g in self.generators:
-            if g.n != n:
-                raise ValueError("generator dimension mismatch")
+        self.generator_rows = _index_rows(generators, n, n)
         self.name = name
         self.claimed_order = claimed_order
         self.keys = None
+        self._generators = None
         self._elements = None
         if elements is not None:
-            matrices = [g.matrix for g in elements]
-            rows = np.array(matrices, dtype=_index_dtype(field)) \
-                .reshape(len(matrices), n, n)
-            self._set_keys(_sorted_unique(_keys(rows)))
+            rows = _index_rows(elements, n, n, "element")
+            self._set_keys(_sorted_unique(
+                _keys(rows.astype(_index_dtype(field)))))
 
     def _set_keys(self, keys):
         """Store the sorted, distinct keys of the whole group."""
@@ -463,6 +489,15 @@ class MatrixGroup:
             raise ClaimRefuted(
                 f"{self.name or 'group'}: enumerated order {len(keys)} "
                 f"!= claimed order {self.claimed_order}")
+
+    @property
+    def generators(self):
+        """The generators as GroupElements, in the order of
+        `generator_rows`."""
+        if self._generators is None:
+            self._generators = _row_elements(self.field, self.n,
+                                             self.generator_rows)
+        return self._generators
 
     @property
     def is_enumerated(self) -> bool:
@@ -490,8 +525,7 @@ class MatrixGroup:
             raise ValueError("cap must be positive")
         if self.keys is not None:
             return self
-        self._set_keys(_closure(self.field, self.n,
-                                [g.matrix for g in self.generators], cap,
+        self._set_keys(_closure(self.field, self.n, self.generator_rows, cap,
                                 self.name or "group"))
         return self
 
@@ -518,35 +552,37 @@ class MatrixGroup:
 
     def __repr__(self):
         state = f"order {len(self.keys)}" if self.keys is not None else \
-            f"{len(self.generators)} generators"
+            f"{len(self.generator_rows)} generators"
         return f"MatrixGroup({self.name or 'unnamed'}, dim {self.n}, {state})"
 
 
-def minimal_generators(field, elements):
-    """Greedy small generating set for an enumerated element list.
+def minimal_generators(field, rows):
+    """Greedy small generating set of an enumerated group, given as an
+    (N, n, n) index array; returned as a (k, n, n) int64 index array.
 
-    Walks the elements in canonical order and keeps each one not yet in the
+    Walks the matrices in canonical order and keeps each one not yet in the
     subgroup generated by those kept, until that subgroup is all of them.
-    The elements must form a group: each re-closure is capped at their
+    The matrices must form a group: each re-closure is capped at their
     number.
     """
-    if not elements:
-        return []
-    ordered = sorted(elements, key=lambda g: g.matrix)
-    n = len(ordered[0].matrix)
-    target = _keys(np.array([g.matrix for g in ordered], dtype=_index_dtype(field)))
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    target = _keys(rows.astype(_index_dtype(field)))
+    ordered = np.argsort(target, kind="stable")
+    target = target[ordered]
     everything = _sorted_unique(target)
-    gens = []
-    inside = np.zeros(len(ordered), dtype=bool)
-    for i, e in enumerate(ordered):
-        if inside[i] or e.is_identity():
+    identity = (rows[ordered] == np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    picked = []
+    inside = np.zeros(len(target), dtype=bool)
+    for i in range(len(target)):
+        if inside[i] or identity[i]:
             continue
-        gens.append(e)
-        closed = _closure(field, n, [g.matrix for g in gens], len(everything))
+        picked.append(ordered[i])
+        closed = _closure(field, n, rows[picked], len(everything))
         if np.array_equal(closed, everything):
             break
         inside = _contains(closed, target)
-    return gens
+    return rows[picked].astype(np.int64)
 
 
 # -- order formulas --
@@ -595,31 +631,19 @@ def trivial_group(field: FieldSpec, n: int) -> MatrixGroup:
     return MatrixGroup(field, n, [], name="trivial", claimed_order=1).enumerate()
 
 
-def _elementary(field, n, i, j, c_idx):
-    m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    m[i][j] = c_idx
-    return GroupElement(field, tuple(map(tuple, m)), check=False)
-
-
 def gl_group(n: int, field: FieldSpec) -> MatrixGroup:
     """GL_n via a transvection, an n-cycle and a primitive scalar block."""
     q = field.q
+    eye = np.eye(n, dtype=np.int64)
     gens = []
-    if n == 1:
-        if q > 2:
-            gens.append(GroupElement(field, ((field.primitive_element().index,),),
-                                     check=False))
-        return MatrixGroup(field, 1, gens, name=f"GL1(F{q})",
-                           claimed_order=q - 1)
-    gens.append(_elementary(field, n, 0, 1, 1))
-    perm = [[0] * n for _ in range(n)]
-    for j in range(n):
-        perm[(j + 1) % n][j] = 1
-    gens.append(GroupElement(field, tuple(map(tuple, perm)), check=False))
+    if n > 1:
+        transvection = eye.copy()
+        transvection[0, 1] = 1
+        gens += [transvection, np.roll(eye, 1, axis=0)]
     if q > 2:
-        d = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        d[0][0] = field.primitive_element().index
-        gens.append(GroupElement(field, tuple(map(tuple, d)), check=False))
+        scalar = eye.copy()
+        scalar[0, 0] = field.primitive_element().index
+        gens.append(scalar)
     return MatrixGroup(field, n, gens, name=f"GL{n}(F{q})",
                        claimed_order=gl_order(n, q))
 
@@ -627,22 +651,23 @@ def gl_group(n: int, field: FieldSpec) -> MatrixGroup:
 def unipotent_upper(n: int, field: FieldSpec) -> MatrixGroup:
     """Upper-triangular unipotent group, superdiagonal transvections over an
     F_p-basis of the field."""
-    gens = []
-    for i in range(n - 1):
-        for b in field.fp_basis():
-            gens.append(_elementary(field, n, i, i + 1, b.index))
+    basis = [b.index for b in field.fp_basis()]
+    steps = max(n - 1, 0)
+    gens = _identities(steps * len(basis), n)
+    i = np.arange(len(gens)) // len(basis)
+    gens[np.arange(len(gens)), i, i + 1] = basis * steps
     return MatrixGroup(field, n, gens, name=f"U({n},F{field.q})",
                        claimed_order=unipotent_order(n, field.q))
 
 
 def symplectic_j(m: int, field: FieldSpec):
-    """The pinned form matrix [[0, Q], [-Q, 0]] on basis e1..em, fm..f1."""
-    n = 2 * m
-    J = [[0] * n for _ in range(n)]
-    for i in range(m):
-        J[i][n - 1 - i] = 1
-        J[n - 1 - i][i] = field.neg(1)
-    return tuple(map(tuple, J))
+    """The pinned form matrix [[0, Q], [-Q, 0]] on basis e1..em, fm..f1, as
+    an index array."""
+    Q = np.eye(m, dtype=np.int64)[::-1]
+    J = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    J[:m, m:] = Q
+    J[m:, :m] = field.neg(1) * Q
+    return J
 
 
 def _neg(field, rows):
@@ -650,60 +675,54 @@ def _neg(field, rows):
     return field.indices(-field.digits(rows) % field.p)
 
 
-def _element(field, rows) -> GroupElement:
-    """The GroupElement of an n x n index array, taken as it is."""
-    return GroupElement._trusted(field, tuple(map(tuple, np.asarray(rows).tolist())))
-
-
-def _element_rows(elements, n):
-    """The (N, n, n) int64 index array of N GroupElements."""
-    return np.array([g.matrix for g in elements], dtype=np.int64) \
-        .reshape(len(elements), n, n)
-
-
 def _check_symplectic(field, gens, m, name):
-    """Raise ClaimRefuted for the first generator A with A^T J A != J; the
-    products of all generators are formed together (`index_matmul`)."""
-    J = np.array(symplectic_j(m, field), dtype=np.int64)
-    A = _element_rows(gens, 2 * m)
-    bad = (index_matmul(field, index_matmul(field, A.transpose(0, 2, 1), J), A)
-           != J).any(axis=(1, 2))
+    """Raise ClaimRefuted for the first generator A of the (k, 2m, 2m) index
+    array with A^T J A != J; the products of all generators are formed
+    together (`index_matmul`)."""
+    J = symplectic_j(m, field)
+    bad = (index_matmul(field, index_matmul(field, gens.transpose(0, 2, 1), J),
+                        gens) != J).any(axis=(1, 2))
     if bad.any():
+        first = gens[np.argmax(bad)].tolist()
         raise ClaimRefuted(f"{name}: generator fails A^T J A = J:\n"
-                           f"{gens[int(np.argmax(bad))]!r}")
+                           f"{format_matrix(field, first)}")
     return gens
 
 
 # With Q the anti-identity, Q X reverses the rows of X and X Q its columns.
+# The block builders take and return stacks of index arrays.
 
-def _embed_gl_block(field, g, m, k):
-    """diag(A, I_(2m-2k), Q_k (A^-1)^T Q_k) as a 2m x 2m matrix, for A the
-    k x k matrix of g: the corner is (A^-1)^T reversed both ways."""
-    M = np.eye(2 * m, dtype=np.int64)
-    M[:k, :k] = g.matrix
-    M[2 * m - k:, 2 * m - k:] = np.array(g.inverse().matrix).T[::-1, ::-1]
-    return _element(field, M)
+def _embed_gl_block(field, A, m, k):
+    """diag(A, I_(2m-2k), Q_k (A^-1)^T Q_k) as 2m x 2m matrices, for each
+    k x k matrix A of the (N, k, k) array: the corner is (A^-1)^T reversed
+    both ways."""
+    M = _identities(len(A), 2 * m)
+    M[:, :k, :k] = A
+    for corner, a in zip(M[:, 2 * m - k:, 2 * m - k:], A):
+        corner[:] = index_inverse(field, a).T[::-1, ::-1]
+    return M
 
 
-def _embed_sp_block(field, B, m, k):
-    M = np.eye(2 * m, dtype=np.int64)
-    M[k:2 * m - k, k:2 * m - k] = B
-    return _element(field, M)
+def _embed_sp_block(B, m, k):
+    """diag(I_k, B, I_k) for each (2m-2k) x (2m-2k) matrix B of the stack."""
+    M = _identities(len(B), 2 * m)
+    M[:, k:2 * m - k, k:2 * m - k] = B
+    return M
 
 
 def _pk_assemble(field, m, k, B1, B2, A):
-    """P_k block matrix with C1 = -Q_k B2^T Q_(m-k) and C2 = Q_k B1^T Q_(m-k),
-    forced by the symplectic relations: transposes reversed both ways."""
+    """P_k block matrices, one per (B1, B2, A) of three equally long stacks
+    of (m-k) x k, (m-k) x k and k x k index arrays, with
+    C1 = -Q_k B2^T Q_(m-k) and C2 = Q_k B1^T Q_(m-k), forced by the
+    symplectic relations: transposes reversed both ways."""
     n = 2 * m
-    M = np.eye(n, dtype=np.int64)
-    M[:k, n - k:] = A
-    if m > k:
-        B1, B2 = (np.array(B, dtype=np.int64).reshape(m - k, k) for B in (B1, B2))
-        M[:k, k:m] = _neg(field, B2.T[::-1, ::-1])
-        M[:k, m:n - k] = B1.T[::-1, ::-1]
-        M[k:m, n - k:] = B1
-        M[m:n - k, n - k:] = B2
-    return _element(field, M)
+    M = _identities(len(A), n)
+    M[:, :k, n - k:] = A
+    M[:, :k, k:m] = _neg(field, B2.transpose(0, 2, 1)[:, ::-1, ::-1])
+    M[:, :k, m:n - k] = B1.transpose(0, 2, 1)[:, ::-1, ::-1]
+    M[:, k:m, n - k:] = B1
+    M[:, m:n - k, n - k:] = B2
+    return M
 
 
 def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
@@ -715,22 +734,27 @@ def p_k_subgroup(m: int, k: int, field: FieldSpec) -> MatrixGroup:
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     q = field.q
-    zeroB = ((0,) * k,) * (m - k)
-    zk = ((0,) * k,) * k
-    basis = [b.index for b in field.fp_basis()]
-    gens = []
-    # with B1 = 0 or B2 = 0, A = 0 solves the symplectic relations
-    for i, j, b in itertools.product(range(m - k), range(k), basis):
-        B = tuple(tuple(b if (r, c) == (i, j) else 0 for c in range(k))
-                  for r in range(m - k))
-        gens.append(_pk_assemble(field, m, k, B, zeroB, zk))
-        gens.append(_pk_assemble(field, m, k, zeroB, B, zk))
-    for i, j, b in itertools.product(range(k), range(k), basis):
-        if i <= j:
-            S = tuple(tuple(b if {r, c} == {i, j} else 0 for c in range(k))
-                      for r in range(k))
-            # A = Q_k S: the rows of S reversed
-            gens.append(_pk_assemble(field, m, k, zeroB, zeroB, S[::-1]))
+    basis = np.array([b.index for b in field.fp_basis()], dtype=np.int64)
+    nb = len(basis)
+    # for each entry (i, j) of B and basis element b, B1 = b E_ij and then
+    # B2 = b E_ij; with B1 = 0 or B2 = 0, A = 0 solves the symplectic
+    # relations
+    count = (m - k) * k * nb
+    t = np.arange(count)
+    B = np.zeros((count, m - k, k), dtype=np.int64)
+    B[t, t // (k * nb), t // nb % k] = basis[t % nb]
+    zB, zA = np.zeros_like(B), np.zeros((count, k, k), dtype=np.int64)
+    pairs = np.stack([_pk_assemble(field, m, k, B, zB, zA),
+                      _pk_assemble(field, m, k, zB, B, zA)], axis=1)
+    # each entry i <= j of the symmetric S, times each basis element
+    i, j = np.repeat(np.triu_indices(k), nb, axis=1)
+    t = np.arange(len(i))
+    S = np.zeros((len(t), k, k), dtype=np.int64)
+    S[t, i, j] = S[t, j, i] = basis[t % nb]
+    zB = np.zeros((len(t), m - k, k), dtype=np.int64)
+    # A = Q_k S: the rows of S reversed
+    gens = np.concatenate([pairs.reshape(2 * count, 2 * m, 2 * m),
+                           _pk_assemble(field, m, k, zB, zB, S[:, ::-1])])
     _check_symplectic(field, gens, m, f"P_{k}")
     return MatrixGroup(field, 2 * m, gens, name=f"P{k}(m={m},F{q})",
                        claimed_order=pk_order(m, k, q))
@@ -740,17 +764,14 @@ def sp_group(m: int, field: FieldSpec) -> MatrixGroup:
     """Sp_2m(F_q): embedded GL_m generators, P_m generators and the Weyl lift
     swapping e_m and f_m (with a sign)."""
     q = field.q
-    gens = []
-    for g in gl_group(m, field).generators:
-        gens.append(_embed_gl_block(field, g, m, m))
-    gens.extend(p_k_subgroup(m, m, field).generators)
     n = 2 * m
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    W[m - 1][m - 1] = 0
-    W[m][m] = 0
-    W[m][m - 1] = field.neg(1)   # e_m -> -f_m
-    W[m - 1][m] = 1              # f_m -> e_m
-    gens.append(GroupElement(field, tuple(map(tuple, W)), check=False))
+    W = np.eye(n, dtype=np.int64)
+    W[m - 1, m - 1] = W[m, m] = 0
+    W[m, m - 1] = field.neg(1)   # e_m -> -f_m
+    W[m - 1, m] = 1              # f_m -> e_m
+    gens = np.concatenate([
+        _embed_gl_block(field, gl_group(m, field).generator_rows, m, m),
+        p_k_subgroup(m, m, field).generator_rows, W[None]])
     _check_symplectic(field, gens, m, f"Sp{2*m}")
     return MatrixGroup(field, n, gens, name=f"Sp{2*m}(F{q})",
                        claimed_order=sp_order(m, q))
@@ -758,24 +779,27 @@ def sp_group(m: int, field: FieldSpec) -> MatrixGroup:
 
 def usp_group(m: int, field: FieldSpec) -> MatrixGroup:
     """Upper-triangular unipotent symplectic matrices, a Sylow p-subgroup."""
-    gens = []
-    for g in unipotent_upper(m, field).generators:
-        gens.append(_embed_gl_block(field, g, m, m))
-    gens.extend(p_k_subgroup(m, m, field).generators)
+    gens = np.concatenate([
+        _embed_gl_block(field, unipotent_upper(m, field).generator_rows, m, m),
+        p_k_subgroup(m, m, field).generator_rows])
     _check_symplectic(field, gens, m, f"USp{2*m}")
     return MatrixGroup(field, 2 * m, gens, name=f"USp{2*m}(F{field.q})",
                        claimed_order=usp_order(m, field.q))
+
+
+def _sp_block_generators(m, k, field):
+    """The generators of Sp_(2m-2k) in the middle block (none when k = m)."""
+    if m == k:
+        return np.zeros((0, 2 * m, 2 * m), dtype=np.int64)
+    return _embed_sp_block(sp_group(m - k, field).generator_rows, m, k)
 
 
 def stabilizer_sp(m: int, k: int, field: FieldSpec) -> MatrixGroup:
     """Pointwise stabilizer of span(e_1..e_k) in Sp_2m: Sp_(2m-2k) |x P_k."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    gens = []
-    if m - k > 0:
-        for g in sp_group(m - k, field).generators:
-            gens.append(_embed_sp_block(field, g.matrix, m, k))
-    gens.extend(p_k_subgroup(m, k, field).generators)
+    gens = np.concatenate([_sp_block_generators(m, k, field),
+                           p_k_subgroup(m, k, field).generator_rows])
     _check_symplectic(field, gens, m, f"Sp{2*m}_U{k}")
     return MatrixGroup(field, 2 * m, gens, name=f"Sp{2*m}(F{field.q})_U{k}",
                        claimed_order=stabilizer_sp_order(m, k, field.q))
@@ -785,13 +809,10 @@ def parabolic_g_k(m: int, k: int, field: FieldSpec) -> MatrixGroup:
     """The maximal parabolic (GL_k x Sp_(2m-2k)) |x P_k of Sp_2m."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    gens = []
-    for g in gl_group(k, field).generators:
-        gens.append(_embed_gl_block(field, g, m, k))
-    if m - k > 0:
-        for g in sp_group(m - k, field).generators:
-            gens.append(_embed_sp_block(field, g.matrix, m, k))
-    gens.extend(p_k_subgroup(m, k, field).generators)
+    gens = np.concatenate([
+        _embed_gl_block(field, gl_group(k, field).generator_rows, m, k),
+        _sp_block_generators(m, k, field),
+        p_k_subgroup(m, k, field).generator_rows])
     _check_symplectic(field, gens, m, f"G{k}")
     return MatrixGroup(field, 2 * m, gens, name=f"G{k}(m={m},F{field.q})",
                        claimed_order=gk_order(m, k, field.q))
@@ -830,13 +851,13 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     checked exactly with `act`."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
-    field, n = group.field, group.n
-    rows = group.rows()
-    candidates = _row_elements(field, n, rows[_keeps_values(field, rows, f)])
-    fixed = [g for g in candidates if f.act(g) == f]
-    gens = minimal_generators(group.field, fixed) if len(fixed) > 1 else []
-    return MatrixGroup(group.field, group.n, gens,
-                       name=f"Stab({group.name})", elements=fixed)
+    field, rows = group.field, group.rows()
+    candidates = rows[_keeps_values(field, rows, f)]
+    fixed = candidates[np.array([f.act(g) == f for g in candidates.tolist()],
+                                dtype=bool)]
+    gens = minimal_generators(field, fixed) if len(fixed) > 1 else []
+    return MatrixGroup(field, group.n, gens, name=f"Stab({group.name})",
+                       elements=fixed)
 
 
 # -- forms --
@@ -920,28 +941,24 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
 
 
 def o3_sylow_generators(field: FieldSpec):
-    """Unipotent generators [[1,2c,c^2],[0,1,c],[0,0,1]] preserving x2^2-x1*x3."""
-    gens = []
-    for b in field.fp_basis():
-        c = b.index
-        m = ((1, field.mul(field.add(1, 1), c), field.mul(c, c)),
-             (0, 1, c),
-             (0, 0, 1))
-        gens.append(GroupElement(field, m, check=False))
+    """Unipotent generators [[1,2c,c^2],[0,1,c],[0,0,1]] preserving
+    x2^2-x1*x3, one per F_p-basis element c, as a (k, 3, 3) index array."""
+    basis = [b.index for b in field.fp_basis()]
+    gens = _identities(len(basis), 3)
+    for g, c in zip(gens, basis):
+        g[0, 1:] = field.mul(field.add(1, 1), c), field.mul(c, c)
+        g[1, 2] = c
     return gens
 
 
 def o4_plus_sylow_generators(field: FieldSpec):
-    """Unipotent generators of the Sylow subgroup preserving x2*x3-x1*x4."""
-    gens = []
-    for b in field.fp_basis():
-        c = b.index
-        for c1, c2 in ((c, 0), (0, c)):
-            m = ((1, c1, c2, field.mul(c1, c2)),
-                 (0, 1, 0, c2),
-                 (0, 0, 1, c1),
-                 (0, 0, 0, 1))
-            gens.append(GroupElement(field, m, check=False))
+    """Unipotent generators of the Sylow subgroup preserving x2*x3-x1*x4,
+    two per F_p-basis element c, as a (k, 4, 4) index array."""
+    cs = [cc for b in field.fp_basis() for cc in ((b.index, 0), (0, b.index))]
+    gens = _identities(len(cs), 4)
+    for g, (c1, c2) in zip(gens, cs):
+        g[0, 1:] = c1, c2, field.mul(c1, c2)
+        g[1:3, 3] = c2, c1
     return gens
 
 
@@ -949,25 +966,14 @@ def product_group(G1: MatrixGroup, G2: MatrixGroup, name="") -> MatrixGroup:
     """Block-diagonal realization of G1 x G2."""
     if G1.field != G2.field:
         raise ValueError("factors over different fields")
-    field = G1.field
-    n = G1.n + G2.n
-    gens = []
-    for g in G1.generators:
-        M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(G1.n):
-            for j in range(G1.n):
-                M[i][j] = g.matrix[i][j]
-        gens.append(GroupElement(field, tuple(map(tuple, M)), check=False))
-    for g in G2.generators:
-        M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(G2.n):
-            for j in range(G2.n):
-                M[G1.n + i][G1.n + j] = g.matrix[i][j]
-        gens.append(GroupElement(field, tuple(map(tuple, M)), check=False))
+    k1, n1 = len(G1.generator_rows), G1.n
+    gens = _identities(k1 + len(G2.generator_rows), n1 + G2.n)
+    gens[:k1, :n1, :n1] = G1.generator_rows
+    gens[k1:, n1:, n1:] = G2.generator_rows
     order = None
     try:
         order = G1.order() * G2.order()
     except NotEnumeratedError:
         pass
-    return MatrixGroup(field, n, gens, name=name or f"{G1.name}x{G2.name}",
-                       claimed_order=order)
+    return MatrixGroup(G1.field, n1 + G2.n, gens,
+                       name=name or f"{G1.name}x{G2.name}", claimed_order=order)

@@ -12,15 +12,19 @@ which all expansion identities in this package are exact.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from modinvar.gfq import FieldSpec
-from modinvar.gluing import GluingGroup
-from modinvar.groups import ClaimRefuted, MatrixGroup, gl_group, p_k_subgroup, \
-    parabolic_gl_order, parabolic_g_k, sp_group, stabilizer_sp, usp_group, \
-    GroupElement
+from modinvar.gluing import (GluingGroup, _parabolic_blocks, diagonal_glue,
+                             full_hom_module, glue, parabolic_module,
+                             scalar_line_module)
+from modinvar.groups import (ClaimRefuted, MatrixGroup, field_from_order,
+                             gl_group, p_k_subgroup, parabolic_gl_order,
+                             parabolic_g_k, product_group, sp_group,
+                             stabilizer_sp, trivial_group, unipotent_upper,
+                             usp_group)
 from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
                              gluing_space, symplectic_space, x_space)
@@ -217,7 +221,6 @@ def dickson_via_moore(space: VariableSpace, var_names, i: int) -> Polynomial:
 def _as_field(q) -> FieldSpec:
     if isinstance(q, FieldSpec):
         return q
-    from modinvar.groups import field_from_order
     return field_from_order(q)
 
 
@@ -346,7 +349,7 @@ class GeneratorFamily:
                 raise InvarianceError(
                     f"{self.name}: {mem.label} has degree {actual}, "
                     f"declared {mem.degree}")
-        for gi, g in enumerate(self.group.generators):
+        for gi, g in enumerate(self.group.generator_rows.tolist()):
             for mem in self.members:
                 if mem.poly.act(g) != mem.poly:
                     raise InvarianceError(
@@ -479,33 +482,15 @@ def _family_eapg(m, q):
                            p_k_subgroup(m, m, field), "complete_intersection", rel)
 
 
-def _parabolic_blocks(partition):
-    sizes = list(partition)
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    return sizes, starts, acc
-
-
 def parabolic_gl_group(partition, field) -> MatrixGroup:
-    """Block upper-triangular invertible matrices for the given partition."""
-    sizes, starts, n = _parabolic_blocks(partition)
-    gens = []
-    for s, off in zip(sizes, starts):
-        for g in gl_group(s, field).generators:
-            mat = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            for a in range(s):
-                for b in range(s):
-                    mat[off + a][off + b] = g.matrix[a][b]
-            gens.append(GroupElement(field, tuple(map(tuple, mat)), check=False))
-    for i in range(n - 1):
-        for b in field.fp_basis():
-            mat = [[1 if a == c else 0 for c in range(n)] for a in range(n)]
-            mat[i][i + 1] = b.index
-            gens.append(GroupElement(field, tuple(map(tuple, mat)), check=False))
-    return MatrixGroup(field, n, gens,
+    """Block upper-triangular invertible matrices for the given partition:
+    the GL generators of each diagonal block, then the superdiagonal
+    transvections."""
+    sizes, _, block_of = _parabolic_blocks(partition)
+    levi = reduce(product_group, [gl_group(s, field) for s in sizes])
+    gens = np.concatenate([levi.generator_rows,
+                           unipotent_upper(len(block_of), field).generator_rows])
+    return MatrixGroup(field, len(block_of), gens,
                        name=f"P_F{tuple(partition)}(F{field.q})",
                        claimed_order=parabolic_gl_order(partition, field.q))
 
@@ -513,19 +498,17 @@ def parabolic_gl_group(partition, field) -> MatrixGroup:
 def parabolic_orbit_norm(space, partition, j: int) -> Polynomial:
     """N(y_j) under the unipotent radical: orbit product of y_j over the
     F_q-span of the variables in strictly later blocks."""
-    sizes, starts, n = _parabolic_blocks(partition)
-    block_of = []
-    for bi, s in enumerate(sizes):
-        block_of.extend([bi] * s)
-    myblock = block_of[j - 1]
-    basis = span_basis([space.variable(space.names[kk]) for kk in range(n)
-                        if block_of[kk] > myblock])
+    _, _, block_of = _parabolic_blocks(partition)
+    basis = span_basis([space.variable(space.names[kk])
+                        for kk in range(len(block_of))
+                        if block_of[kk] > block_of[j - 1]])
     return orbit_product(space.variable(space.names[j - 1]), basis)
 
 
 def _family_parabolic_gl(partition, q):
     field = _as_field(q)
-    sizes, starts, n = _parabolic_blocks(partition)
+    sizes, starts, block_of = _parabolic_blocks(partition)
+    n = len(block_of)
     space = VariableSpace(field, [f"y{i}" for i in range(1, n + 1)])
     qq = field.q
     members = []
@@ -549,7 +532,6 @@ def _family_diag_cc(n, q):
     field = _as_field(q)
     if n > field.p:
         raise ValueError("indecomposable Jordan block needs n <= p")
-    from modinvar.gluing import diagonal_glue, scalar_line_module
     space = gluing_space(field, n, n)
     qq = field.q
     y = {i: space.variable(f"y{i}") for i in range(1, n + 1)}
@@ -558,12 +540,10 @@ def _family_diag_cc(n, q):
     members.append(FamilyMember("N", y[1] ** qq - y[1] * x[1] ** (qq - 1), qq))
     for j in range(2, n + 1):
         members.append(FamilyMember(f"u_{j}", y[1] * x[j] - y[j] * x[1], 2))
-    jordan = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    for a in range(n - 1):
-        jordan[a][a + 1] = 1  # x_j.g = x_j + x_(j-1)
-    G = MatrixGroup(field, n, [GroupElement(field, tuple(map(tuple, jordan)),
-                                            check=False)],
-                    name=f"C{field.p}", claimed_order=field.p)
+    # x_j.g = x_j + x_(j-1)
+    jordan = np.eye(n, dtype=np.int64) + np.eye(n, k=1, dtype=np.int64)
+    G = MatrixGroup(field, n, jordan[None], name=f"C{field.p}",
+                    claimed_order=field.p)
     gluing = diagonal_glue(G, scalar_line_module(n, field))
     return GeneratorFamily("diag_cc", dict(n=n, q=qq), members,
                            gluing.m_subgroup(), "unknown")
@@ -571,8 +551,6 @@ def _family_diag_cc(n, q):
 
 def _family_fqexam(m, n, q):
     field = _as_field(q)
-    from modinvar.gluing import full_hom_module, glue
-    from modinvar.groups import trivial_group
     gluing = glue(trivial_group(field, m), trivial_group(field, n),
                   full_hom_module(m, n, field))
     msub = gluing.m_subgroup()
@@ -637,11 +615,7 @@ def psi_substitute(f: Polynomial, gluing: GluingGroup) -> Polynomial:
 
 def _psi_parabolic(f, gluing):
     space = f.space
-    partition = gluing.partition
-    sizes, starts, n = _parabolic_blocks(partition)
-    block_of = []
-    for bi, s in enumerate(sizes):
-        block_of.extend([bi] * s)
+    _, _, block_of = _parabolic_blocks(gluing.partition)
     used_y = [space.position(v) for v in f.variables_used()
               if v.startswith("y")]
     if not used_y:
@@ -649,7 +623,8 @@ def _psi_parabolic(f, gluing):
     window = min(block_of[j] for j in used_y)
     # N_(window+1): orbit product over the span of x-variables in blocks
     # window, window+1, ... (the image of (W / F_window)^* in W2*)
-    basis = span_basis([space.variable(f"x{kk + 1}") for kk in range(n)
+    basis = span_basis([space.variable(f"x{kk + 1}")
+                        for kk in range(len(block_of))
                         if block_of[kk] >= window])
     sub = {}
     for j in used_y:
@@ -661,7 +636,6 @@ def _psi_parabolic(f, gluing):
 def parabolic_glue(partition, G1: MatrixGroup, G2: MatrixGroup) -> GluingGroup:
     """Gluing through the flag-consistent endomorphism module; factors must
     stabilize the flag."""
-    from modinvar.gluing import glue, parabolic_module
     field = G1.field
     M = parabolic_module(partition, field)
     gluing = glue(G1, G2, M, flavor="parabolic")

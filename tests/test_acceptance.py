@@ -28,7 +28,7 @@ from modinvar.groups import (gl_group, p_k_subgroup, stabilizer_of_polynomial,
                              unipotent_upper)
 from modinvar.invariants import dickson_in, xi
 from modinvar.mvpoly import (VariableSpace, gluing_space, monomials_of_degree,
-                             parse_polynomial, symplectic_space)
+                             parse_polynomial)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -174,17 +174,15 @@ def test_criterion_7_hilbert_oracle_as_stated():
     degree must be 48 / |group| = 6, and the dimension oracle indeed refutes
     degree 5 at degree 5.  Kept as stated; expected to fail."""
     P2 = p_k_subgroup(2, 2, F2)
-    sp = symplectic_space(F2, 2)
-    rep = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [5]), P2, 10, sp)
+    rep = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [5]), P2, 10)
     report_line(7, rep.passed, "declared relation degree 5")
     assert rep.passed, rep.witness
 
 
 def test_criterion_7_hilbert_oracle_corrected_and_control():
     P2 = p_k_subgroup(2, 2, F2)
-    sp = symplectic_space(F2, 2)
-    good = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [6]), P2, 10, sp)
-    bad = hilbert_check(HilbertClaim([1, 1, 3, 4], [6]), P2, 10, sp)
+    good = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [6]), P2, 10)
+    bad = hilbert_check(HilbertClaim([1, 1, 3, 4], [6]), P2, 10)
     ok = good.passed and bad.status == "fail"
     report_line(7, ok, "relation degree 6 passes; perturbed claim fails")
     assert good.passed, good.witness

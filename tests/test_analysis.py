@@ -21,8 +21,7 @@ from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
                              unipotent_upper, usp_group)
 from modinvar.invariants import dickson_in, family, xi
 from modinvar.linalg import fp_expand, rref_mod_p
-from modinvar.mvpoly import (VariableSpace, gluing_space, monomials_of_degree,
-                             symplectic_space)
+from modinvar.mvpoly import VariableSpace, gluing_space, monomials_of_degree
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -320,14 +319,13 @@ def test_principal_check_wrong_tau_fails():
 def test_invariant_dimension_degree_zero_and_trivial():
     T = trivial_group(F2, 4)
     sp = gluing_space(F2, 2, 2)
-    assert invariant_dimension(T, 0, sp) == 1
-    assert invariant_dimension(T, 3, sp) == len(monomials_of_degree(sp, 3))
+    assert invariant_dimension(T, 0) == 1
+    assert invariant_dimension(T, 3) == len(monomials_of_degree(sp, 3))
 
 
 def test_invariant_dimension_p2_degree1():
     P2 = p_k_subgroup(2, 2, F2)
-    sp = symplectic_space(F2, 2)
-    assert invariant_dimension(P2, 1, sp) == 2  # span of x1, x2
+    assert invariant_dimension(P2, 1) == 2  # span of x1, x2
 
 
 def test_invariant_dimension_gl2():
@@ -354,10 +352,9 @@ def test_hilbert_check_trivial_free_claim():
 
 def test_hilbert_check_p2_true_and_perturbed():
     P2 = p_k_subgroup(2, 2, F2)
-    sp = symplectic_space(F2, 2)
-    good = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [6]), P2, 10, sp)
+    good = hilbert_check(HilbertClaim([1, 1, 3, 4, 4], [6]), P2, 10)
     assert good.passed
-    bad = hilbert_check(HilbertClaim([1, 1, 3, 4], [6]), P2, 10, sp)
+    bad = hilbert_check(HilbertClaim([1, 1, 3, 4], [6]), P2, 10)
     assert bad.status == "fail" and "degree" in bad.witness
 
 
@@ -458,9 +455,9 @@ def test_invariant_dimension_matches_dense_act_oracle(group, top):
     top degree through a fresh one, against the dense oracle."""
     space = VariableSpace(group.field,
                           [f"z{i}" for i in range(1, group.n + 1)])
-    powers = SymmetricPowers(group, group.field)
+    powers = SymmetricPowers(group)
     for d in range(1, top + 1):
-        assert invariant_dimension(group, d, space, powers) == \
+        assert invariant_dimension(group, d, powers) == \
             _dense_invariant_dimension(group, d, space)
     assert invariant_dimension(group, top) == \
         _dense_invariant_dimension(group, top, space)
@@ -471,7 +468,7 @@ def test_symmetric_powers_match_act():
     F9 = build_field(3, 2)
     g = GroupElement(F9, ((1, 3, 0), (0, 4, 2), (5, 0, 1)))
     space = VariableSpace(F9, ["z1", "z2", "z3"])
-    powers = SymmetricPowers(MatrixGroup(F9, 3, [g]), F9)
+    powers = SymmetricPowers(MatrixGroup(F9, 3, [g]))
     for d in (1, 2, 4, 3):
         size, [(rows, cols, digits)] = powers.at(d)
         monos = [tuple(e) for e in powers._exps.tolist()]
@@ -486,7 +483,7 @@ def test_symmetric_powers_match_act():
 
 def test_symmetric_powers_check_the_budget_first(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_KERNEL_MONOMIALS", 10)
-    powers = SymmetricPowers(unipotent_upper(3, F2), F2)
+    powers = SymmetricPowers(unipotent_upper(3, F2))
     assert powers.at(3)[0] == 10
     with pytest.raises(BudgetExceeded,
                        match="degree 4 needs 15 monomials, over the 10"):
@@ -499,7 +496,7 @@ def test_symmetric_powers_check_the_step_budget(monkeypatch):
     the parent degree before each step."""
     g = ((1, 2, 1, 1), (1, 1, 2, 1), (2, 1, 1, 1), (1, 1, 1, 2))
     G = MatrixGroup(F3, 4, [GroupElement(F3, g)])
-    powers = SymmetricPowers(G, F3)
+    powers = SymmetricPowers(G)
     _, [(rows, _, _)] = powers.at(2)
     assert len(rows) == 76  # of the 100 entries of S^2(g)
     monkeypatch.setattr(analysis, "MAX_STEP_ENTRIES", 4 * 76 - 1)
@@ -516,9 +513,9 @@ def test_sylow_stretch_pins():
     claimed series give 23 at degree 16 for Sp4(F3) and 33 at degree 10 for
     Sp6(F2)."""
     G = usp_group(2, F3)
-    assert invariant_dimension(G, 16, symplectic_space(F3, 2)) == 23 == \
+    assert invariant_dimension(G, 16) == 23 == \
         HilbertClaim([4, 10, 1, 3, 9, 27], [12, 30]).series(16)[16]
     G = usp_group(3, F2)
-    assert invariant_dimension(G, 10, symplectic_space(F2, 3)) == 33 == \
+    assert invariant_dimension(G, 10) == 33 == \
         HilbertClaim([3, 5, 9, 17, 1, 2, 4, 8, 16, 32],
                      [12, 18, 20, 34]).series(10)[10]

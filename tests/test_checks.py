@@ -3,6 +3,7 @@ overrun (`BudgetExceeded`) into a skipped report and a refuted claim
 (`ClaimRefuted`) into a failed one; the batched triple law against the
 scalar loop it replaced, and its two routes against each other."""
 
+import hashlib
 import json
 import random
 
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from modinvar import analysis, checks, groups, invariants
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
-from modinvar.gluing import semidirect_mul
+from modinvar.gluing import semidirect_mul, singular_form_group
 from modinvar.gfq import FieldSpec
-from modinvar.groups import _expand
+from modinvar.groups import _expand, mat_mul
+from modinvar.mvpoly import Polynomial, VariableSpace, parse_polynomial
 
 
 def test_monomial_budget_is_skipped(monkeypatch):
@@ -278,3 +280,158 @@ def test_unattained_tau_keeps_its_witness():
     assert rep.status == "fail"
     assert rep.witness == ("tau is not attained in the image row space at "
                            "degree 3")
+
+
+# -- action_compatibility against the per-pair loop it replaced --
+
+def scalar_compatibility(params, swap=False):
+    """The witness of the first pair with f.(g h) != (f.g).h, or None, from
+    three `Polynomial.act` calls per pair and the product by `mat_mul`
+    (h g with `swap`), drawing f and the pairs as the check draws them."""
+    field = groups.field_from_order(params.get("q", 2))
+    n = params.get("n", 2)
+    elements = groups.gl_group(n, field).enumerate().rows().tolist()
+    order = len(elements)
+    rng = random.Random(params.get("seed", 0))
+    space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
+    for _ in range(params.get("samples", 30)):
+        f = space.zero()
+        for _ in range(rng.randrange(5)):
+            e = tuple(rng.randrange(4) for _ in range(n))
+            f = f + space.monomial(e, rng.randrange(1, field.q))
+        if order ** 2 <= 2500:
+            pairs = [(a, b) for a in range(order) for b in range(order)]
+        else:
+            draws = [rng.choice(range(order)) for _ in range(100)]
+            pairs = list(zip(draws[0::2], draws[1::2]))
+        for a, b in pairs:
+            g, h = elements[a], elements[b]
+            product = mat_mul(field, h, g) if swap else mat_mul(field, g, h)
+            if f.act(product) != f.act(g).act(h):
+                return f"compatibility fails for f={f!r}"
+    return None
+
+
+@pytest.mark.parametrize("params", [
+    {"q": 2, "n": 2, "samples": 6}, {"q": 3, "n": 2, "samples": 4},
+    {"q": 2, "n": 3, "samples": 3, "seed": 5}])
+def test_action_compatibility_acts_once_per_element(monkeypatch, params):
+    """The same verdict as the per-pair loop, with f acted on by each
+    element at most once per polynomial and (f.g) by h once per pair; with
+    the products taken as h g the first failing f is the loop's."""
+    calls = []
+    act = Polynomial.act
+
+    def counted(self, g):
+        calls.append(1)
+        return act(self, g)
+
+    assert scalar_compatibility(params) is None
+    monkeypatch.setattr(Polynomial, "act", counted)
+    assert run_check("action_compatibility", params).status == "pass"
+    order = groups.gl_order(params["n"], params["q"])
+    pairs = order ** 2 if order ** 2 <= 2500 else 50
+    assert len(calls) <= params["samples"] * (pairs + min(order, 2 * pairs))
+    monkeypatch.setattr(Polynomial, "act", act)
+    matmul = checks.index_matmul
+    monkeypatch.setattr(checks, "index_matmul",
+                        lambda field, a, b: matmul(field, b, a))
+    rep = run_check("action_compatibility", params)
+    assert rep.status == "fail"
+    assert rep.witness == scalar_compatibility(params, swap=True)
+
+
+# -- generator pins --
+# sha256 prefixes of the generator matrices, in order, as nested lists
+# (`json.dumps`), taken from the constructors when they still built tuples
+# and GroupElements; witnesses name "generator #i", so order and entries
+# must not move.
+
+PINNED_GROUPS = [
+    ("gl", {"n": 1, "q": 2}, "4f53cda18c2baa0c"),
+    ("gl", {"n": 1, "q": 5}, "a504c2691cff8c46"),
+    ("gl", {"n": 2, "q": 3}, "5cdf1870aafbb77e"),
+    ("gl", {"n": 3, "q": 4}, "8ed45d94c03c42b2"),
+    ("u", {"n": 3, "q": 4}, "ebf3e0d8b01ef10a"),
+    ("sp", {"m": 1, "q": 3}, "789abf460aa06e8f"),
+    ("sp", {"m": 2, "q": 3}, "83783543e9f58cee"),
+    ("usp", {"m": 2, "q": 4}, "9e82e6157d309c38"),
+    ("pk", {"m": 3, "k": 1, "q": 2}, "3f596091b9cf9ca5"),
+    ("pk", {"m": 2, "k": 2, "q": 9}, "78f3cab15224bab1"),
+    ("gk", {"m": 2, "k": 1, "q": 3}, "86a2a2f7b9d13143"),
+    ("gk", {"m": 3, "k": 2, "q": 2}, "649defe871bdf683"),
+    ("spstab", {"m": 2, "k": 1, "q": 3}, "049f51e58c8890be"),
+    ("spstab", {"m": 3, "k": 2, "q": 2}, "aa9ccee1d4d91a81"),
+    ("o3ex", {"q": 9}, "be3896eebb4dbbda"),
+    ("o4ex", {"q": 4}, "1bcae9f184ab818d"),
+]
+
+PINNED_GLUINGS = [
+    ({"kind": "hom", "q": 3, "m": 1, "n": 2, "g1": "gl", "g2": "u",
+      "module": "full"}, "86913a3f6ed6c0fb"),
+    ({"kind": "hom", "q": 4, "m": 2, "n": 1, "g1": "trivial",
+      "g2": "trivial", "module": "subfield", "q_sub": 2}, "88bc6c1d19e14e85"),
+    ({"kind": "hom", "q": 2, "m": 3, "n": 3, "g1": "pf", "g2": "pf",
+      "module": "parabolic", "partition": [1, 2]}, "76bd8cc8ec098940"),
+    ({"kind": "hom", "q": 3, "m": 2, "n": 2, "g1": "trivial",
+      "g2": "trivial", "module": "scalar"}, "23e5e5774d3c76ba"),
+    ({"kind": "diag", "q": 3, "m": 2, "n": 2, "g1": "u", "module": "full"},
+     "710c10f2df1fa71f"),
+    ({"kind": "thin", "p": 2, "r": 2}, "89c27d6b98acb6d6"),
+    ({"kind": "thin", "p": 3, "r": 1}, "1f01401356772f13"),
+    ({"kind": "singular", "q": 3}, "5c520fac32a9070f"),
+    ({"kind": "singular", "q": 4}, "00b1bab08d3a5d64"),
+]
+
+PINNED_FAMILIES = [
+    ("carlisle_kropholler", {"m": 1, "q": 3}, "789abf460aa06e8f"),
+    ("carlisle_kropholler", {"m": 2, "q": 2}, "7c491fe2cec8fff4"),
+    ("stab_sub", {"m": 2, "k": 1, "q": 2}, "c9ec74caab8d1f45"),
+    ("sylow", {"m": 2, "q": 3}, "d558d2a87e24483e"),
+    ("max_para", {"m": 2, "k": 1, "q": 2}, "c9ec74caab8d1f45"),
+    ("eapg", {"m": 2, "q": 3}, "1170a542011906a3"),
+    ("parabolic_gl", {"partition": (1, 2), "q": 3}, "a25a3bb2aaf351b0"),
+    ("diag_cc", {"n": 2, "q": 3}, "23e5e5774d3c76ba"),
+    ("fqexam", {"m": 1, "n": 2, "q": 2}, "9ff0ac886e506933"),
+]
+
+
+def generator_digest(G):
+    assert G.generator_rows.dtype == np.int64
+    return hashlib.sha256(
+        json.dumps(G.generator_rows.tolist()).encode()).hexdigest()[:16]
+
+
+def test_every_group_kind_is_pinned():
+    assert {kind for kind, _, _ in PINNED_GROUPS} == set(checks.GROUP_KINDS)
+    assert {params["kind"] for params, _ in PINNED_GLUINGS} == \
+        {"hom", "diag", "thin", "singular"}
+    assert {name for name, _, _ in PINNED_FAMILIES} == \
+        set(invariants.FAMILY_BUILDERS)
+
+
+@pytest.mark.parametrize("kind,params,digest", PINNED_GROUPS)
+def test_group_generators_are_pinned(kind, params, digest):
+    assert generator_digest(checks.build_group(kind, params)) == digest
+
+
+@pytest.mark.parametrize("params,digest", PINNED_GLUINGS)
+def test_gluing_generators_are_pinned(params, digest):
+    assert generator_digest(build_gluing(params).realized) == digest
+
+
+@pytest.mark.parametrize("name,params,digest", PINNED_FAMILIES)
+def test_family_group_generators_are_pinned(name, params, digest):
+    assert generator_digest(invariants.family(name, **params).group) == digest
+
+
+def test_predicate_subset_generators_are_pinned():
+    """The greedy generators of the two predicate subsets."""
+    F3 = groups.build_field(3)
+    gluing = singular_form_group(groups.FormSpec(
+        "symmetric", F3, gram=((0, 0, 0), (0, 1, 0), (0, 0, 2))))
+    assert generator_digest(gluing.realized) == "4ae80a6c9ee08d3c"
+    space = VariableSpace(F3, ["x1", "x2", "x3"])
+    S = groups.stabilizer_of_polynomial(groups.gl_group(3, F3).enumerate(),
+                                        parse_polynomial(space, "x2^2 - x1*x3"))
+    assert generator_digest(S) == "c4ed4ded394442fa"

@@ -15,9 +15,9 @@ from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              element_orders,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order, identity_matrix,
-                             index_matmul, mat_mul, mat_transpose,
-                             minimal_generators, o3_sylow_generators,
-                             o4_plus_sylow_generators, p_k_subgroup,
+                             index_matmul, mat_mul, minimal_generators,
+                             o3_sylow_generators, o4_plus_sylow_generators,
+                             p_k_subgroup,
                              parabolic_g_k, parabolic_gl_order, parse_matrix,
                              pk_order, sp_group, sp_order, stabilizer_of_polynomial,
                              stabilizer_sp, symplectic_j, trivial_group,
@@ -46,7 +46,12 @@ def mat_scale(field, A, c):
     return tuple(tuple(field.mul(a, c) for a in row) for row in A)
 
 
+def mat_transpose(A):
+    return tuple(zip(*A))
+
+
 def is_symplectic(field, matrix, J):
+    J = tuple(map(tuple, np.asarray(J).tolist()))
     return mat_mul(field, mat_mul(field, mat_transpose(matrix), J), matrix) == J
 
 
@@ -237,7 +242,11 @@ def _pk_parametric_keys(m, k, field):
             Apart = _pk_particular_a(field, m, k, B1, B2)
             for S in _symmetric_matrices(field, k):
                 A = mat_add(field, Apart, mat_mul(field, Qk, S))
-                mats.append(_pk_assemble(field, m, k, B1, B2, A).matrix)
+                mats.append(_pk_assemble(
+                    field, m, k, *(np.array(X, dtype=np.int64).reshape(1, *shape)
+                                   for X, shape in ((B1, (m - k, k)),
+                                                    (B2, (m - k, k)),
+                                                    (A, (k, k)))))[0].tolist())
     assert all(is_symplectic(field, mat, J) for mat in mats)
     return np.sort(_keys(np.array(mats, dtype=_index_dtype(field))))
 
@@ -346,7 +355,7 @@ def test_form_preserved_identity_and_o3():
         fm = FormSpec("quadratic", field, quadratic=d)
         mats = [((1, field.mul(2, c), field.mul(c, c)), (0, 1, c), (0, 0, 1))
                 for c in range(field.q)]
-        mats += [g.matrix for g in o3_sylow_generators(field)]
+        mats += o3_sylow_generators(field).tolist()
         assert form_preserved(mats, fm).all()
 
 
@@ -358,7 +367,7 @@ def test_form_preserved_o4_plus():
         fm = FormSpec("quadratic", field, quadratic=u)
         mats = [((1, c1, c2, field.mul(c1, c2)), (0, 1, 0, c2), (0, 0, 1, c1),
                  (0, 0, 0, 1)) for c1 in range(q) for c2 in range(q)]
-        mats += [g.matrix for g in o4_plus_sylow_generators(field)]
+        mats += o4_plus_sylow_generators(field).tolist()
         assert form_preserved(mats, fm).all()
 
 
@@ -653,8 +662,9 @@ def test_minimal_generators_match_naive_greedy():
             closed = set(naive_closure(G.field, G.n, expected, len(target)))
             if len(closed) == len(target):
                 break
-        chosen = minimal_generators(G.field, G.elements)
-        assert [g.matrix for g in chosen] == expected
+        chosen = minimal_generators(G.field, G.rows())
+        assert chosen.dtype == np.int64
+        assert chosen.tolist() == [list(map(list, m)) for m in expected]
 
 
 # -- array-backed groups against a tuple-set oracle --
@@ -845,3 +855,40 @@ def test_singular_matrices_are_refused(field, n, rnd):
 
 def test_inverse_of_the_empty_matrix():
     assert GroupElement(F3, ()).inverse().matrix == ()
+
+
+# -- generators as one index array --
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_group(3, F4), lambda: sp_group(2, F3),
+    lambda: thin_glue_regular(2, 2, build_field(2, 2)).realized,
+    lambda: MatrixGroup(F3, 2, [GroupElement(F3, ((1, 1), (0, 1)))]),
+    lambda: MatrixGroup(F3, 2, []), lambda: trivial_group(F3, 0)])
+def test_generators_are_a_lazy_view_of_the_rows(make):
+    """`generator_rows` is built at construction, the GroupElement list on
+    first access, equal to it element by element, and then cached."""
+    G = make()
+    assert G._generators is None
+    rows = G.generator_rows
+    assert rows.dtype == np.int64 and rows.shape == (len(rows), G.n, G.n)
+    gens = G.generators
+    assert [g.matrix for g in gens] == [tuple(map(tuple, m))
+                                        for m in rows.tolist()]
+    assert all(type(e) is int for g in gens for row in g.matrix for e in row)
+    assert G.generators is gens
+
+
+def test_matrix_group_reads_elements_and_arrays_alike():
+    gens = [((1, 1), (0, 1)), ((0, 1), (1, 0))]
+    groups_ = [MatrixGroup(F3, 2, gens),
+               MatrixGroup(F3, 2, np.array(gens)),
+               MatrixGroup(F3, 2, [GroupElement(F3, m) for m in gens])]
+    for G in groups_:
+        assert G.generator_rows.tolist() == [list(map(list, m)) for m in gens]
+    rows = gl_group(2, F3).enumerate().rows()[:5]
+    assert MatrixGroup(F3, 2, [], elements=rows).rows().tolist() == \
+        sorted(rows.tolist())
+    with pytest.raises(ValueError, match="generator dimension mismatch"):
+        MatrixGroup(F3, 3, gens)
+    with pytest.raises(ValueError, match="element dimension mismatch"):
+        MatrixGroup(F3, 3, [], elements=rows)

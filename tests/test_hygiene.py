@@ -296,3 +296,50 @@ def test_rref_mod_p_is_the_only_dense_elimination():
              for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
              for name in defined_functions(path) & REPLACED}
     assert not found, "replaced scalar helpers in src:\n" + "\n".join(found)
+
+
+# The functions that hand out a GroupElement: the scalar oracles and the
+# API edge.  Constructors and consumers work on index arrays
+# (`MatrixGroup.generator_rows`), and `MatrixGroup.generators` and
+# `elements` build their GroupElements through `groups._row_elements`.
+GROUP_ELEMENT_MAKERS = {"GroupElement.__mul__", "MatrixGroup.identity",
+                        "GluingGroup.triple", "semidirect_mul",
+                        "check_semidirect_law"}
+
+
+def test_group_elements_are_made_only_at_the_api_edge():
+    callers = {function
+               for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+               for _, function in functions_calling(path, "GroupElement")}
+    assert callers == GROUP_ELEMENT_MAKERS
+
+
+def function_level_imports(path):
+    """(line, module) of each import of a modinvar module inside a
+    function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(node.lineno, name) for name in names
+                      if name.split(".")[0] == "modinvar"]
+    return found
+
+
+def test_src_imports_modinvar_at_module_level():
+    """The modules import in one order (gfq, linalg, mvpoly, groups,
+    gluing, invariants, analysis, checks, cli), so no import of one by
+    another has to wait inside a function."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}: {module}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line, module in function_level_imports(path)]
+    assert not found, "function-level modinvar imports:\n" + \
+        "\n".join(found)
