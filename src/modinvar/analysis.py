@@ -692,8 +692,7 @@ def _check_nk_expansion(k, m, q):
     ext = VariableSpace(field, list(base.names) + ["T"])
     T = ext.variable("T")
     ell = 2 * m - k
-    lhs = orbit_product(T, span_basis(
-        [ext.variable(name) for name in symplectic_l_names(m)[:ell]]))
+    lhs = subspace_product(ext, symplectic_l_names(m)[:ell], T)
     qq = field.q
     rhs = ext.zero()
     for j in range(ell + 1):

@@ -43,7 +43,7 @@ from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
 from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute,
-                                 span_basis, xi)
+                                 span_basis, subspace_product, xi)
 from modinvar.mvpoly import (gluing_space, parse_polynomial, symplectic_space,
                              VariableSpace)
 
@@ -399,17 +399,20 @@ def check_singular_form(params, budgets) -> VerificationReport:
 
 
 def check_orbit_additivity(params, budgets) -> VerificationReport:
-    """Orbit products over a fixed span are additive in the moving form."""
+    """Orbit products over the F_q-span of x1..xn are additive in the moving
+    form: `orbit_product` (the Frobenius recursion) of fa + fb against the
+    sum of the literal products (`subspace_product`) of fa and fb."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
     space = gluing_space(field, 2, n)
-    basis = span_basis([space.variable(f"x{i}") for i in range(1, n + 1)])
+    names = [f"x{i}" for i in range(1, n + 1)]
+    basis = span_basis([space.variable(name) for name in names])
     y1, y2 = space.variable("y1"), space.variable("y2")
     forms = [y1, y2, y1 + y2]
     for c in range(2, field.q):
         forms.append(y1.scale(c) + y2)
-    products = {f: orbit_product(f, basis) for f in forms}
+    products = {f: subspace_product(space, names, f) for f in forms}
     for fa in (y1, y2):
         for fb in forms:
             lhs = orbit_product(fa + fb, basis)

@@ -17,9 +17,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from modinvar.gfq import FieldSpec
-from modinvar.gluing import (GluingGroup, _parabolic_blocks, diagonal_glue,
-                             full_hom_module, glue, parabolic_module,
-                             scalar_line_module)
+from modinvar.gluing import (BimoduleBasis, GluingGroup, _parabolic_blocks,
+                             diagonal_glue, full_hom_module, glue,
+                             parabolic_module, scalar_line_module)
 from modinvar.groups import (ClaimRefuted, MatrixGroup, field_from_order,
                              gl_group, p_k_subgroup, parabolic_gl_order,
                              parabolic_g_k, product_group, sp_group,
@@ -32,10 +32,6 @@ from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
 
 class DegenerateSpanError(ValueError):
     """Orbit-product basis is F_p-dependent."""
-
-
-class OrbitShapeError(ValueError):
-    """A group orbit of a linear form is not of the shape form + subspace."""
 
 
 class InvarianceError(ClaimRefuted):
@@ -55,22 +51,6 @@ def _form_fp_vector(form: Polynomial):
     return form.space.field.digits(row).ravel()
 
 
-def fp_span(forms, space=None):
-    """All F_p-linear combinations of the given linear forms (p^k of them)."""
-    if not forms:
-        return [space.zero()] if space is not None else []
-    space = forms[0].space
-    p = space.field.p
-    out = []
-    for combo in itertools.product(range(p), repeat=len(forms)):
-        acc = space.zero()
-        for c, u in zip(combo, forms):
-            if c:
-                acc = acc + u.scale(c)
-        out.append(acc)
-    return out
-
-
 def span_basis(forms):
     """An F_p-basis of the F_q-span of linear forms: each form times each
     element of the field's F_p-basis (`FieldSpec.fp_basis`), form by form."""
@@ -78,53 +58,50 @@ def span_basis(forms):
 
 
 def orbit_product(form: Polynomial, u_basis) -> Polynomial:
-    """prod over the F_p-span of u_basis of (form + u).
+    """prod over the F_p-span U of u_basis of (form + u).
 
-    The basis must be F_p-independent; the product has p^len(u_basis)
-    factors and is accumulated in balanced order.
+    The basis must be F_p-independent.  The product is reached by k =
+    len(u_basis) Frobenius steps, not by its p^k factors: in any commutative
+    F_p-algebra prod_(c in F_p)(a + c b) = a^p - b^(p-1) a, since
+    prod_c (X + c) = X^p - X.  So P(T) = prod_(c in F_p)(T + c b_1) is
+    F_p-linear in T with kernel F_p b_1, and
+    prod_(u in U)(T + u) = prod_(w in span(b_2..b_k))(P(T) + P(w)), an orbit
+    product of P(T) over the span of the independent P(b_2), ..., P(b_k).
+    Each step replaces the form and the pending basis by their images
+    under P.
     """
-    space = form.space
+    p = form.space.field.p
     _require_linear(form)
-    if not u_basis:
-        return form
     for u in u_basis:
         _require_linear(u)
-    vectors = np.array([_form_fp_vector(u) for u in u_basis])
-    if len(rref_mod_p(vectors, space.field.p)[1]) != len(u_basis):
-        raise DegenerateSpanError("orbit-product basis is F_p-dependent")
-    factors = [form + u for u in fp_span(list(u_basis))]
-    return balanced_product(factors, space)
+    if u_basis:
+        vectors = np.array([_form_fp_vector(u) for u in u_basis])
+        if len(rref_mod_p(vectors, p)[1]) != len(u_basis):
+            raise DegenerateSpanError("orbit-product basis is F_p-dependent")
+    value, pending = form, list(u_basis)
+    while pending:
+        s = pending.pop(0) ** (p - 1)
+        value = value ** p - s * value
+        pending = [v ** p - s * v for v in pending]
+    return value
 
 
-def orbit_product_under_group(form: Polynomial, group: MatrixGroup):
-    """Product over the set-orbit {form.g | g in group}; returns the product
-    and a recovered F_p-basis of the offset subspace U with orbit = form + U."""
-    if not group.is_enumerated:
-        raise ValueError("orbit product needs an enumerated group")
-    space = form.space
+def module_orbit_norm(space: VariableSpace, M: BimoduleBasis, j: int) -> Polynomial:
+    """N_M(y_j): the product of y_j (variable j of m, 1-based) over its orbit
+    under the blocks [[I, phi], [0, I]], phi in the bimodule M.
+
+    Such a block sends y_j to y_j + sum_k phi[j, k] x_k, so the orbit is y_j
+    plus the F_p-span of row j of M's basis matrices, an affine set by
+    linearity.  Its basis is the rows that raise the F_p rank, greedy by
+    basis index: the pivots of their digit columns."""
     field = space.field
-    _require_linear(form)
-    orbit = {}
-    for g in group.rows().tolist():
-        moved = form.act(g)
-        orbit[frozenset(moved._terms.items())] = moved
-    offsets = []
-    for moved in orbit.values():
-        off = moved - form
-        if off.degree() > 1 or any(not any(e) for e in off._terms):
-            raise OrbitShapeError("orbit is not of the form (linear form + subspace)")
-        offsets.append(off)
-    # greedy in sorted order: the pivot columns of the offsets' F_p columns
-    offsets.sort(key=lambda f: sorted(f._terms.items()))
-    columns = np.array([_form_fp_vector(off) for off in offsets]).T
-    basis = [offsets[c] for c in rref_mod_p(columns, field.p)[1]]
-    if field.p ** len(basis) != len(offsets):
-        raise OrbitShapeError("orbit offsets do not fill out an F_p-subspace")
-    span_keys = {frozenset((form + u)._terms.items())
-                 for u in fp_span(basis, space)}
-    if span_keys != set(orbit.keys()):
-        raise OrbitShapeError("orbit offsets do not form an F_p-subspace")
-    return balanced_product(list(orbit.values()), space), basis
+    rows = M.mats[:, j - 1, :]
+    digits = field.digits(rows).reshape(len(rows), M.n * field.r)
+    keep = rref_mod_p(digits.T, field.p)[1]
+    xs = [space.variable(name) for name in space.names[M.m:]]
+    basis = [sum((x.scale(c) for x, c in zip(xs, row) if c), space.zero())
+             for row in rows[keep].tolist()]
+    return orbit_product(space.variable(space.names[j - 1]), basis)
 
 
 # -- Dickson invariants --
@@ -172,11 +149,19 @@ def dickson(n: int, q, i: int) -> Polynomial:
 
 
 def subspace_product(space: VariableSpace, basis_names, t_form: Polynomial) -> Polynomial:
-    """Literal prod over the F_q-span of the named variables of (t_form + v).
-    Independent of the recursion; the cross-check oracle of the third route
-    of the `dickson_routes` identity."""
-    factors = [t_form + u for u in
-               fp_span(span_basis([space.variable(v) for v in basis_names]))]
+    """Literal prod over the F_q-span of the named variables of (t_form + v),
+    one factor per span element; the span of no variables is {0}, so that
+    product is t_form.  Independent of the recursions of `orbit_product` and
+    `dickson_coefficients`; the oracle side of the `dickson_routes`,
+    `nk_expansion` and `orbit_additivity` checks."""
+    basis = span_basis([space.variable(v) for v in basis_names])
+    factors = []
+    for combo in itertools.product(range(space.field.p), repeat=len(basis)):
+        u = space.zero()
+        for c, b in zip(combo, basis):
+            if c:
+                u = u + b.scale(c)
+        factors.append(t_form + u)
     return balanced_product(factors, space)
 
 
@@ -553,16 +538,16 @@ def _family_fqexam(m, n, q):
     field = _as_field(q)
     gluing = glue(trivial_group(field, m), trivial_group(field, n),
                   full_hom_module(m, n, field))
-    msub = gluing.m_subgroup()
     space = gluing_space(field, m, n)
     qq = field.q
     members = [FamilyMember(f"x{i}", space.variable(f"x{i}"), 1)
                for i in range(1, n + 1)]
     for j in range(1, m + 1):
-        prod, _ = orbit_product_under_group(space.variable(f"y{j}"), msub)
-        members.append(FamilyMember(f"N_M(y{j})", prod, qq ** n))
-    return GeneratorFamily("fqexam", dict(m=m, n=n, q=qq), members, msub,
-                           "polynomial_algebra")
+        members.append(FamilyMember(f"N_M(y{j})",
+                                    module_orbit_norm(space, gluing.M, j),
+                                    qq ** n))
+    return GeneratorFamily("fqexam", dict(m=m, n=n, q=qq), members,
+                           gluing.m_subgroup(), "polynomial_algebra")
 
 
 FAMILY_BUILDERS = {
@@ -589,7 +574,6 @@ def psi_substitute(f: Polynomial, gluing: GluingGroup) -> Polynomial:
     when these orbit products certify a polynomial invariant ring (product of
     degrees equals the module order)."""
     space = f.space
-    field = gluing.field
     m, n = gluing.m, gluing.n
     if space.dim != m + n:
         raise ValueError("polynomial space does not match the gluing")
@@ -597,13 +581,11 @@ def psi_substitute(f: Polynomial, gluing: GluingGroup) -> Polynomial:
         return _psi_parabolic(f, gluing)
     if gluing.flavor not in ("generic", "subfield", "singular"):
         raise ValueError(f"no substitution map for flavor {gluing.flavor!r}")
-    msub = gluing.m_subgroup()
     sub = {}
     degprod = 1
-    for j in range(m):
-        name = space.names[j]
-        prod, _ = orbit_product_under_group(space.variable(name), msub)
-        sub[name] = prod
+    for j in range(1, m + 1):
+        prod = module_orbit_norm(space, gluing.M, j)
+        sub[space.names[j - 1]] = prod
         degprod *= prod.degree()
     if degprod != gluing.M.module_order():
         raise ValueError(

@@ -385,6 +385,9 @@ def test_identity_spot_checks():
     assert identity_suite("xi31_gl1", dict(m=1, q=3)).passed
     assert identity_suite("utilde_rewrite", dict(m=1, q=2, j=1)).passed
     assert identity_suite("dickson_routes", dict(n=1, q=5)).passed
+    # the span of no variables is {0}, so the literal product is T = d_0 T
+    assert identity_suite("dickson_routes", dict(n=0, q=2)).passed
+    assert identity_suite("dickson_routes", dict(n=0, q=3)).passed
 
 
 def test_identity_nk_expansion_notes_for_extension_field():

@@ -114,6 +114,14 @@ def test_refuted_claim_in_a_scenario_is_a_fail_line(tmp_path, monkeypatch,
     assert "result: all checks matched" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params", [dict(q=2, n=0), dict(q=3, n=0)])
+def test_orbit_additivity_over_no_variables(params):
+    """The literal products of `subspace_product` on one side, the
+    recursion on the other; over no variables both are the form itself."""
+    rep = run_check("orbit_additivity", params, {})
+    assert rep.status == "pass", rep.witness
+
+
 def test_every_report_is_timed():
     _, reports = run_scenario(load_scenario("orders_small"), quiet=True)
     assert len(reports) == 8

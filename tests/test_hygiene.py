@@ -343,3 +343,13 @@ def test_src_imports_modinvar_at_module_level():
              for line, module in function_level_imports(path)]
     assert not found, "function-level modinvar imports:\n" + \
         "\n".join(found)
+
+
+def test_only_the_literal_oracle_forms_the_span_product():
+    """Orbit products go through the Frobenius recursion of
+    `orbit_product`; `subspace_product` is the one place in src that
+    multiplies a factor for every span element."""
+    callers = {function
+               for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+               for _, function in functions_calling(path, "balanced_product")}
+    assert callers == {"subspace_product"}

@@ -1,23 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modinvar.analysis import u4_gluing
+from modinvar.checks import build_gluing
 from modinvar.gfq import build_field
-from modinvar.gluing import full_hom_module, glue, subfield_hom_module
-from modinvar.groups import (gl_group, sp_group, trivial_group,
+from modinvar.gluing import (BimoduleBasis, full_hom_module, glue,
+                             subfield_hom_module, zero_module)
+from modinvar.groups import (MatrixGroup, gl_group, sp_group, trivial_group,
                              unipotent_upper, usp_order)
 from modinvar.invariants import (DegenerateSpanError, GeneratorFamily,
-                                 InvarianceError, OrbitShapeError, dickson,
+                                 InvarianceError, _form_fp_vector, dickson,
                                  dickson_coefficients, dickson_in,
                                  dickson_via_moore, family,
-                                 moore_determinant, n_k, n_x, orbit_product,
-                                 orbit_product_under_group, parabolic_glue,
+                                 module_orbit_norm, moore_determinant, n_k,
+                                 n_x, orbit_product, parabolic_glue,
                                  parabolic_gl_group, partial_dickson,
                                  psi_substitute, subspace_product,
                                  symplectic_l_names, u_tilde, xi, xi_power)
 from modinvar.linalg import rref_mod_p
-from modinvar.mvpoly import (VariableSpace, gluing_space, symplectic_space,
-                             x_space)
+from modinvar.mvpoly import (VariableSpace, balanced_product, gluing_space,
+                             symplectic_space, x_space)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -65,6 +70,109 @@ def test_orbit_product_fq_span_includes_scalars():
     assert f == y1 ** 3 - x1 ** 2 * y1  # prod over c in F_3 of (y1 + c x1)
 
 
+def literal_span(forms, space):
+    """All F_p-linear combinations of the linear forms, p^len(forms) of
+    them; the span of no forms is {0}."""
+    out = []
+    for combo in itertools.product(range(space.field.p), repeat=len(forms)):
+        acc = space.zero()
+        for c, u in zip(combo, forms):
+            if c:
+                acc = acc + u.scale(c)
+        out.append(acc)
+    return out
+
+
+def literal_orbit_product(form, u_basis):
+    """The product over every span element, one factor each."""
+    return balanced_product([form + u for u in
+                             literal_span(u_basis, form.space)], form.space)
+
+
+class OrbitShapeError(ValueError):
+    """A group orbit of a linear form is not of the shape form + subspace."""
+
+
+def orbit_product_under_group(form, group):
+    """Product over the set-orbit {form.g | g in group}, acting with every
+    element of the enumerated group; returns the product and a recovered
+    F_p-basis of the offset subspace U with orbit = form + U.  The oracle of
+    the module route `module_orbit_norm`."""
+    space = form.space
+    field = space.field
+    orbit = {}
+    for g in group.rows().tolist():
+        moved = form.act(g)
+        orbit[frozenset(moved._terms.items())] = moved
+    offsets = []
+    for moved in orbit.values():
+        off = moved - form
+        if off.degree() > 1 or any(not any(e) for e in off._terms):
+            raise OrbitShapeError("orbit is not of the form (linear form + subspace)")
+        offsets.append(off)
+    # greedy in sorted order: the pivot columns of the offsets' F_p columns
+    offsets.sort(key=lambda f: sorted(f._terms.items()))
+    columns = np.array([_form_fp_vector(off) for off in offsets]).T
+    basis = [offsets[c] for c in rref_mod_p(columns, field.p)[1]]
+    if field.p ** len(basis) != len(offsets):
+        raise OrbitShapeError("orbit offsets do not fill out an F_p-subspace")
+    span_keys = {frozenset((form + u)._terms.items())
+                 for u in literal_span(basis, space)}
+    if span_keys != set(orbit.keys()):
+        raise OrbitShapeError("orbit offsets do not form an F_p-subspace")
+    return balanced_product(list(orbit.values()), space), basis
+
+
+HYP_FIELDS = [build_field(2), build_field(3), build_field(2, 2),
+              build_field(5), build_field(7), build_field(2, 3),
+              build_field(3, 2)]
+
+
+@st.composite
+def orbit_product_inputs(draw):
+    """(form, basis) over one of HYP_FIELDS in up to 3 variables: an
+    F_p-independent basis with p^len(basis) <= 27, and a moving form drawn
+    freely, so it may share variables with the basis or be zero."""
+    field = draw(st.sampled_from(HYP_FIELDS))
+    space = x_space(field, draw(st.integers(1, 3)))
+    coeffs = st.lists(st.integers(0, field.q - 1), min_size=space.dim,
+                      max_size=space.dim)
+
+    def form(row):
+        return sum((v.scale(c) for v, c in zip(space.variables(), row)),
+                   space.zero())
+
+    k_max = max(k for k in range(5) if field.p ** k <= 27)
+    basis = []
+    for row in draw(st.lists(coeffs, max_size=k_max)):
+        u = form(row)
+        vectors = np.array([_form_fp_vector(b) for b in basis + [u]])
+        if len(rref_mod_p(vectors, field.p)[1]) > len(basis):
+            basis.append(u)
+    return form(draw(coeffs)), basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_product_inputs())
+def test_orbit_product_recursion_matches_literal_product(inputs):
+    form, basis = inputs
+    assert orbit_product(form, basis) == literal_orbit_product(form, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_product_inputs(), st.data())
+def test_orbit_product_rejects_dependent_lists(inputs, data):
+    """A combination of the basis appended to it makes the list dependent."""
+    _, basis = inputs
+    assume(basis)
+    p = basis[0].space.field.p
+    combo = data.draw(st.lists(st.integers(0, p - 1), min_size=len(basis),
+                               max_size=len(basis)))
+    extra = sum((b.scale(c) for b, c in zip(basis, combo)), basis[0].space.zero())
+    with pytest.raises(DegenerateSpanError):
+        orbit_product(basis[0].space.variable("x1"), basis + [extra])
+
+
 def test_orbit_product_under_trivial_group():
     sp = gluing_space(F2, 1, 1)
     y1 = sp.variable("y1")
@@ -94,7 +202,7 @@ def test_orbit_product_under_full_hom_1x2():
 
 
 def greedy_offset_basis(form, group):
-    """The basis loop `orbit_product_under_group` ran: over the orbit
+    """The basis loop `orbit_product_under_group` runs: over the orbit
     offsets in sorted order, keep each that raises the F_p rank of those
     kept, with F_p coordinates from the scalar digits."""
     field = form.space.field
@@ -118,14 +226,20 @@ def greedy_offset_basis(form, group):
     return basis
 
 
-@pytest.mark.parametrize("m,n,q", [(1, 1, 2), (1, 2, 2), (2, 1, 3),
-                                   (1, 1, 4), (1, 2, 3)])
+FQEXAM_SHAPES = [(1, 1, 2), (1, 2, 2), (2, 1, 3), (1, 1, 4), (1, 2, 3)]
+
+
+def fqexam_gluing(m, n, q):
+    field = build_field(*{2: (2,), 3: (3,), 4: (2, 2)}[q])
+    return glue(trivial_group(field, m), trivial_group(field, n),
+                full_hom_module(m, n, field))
+
+
+@pytest.mark.parametrize("m,n,q", FQEXAM_SHAPES)
 def test_orbit_basis_is_the_greedy_choice_on_fqexam(m, n, q):
     """On the M-subgroups of the fqexam family."""
-    field = build_field(*{2: (2,), 3: (3,), 4: (2, 2)}[q])
-    msub = glue(trivial_group(field, m), trivial_group(field, n),
-                full_hom_module(m, n, field)).m_subgroup()
-    space = gluing_space(field, m, n)
+    msub = fqexam_gluing(m, n, q).m_subgroup()
+    space = gluing_space(msub.field, m, n)
     for j in range(1, m + 1):
         y = space.variable(f"y{j}")
         assert orbit_product_under_group(y, msub)[1] == \
@@ -134,7 +248,7 @@ def test_orbit_basis_is_the_greedy_choice_on_fqexam(m, n, q):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_orbit_basis_is_the_greedy_choice_on_the_u4_gluing(p):
-    """As `psi_substitute` calls it on the glued unipotent group."""
+    """On the glued unipotent group of the transfer example."""
     gluing = u4_gluing(p)
     space = gluing_space(gluing.field, 2, 2)
     msub = gluing.m_subgroup()
@@ -150,6 +264,43 @@ def test_orbit_shape_error_for_non_affine_orbit():
     G = gl_group(2, F3).enumerate()
     with pytest.raises(OrbitShapeError):
         orbit_product_under_group(sp.variable("x1"), G)
+
+
+MODULE_ROUTE_GLUINGS = (
+    [pytest.param(lambda s=s: fqexam_gluing(*s), id=f"fqexam{s}")
+     for s in FQEXAM_SHAPES]
+    + [pytest.param(lambda: u4_gluing(2), id="u4_p2"),
+       pytest.param(lambda: u4_gluing(3), id="u4_p3"),
+       pytest.param(lambda: glue(trivial_group(F4, 1), trivial_group(F4, 2),
+                                 subfield_hom_module(1, 2, 2, F4)),
+                    id="subfield_q4_sub2"),
+       pytest.param(lambda: build_gluing({"kind": "singular", "q": 3}),
+                    id="singular_q3")])
+
+
+@pytest.mark.parametrize("make", MODULE_ROUTE_GLUINGS)
+def test_module_orbit_norm_matches_the_group_orbit(make):
+    """Row j of the module's basis matrices against acting with every
+    element of the enumerated M-subgroup."""
+    gluing = make()
+    space = gluing_space(gluing.field, gluing.m, gluing.n)
+    msub = gluing.m_subgroup()
+    for j in range(1, gluing.m + 1):
+        prod = module_orbit_norm(space, gluing.M, j)
+        want, basis = orbit_product_under_group(space.variable(f"y{j}"), msub)
+        assert prod == want
+        assert prod.degree() == gluing.field.p ** len(basis)
+
+
+def test_module_orbit_norm_of_a_zero_row_is_the_variable():
+    """Row 2 of every basis matrix is zero, so y2 has the orbit {y2}; the
+    zero module fixes every y_j."""
+    M = BimoduleBasis(F3, 2, 2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    space = gluing_space(F3, 2, 2)
+    assert module_orbit_norm(space, M, 2) == space.variable("y2")
+    assert module_orbit_norm(space, M, 1).degree() == 9
+    assert module_orbit_norm(space, zero_module(2, 2, F3), 1) == \
+        space.variable("y1")
 
 
 # -- Dickson invariants --
@@ -466,6 +617,18 @@ def test_psi_u4_example():
     d22 = dickson_in(sp, ["x1", "x2"], 2)
     expected = (y1 ** (p * p) + d12 * y1 ** p + d22 * y1) ** (p - 1)
     assert psi_substitute(y1 ** (p - 1), gl) == expected
+
+
+def test_psi_enumerates_no_group(monkeypatch):
+    """psi reads the module norms off the basis matrices' rows."""
+    gl = u4_gluing(3)
+    sp = gluing_space(F3, 2, 2)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was enumerated")
+
+    monkeypatch.setattr(MatrixGroup, "enumerate", refuse)
+    assert psi_substitute(sp.variable("y1"), gl).degree() == 9
 
 
 def test_psi_subfield_flavor():
