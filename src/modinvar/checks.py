@@ -33,9 +33,9 @@ from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
 from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
                              ClaimRefuted, FormSpec, GroupElement,
                              MatrixGroup, _digit_matmul, _expand, _keys,
-                             _matmul_mod, _sorted_unique, element_orders,
-                             field_from_order, gl_group, index_matmul,
-                             o3_sylow_generators, o4_plus_sylow_generators,
+                             _matmul_mod, _sorted_unique, field_from_order,
+                             gl_group, index_matmul, o3_sylow_generators,
+                             o4_plus_sylow_generators, p_group_exponent,
                              p_k_subgroup, parabolic_g_k, parse_matrix,
                              sp_group, stabilizer_of_polynomial,
                              stabilizer_sp, trivial_group, unipotent_upper,
@@ -315,7 +315,7 @@ def check_thin_glue(params, budgets) -> VerificationReport:
     if R.n != size + 1:
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"dimension {R.n} != {size + 1}")
-    maxorder = max(element_orders(field, R.rows()))
+    maxorder = p_group_exponent(field, R.rows(), p)
     if maxorder != p ** (r + 1):
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"maximal element order {maxorder} "

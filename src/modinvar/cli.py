@@ -172,7 +172,9 @@ def load_scenario(path_text):
     path = _resolve_scenario(path_text)
     with open(path) as handle:
         try:
-            data = yaml.safe_load(handle)
+            # libyaml's parser where PyYAML was built with it
+            data = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader",
+                                                    yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ValueError(f"scenario file {path} is not valid YAML: "
                              f"{exc}") from exc

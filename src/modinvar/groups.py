@@ -23,6 +23,10 @@ DEFAULT_CAP = 10 ** 6
 # a closure or an order computation small whatever the group order.
 CHUNK_ENTRIES = 1 << 14
 
+# The closure maps rows through one lookup table per generator while the
+# row space F^n has at most this many vectors (`_row_table`).
+TABLE_ROWS = 1 << 16
+
 
 class BudgetExceeded(RuntimeError):
     """A computation would exceed its budget (an enumeration cap, a monomial
@@ -213,30 +217,90 @@ def _contains(keys, probe):
     return keys[pos] == probe
 
 
-def _key_codec(work, n, dtype):
-    """(encode, decode) between (N, n, n) index arrays and the closure's
-    dedup keys, which sort as the matrices do.
+def _row_codec(work, n):
+    """(encode, decode, code dtype) between (..., n) index rows over the
+    working field `work` and their row codes, which compare as the rows do.
+
+    While q^n <= 2^63 a row's code is its row index: the entries read as
+    base-q digits, first entry most significant, an int64 in arithmetic and
+    the smallest big-endian unsigned dtype in keys.  Above that a code is
+    the row's bytes in the working field's index dtype."""
+    q = work.q
+    if q ** n <= 2 ** 63:
+        place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+        def encode(rows):
+            return rows @ place
+
+        def decode(codes):
+            return codes.astype(np.int64)[..., None] // place % q
+        return encode, decode, np.min_scalar_type(q ** n - 1).newbyteorder(">")
+    dtype = _index_dtype(work)
+    code = np.dtype((np.void, n * dtype.itemsize))
+
+    def encode(rows):
+        return np.ascontiguousarray(rows.astype(dtype)).view(code)[..., 0]
+
+    def decode(codes):
+        return np.ascontiguousarray(codes).view(dtype).reshape(*codes.shape, n)
+    return encode, decode, code
+
+
+def _key_codec(work, n, code):
+    """(encode, decode) between (N, n) row code arrays (`_row_codec`, code
+    dtype `code`) and the closure's dedup keys, which sort as the matrices
+    do.
 
     While q^(n^2) < 2^63, q the order of the working field, a key is the
-    int64 whose base-q digits are the entries, entry (0, 0) most
-    significant; decode divides it out again.  Above that bound a key is the
-    byte key of `_keys` in the index dtype `dtype`, and decode views it."""
-    q = work.q
-    if q ** (n * n) < 2 ** 63:
-        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    int64 whose base-q^n digits are the row codes, so its base-q digits are
+    the entries, entry (0, 0) most significant; decode divides it out
+    again.  Above that bound a key is the bytes of the row codes in the
+    code dtype, and decode views it."""
+    Q = work.q ** n
+    if Q ** n < 2 ** 63:
+        place = Q ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-        def encode(rows):
-            return rows.reshape(len(rows), n * n).astype(np.int64) @ place
+        def encode(codes):
+            return codes @ place
 
         def decode(keys):
-            return (keys[:, None] // place % q).reshape(len(keys), n, n)
+            return keys[:, None] // place % Q
     else:
-        def encode(rows):
-            return _keys(rows.astype(dtype))
+        def encode(codes):
+            return _keys(codes.astype(code))
 
         def decode(keys):
-            return keys.view(dtype).reshape(len(keys), n, n)
+            return keys.view(code).reshape(len(keys), n)
     return encode, decode
+
+
+def _row_products(work, gens, codes, dtype=np.int64):
+    """The (k, m) row codes of v.g for each of the k n x n index matrices g
+    of `gens` and each of the m row codes v, in `dtype` (void codes stay
+    void): one `index_matmul` per chunk of about CHUNK_ENTRIES products.
+    The closure's row-image step where F^n is too large for tables, and
+    the builder and test oracle of those tables (`_row_table`)."""
+    k, n = gens.shape[:2]
+    encode, decode, code = _row_codec(work, n)
+    out = np.empty((k, len(codes)), dtype=code if code.kind == "V" else dtype)
+    step = max(1, CHUNK_ENTRIES // (k * n * work.r))
+    for start in range(0, len(codes), step):
+        out[:, start:start + step] = encode(
+            index_matmul(work, decode(codes[start:start + step]), gens))
+    return out
+
+
+def _row_table(work, gens):
+    """T[s, v], the row code of v.g_s for every row code v of F^n, F the
+    working field, as a (k, q^n) array of the smallest unsigned dtype; None
+    where F^n has more than TABLE_ROWS vectors.  A matrix times g_s is its
+    rows each mapped v -> v.g_s, so a lookup in T[s] replaces the
+    arithmetic (the permutation g_s induces on F^n)."""
+    size = work.q ** gens.shape[1]
+    if size > TABLE_ROWS:
+        return None
+    return _row_products(work, gens, np.arange(size),
+                         np.min_scalar_type(size - 1))
 
 
 def _closure(field, n, generators, cap, name="group"):
@@ -244,50 +308,52 @@ def _closure(field, n, generators, cap, name="group"):
     generated by n x n index matrices; with none, or with n = 0, the
     identity alone.
 
-    Layer by layer: the whole frontier is multiplied on the right by every
-    generator, one batched matmul mod p per chunk of about CHUNK_ENTRIES
-    product entries, and the products new to the group form the next
-    frontier.  Raises BudgetExceeded as soon as a layer takes the count past
-    cap.  The products are taken over the prime subfield when every
-    generator entry lies in it (`_working_field`), and the dedup keys are
-    int64 where a matrix fits in one (`_key_codec`); those become byte keys
-    a chunk at a time at the end.
+    A matrix is held as its n row codes (`_row_codec`), and a matrix times
+    a generator is its rows each mapped to their images under it.  Layer by
+    layer, the rows of the whole frontier are mapped through every
+    generator, a chunk of about CHUNK_ENTRIES images at a time, and the
+    products new to the group form the next frontier: the candidates of a
+    layer are deduplicated and tested against the group found so far once.
+    Raises BudgetExceeded as soon as a layer takes the count past cap.
+
+    The images are gathered from one table per generator (`_row_table`)
+    where F^n has at most TABLE_ROWS vectors, else formed by `index_matmul`
+    (`_row_products`); F is the prime subfield when every generator entry
+    lies in it (`_working_field`).  The dedup keys are int64 where a matrix
+    fits in one, else the bytes of the row codes (`_key_codec`); those
+    become byte keys of the entries a chunk at a time at the end.
     """
     dtype = _index_dtype(field)
     if n == 0 or not len(generators):  # the trivial group
         return _keys(np.eye(n, dtype=dtype)[None])
     gens = np.array(generators, dtype=np.int64).reshape(len(generators), n, n)
     work = _working_field(field, gens)
-    encode, decode = _key_codec(work, n, dtype)
-    p, r, k = work.p, work.r, len(gens)
-    # column 0 of every block of every generator, side by side: (nr, k n)
-    gcols = np.hstack([_expand(work, g)[:, ::r] for g in gens])
-    step = max(1, CHUNK_ENTRIES // (k * n * n * r))
-    seen = encode(np.eye(n, dtype=np.int64)[None])
+    encode_row, decode_row, code = _row_codec(work, n)
+    encode, decode = _key_codec(work, n, code)
+    table = _row_table(work, gens)
+    k = len(gens)
+    step = max(1, CHUNK_ENTRIES // (k * n))
+    seen = encode(encode_row(np.eye(n, dtype=np.int64))[None])
     frontier = seen
     while len(frontier):
-        layer = []
+        layer = np.empty(k * len(frontier), dtype=seen.dtype)
         for start in range(0, len(frontier), step):
-            chunk = decode(frontier[start:start + step])
-            c = len(chunk)
-            prod = _matmul_mod(_expand(work, chunk).reshape(c * n * r, n * r),
-                               gcols, p).reshape(c, n, r, k, n)
-            cand = encode(work.indices(prod, axis=2).transpose(0, 2, 1, 3)
-                          .reshape(c * k, n, n))
-            layer.append(cand[~_contains(seen, cand)])
-        frontier = _sorted_unique(np.concatenate(layer))
+            rows = decode(frontier[start:start + step]).ravel()
+            images = table[:, rows] if table is not None \
+                else _row_products(work, gens, rows)
+            layer[k * start:k * (start + step)] = encode(images.reshape(-1, n))
+        layer = _sorted_unique(layer)
+        frontier = layer[~_contains(seen, layer)]
         if len(seen) + len(frontier) > cap:
             raise BudgetExceeded(f"{name} exceeds cap {cap}")
         # a stable sort merges the two sorted runs in linear time
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
-    if seen.dtype.kind == "V":
-        return seen
     # the byte keys of `_keys`, one chunk of decoded rows at a time
-    out = np.empty(len(seen), dtype=(np.void, max(1, n * n) * dtype.itemsize))
-    step = max(1, CHUNK_ENTRIES // max(1, n * n))
+    out = np.empty(len(seen), dtype=(np.void, n * n * dtype.itemsize))
+    step = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, len(seen), step):
         out[start:start + step] = _keys(
-            decode(seen[start:start + step]).astype(dtype))
+            decode_row(decode(seen[start:start + step])).astype(dtype))
     return out
 
 
@@ -365,6 +431,48 @@ def element_orders(field, matrices):
             k += 1
         orders.extend(found.tolist())
     return orders
+
+
+def p_group_exponent(field, rows, p):
+    """The largest element order of a finite p-group given as its (N, n, n)
+    index rows: every order is a power of p, so it is the least p^j with
+    A^(p^j) = I for every A, found by batched p-th powers over F_p (over
+    the prime subfield when every entry lies in it, `_working_field`), a
+    chunk at a time.  ValueError if some power passes p^j > N, which no
+    element of a p-group of order N reaches.  `element_orders` is its test
+    oracle."""
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    field = _working_field(field, rows)
+    nr = n * field.r
+    eye = np.eye(nr, dtype=_fp_dtype(field, n))
+    step = max(1, CHUNK_ENTRIES // max(1, nr * nr))
+    top = 0
+    for start in range(0, len(rows), step):
+        power, j = _expand(field, rows[start:start + step]), 0
+        while True:
+            power = power[~(power == eye).all(axis=(1, 2))]
+            if not len(power):
+                break
+            j += 1
+            if p ** j > len(rows):
+                raise ValueError("the matrices are not a p-group")
+            power = _matpow_mod(power, p, field.p)
+        top = max(top, j)
+    return p ** top
+
+
+def _matpow_mod(a, e, p):
+    """a^e mod p for a stack of square arrays from `_expand` and e >= 1, by
+    repeated squaring."""
+    dtype, out = a.dtype, None
+    while True:
+        if e & 1:
+            out = a if out is None else _matmul_mod(out, a, p).astype(dtype)
+        e >>= 1
+        if not e:
+            return out
+        a = _matmul_mod(a, a, p).astype(dtype)
 
 
 class GroupElement:
@@ -450,14 +558,14 @@ class MatrixGroup:
     picked by a predicate, is only for those subsets
     (`stabilizer_of_polynomial`, `gluing.singular_form_group`).
 
-    Enumeration closes the generators layer by layer in numpy: each layer
-    multiplies the whole frontier by every generator in batched matmuls over
-    F_p (GF(p^r) through its regular representation, or over F_p itself when
-    every generator entry lies in the prime subfield) and keeps the products
-    not seen before.  Layers are stored as sorted int64 keys, the entries as
-    base-q digits, where a matrix fits in one, else as byte keys; only the
-    frontier chunk being multiplied is decoded and expanded over F_p, and
-    products come in chunks of at most about CHUNK_ENTRIES entries.
+    Enumeration closes the generators layer by layer in numpy (`_closure`):
+    each layer maps the rows of the whole frontier through every generator,
+    by lookups in one table per generator of the row space F^n (or by
+    `index_matmul` where F^n is too large), and keeps the products not seen
+    before.  Layers are stored as sorted int64 keys, the entries as base-q
+    digits, where a matrix fits in one, else as byte keys of the row codes;
+    only the frontier chunk being mapped is decoded, and images come in
+    chunks of at most about CHUNK_ENTRIES entries.
 
     An enumerated group stores only the sorted byte keys of its index
     matrices (`keys`; `rows()` views them as an (N, n, n) array), so the

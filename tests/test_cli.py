@@ -298,6 +298,25 @@ def test_every_bundled_scenario_loads():
         assert data["checks"], name
 
 
+def test_bundled_scenarios_load_alike_with_either_loader(monkeypatch,
+                                                         tmp_path):
+    """`load_scenario` parses with libyaml's CSafeLoader where PyYAML has
+    it and with the pure-Python SafeLoader otherwise; both give the same
+    data on every bundled scenario, and both refuse malformed YAML."""
+    import yaml
+    names = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
+    loaded = {name: load_scenario(name) for name in names}
+    for name in names:
+        with open(SCENARIO_DIR / f"{name}.yaml") as handle:
+            assert loaded[name] == yaml.load(handle, Loader=yaml.SafeLoader)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert {name: load_scenario(name) for name in names} == loaded
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("checks:\n  - {check: [unclosed\n")
+    with pytest.raises(ValueError, match="is not valid YAML"):
+        load_scenario(str(bad))
+
+
 def test_required_params_are_declared_for_every_check():
     assert set(checks.REQUIRED_PARAMS) == set(checks.CHECKS)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from modinvar import groups
 from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _digit_matmul, _index_dtype, _key_codec,
-                             _keys, _pk_assemble, _working_field,
+                             _closure, _digit_matmul, _index_dtype,
+                             _key_codec, _keys, _pk_assemble, _row_codec,
+                             _row_table, _working_field,
                              MatrixGroup, NotEnumeratedError,
-                             element_orders,
+                             element_orders, p_group_exponent,
                              field_from_order, form_preserved, gk_order,
                              gl_group, gl_order, identity_matrix,
                              index_matmul, mat_mul, minimal_generators,
@@ -479,15 +481,16 @@ DIFF_CAP = 400
 
 
 @st.composite
-def generator_sets(draw):
-    """1-4 invertible matrices of one dimension 1-4 over one small field.
+def generator_sets(draw, fields=DIFF_FIELDS, subfields=SUBFIELD_FIELDS):
+    """1-4 invertible matrices of one dimension 1-4 over one small field of
+    `fields`, or of `subfields` with entries in the prime subfield.
 
     Unitriangular and monomial draws keep many of the groups below the cap;
     unrestricted draws mostly generate large groups and exercise the cap.
     "Prime subfield" sets take every entry below p over an extension
     field."""
     subfield = draw(st.booleans())
-    field = draw(st.sampled_from(SUBFIELD_FIELDS if subfield else DIFF_FIELDS))
+    field = draw(st.sampled_from(subfields if subfield else fields))
     n = draw(st.integers(min_value=1, max_value=4))
     top = field.p if subfield else field.q
     entry = st.integers(min_value=0, max_value=top - 1)
@@ -535,11 +538,16 @@ CYCLE4 = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 def _closure_route(G):
     """(order of the field the closure multiplies over, key kind: "i" for
-    int64 keys, "V" for byte keys) of G's generators."""
-    gens = np.array([g.matrix for g in G.generators]).reshape(-1, G.n, G.n)
+    int64 keys, "V" for byte keys, row-image step: "table" for gathers from
+    per-generator tables, "index_matmul" for products formed in the loop)
+    of G's generators."""
+    gens = G.generator_rows
     work = _working_field(G.field, gens)
-    encode, _ = _key_codec(work, G.n, _index_dtype(G.field))
-    return work.q, encode(np.eye(G.n, dtype=np.int64)[None]).dtype.kind
+    encode_row, _, code = _row_codec(work, G.n)
+    encode, _ = _key_codec(work, G.n, code)
+    kind = encode(encode_row(np.eye(G.n, dtype=np.int64))[None]).dtype.kind
+    table = _row_table(work, gens)
+    return work.q, kind, "index_matmul" if table is None else "table"
 
 
 def _signed_cycles(field):
@@ -550,18 +558,37 @@ def _signed_cycles(field):
                                   GroupElement(field, minus)])
 
 
+def _cycle_and_transvection(field, n):
+    """The n-cycle and the transvection e_1 + e_2, generating GL_n(F_2)."""
+    transvection = np.eye(n, dtype=np.int64)
+    transvection[0, 1] = 1
+    return MatrixGroup(field, n, [np.roll(np.eye(n, dtype=np.int64), 1, 0),
+                                  transvection])
+
+
 @pytest.mark.parametrize("make,route", [
     # entries below p descend to F_p; 2^81 > 2^63 for the thin gluing
-    (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized, (2, "V")),
-    (lambda: _signed_cycles(GF729), (3, "i")),
-    (lambda: unipotent_upper(4, build_field(2, 4)), (16, "V")),  # 16^16 keys
+    (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized,
+     (2, "V", "table")),
+    (lambda: _signed_cycles(GF729), (3, "i", "table")),
+    (lambda: unipotent_upper(4, build_field(2, 4)),  # 16^16 keys
+     (16, "V", "table")),
     (lambda: MatrixGroup(build_field(2, 4), 4, [GroupElement(
-        build_field(2, 4), CYCLE4)]), (2, "i")),
+        build_field(2, 4), CYCLE4)]), (2, "i", "table")),
     # a prime field stays; GF(4)'s primitive element is index 2
-    (lambda: sp_group(3, F2), (2, "i")),
-    (lambda: gl_group(2, F4), (4, "i")),
-    (lambda: gl_group(4, build_field(13)), (13, "i")),
-    (lambda: _signed_cycles(F17), (17, "V")),
+    (lambda: sp_group(3, F2), (2, "i", "table")),
+    (lambda: gl_group(2, F4), (4, "i", "table")),
+    (lambda: gl_group(4, build_field(13)), (13, "i", "table")),
+    # 3^10 rows fit the tables, 17^4 do not
+    (lambda: thin_glue_regular(3, 2, build_field(3, 2)).realized,
+     (3, "V", "table")),
+    (lambda: _signed_cycles(F17), (17, "V", "index_matmul")),
+    # F_2^16 is the largest row space with tables
+    (lambda: _cycle_and_transvection(F2, 16), (2, "V", "table")),
+    (lambda: _cycle_and_transvection(F2, 17), (2, "V", "index_matmul")),
+    # (2^31 - 1)^3 > 2^63: the row codes are the rows' bytes
+    (lambda: _cycle_and_transvection(build_field(2 ** 31 - 1), 3),
+     (2 ** 31 - 1, "V", "index_matmul")),
 ])
 def test_closure_route(make, route):
     assert _closure_route(make()) == route
@@ -588,40 +615,138 @@ def test_signed_cycles_match_naive_closure(field):
     (lambda: _signed_cycles(F17), 64),
 ])
 def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
-    """No closure product holds more than CHUNK_ENTRIES entries, or one
-    frontier row's products when those alone are more, and no decoded key
-    array (the final int64-to-byte key conversion included) holds more
-    than CHUNK_ENTRIES entries or one matrix."""
+    """No table build, chunk of row images or F_p product holds more than
+    CHUNK_ENTRIES entries, or one row's images or products when those alone
+    are more, and no decoded key or row code array (the final conversion to
+    byte keys included) holds more than CHUNK_ENTRIES entries or one
+    matrix; with tables and with `TABLE_ROWS` 0, which forms the row images
+    by `index_matmul` in the loop."""
     G = make()
-    expected = MatrixGroup(G.field, G.n, G.generators).enumerate().keys
-    products, decoded = [], []
+    expected = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
+    products, images, decoded, entries = [], [], [], []
     matmul_mod, key_codec = groups._matmul_mod, groups._key_codec
+    row_codec, matmul = groups._row_codec, groups.index_matmul
 
-    def spy_matmul(a, b, p):
+    def spy_matmul_mod(a, b, p):
         out = matmul_mod(a, b, p)
         products.append(out.size)
         return out
 
-    def spy_codec(work, n, dtype):
-        encode, decode = key_codec(work, n, dtype)
+    def spy_index_matmul(field, a, b):
+        out = matmul(field, a, b)
+        images.append(out.size)
+        return out
+
+    def spy_key_codec(work, n, code):
+        encode, decode = key_codec(work, n, code)
+
+        def spy_encode(codes):
+            images.append(codes.size)  # the gathered or formed row images
+            return encode(codes)
 
         def spy_decode(keys):
-            rows = decode(keys)
-            decoded.append(rows.size)
+            codes = decode(keys)
+            decoded.append(codes.size)
+            return codes
+        return spy_encode, spy_decode
+
+    def spy_row_codec(work, n):
+        encode, decode, code = row_codec(work, n)
+
+        def spy_decode(codes):
+            rows = decode(codes)
+            entries.append(rows.size)
             return rows
-        return encode, spy_decode
+        return encode, spy_decode, code
 
     monkeypatch.setattr(groups, "CHUNK_ENTRIES", chunk)
-    monkeypatch.setattr(groups, "_matmul_mod", spy_matmul)
-    monkeypatch.setattr(groups, "_key_codec", spy_codec)
-    keys = MatrixGroup(G.field, G.n, G.generators).enumerate().keys
-    assert keys.dtype == expected.dtype and keys.tobytes() == expected.tobytes()
-    work_r = _working_field(G.field, np.array(
-        [g.matrix for g in G.generators])).r
-    row_products = len(G.generators) * G.n * G.n * work_r
-    assert max(products) <= max(chunk, row_products)
-    assert max(decoded) <= max(chunk, G.n * G.n)
-    assert sum(decoded) >= len(keys) * G.n * G.n
+    monkeypatch.setattr(groups, "_matmul_mod", spy_matmul_mod)
+    monkeypatch.setattr(groups, "index_matmul", spy_index_matmul)
+    monkeypatch.setattr(groups, "_key_codec", spy_key_codec)
+    monkeypatch.setattr(groups, "_row_codec", spy_row_codec)
+    k, n = G.generator_rows.shape[:2]
+    work_r = _working_field(G.field, G.generator_rows).r
+    for table_rows in (groups.TABLE_ROWS, 0):
+        monkeypatch.setattr(groups, "TABLE_ROWS", table_rows)
+        for spied in (products, images, decoded, entries):
+            spied.clear()
+        keys = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
+        assert keys.dtype == expected.dtype
+        assert keys.tobytes() == expected.tobytes()
+        assert max(products) <= max(chunk, k * n * work_r)
+        assert max(images) <= max(chunk, k * n)
+        assert max(decoded + entries) <= max(chunk, n * n)
+        assert sum(entries) >= len(keys) * n * n
+
+
+TABLE_FIELDS = [build_field(2), build_field(3), build_field(2, 2),
+                build_field(5), build_field(2, 3), build_field(3, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets(TABLE_FIELDS, TABLE_FIELDS[2:]),
+       st.randoms(use_true_random=False))
+def test_table_closure_matches_naive_closure_and_row_products(case, rnd):
+    """Gathers from per-generator tables give the keys of the scalar closure
+    and of the `index_matmul` row images (`TABLE_ROWS` 0), and both routes
+    raise BudgetExceeded one below the order, as the scalar closure does;
+    sampled table entries agree with `mat_mul` on the decoded rows."""
+    field, n, gens = case
+    rows = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
+    work = _working_field(field, rows)
+    encode, decode, _ = _row_codec(work, n)
+    table = _row_table(work, rows)
+    assert table is not None and table.shape == (len(gens), work.q ** n)
+    for v in rnd.sample(range(work.q ** n), min(20, work.q ** n)):
+        vector = (tuple(decode(np.array(v)).tolist()),)
+        for s, g in enumerate(gens):
+            assert table[s, v] == encode(np.array(mat_mul(work, vector, g)))
+    try:
+        expected = naive_closure(field, n, gens, DIFF_CAP)
+    except BudgetExceeded:
+        for table_rows in (groups.TABLE_ROWS, 0):
+            with mock.patch.object(groups, "TABLE_ROWS", table_rows), \
+                    pytest.raises(BudgetExceeded):
+                _closure(field, n, rows, DIFF_CAP)
+        return
+    keys = _keys(np.array(expected, dtype=_index_dtype(field))
+                 .reshape(len(expected), n, n))
+    for table_rows in (groups.TABLE_ROWS, 0):
+        with mock.patch.object(groups, "TABLE_ROWS", table_rows):
+            got = _closure(field, n, rows, len(expected))
+            assert got.dtype == keys.dtype and got.tobytes() == keys.tobytes()
+            if len(expected) > 1:
+                with pytest.raises(BudgetExceeded):
+                    _closure(field, n, rows, len(expected) - 1)
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: unipotent_upper(3, F2), 2),
+    (lambda: unipotent_upper(4, F3), 3),
+    (lambda: unipotent_upper(3, F4), 2),
+    (lambda: unipotent_upper(3, build_field(3, 2)), 3),
+    (lambda: usp_group(2, F3), 3),
+    (lambda: p_k_subgroup(2, 1, build_field(5)), 5),
+    (lambda: thin_glue_regular(2, 2, F4).realized, 2),
+    (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized, 2),
+    (lambda: thin_glue_regular(3, 1, F3).realized, 3),
+    (lambda: trivial_group(F3, 2), 3),
+])
+def test_p_group_exponent_is_the_largest_element_order(monkeypatch, make, p):
+    """Repeated p-th powers give the largest of `element_orders`, also when
+    each chunk holds only a few matrices."""
+    G = make().enumerate()
+    rows = G.rows()
+    expected = max(element_orders(G.field, rows))
+    assert p_group_exponent(G.field, rows, p) == expected
+    monkeypatch.setattr(groups, "CHUNK_ENTRIES", 64)
+    assert p_group_exponent(G.field, rows, p) == expected
+
+
+def test_p_group_exponent_refuses_other_groups():
+    """GL2(F3), of order 48, has elements of order 2 that no 3-power kills."""
+    with pytest.raises(ValueError, match="not a p-group"):
+        p_group_exponent(F3, gl_group(2, F3).enumerate().rows(), 3)
 
 
 @pytest.mark.parametrize("field", [F3, build_field(2, 3)])
