@@ -315,7 +315,7 @@ def check_thin_glue(params, budgets) -> VerificationReport:
     if R.n != size + 1:
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"dimension {R.n} != {size + 1}")
-    maxorder = p_group_exponent(field, R.rows(), p)
+    maxorder = p_group_exponent(field, R.rows())
     if maxorder != p ** (r + 1):
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"maximal element order {maxorder} "

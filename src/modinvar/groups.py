@@ -23,8 +23,8 @@ DEFAULT_CAP = 10 ** 6
 # a closure or an order computation small whatever the group order.
 CHUNK_ENTRIES = 1 << 14
 
-# The closure maps rows through one lookup table per generator while the
-# row space F^n has at most this many vectors (`_row_table`).
+# The closure maps rows through one lookup table per generator only while
+# the row space F^n has at most this many vectors (`_row_table`).
 TABLE_ROWS = 1 << 16
 
 
@@ -290,14 +290,22 @@ def _row_products(work, gens, codes, dtype=np.int64):
     return out
 
 
-def _row_table(work, gens):
+def _row_table(work, gens, found):
     """T[s, v], the row code of v.g_s for every row code v of F^n, F the
     working field, as a (k, q^n) array of the smallest unsigned dtype; None
-    where F^n has more than TABLE_ROWS vectors.  A matrix times g_s is its
-    rows each mapped v -> v.g_s, so a lookup in T[s] replaces the
-    arithmetic (the permutation g_s induces on F^n)."""
-    size = work.q ** gens.shape[1]
-    if size > TABLE_ROWS:
+    where F^n has more than TABLE_ROWS vectors, or more than the n * found
+    rows of the `found` matrices the closure holds so far.  A matrix times
+    g_s is its rows each mapped v -> v.g_s, so a lookup in T[s] replaces
+    the arithmetic (the permutation g_s induces on F^n).
+
+    The tables cost as many row products as mapping q^n rows, so a group
+    whose rows do not outnumber the vectors of F^n (a cyclic group in
+    F_2^16, say) is closed without them, and a larger one is given them
+    once it has found that many rows: at most about twice the row products
+    of the cheaper route."""
+    n = gens.shape[1]
+    size = work.q ** n
+    if size > TABLE_ROWS or size > n * found:
         return None
     return _row_products(work, gens, np.arange(size),
                          np.min_scalar_type(size - 1))
@@ -312,16 +320,20 @@ def _closure(field, n, generators, cap, name="group"):
     a generator is its rows each mapped to their images under it.  Layer by
     layer, the rows of the whole frontier are mapped through every
     generator, a chunk of about CHUNK_ENTRIES images at a time, and the
-    products new to the group form the next frontier: the candidates of a
-    layer are deduplicated and tested against the group found so far once.
+    products new to the group form the next frontier: each chunk's products
+    are deduplicated as they are formed, and the candidates of a layer
+    deduplicated again and tested against the group found so far once.
     Raises BudgetExceeded as soon as a layer takes the count past cap.
 
     The images are gathered from one table per generator (`_row_table`)
-    where F^n has at most TABLE_ROWS vectors, else formed by `index_matmul`
-    (`_row_products`); F is the prime subfield when every generator entry
-    lies in it (`_working_field`).  The dedup keys are int64 where a matrix
-    fits in one, else the bytes of the row codes (`_key_codec`); those
-    become byte keys of the entries a chunk at a time at the end.
+    from the first layer at which the group found so far has at least as
+    many rows as F^n has vectors, where F^n has at most TABLE_ROWS vectors;
+    before that, and always for a larger F^n, the loop forms them by
+    `index_matmul` (`_row_products`).  F is the prime subfield when every
+    generator entry lies in it (`_working_field`).  The dedup keys are
+    int64 where a matrix fits in one, else the bytes of the row codes
+    (`_key_codec`); those become byte keys of the entries a chunk at a time
+    at the end.
     """
     dtype = _index_dtype(field)
     if n == 0 or not len(generators):  # the trivial group
@@ -330,19 +342,23 @@ def _closure(field, n, generators, cap, name="group"):
     work = _working_field(field, gens)
     encode_row, decode_row, code = _row_codec(work, n)
     encode, decode = _key_codec(work, n, code)
-    table = _row_table(work, gens)
+    table = None
     k = len(gens)
     step = max(1, CHUNK_ENTRIES // (k * n))
     seen = encode(encode_row(np.eye(n, dtype=np.int64))[None])
     frontier = seen
     while len(frontier):
-        layer = np.empty(k * len(frontier), dtype=seen.dtype)
+        if table is None:
+            table = _row_table(work, gens, len(seen))
+        layer, fill = np.empty(k * len(frontier), dtype=seen.dtype), 0
         for start in range(0, len(frontier), step):
             rows = decode(frontier[start:start + step]).ravel()
             images = table[:, rows] if table is not None \
                 else _row_products(work, gens, rows)
-            layer[k * start:k * (start + step)] = encode(images.reshape(-1, n))
-        layer = _sorted_unique(layer)
+            fresh = _sorted_unique(encode(images.reshape(-1, n)))
+            layer[fill:fill + len(fresh)] = fresh
+            fill += len(fresh)
+        layer = _sorted_unique(layer[:fill])
         frontier = layer[~_contains(seen, layer)]
         if len(seen) + len(frontier) > cap:
             raise BudgetExceeded(f"{name} exceeds cap {cap}")
@@ -433,17 +449,18 @@ def element_orders(field, matrices):
     return orders
 
 
-def p_group_exponent(field, rows, p):
-    """The largest element order of a finite p-group given as its (N, n, n)
-    index rows: every order is a power of p, so it is the least p^j with
-    A^(p^j) = I for every A, found by batched p-th powers over F_p (over
-    the prime subfield when every entry lies in it, `_working_field`), a
-    chunk at a time.  ValueError if some power passes p^j > N, which no
-    element of a p-group of order N reaches.  `element_orders` is its test
-    oracle."""
+def p_group_exponent(field, rows):
+    """The largest element order of a finite p-group, p the field's
+    characteristic, given as its (N, n, n) index rows: every order is a
+    power of p, so it is the least p^j with A^(p^j) = I for every A, found
+    by batched p-th powers over F_p (over the prime subfield when every
+    entry lies in it, `_working_field`), a chunk at a time.  ValueError if
+    some power passes p^j > N, which no element of a p-group of order N
+    reaches.  `element_orders` is its test oracle."""
     rows = np.asarray(rows)
     n = rows.shape[1]
     field = _working_field(field, rows)
+    p = field.p
     nr = n * field.r
     eye = np.eye(nr, dtype=_fp_dtype(field, n))
     step = max(1, CHUNK_ENTRIES // max(1, nr * nr))
@@ -457,22 +474,11 @@ def p_group_exponent(field, rows, p):
             j += 1
             if p ** j > len(rows):
                 raise ValueError("the matrices are not a p-group")
-            power = _matpow_mod(power, p, field.p)
+            base = power
+            for _ in range(p - 1):
+                power = _matmul_mod(power, base, p).astype(base.dtype)
         top = max(top, j)
     return p ** top
-
-
-def _matpow_mod(a, e, p):
-    """a^e mod p for a stack of square arrays from `_expand` and e >= 1, by
-    repeated squaring."""
-    dtype, out = a.dtype, None
-    while True:
-        if e & 1:
-            out = a if out is None else _matmul_mod(out, a, p).astype(dtype)
-        e >>= 1
-        if not e:
-            return out
-        a = _matmul_mod(a, a, p).astype(dtype)
 
 
 class GroupElement:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -538,15 +539,16 @@ CYCLE4 = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 def _closure_route(G):
     """(order of the field the closure multiplies over, key kind: "i" for
-    int64 keys, "V" for byte keys, row-image step: "table" for gathers from
-    per-generator tables, "index_matmul" for products formed in the loop)
-    of G's generators."""
+    int64 keys, "V" for byte keys, row-image step: "table" where F^n is
+    small enough for per-generator tables, which the closure gathers from
+    once the group it has found outgrows F^n, "index_matmul" where every
+    product is formed in the loop) of G's generators."""
     gens = G.generator_rows
     work = _working_field(G.field, gens)
     encode_row, _, code = _row_codec(work, G.n)
     encode, _ = _key_codec(work, G.n, code)
     kind = encode(encode_row(np.eye(G.n, dtype=np.int64))[None]).dtype.kind
-    table = _row_table(work, gens)
+    table = _row_table(work, gens, math.inf)
     return work.q, kind, "index_matmul" if table is None else "table"
 
 
@@ -594,6 +596,46 @@ def test_closure_route(make, route):
     assert _closure_route(make()) == route
 
 
+def _scalar_group(field, n, index):
+    """The scalar matrices of one field element, as one generator."""
+    return MatrixGroup(field, n, [index * np.eye(n, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("make", [
+    # n |G| < q^n: no tables
+    lambda: MatrixGroup(F2, 16, [np.roll(np.eye(16, dtype=np.int64), 1, 0)]),
+    lambda: _scalar_group(build_field(2, 4), 4, 2),  # order 15, 16^4 rows
+    lambda: _signed_cycles(build_field(3)),  # order 64 in F_3^4: 256 >= 81
+    lambda: sp_group(2, F3),
+    lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized,
+    lambda: _cycle_and_transvection(F2, 4),
+])
+def test_tables_wait_for_the_group_to_outgrow_the_row_space(monkeypatch, make):
+    """The closure builds its tables once, at the first layer at which the
+    group found so far has at least q^n / n elements, so exactly when
+    n |G| >= q^n, and its keys are those of tables from the start."""
+    G = make()
+    calls = []
+    row_table = groups._row_table
+
+    def spy(work, gens, found):
+        out = row_table(work, gens, found)
+        calls.append((work.q ** G.n, found, out is not None))
+        return out
+    monkeypatch.setattr(groups, "_row_table", spy)
+    keys = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
+    size = calls[0][0]
+    built = [found for _, found, table in calls if table]
+    assert len(built) == (G.n * len(keys) >= size)
+    assert all(G.n * found < size for _, found, table in calls if not table)
+    assert [found for _, found, _ in calls] == \
+        sorted(found for _, found, _ in calls)
+    monkeypatch.setattr(groups, "_row_table", lambda work, gens, found:
+                        row_table(work, gens, math.inf))
+    forced = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
+    assert forced.tobytes() == keys.tobytes()
+
+
 @pytest.mark.parametrize("field", [F17, GF729])
 def test_signed_cycles_match_naive_closure(field):
     """Byte keys over GF(17) at n = 4, and F_3 products stored as the 2-byte
@@ -619,8 +661,8 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     CHUNK_ENTRIES entries, or one row's images or products when those alone
     are more, and no decoded key or row code array (the final conversion to
     byte keys included) holds more than CHUNK_ENTRIES entries or one
-    matrix; with tables and with `TABLE_ROWS` 0, which forms the row images
-    by `index_matmul` in the loop."""
+    matrix; with tables (once the group outgrows F^n) and with `TABLE_ROWS`
+    0, which forms the row images by `index_matmul` in the loop."""
     G = make()
     expected = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
     products, images, decoded, entries = [], [], [], []
@@ -687,32 +729,37 @@ TABLE_FIELDS = [build_field(2), build_field(3), build_field(2, 2),
 @given(generator_sets(TABLE_FIELDS, TABLE_FIELDS[2:]),
        st.randoms(use_true_random=False))
 def test_table_closure_matches_naive_closure_and_row_products(case, rnd):
-    """Gathers from per-generator tables give the keys of the scalar closure
-    and of the `index_matmul` row images (`TABLE_ROWS` 0), and both routes
-    raise BudgetExceeded one below the order, as the scalar closure does;
-    sampled table entries agree with `mat_mul` on the decoded rows."""
+    """Gathers from per-generator tables, built at the start or once the
+    group outgrows F^n, give the keys of the scalar closure and of the
+    `index_matmul` row images (`TABLE_ROWS` 0), and every route raises
+    BudgetExceeded one below the order, as the scalar closure does; sampled
+    table entries agree with `mat_mul` on the decoded rows."""
     field, n, gens = case
     rows = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
     work = _working_field(field, rows)
     encode, decode, _ = _row_codec(work, n)
-    table = _row_table(work, rows)
+    table = _row_table(work, rows, math.inf)
     assert table is not None and table.shape == (len(gens), work.q ** n)
     for v in rnd.sample(range(work.q ** n), min(20, work.q ** n)):
         vector = (tuple(decode(np.array(v)).tolist()),)
         for s, g in enumerate(gens):
             assert table[s, v] == encode(np.array(mat_mul(work, vector, g)))
+    row_table = groups._row_table
+    routes = [mock.patch.object(groups, "_row_table", lambda w, g, found:
+                                row_table(w, g, math.inf)),
+              contextlib.nullcontext(),
+              mock.patch.object(groups, "TABLE_ROWS", 0)]
     try:
         expected = naive_closure(field, n, gens, DIFF_CAP)
     except BudgetExceeded:
-        for table_rows in (groups.TABLE_ROWS, 0):
-            with mock.patch.object(groups, "TABLE_ROWS", table_rows), \
-                    pytest.raises(BudgetExceeded):
+        for route in routes:
+            with route, pytest.raises(BudgetExceeded):
                 _closure(field, n, rows, DIFF_CAP)
         return
     keys = _keys(np.array(expected, dtype=_index_dtype(field))
                  .reshape(len(expected), n, n))
-    for table_rows in (groups.TABLE_ROWS, 0):
-        with mock.patch.object(groups, "TABLE_ROWS", table_rows):
+    for route in routes:
+        with route:
             got = _closure(field, n, rows, len(expected))
             assert got.dtype == keys.dtype and got.tobytes() == keys.tobytes()
             if len(expected) > 1:
@@ -736,17 +783,18 @@ def test_p_group_exponent_is_the_largest_element_order(monkeypatch, make, p):
     """Repeated p-th powers give the largest of `element_orders`, also when
     each chunk holds only a few matrices."""
     G = make().enumerate()
+    assert G.field.p == p
     rows = G.rows()
     expected = max(element_orders(G.field, rows))
-    assert p_group_exponent(G.field, rows, p) == expected
+    assert p_group_exponent(G.field, rows) == expected
     monkeypatch.setattr(groups, "CHUNK_ENTRIES", 64)
-    assert p_group_exponent(G.field, rows, p) == expected
+    assert p_group_exponent(G.field, rows) == expected
 
 
 def test_p_group_exponent_refuses_other_groups():
     """GL2(F3), of order 48, has elements of order 2 that no 3-power kills."""
     with pytest.raises(ValueError, match="not a p-group"):
-        p_group_exponent(F3, gl_group(2, F3).enumerate().rows(), 3)
+        p_group_exponent(F3, gl_group(2, F3).enumerate().rows())
 
 
 @pytest.mark.parametrize("field", [F3, build_field(2, 3)])
