@@ -596,15 +596,11 @@ def test_closure_route(make, route):
     assert _closure_route(make()) == route
 
 
-def _scalar_group(field, n, index):
-    """The scalar matrices of one field element, as one generator."""
-    return MatrixGroup(field, n, [index * np.eye(n, dtype=np.int64)])
-
-
 @pytest.mark.parametrize("make", [
     # n |G| < q^n: no tables
     lambda: MatrixGroup(F2, 16, [np.roll(np.eye(16, dtype=np.int64), 1, 0)]),
-    lambda: _scalar_group(build_field(2, 4), 4, 2),  # order 15, 16^4 rows
+    # the scalars of GF(16)'s primitive element: order 15, 16^4 rows
+    lambda: MatrixGroup(build_field(2, 4), 4, [2 * np.eye(4, dtype=np.int64)]),
     lambda: _signed_cycles(build_field(3)),  # order 64 in F_3^4: 256 >= 81
     lambda: sp_group(2, F3),
     lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized,
