@@ -25,8 +25,9 @@ from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
 from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space, rref_field,
                              rref_mod_p, sparse_rank_mod_p)
-from modinvar.mvpoly import (Polynomial, VariableSpace, _combine_keys,
-                             _exponent_array, gluing_space, monomial_array,
+from modinvar.mvpoly import (Polynomial, VariableSpace, _act_packed,
+                             _act_sum, _combine_keys, _key_weights, _stack,
+                             _term_arrays, gluing_space, monomial_array,
                              symplectic_space)
 
 
@@ -81,13 +82,12 @@ def _identity_report(name, params, lhs, rhs, notes=None):
 # -- transfer --
 
 def transfer(f: Polynomial, group: MatrixGroup) -> Polynomial:
-    """Tr(f) = sum of f.g over all group elements."""
+    """Tr(f) = sum of f.g over all group elements, by one kernel call over
+    the group's index rows (`mvpoly._act_sum`).  The tests keep the loop of
+    `_substitute` images over the elements as its oracle."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer needs an enumerated group")
-    acc = f.space.zero()
-    for g in group.rows().tolist():
-        acc = acc + f.act(g)
-    return acc
+    return _act_sum(f, group.rows())
 
 
 def transfer_factorization_check(f: Polynomial, gluing: GluingGroup,
@@ -143,12 +143,9 @@ class TransferImage:
 
 def _monomial_keys(dim, d):
     """The degree-d monomials in dim variables (`monomial_array`) and the
-    weights (d + 1)^i of their packed keys, which increase along the rows;
-    the weights are Python ints where (d + 1)^dim passes int64."""
-    fits = (d + 1) ** dim <= np.iinfo(np.int64).max
-    weights = np.array([(d + 1) ** i for i in range(dim)],
-                       dtype=np.int64 if fits else object)
-    return monomial_array(dim, d), weights
+    weights (d + 1)^i of their packed keys (`mvpoly._key_weights`), which
+    increase along the rows."""
+    return monomial_array(dim, d), _key_weights(d + 1, dim)
 
 
 def _scatter(monos, weights, nrows, rows, keys, values, dtype):
@@ -160,13 +157,6 @@ def _scatter(monos, weights, nrows, rows, keys, values, dtype):
         matrix[np.concatenate(rows), np.searchsorted(
             monos @ weights, np.concatenate(keys))] = np.concatenate(values)
     return matrix
-
-
-def _term_arrays(poly: Polynomial):
-    """The exponents (an int64 (len, dim) array) and coefficient indices of
-    a nonzero polynomial's terms."""
-    return (_exponent_array(poly._terms, poly.space.dim),
-            np.fromiter(poly._terms.values(), dtype=np.int64, count=len(poly)))
 
 
 def _rows_to_polys(space, monos, reduced):
@@ -235,13 +225,7 @@ class TranslationSums:
         if s not in self._blocks:
             ys = monomial_array(len(self.structure), s).T.tolist()
             polys = [f for f in map(self.orbit_sum, zip(*ys)) if f]
-            got = None
-            if polys:
-                exps, coeffs = zip(*map(_term_arrays, polys))
-                got = (np.concatenate(exps), np.concatenate(coeffs),
-                       np.repeat(np.arange(len(polys)), list(map(len, polys))),
-                       len(polys))
-            self._blocks[s] = got
+            self._blocks[s] = _stack(polys) + (len(polys),) if polys else None
         return self._blocks[s]
 
 
@@ -257,7 +241,9 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
     is found from its packed key (`_monomial_keys`) by `searchsorted`.
     Under a translation structure the transfer of y^a x^c is the orbit sum
     of a times x^c, so each stacked block of orbit sums of degree s is
-    shifted by all x-parts of degree d - s at once."""
+    shifted by all x-parts of degree d - s at once.  Otherwise one
+    `_act_packed` call forms the transfers of all degree-d monomials, one
+    output each, whose keys are already the monomials' packed keys."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer image needs an enumerated group")
     field = space.field
@@ -280,15 +266,22 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
             values.append(np.broadcast_to(coeffs, (len(xkeys), len(coeffs)))
                           .ravel())
             nrows += count * len(xkeys)
-    else:
-        for e in zip(*monos.T.tolist()):
-            tr = transfer(space.monomial(e), group)
-            if tr:
-                exps, coeffs = _term_arrays(tr)
-                rows.append(np.full(len(coeffs), nrows))
-                keys.append(exps @ weights)
-                values.append(coeffs)
-                nrows += 1
+    elif len(monos):
+        # every monomial tagged with every element, one output per monomial
+        order = group.order()
+        packed, coeffs = _act_packed(
+            space, np.repeat(monos, order, axis=0),
+            np.ones(len(monos) * order, dtype=np.int64), group.rows(),
+            np.tile(np.arange(order), len(monos)),
+            np.repeat(np.arange(len(monos)), order), d + 1)
+        size = (d + 1) ** space.dim
+        owner = packed // size
+        fresh = np.ones(len(owner), dtype=bool)
+        fresh[1:] = owner[1:] != owner[:-1]
+        rows.append(np.cumsum(fresh) - 1)
+        keys.append(packed % size)
+        values.append(coeffs)
+        nrows = int(fresh.sum())
     matrix = _scatter(monos, weights, nrows, rows, keys, values,
                       _matrix_dtype(field))
     reduced, _ = rref_field(matrix, field)

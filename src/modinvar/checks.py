@@ -44,8 +44,9 @@ from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute,
                                  span_basis, subspace_product, xi)
-from modinvar.mvpoly import (gluing_space, parse_polynomial, symplectic_space,
-                             VariableSpace)
+from modinvar.mvpoly import (VariableSpace, _act_family, _act_packed,
+                             _differ, _select, _tagged, gluing_space,
+                             parse_polynomial, symplectic_space)
 
 # The constructor of each group kind from its params and GF(q); the
 # constructor states the claimed order.
@@ -452,25 +453,29 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     polynomial, drawn as `rng.choice` over the elements draws them.  The
     products g h of a pair list are formed together (`index_matmul`), the
     list of all pairs once, and each is named by its index in the
-    enumerated group (one `searchsorted` of its key).  f is acted on by each
-    element at most once per polynomial, so a pair costs only the action
-    of h on f.g."""
+    enumerated group (one `searchsorted` of its key).  Per polynomial, one
+    `mvpoly._act_packed` call forms f.g for every element a pair names, a
+    second forms (f.g).h for every pair, and each (f.g).h is compared with
+    the f.(gh) of the first call on packed keys (`mvpoly._differ`).  A call
+    with fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs the kernel's
+    `_substitute` route."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
     cap = budgets.get("cap", DEFAULT_CAP)
     G = gl_group(n, field).enumerate(cap)
     rows = G.rows()
-    elements, order = rows.tolist(), len(rows)
+    order = len(rows)
     rng = random.Random(params.get("seed", 0))
     space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
     samples = params.get("samples", 30)
     exhaustive = order ** 2 <= 2500
 
     def products(left, right):
+        left, right = np.asarray(left), np.asarray(right)
         product = index_matmul(field, rows[left], rows[right])
-        return list(zip(left, right, np.searchsorted(
-            G.keys, _keys(product.astype(rows.dtype))).tolist()))
+        return left, right, np.searchsorted(
+            G.keys, _keys(product.astype(rows.dtype)))
 
     if exhaustive:
         pairs = products(*np.divmod(np.arange(order ** 2), order))
@@ -482,15 +487,21 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
         if not exhaustive:
             draws = [rng.choice(range(order)) for _ in range(100)]
             pairs = products(draws[0::2], draws[1::2])
-        acted = [None] * order  # f.g for each element g, once it is needed
-        for a, b, c in pairs:
-            for i in (a, c):
-                if acted[i] is None:
-                    acted[i] = f.act(elements[i])
-            if acted[c] != acted[a].act(elements[b]):
-                return VerificationReport(
-                    "action_compatibility", params, "fail",
-                    witness=f"compatibility fails for f={f!r}")
+        a, b, c = pairs
+        named = _sorted_unique(np.concatenate([a, c]))
+        radix = max(f.degree(), 0) + 1
+        size = radix ** n
+        # output i is f.g for the element named[i]
+        exps, coeffs, which, _ = _tagged([f], len(named))
+        acted = _act_packed(space, exps, coeffs, rows[named], which, which,
+                            radix)
+        twice = _act_family(space, acted, np.searchsorted(named, a), rows, b,
+                            radix)
+        if _differ(field, twice, _select(acted, np.searchsorted(named, c),
+                                         size), size, len(a)).any():
+            return VerificationReport(
+                "action_compatibility", params, "fail",
+                witness=f"compatibility fails for f={f!r}")
     return VerificationReport("action_compatibility", params, "pass")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.linalg import rref_field
-from modinvar.mvpoly import Polynomial
+from modinvar.mvpoly import Polynomial, fixed_by
 
 DEFAULT_CAP = 10 ** 6
 
@@ -364,12 +364,18 @@ def _closure(field, n, generators, cap, name="group"):
             raise BudgetExceeded(f"{name} exceeds cap {cap}")
         # a stable sort merges the two sorted runs in linear time
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
-    # the byte keys of `_keys`, one chunk of decoded rows at a time
+    # the byte keys of `_keys`, one chunk of decoded rows at a time; where
+    # F^n is small enough for tables, the entries of a row are gathered
+    # from the (q^n, n) table of every row code's entries, not divided out
+    entries = decode_row(np.arange(work.q ** n)).astype(dtype) \
+        if work.q ** n <= TABLE_ROWS else None
     out = np.empty(len(seen), dtype=(np.void, n * n * dtype.itemsize))
     step = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, len(seen), step):
+        codes = decode(seen[start:start + step])
         out[start:start + step] = _keys(
-            decode_row(decode(seen[start:start + step])).astype(dtype))
+            entries[codes] if entries is not None
+            else decode_row(codes).astype(dtype))
     return out
 
 
@@ -962,13 +968,14 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     f.g = f implies f(g.v) = f(v) for every v in F_q^n, since f.g sends x_i
     to sum_j g[i][j] x_j (`Polynomial.act`).  That sound prefilter
     (`_keeps_values`) rejects elements in batches, and the survivors are
-    checked exactly with `act`."""
+    checked exactly, all of them by one `mvpoly.fixed_by` call, which acts
+    on f by the whole stack and compares the images with f on packed keys
+    (`_substitute` stays its fallback route and oracle)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()
     candidates = rows[_keeps_values(field, rows, f)]
-    fixed = candidates[np.array([f.act(g) == f for g in candidates.tolist()],
-                                dtype=bool)]
+    fixed = candidates[fixed_by([f], candidates)[0]]
     gens = minimal_generators(field, fixed) if len(fixed) > 1 else []
     return MatrixGroup(field, group.n, gens, name=f"Stab({group.name})",
                        elements=fixed)
@@ -1040,13 +1047,14 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
     """Mask of the n x n index matrices A in `rows` that preserve the form:
     A^T G A = G for its Gram matrix G (A^T twisted entrywise for a hermitian
     form), with the products of all of them formed together
-    (`index_matmul`); f.A = f for a quadratic form f (`Polynomial.act`)."""
+    (`index_matmul`); f.A = f for a quadratic form f, for all A by one
+    `mvpoly.fixed_by` call on packed keys (`Polynomial._substitute` is its
+    fallback route and oracle)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[1:] != (form.dim, form.dim):
         raise ValueError("dimension mismatch between element and form")
     if form.kind == "quadratic":
-        f = form.quadratic
-        return np.array([f.act(A) == f for A in rows.tolist()], dtype=bool)
+        return fixed_by([form.quadratic], rows)[0]
     field = form.field
     gram = np.array(form.gram, dtype=np.int64).reshape(form.dim, form.dim)
     left = form._twist(rows) if form.kind == "hermitian" else rows

@@ -27,7 +27,7 @@ from modinvar.groups import (ClaimRefuted, MatrixGroup, field_from_order,
                              usp_group)
 from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, balanced_product,
-                             gluing_space, symplectic_space, x_space)
+                             fixed_by, gluing_space, symplectic_space, x_space)
 
 
 class DegenerateSpanError(ValueError):
@@ -334,12 +334,13 @@ class GeneratorFamily:
                 raise InvarianceError(
                     f"{self.name}: {mem.label} has degree {actual}, "
                     f"declared {mem.degree}")
-        for gi, g in enumerate(self.group.generator_rows.tolist()):
-            for mem in self.members:
-                if mem.poly.act(g) != mem.poly:
-                    raise InvarianceError(
-                        f"{self.name}: {mem.label} is not fixed by generator "
-                        f"#{gi} of {self.group.name}")
+        # the first (generator, member) pair that moves, generator-major
+        moved = np.argwhere(~fixed_by(self.polys, self.group.generator_rows).T)
+        if len(moved):
+            gi, mi = moved[0].tolist()
+            raise InvarianceError(
+                f"{self.name}: {self.members[mi].label} is not fixed by "
+                f"generator #{gi} of {self.group.name}")
 
     def degree_product(self):
         out = 1

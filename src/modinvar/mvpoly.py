@@ -13,7 +13,10 @@ Large products run in numpy on packed exponents (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007) over every field with tables (q <= gfq.TABLE_LIMIT) and
 every prime field with p < 2^31, in memory that grows with the output; small
-products and the remaining fields run the scalar dict loop.
+products and the remaining fields run the scalar dict loop.  The right action
+runs on the same packed keys, for the terms of several polynomials and a
+whole stack of matrices in one call (`_act_packed`), with the dict-based
+`_substitute` as its fallback and oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ NUMPY_CHUNK = 1 << 16
 NUMPY_PRIME_LIMIT = 1 << 31
 # Packed exponent keys (and their sums) must stay below this.
 PACKED_KEY_LIMIT = 1 << 62
+# Actions on fewer tagged terms than this run `_substitute`, which is faster
+# there (one term by one 4 x 4 matrix: 30 us against 100 us in numpy).
+ACT_MIN_TERMS = 12
 
 
 class SpaceMismatchError(ValueError):
@@ -431,29 +437,17 @@ class Polynomial:
 
     def act(self, g) -> "Polynomial":
         """Right action by a group element: the variable with coefficient row
-        c goes to the linear form with row c.[g]."""
+        c goes to the linear form with row c.[g].  One `_act_packed` call
+        with a stack of one matrix; `_substitute` is its fallback route and
+        the tests' oracle."""
         matrix = getattr(g, "matrix", g)
         n = self.space.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(
                 f"matrix dimension {len(matrix)} does not match {n} variables")
-        images = {}
-        for i in range(n):
-            row = matrix[i]
-            terms = {}
-            for j, c in enumerate(row):
-                idx = c.index if isinstance(c, Scalar) else int(c)
-                if idx:
-                    e = [0] * n
-                    e[j] = 1
-                    terms[tuple(e)] = idx
-            e = [0] * n
-            e[i] = 1
-            if terms != {tuple(e): 1}:  # the fixed variables get no image
-                images[i] = Polynomial(self.space, terms)
-        if not images:
-            return self
-        return self._substitute(self.space, images)
+        return _act_sum(self, np.array(
+            [[c.index if isinstance(c, Scalar) else int(c) for c in row]
+             for row in matrix], dtype=np.int64).reshape(1, n, n))
 
     # -- text form and equality --
 
@@ -500,6 +494,8 @@ def _combine_keys(keys, coeffs, p):
     coefficient may be a row of base-p digits (coeffs of shape (len, r)),
     summed digit-wise; it is dropped when every digit is zero.  The sums
     keep the dtype of coeffs, which must hold every residue mod p."""
+    if not len(keys):
+        return keys, coeffs
     order = np.argsort(keys)
     keys, coeffs = keys[order], coeffs[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -582,6 +578,353 @@ def _fold(parts, p):
         return parts[0]
     return _combine_keys(np.concatenate([k for k, _ in parts]),
                          np.concatenate([c for _, c in parts]), p)
+
+
+# -- the action on stacks of matrices, on packed keys --
+#
+# A packed family holds several polynomials in one (keys, coefficients)
+# pair: term e of output o has the key o * radix^n + sum_j e_j radix^j, and
+# the keys ascend, so each output is a contiguous run.  The radix exceeds
+# every total degree, so no exponent carries into the next place.
+
+def _term_arrays(poly: Polynomial):
+    """The exponents (an int64 (len, dim) array) and coefficient indices of
+    a polynomial's terms."""
+    return (_exponent_array(poly._terms, poly.space.dim),
+            np.fromiter(poly._terms.values(), dtype=np.int64, count=len(poly)))
+
+
+def _key_weights(radix, n):
+    """The place values radix^j of the packed keys of n variables: int64,
+    or Python ints (an object array) where radix^n passes int64."""
+    fits = radix ** n < 1 << 63
+    return np.array([radix ** j for j in range(n)],
+                    dtype=np.int64 if fits else object)
+
+
+def _row_images(space: VariableSpace, matrix) -> dict:
+    """Variable position -> the linear form with that row of the index
+    matrix (x_i goes to sum_j matrix[i][j] x_j); identity rows get no
+    image, so `_substitute` keeps those variables as they are."""
+    unit = (0,) * space.dim
+    images = {}
+    for i, row in enumerate(matrix):
+        terms = {unit[:j] + (1,) + unit[j + 1:]: c
+                 for j, c in enumerate(row) if c}
+        if terms != {unit[:i] + (1,) + unit[i + 1:]: 1}:
+            images[i] = Polynomial(space, terms)
+    return images
+
+
+def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
+                radix):
+    """The right action on terms by a stack of matrices, summed per output.
+
+    Term t (exponents exps[t], coefficient index coeffs[t]) is acted on by
+    the index matrix mats[which[t]], and its image is added to output
+    owner[t].  Returns the outputs as a packed family (keys, coefficient
+    indices); radix must exceed the total degree of every term.
+
+    Row i of a matrix sends x_i to the linear form l_i = sum_j g_ij x_j.  A
+    row with at most one nonzero entry a (at column j) sends x_i^e to
+    a^e x_j^e, which is one shift of the key.  Every other row goes through
+    the Frobenius shortcut of `Polynomial.__pow__`: with e_ik the base-p
+    digits of e_i, x^e.g = prod_i prod_k (sum_j frob^k(g_ij) x_j^(p^k))^(e_ik),
+    so q-power exponents stay cheap.  All (term, matrix) pairs advance
+    together, one linear factor per step; equal (pair, key) entries are
+    merged by `_combine_keys` once a step leaves more than NUMPY_CHUNK of
+    them, and at the end.  Coefficients multiply as in `_mul_packed`:
+    residue products over GF(p), gathers from the multiplication table
+    summed as base-p digit rows over GF(p^r).
+
+    Pairs go in chunks whose merged partial products hold at most about
+    NUMPY_CHUNK entries (at least one pair each), bounded per pair by the
+    monomials of its degree and by prod C(nnz_i + e_ik - 1, e_ik) over its
+    factors, so a step forms at most n times NUMPY_CHUNK entries, or n
+    times one pair's bound when that alone is more.  The chunk results fold
+    into the running sum as in `_mul_packed`.
+
+    Fewer than ACT_MIN_TERMS terms, fields without tables,
+    p >= NUMPY_PRIME_LIMIT, keys that would reach PACKED_KEY_LIMIT and
+    spaces without variables (whose terms are constants) go to
+    `_act_substitute`, which is also the oracle."""
+    field, n = space.field, space.dim
+    size = radix ** n
+    if not len(coeffs):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if len(coeffs) < ACT_MIN_TERMS or not n \
+            or size * (int(owner.max()) + 1) >= PACKED_KEY_LIMIT or (
+            field._mul_array is None
+            and (field.r > 1 or field.p >= NUMPY_PRIME_LIMIT)):
+        return _act_substitute(space, exps, coeffs, mats, which, owner, radix)
+    p, r = field.p, field.r
+    if r == 1:
+        def product(x, y):
+            return x * y % p
+
+        def combine(keys, values):
+            return _combine_keys(keys, values, p)
+    else:
+        table, digit_rows = field._mul_array, field._digit_array
+
+        def product(x, y):
+            return table[x, y].astype(np.int64)
+
+        def combine(keys, values):
+            keys, sums = _combine_keys(keys, digit_rows[values], p)
+            return keys, field.indices(sums)
+    mats = np.asarray(mats, dtype=np.int64)
+    weights = _key_weights(radix, n)
+    forms = mats[:, None]  # forms[m, k, i, j] = frob^k(g_ij) of matrix m
+    if r > 1:
+        every = frobenius = np.arange(field.q)
+        for _ in range(p - 1):  # a^p for every index a
+            frobenius = table[frobenius, every]
+        forms = [mats]
+        for _ in range(1, r):
+            forms.append(frobenius[forms[-1]])
+        forms = np.stack(forms, axis=1)
+    keys0, scale, moved = _flat_rows(exps, coeffs, mats, which, weights,
+                                     product)
+    live = np.flatnonzero(scale)
+    if not len(live):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+    # the other rows: one step per base-p digit unit of their exponents
+    top, places = int(moved.max()), 1
+    while p ** places <= top:
+        places += 1
+    shifts = [p ** k for k in range(places)]
+    digits = np.empty(moved.shape + (places,), dtype=np.min_scalar_type(
+        min(p - 1, top)))
+    for k, shift in enumerate(shifts):
+        digits[..., k] = moved // shift % p
+    del moved
+    shifts = np.array(shifts, dtype=np.int64)
+    steps = digits.sum(axis=(1, 2), dtype=np.int64)
+    stops = _chunk_stops(exps, mats, which, digits, live, radix,
+                         PACKED_KEY_LIMIT // size)
+
+    parts, running, pending = [], 0, 0
+    start = 0
+    for stop in stops:
+        chunk = live[start:stop]
+        start = stop
+        chunk = chunk[np.argsort(-steps[chunk], kind="stable")]
+        count = steps[chunk]  # descending
+        order = np.repeat(np.arange(len(chunk)), count)
+        code = np.arange(n * places, dtype=np.min_scalar_type(n * places))
+        factors = np.zeros((len(chunk), count[0]), dtype=code.dtype)
+        factors[order, np.arange(len(order)) - (np.cumsum(count) - count)[
+            order]] = np.repeat(np.tile(code, len(chunk)),
+                                digits[chunk].ravel())
+        mat = which[chunk]
+        # entries stay grouped by pair, ascending, and are merged only once
+        # they pass NUMPY_CHUNK, so a step needs no sort
+        keys = np.arange(len(chunk)) * size + keys0[chunk]
+        values = scale[chunk]
+        done = []
+        active = len(chunk)
+        for s in range(count[0]):
+            if count[active - 1] <= s:  # pairs done: set their entries apart
+                active = np.count_nonzero(count > s)
+                cut = np.searchsorted(keys, active * size)
+                done.append((keys[cut:], values[cut:]))
+                keys, values = keys[:cut], values[:cut]
+            pair = keys // size
+            i, k = np.divmod(factors[pair, s], places)
+            form = forms[mat[pair], k % r, i]
+            hit = form != 0
+            keys = (keys[:, None] + shifts[k][:, None] * weights)[hit]
+            values = product(values[:, None], form)[hit]
+            if len(keys) > NUMPY_CHUNK:
+                keys, values = combine(keys, values)
+        done.append((keys, values))
+        keys = np.concatenate([k for k, _ in done])
+        parts.append(combine(owner[chunk][keys // size] * size + keys % size,
+                             np.concatenate([v for _, v in done])))
+        pending += len(parts[-1][0])
+        if pending > max(NUMPY_CHUNK, running):
+            parts = [combine(np.concatenate([k for k, _ in parts]),
+                             np.concatenate([v for _, v in parts]))]
+            running, pending = len(parts[0][0]), 0
+    if len(parts) > 1:
+        parts = [combine(np.concatenate([k for k, _ in parts]),
+                         np.concatenate([v for _, v in parts]))]
+    return parts[0]
+
+
+def _flat_rows(exps, coeffs, mats, which, weights, product):
+    """The part of `_act_packed` done by the rows with at most one nonzero
+    entry a (a is the row's sum), which send x_i^e to a^e x_j^e: the key
+    shift and the coefficient of every term's image under those rows, and
+    the exponents left for the other rows.  a = 1 needs no power."""
+    nonzero = mats != 0
+    flat = nonzero.sum(axis=2)[which] <= 1
+    fixed = np.where(flat, exps, 0)
+    lead = nonzero.argmax(axis=2)  # the column of a row's one entry
+    keys0 = (fixed * weights[lead[which]]).sum(axis=1)
+    base = np.where(flat, mats.sum(axis=2)[which], 1)
+    fixed[base == 1] = 0
+    scale = coeffs
+    if fixed.any():
+        power = np.ones_like(fixed)
+        while fixed.any():
+            power = np.where(fixed & 1, product(power, base), power)
+            fixed, base = fixed >> 1, product(base, base)
+        scale = reduce(product, power.T, coeffs)
+    return keys0, scale, np.where(flat, 0, exps)
+
+
+def _chunk_stops(exps, mats, which, digits, live, radix, most):
+    """The ends of `_act_packed`'s chunks of the live terms, in order: each
+    holds at least one term and at most `most`, and as many more as keep
+    the sum of their bounds within NUMPY_CHUNK.  A term's bound is the
+    smaller of the monomials of its degree and the product over its factor
+    digits e_ik of C(nnz_i + e_ik - 1, e_ik), the terms of l_i^(e_ik)."""
+    n = exps.shape[1]
+    if len(live) <= most and len(live) * math.comb(
+            n + radix - 2, n - 1) <= NUMPY_CHUNK:
+        return [len(live)]  # under the bound of the largest degree
+    grow = np.arange(1, radix)
+    # monomials[a, d] = C(a + d - 1, d), the monomials of degree d in a
+    # variables (1 at d = 0, so the rows without factors count once)
+    monomials = np.hstack((np.ones((n + 1, 1)), np.cumprod(
+        (np.arange(n + 1)[:, None] - 1 + grow) / grow, axis=1)))
+    spread = (mats != 0).sum(axis=2)[which]
+    factors = np.ones(len(exps))
+    for k in range(digits.shape[2]):
+        factors *= monomials[spread, digits[..., k]].prod(axis=1)
+    bound = np.minimum(factors, monomials[n, exps.sum(axis=1)])[live]
+    ends, stops = np.cumsum(bound), [0]
+    while stops[-1] < len(live):
+        start = stops[-1]
+        stop = int(np.searchsorted(ends, ends[start] - bound[start]
+                                   + NUMPY_CHUNK, side="right"))
+        stops.append(min(max(stop, start + 1), start + most))
+    return stops[1:]
+
+
+def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
+                    radix):
+    """`_act_packed` by `_substitute`, the polynomial of each (output,
+    matrix) pair at a time: its route for few terms and where the packed
+    keys or the field do not fit numpy, and its oracle.  The keys are
+    Python ints (an object array) where they pass int64."""
+    field, n = space.field, space.dim
+    groups = {}
+    for e, c, m, o in zip(map(tuple, exps.tolist()), coeffs.tolist(),
+                          which.tolist(), owner.tolist()):
+        _add_term(field, groups.setdefault((o, m), {}), e, c)
+    sums = {}
+    for (o, m), terms in groups.items():
+        image = Polynomial(space, terms)._substitute(
+            space, _row_images(space, np.asarray(mats[m]).tolist()))
+        out = sums.setdefault(o, {})
+        for e, c in image._terms.items():
+            _add_term(field, out, e, c)
+    size = radix ** n
+    weights = [radix ** j for j in range(n)]
+    terms = sorted((o * size + sum(map(int.__mul__, e, weights)), c)
+                   for o, out in sums.items() for e, c in out.items())
+    big = terms and terms[-1][0] >= 1 << 63
+    return (np.array([k for k, _ in terms], dtype=object if big else np.int64),
+            np.array([c for _, c in terms], dtype=np.int64))
+
+
+def _act_sum(f: Polynomial, mats) -> Polynomial:
+    """The sum of f.g over the stack of index matrices mats: every term of
+    f tagged with every matrix, all summed into one output by one
+    `_act_packed` call and decoded once."""
+    exps, coeffs, which, _ = _tagged([f], len(mats))
+    radix = max(f.degree(), 0) + 1
+    keys, coeffs = _act_packed(f.space, exps, coeffs, mats, which,
+                               np.zeros(len(which), dtype=np.int64), radix)
+    return Polynomial(f.space, dict(zip(
+        map(tuple, _unpack(keys, radix, f.space.dim).tolist()),
+        coeffs.tolist())))
+
+
+def _stack(polys):
+    """The terms of several polynomials of one space: (exponents,
+    coefficient indices, the index of each term's polynomial)."""
+    exps, coeffs = zip(*map(_term_arrays, polys))
+    return (np.concatenate(exps), np.concatenate(coeffs),
+            np.repeat(np.arange(len(polys)), [len(f) for f in polys]))
+
+
+def _tagged(polys, k):
+    """Every term of every polynomial tagged with each of k matrices,
+    matrix-major: (exponents, coefficient indices, the matrix, the index of
+    the term's polynomial)."""
+    exps, coeffs, poly = _stack(polys)
+    return (np.tile(exps, (k, 1)), np.tile(coeffs, k),
+            np.repeat(np.arange(k), len(coeffs)), np.tile(poly, k))
+
+
+def _unpack(keys, radix, n):
+    """The exponents ((len, n) array) of packed keys, outputs dropped."""
+    return keys[:, None] // _key_weights(radix, n) % radix
+
+
+def _select(family, picks, size):
+    """The packed family whose output j is output picks[j] of family."""
+    keys, coeffs = family
+    bounds = np.searchsorted(keys, _place(
+        np.arange(int(picks.max(initial=-1)) + 2), size))
+    starts, lens = bounds[picks], bounds[picks + 1] - bounds[picks]
+    out = np.repeat(np.arange(len(picks)), lens)
+    at = np.arange(len(out)) - (np.cumsum(lens) - lens)[out] + starts[out]
+    return _place(out, size) + keys[at] % size, coeffs[at]
+
+
+def _place(owner, size):
+    """owner * size: int64, or Python ints (an object array) where the
+    largest would pass int64."""
+    if len(owner) and (int(owner.max()) + 1) * size >= 1 << 63:
+        owner = owner.astype(object)
+    return owner * size
+
+
+def _act_family(space, family, picks, mats, which, radix):
+    """The packed family whose output j is (output picks[j] of
+    family).mats[which[j]], formed by one `_act_packed` call."""
+    size = radix ** space.dim
+    keys, coeffs = _select(family, picks, size)
+    owner = (keys // size).astype(np.int64)
+    return _act_packed(space, _unpack(keys, radix, space.dim), coeffs, mats,
+                       which[owner], owner, radix)
+
+
+def _differ(field: FieldSpec, a, b, size, count):
+    """Mask of the outputs 0..count-1 at which two packed families differ:
+    the outputs with a term left in a - b."""
+    values = np.concatenate([a[1], b[1]])
+    if field.r > 1:
+        values = field.digits(values)
+    values[len(a[1]):] = -values[len(a[1]):] % field.p
+    keys, _ = _combine_keys(np.concatenate([a[0], b[0]]), values, field.p)
+    return np.bincount((keys // size).astype(np.int64), minlength=count) > 0
+
+
+def fixed_by(polys, mats) -> np.ndarray:
+    """(len(polys), len(mats)) mask of f.g = f, for f in polys (of one
+    space) and g in the stack of index matrices mats: all images formed by
+    one `_act_packed` call, output a k + b holding polys[a].mats[b], and
+    compared with the tagged terms themselves on packed keys."""
+    k = len(mats)
+    if not polys or not k:
+        return np.ones((len(polys), k), dtype=bool)
+    space = polys[0].space
+    radix = max(0, *(f.degree() for f in polys)) + 1
+    size = radix ** space.dim
+    exps, coeffs, which, poly = _tagged(polys, k)
+    owner = poly * k + which
+    acted = _act_packed(space, exps, coeffs, mats, which, owner, radix)
+    tagged = (_place(owner, size) + exps @ _key_weights(radix, space.dim),
+              coeffs)
+    return ~_differ(space.field, acted, tagged, size,
+                    len(polys) * k).reshape(len(polys), k)
 
 
 def balanced_product(factors, space: VariableSpace) -> Polynomial:

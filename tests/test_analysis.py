@@ -1,10 +1,12 @@
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from modinvar import analysis
+from modinvar import analysis, mvpoly
 from modinvar.gfq import build_field
 from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
                                _translation_structure,
@@ -21,7 +23,8 @@ from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
                              unipotent_upper, usp_group)
 from modinvar.invariants import dickson_in, family, xi
 from modinvar.linalg import fp_expand, rref_mod_p
-from modinvar.mvpoly import VariableSpace, gluing_space, monomials_of_degree
+from modinvar.mvpoly import (Polynomial, VariableSpace, gluing_space,
+                             monomials_of_degree)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -30,6 +33,68 @@ F3 = build_field(3)
 def is_invariant(f, group):
     """Whether every generator of the group fixes f."""
     return all(f.act(g) == f for g in group.generators)
+
+
+def loop_transfer(f, group):
+    """Tr(f) as the sum of f.substitute({x_i: row i of g}) over the
+    group's index rows: the per-element loop that `transfer` replaced, kept
+    as its oracle."""
+    xs = f.space.variables()
+    acc = f.space.zero()
+    for g in group.rows().tolist():
+        acc = acc + f.substitute({
+            name: sum((x.scale(c) for x, c in zip(xs, row)), f.space.zero())
+            for name, row in zip(f.space.names, g)})
+    return acc
+
+
+TRANSFER_FIELDS = [F2, F3, build_field(2, 2), build_field(5),
+                   build_field(2, 3), build_field(3, 2)]
+
+
+@st.composite
+def transfer_cases(draw):
+    """A group of at most 300 elements from 1-2 upper or lower
+    unitriangular or monomial generators in dimension 1-3, and a polynomial
+    whose exponents reach p^2."""
+    field = draw(st.sampled_from(TRANSFER_FIELDS))
+    p, q = field.p, field.q
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["upper", "lower", "monomial"]))
+        g = np.eye(n, dtype=np.int64)
+        if kind == "monomial":
+            g = g[draw(st.permutations(range(n)))] * np.array(
+                [draw(st.integers(1, q - 1)) for _ in range(n)])[:, None]
+        else:
+            for i, j in itertools.combinations(range(n), 2):
+                g[(i, j) if kind == "upper" else (j, i)] = \
+                    draw(st.integers(0, q - 1))
+        gens.append(g)
+    try:
+        G = MatrixGroup(field, n, gens).enumerate(300)
+    except BudgetExceeded:
+        assume(False)
+    sp = VariableSpace(field, [f"x{i}" for i in range(n)])
+    exponent = st.sampled_from([0, 1, 2, p, p * p, p * p + 1])
+    f = Polynomial(sp, draw(st.dictionaries(st.tuples(*[exponent] * n),
+                                            st.integers(1, q - 1),
+                                            max_size=5)))
+    return G, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(transfer_cases(), st.sampled_from([0, mvpoly.ACT_MIN_TERMS]),
+       st.sampled_from([5, mvpoly.NUMPY_CHUNK]))
+def test_transfer_matches_the_substitution_loop(case, least, chunk):
+    """One kernel call sums f.g over the group as the per-element
+    substitution loop does, on the packed route (small chunks included)
+    and below ACT_MIN_TERMS."""
+    G, f = case
+    with mock.patch.object(mvpoly, "ACT_MIN_TERMS", least), \
+            mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
+        assert transfer(f, G) == loop_transfer(f, G)
 
 
 def test_transfer_trivial_group():
@@ -247,7 +312,10 @@ def test_transfer_image_with_keys_beyond_int64():
     G.enumerate()
     sp = gluing_space(F2, 1, n - 1)
     fast, rows = transfer_image_degree(G, sp, 2, m_split=1)
-    slow, _ = transfer_image_degree(G, sp, 2)
+    with mock.patch.object(mvpoly, "_act_substitute",
+                           wraps=mvpoly._act_substitute) as spy:
+        slow, _ = transfer_image_degree(G, sp, 2)
+    assert spy.call_count == 1  # 3^42 passes the packed key limit
     assert [f._terms for f in fast] == [f._terms for f in slow]
     x1 = sp.variable("x1")
     assert fast == [x1 * v for v in sp.variables()[1:]]

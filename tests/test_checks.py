@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modinvar import analysis, checks, groups, invariants
+from modinvar import analysis, checks, groups, invariants, mvpoly
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul, singular_form_group
 from modinvar.gfq import FieldSpec
 from modinvar.groups import _expand, mat_mul
-from modinvar.mvpoly import Polynomial, VariableSpace, parse_polynomial
+from modinvar.mvpoly import VariableSpace, parse_polynomial
 
 
 def test_monomial_budget_is_skipped(monkeypatch):
@@ -324,23 +324,31 @@ def scalar_compatibility(params, swap=False):
     {"q": 2, "n": 2, "samples": 6}, {"q": 3, "n": 2, "samples": 4},
     {"q": 2, "n": 3, "samples": 3, "seed": 5}])
 def test_action_compatibility_acts_once_per_element(monkeypatch, params):
-    """The same verdict as the per-pair loop, with f acted on by each
-    element at most once per polynomial and (f.g) by h once per pair; with
-    the products taken as h g the first failing f is the loop's."""
+    """The same verdict as the per-pair loop, with two kernel calls per
+    polynomial: the first acts on f by each element a pair names, once
+    each, the second on each f.g by h, once per pair; with the products
+    taken as h g the first failing f is the loop's."""
     calls = []
-    act = Polynomial.act
+    kernel = mvpoly._act_packed
 
-    def counted(self, g):
-        calls.append(1)
-        return act(self, g)
+    def counted(space, exps, coeffs, mats, which, owner, radix):
+        # (outputs, the (output, matrix) pairs the terms are acted on by)
+        calls.append((len(set(owner.tolist())),
+                      len(set(zip(owner.tolist(), which.tolist())))))
+        return kernel(space, exps, coeffs, mats, which, owner, radix)
 
     assert scalar_compatibility(params) is None
-    monkeypatch.setattr(Polynomial, "act", counted)
+    monkeypatch.setattr(mvpoly, "_act_packed", counted)
+    monkeypatch.setattr(checks, "_act_packed", counted)
     assert run_check("action_compatibility", params).status == "pass"
     order = groups.gl_order(params["n"], params["q"])
     pairs = order ** 2 if order ** 2 <= 2500 else 50
-    assert len(calls) <= params["samples"] * (pairs + min(order, 2 * pairs))
-    monkeypatch.setattr(Polynomial, "act", act)
+    assert len(calls) == 2 * params["samples"]
+    for (elements, acts), (outputs, twice) in zip(calls[0::2], calls[1::2]):
+        assert elements == acts <= min(order, 2 * pairs)
+        assert outputs == twice <= pairs
+    monkeypatch.setattr(mvpoly, "_act_packed", kernel)
+    monkeypatch.setattr(checks, "_act_packed", kernel)
     matmul = checks.index_matmul
     monkeypatch.setattr(checks, "index_matmul",
                         lambda field, a, b: matmul(field, b, a))

@@ -655,15 +655,19 @@ def test_signed_cycles_match_naive_closure(field):
 def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     """No table build, chunk of row images or F_p product holds more than
     CHUNK_ENTRIES entries, or one row's images or products when those alone
-    are more, and no decoded key or row code array (the final conversion to
-    byte keys included) holds more than CHUNK_ENTRIES entries or one
-    matrix; with tables (once the group outgrows F^n) and with `TABLE_ROWS`
-    0, which forms the row images by `index_matmul` in the loop."""
+    are more, and no decoded key or row code array and no chunk of the
+    final conversion to byte keys holds more than CHUNK_ENTRIES entries or
+    one matrix; with tables (once the group outgrows F^n) and with
+    `TABLE_ROWS` 0, which forms the row images by `index_matmul` in the
+    loop.  Where F^n has at most TABLE_ROWS vectors, the final conversion
+    gathers the entries of the row codes from one table, decoded once, of
+    all q^n row codes; otherwise it decodes the row codes of every key."""
     G = make()
     expected = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
-    products, images, decoded, entries = [], [], [], []
+    products, images, decoded, entries, converted = [], [], [], [], []
     matmul_mod, key_codec = groups._matmul_mod, groups._key_codec
     row_codec, matmul = groups._row_codec, groups.index_matmul
+    keys_of = groups._keys
 
     def spy_matmul_mod(a, b, p):
         out = matmul_mod(a, b, p)
@@ -697,24 +701,35 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
             return rows
         return encode, spy_decode, code
 
+    def spy_keys(rows):
+        if rows.ndim == 3:  # a chunk of the final conversion
+            converted.append(rows.size)
+        return keys_of(rows)
+
     monkeypatch.setattr(groups, "CHUNK_ENTRIES", chunk)
     monkeypatch.setattr(groups, "_matmul_mod", spy_matmul_mod)
     monkeypatch.setattr(groups, "index_matmul", spy_index_matmul)
     monkeypatch.setattr(groups, "_key_codec", spy_key_codec)
     monkeypatch.setattr(groups, "_row_codec", spy_row_codec)
+    monkeypatch.setattr(groups, "_keys", spy_keys)
     k, n = G.generator_rows.shape[:2]
-    work_r = _working_field(G.field, G.generator_rows).r
+    work = _working_field(G.field, G.generator_rows)
     for table_rows in (groups.TABLE_ROWS, 0):
         monkeypatch.setattr(groups, "TABLE_ROWS", table_rows)
-        for spied in (products, images, decoded, entries):
+        for spied in (products, images, decoded, entries, converted):
             spied.clear()
         keys = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
         assert keys.dtype == expected.dtype
         assert keys.tobytes() == expected.tobytes()
-        assert max(products) <= max(chunk, k * n * work_r)
+        assert max(products) <= max(chunk, k * n * work.r)
         assert max(images) <= max(chunk, k * n)
+        assert max(converted) <= max(chunk, n * n)
+        assert sum(converted) == len(keys) * n * n
+        if work.q ** n <= table_rows:  # the table of every row code's entries
+            entries.remove(work.q ** n * n)
+        else:
+            assert sum(entries) >= len(keys) * n * n
         assert max(decoded + entries) <= max(chunk, n * n)
-        assert sum(entries) >= len(keys) * n * n
 
 
 TABLE_FIELDS = [build_field(2), build_field(3), build_field(2, 2),

@@ -551,3 +551,141 @@ def test_product_dispatch():
             product = a * b
         assert spy.called == packed, field
         assert product._terms == scalar_product(a, b)
+
+
+# -- the action on stacks of matrices against substitution --
+
+ACT_FIELDS = (build_field(2), build_field(3), build_field(2, 2),
+              build_field(5), build_field(2, 3), build_field(3, 2))
+
+
+def substituted(f, g):
+    """f.g by `Polynomial.substitute`: x_i -> sum_j g[i][j] x_j."""
+    xs = f.space.variables()
+    return f.substitute({name: sum((x.scale(int(c)) for x, c in zip(xs, row)),
+                                   f.space.zero())
+                         for name, row in zip(f.space.names, g)})
+
+
+def unpacked(family, space, radix, count):
+    """The polynomials of a packed family's outputs 0..count-1."""
+    keys, coeffs = family
+    size = radix ** space.dim
+    owner = (keys // size).astype(np.int64).tolist()
+    exps = mvpoly._unpack(keys % size, radix, space.dim).tolist()
+    out = [{} for _ in range(count)]
+    for o, e, c in zip(owner, exps, coeffs.tolist()):
+        out[o][tuple(e)] = c
+    return [Polynomial(space, terms) for terms in out]
+
+
+@st.composite
+def action_stacks(draw):
+    """Polynomials (the zero one among them) whose exponents reach p^2 and
+    beyond, so that the Frobenius digits run, and a stack of 0-3 matrices:
+    random, identity, monomial and singular ones."""
+    field = draw(st.sampled_from(ACT_FIELDS))
+    p, q = field.p, field.q
+    n = draw(st.integers(0, 4))
+    sp = VariableSpace(field, [f"x{i}" for i in range(n)])
+    exponent = st.sampled_from([0, 1, 2, p - 1, p, p + 1, p * p, p * p + 1,
+                                2 * p * p + p - 1, p ** 3 - 1])
+    terms = st.dictionaries(st.tuples(*[exponent] * n),
+                            st.integers(1, q - 1), max_size=6)
+    polys = [Polynomial(sp, t)
+             for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    entry = st.integers(0, q - 1)
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["random", "identity", "monomial", "singular"]), max_size=3)):
+        g = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+                     dtype=np.int64).reshape(n, n)
+        if kind == "identity":
+            g = np.eye(n, dtype=np.int64)
+        elif kind == "monomial":  # a permutation with nonzero scalars
+            g = np.eye(n, dtype=np.int64)[draw(st.permutations(range(n)))] \
+                * np.array([draw(st.integers(1, q - 1)) for _ in range(n)],
+                           dtype=np.int64)[:, None]
+        elif kind == "singular" and n:
+            g[draw(st.integers(0, n - 1))] = 0
+        mats.append(g)
+    return sp, polys, np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_stacks(), st.sampled_from([1, 7, 64, mvpoly.NUMPY_CHUNK]))
+def test_act_kernel_matches_substitution(stack, chunk):
+    """Every output of one `_act_packed` call over all (polynomial, matrix)
+    pairs is f.substitute({x_i: row i of g}), on the packed route (small
+    chunks included) and on the `_act_substitute` route, which returns the
+    same arrays; acting again on the packed outputs (`_act_family`) gives
+    (f.g).h, and `fixed_by` and `Polynomial.act` agree with them."""
+    sp, polys, mats = stack
+    k = len(mats)
+    radix = max(0, *(f.degree() for f in polys)) + 1
+    exps, coeffs, which, poly = mvpoly._tagged(polys, k)
+    args = (sp, exps, coeffs, mats, which, poly * k + which, radix)
+    expected = [substituted(f, g) for f in polys for g in mats]
+    again = [b for _ in polys for b in range(k)][::-1]
+    with mock.patch.object(mvpoly, "ACT_MIN_TERMS", 0), \
+            mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
+        acted = mvpoly._act_packed(*args)
+        assert unpacked(acted, sp, radix, len(expected)) == expected
+        if sum(map(len, expected)) <= 200:  # images of images stay small
+            twice = mvpoly._act_family(
+                sp, acted, np.arange(len(expected)), mats,
+                np.array(again, dtype=np.int64), radix)
+            assert unpacked(twice, sp, radix, len(expected)) == \
+                [substituted(f, mats[b]) for f, b in zip(expected, again)]
+        assert [f.act(g) for f in polys for g in mats] == expected
+        assert mvpoly.fixed_by(polys, mats).ravel().tolist() == \
+            [expected[a * k + b] == f for a, f in enumerate(polys)
+             for b in range(k)]
+    oracle = mvpoly._act_substitute(*args)
+    assert acted[0].tolist() == oracle[0].tolist()
+    assert acted[1].tolist() == oracle[1].tolist()
+
+
+def test_act_kernel_empty_inputs():
+    """An empty stack, the zero polynomial and no terms at all."""
+    sp = space(F3, "x", "y")
+    f = parse_polynomial(sp, "x^9*y + 2*y^4")
+    none = np.zeros((0, 2, 2), dtype=np.int64)
+    assert mvpoly.fixed_by([f, sp.zero()], none).shape == (2, 0)
+    assert mvpoly.fixed_by([sp.zero()], np.eye(2, dtype=np.int64)[None]).all()
+    assert sp.zero().act(((1, 1), (0, 1))) == sp.zero()
+    empty = np.zeros(0, dtype=np.int64)
+    for keys in mvpoly._act_packed(sp, np.zeros((0, 2), dtype=np.int64),
+                                   empty, none, empty, empty, 1):
+        assert len(keys) == 0
+
+
+@pytest.mark.parametrize("field", [build_field(2, 10),
+                                   build_field(2 ** 31 + 11)])
+def test_act_kernel_falls_back_beyond_numpy_fields(field):
+    """GF(2^10) has no tables and 2^31 + 11 is past NUMPY_PRIME_LIMIT: the
+    kernel runs `_act_substitute`, with the substitution's result."""
+    sp = space(field, "x", "y")
+    f = Polynomial(sp, {(i, 13 - i): i + 1 for i in range(14)})
+    g = ((3, 1), (1, field.q - 1))
+    with mock.patch.object(mvpoly, "_act_substitute",
+                           wraps=mvpoly._act_substitute) as spy:
+        assert f.act(g) == substituted(f, g)
+    assert spy.called
+
+
+def test_act_kernel_falls_back_beyond_the_key_limit():
+    """Keys of degree 40 in 12 variables reach 41^12 > 2^62: the kernel
+    runs `_act_substitute`, whose keys are Python ints."""
+    sp = space(F2, *[f"x{i}" for i in range(12)])
+    xs = sp.variables()
+    f = sum((x ** 40 for x in xs), sp.zero()) + xs[0] * xs[1]
+    g = np.eye(12, dtype=np.int64)
+    g[0, 1] = g[3, 7] = 1
+    assert len(f) >= mvpoly.ACT_MIN_TERMS
+    with mock.patch.object(mvpoly, "_act_substitute",
+                           wraps=mvpoly._act_substitute) as spy:
+        assert f.act(g) == substituted(f, g)
+        assert mvpoly.fixed_by([f], np.stack([g, np.eye(12, dtype=np.int64)])
+                               ).tolist() == [[False, True]]
+    assert spy.call_count == 2
