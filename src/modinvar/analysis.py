@@ -25,8 +25,8 @@ from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
 from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space, rref_field,
                              rref_mod_p, sparse_rank_mod_p)
-from modinvar.mvpoly import (Polynomial, VariableSpace, _act_packed,
-                             _act_sum, _combine_keys, _key_weights, _stack,
+from modinvar.mvpoly import (Polynomial, VariableSpace, _act_sum,
+                             _act_sums, _combine_keys, _key_weights, _stack,
                              _term_arrays, gluing_space, monomial_array,
                              symplectic_space)
 
@@ -82,9 +82,10 @@ def _identity_report(name, params, lhs, rhs, notes=None):
 # -- transfer --
 
 def transfer(f: Polynomial, group: MatrixGroup) -> Polynomial:
-    """Tr(f) = sum of f.g over all group elements, by one kernel call over
-    the group's index rows (`mvpoly._act_sum`).  The tests keep the loop of
-    `_substitute` images over the elements as its oracle."""
+    """Tr(f) = sum of f.g over all group elements, by the kernel over the
+    group's index rows, a block of them per call, summed and decoded once
+    (`mvpoly._act_sum`).  The tests keep the loop of `_substitute` images
+    over the elements as its oracle."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer needs an enumerated group")
     return _act_sum(f, group.rows())
@@ -241,8 +242,8 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
     is found from its packed key (`_monomial_keys`) by `searchsorted`.
     Under a translation structure the transfer of y^a x^c is the orbit sum
     of a times x^c, so each stacked block of orbit sums of degree s is
-    shifted by all x-parts of degree d - s at once.  Otherwise one
-    `_act_packed` call forms the transfers of all degree-d monomials, one
+    shifted by all x-parts of degree d - s at once.  Otherwise
+    `mvpoly._act_sums` forms the transfers of all degree-d monomials, one
     output each, whose keys are already the monomials' packed keys."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer image needs an enumerated group")
@@ -267,19 +268,14 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
                           .ravel())
             nrows += count * len(xkeys)
     elif len(monos):
-        # every monomial tagged with every element, one output per monomial
-        order = group.order()
-        packed, coeffs = _act_packed(
-            space, np.repeat(monos, order, axis=0),
-            np.ones(len(monos) * order, dtype=np.int64), group.rows(),
-            np.tile(np.arange(order), len(monos)),
-            np.repeat(np.arange(len(monos)), order), d + 1)
-        size = (d + 1) ** space.dim
-        owner = packed // size
+        # the transfer of every monomial, one output each
+        owner, packed, coeffs = _act_sums(
+            space, monos, np.ones(len(monos), dtype=np.int64),
+            np.arange(len(monos)), group.rows(), d + 1)
         fresh = np.ones(len(owner), dtype=bool)
         fresh[1:] = owner[1:] != owner[:-1]
         rows.append(np.cumsum(fresh) - 1)
-        keys.append(packed % size)
+        keys.append(packed)
         values.append(coeffs)
         nrows = int(fresh.sum())
     matrix = _scatter(monos, weights, nrows, rows, keys, values,

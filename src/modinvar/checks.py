@@ -44,9 +44,8 @@ from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute,
                                  span_basis, subspace_product, xi)
-from modinvar.mvpoly import (VariableSpace, _act_family, _act_packed,
-                             _differ, _select, _tagged, gluing_space,
-                             parse_polynomial, symplectic_space)
+from modinvar.mvpoly import (VariableSpace, compatibility_failures,
+                             gluing_space, parse_polynomial, symplectic_space)
 
 # The constructor of each group kind from its params and GF(q); the
 # constructor states the claimed order.
@@ -453,11 +452,11 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     polynomial, drawn as `rng.choice` over the elements draws them.  The
     products g h of a pair list are formed together (`index_matmul`), the
     list of all pairs once, and each is named by its index in the
-    enumerated group (one `searchsorted` of its key).  Per polynomial, one
-    `mvpoly._act_packed` call forms f.g for every element a pair names, a
-    second forms (f.g).h for every pair, and each (f.g).h is compared with
-    the f.(gh) of the first call on packed keys (`mvpoly._differ`).  A call
-    with fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs the kernel's
+    enumerated group (one `searchsorted` of its key).  Per polynomial,
+    `mvpoly.compatibility_failures` forms f.g for every element a pair
+    names in one kernel call, (f.g).h for every pair in a second, and
+    compares each (f.g).h with its f.(gh) on packed keys.  A call with
+    fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs the kernel's
     `_substitute` route."""
     q = params.get("q", 2)
     n = params.get("n", 2)
@@ -488,17 +487,8 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
             draws = [rng.choice(range(order)) for _ in range(100)]
             pairs = products(draws[0::2], draws[1::2])
         a, b, c = pairs
-        named = _sorted_unique(np.concatenate([a, c]))
-        radix = max(f.degree(), 0) + 1
-        size = radix ** n
-        # output i is f.g for the element named[i]
-        exps, coeffs, which, _ = _tagged([f], len(named))
-        acted = _act_packed(space, exps, coeffs, rows[named], which, which,
-                            radix)
-        twice = _act_family(space, acted, np.searchsorted(named, a), rows, b,
-                            radix)
-        if _differ(field, twice, _select(acted, np.searchsorted(named, c),
-                                         size), size, len(a)).any():
+        if compatibility_failures(f, rows, _sorted_unique(
+                np.concatenate([a, c])), a, b, c).any():
             return VerificationReport(
                 "action_compatibility", params, "fail",
                 witness=f"compatibility fails for f={f!r}")

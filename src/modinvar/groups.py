@@ -333,7 +333,8 @@ def _closure(field, n, generators, cap, name="group"):
     generator entry lies in it (`_working_field`).  The dedup keys are
     int64 where a matrix fits in one, else the bytes of the row codes
     (`_key_codec`); those become byte keys of the entries a chunk at a time
-    at the end.
+    at the end, the entries gathered from a table of every row code's
+    entries where the loop built tables, and divided out otherwise.
     """
     dtype = _index_dtype(field)
     if n == 0 or not len(generators):  # the trivial group
@@ -365,10 +366,11 @@ def _closure(field, n, generators, cap, name="group"):
         # a stable sort merges the two sorted runs in linear time
         seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     # the byte keys of `_keys`, one chunk of decoded rows at a time; where
-    # F^n is small enough for tables, the entries of a row are gathered
-    # from the (q^n, n) table of every row code's entries, not divided out
+    # the loop built tables (n |G| >= q^n), the entries of a row are
+    # gathered from the (q^n, n) table of every row code's entries, which
+    # costs no more than dividing out those of every key
     entries = decode_row(np.arange(work.q ** n)).astype(dtype) \
-        if work.q ** n <= TABLE_ROWS else None
+        if table is not None else None
     out = np.empty(len(seen), dtype=(np.void, n * n * dtype.itemsize))
     step = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, len(seen), step):
@@ -969,8 +971,9 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     to sum_j g[i][j] x_j (`Polynomial.act`).  That sound prefilter
     (`_keeps_values`) rejects elements in batches, and the survivors are
     checked exactly, all of them by one `mvpoly.fixed_by` call, which acts
-    on f by the whole stack and compares the images with f on packed keys
-    (`_substitute` stays its fallback route and oracle)."""
+    on f by the whole stack, a block of matrices per kernel call, and
+    compares the images with f on packed keys (`_substitute` stays its
+    fallback route and oracle)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()

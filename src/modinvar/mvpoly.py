@@ -520,13 +520,11 @@ def _mul_packed(a, b, field: FieldSpec, n):
 
     Term pairs are formed at most NUMPY_CHUNK at a time: all of a against a
     block of b's terms in key order (a block of a against one term of b when
-    a has more terms than that), each chunk combined on its own.  The pending
-    chunk results are folded into the running sum whenever their total size
-    passes both NUMPY_CHUNK and the running sum's size, so the folds sort at
-    most twice the keys of the chunk results they take in, and the largest
-    array holds about twice the running sum plus twice NUMPY_CHUNK.  Without cancellation every term of a running
-    sum is a term of the product, so peak memory grows with the output plus
-    NUMPY_CHUNK; terms that cancel between chunks are held until they do."""
+    a has more terms than that), each chunk combined on its own and the
+    chunk results folded into a running sum (`_folded`).  Without
+    cancellation every term of a running sum is a term of the product, so
+    peak memory grows with the output plus NUMPY_CHUNK; terms that cancel
+    between chunks are held until they do."""
     try:
         ea, eb = _exponent_array(a, n), _exponent_array(b, n)
     except OverflowError:
@@ -555,17 +553,10 @@ def _mul_packed(a, b, field: FieldSpec, n):
             return digits[table[x[:, None], y].ravel()]
     rows = min(len(a), NUMPY_CHUNK)
     cols = max(1, NUMPY_CHUNK // rows)
-    parts, running, pending = [], 0, 0  # after a fold, parts[0] is the sum
-    for s in range(0, len(b), cols):
-        for t in range(0, len(a), rows):
-            parts.append(_combine_keys(
-                (ka[t:t + rows, None] + kb[s:s + cols]).ravel(),
-                products(ca[t:t + rows], cb[s:s + cols]), p))
-            pending += len(parts[-1][0])
-            if pending > max(NUMPY_CHUNK, running):
-                parts = [_fold(parts, p)]
-                running, pending = len(parts[0][0]), 0
-    keys, coeffs = _fold(parts, p)
+    keys, coeffs = _folded((_combine_keys(
+        (ka[t:t + rows, None] + kb[s:s + cols]).ravel(),
+        products(ca[t:t + rows], cb[s:s + cols]), p)
+        for s in range(0, len(b), cols) for t in range(0, len(a), rows)), p)
     if field.r > 1:
         coeffs = field.indices(coeffs)
     exps = keys[:, None] // weights % np.array(radix, dtype=np.int64)
@@ -578,6 +569,23 @@ def _fold(parts, p):
         return parts[0]
     return _combine_keys(np.concatenate([k for k, _ in parts]),
                          np.concatenate([c for _, c in parts]), p)
+
+
+def _folded(parts, p):
+    """The sum of a nonempty iterable of combined (keys, residues or base-p
+    digit rows) parts, taken in as they come: the pending parts are folded
+    into the running sum whenever their total size passes both NUMPY_CHUNK
+    and the running sum's size, so the folds sort at most twice the keys of
+    the parts they take in, and the largest array holds about twice the
+    running sum plus twice NUMPY_CHUNK."""
+    held, running, pending = [], 0, 0  # after a fold, held[0] is the sum
+    for part in parts:
+        held.append(part)
+        pending += len(part[0])
+        if pending > max(NUMPY_CHUNK, running):
+            held = [_fold(held, p)]
+            running, pending = len(held[0][0]), 0
+    return _fold(held, p)
 
 
 # -- the action on stacks of matrices, on packed keys --
@@ -642,7 +650,10 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     monomials of its degree and by prod C(nnz_i + e_ik - 1, e_ik) over its
     factors, so a step forms at most n times NUMPY_CHUNK entries, or n
     times one pair's bound when that alone is more.  The chunk results fold
-    into the running sum as in `_mul_packed`.
+    into a running sum (`_folded`), kept as base-p digit rows over GF(p^r)
+    and turned into indices once, at the end.  The callers tag terms with a
+    block of matrices at a time (`_blocks`), so the input arrays, and the
+    arrays `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
 
     Fewer than ACT_MIN_TERMS terms, fields without tables,
     p >= NUMPY_PRIME_LIMIT, keys that would reach PACKED_KEY_LIMIT and
@@ -662,17 +673,20 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
         def product(x, y):
             return x * y % p
 
-        def combine(keys, values):
-            return _combine_keys(keys, values, p)
+        def summands(values):
+            return values
     else:
         table, digit_rows = field._mul_array, field._digit_array
 
         def product(x, y):
             return table[x, y].astype(np.int64)
 
-        def combine(keys, values):
-            keys, sums = _combine_keys(keys, digit_rows[values], p)
-            return keys, field.indices(sums)
+        def summands(values):  # indices as base-p digit rows
+            return digit_rows[values]
+
+    def merge(keys, values):  # a step's merge, back to indices
+        keys, sums = _combine_keys(keys, summands(values), p)
+        return keys, sums if r == 1 else field.indices(sums)
     mats = np.asarray(mats, dtype=np.int64)
     weights = _key_weights(radix, n)
     forms = mats[:, None]  # forms[m, k, i, j] = frob^k(g_ij) of matrix m
@@ -704,16 +718,13 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     steps = digits.sum(axis=(1, 2), dtype=np.int64)
     stops = _chunk_stops(exps, mats, which, digits, live, radix,
                          PACKED_KEY_LIMIT // size)
+    code = np.arange(n * places, dtype=np.min_scalar_type(n * places))
 
-    parts, running, pending = [], 0, 0
-    start = 0
-    for stop in stops:
-        chunk = live[start:stop]
-        start = stop
+    def chunk_sums(chunk):
+        """The combined images of one chunk of live terms, per output."""
         chunk = chunk[np.argsort(-steps[chunk], kind="stable")]
         count = steps[chunk]  # descending
         order = np.repeat(np.arange(len(chunk)), count)
-        code = np.arange(n * places, dtype=np.min_scalar_type(n * places))
         factors = np.zeros((len(chunk), count[0]), dtype=code.dtype)
         factors[order, np.arange(len(order)) - (np.cumsum(count) - count)[
             order]] = np.repeat(np.tile(code, len(chunk)),
@@ -738,20 +749,15 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
             keys = (keys[:, None] + shifts[k][:, None] * weights)[hit]
             values = product(values[:, None], form)[hit]
             if len(keys) > NUMPY_CHUNK:
-                keys, values = combine(keys, values)
+                keys, values = merge(keys, values)
         done.append((keys, values))
         keys = np.concatenate([k for k, _ in done])
-        parts.append(combine(owner[chunk][keys // size] * size + keys % size,
-                             np.concatenate([v for _, v in done])))
-        pending += len(parts[-1][0])
-        if pending > max(NUMPY_CHUNK, running):
-            parts = [combine(np.concatenate([k for k, _ in parts]),
-                             np.concatenate([v for _, v in parts]))]
-            running, pending = len(parts[0][0]), 0
-    if len(parts) > 1:
-        parts = [combine(np.concatenate([k for k, _ in parts]),
-                         np.concatenate([v for _, v in parts]))]
-    return parts[0]
+        return _combine_keys(owner[chunk][keys // size] * size + keys % size,
+                             summands(np.concatenate([v for _, v in done])),
+                             p)
+
+    keys, sums = _folded(map(chunk_sums, np.split(live, stops[:-1])), p)
+    return keys, sums if r == 1 else field.indices(sums)
 
 
 def _flat_rows(exps, coeffs, mats, which, weights, product):
@@ -833,16 +839,57 @@ def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
 
 
 def _act_sum(f: Polynomial, mats) -> Polynomial:
-    """The sum of f.g over the stack of index matrices mats: every term of
-    f tagged with every matrix, all summed into one output by one
-    `_act_packed` call and decoded once."""
-    exps, coeffs, which, _ = _tagged([f], len(mats))
+    """The sum of f.g over the stack of index matrices mats, decoded once
+    from `_act_sums`."""
+    exps, coeffs = _term_arrays(f)
     radix = max(f.degree(), 0) + 1
-    keys, coeffs = _act_packed(f.space, exps, coeffs, mats, which,
-                               np.zeros(len(which), dtype=np.int64), radix)
+    _, keys, coeffs = _act_sums(f.space, exps, coeffs,
+                                np.zeros(len(coeffs), dtype=np.int64), mats,
+                                radix)
     return Polynomial(f.space, dict(zip(
         map(tuple, _unpack(keys, radix, f.space.dim).tolist()),
         coeffs.tolist())))
+
+
+def _act_sums(space: VariableSpace, exps, coeffs, poly, mats, radix):
+    """The sums over the stack of index matrices mats of the images of
+    stacked polynomials (terms exps, coeffs; poly[t] the index of term t's
+    polynomial; radix above every total degree): (polynomial, key,
+    coefficient index) arrays ascending by polynomial and then key, with
+    keys sum_j e_j radix^j, and no entry for a zero sum.
+
+    The terms are tagged with one block of matrices at a time (`_blocks`),
+    one `_act_packed` call each, and the block sums fold into a running sum
+    (`_folded`) as base-p digit rows over GF(p^r)."""
+    field = space.field
+    size = radix ** space.dim
+    blocks = _blocks(len(coeffs), len(mats))
+    digits = field.r > 1 and len(blocks) > 1
+
+    def block_sums(block):
+        tagged, values, which, owner = _tagged(exps, coeffs, poly, len(block))
+        keys, values = _act_packed(space, tagged, values, block, which,
+                                   owner, radix)
+        return keys, field.digits(values) if digits else values
+
+    if not blocks:
+        keys = values = np.zeros(0, dtype=np.int64)
+    else:
+        keys, values = _folded((block_sums(mats[start:stop])
+                                for start, stop in blocks), field.p)
+    if digits:
+        values = field.indices(values)
+    owner = keys // size
+    return owner.astype(np.int64), keys - owner * size, values
+
+
+def _blocks(terms, count):
+    """(start, stop) ranges splitting a stack of count matrices into blocks
+    of about NUMPY_CHUNK // terms (at least one), so that `terms` terms
+    tagged with one block's matrices make about NUMPY_CHUNK pairs."""
+    step = max(1, NUMPY_CHUNK // max(terms, 1))
+    return [(start, min(start + step, count))
+            for start in range(0, count, step)]
 
 
 def _stack(polys):
@@ -853,11 +900,11 @@ def _stack(polys):
             np.repeat(np.arange(len(polys)), [len(f) for f in polys]))
 
 
-def _tagged(polys, k):
-    """Every term of every polynomial tagged with each of k matrices,
-    matrix-major: (exponents, coefficient indices, the matrix, the index of
-    the term's polynomial)."""
-    exps, coeffs, poly = _stack(polys)
+def _tagged(exps, coeffs, poly, k):
+    """Every stacked term tagged with each of k matrices, matrix-major:
+    (exponents, coefficient indices, the matrix, the output), as
+    `_act_packed` takes them, with output poly[t] for term t, whatever the
+    matrix."""
     return (np.tile(exps, (k, 1)), np.tile(coeffs, k),
             np.repeat(np.arange(k), len(coeffs)), np.tile(poly, k))
 
@@ -909,22 +956,51 @@ def _differ(field: FieldSpec, a, b, size, count):
 
 def fixed_by(polys, mats) -> np.ndarray:
     """(len(polys), len(mats)) mask of f.g = f, for f in polys (of one
-    space) and g in the stack of index matrices mats: all images formed by
-    one `_act_packed` call, output a k + b holding polys[a].mats[b], and
-    compared with the tagged terms themselves on packed keys."""
-    k = len(mats)
-    if not polys or not k:
-        return np.ones((len(polys), k), dtype=bool)
+    space) and g in the stack of index matrices mats.  Per block of
+    matrices (`_blocks`), one `_act_packed` call forms every image, output
+    a k + b holding polys[a].(matrix b of the block), compared with the
+    tagged terms themselves on packed keys."""
+    if not polys or not len(mats):
+        return np.ones((len(polys), len(mats)), dtype=bool)
     space = polys[0].space
     radix = max(0, *(f.degree() for f in polys)) + 1
     size = radix ** space.dim
-    exps, coeffs, which, poly = _tagged(polys, k)
-    owner = poly * k + which
-    acted = _act_packed(space, exps, coeffs, mats, which, owner, radix)
-    tagged = (_place(owner, size) + exps @ _key_weights(radix, space.dim),
-              coeffs)
-    return ~_differ(space.field, acted, tagged, size,
-                    len(polys) * k).reshape(len(polys), k)
+    exps, coeffs, poly = _stack(polys)
+    weights = _key_weights(radix, space.dim)
+
+    def block_mask(block):
+        k = len(block)
+        tagged, values, which, owner = _tagged(exps, coeffs, poly, k)
+        owner = owner * k + which
+        acted = _act_packed(space, tagged, values, block, which, owner,
+                            radix)
+        return ~_differ(space.field, acted,
+                        (_place(owner, size) + tagged @ weights, values),
+                        size, len(polys) * k).reshape(len(polys), k)
+
+    return np.hstack([block_mask(mats[start:stop])
+                      for start, stop in _blocks(len(coeffs), len(mats))])
+
+
+def compatibility_failures(f: Polynomial, mats, named, a, b, c) -> np.ndarray:
+    """Mask over the pairs j at which (f.g).h != f.(gh), with g = mats[a[j]],
+    h = mats[b[j]] and gh = mats[c[j]]; named holds, ascending, every index
+    that a or c takes.  One `_act_packed` call forms f.g for every element
+    named, once each, a second forms (f.g).h for every pair from those
+    images, and each (f.g).h is compared with its f.(gh) on packed keys."""
+    space = f.space
+    radix = max(f.degree(), 0) + 1
+    size = radix ** space.dim
+    exps, coeffs = _term_arrays(f)
+    # output i is f.g for the element named[i]
+    tagged, values, which, _ = _tagged(exps, coeffs, np.zeros(
+        len(coeffs), dtype=np.int64), len(named))
+    acted = _act_packed(space, tagged, values, mats[named], which, which,
+                        radix)
+    twice = _act_family(space, acted, np.searchsorted(named, a), mats, b,
+                        radix)
+    return _differ(space.field, twice, _select(
+        acted, np.searchsorted(named, c), size), size, len(a))
 
 
 def balanced_product(factors, space: VariableSpace) -> Polynomial:

@@ -88,13 +88,60 @@ def transfer_cases(draw):
 @given(transfer_cases(), st.sampled_from([0, mvpoly.ACT_MIN_TERMS]),
        st.sampled_from([5, mvpoly.NUMPY_CHUNK]))
 def test_transfer_matches_the_substitution_loop(case, least, chunk):
-    """One kernel call sums f.g over the group as the per-element
-    substitution loop does, on the packed route (small chunks included)
-    and below ACT_MIN_TERMS."""
+    """The kernel, a block of elements per call, sums f.g over the group as
+    the per-element substitution loop does, on the packed route (small
+    chunks, and so many blocks, included) and below ACT_MIN_TERMS."""
     G, f = case
     with mock.patch.object(mvpoly, "ACT_MIN_TERMS", least), \
             mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
         assert transfer(f, G) == loop_transfer(f, G)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_group(2, build_field(5)),
+    lambda: gl_group(2, build_field(2, 2)),
+    lambda: unipotent_upper(3, build_field(3, 2)),
+])
+def test_action_memory_stays_in_blocks(monkeypatch, make):
+    """The transfer of f, the transfer image of degree 4 without a
+    translation structure and `fixed_by` tag the terms with a block of
+    elements at a time: no `_act_packed` call gets more than NUMPY_CHUNK
+    tagged terms (each has fewer than NUMPY_CHUNK terms), and no array
+    `_flat_rows` forms from them is larger, while the results are those of
+    one block and of the per-element loop."""
+    G = make().enumerate()
+    field, n = G.field, G.n
+    sp = VariableSpace(field, [f"x{i}" for i in range(n)])
+    f = Polynomial(sp, {(i, 2 * i) + (1,) * (n - 2): 1 + i % (field.q - 1)
+                        for i in range(1, min(field.q, 6))})
+    stable = sp.variables()[0] ** field.q
+    rows = G.rows()
+    image = transfer_image_degree(G, sp, 4)[1].tolist()
+    fixed = [[f.act(g) == f for g in rows],
+             [stable.act(g) == stable for g in rows]]
+    assert mvpoly.fixed_by([f, stable], rows).tolist() == fixed
+    inputs, formed = [], []
+    kernel, flat_rows = mvpoly._act_packed, mvpoly._flat_rows
+
+    def spy_kernel(space, exps, *args):
+        inputs.append(exps.size)
+        return kernel(space, exps, *args)
+
+    def spy_flat_rows(*args):
+        out = flat_rows(*args)
+        formed.append(max(a.size for a in out))
+        return out
+
+    chunk = 32
+    monkeypatch.setattr(mvpoly, "NUMPY_CHUNK", chunk)
+    monkeypatch.setattr(mvpoly, "_act_packed", spy_kernel)
+    monkeypatch.setattr(mvpoly, "_flat_rows", spy_flat_rows)
+    assert transfer(f, G) == loop_transfer(f, G)
+    assert transfer_image_degree(G, sp, 4)[1].tolist() == image
+    assert mvpoly.fixed_by([f, stable], rows).tolist() == fixed
+    assert len(inputs) > 3 * len(rows) * len(f) // chunk
+    assert max(inputs) <= chunk * n
+    assert max(formed) <= chunk * n
 
 
 def test_transfer_trivial_group():

@@ -339,7 +339,6 @@ def test_action_compatibility_acts_once_per_element(monkeypatch, params):
 
     assert scalar_compatibility(params) is None
     monkeypatch.setattr(mvpoly, "_act_packed", counted)
-    monkeypatch.setattr(checks, "_act_packed", counted)
     assert run_check("action_compatibility", params).status == "pass"
     order = groups.gl_order(params["n"], params["q"])
     pairs = order ** 2 if order ** 2 <= 2500 else 50
@@ -348,7 +347,6 @@ def test_action_compatibility_acts_once_per_element(monkeypatch, params):
         assert elements == acts <= min(order, 2 * pairs)
         assert outputs == twice <= pairs
     monkeypatch.setattr(mvpoly, "_act_packed", kernel)
-    monkeypatch.setattr(checks, "_act_packed", kernel)
     matmul = checks.index_matmul
     monkeypatch.setattr(checks, "index_matmul",
                         lambda field, a, b: matmul(field, b, a))

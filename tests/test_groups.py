@@ -651,6 +651,9 @@ def test_signed_cycles_match_naive_closure(field):
     (lambda: sp_group(2, F2), 1024),
     (lambda: thin_glue_regular(2, 3, build_field(2, 3)).realized, 16),
     (lambda: _signed_cycles(F17), 64),
+    # 2^12 rows fit the tables, but n |G| < 2^12 builds none
+    (lambda: MatrixGroup(F2, 12, [np.roll(np.eye(12, dtype=np.int64), 1, 0)]),
+     64),
 ])
 def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     """No table build, chunk of row images or F_p product holds more than
@@ -659,9 +662,10 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     final conversion to byte keys holds more than CHUNK_ENTRIES entries or
     one matrix; with tables (once the group outgrows F^n) and with
     `TABLE_ROWS` 0, which forms the row images by `index_matmul` in the
-    loop.  Where F^n has at most TABLE_ROWS vectors, the final conversion
-    gathers the entries of the row codes from one table, decoded once, of
-    all q^n row codes; otherwise it decodes the row codes of every key."""
+    loop.  Where the loop built tables (F^n has at most TABLE_ROWS vectors
+    and at most n |G|), the final conversion gathers the entries of the row
+    codes from one table, decoded once, of all q^n row codes; otherwise it
+    decodes the row codes of every key."""
     G = make()
     expected = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
     products, images, decoded, entries, converted = [], [], [], [], []
@@ -725,7 +729,8 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
         assert max(images) <= max(chunk, k * n)
         assert max(converted) <= max(chunk, n * n)
         assert sum(converted) == len(keys) * n * n
-        if work.q ** n <= table_rows:  # the table of every row code's entries
+        if work.q ** n <= min(table_rows, n * len(keys)):
+            # the table of every row code's entries
             entries.remove(work.q ** n * n)
         else:
             assert sum(entries) >= len(keys) * n * n

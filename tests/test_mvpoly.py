@@ -623,7 +623,7 @@ def test_act_kernel_matches_substitution(stack, chunk):
     sp, polys, mats = stack
     k = len(mats)
     radix = max(0, *(f.degree() for f in polys)) + 1
-    exps, coeffs, which, poly = mvpoly._tagged(polys, k)
+    exps, coeffs, which, poly = mvpoly._tagged(*mvpoly._stack(polys), k)
     args = (sp, exps, coeffs, mats, which, poly * k + which, radix)
     expected = [substituted(f, g) for f in polys for g in mats]
     again = [b for _ in polys for b in range(k)][::-1]
