@@ -653,7 +653,7 @@ def test_signed_cycles_match_naive_closure(field):
     (lambda: _signed_cycles(F17), 64),
     # 2^12 rows fit the tables, but n |G| < 2^12 builds none
     (lambda: MatrixGroup(F2, 12, [np.roll(np.eye(12, dtype=np.int64), 1, 0)]),
-     64),
+     32),
 ])
 def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     """No table build, chunk of row images or F_p product holds more than
