@@ -33,9 +33,9 @@ from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
 from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
                              ClaimRefuted, FormSpec, GroupElement,
                              MatrixGroup, _digit_matmul, _expand, _keys,
-                             _matmul_mod, _sorted_unique, field_from_order,
-                             gl_group, index_matmul, o3_sylow_generators,
-                             o4_plus_sylow_generators, p_group_exponent,
+                             _matmul_mod, _sorted_unique, element_orders,
+                             field_from_order, gl_group, index_matmul,
+                             o3_sylow_generators, o4_plus_sylow_generators,
                              p_k_subgroup, parabolic_g_k, parse_matrix,
                              sp_group, stabilizer_of_polynomial,
                              stabilizer_sp, trivial_group, unipotent_upper,
@@ -303,9 +303,21 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
 
 
 def check_thin_glue(params, budgets) -> VerificationReport:
-    """Dimension p^r + 1, faithfulness, and an element of order p^(r+1).
-    Faithfulness is the realized group's claimed order p^r * p^(p^r), which
-    its enumeration certifies."""
+    """Dimension p^r + 1, faithfulness, and a maximal element order of
+    p^(r+1).  Faithfulness is the realized group's claimed order
+    p^r * p^(p^r), which its enumeration certifies.
+
+    One witness settles the maximal order.  w = [[c, c e_0], [0, 1]], the
+    cyclic generator block times the first module block, has w^k =
+    [[c^k, (c + ... + c^k) e_0], [0, 1]]; at k = p^r, c^k = I and the corner
+    is the all-ones column, so w has order p^(r+1).  No element has a larger
+    one: the realized group is a p-group (its certified order), so each
+    element g has g^(p^j) = I for some j, and in characteristic p
+    (g - I)^(p^j) = g^(p^j) - I = 0.  So g - I is nilpotent, (g - I)^n = 0,
+    and g^(p^k) = I + (g - I)^(p^k) = I once p^k >= n: no order passes
+    p^ceil(log_p n), which is p^(r+1) for n = p^r + 1.  Should the witness
+    miss, the largest order over all elements (`element_orders`) decides,
+    with the same report."""
     p, r = params["p"], params["r"]
     field = build_field(p, r)
     cap = budgets.get("cap", DEFAULT_CAP)
@@ -315,7 +327,12 @@ def check_thin_glue(params, budgets) -> VerificationReport:
     if R.n != size + 1:
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"dimension {R.n} != {size + 1}")
-    maxorder = p_group_exponent(field, R.rows())
+    c = gluing.G1.generator_rows[0]
+    witness = gluing.blocks(c, index_matmul(field, c, gluing.M.mats[0]),
+                            np.eye(1, dtype=np.int64))
+    maxorder = element_orders(field, witness[None])[0]
+    if maxorder != p ** (r + 1):
+        maxorder = max(element_orders(field, R.rows()))
     if maxorder != p ** (r + 1):
         return VerificationReport("thin_glue", params, "fail",
                                   witness=f"maximal element order {maxorder} "

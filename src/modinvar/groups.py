@@ -457,38 +457,6 @@ def element_orders(field, matrices):
     return orders
 
 
-def p_group_exponent(field, rows):
-    """The largest element order of a finite p-group, p the field's
-    characteristic, given as its (N, n, n) index rows: every order is a
-    power of p, so it is the least p^j with A^(p^j) = I for every A, found
-    by batched p-th powers over F_p (over the prime subfield when every
-    entry lies in it, `_working_field`), a chunk at a time.  ValueError if
-    some power passes p^j > N, which no element of a p-group of order N
-    reaches.  `element_orders` is its test oracle."""
-    rows = np.asarray(rows)
-    n = rows.shape[1]
-    field = _working_field(field, rows)
-    p = field.p
-    nr = n * field.r
-    eye = np.eye(nr, dtype=_fp_dtype(field, n))
-    step = max(1, CHUNK_ENTRIES // max(1, nr * nr))
-    top = 0
-    for start in range(0, len(rows), step):
-        power, j = _expand(field, rows[start:start + step]), 0
-        while True:
-            power = power[~(power == eye).all(axis=(1, 2))]
-            if not len(power):
-                break
-            j += 1
-            if p ** j > len(rows):
-                raise ValueError("the matrices are not a p-group")
-            base = power
-            for _ in range(p - 1):
-                power = _matmul_mod(power, base, p).astype(base.dtype)
-        top = max(top, j)
-    return p ** top
-
-
 class GroupElement:
     """An invertible matrix over a FieldSpec, hashable by its entries."""
 

@@ -146,9 +146,23 @@ class Polynomial:
     __slots__ = ("space", "_terms", "_hash")
 
     def __init__(self, space: VariableSpace, terms: dict):
+        """The polynomial of an exponent tuple -> coefficient index dict;
+        ValueError for an index outside 1..q-1, which the field's tables
+        and the packed kernels would read differently."""
+        if terms and not (0 < min(terms.values())
+                          and max(terms.values()) < space.field.q):
+            raise ValueError(
+                f"coefficient indices must lie in 1..{space.field.q - 1}")
         self.space = space
         self._terms = terms
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, space: VariableSpace, terms: dict) -> "Polynomial":
+        """A polynomial of a term dict formed by field arithmetic, unchecked."""
+        f = cls.__new__(cls)
+        f.space, f._terms, f._hash = space, terms, None
+        return f
 
     # -- inspection --
 
@@ -224,13 +238,14 @@ class Polynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.space.field.neg
-        return Polynomial(self.space, {e: neg(c) for e, c in self._terms.items()})
+        return Polynomial._trusted(
+            self.space, {e: neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -261,7 +276,7 @@ class Polynomial:
                 or field.r == 1 and field.p < NUMPY_PRIME_LIMIT):
             out = _mul_packed(a, b, field, self.space.dim)
             if out is not None:
-                return Polynomial(self.space, out)
+                return Polynomial._trusted(self.space, out)
         mul, add = field.mul, field.add
         out = {}
         get = out.get
@@ -273,7 +288,7 @@ class Polynomial:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, out)
 
     __rmul__ = __mul__
 
@@ -282,16 +297,17 @@ class Polynomial:
         if c.index == 0:
             return Polynomial(self.space, {})
         mul = self.space.field.mul
-        return Polynomial(self.space, {e: mul(v, c.index) for e, v in self._terms.items()})
+        return Polynomial._trusted(
+            self.space, {e: mul(v, c.index) for e, v in self._terms.items()})
 
     def frobenius(self) -> "Polynomial":
         """f^p, exact in characteristic p: scale exponents, power coefficients."""
         field = self.space.field
         p = field.p
         frob = field.frobenius
-        return Polynomial(self.space,
-                          {tuple(ei * p for ei in e): frob(c)
-                           for e, c in self._terms.items()})
+        return Polynomial._trusted(self.space,
+                                   {tuple(ei * p for ei in e): frob(c)
+                                    for e, c in self._terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -341,7 +357,7 @@ class Polynomial:
                     rem[e] = s
                 elif e in rem:
                     del rem[e]
-        return Polynomial(self.space, quo)
+        return Polynomial._trusted(self.space, quo)
 
     def divides(self, other: "Polynomial") -> bool:
         try:
@@ -416,7 +432,7 @@ class Polynomial:
                     out[e3] = s
                 elif e3 in out:
                     del out[e3]
-        return Polynomial(target, out)
+        return Polynomial._trusted(target, out)
 
     def evaluate(self, point) -> Scalar:
         """Value at a point given as scalars (or ints) per variable."""
@@ -482,11 +498,13 @@ def _add_term(field: FieldSpec, terms: dict, e: tuple, c: int):
         terms.pop(e, None)
 
 
-def _exponent_array(terms, n):
-    """The exponent tuples of a term dict as an int64 (len, n) array."""
+def _dict_arrays(terms, n):
+    """The exponents (an int64 (len, n) array) and coefficient indices of a
+    term dict; `_term_dict` is the way back."""
     flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64,
                        count=len(terms) * n)
-    return flat.reshape(len(terms), n)
+    return (flat.reshape(len(terms), n),
+            np.fromiter(terms.values(), dtype=np.int64, count=len(terms)))
 
 
 def _combine_keys(keys, coeffs, p):
@@ -510,37 +528,28 @@ def _mul_packed(a, b, field: FieldSpec, n):
     q = p < NUMPY_PRIME_LIMIT, as a term dict, or None when the packed keys
     would reach PACKED_KEY_LIMIT.  `a` is the operand with fewer terms.
 
-    Exponent vectors are packed into int64 keys in a mixed radix whose digit
-    for each variable exceeds the largest exponent of that variable in the
-    product, so key sums are exponent sums.  Over GF(p) a coefficient product
-    is a residue product; over GF(p^r) it is a gather from the field's
-    multiplication table, turned into a row of base-p digits, which
-    `_combine_keys` sums digit-wise; the digit rows become indices once, at
-    the end.
+    Exponent vectors are packed into int64 keys sum_j e_j radix^j, the
+    layout of the packed families (`_key_weights`), with the radix above
+    the product's total degree, so key sums are exponent sums.  Over GF(p)
+    a coefficient product is a residue product; over GF(p^r) it is a gather
+    from the field's multiplication table, turned into a row of base-p
+    digits, which `_combine_keys` sums digit-wise; the digit rows become
+    indices once, at the end.
 
     Term pairs are formed at most NUMPY_CHUNK at a time: all of a against a
-    block of b's terms in key order (a block of a against one term of b when
-    a has more terms than that), each chunk combined on its own and the
-    chunk results folded into a running sum (`_folded`).  Without
-    cancellation every term of a running sum is a term of the product, so
-    peak memory grows with the output plus NUMPY_CHUNK; terms that cancel
-    between chunks are held until they do."""
-    try:
-        ea, eb = _exponent_array(a, n), _exponent_array(b, n)
-    except OverflowError:
+    block of b's terms in lex order, the first variable most significant
+    (a block of a against one term of b when a has more terms than that),
+    each chunk combined on its own and the chunk results folded into a
+    running sum (`_folded`).  Without cancellation every term of a running
+    sum is a term of the product, so peak memory grows with the output plus
+    NUMPY_CHUNK; terms that cancel between chunks are held until they do."""
+    radix = max(map(sum, a)) + max(map(sum, b)) + 1
+    if radix ** n >= PACKED_KEY_LIMIT:
         return None
-    radix = [x + y + 1 for x, y in zip(ea.max(axis=0).tolist(),
-                                       eb.max(axis=0).tolist())]
-    if math.prod(radix) >= PACKED_KEY_LIMIT:
-        return None
-    weights = [1] * n
-    for i in range(n - 1, 0, -1):
-        weights[i - 1] = weights[i] * radix[i]
-    weights = np.array(weights, dtype=np.int64)
+    (ea, ca), (eb, cb) = _dict_arrays(a, n), _dict_arrays(b, n)
+    weights = _key_weights(radix, n)
     ka, kb = ea @ weights, eb @ weights
-    ca = np.fromiter(a.values(), dtype=np.int64, count=len(a))
-    cb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
-    order = np.argsort(kb)
+    order = np.argsort(eb @ weights[::-1])  # x_1 first: merges more per chunk
     kb, cb = kb[order], cb[order]
     p = field.p
     if field.r == 1:
@@ -559,8 +568,7 @@ def _mul_packed(a, b, field: FieldSpec, n):
         for s in range(0, len(b), cols) for t in range(0, len(a), rows)), p)
     if field.r > 1:
         coeffs = field.indices(coeffs)
-    exps = keys[:, None] // weights % np.array(radix, dtype=np.int64)
-    return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
+    return _term_dict(_unpack(keys, radix, n), coeffs)
 
 
 def _fold(parts, p):
@@ -598,8 +606,7 @@ def _folded(parts, p):
 def _term_arrays(poly: Polynomial):
     """The exponents (an int64 (len, dim) array) and coefficient indices of
     a polynomial's terms."""
-    return (_exponent_array(poly._terms, poly.space.dim),
-            np.fromiter(poly._terms.values(), dtype=np.int64, count=len(poly)))
+    return _dict_arrays(poly._terms, poly.space.dim)
 
 
 def _key_weights(radix, n):
@@ -824,7 +831,7 @@ def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
         _add_term(field, groups.setdefault((o, m), {}), e, c)
     sums = {}
     for (o, m), terms in groups.items():
-        image = Polynomial(space, terms)._substitute(
+        image = Polynomial._trusted(space, terms)._substitute(
             space, _row_images(space, np.asarray(mats[m]).tolist()))
         out = sums.setdefault(o, {})
         for e, c in image._terms.items():
@@ -846,9 +853,8 @@ def _act_sum(f: Polynomial, mats) -> Polynomial:
     _, keys, coeffs = _act_sums(f.space, exps, coeffs,
                                 np.zeros(len(coeffs), dtype=np.int64), mats,
                                 radix)
-    return Polynomial(f.space, dict(zip(
-        map(tuple, _unpack(keys, radix, f.space.dim).tolist()),
-        coeffs.tolist())))
+    return Polynomial._trusted(f.space, _term_dict(
+        _unpack(keys, radix, f.space.dim), coeffs))
 
 
 def _act_sums(space: VariableSpace, exps, coeffs, poly, mats, radix):
@@ -912,6 +918,13 @@ def _tagged(exps, coeffs, poly, k):
 def _unpack(keys, radix, n):
     """The exponents ((len, n) array) of packed keys, outputs dropped."""
     return keys[:, None] // _key_weights(radix, n) % radix
+
+
+def _term_dict(exps, coeffs):
+    """The term dict of exponent rows and their coefficient indices."""
+    columns = exps.T.tolist()
+    return dict(zip(zip(*columns) if columns else [()] * len(coeffs),
+                    coeffs.tolist()))
 
 
 def _select(family, picks, size):
@@ -1116,7 +1129,7 @@ def parse_polynomial(space: VariableSpace, text: str) -> Polynomial:
             coeff = field.neg(coeff)
         _add_term(field, out, tuple(exps), coeff)
         pos = skip_ws(pos)
-    return Polynomial(space, out)
+    return Polynomial._trusted(space, out)
 
 
 def monomial_array(n: int, d: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from modinvar import analysis, checks, groups, invariants, mvpoly
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul, singular_form_group
-from modinvar.gfq import FieldSpec
+from modinvar.gfq import FieldSpec, build_field
 from modinvar.groups import _expand, mat_mul
 from modinvar.mvpoly import VariableSpace, parse_polynomial
 
@@ -288,6 +288,66 @@ def test_unattained_tau_keeps_its_witness():
     assert rep.status == "fail"
     assert rep.witness == ("tau is not attained in the image row space at "
                            "degree 3")
+
+
+# -- thin_glue: one witness of the largest element order --
+
+THIN_GLUES = [(2, 1), (2, 2), (2, 3), (3, 1)]
+
+
+def spy_element_orders(monkeypatch):
+    """The matrices of each `element_orders` call `check_thin_glue` makes."""
+    calls = []
+
+    def spy(field, matrices):
+        calls.append(np.array(matrices))
+        return groups.element_orders(field, matrices)
+
+    monkeypatch.setattr(checks, "element_orders", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,r", THIN_GLUES)
+def test_thin_glue_witness_has_the_largest_order(monkeypatch, p, r):
+    """The witness's order is the whole-group oracle's maximum, p^(r+1)."""
+    calls = spy_element_orders(monkeypatch)
+    assert run_check("thin_glue", {"p": p, "r": r}, {}).status == "pass"
+    field = build_field(p, r)
+    rows = build_gluing({"kind": "thin", "p": p, "r": r}).enumerate().rows()
+    (witness,), = calls
+    assert groups.element_orders(field, [witness]) == [p ** (r + 1)]
+    assert max(groups.element_orders(field, rows)) == p ** (r + 1)
+
+
+@pytest.mark.parametrize("p,r", THIN_GLUES)
+def test_thin_glue_orders_one_matrix(monkeypatch, p, r):
+    """A pass hands `element_orders` the witness alone, and nothing reads
+    the realized group's rows."""
+    calls = spy_element_orders(monkeypatch)
+    reads = []
+    rows = groups.MatrixGroup.rows
+    monkeypatch.setattr(groups.MatrixGroup, "rows",
+                        lambda G: reads.append(G) or rows(G))
+    assert run_check("thin_glue", {"p": p, "r": r}, {}).status == "pass"
+    assert [len(m) for m in calls] == [1] and not reads
+
+
+@pytest.mark.parametrize("p,r", THIN_GLUES)
+def test_thin_glue_witness_miss_asks_the_whole_group(monkeypatch, p, r):
+    """With the witness's corner zeroed, w = [[c, 0], [0, 1]] has order p^r
+    only, and the largest order over all elements gives the same report."""
+    expected = run_check("thin_glue", {"p": p, "r": r}, {})
+    calls = spy_element_orders(monkeypatch)
+    monkeypatch.setattr(checks, "index_matmul",
+                        lambda field, a, b: np.zeros((len(a), b.shape[-1]),
+                                                     dtype=np.int64))
+    rep = run_check("thin_glue", {"p": p, "r": r}, {})
+    order = p ** r * p ** (p ** r)
+    assert [len(m) for m in calls] == [1, order]
+    field = build_field(p, r)
+    assert groups.element_orders(field, calls[0]) == [p ** r]
+    assert (rep.status, rep.witness, rep.notes, rep.params) == (
+        expected.status, expected.witness, expected.notes, expected.params)
 
 
 # -- action_compatibility against the per-pair loop it replaced --

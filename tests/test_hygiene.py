@@ -353,3 +353,52 @@ def test_only_the_literal_oracle_forms_the_span_product():
                for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
                for _, function in functions_calling(path, "balanced_product")}
     assert callers == {"subspace_product"}
+
+
+# (importing module, source module, name) of each private name a src module
+# imports from another modinvar module.  The list may only shrink: a new
+# entry means a module reaching into another's internals, which wants a
+# public name instead.
+PRIVATE_IMPORTS = {
+    *(("analysis", "mvpoly", name) for name in (
+        "_act_sum", "_act_sums", "_combine_keys", "_key_weights", "_stack",
+        "_term_arrays")),
+    *(("analysis", "groups", name)
+      for name in ("_keys", "_rows", "_sorted_unique")),
+    ("analysis", "linalg", "_matrix_dtype"),
+    ("analysis", "linalg", "_wide_dtype"),
+    ("analysis", "invariants", "_as_field"),
+    *(("checks", "groups", name) for name in (
+        "_digit_matmul", "_expand", "_keys", "_matmul_mod",
+        "_sorted_unique")),
+    ("gluing", "groups", "_index_rows"),
+    ("invariants", "gluing", "_parabolic_blocks"),
+}
+
+
+def private_imports(path):
+    """(source module, name) of each private name a module imports from
+    another modinvar module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(node.module.split(".")[-1], alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "modinvar"
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def src_private_imports():
+    return {(path.stem, source, name)
+            for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+            for source, name in private_imports(path)}
+
+
+def test_no_new_private_imports_across_modules():
+    found = sorted(src_private_imports() - PRIVATE_IMPORTS)
+    assert not found, "private names imported across modules:\n" + \
+        "\n".join(f"{module}.py: {name} from {source}"
+                  for module, source, name in found)
+
+
+def test_pinned_private_imports_are_still_imported():
+    assert sorted(PRIVATE_IMPORTS - src_private_imports()) == []

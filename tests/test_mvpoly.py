@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from modinvar import mvpoly
 from modinvar.gfq import build_field
-from modinvar.groups import GroupElement
+from modinvar.groups import GroupElement, gl_group
 from modinvar.mvpoly import (InexactDivisionError, ParseError, Polynomial,
                              SpaceMismatchError, VariableSpace,
                              balanced_product, format_polynomial, grevlex_key,
@@ -61,6 +61,23 @@ def test_equality_with_an_int_that_is_not_a_field_index():
     assert x1 != 7
     assert space(F4, "x1").constant(3) == 3
     assert F4.scalar(1) != 7
+
+
+def test_coefficient_indices_are_guarded():
+    """A coefficient index must lie in 1..q-1.  Over GF(5) an index of 5
+    was accepted, and then `fixed_by` (residues mod 5) and `act` (table
+    lookups) disagreed on which GL2(F5) elements fix it, 4 against 0."""
+    F5 = build_field(5)
+    sp = space(F5, "x1", "x2")
+    for bad in ({(4, 8): 5}, {(4, 8): 0}, {(4, 8): 1, (0, 1): 0},
+                {(1, 0): -1}):
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            Polynomial(sp, bad)
+    f = Polynomial(sp, {(4, 8): 4})
+    mats = gl_group(2, F5).enumerate().rows()
+    fixed = mvpoly.fixed_by([f], mats)[0]
+    assert fixed.tolist() == [f.act(g.tolist()) == f for g in mats]
+    assert fixed.sum() == 16  # the diagonal matrices: a^4 = d^8 = 1
 
 
 def test_degree_sentinel():
@@ -529,6 +546,30 @@ def test_radix_overflow_falls_back_to_dict_loop():
     a = Polynomial(sp, {(2 ** 70 + j,): 1 for j in range(10)})
     assert mvpoly._mul_packed(a._terms, a._terms, F5, 1) is None
     assert (a * a)._terms == scalar_product(a, a)
+
+
+def test_uniform_keys_past_the_limit_fall_back_to_dict_loop():
+    """Twenty variables, each factor's terms of degree 4 with exponents 0
+    or 1: one radix per variable (3, the largest exponent sum plus one)
+    would pack the product below PACKED_KEY_LIMIT, but the family layout's
+    one radix above the total degree, 9, needs 9^20 > 2^62."""
+    rng = random.Random(6)
+    F5 = build_field(5)
+    n = 20
+    sp = space(F5, *[f"x{i}" for i in range(n)])
+
+    def operand():
+        return Polynomial(sp, {
+            tuple(int(i in picks) for i in range(n)): rng.randrange(1, 5)
+            for picks in (rng.sample(range(n), 4) for _ in range(10))})
+
+    a, b = operand(), operand()
+    assert len(a) * len(b) >= mvpoly.NUMPY_MIN_PRODUCTS
+    per_variable = [max(e[i] for e in a._terms) + max(e[i] for e in b._terms)
+                    + 1 for i in range(n)]
+    assert math.prod(per_variable) < mvpoly.PACKED_KEY_LIMIT <= 9 ** n
+    assert mvpoly._mul_packed(a._terms, b._terms, F5, n) is None
+    assert (a * b)._terms == scalar_product(a, b)
 
 
 def test_product_dispatch():
