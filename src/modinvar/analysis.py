@@ -81,25 +81,34 @@ def _identity_report(name, params, lhs, rhs, notes=None):
 
 # -- transfer --
 
-def transfer(f: Polynomial, group: MatrixGroup) -> Polynomial:
-    """Tr(f) = sum of f.g over all group elements, by the kernel over the
-    group's index rows, a block of them per call, summed and decoded once
-    (`mvpoly._act_sum`).  The tests keep the loop of `_substitute` images
-    over the elements as its oracle."""
+def transfer(polys, group: MatrixGroup) -> list:
+    """Tr(f) = sum of f.g over all group elements, for each f of polys (of
+    one space) in order, by the kernel over the group's index rows, a block
+    of them per call, summed and decoded once (`mvpoly._act_sum`).  The
+    tests keep the loop of `_substitute` images over the elements as its
+    oracle."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer needs an enumerated group")
-    return _act_sum(f, group.rows())
+    return _act_sum(polys, group.rows())
 
 
-def transfer_factorization_check(f: Polynomial, gluing: GluingGroup,
+def transfer_factorization_check(polys, gluing: GluingGroup,
                                  cap=10 ** 6) -> VerificationReport:
-    """Tr over the glued group equals Tr over G1 x G2 composed with Tr over M."""
+    """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
+    M, for each f of polys: the glued group, the M-block and the G1 x G2
+    block are enumerated once, and three `transfer` calls form both sides
+    of every f.  The first f whose sides differ is reported."""
     whole = gluing.enumerate(cap)
     msub = gluing.m_subgroup()
     factors = gluing.factor_subgroup().enumerate(cap)
-    lhs = transfer(f, whole)
-    rhs = transfer(transfer(f, msub), factors)
-    return _identity_report("transfer_factorization", {"f": repr(f)}, lhs, rhs)
+    lhs = transfer(polys, whole)
+    rhs = transfer(transfer(polys, msub), factors)
+    for f, left, right in zip(polys, lhs, rhs):
+        if left != right:
+            return _identity_report("transfer_factorization",
+                                    {"f": repr(f)}, left, right)
+    return VerificationReport("transfer_factorization", {}, "pass",
+                              notes=f"{len(polys)} polynomials checked")
 
 
 def _translation_structure(group: MatrixGroup, m: int, n: int):

@@ -14,6 +14,7 @@ are stated, so no check restates them; every other exception propagates.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 
@@ -115,7 +116,8 @@ def _module_from_file(field, m, n, path):
 
 def build_gluing(params):
     """Gluing described by tokens: kind (hom | diag | thin | singular),
-    factor tokens, and a module token."""
+    factor tokens, and a module token.  Factors with the same token and
+    dimension are one group object, so it is closed at most once."""
     kind = params.get("kind", "hom")
     if kind == "thin":
         p, r = params["p"], params["r"]
@@ -132,6 +134,7 @@ def build_gluing(params):
     m = params.get("m", 1)
     n = params.get("n", 1)
 
+    @functools.cache
     def factor(token, dim):
         if token == "trivial":
             return trivial_group(field, dim)
@@ -356,18 +359,22 @@ def check_transfer_example(params, budgets) -> VerificationReport:
 
 
 def check_transfer_factorization(params, budgets) -> VerificationReport:
+    """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
+    M, on random monomials, all of them in one
+    `transfer_factorization_check`."""
     gluing = build_gluing(params)
     space = gluing_space(gluing.field, gluing.m, gluing.n)
     rng = random.Random(params.get("seed", 0))
     count = params.get("samples", 12)
     maxdeg = params.get("max_degree", 3)
-    for _ in range(count):
-        e = tuple(rng.randrange(maxdeg + 1) for _ in range(space.dim))
-        rep = transfer_factorization_check(space.monomial(e), gluing,
-                                           budgets.get("cap", DEFAULT_CAP))
-        if not rep.passed:
-            rep.params.update(params)
-            return rep
+    polys = [space.monomial(tuple(rng.randrange(maxdeg + 1)
+                                  for _ in range(space.dim)))
+             for _ in range(count)]
+    rep = transfer_factorization_check(polys, gluing,
+                                       budgets.get("cap", DEFAULT_CAP))
+    if not rep.passed:
+        rep.params.update(params)
+        return rep
     return VerificationReport("transfer_factorization", params, "pass",
                               notes=f"{count} monomials checked")
 
@@ -469,12 +476,13 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     polynomial, drawn as `rng.choice` over the elements draws them.  The
     products g h of a pair list are formed together (`index_matmul`), the
     list of all pairs once, and each is named by its index in the
-    enumerated group (one `searchsorted` of its key).  Per polynomial,
-    `mvpoly.compatibility_failures` forms f.g for every element a pair
-    names in one kernel call, (f.g).h for every pair in a second, and
-    compares each (f.g).h with its f.(gh) on packed keys.  A call with
-    fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs the kernel's
-    `_substitute` route."""
+    enumerated group (one `searchsorted` of its key).  Every polynomial and
+    its pairs are drawn first; one `mvpoly.compatibility_failures` call
+    then forms f.g for every (f, element) a pair names in one kernel call,
+    (f.g).h for every pair in a second, and compares each (f.g).h with its
+    f.(gh) on packed keys.  The first f with a failing pair is reported.  A
+    kernel call with fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs
+    the kernel's `_substitute` route."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
@@ -493,28 +501,37 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
         return left, right, np.searchsorted(
             G.keys, _keys(product.astype(rows.dtype)))
 
-    if exhaustive:
-        pairs = products(*np.divmod(np.arange(order ** 2), order))
+    polys, pairs = [], []
     for _ in range(samples):
         f = space.zero()
         for _ in range(rng.randrange(5)):
             e = tuple(rng.randrange(4) for _ in range(n))
             f = f + space.monomial(e, rng.randrange(1, field.q))
+        polys.append(f)
         if not exhaustive:
             draws = [rng.choice(range(order)) for _ in range(100)]
-            pairs = products(draws[0::2], draws[1::2])
-        a, b, c = pairs
-        if compatibility_failures(f, rows, _sorted_unique(
-                np.concatenate([a, c])), a, b, c).any():
-            return VerificationReport(
-                "action_compatibility", params, "fail",
-                witness=f"compatibility fails for f={f!r}")
+            pairs.append(products(draws[0::2], draws[1::2]))
+    if not polys:
+        return VerificationReport("action_compatibility", params, "pass")
+    if exhaustive:
+        pairs = [products(*np.divmod(np.arange(order ** 2), order))] * \
+            len(polys)
+    a, b, c = (np.concatenate(part) for part in zip(*pairs))
+    poly = np.repeat(np.arange(len(polys)), [len(part[0]) for part in pairs])
+    failed = compatibility_failures(polys, rows, poly, a, b, c)
+    if failed.any():
+        f = polys[poly[failed.argmax()]]
+        return VerificationReport("action_compatibility", params, "fail",
+                                  witness=f"compatibility fails for f={f!r}")
     return VerificationReport("action_compatibility", params, "pass")
 
 
 def check_transfer_module(params, budgets) -> VerificationReport:
     """Transfer is G-stable on translates and F[V]^G-linear on invariant
-    multiples."""
+    multiples.  Each sample draws a monomial f, an element g and an
+    invariant h; one `transfer` call forms Tr(f), Tr(f.g) and Tr(h f) for
+    every sample, and the first sample that breaks either law is reported,
+    G-stability before linearity."""
     p = params.get("p", 2)
     gluing = u4_gluing(p)
     space = gluing_space(gluing.field, 2, 2)
@@ -523,16 +540,21 @@ def check_transfer_module(params, budgets) -> VerificationReport:
     rng = random.Random(params.get("seed", 0))
     invariants = [space.variable("x1"), space.variable("x2"),
                   dickson_in(space, ["x1", "x2"], 2)]
+    samples = []
     for _ in range(params.get("samples", 8)):
         e = tuple(rng.randrange(3) for _ in range(space.dim))
-        f = space.monomial(e)
-        tf = transfer(f, msub)
         g = rows[rng.choice(range(len(rows)))].tolist()
-        if transfer(f.act(g), msub) != tf:
+        samples.append((e, space.monomial(e), g, rng.choice(invariants)))
+    count = len(samples)
+    images = transfer([f for _, f, _, _ in samples] +
+                      [f.act(g) for _, f, g, _ in samples] +
+                      [h * f for _, f, _, h in samples], msub)
+    for (e, _, _, h), tf, tfg, thf in zip(samples, images, images[count:],
+                                          images[2 * count:]):
+        if tfg != tf:
             return VerificationReport("transfer_module", params, "fail",
                                       witness=f"Tr(f.g) != Tr(f) at {e}")
-        h = rng.choice(invariants)
-        if transfer(h * f, msub) != h * tf:
+        if thf != h * tf:
             return VerificationReport("transfer_module", params, "fail",
                                       witness=f"Tr(h f) != h Tr(f) at {e}")
     return VerificationReport("transfer_module", params, "pass")

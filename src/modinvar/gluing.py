@@ -126,6 +126,7 @@ class GluingGroup:
         self.realized = MatrixGroup(self.field, self.m + self.n, gens,
                                     name=name or f"{G1.name}x_M{G2.name}",
                                     claimed_order=order)
+        self._m_subgroup = self._factor_subgroup = None
 
     def triple(self, g1, phi, g2) -> GroupElement:
         """The realized block matrix of the triple (g1, phi, g2).
@@ -151,15 +152,24 @@ class GluingGroup:
         return out
 
     def m_subgroup(self) -> MatrixGroup:
-        """The normal subgroup of blocks [[I, phi], [0, I]], fully enumerated."""
-        gens = self.blocks(np.eye(self.m, dtype=np.int64), self.M.mats,
-                           np.eye(self.n, dtype=np.int64))
-        return MatrixGroup(self.field, self.m + self.n, gens, name="M-block",
-                           claimed_order=self.M.module_order()).enumerate()
+        """The normal subgroup of blocks [[I, phi], [0, I]], fully enumerated.
+        Built on the first call and kept, like `realized`, so a gluing
+        closes it once."""
+        if self._m_subgroup is None:
+            gens = self.blocks(np.eye(self.m, dtype=np.int64), self.M.mats,
+                               np.eye(self.n, dtype=np.int64))
+            self._m_subgroup = MatrixGroup(
+                self.field, self.m + self.n, gens, name="M-block",
+                claimed_order=self.M.module_order())
+        return self._m_subgroup.enumerate()
 
     def factor_subgroup(self) -> MatrixGroup:
-        """Block-diagonal realization of G1 x G2 inside the gluing."""
-        return product_group(self.G1, self.G2, name="G1xG2-block")
+        """Block-diagonal realization of G1 x G2 inside the gluing, built on
+        the first call and kept, so it is closed at most once."""
+        if self._factor_subgroup is None:
+            self._factor_subgroup = product_group(self.G1, self.G2,
+                                                  name="G1xG2-block")
+        return self._factor_subgroup
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
         return self.realized.enumerate(cap)

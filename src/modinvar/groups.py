@@ -573,12 +573,14 @@ class MatrixGroup:
                 _keys(rows.astype(_index_dtype(field)))))
 
     def _set_keys(self, keys):
-        """Store the sorted, distinct keys of the whole group."""
-        self.keys = keys
+        """Store the sorted, distinct keys of the whole group once they
+        certify the claimed order; a refuted claim stores nothing, so the
+        next enumeration refutes it again."""
         if self.claimed_order is not None and len(keys) != self.claimed_order:
             raise ClaimRefuted(
                 f"{self.name or 'group'}: enumerated order {len(keys)} "
                 f"!= claimed order {self.claimed_order}")
+        self.keys = keys
 
     @property
     def generators(self):
@@ -611,12 +613,17 @@ class MatrixGroup:
         return GroupElement(self.field, identity_matrix(self.n), check=False)
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> "MatrixGroup":
+        """The group, closed once: a group already enumerated is returned
+        as it is, unless its order exceeds cap, which raises the
+        BudgetExceeded the closure would have raised."""
         if cap < 1:
             raise ValueError("cap must be positive")
-        if self.keys is not None:
-            return self
-        self._set_keys(_closure(self.field, self.n, self.generator_rows, cap,
-                                self.name or "group"))
+        name = self.name or "group"
+        if self.keys is None:
+            self._set_keys(_closure(self.field, self.n, self.generator_rows,
+                                    cap, name))
+        elif len(self.keys) > cap:
+            raise BudgetExceeded(f"{name} exceeds cap {cap}")
         return self
 
     def order(self) -> int:

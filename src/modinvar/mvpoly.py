@@ -461,9 +461,9 @@ class Polynomial:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(
                 f"matrix dimension {len(matrix)} does not match {n} variables")
-        return _act_sum(self, np.array(
+        return _act_sum([self], np.array(
             [[c.index if isinstance(c, Scalar) else int(c) for c in row]
-             for row in matrix], dtype=np.int64).reshape(1, n, n))
+             for row in matrix], dtype=np.int64).reshape(1, n, n))[0]
 
     # -- text form and equality --
 
@@ -845,16 +845,18 @@ def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
             np.array([c for _, c in terms], dtype=np.int64))
 
 
-def _act_sum(f: Polynomial, mats) -> Polynomial:
-    """The sum of f.g over the stack of index matrices mats, decoded once
-    from `_act_sums`."""
-    exps, coeffs = _term_arrays(f)
-    radix = max(f.degree(), 0) + 1
-    _, keys, coeffs = _act_sums(f.space, exps, coeffs,
-                                np.zeros(len(coeffs), dtype=np.int64), mats,
-                                radix)
-    return Polynomial._trusted(f.space, _term_dict(
-        _unpack(keys, radix, f.space.dim), coeffs))
+def _act_sum(polys, mats) -> list:
+    """The sums of f.g over the stack of index matrices mats, for each f of
+    polys (of one space) in order, decoded from one `_act_sums` pass."""
+    if not polys:
+        return []
+    space = polys[0].space
+    radix = max(0, *(f.degree() for f in polys)) + 1
+    owner, keys, coeffs = _act_sums(space, *_stack(polys), mats, radix)
+    exps = _unpack(keys, radix, space.dim)
+    bounds = np.searchsorted(owner, np.arange(len(polys) + 1)).tolist()
+    return [Polynomial._trusted(space, _term_dict(exps[a:b], coeffs[a:b]))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _act_sums(space: VariableSpace, exps, coeffs, poly, mats, radix):
@@ -995,25 +997,31 @@ def fixed_by(polys, mats) -> np.ndarray:
                       for start, stop in _blocks(len(coeffs), len(mats))])
 
 
-def compatibility_failures(f: Polynomial, mats, named, a, b, c) -> np.ndarray:
-    """Mask over the pairs j at which (f.g).h != f.(gh), with g = mats[a[j]],
-    h = mats[b[j]] and gh = mats[c[j]]; named holds, ascending, every index
-    that a or c takes.  One `_act_packed` call forms f.g for every element
-    named, once each, a second forms (f.g).h for every pair from those
-    images, and each (f.g).h is compared with its f.(gh) on packed keys."""
-    space = f.space
-    radix = max(f.degree(), 0) + 1
+def compatibility_failures(polys, mats, poly, a, b, c) -> np.ndarray:
+    """Mask over the pairs j at which (f.g).h != f.(gh), with f =
+    polys[poly[j]] (polynomials of one space), g = mats[a[j]], h =
+    mats[b[j]] and gh = mats[c[j]].  One `_act_packed` call forms f.g for
+    every (polynomial, element) that a pair names as its g or its gh, once
+    each, a second forms (f.g).h for every pair from those images, and each
+    (f.g).h is compared with its f.(gh) on packed keys."""
+    space = polys[0].space
+    radix = max(0, *(f.degree() for f in polys)) + 1
     size = radix ** space.dim
-    exps, coeffs = _term_arrays(f)
-    # output i is f.g for the element named[i]
-    tagged, values, which, _ = _tagged(exps, coeffs, np.zeros(
-        len(coeffs), dtype=np.int64), len(named))
-    acted = _act_packed(space, tagged, values, mats[named], which, which,
-                        radix)
-    twice = _act_family(space, acted, np.searchsorted(named, a), mats, b,
+    exps, coeffs, owner = _stack(polys)
+    keys = _place(owner, size) + exps @ _key_weights(radix, space.dim)
+    order = np.argsort(keys, kind="stable")
+    # output i of acted is f.g for the (polynomial, element) named[i]
+    count = len(mats)
+    left, right = poly * count + a, poly * count + c
+    named = np.zeros(len(polys) * count, dtype=bool)
+    named[left] = named[right] = True
+    named = np.flatnonzero(named)
+    acted = _act_family(space, (keys[order], coeffs[order]), named // count,
+                        mats, named % count, radix)
+    twice = _act_family(space, acted, np.searchsorted(named, left), mats, b,
                         radix)
     return _differ(space.field, twice, _select(
-        acted, np.searchsorted(named, c), size), size, len(a))
+        acted, np.searchsorted(named, right), size), size, len(a))
 
 
 def balanced_product(factors, space: VariableSpace) -> Polynomial:

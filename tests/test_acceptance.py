@@ -68,7 +68,7 @@ def test_criterion_2_transfer_image(p):
     for _ in range(5):
         d = rng.randrange(13)
         e = rng.choice(monomials_of_degree(space, d))
-        tr = transfer(space.monomial(e), msub)
+        tr = transfer([space.monomial(e)], msub)[0]
         assert tr.is_zero() or tau.divides(tr)
     elapsed = time.time() - t0
     report_line(2, rep.passed, f"p={p} divisibility+attainment, {elapsed:.1f}s")

@@ -1,23 +1,29 @@
 """`run_check` is the one place that times a check and that turns a budget
 overrun (`BudgetExceeded`) into a skipped report and a refuted claim
 (`ClaimRefuted`) into a failed one; the batched triple law against the
-scalar loop it replaced, and its two routes against each other."""
+scalar loop it replaced, and its two routes against each other; the
+batched sampled checks against their per-sample loops, with the kernel
+calls and closures they make."""
 
+import collections
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modinvar import analysis, checks, groups, invariants, mvpoly
+from modinvar.analysis import VerificationReport
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul, singular_form_group
 from modinvar.gfq import FieldSpec, build_field
 from modinvar.groups import _expand, mat_mul
-from modinvar.mvpoly import VariableSpace, parse_polynomial
+from modinvar.mvpoly import VariableSpace, gluing_space, parse_polynomial
 
 
 def test_monomial_budget_is_skipped(monkeypatch):
@@ -352,21 +358,23 @@ def test_thin_glue_witness_miss_asks_the_whole_group(monkeypatch, p, r):
 
 # -- action_compatibility against the per-pair loop it replaced --
 
-def scalar_compatibility(params, swap=False):
+def scalar_compatibility(params, swap=False, swap_at=None):
     """The witness of the first pair with f.(g h) != (f.g).h, or None, from
     three `Polynomial.act` calls per pair and the product by `mat_mul`
-    (h g with `swap`), drawing f and the pairs as the check draws them."""
+    (h g with `swap`, or for sample swap_at alone), drawing f and the pairs
+    as the check draws them."""
     field = groups.field_from_order(params.get("q", 2))
     n = params.get("n", 2)
     elements = groups.gl_group(n, field).enumerate().rows().tolist()
     order = len(elements)
     rng = random.Random(params.get("seed", 0))
     space = VariableSpace(field, [f"z{i}" for i in range(1, n + 1)])
-    for _ in range(params.get("samples", 30)):
+    for i in range(params.get("samples", 30)):
         f = space.zero()
         for _ in range(rng.randrange(5)):
             e = tuple(rng.randrange(4) for _ in range(n))
             f = f + space.monomial(e, rng.randrange(1, field.q))
+        swapped = swap or i == swap_at
         if order ** 2 <= 2500:
             pairs = [(a, b) for a in range(order) for b in range(order)]
         else:
@@ -374,7 +382,8 @@ def scalar_compatibility(params, swap=False):
             pairs = list(zip(draws[0::2], draws[1::2]))
         for a, b in pairs:
             g, h = elements[a], elements[b]
-            product = mat_mul(field, h, g) if swap else mat_mul(field, g, h)
+            product = mat_mul(field, h, g) if swapped \
+                else mat_mul(field, g, h)
             if f.act(product) != f.act(g).act(h):
                 return f"compatibility fails for f={f!r}"
     return None
@@ -382,12 +391,15 @@ def scalar_compatibility(params, swap=False):
 
 @pytest.mark.parametrize("params", [
     {"q": 2, "n": 2, "samples": 6}, {"q": 3, "n": 2, "samples": 4},
-    {"q": 2, "n": 3, "samples": 3, "seed": 5}])
+    {"q": 2, "n": 3, "samples": 3, "seed": 5},
+    {"q": 2, "n": 2, "samples": 30, "seed": 2},
+    {"q": 2, "n": 3, "samples": 20, "seed": 1}])
 def test_action_compatibility_acts_once_per_element(monkeypatch, params):
-    """The same verdict as the per-pair loop, with two kernel calls per
-    polynomial: the first acts on f by each element a pair names, once
-    each, the second on each f.g by h, once per pair; with the products
-    taken as h g the first failing f is the loop's."""
+    """The same verdict as the per-pair loop, with two kernel calls for
+    all polynomials, whatever their number: the first acts on each f by
+    each element its pairs name, once each, the second on each f.g by h,
+    once per pair; with the products taken as h g the first failing f is
+    the loop's."""
     calls = []
     kernel = mvpoly._act_packed
 
@@ -402,10 +414,10 @@ def test_action_compatibility_acts_once_per_element(monkeypatch, params):
     assert run_check("action_compatibility", params).status == "pass"
     order = groups.gl_order(params["n"], params["q"])
     pairs = order ** 2 if order ** 2 <= 2500 else 50
-    assert len(calls) == 2 * params["samples"]
-    for (elements, acts), (outputs, twice) in zip(calls[0::2], calls[1::2]):
-        assert elements == acts <= min(order, 2 * pairs)
-        assert outputs == twice <= pairs
+    assert len(calls) == 2
+    (elements, acts), (outputs, twice) = calls
+    assert elements == acts <= params["samples"] * min(order, 2 * pairs)
+    assert outputs == twice <= params["samples"] * pairs
     monkeypatch.setattr(mvpoly, "_act_packed", kernel)
     matmul = checks.index_matmul
     monkeypatch.setattr(checks, "index_matmul",
@@ -413,6 +425,196 @@ def test_action_compatibility_acts_once_per_element(monkeypatch, params):
     rep = run_check("action_compatibility", params)
     assert rep.status == "fail"
     assert rep.witness == scalar_compatibility(params, swap=True)
+
+
+# -- the batched sampled checks against their per-sample loops --
+
+FACTORIZATION = {"q": 2, "m": 2, "n": 2, "g1": "u", "g2": "u",
+                 "module": "full", "samples": 8, "max_degree": 2}
+
+
+def loop_transfer_factorization(params):
+    """`transfer_factorization` a sample at a time, as it ran before it was
+    batched: one `transfer_factorization_check` per monomial."""
+    gluing = build_gluing(params)
+    space = gluing_space(gluing.field, gluing.m, gluing.n)
+    rng = random.Random(params.get("seed", 0))
+    count = params.get("samples", 12)
+    maxdeg = params.get("max_degree", 3)
+    for _ in range(count):
+        e = tuple(rng.randrange(maxdeg + 1) for _ in range(space.dim))
+        rep = analysis.transfer_factorization_check([space.monomial(e)],
+                                                    gluing)
+        if not rep.passed:
+            rep.params.update(params)
+            return rep
+    return VerificationReport("transfer_factorization", params, "pass",
+                              notes=f"{count} monomials checked")
+
+
+def module_draws(params):
+    """The (e, g, h) of every `transfer_module` sample, drawn in the
+    check's order, with the M-block they act in."""
+    gluing = analysis.u4_gluing(params.get("p", 2))
+    space = gluing_space(gluing.field, 2, 2)
+    msub = gluing.m_subgroup()
+    rows = msub.rows()
+    rng = random.Random(params.get("seed", 0))
+    multipliers = [space.variable("x1"), space.variable("x2"),
+                   invariants.dickson_in(space, ["x1", "x2"], 2)]
+    draws = []
+    for _ in range(params.get("samples", 8)):
+        e = tuple(rng.randrange(3) for _ in range(space.dim))
+        g = rows[rng.choice(range(len(rows)))].tolist()
+        draws.append((e, g, rng.choice(multipliers)))
+    return space, msub, draws
+
+
+def loop_transfer_module(params):
+    """`transfer_module` a sample at a time, as it ran before it was
+    batched: three `transfer` calls per sample."""
+    space, msub, draws = module_draws(params)
+    for e, g, h in draws:
+        f = space.monomial(e)
+        tf = checks.transfer([f], msub)[0]
+        if checks.transfer([f.act(g)], msub)[0] != tf:
+            return VerificationReport("transfer_module", params, "fail",
+                                      witness=f"Tr(f.g) != Tr(f) at {e}")
+        if checks.transfer([h * f], msub)[0] != h * tf:
+            return VerificationReport("transfer_module", params, "fail",
+                                      witness=f"Tr(h f) != h Tr(f) at {e}")
+    return VerificationReport("transfer_module", params, "pass")
+
+
+def report_fields(rep):
+    return rep.check, rep.status, rep.witness, rep.notes, rep.params
+
+
+def perturb_transfer(monkeypatch, owner, target, over=lambda group: True):
+    """Patch owner.transfer to add 1 to the transfer of target over every
+    group `over` accepts: a forced failure of the samples that draw it."""
+    real = owner.transfer
+
+    def transfer(polys, group):
+        return [t + 1 if f == target and over(group) else t
+                for f, t in zip(polys, real(polys, group))]
+
+    monkeypatch.setattr(owner, "transfer", transfer)
+
+
+def spy(monkeypatch, owner, name):
+    """The argument tuples of every later call of owner.name."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("params", [
+    FACTORIZATION, dict(FACTORIZATION, seed=3, samples=5, max_degree=3),
+    {"q": 3, "m": 1, "n": 1, "module": "full", "samples": 6, "seed": 2}])
+def test_transfer_factorization_matches_its_sample_loop(monkeypatch, params):
+    """The batched check reports what the per-sample loop reports, passing
+    and with the transfer of sample 2's monomial over the glued group
+    forced wrong."""
+    assert report_fields(run_check("transfer_factorization", params)) == \
+        report_fields(loop_transfer_factorization(params))
+    gluing = build_gluing(params)
+    space = gluing_space(gluing.field, gluing.m, gluing.n)
+    rng = random.Random(params.get("seed", 0))
+    for _ in range(3):
+        e = tuple(rng.randrange(params.get("max_degree", 3) + 1)
+                  for _ in range(space.dim))
+    perturb_transfer(monkeypatch, analysis, space.monomial(e),
+                     lambda group: "x_M" in group.name)
+    rep = run_check("transfer_factorization", params)
+    assert rep.status == "fail" and rep.params["f"] == repr(space.monomial(e))
+    assert report_fields(rep) == \
+        report_fields(loop_transfer_factorization(params))
+
+
+@pytest.mark.parametrize("params", [
+    {"p": 2, "samples": 6, "seed": 1}, {"p": 3, "samples": 4, "seed": 4}])
+def test_transfer_module_matches_its_sample_loop(monkeypatch, params):
+    """The batched check reports what the per-sample loop reports, passing
+    and with the transfer of sample 2's monomial forced wrong."""
+    assert report_fields(run_check("transfer_module", params)) == \
+        report_fields(loop_transfer_module(params))
+    space, _, draws = module_draws(params)
+    e = draws[2][0]
+    perturb_transfer(monkeypatch, checks, space.monomial(e))
+    rep = run_check("transfer_module", params)
+    assert rep.status == "fail" and rep.witness.endswith(f" at {e}")
+    assert report_fields(rep) == report_fields(loop_transfer_module(params))
+
+
+@pytest.mark.parametrize("params, culprit", [
+    ({"q": 2, "n": 3, "samples": 6, "seed": 5}, 3),
+    ({"q": 5, "n": 2, "samples": 4, "seed": 2}, 2)])
+def test_action_compatibility_names_the_failing_sample(monkeypatch, params,
+                                                       culprit):
+    """With the products of one sample's pairs taken as h g, the batched
+    check names the polynomial the per-pair loop names."""
+    expected = scalar_compatibility(params, swap_at=culprit)
+    assert expected is not None
+    matmul, calls = checks.index_matmul, []
+
+    def swapped(field, a, b):
+        calls.append(None)
+        return matmul(field, b, a) if len(calls) == culprit + 1 \
+            else matmul(field, a, b)
+
+    monkeypatch.setattr(checks, "index_matmul", swapped)
+    rep = run_check("action_compatibility", params)
+    assert (rep.status, rep.witness) == ("fail", expected)
+
+
+def test_transfer_factorization_closes_and_transfers_once(monkeypatch):
+    """Eight samples take three `transfer` calls (the glued group, the
+    M-block, the G1 x G2 block) and at most one closure of each group."""
+    transfers = spy(monkeypatch, analysis, "transfer")
+    closures = spy(monkeypatch, groups, "_closure")
+    assert run_check("transfer_factorization", FACTORIZATION).passed
+    assert len(transfers) <= 3 and len(closures) <= 3
+
+
+def test_transfer_module_transfers_once(monkeypatch):
+    transfers = spy(monkeypatch, checks, "transfer")
+    assert run_check("transfer_module", {"p": 2, "samples": 6}).passed
+    assert len(transfers) == 1
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / \
+    "workloads.py"
+
+
+def test_no_desk_check_closes_a_generator_set_twice(monkeypatch):
+    """Every entry of the desk workload (its bundled scenarios) closes each
+    generator set at most once: a check that needs a group again reuses
+    the object it closed.  Groups without generators are exempt: their
+    closure is the identity alone."""
+    spec = importlib.util.spec_from_file_location("desk_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    closure, closed = groups._closure, collections.Counter()
+
+    def counted(field, n, generators, cap, name="group"):
+        key = np.asarray(generators, dtype=np.int64).tobytes()
+        if key:
+            closed[field, n, key] += 1
+        return closure(field, n, generators, cap, name)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    for kind, params, budgets, _ in workloads.load("desk", 0):
+        closed.clear()
+        run_check(kind, params, budgets)
+        again = [(field.q, n) for (field, n, _), count in closed.items()
+                 if count > 1]
+        assert not again, f"{kind} {params} closes {again} more than once"
 
 
 # -- generator pins --

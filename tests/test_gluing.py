@@ -221,6 +221,17 @@ def test_m_subgroup_closure_matches_module_elements(name):
     assert msub.keys.tobytes() == oracle.tobytes()
 
 
+def test_gluing_keeps_its_subgroups():
+    """The M-block and the G1 x G2 block are built once per gluing: later
+    calls return the same, already closed, groups."""
+    gluing = glue(unipotent_upper(2, F2), unipotent_upper(2, F2),
+                  full_hom_module(2, 2, F2))
+    msub = gluing.m_subgroup()
+    factors = gluing.factor_subgroup().enumerate()
+    assert gluing.m_subgroup() is msub and msub.order() == 16
+    assert gluing.factor_subgroup() is factors and factors.order() == 4
+
+
 @pytest.mark.parametrize("flavor", ["generic", "diagonal"])
 def test_realized_generators_are_the_block_matrices(flavor):
     """Factor generators beside identities, then the module basis beside

@@ -895,6 +895,30 @@ def test_array_backed_group_matches_tuple_set_oracle(case, rnd):
                     claimed_order=len(oracle) + 1).enumerate(DIFF_CAP)
 
 
+def test_refuted_claim_is_refuted_again():
+    """A wrong claimed order stores no keys: a second enumeration closes
+    the group again and refutes the claim again, instead of returning the
+    keys of the first."""
+    G = MatrixGroup(F3, 2, gl_group(2, F3).generator_rows, claimed_order=47)
+    for _ in range(2):
+        with pytest.raises(groups.ClaimRefuted, match="48 != claimed order 47"):
+            G.enumerate()
+        assert not G.is_enumerated
+
+
+def test_enumerated_group_over_the_cap_is_over_budget():
+    """An enumerated group asked for again under a smaller cap raises the
+    closure's own BudgetExceeded, and is returned as it is under a cap it
+    fits."""
+    with pytest.raises(BudgetExceeded) as fresh:
+        gl_group(2, F3).enumerate(10)
+    G = gl_group(2, F3).enumerate()
+    with pytest.raises(BudgetExceeded) as again:
+        G.enumerate(10)
+    assert str(again.value) == str(fresh.value) == "GL2(F3) exceeds cap 10"
+    assert G.enumerate(48) is G and G.order() == 48
+
+
 @pytest.mark.parametrize("field", [F3, build_field(257)])
 def test_dimension_zero_group(field):
     T = trivial_group(field, 0)
