@@ -26,7 +26,7 @@ from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space, rref_field,
                              rref_mod_p, sparse_rank_mod_p)
 from modinvar.mvpoly import (Polynomial, VariableSpace, _act_sum,
-                             _act_sums, _combine_keys, _key_weights, _stack,
+                             _combine_keys, _key_weights, _stack,
                              _term_arrays, gluing_space, monomial_array,
                              symplectic_space)
 
@@ -83,10 +83,10 @@ def _identity_report(name, params, lhs, rhs, notes=None):
 
 def transfer(polys, group: MatrixGroup) -> list:
     """Tr(f) = sum of f.g over all group elements, for each f of polys (of
-    one space) in order, by the kernel over the group's index rows, a block
-    of them per call, summed and decoded once (`mvpoly._act_sum`).  The
-    tests keep the loop of `_substitute` images over the elements as its
-    oracle."""
+    one space) in order: every (f, index row) pair is a job of the kernel's
+    driver, a bounded block of them per call, summed and decoded once
+    (`mvpoly._act_sum`).  The tests keep the loop of `_substitute` images
+    over the elements as its oracle."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer needs an enumerated group")
     return _act_sum(polys, group.rows())
@@ -251,9 +251,9 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
     is found from its packed key (`_monomial_keys`) by `searchsorted`.
     Under a translation structure the transfer of y^a x^c is the orbit sum
     of a times x^c, so each stacked block of orbit sums of degree s is
-    shifted by all x-parts of degree d - s at once.  Otherwise
-    `mvpoly._act_sums` forms the transfers of all degree-d monomials, one
-    output each, whose keys are already the monomials' packed keys."""
+    shifted by all x-parts of degree d - s at once.  Otherwise one
+    `transfer` call forms the transfers of all degree-d monomials, as
+    polynomials of one term each."""
     if not group.is_enumerated:
         raise NotEnumeratedError("transfer image needs an enumerated group")
     field = space.field
@@ -277,16 +277,15 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
                           .ravel())
             nrows += count * len(xkeys)
     elif len(monos):
-        # the transfer of every monomial, one output each
-        owner, packed, coeffs = _act_sums(
-            space, monos, np.ones(len(monos), dtype=np.int64),
-            np.arange(len(monos)), group.rows(), d + 1)
-        fresh = np.ones(len(owner), dtype=bool)
-        fresh[1:] = owner[1:] != owner[:-1]
-        rows.append(np.cumsum(fresh) - 1)
-        keys.append(packed)
-        values.append(coeffs)
-        nrows = int(fresh.sum())
+        # the nonzero transfers of the monomials
+        sums = [f for f in transfer(list(map(space.monomial, monos.tolist())),
+                                    group) if f]
+        if sums:
+            exps, coeffs, owner = _stack(sums)
+            rows.append(owner)
+            keys.append(exps @ weights)
+            values.append(coeffs)
+            nrows = len(sums)
     matrix = _scatter(monos, weights, nrows, rows, keys, values,
                       _matrix_dtype(field))
     reduced, _ = rref_field(matrix, field)

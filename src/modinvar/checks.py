@@ -478,11 +478,12 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     list of all pairs once, and each is named by its index in the
     enumerated group (one `searchsorted` of its key).  Every polynomial and
     its pairs are drawn first; one `mvpoly.compatibility_failures` call
-    then forms f.g for every (f, element) a pair names in one kernel call,
-    (f.g).h for every pair in a second, and compares each (f.g).h with its
-    f.(gh) on packed keys.  The first f with a failing pair is reported.  A
-    kernel call with fewer than `mvpoly.ACT_MIN_TERMS` tagged terms runs
-    the kernel's `_substitute` route."""
+    then forms f.g for every (f, element) a pair names, once each, and
+    (f.g).h for every pair, each a bounded block of jobs per kernel call
+    (`mvpoly._act_blocks`), and compares each block of (f.g).h with its
+    f.(gh) on packed keys as it comes.  The first f with a failing pair is
+    reported.  A kernel call with fewer than `mvpoly.ACT_MIN_TERMS` tagged
+    terms runs the kernel's `_substitute` route."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)

@@ -361,14 +361,13 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
 
 
 def _extend_to_basis(field, vectors, dim):
-    """Extend independent columns to a full basis, greedily by standard
-    vectors in index order: those at the pivot columns of the matrix with
-    the vectors, then the standard vectors, as its columns."""
+    """Extend independent columns (rows of an index array) to a full basis,
+    greedily by standard vectors in index order: those at the pivot columns
+    of the matrix with the vectors, then the standard vectors, as columns."""
     m = len(vectors)
     identity = np.eye(dim, dtype=np.int64)
-    columns = np.hstack([np.array(vectors, dtype=np.int64).reshape(m, dim).T,
-                         identity])
-    return [list(v) for v in vectors] + [
+    columns = np.hstack([vectors.T, identity])
+    return vectors.tolist() + [
         identity[c - m].tolist() for c in rref_field(columns, field)[1][m:]]
 
 

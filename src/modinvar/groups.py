@@ -946,9 +946,9 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     to sum_j g[i][j] x_j (`Polynomial.act`).  That sound prefilter
     (`_keeps_values`) rejects elements in batches, and the survivors are
     checked exactly, all of them by one `mvpoly.fixed_by` call, which acts
-    on f by the whole stack, a block of matrices per kernel call, and
-    compares the images with f on packed keys (`_substitute` stays its
-    fallback route and oracle)."""
+    on f by the whole stack through the job driver `mvpoly._act_blocks` and
+    compares each block of images with f on packed keys as it comes
+    (`_substitute` stays its fallback route and oracle)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()
@@ -1026,8 +1026,8 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
     A^T G A = G for its Gram matrix G (A^T twisted entrywise for a hermitian
     form), with the products of all of them formed together
     (`index_matmul`); f.A = f for a quadratic form f, for all A by one
-    `mvpoly.fixed_by` call on packed keys (`Polynomial._substitute` is its
-    fallback route and oracle)."""
+    `mvpoly.fixed_by` call, a bounded block per kernel call and comparison
+    (`Polynomial._substitute` is its fallback route and oracle)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[1:] != (form.dim, form.dim):
         raise ValueError("dimension mismatch between element and form")

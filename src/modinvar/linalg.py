@@ -293,19 +293,16 @@ def in_row_space(vector, rows, field: FieldSpec) -> bool:
                                      field)[0])
 
 
-def nullspace_field(matrix, field: FieldSpec):
-    """Basis of {v | M v = 0} as lists of element indices."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref_field(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = field.neg(int(row[fc]))
-        basis.append(v)
+def nullspace_field(matrix, field: FieldSpec) -> np.ndarray:
+    """Basis of {v | M v = 0}, an index row for each free column c of the
+    reduced form R of M, in column order: 1 at c and -R[i, c] at the pivot
+    of row i."""
+    reduced, pivots = rref_field(matrix, field)
+    free = np.ones(reduced.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=reduced.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.indices(-field.digits(reduced[:, free].T)
+                                     % field.p)
     return basis

@@ -15,8 +15,9 @@ vectors", CASC 2007) over every field with tables (q <= gfq.TABLE_LIMIT) and
 every prime field with p < 2^31, in memory that grows with the output; small
 products and the remaining fields run the scalar dict loop.  The right action
 runs on the same packed keys, for the terms of several polynomials and a
-whole stack of matrices in one call (`_act_packed`), with the dict-based
-`_substitute` as its fallback and oracle.
+whole stack of matrices, a bounded block of (term, matrix) jobs per kernel
+call (`_act_blocks`, `_act_packed`), with the dict-based `_substitute` as
+its fallback and oracle.
 """
 
 from __future__ import annotations
@@ -453,9 +454,9 @@ class Polynomial:
 
     def act(self, g) -> "Polynomial":
         """Right action by a group element: the variable with coefficient row
-        c goes to the linear form with row c.[g].  One `_act_packed` call
-        with a stack of one matrix; `_substitute` is its fallback route and
-        the tests' oracle."""
+        c goes to the linear form with row c.[g].  One job of `_act_blocks`,
+        through `_act_sum` with a stack of one matrix; `_substitute` is its
+        fallback route and the tests' oracle."""
         matrix = getattr(g, "matrix", g)
         n = self.space.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -658,9 +659,10 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     factors, so a step forms at most n times NUMPY_CHUNK entries, or n
     times one pair's bound when that alone is more.  The chunk results fold
     into a running sum (`_folded`), kept as base-p digit rows over GF(p^r)
-    and turned into indices once, at the end.  The callers tag terms with a
-    block of matrices at a time (`_blocks`), so the input arrays, and the
-    arrays `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
+    and turned into indices once, at the end.  Its one caller, `_act_blocks`,
+    hands it a block of jobs whose terms stay within NUMPY_CHUNK, with only
+    the matrices they name, so the input arrays, and the arrays
+    `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
 
     Fewer than ACT_MIN_TERMS terms, fields without tables,
     p >= NUMPY_PRIME_LIMIT, keys that would reach PACKED_KEY_LIMIT and
@@ -847,57 +849,61 @@ def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
 
 def _act_sum(polys, mats) -> list:
     """The sums of f.g over the stack of index matrices mats, for each f of
-    polys (of one space) in order, decoded from one `_act_sums` pass."""
-    if not polys:
-        return []
-    space = polys[0].space
+    polys (of one space) in order.  Every (polynomial, matrix) pair is a
+    job of `_act_blocks`, matrix-major, and the block results fold into a
+    running sum (`_folded`) as base-p digit rows over GF(p^r)."""
+    if not polys or not len(mats):
+        return [f.space.zero() for f in polys]
+    space, field = polys[0].space, polys[0].space.field
     radix = max(0, *(f.degree() for f in polys)) + 1
-    owner, keys, coeffs = _act_sums(space, *_stack(polys), mats, radix)
+    picks = np.tile(np.arange(len(polys)), len(mats))
+    blocks = _act_blocks(space, _family(polys, radix), picks,
+                         np.repeat(np.arange(len(mats)), len(polys)), picks,
+                         mats, radix)
+    keys, values = _folded(((k, field.digits(v) if field.r > 1 else v)
+                            for *_, (k, v) in blocks), field.p)
+    coeffs = field.indices(values) if field.r > 1 else values
     exps = _unpack(keys, radix, space.dim)
-    bounds = np.searchsorted(owner, np.arange(len(polys) + 1)).tolist()
+    bounds = _starts(keys, len(polys), radix ** space.dim).tolist()
     return [Polynomial._trusted(space, _term_dict(exps[a:b], coeffs[a:b]))
             for a, b in zip(bounds, bounds[1:])]
 
 
-def _act_sums(space: VariableSpace, exps, coeffs, poly, mats, radix):
-    """The sums over the stack of index matrices mats of the images of
-    stacked polynomials (terms exps, coeffs; poly[t] the index of term t's
-    polynomial; radix above every total degree): (polynomial, key,
-    coefficient index) arrays ascending by polynomial and then key, with
-    keys sum_j e_j radix^j, and no entry for a zero sum.
-
-    The terms are tagged with one block of matrices at a time (`_blocks`),
-    one `_act_packed` call each, and the block sums fold into a running sum
-    (`_folded`) as base-p digit rows over GF(p^r)."""
-    field = space.field
-    size = radix ** space.dim
-    blocks = _blocks(len(coeffs), len(mats))
-    digits = field.r > 1 and len(blocks) > 1
-
-    def block_sums(block):
-        tagged, values, which, owner = _tagged(exps, coeffs, poly, len(block))
-        keys, values = _act_packed(space, tagged, values, block, which,
-                                   owner, radix)
-        return keys, field.digits(values) if digits else values
-
-    if not blocks:
-        keys = values = np.zeros(0, dtype=np.int64)
-    else:
-        keys, values = _folded((block_sums(mats[start:stop])
-                                for start, stop in blocks), field.p)
-    if digits:
-        values = field.indices(values)
-    owner = keys // size
-    return owner.astype(np.int64), keys - owner * size, values
+def _act_blocks(space: VariableSpace, family, picks, which, owner, mats,
+                radix):
+    """The right action on a packed family, job by job: job j adds (output
+    picks[j] of family).mats[which[j]] to output owner[j].  The jobs go in
+    order, a block at a time: as many jobs as keep their terms within
+    NUMPY_CHUNK, and at least one.  A block's terms are gathered
+    (`_select`) for one `_act_packed` call, which gets only the matrices
+    the block names, re-indexed, so that no array of the call grows with
+    the whole stack.  Yields (first job, end job, the block's outputs as a
+    packed family) per block."""
+    n = space.dim
+    keys, coeffs = family
+    starts = _starts(keys, int(picks.max(initial=-1)) + 1, radix ** n)
+    # before[j]: the terms of the jobs before job j
+    before = np.append(0, np.cumsum(np.diff(starts)[picks]))
+    first = 0
+    while first < len(picks):
+        stop = max(first + 1, int(np.searchsorted(
+            before, before[first] + NUMPY_CHUNK, side="right")) - 1)
+        job, at = _select(starts, picks[first:stop])
+        used = np.flatnonzero(np.bincount(which[first:stop]))
+        yield first, stop, _act_packed(
+            space, _unpack(keys[at], radix, n).astype(np.int64), coeffs[at],
+            mats[used], np.searchsorted(used, which[first:stop][job]),
+            owner[first:stop][job], radix)
+        first = stop
 
 
-def _blocks(terms, count):
-    """(start, stop) ranges splitting a stack of count matrices into blocks
-    of about NUMPY_CHUNK // terms (at least one), so that `terms` terms
-    tagged with one block's matrices make about NUMPY_CHUNK pairs."""
-    step = max(1, NUMPY_CHUNK // max(terms, 1))
-    return [(start, min(start + step, count))
-            for start in range(0, count, step)]
+def _family(polys, radix):
+    """The packed family of polys (of one space): output i holds polys[i]."""
+    exps, coeffs, owner = _stack(polys)
+    n = exps.shape[1]
+    keys = _place(owner, radix ** n) + exps @ _key_weights(radix, n)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], coeffs[order]
 
 
 def _stack(polys):
@@ -906,15 +912,6 @@ def _stack(polys):
     exps, coeffs = zip(*map(_term_arrays, polys))
     return (np.concatenate(exps), np.concatenate(coeffs),
             np.repeat(np.arange(len(polys)), [len(f) for f in polys]))
-
-
-def _tagged(exps, coeffs, poly, k):
-    """Every stacked term tagged with each of k matrices, matrix-major:
-    (exponents, coefficient indices, the matrix, the output), as
-    `_act_packed` takes them, with output poly[t] for term t, whatever the
-    matrix."""
-    return (np.tile(exps, (k, 1)), np.tile(coeffs, k),
-            np.repeat(np.arange(k), len(coeffs)), np.tile(poly, k))
 
 
 def _unpack(keys, radix, n):
@@ -929,15 +926,19 @@ def _term_dict(exps, coeffs):
                     coeffs.tolist()))
 
 
-def _select(family, picks, size):
-    """The packed family whose output j is output picks[j] of family."""
-    keys, coeffs = family
-    bounds = np.searchsorted(keys, _place(
-        np.arange(int(picks.max(initial=-1)) + 2), size))
-    starts, lens = bounds[picks], bounds[picks + 1] - bounds[picks]
-    out = np.repeat(np.arange(len(picks)), lens)
-    at = np.arange(len(out)) - (np.cumsum(lens) - lens)[out] + starts[out]
-    return _place(out, size) + keys[at] % size, coeffs[at]
+def _starts(keys, count, size):
+    """Where each output 0..count-1 of a packed family starts, and where
+    output count - 1 ends."""
+    return np.searchsorted(keys, _place(np.arange(count + 1), size))
+
+
+def _select(starts, picks):
+    """The terms of outputs picks[j] of a packed family whose outputs start
+    at `starts` (`_starts`), j by j: (j, the term's index in the family)."""
+    lens = starts[picks + 1] - starts[picks]
+    job = np.repeat(np.arange(len(picks)), lens)
+    return job, (np.arange(len(job)) - (np.cumsum(lens) - lens)[job]
+                 + starts[picks][job])
 
 
 def _place(owner, size):
@@ -948,80 +949,79 @@ def _place(owner, size):
     return owner * size
 
 
-def _act_family(space, family, picks, mats, which, radix):
-    """The packed family whose output j is (output picks[j] of
-    family).mats[which[j]], formed by one `_act_packed` call."""
-    size = radix ** space.dim
-    keys, coeffs = _select(family, picks, size)
-    owner = (keys // size).astype(np.int64)
-    return _act_packed(space, _unpack(keys, radix, space.dim), coeffs, mats,
-                       which[owner], owner, radix)
-
-
-def _differ(field: FieldSpec, a, b, size, count):
-    """Mask of the outputs 0..count-1 at which two packed families differ:
-    the outputs with a term left in a - b."""
+def _differ(field: FieldSpec, a, b, size, first, stop):
+    """Mask of the outputs first..stop-1 at which two packed families of
+    those outputs differ: the outputs with a term left in a - b."""
     values = np.concatenate([a[1], b[1]])
     if field.r > 1:
         values = field.digits(values)
     values[len(a[1]):] = -values[len(a[1]):] % field.p
     keys, _ = _combine_keys(np.concatenate([a[0], b[0]]), values, field.p)
-    return np.bincount((keys // size).astype(np.int64), minlength=count) > 0
+    return np.bincount((keys // size).astype(np.int64) - first,
+                       minlength=stop - first) > 0
+
+
+def _differing(space: VariableSpace, family, picks, which, mats, radix,
+               target, aims):
+    """Mask over the jobs j at which (output picks[j] of family).mats[
+    which[j]] differs from output aims[j] of the packed family target.
+    Job j of `_act_blocks` owns output j, and each block is compared with
+    its targets as it comes, one `_differ` each, so that the compared
+    arrays stay as bounded as the kernel's."""
+    size = radix ** space.dim
+    keys, coeffs = target
+    starts = _starts(keys, int(aims.max(initial=-1)) + 1, size)
+    failed = np.zeros(len(picks), dtype=bool)
+    for first, stop, acted in _act_blocks(space, family, picks, which,
+                                          np.arange(len(picks)), mats,
+                                          radix):
+        job, at = _select(starts, aims[first:stop])
+        failed[first:stop] = _differ(
+            space.field, acted,
+            (_place(job + first, size) + keys[at] % size, coeffs[at]),
+            size, first, stop)
+    return failed
 
 
 def fixed_by(polys, mats) -> np.ndarray:
     """(len(polys), len(mats)) mask of f.g = f, for f in polys (of one
-    space) and g in the stack of index matrices mats.  Per block of
-    matrices (`_blocks`), one `_act_packed` call forms every image, output
-    a k + b holding polys[a].(matrix b of the block), compared with the
-    tagged terms themselves on packed keys."""
+    space) and g in the stack of index matrices mats.  Every (polynomial,
+    matrix) pair is a job of `_act_blocks`, polynomial-major, and each
+    block of images is compared with the f it came from on packed keys
+    (`_differing`)."""
     if not polys or not len(mats):
         return np.ones((len(polys), len(mats)), dtype=bool)
     space = polys[0].space
     radix = max(0, *(f.degree() for f in polys)) + 1
-    size = radix ** space.dim
-    exps, coeffs, poly = _stack(polys)
-    weights = _key_weights(radix, space.dim)
-
-    def block_mask(block):
-        k = len(block)
-        tagged, values, which, owner = _tagged(exps, coeffs, poly, k)
-        owner = owner * k + which
-        acted = _act_packed(space, tagged, values, block, which, owner,
-                            radix)
-        return ~_differ(space.field, acted,
-                        (_place(owner, size) + tagged @ weights, values),
-                        size, len(polys) * k).reshape(len(polys), k)
-
-    return np.hstack([block_mask(mats[start:stop])
-                      for start, stop in _blocks(len(coeffs), len(mats))])
+    family = _family(polys, radix)
+    picks = np.repeat(np.arange(len(polys)), len(mats))
+    return ~_differing(space, family, picks,
+                       np.tile(np.arange(len(mats)), len(polys)), mats,
+                       radix, family, picks).reshape(len(polys), len(mats))
 
 
 def compatibility_failures(polys, mats, poly, a, b, c) -> np.ndarray:
     """Mask over the pairs j at which (f.g).h != f.(gh), with f =
     polys[poly[j]] (polynomials of one space), g = mats[a[j]], h =
-    mats[b[j]] and gh = mats[c[j]].  One `_act_packed` call forms f.g for
-    every (polynomial, element) that a pair names as its g or its gh, once
-    each, a second forms (f.g).h for every pair from those images, and each
-    (f.g).h is compared with its f.(gh) on packed keys."""
+    mats[b[j]] and gh = mats[c[j]].  `_act_blocks` forms f.g for every
+    (polynomial, element) that a pair names as its g or its gh, once each,
+    then (f.g).h for every pair from those images, and each block of
+    (f.g).h is compared with its f.(gh) on packed keys as it comes
+    (`_differing`)."""
     space = polys[0].space
     radix = max(0, *(f.degree() for f in polys)) + 1
-    size = radix ** space.dim
-    exps, coeffs, owner = _stack(polys)
-    keys = _place(owner, size) + exps @ _key_weights(radix, space.dim)
-    order = np.argsort(keys, kind="stable")
     # output i of acted is f.g for the (polynomial, element) named[i]
     count = len(mats)
     left, right = poly * count + a, poly * count + c
     named = np.zeros(len(polys) * count, dtype=bool)
     named[left] = named[right] = True
     named = np.flatnonzero(named)
-    acted = _act_family(space, (keys[order], coeffs[order]), named // count,
-                        mats, named % count, radix)
-    twice = _act_family(space, acted, np.searchsorted(named, left), mats, b,
-                        radix)
-    return _differ(space.field, twice, _select(
-        acted, np.searchsorted(named, right), size), size, len(a))
+    acted = [np.concatenate(part) for part in zip(*(
+        out for *_, out in _act_blocks(
+            space, _family(polys, radix), named // count,
+            named % count, np.arange(len(named)), mats, radix)))]
+    return _differing(space, acted, np.searchsorted(named, left), b, mats,
+                      radix, acted, np.searchsorted(named, right))
 
 
 def balanced_product(factors, space: VariableSpace) -> Polynomial:

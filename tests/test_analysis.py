@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modinvar import analysis, mvpoly
+from modinvar import analysis, checks, mvpoly
 from modinvar.gfq import build_field
 from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
                                _translation_structure,
@@ -17,6 +17,7 @@ from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
                                transfer, transfer_factorization_check,
                                transfer_image_basis, transfer_image_degree,
                                u4_gluing)
+from modinvar.checks import run_check
 from modinvar.gluing import full_hom_module, glue, zero_module
 from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
                              gl_group, mat_mul, p_k_subgroup, trivial_group,
@@ -142,6 +143,45 @@ def test_action_memory_stays_in_blocks(monkeypatch, make):
     assert len(inputs) > 3 * len(rows) * len(f) // chunk
     assert max(inputs) <= chunk * n
     assert max(formed) <= chunk * n
+
+
+def test_action_compatibility_memory_stays_in_blocks(monkeypatch):
+    """Exhaustive `action_compatibility` over GL2(F3) acts on a block of
+    jobs at a time, f.g and then (f.g).h for all 2304 pairs per polynomial:
+    no `_act_packed` call gets more than NUMPY_CHUNK tagged terms (each
+    f.g has fewer), each block is compared with its targets as it comes,
+    and the reports, the passing one and the failing one of the swapped
+    products, are those of the unpatched run."""
+    params = {"q": 3, "n": 2, "samples": 3}
+    matmul = checks.index_matmul
+
+    def reports():
+        passing = run_check("action_compatibility", params)
+        with mock.patch.object(checks, "index_matmul",
+                               lambda field, a, b: matmul(field, b, a)):
+            failing = run_check("action_compatibility", params)
+        return [(r.status, r.witness) for r in (passing, failing)]
+
+    expected = reports()
+    assert [status for status, _ in expected] == ["pass", "fail"]
+    inputs, compared = [], []
+    kernel, differ = mvpoly._act_packed, mvpoly._differ
+
+    def spy_kernel(space, exps, *args):
+        inputs.append(exps.size)
+        return kernel(space, exps, *args)
+
+    def spy_differ(*args):
+        compared.append(args)
+        return differ(*args)
+
+    chunk = 64
+    monkeypatch.setattr(mvpoly, "NUMPY_CHUNK", chunk)
+    monkeypatch.setattr(mvpoly, "_act_packed", spy_kernel)
+    monkeypatch.setattr(mvpoly, "_differ", spy_differ)
+    assert reports() == expected
+    assert max(inputs) <= chunk * params["n"]
+    assert len(compared) > 2 * params["samples"] * 48 ** 2 // chunk
 
 
 def test_transfer_trivial_group():

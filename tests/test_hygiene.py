@@ -287,6 +287,18 @@ def test_mat_mul_is_called_only_by_the_scalar_oracles():
     assert callers == SCALAR_ORACLES
 
 
+def test_act_packed_has_one_caller_the_job_driver():
+    """Every stacked action reaches the kernel through `mvpoly._act_blocks`,
+    which bounds the terms and matrices of each call; the blockings of its
+    callers that it replaced are gone."""
+    callers = [(path.name, function)
+               for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+               for _, function in functions_calling(path, "_act_packed")]
+    assert callers == [("mvpoly.py", "_act_blocks")]
+    assert not defined_functions(ROOT / "src" / "modinvar" / "mvpoly.py") \
+        & {"_act_sums", "_blocks", "_tagged", "_act_family"}
+
+
 def test_rref_mod_p_is_the_only_dense_elimination():
     """`groups` defines no determinant or inverse loop of its own, and no
     module keeps a replaced scalar helper."""
@@ -361,7 +373,7 @@ def test_only_the_literal_oracle_forms_the_span_product():
 # public name instead.
 PRIVATE_IMPORTS = {
     *(("analysis", "mvpoly", name) for name in (
-        "_act_sum", "_act_sums", "_combine_keys", "_key_weights", "_stack",
+        "_act_sum", "_combine_keys", "_key_weights", "_stack",
         "_term_arrays")),
     *(("analysis", "groups", name)
       for name in ("_keys", "_rows", "_sorted_unique")),

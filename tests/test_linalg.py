@@ -95,18 +95,36 @@ def test_rref_field_matches_scalar_elimination(case):
         assert reduced.shape == (len(expected), width)
 
 
+def list_nullspace(rows, field):
+    """The Python-list loop `nullspace_field` ran: for each free column of
+    the reduced form, 1 there and the negated column entries at the
+    pivots; the oracle of its vectors and their order."""
+    reduced, pivots = rref_field(rows, field)
+    basis = []
+    for fc in [c for c in range(len(rows[0])) if c not in pivots]:
+        v = [0] * len(rows[0])
+        v[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = field.neg(int(row[fc]))
+        basis.append(v)
+    return basis
+
+
 @settings(max_examples=100, deadline=None)
 @given(index_matrices())
 def test_nullspace_field_is_the_kernel(case):
+    """M v = 0 for every basis vector, ncols - rank of them, independent,
+    and the vectors, in order, of the list loop the array code replaced."""
     field, width, rows = case
     basis = nullspace_field(rows, field)
     if not rows:
-        assert basis == []
+        assert basis.shape == (0, 0)
         return
+    assert basis.tolist() == list_nullspace(rows, field)
     assert len(basis) == width - len(naive_rref_field(rows, field)[1])
-    for v in basis:
+    for v in basis.tolist():
         assert mat_vec(field, rows, v) == [0] * len(rows)
-    if basis:
+    if len(basis):
         assert len(rref_field(basis, field)[1]) == len(basis)
 
 
@@ -182,7 +200,7 @@ def test_empty_input():
     assert reduced.shape[0] == 0 and pivots == []
     reduced, pivots = rref_field([[0, 0, 0], [0, 0, 0]], F9)
     assert reduced.shape == (0, 3) and pivots == []
-    assert nullspace_field([], F9) == []
+    assert nullspace_field([], F9).shape == (0, 0)
     reduced, pivots = rref_mod_p(np.zeros((0, 4), dtype=np.int64), 3)
     assert reduced.shape == (0, 4) and pivots == []
 

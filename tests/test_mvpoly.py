@@ -653,36 +653,54 @@ def action_stacks(draw):
     return sp, polys, np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
 
 
+def driven(space, family, picks, which, mats, radix):
+    """The packed family whose output j is (output picks[j] of
+    family).mats[which[j]], gathered block by block from `_act_blocks`."""
+    blocks = [(np.zeros(0, dtype=np.int64),) * 2] + [
+        acted for *_, acted in mvpoly._act_blocks(
+            space, family, picks, which, np.arange(len(picks)), mats,
+            radix)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 @settings(max_examples=150, deadline=None)
 @given(action_stacks(), st.sampled_from([1, 7, 64, mvpoly.NUMPY_CHUNK]))
 def test_act_kernel_matches_substitution(stack, chunk):
-    """Every output of one `_act_packed` call over all (polynomial, matrix)
-    pairs is f.substitute({x_i: row i of g}), on the packed route (small
-    chunks included) and on the `_act_substitute` route, which returns the
-    same arrays; acting again on the packed outputs (`_act_family`) gives
-    (f.g).h, and `fixed_by` and `Polynomial.act` agree with them."""
+    """Every output of the driver `_act_blocks` over all (polynomial,
+    matrix) jobs is f.substitute({x_i: row i of g}), on the packed route
+    (small chunks, and so many blocks, included) and on the
+    `_act_substitute` route, which returns the same arrays from every term
+    tagged with every matrix at once; acting again on the packed outputs
+    gives (f.g).h, and `fixed_by` and `Polynomial.act` agree with them."""
     sp, polys, mats = stack
     k = len(mats)
     radix = max(0, *(f.degree() for f in polys)) + 1
-    exps, coeffs, which, poly = mvpoly._tagged(*mvpoly._stack(polys), k)
-    args = (sp, exps, coeffs, mats, which, poly * k + which, radix)
+    family = mvpoly._family(polys, radix)
+    picks = np.repeat(np.arange(len(polys)), k)
+    which = np.tile(np.arange(k), len(polys))
     expected = [substituted(f, g) for f in polys for g in mats]
     again = [b for _ in polys for b in range(k)][::-1]
+    # images of images stay small; the oracle runs at the default chunk
+    twice_expected = [substituted(f, mats[b]) for f, b in zip(
+        expected, again)] if sum(map(len, expected)) <= 200 else None
     with mock.patch.object(mvpoly, "ACT_MIN_TERMS", 0), \
             mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
-        acted = mvpoly._act_packed(*args)
+        acted = driven(sp, family, picks, which, mats, radix)
         assert unpacked(acted, sp, radix, len(expected)) == expected
-        if sum(map(len, expected)) <= 200:  # images of images stay small
-            twice = mvpoly._act_family(
-                sp, acted, np.arange(len(expected)), mats,
-                np.array(again, dtype=np.int64), radix)
+        if twice_expected is not None:
+            twice = driven(sp, acted, np.arange(len(expected)),
+                           np.array(again, dtype=np.int64), mats, radix)
             assert unpacked(twice, sp, radix, len(expected)) == \
-                [substituted(f, mats[b]) for f, b in zip(expected, again)]
+                twice_expected
         assert [f.act(g) for f in polys for g in mats] == expected
         assert mvpoly.fixed_by(polys, mats).ravel().tolist() == \
             [expected[a * k + b] == f for a, f in enumerate(polys)
              for b in range(k)]
-    oracle = mvpoly._act_substitute(*args)
+    exps, coeffs, poly = mvpoly._stack(polys)
+    tagged = np.repeat(np.arange(k), len(coeffs))  # every term, every matrix
+    oracle = mvpoly._act_substitute(sp, np.tile(exps, (k, 1)),
+                                    np.tile(coeffs, k), mats, tagged,
+                                    np.tile(poly, k) * k + tagged, radix)
     assert acted[0].tolist() == oracle[0].tolist()
     assert acted[1].tolist() == oracle[1].tolist()
 
