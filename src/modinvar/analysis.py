@@ -186,15 +186,14 @@ class TranslationSums:
     """The translation structure of a group (`_translation_structure`) and
     the sums over it that a transfer image is assembled from: the factor
     sums sum_u (y_i + u)^b, built one degree on from the last, and the
-    orbit sums of the y-exponents, memoized by y-exponent and stacked by
-    degree.  One instance serves every degree of one transfer image;
-    `structure` is None when the group is not a product of independent
-    translations."""
+    orbit sums of the y-exponents, stacked and memoized by degree (each
+    y-exponent has one degree).  One instance serves every degree of one
+    transfer image; `structure` is None when the group is not a product of
+    independent translations."""
 
     def __init__(self, group: MatrixGroup, space: VariableSpace, m: int):
         self.space = space
         self.structure = _translation_structure(group, m, space.dim - m)
-        self._sums = {}
         self._blocks = {}
         if self.structure is None:
             return
@@ -220,12 +219,9 @@ class TranslationSums:
     def orbit_sum(self, ypowers):
         """sum over the translation group of prod_i (y_i + u_i)^(b_i), factor
         by factor; valid because the translations are independent."""
-        got = self._sums.get(ypowers)
-        if got is None:
-            got = self.space.one()
-            for i, b in enumerate(ypowers):
-                got = got * self.factor(i, b)
-            self._sums[ypowers] = got
+        got = self.space.one()
+        for i, b in enumerate(ypowers):
+            got = got * self.factor(i, b)
         return got
 
     def orbit_block(self, s):

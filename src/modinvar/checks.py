@@ -225,28 +225,28 @@ def _law_pairs(sizes, params, seed):
     pair_ids).  A triple is an id into G1 x M x G2 of the given sizes
     (`np.ravel_multi_index`); pair_ids(start, stop) gives pairs start to
     stop - 1 as an (N, 2) id array, and distinct holds every id they use,
-    sorted.  Exhaustive mode takes all pairs in order; sampled triples are
-    drawn index by index, the same draws in the same order as
-    `rng.choice` over the elements themselves: an index below size is
-    getrandbits(size.bit_length()), drawn again while it is not below
-    size, which is how `random.Random` picks it."""
+    sorted.  Exhaustive mode takes all pairs in order; sampled triple ids
+    are uniform below |G1| |M| |G2|, which makes the three axes independent
+    and uniform.  They are drawn in bulk from random.Random(seed): the top
+    bit_length bits of 64-bit words from `randbytes`, ids past the range
+    rejected, a round of words at a time: enough for the ids still missing
+    at the rate that lands in range, and 64 more."""
     triples = sizes[0] * sizes[1] * sizes[2]
     if params.get("mode", "sample") == "exhaustive":
         def pair_ids(start, stop):
             return np.stack(np.divmod(np.arange(start, stop), triples), axis=1)
         return triples ** 2, np.arange(triples), pair_ids
-    getrandbits = random.Random(params.get("seed", seed)).getrandbits
+    rng = random.Random(params.get("seed", seed))
     total = params.get("samples", 10000)
-    axes = [(size, size.bit_length()) for size in sizes]
-    picks = []
-    for _ in range(2 * total):
-        for size, bits in axes:
-            pick = getrandbits(bits)
-            while pick >= size:
-                pick = getrandbits(bits)
-            picks.append(pick)
-    picks = np.array(picks, dtype=np.int64).reshape(total, 2, 3)
-    drawn = np.ravel_multi_index(np.moveaxis(picks, -1, 0), sizes)
+    bits = triples.bit_length()
+    drawn = np.zeros(0, dtype=np.int64)
+    while len(drawn) < 2 * total:
+        missing = 2 * total - len(drawn)
+        words = np.frombuffer(rng.randbytes(
+            8 * ((missing << bits) // triples + 64)), dtype="<u8") \
+            >> np.uint64(64 - bits)
+        drawn = np.append(drawn, words[words < triples].astype(np.int64))
+    drawn = drawn[:2 * total].reshape(total, 2)
     return total, _sorted_unique(drawn.ravel()), \
         lambda start, stop: drawn[start:stop]
 
@@ -482,8 +482,7 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     (f.g).h for every pair, each a bounded block of jobs per kernel call
     (`mvpoly._act_blocks`), and compares each block of (f.g).h with its
     f.(gh) on packed keys as it comes.  The first f with a failing pair is
-    reported.  A kernel call with fewer than `mvpoly.ACT_MIN_TERMS` tagged
-    terms runs the kernel's `_substitute` route."""
+    reported."""
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)

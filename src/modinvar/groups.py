@@ -948,7 +948,8 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     checked exactly, all of them by one `mvpoly.fixed_by` call, which acts
     on f by the whole stack through the job driver `mvpoly._act_blocks` and
     compares each block of images with f on packed keys as it comes
-    (`_substitute` stays its fallback route and oracle)."""
+    (`_substitute` is its route where the field or the keys do not fit
+    numpy, and its oracle)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()
@@ -1027,7 +1028,8 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
     form), with the products of all of them formed together
     (`index_matmul`); f.A = f for a quadratic form f, for all A by one
     `mvpoly.fixed_by` call, a bounded block per kernel call and comparison
-    (`Polynomial._substitute` is its fallback route and oracle)."""
+    (`Polynomial._substitute` is its route where the field or the keys do
+    not fit numpy, and its oracle)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[1:] != (form.dim, form.dim):
         raise ValueError("dimension mismatch between element and form")

@@ -16,8 +16,8 @@ every prime field with p < 2^31, in memory that grows with the output; small
 products and the remaining fields run the scalar dict loop.  The right action
 runs on the same packed keys, for the terms of several polynomials and a
 whole stack of matrices, a bounded block of (term, matrix) jobs per kernel
-call (`_act_blocks`, `_act_packed`), with the dict-based `_substitute` as
-its fallback and oracle.
+call (`_act_blocks`, `_act_packed`); the dict-based `_substitute` acts by
+one matrix (`Polynomial.act`) and is the kernel's fallback and oracle.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ NUMPY_CHUNK = 1 << 16
 NUMPY_PRIME_LIMIT = 1 << 31
 # Packed exponent keys (and their sums) must stay below this.
 PACKED_KEY_LIMIT = 1 << 62
-# Actions on fewer tagged terms than this run `_substitute`, which is faster
-# there (one term by one 4 x 4 matrix: 30 us against 100 us in numpy).
-ACT_MIN_TERMS = 12
 
 
 class SpaceMismatchError(ValueError):
@@ -454,17 +451,17 @@ class Polynomial:
 
     def act(self, g) -> "Polynomial":
         """Right action by a group element: the variable with coefficient row
-        c goes to the linear form with row c.[g].  One job of `_act_blocks`,
-        through `_act_sum` with a stack of one matrix; `_substitute` is its
-        fallback route and the tests' oracle."""
+        c goes to the linear form with row c.[g], by `_substitute` of the
+        row images (`_row_images`).  Stacks of matrices run the packed
+        kernel (`_act_blocks`) instead; the tests hold the two together."""
         matrix = getattr(g, "matrix", g)
         n = self.space.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(
                 f"matrix dimension {len(matrix)} does not match {n} variables")
-        return _act_sum([self], np.array(
-            [[c.index if isinstance(c, Scalar) else int(c) for c in row]
-             for row in matrix], dtype=np.int64).reshape(1, n, n))[0]
+        return self._substitute(self.space, _row_images(self.space, [
+            [c.index if isinstance(c, Scalar) else int(c) for c in row]
+            for row in matrix]))
 
     # -- text form and equality --
 
@@ -664,16 +661,15 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     the matrices they name, so the input arrays, and the arrays
     `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
 
-    Fewer than ACT_MIN_TERMS terms, fields without tables,
-    p >= NUMPY_PRIME_LIMIT, keys that would reach PACKED_KEY_LIMIT and
-    spaces without variables (whose terms are constants) go to
-    `_act_substitute`, which is also the oracle."""
+    Only the inputs numpy cannot take go to `_act_substitute`, which is
+    also the oracle: fields without tables, p >= NUMPY_PRIME_LIMIT, keys
+    that would reach PACKED_KEY_LIMIT and spaces without variables (whose
+    terms are constants)."""
     field, n = space.field, space.dim
     size = radix ** n
     if not len(coeffs):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if len(coeffs) < ACT_MIN_TERMS or not n \
-            or size * (int(owner.max()) + 1) >= PACKED_KEY_LIMIT or (
+    if not n or size * (int(owner.max()) + 1) >= PACKED_KEY_LIMIT or (
             field._mul_array is None
             and (field.r > 1 or field.p >= NUMPY_PRIME_LIMIT)):
         return _act_substitute(space, exps, coeffs, mats, which, owner, radix)
@@ -823,9 +819,9 @@ def _chunk_stops(exps, mats, which, digits, live, radix, most):
 def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
                     radix):
     """`_act_packed` by `_substitute`, the polynomial of each (output,
-    matrix) pair at a time: its route for few terms and where the packed
-    keys or the field do not fit numpy, and its oracle.  The keys are
-    Python ints (an object array) where they pass int64."""
+    matrix) pair at a time: its route where the packed keys or the field do
+    not fit numpy, and its oracle.  The keys are Python ints (an object
+    array) where they pass int64."""
     field, n = space.field, space.dim
     groups = {}
     for e, c, m, o in zip(map(tuple, exps.tolist()), coeffs.tolist(),
@@ -849,9 +845,10 @@ def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
 
 def _act_sum(polys, mats) -> list:
     """The sums of f.g over the stack of index matrices mats, for each f of
-    polys (of one space) in order.  Every (polynomial, matrix) pair is a
-    job of `_act_blocks`, matrix-major, and the block results fold into a
-    running sum (`_folded`) as base-p digit rows over GF(p^r)."""
+    polys (of one space) in order: the transfer (`analysis.transfer`).
+    Every (polynomial, matrix) pair is a job of `_act_blocks`,
+    matrix-major, and the block results fold into a running sum (`_folded`)
+    as base-p digit rows over GF(p^r)."""
     if not polys or not len(mats):
         return [f.space.zero() for f in polys]
     space, field = polys[0].space, polys[0].space.field

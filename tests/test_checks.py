@@ -9,6 +9,7 @@ import collections
 import hashlib
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -153,18 +154,26 @@ def _law_setting(params):
                         for phi in gluing.M.elements().tolist()], G2
 
 
+def _as_triples(G1, phis, G2, ids):
+    sizes = (G1.order(), len(phis), G2.order())
+    out = []
+    for t in ids.ravel().tolist():
+        a, k, b = np.unravel_index(t, sizes)
+        out.append((G1.elements[a], phis[k], G2.elements[b]))
+    return list(zip(out[::2], out[1::2]))
+
+
 def scalar_law_pairs(G1, phis, G2, params, seed):
-    """The pairs the scalar check drew or listed: the reference order."""
+    """The pairs the scalar check walks, in the reference order: every pair
+    of triples listed in exhaustive mode, else the triples of the ids that
+    `_law_pairs` draws."""
     if params.get("mode") == "exhaustive":
         triples = [(a, phi, b) for a in G1.elements for phi in phis
                    for b in G2.elements]
         return [(t1, t2) for t1 in triples for t2 in triples]
-    rng = random.Random(params.get("seed", seed))
-
-    def sample():
-        return (rng.choice(G1.elements), rng.choice(phis),
-                rng.choice(G2.elements))
-    return [(sample(), sample()) for _ in range(params.get("samples", 10000))]
+    total, _, pair_ids = _law_pairs((G1.order(), len(phis), G2.order()),
+                                    params, seed)
+    return _as_triples(G1, phis, G2, pair_ids(0, total))
 
 
 def scalar_law(gluing, pairs):
@@ -177,31 +186,18 @@ def scalar_law(gluing, pairs):
     return None
 
 
-def _as_triples(G1, phis, G2, ids):
-    sizes = (G1.order(), len(phis), G2.order())
-    out = []
-    for t in ids.ravel().tolist():
-        a, k, b = np.unravel_index(t, sizes)
-        out.append((G1.elements[a], phis[k], G2.elements[b]))
-    return list(zip(out[::2], out[1::2]))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(LAW_SHAPES), st.integers(0, 10 ** 6),
        st.integers(0, 60))
 def test_batched_law_draws_the_scalar_pairs(shape, seed, samples):
+    """The batched check and the scalar law, pair by pair, pass on the
+    pairs `_law_pairs` draws."""
     params = dict(shape, samples=samples)
     gluing, G1, phis, G2 = _law_setting(params)
-    sizes = (G1.order(), len(phis), G2.order())
-    total, distinct, pair_ids = _law_pairs(sizes, params, seed)
-    ids = pair_ids(0, total)
-    assert total == samples and ids.shape == (samples, 2)
-    assert distinct.tolist() == sorted(set(ids.ravel().tolist()))
-    assert _as_triples(G1, phis, G2, ids) == \
-        scalar_law_pairs(G1, phis, G2, params, seed)
+    pairs = scalar_law_pairs(G1, phis, G2, params, seed)
+    assert len(pairs) == samples
     rep = run_check("semidirect_law", dict(params, seed=seed))
-    assert rep.status == "pass" and scalar_law(gluing, _as_triples(
-        G1, phis, G2, ids)) is None
+    assert rep.status == "pass" and scalar_law(gluing, pairs) is None
     assert rep.notes == f"{samples} of {samples} pairs checked"
 
 
@@ -211,21 +207,61 @@ LAW_AXIS_SIZES = [1, 2, 4, 8, 16, 64, 1024, 48, 81, 27]
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(LAW_AXIS_SIZES), min_size=2, max_size=2),
        st.sampled_from(LAW_AXIS_SIZES + [2 ** 31]), st.integers(0, 2),
-       st.integers(0, 2 ** 64), st.integers(1, 40))
-def test_law_pairs_draw_what_rng_choice_draws(sizes, size, axis, seed,
-                                              samples):
-    """The rejection draws of `_law_pairs` are `rng.choice` over each axis,
-    for sizes of one, powers of two, the group sizes of the benchmark and
-    one axis of 2^31 (two would overflow the int64 triple ids)."""
+       st.integers(0, 2 ** 64), st.integers(0, 40))
+def test_law_pairs_draw_ids_in_range_by_seed(sizes, size, axis, seed,
+                                             samples):
+    """`_law_pairs` draws 2 * samples triple ids below |G1| |M| |G2|, the
+    same ones for the same seed and others for another seed; distinct is
+    their sorted set.  Sizes of one, powers of two, the group sizes of the
+    benchmark and one axis of 2^31 (two would overflow the int64 ids)."""
     sizes.insert(axis, size)
+    triples = math.prod(sizes)
     total, distinct, pair_ids = _law_pairs(tuple(sizes), {"samples": samples},
                                            seed)
-    rng = random.Random(seed)
-    picks = [[rng.choice(range(size)) for size in sizes]
-             for _ in range(2 * samples)]
-    ids = pair_ids(0, total).ravel().tolist()
-    assert [list(np.unravel_index(t, sizes)) for t in ids] == picks
-    assert distinct.tolist() == sorted(set(ids))
+    ids = pair_ids(0, total)
+    assert total == samples and ids.shape == (samples, 2)
+    assert ids.dtype == np.int64 and (0 <= ids).all() and (ids < triples).all()
+    assert distinct.tolist() == sorted(set(ids.ravel().tolist()))
+    again = _law_pairs(tuple(sizes), {"samples": samples}, seed)[2]
+    assert again(0, total).tolist() == ids.tolist()
+    other = _law_pairs(tuple(sizes), {"samples": samples}, seed + 1)[2]
+    if triples ** (2 * samples) >= 2 ** 40:  # equal draws are unlikely
+        assert other(0, total).tolist() != ids.tolist()
+
+
+@pytest.mark.parametrize("sizes", [(3, 5, 7), (48, 81, 27), (2, 16, 2)])
+def test_law_pairs_draw_every_axis_uniformly(sizes):
+    """Uniform ids make the three axes uniform: over 20,000 ids the
+    chi-square statistic of each axis stays within 5 standard deviations
+    of its mean, size - 1 (the seed is fixed, so the counts are too).
+    Folding ids past the range back in, instead of rejecting them, fails."""
+    total, _, pair_ids = _law_pairs(sizes, {"samples": 10000}, 0)
+    axes = np.unravel_index(pair_ids(0, total).ravel(), sizes)
+    for size, axis in zip(sizes, axes):
+        counts = np.bincount(axis, minlength=size)
+        expected = 2 * total / size
+        assert len(counts) == size
+        assert ((counts - expected) ** 2 / expected).sum() < \
+            size - 1 + 5 * math.sqrt(2 * (size - 1))
+
+
+def test_law_pairs_draw_in_bulk(monkeypatch):
+    """10,000 sampled pairs cost a handful of `getrandbits` calls (through
+    `randbytes`), not one or more per axis and draw; every seed that
+    `random.Random` takes works, the same way each time."""
+    calls = []
+    getrandbits = random.Random.getrandbits
+
+    def counted(self, k):
+        calls.append(k)
+        return getrandbits(self, k)
+    monkeypatch.setattr(random.Random, "getrandbits", counted)
+    for seed in (0, 2 ** 70, "desk", b"\x01\x02"):
+        calls.clear()
+        total, _, pair_ids = _law_pairs((48, 81, 27), {"samples": 10000}, seed)
+        assert total == 10000 and 1 <= len(calls) <= 4
+        again = _law_pairs((48, 81, 27), {"samples": 10000}, seed)[2]
+        assert again(0, total).tolist() == pair_ids(0, total).tolist()
 
 
 def test_exhaustive_law_pairs_keep_their_order():

@@ -299,6 +299,39 @@ def test_act_packed_has_one_caller_the_job_driver():
         & {"_act_sums", "_blocks", "_tagged", "_act_family"}
 
 
+def removed_names(path):
+    """(line, what) of each use of a removed route in a module: the small
+    action threshold `ACT_MIN_TERMS`, and `numpy.random`, whose first
+    import costs more than the bulk draws it could replace."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name == "ACT_MIN_TERMS":
+            found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr == "random" and \
+                getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append((node.lineno, "numpy.random"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random") or
+                node.module == "numpy" and any(
+                    alias.name == "random" for alias in node.names)):
+            found.append((node.lineno, "numpy.random"))
+    return found
+
+
+def test_src_names_no_removed_route():
+    """Stacks of matrices always run the packed kernel, so no module names
+    a small-action threshold, and the sampled checks draw through
+    `random.Random`, so none imports `numpy.random`."""
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line, what in removed_names(path)]
+    assert not found, "removed routes named in src:\n" + "\n".join(found)
+
+
 def test_rref_mod_p_is_the_only_dense_elimination():
     """`groups` defines no determinant or inverse loop of its own, and no
     module keeps a replaced scalar helper."""

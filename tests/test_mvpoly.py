@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modinvar import mvpoly
 from modinvar.gfq import build_field
@@ -653,6 +653,28 @@ def action_stacks(draw):
     return sp, polys, np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
 
 
+# Largest sum of `image_bound` over the (polynomial, matrix) pairs of one
+# drawn action stack that the kernel test checks against substitution.
+IMAGE_LIMIT = 5000
+
+
+def image_bound(f, g):
+    """At most this many terms in f.g: per term, the smaller of the
+    monomials of its degree and the product over rows i and base-p digits
+    e_ik of e_i of C(nnz_i + e_ik - 1, e_ik), the terms of l_i^(e_ik)."""
+    n, p = len(g), f.space.field.p
+    nnz = [int(np.count_nonzero(row)) for row in g]
+    total = 0
+    for e in f._terms:
+        product = 1
+        for ei, width in zip(e, nnz):
+            while ei:
+                ei, digit = divmod(ei, p)
+                product *= math.comb(width + digit - 1, digit) if digit else 1
+        total += min(product, math.comb(n + sum(e) - 1, sum(e)) if n else 1)
+    return total
+
+
 def driven(space, family, picks, which, mats, radix):
     """The packed family whose output j is (output picks[j] of
     family).mats[which[j]], gathered block by block from `_act_blocks`."""
@@ -671,8 +693,11 @@ def test_act_kernel_matches_substitution(stack, chunk):
     (small chunks, and so many blocks, included) and on the
     `_act_substitute` route, which returns the same arrays from every term
     tagged with every matrix at once; acting again on the packed outputs
-    gives (f.g).h, and `fixed_by` and `Polynomial.act` agree with them."""
+    gives (f.g).h, and `fixed_by` and `Polynomial.act` (`_substitute`)
+    agree with them."""
     sp, polys, mats = stack
+    # the oracles substitute in pure Python: keep the images near desk size
+    assume(sum(image_bound(f, g) for f in polys for g in mats) <= IMAGE_LIMIT)
     k = len(mats)
     radix = max(0, *(f.degree() for f in polys)) + 1
     family = mvpoly._family(polys, radix)
@@ -683,8 +708,9 @@ def test_act_kernel_matches_substitution(stack, chunk):
     # images of images stay small; the oracle runs at the default chunk
     twice_expected = [substituted(f, mats[b]) for f, b in zip(
         expected, again)] if sum(map(len, expected)) <= 200 else None
-    with mock.patch.object(mvpoly, "ACT_MIN_TERMS", 0), \
-            mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
+    # outside the patch: `act` multiplies, and NUMPY_CHUNK bounds products
+    assert [f.act(g) for f in polys for g in mats] == expected
+    with mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk):
         acted = driven(sp, family, picks, which, mats, radix)
         assert unpacked(acted, sp, radix, len(expected)) == expected
         if twice_expected is not None:
@@ -692,7 +718,6 @@ def test_act_kernel_matches_substitution(stack, chunk):
                            np.array(again, dtype=np.int64), mats, radix)
             assert unpacked(twice, sp, radix, len(expected)) == \
                 twice_expected
-        assert [f.act(g) for f in polys for g in mats] == expected
         assert mvpoly.fixed_by(polys, mats).ravel().tolist() == \
             [expected[a * k + b] == f for a, f in enumerate(polys)
              for b in range(k)]
@@ -723,28 +748,46 @@ def test_act_kernel_empty_inputs():
                                    build_field(2 ** 31 + 11)])
 def test_act_kernel_falls_back_beyond_numpy_fields(field):
     """GF(2^10) has no tables and 2^31 + 11 is past NUMPY_PRIME_LIMIT: the
-    kernel runs `_act_substitute`, with the substitution's result."""
+    kernel behind the transfer sum and `fixed_by` runs `_act_substitute`,
+    with the substitution's result."""
     sp = space(field, "x", "y")
     f = Polynomial(sp, {(i, 13 - i): i + 1 for i in range(14)})
-    g = ((3, 1), (1, field.q - 1))
+    g = np.array([[3, 1], [1, field.q - 1]], dtype=np.int64)
+    stack = np.stack([g, np.eye(2, dtype=np.int64)])
     with mock.patch.object(mvpoly, "_act_substitute",
                            wraps=mvpoly._act_substitute) as spy:
-        assert f.act(g) == substituted(f, g)
-    assert spy.called
+        assert mvpoly._act_sum([f], stack)[0] == substituted(f, g) + f
+        assert mvpoly.fixed_by([f], stack).tolist() == [[False, True]]
+    assert spy.call_count == 2
 
 
 def test_act_kernel_falls_back_beyond_the_key_limit():
     """Keys of degree 40 in 12 variables reach 41^12 > 2^62: the kernel
-    runs `_act_substitute`, whose keys are Python ints."""
+    behind the transfer sum and `fixed_by` runs `_act_substitute`, whose
+    keys are Python ints."""
     sp = space(F2, *[f"x{i}" for i in range(12)])
     xs = sp.variables()
     f = sum((x ** 40 for x in xs), sp.zero()) + xs[0] * xs[1]
     g = np.eye(12, dtype=np.int64)
     g[0, 1] = g[3, 7] = 1
-    assert len(f) >= mvpoly.ACT_MIN_TERMS
+    stack = np.stack([g, np.eye(12, dtype=np.int64)])
     with mock.patch.object(mvpoly, "_act_substitute",
                            wraps=mvpoly._act_substitute) as spy:
-        assert f.act(g) == substituted(f, g)
-        assert mvpoly.fixed_by([f], np.stack([g, np.eye(12, dtype=np.int64)])
-                               ).tolist() == [[False, True]]
+        assert mvpoly._act_sum([f], stack)[0] == substituted(f, g) + f
+        assert mvpoly.fixed_by([f], stack).tolist() == [[False, True]]
     assert spy.call_count == 2
+
+
+def test_act_by_one_matrix_is_the_substitution():
+    """`Polynomial.act` substitutes the row images and makes no kernel
+    call, however many terms f has; stacks still run the kernel."""
+    sp = space(F3, "x", "y", "z")
+    f = Polynomial(sp, {(i, 2 * i % 5, 9 - i): 1 + i % 2 for i in range(10)})
+    f = f + f.frobenius()
+    g = np.array([[1, 2, 0], [0, 1, 1], [2, 0, 1]], dtype=np.int64)
+    with mock.patch.object(mvpoly, "_act_packed",
+                           wraps=mvpoly._act_packed) as spy:
+        assert f.act(g) == substituted(f, g)
+        assert spy.call_count == 0
+        assert mvpoly._act_sum([f], g[None])[0] == substituted(f, g)
+    assert spy.call_count == 1
