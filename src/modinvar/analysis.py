@@ -182,39 +182,88 @@ def _rows_to_polys(space, monos, reduced):
     return out
 
 
+def _shift_basis(field, shifts):
+    """An F_p-basis of one y's shift set, by greedy span growth over the
+    shifts, or None when its span is not exactly the set."""
+    span, basis = {(0,) * len(shifts[0])}, []
+    for u in shifts:
+        if u not in span:
+            basis.append(u)
+            span = {tuple(field.add(a, field.mul(c, b)) for a, b in zip(v, u))
+                    for v in span for c in range(field.p)}
+    return basis if span == set(shifts) else None
+
+
 class TranslationSums:
     """The translation structure of a group (`_translation_structure`) and
     the sums over it that a transfer image is assembled from: the factor
-    sums sum_u (y_i + u)^b, built one degree on from the last, and the
-    orbit sums of the y-exponents, stacked and memoized by degree (each
-    y-exponent has one degree).  One instance serves every degree of one
-    transfer image; `structure` is None when the group is not a product of
-    independent translations."""
+    sums sum_u (y_i + u)^b in closed form, and the orbit sums of the
+    y-exponents, stacked and memoized by degree (each y-exponent has one
+    degree).  One instance serves every degree of one transfer image;
+    `structure` is None when the group is not a product of independent
+    translations.
+
+    The closed form.  g -> (shift of y_i) is a homomorphism into
+    (F_q^n, +), so the shifts U_i of y_i are an F_p-subspace, with a basis
+    of linear forms l_1..l_s in the x's whose coefficient tuples are
+    `bases[i]`: U_i = {c_1 l_1 + ... + c_s l_s : c in F_p^s}.  Let T^j_b be
+    the sum of (y_i + u)^b over the span of l_1..l_j; T^0_b = y_i^b, and
+    factor(i, b) = T^s_b.  Splitting u = u' + c l_j and expanding binomially,
+
+        T^j_b = sum_k C(b, k) T^(j-1)_(b-k) l_j^k sum_(c in F_p) c^k.
+
+    For k = 0 the inner sum S is p = 0.  For k > 0, 0^k = 0 and the nonzero
+    c form a cyclic group of order p - 1.  If (p - 1) | k, every c^k = 1 and
+    S = p - 1 = -1.  Otherwise some a has a^k != 1, and a^k S =
+    sum (a c)^k = S, so S = 0.  Hence
+
+        T^j_b = -sum_(k > 0, (p-1) | k) C(b, k) T^(j-1)_(b-k) l_j^k,
+
+    and by Lucas' theorem only the k whose base-p digits lie under those of
+    b have C(b, k) != 0 mod p.  The T^j_b are memoized by (i, j, b) and
+    formed only where asked for, so the sums extend lazily past any degree;
+    the tests keep the direct sum_u (y_i + u)^b as the oracle."""
 
     def __init__(self, group: MatrixGroup, space: VariableSpace, m: int):
         self.space = space
         self.structure = _translation_structure(group, m, space.dim - m)
-        self._blocks = {}
+        self._blocks, self._sums = {}, {}
         if self.structure is None:
             return
-        ys, xs = space.variables()[:m], space.variables()[m:]
-        self._forms = [[sum((x.scale(c) for x, c in zip(xs, offsets)), y)
-                        for offsets in shifts]
-                       for y, shifts in zip(ys, self.structure)]
-        self._powers = [[space.one()] * len(forms) for forms in self._forms]
-        self._factors = [[] for _ in self._forms]
+        self.bases = [_shift_basis(space.field, u) for u in self.structure]
+        if None in self.bases:
+            self.structure = None
+            return
+        # per y and basis form l, its powers l^(t (p - 1)) for t = 0, 1, ...
+        self._form_powers = [[[space.one(), sum(
+            map(Polynomial.scale, space.variables()[m:], offsets),
+            space.zero()) ** (space.field.p - 1)] for offsets in basis]
+            for basis in self.bases]
+
+    def _sum(self, i, j, b):
+        """T^j_b of y_i (see the class docstring)."""
+        if (i, j, b) not in self._sums:
+            if j == 0:
+                got = self.space.monomial([b * (t == i)
+                                           for t in range(self.space.dim)])
+            else:
+                p = self.space.field.p
+                powers = self._form_powers[i][j - 1]
+                got = self.space.zero()
+                for t in range(1, b // (p - 1) + 1):
+                    c = math.comb(b, t * (p - 1)) % p
+                    prev = self._sum(i, j - 1, b - t * (p - 1)) if c else None
+                    if prev:
+                        while len(powers) <= t:
+                            powers.append(powers[-1] * powers[1])
+                        got = got + (prev * powers[t]).scale(p - c)
+            self._sums[i, j, b] = got
+        return self._sums[i, j, b]
 
     def factor(self, i, b):
-        """sum over the translations u of y_i of (y_i + u)^b.  The running
-        powers (y_i + u)^k of every offset u are kept, and the step to
-        k + 1 multiplies each once by its linear form y_i + u."""
-        done = self._factors[i]
-        while len(done) <= b:
-            if done:
-                self._powers[i] = [f * form for f, form in
-                                   zip(self._powers[i], self._forms[i])]
-            done.append(sum(self._powers[i], self.space.zero()))
-        return done[b]
+        """sum over the translations u of y_i of (y_i + u)^b, T^s_b of the
+        class docstring."""
+        return self._sum(i, len(self.bases[i]), b)
 
     def orbit_sum(self, ypowers):
         """sum over the translation group of prod_i (y_i + u_i)^(b_i), factor
@@ -227,10 +276,15 @@ class TranslationSums:
     def orbit_block(self, s):
         """The nonzero orbit sums of the y-exponents of degree s, stacked:
         (exponents, coefficients, the sum each term belongs to, number of
-        sums), or None when every sum vanishes; memoized by s."""
+        sums), or None when every sum vanishes; memoized by s.  Only
+        products of nonzero factor sums are formed, which are nonzero."""
         if s not in self._blocks:
-            ys = monomial_array(len(self.structure), s).T.tolist()
-            polys = [f for f in map(self.orbit_sum, zip(*ys)) if f]
+            exps = [()]
+            for i in range(len(self.structure)):
+                live = [b for b in range(s + 1) if self.factor(i, b)]
+                exps = [a + (b,) for a in exps for b in live
+                        if sum(a) + b <= s]
+            polys = [self.orbit_sum(a) for a in exps if sum(a) == s]
             self._blocks[s] = _stack(polys) + (len(polys),) if polys else None
         return self._blocks[s]
 

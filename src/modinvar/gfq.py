@@ -237,6 +237,8 @@ class FieldSpec:
         return s
 
     def sub(self, a: int, b: int) -> int:
+        if self.r == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

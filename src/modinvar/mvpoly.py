@@ -249,7 +249,15 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        sub = self.space.field.sub
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            s = sub(out.get(e, 0), c)
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return Polynomial._trusted(self.space, out)
 
     def __rsub__(self, other):
         return -(self - other)

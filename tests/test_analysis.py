@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from modinvar import analysis, checks, mvpoly
 from modinvar.gfq import build_field
 from modinvar.analysis import (HilbertClaim, SymmetricPowers, TranslationSums,
-                               _translation_structure,
+                               _shift_basis, _translation_structure,
                                VerificationReport,
                                degree_product_check, hilbert_check,
                                identity_suite, invariant_dimension,
@@ -407,11 +407,12 @@ def test_transfer_image_with_keys_beyond_int64():
 
 
 @st.composite
-def translation_groups(draw):
-    """A group of translations y_i -> y_i + (form in x_1..x_n), each drawn
-    generator moving one y, so that the y's move independently; and the
-    factor degrees to ask for, in drawn order."""
-    field = draw(st.sampled_from([F2, F3, build_field(5), build_field(2, 2)]))
+def translation_groups(draw, field):
+    """A group of translations y_i -> y_i + (form in x_1..x_n) over field,
+    each drawn generator moving one y, so that the y's move independently;
+    and the factor degrees to ask for, in drawn order, up to
+    3 p (p - 1) + 2, past the first gaps where Lucas' theorem makes every
+    sum vanish."""
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -420,19 +421,29 @@ def translation_groups(draw):
         for j in range(m, m + n):
             mat[i][j] = draw(st.integers(0, field.q - 1))
         gens.append(GroupElement(field, tuple(map(tuple, mat))))
-    degrees = draw(st.lists(st.integers(0, 14), min_size=1, max_size=5))
+    top = 3 * field.p * (field.p - 1) + 2
+    degrees = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
     return MatrixGroup(field, m + n, gens), m, degrees
 
 
-@settings(max_examples=40, deadline=None)
-@given(translation_groups())
-def test_incremental_factor_sums_match_direct_powers(case):
-    """`TranslationSums.factor` steps running powers up one degree at a
-    time; the reference forms each sum_u (y_i + u)^b with `**`."""
-    G, m, degrees = case
+@pytest.mark.parametrize("field", [
+    F2, F3, build_field(5), build_field(7), build_field(2, 2),
+    build_field(3, 2)], ids=["F2", "F3", "F5", "F7", "GF4", "GF9"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_closed_form_factor_sums_match_direct_powers(field, data):
+    """`TranslationSums.factor` forms each sum from an F_p-basis of the
+    shifts by the recursion over its basis forms; the reference forms each
+    sum_u (y_i + u)^b with `**`.  Each basis of s forms spans p^s = |U_i|
+    shifts."""
+    G, m, degrees = data.draw(translation_groups(field))
     G.enumerate()
     sp = gluing_space(G.field, m, G.n - m)
     sums = TranslationSums(G, sp, m)
+    for i, shifts in enumerate(sums.structure):
+        assert G.field.p ** len(sums.bases[i]) == len(shifts)
+        if len(shifts) > 2:  # no longer closed under addition
+            assert _shift_basis(G.field, shifts[:-1]) is None
     xs = sp.variables()[m:]
     for b in degrees:
         for i in range(m):
@@ -443,6 +454,20 @@ def test_incremental_factor_sums_match_direct_powers(case):
                     form = form + x.scale(c)
                 direct = direct + form ** b
             assert sums.factor(i, b) == direct
+
+
+def test_factor_sums_need_few_products():
+    """Over F_7 the u4 M-subgroup shifts each y by 49 forms.  The running
+    powers made 49 products per degree (4,116 up to degree 84); the
+    closed form makes a product only per nonzero term of its recursion,
+    and of the sums up to degree 84 only the one of degree 48 is nonzero."""
+    msub = u4_gluing(7).m_subgroup()
+    sums = TranslationSums(msub, gluing_space(msub.field, 2, 2), 2)
+    with mock.patch.object(Polynomial, "__mul__", autospec=True,
+                           side_effect=Polynomial.__mul__) as spy:
+        live = [b for b in range(85) if sums.factor(0, b)]
+    assert spy.call_count <= 200
+    assert live == [48]
 
 
 def test_transfer_image_divisibility_and_attainment():

@@ -292,7 +292,8 @@ def test_scenario_validation():
 
 def test_every_bundled_scenario_loads():
     names = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
-    assert {"hilbert_sylow", "ck_sp4_stretch", "closure_stretch"} <= set(names)
+    assert {"hilbert_sylow", "ck_sp4_stretch", "closure_stretch",
+            "transfer_stretch"} <= set(names)
     for name in names:
         data = load_scenario(name)
         assert data["checks"], name

@@ -178,6 +178,22 @@ def small_poly(draw, sp, max_terms=6, max_exp=3):
 SUBSTITUTION_FIELDS = (F2, F3, F4, F9)
 
 
+@pytest.mark.parametrize("field", SUBSTITUTION_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sub_matches_adding_the_negation(field, data):
+    """f - g subtracts term by term with `field.sub`; the reference adds
+    -g.  Both give the same terms in the same insertion order, and a
+    difference with itself or a shared term cancels."""
+    sp = space(field, "x", "y")
+    f = data.draw(small_poly(sp, max_exp=2))
+    g = data.draw(small_poly(sp, max_exp=2)) + f.scale(data.draw(
+        st.integers(0, field.q - 1)))
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert list((a - b)._terms.items()) == list((a + (-b))._terms.items())
+    assert not f - f
+
+
 @st.composite
 def same_space_assignment(draw):
     """A polynomial and images for a subset of its variables, in its own
