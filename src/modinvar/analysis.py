@@ -294,7 +294,17 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
     """Row-space basis of {Tr(monomial) : monomial of degree d}, as (basis
     polynomials, their reduced index rows).  With m_split, `sums` (built
     here when not given) carries the translation structure and the orbit
-    sums shared with other degrees.
+    sums shared with other degrees.  The rows come from
+    `_reduced_transfers`."""
+    monos, _, reduced = _reduced_transfers(group, space, d, m_split, sums)
+    return _rows_to_polys(space, monos, reduced), reduced
+
+
+def _reduced_transfers(group, space, d, m_split=None, sums=None):
+    """(the degree-d monomials and their key weights (`_monomial_keys`),
+    the reduced index rows of their transfers) for `transfer_image_degree`
+    and for tau's degree in `principal_transfer_check`, which writes tau's
+    row over the same monomials.
 
     The transfers go into one index matrix, a row for each nonzero one and
     a column for each degree-d monomial, grevlex-descending; a term's column
@@ -338,8 +348,7 @@ def transfer_image_degree(group: MatrixGroup, space: VariableSpace, d: int,
             nrows = len(sums)
     matrix = _scatter(monos, weights, nrows, rows, keys, values,
                       _matrix_dtype(field))
-    reduced, _ = rref_field(matrix, field)
-    return _rows_to_polys(space, monos, reduced), reduced
+    return monos, weights, rref_field(matrix, field)[0]
 
 
 def transfer_image_basis(group: MatrixGroup, space: VariableSpace, D: int,
@@ -371,9 +380,10 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial
     dtau = tau.degree()
     reduced = image.reduced.get(dtau)
     if reduced is None:
-        _, reduced = transfer_image_degree(image.group, image.space, dtau,
-                                           sums=image.sums)
-    monos, weights = _monomial_keys(image.space.dim, dtau)
+        monos, weights, reduced = _reduced_transfers(
+            image.group, image.space, dtau, sums=image.sums)
+    else:
+        monos, weights = _monomial_keys(image.space.dim, dtau)
     exps, coeffs = _term_arrays(tau)
     vector = _scatter(monos, weights, 1, [np.zeros_like(coeffs)],
                       [exps @ weights], [coeffs], _matrix_dtype(image.space.field))

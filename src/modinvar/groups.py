@@ -311,30 +311,67 @@ def _row_table(work, gens, found):
                          np.min_scalar_type(size - 1))
 
 
+def _row_images(work, gens, table, which, rows):
+    """The (m, n) row codes of each matrix of the (m, n) row code array
+    `rows` times its generator gens[which[t]]: gathered from the tables
+    (`_row_table`) where the closure has built them, else formed by one
+    `_row_products` call under every generator named, from which each
+    matrix's own images are picked (so rows that name different
+    generators are each formed under all of them).  The closure's one
+    row-image step."""
+    if table is not None:
+        return table[which[:, None], rows]
+    named = np.flatnonzero(np.bincount(which))
+    images = _row_products(work, gens[named], rows.ravel()) \
+        .reshape(len(named), *rows.shape)
+    return images[np.searchsorted(named, which), np.arange(len(rows))]
+
+
+def _first_of_each(keys):
+    """The positions of the first occurrence of each distinct key."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order[first]
+
+
 def _closure(field, n, generators, cap, name="group"):
     """Sorted byte keys (`_keys`, in the field's index dtype) of the group
     generated by n x n index matrices; with none, or with n = 0, the
     identity alone.
 
     A matrix is held as its n row codes (`_row_codec`), and a matrix times
-    a generator is its rows each mapped to their images under it.  Layer by
-    layer, the rows of the whole frontier are mapped through every
-    generator, a chunk of about CHUNK_ENTRIES images at a time, and the
-    products new to the group form the next frontier: each chunk's products
-    are deduplicated as they are formed, and the candidates of a layer
-    deduplicated again and tested against the group found so far once.
-    Raises BudgetExceeded as soon as a layer takes the count past cap.
+    a generator is its rows each mapped to their images under it
+    (`_row_images`), a piece of about CHUNK_ENTRIES images at a time.
+
+    The group is built as right cosets (Dimino's algorithm).  The first
+    stage is <g_0>, its powers formed one product at a time; stage i then
+    closes <g_0..g_i> as cosets D.x of the group D found before it, and
+    skips g_i if D holds it.  A coset D.x is held as its block, D's
+    matrices times x in the order of D's keys, and the products x.t of its
+    representative with each generator t kept so far.  A product not in
+    the group yet names a new coset D.(x.t): its block is the block of D.x
+    mapped through t, formed in one row-image step with the products of
+    x.t with every kept generator.  Wave by wave, the products of the
+    cosets found last are tested against the group's sorted keys and the
+    new cosets formed, a batch of about CHUNK_ENTRIES entries at a time; a
+    coset formed twice in one batch is known by its smallest key, and the
+    later products are tested against each batch's blocks before theirs
+    are formed, so each element is formed about once.  The keys found are
+    merged into the group's once per wave.  Raises BudgetExceeded as soon
+    as a power or a batch takes the count past cap.
 
     The images are gathered from one table per generator (`_row_table`)
-    from the first layer at which the group found so far has at least as
+    from the first wave at which the group found so far has at least as
     many rows as F^n has vectors, where F^n has at most TABLE_ROWS vectors;
-    before that, and always for a larger F^n, the loop forms them by
+    before that, and always for a larger F^n, they are formed by
     `index_matmul` (`_row_products`).  F is the prime subfield when every
-    generator entry lies in it (`_working_field`).  The dedup keys are
+    generator entry lies in it (`_working_field`).  The group's keys are
     int64 where a matrix fits in one, else the bytes of the row codes
     (`_key_codec`); those become byte keys of the entries a chunk at a time
     at the end, the entries gathered from a table of every row code's
-    entries where the loop built tables, and divided out otherwise.
+    entries where tables were built, and divided out otherwise.
     """
     dtype = _index_dtype(field)
     if n == 0 or not len(generators):  # the trivial group
@@ -343,32 +380,91 @@ def _closure(field, n, generators, cap, name="group"):
     work = _working_field(field, gens)
     encode_row, decode_row, code = _row_codec(work, n)
     encode, decode = _key_codec(work, n, code)
+    store = code if code.kind == "V" else code.newbyteorder("=")
+    piece = max(1, CHUNK_ENTRIES // n)
     table = None
-    k = len(gens)
-    step = max(1, CHUNK_ENTRIES // (k * n))
-    seen = encode(encode_row(np.eye(n, dtype=np.int64))[None])
-    frontier = seen
-    while len(frontier):
-        if table is None:
-            table = _row_table(work, gens, len(seen))
-        layer, fill = np.empty(k * len(frontier), dtype=seen.dtype), 0
-        for start in range(0, len(frontier), step):
-            rows = decode(frontier[start:start + step]).ravel()
-            images = table[:, rows] if table is not None \
-                else _row_products(work, gens, rows)
-            fresh = _sorted_unique(encode(images.reshape(-1, n)))
-            layer[fill:fill + len(fresh)] = fresh
-            fill += len(fresh)
-        layer = _sorted_unique(layer[:fill])
-        frontier = layer[~_contains(seen, layer)]
-        if len(seen) + len(frontier) > cap:
-            raise BudgetExceeded(f"{name} exceeds cap {cap}")
-        # a stable sort merges the two sorted runs in linear time
-        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
+    gen_rows = encode_row(gens).astype(store)
+    gen_keys = encode(gen_rows)
+    one = encode(encode_row(np.eye(n, dtype=np.int64))[None])
+    seen, kept = one, []
+    for i in range(len(gens)):
+        if _contains(seen, gen_keys[i:i + 1])[0]:
+            continue
+        kept.append(i)
+        active = np.array(kept, dtype=np.min_scalar_type(len(gens)))
+        if len(kept) == 1:  # the first stage, <g_i>, is the powers of g_i
+            power, powers = gen_rows[i:i + 1], [one, gen_keys[i:i + 1]]
+            while (powers[-1] != one)[0]:
+                if len(powers) > cap:
+                    raise BudgetExceeded(f"{name} exceeds cap {cap}")
+                if table is None:
+                    table = _row_table(work, gens, len(powers))
+                power = _row_images(work, gens, table, active, power)
+                powers.append(encode(power))
+            seen = np.sort(np.concatenate(powers[:-1]), kind="stable")
+            continue
+        # product c is representative c % count times generator
+        # active[c // count], with key probes[c] and row codes reps[c];
+        # D, in the order of its keys, has the generators as products
+        size, a = len(seen), len(active)
+        frontier = np.empty((1, size, n), dtype=store)
+        for start in range(0, size, piece):
+            frontier[0, start:start + piece] = decode(seen[start:start + piece])
+        probes, reps = gen_keys[active], gen_rows[active]
+        batch = max(1, CHUNK_ENTRIES // (n * (size + a)))
+        while True:
+            count = len(frontier)
+            todo = np.flatnonzero(~_contains(seen, probes))
+            if not len(todo):
+                break
+            found, cosets, fresh = len(seen), [], []
+            while len(todo):
+                take, todo = todo[:batch], todo[batch:]
+                # the new cosets' blocks, then their representatives (the
+                # products) times every kept generator
+                c, m = len(take), len(take) * size
+                rows = np.empty((m + a * c, n), dtype=store)
+                which = np.empty(len(rows), dtype=active.dtype)
+                rows[:m].reshape(c, size, n)[:] = frontier[take % count]
+                which[:m].reshape(c, size)[:] = active[take // count, None]
+                rows[m:].reshape(a, c, n)[:] = reps[take]
+                which[m:].reshape(a, c)[:] = active[:, None]
+                keys = np.empty(len(rows), dtype=seen.dtype)
+                for start in range(0, len(rows), piece):
+                    part = rows[start:start + piece]  # mapped in place
+                    part[:] = _row_images(work, gens, table,
+                                          which[start:start + piece], part)
+                    keys[start:start + piece] = encode(part)
+                block, new = keys[:m].reshape(c, size), slice(None)
+                if c > 1:  # a coset's smallest key names it
+                    block = np.sort(block, axis=1)
+                    new = _first_of_each(block[:, 0])
+                    block = block[new]
+                block = np.sort(block.ravel(), kind="stable")
+                found += len(block)
+                if found > cap:
+                    raise BudgetExceeded(f"{name} exceeds cap {cap}")
+                cosets.append((rows[:m].reshape(c, size, n)[new],
+                               keys[m:].reshape(a, c)[:, new],
+                               rows[m:].reshape(a, c, n)[:, new]))
+                fresh.append(block)
+                if len(todo):
+                    todo = todo[~_contains(block, probes[todo])]
+            frontier = np.concatenate([b for b, _, _ in cosets])
+            probes = np.concatenate([k for _, k, _ in cosets], axis=1).ravel()
+            reps = np.concatenate([r for _, _, r in cosets],
+                                  axis=1).reshape(-1, n)
+            cosets.clear()
+            seen = np.concatenate([seen, *fresh])
+            fresh.clear()
+            # in place: a stable sort merges the sorted runs in linear time
+            seen.sort(kind="stable")
+            if table is None:
+                table = _row_table(work, gens, len(seen))
     # the byte keys of `_keys`, one chunk of decoded rows at a time; where
-    # the loop built tables (n |G| >= q^n), the entries of a row are
-    # gathered from the (q^n, n) table of every row code's entries, which
-    # costs no more than dividing out those of every key
+    # tables were built (n |G| >= q^n), the entries of a row are gathered
+    # from the (q^n, n) table of every row code's entries, which costs no
+    # more than dividing out those of every key
     entries = decode_row(np.arange(work.q ** n)).astype(dtype) \
         if table is not None else None
     out = np.empty(len(seen), dtype=(np.void, n * n * dtype.itemsize))
@@ -540,14 +636,16 @@ class MatrixGroup:
     picked by a predicate, is only for those subsets
     (`stabilizer_of_polynomial`, `gluing.singular_form_group`).
 
-    Enumeration closes the generators layer by layer in numpy (`_closure`):
-    each layer maps the rows of the whole frontier through every generator,
-    by lookups in one table per generator of the row space F^n (or by
-    `index_matmul` where F^n is too large), and keeps the products not seen
-    before.  Layers are stored as sorted int64 keys, the entries as base-q
-    digits, where a matrix fits in one, else as byte keys of the row codes;
-    only the frontier chunk being mapped is decoded, and images come in
-    chunks of at most about CHUNK_ENTRIES entries.
+    Enumeration closes the generators as right cosets in numpy
+    (`_closure`): each generator not yet in the group found so far, D,
+    adds the cosets D.x it reaches, each formed once as the block of a
+    known coset mapped through a generator, by lookups in one table per
+    generator of the row space F^n (or by `index_matmul` where F^n is too
+    large); only the coset representatives' products with the generators
+    are tested against the group.  The group is kept as sorted int64 keys,
+    the entries as base-q digits, where a matrix fits in one, else as byte
+    keys of the row codes, and images come in chunks of at most about
+    CHUNK_ENTRIES entries.
 
     An enumerated group stores only the sorted byte keys of its index
     matrices (`keys`; `rows()` views them as an (N, n, n) array), so the

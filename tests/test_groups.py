@@ -783,6 +783,90 @@ def test_table_closure_matches_naive_closure_and_row_products(case, rnd):
                     _closure(field, n, rows, len(expected) - 1)
 
 
+@st.composite
+def redundant_generator_sets(draw):
+    """A set of `generator_sets` with one to three redundant generators put
+    in: the identity or a repeated generator anywhere, a product of two
+    generators after both, or a product of one to three generators before
+    all of them, so that its stage runs and a later factor may be skipped
+    as lying in the group of the others."""
+    field, n, gens = draw(generator_sets())
+    gens = list(gens)
+    kinds = st.sampled_from(["identity", "repeat", "product", "word"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "identity":
+            m, at = identity_matrix(n), draw(st.integers(0, len(gens)))
+        elif kind == "repeat":
+            m = draw(st.sampled_from(gens))
+            at = draw(st.integers(0, len(gens)))
+        elif kind == "product":
+            i, j = (draw(st.integers(0, len(gens) - 1)) for _ in range(2))
+            m = mat_mul(field, gens[i], gens[j])
+            at = draw(st.integers(max(i, j) + 1, len(gens)))
+        else:
+            m, at = identity_matrix(n), 0
+            for g in draw(st.lists(st.sampled_from(gens), min_size=1,
+                                   max_size=3)):
+                m = mat_mul(field, m, g)
+        gens.insert(at, m)
+    return field, n, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_generator_sets())
+def test_coset_closure_with_redundant_generators_matches_naive_closure(case):
+    """Skipped stages (the identity, repeats, products of earlier
+    generators) and stages whose generator lies in the group of the later
+    ones give the keys of the scalar closure, with tables as they come,
+    with `TABLE_ROWS` 0 and with batches of a few cosets (`CHUNK_ENTRIES`
+    16), and a cap one below the order raises."""
+    field, n, gens = case
+    rows = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
+    routes = [contextlib.nullcontext(),
+              mock.patch.object(groups, "TABLE_ROWS", 0),
+              mock.patch.object(groups, "CHUNK_ENTRIES", 16)]
+    try:
+        expected = naive_closure(field, n, gens, DIFF_CAP)
+    except BudgetExceeded:
+        for route in routes:
+            with route, pytest.raises(BudgetExceeded):
+                _closure(field, n, rows, DIFF_CAP)
+        return
+    keys = _keys(np.array(expected, dtype=_index_dtype(field))
+                 .reshape(len(expected), n, n))
+    for route in routes:
+        with route:
+            got = _closure(field, n, rows, len(expected))
+            assert got.dtype == keys.dtype and got.tobytes() == keys.tobytes()
+            if len(expected) > 1:
+                with pytest.raises(BudgetExceeded):
+                    _closure(field, n, rows, len(expected) - 1)
+
+
+def test_coset_closure_images_each_element_about_once(monkeypatch):
+    """Closing Sp4(F3) (7 generators, 3 of them in the group of the
+    others) images at most 2 n |G| rows for the cosets' blocks, plus the n
+    rows of each coset representative's product with each of the k
+    generators; a closure that multiplies every element by every generator
+    images k n |G|."""
+    G = sp_group(2, F3)
+    k, n = G.generator_rows.shape[:2]
+    # the number of cosets of each stage, [<g_0..g_i> : <g_0..g_(i-1)>]
+    orders = [1] + [len(_closure(F3, n, G.generator_rows[:i + 1], 10 ** 6))
+                    for i in range(k)]
+    cosets = sum(b // a for a, b in zip(orders, orders[1:]) if b > a)
+    imaged = []
+    row_images = groups._row_images
+
+    def spy(work, gens, table, which, rows):
+        imaged.append(rows.size)
+        return row_images(work, gens, table, which, rows)
+    monkeypatch.setattr(groups, "_row_images", spy)
+    order = len(MatrixGroup(F3, n, G.generator_rows).enumerate().keys)
+    assert order == orders[-1] == 51840
+    assert sum(imaged) <= 2 * n * order + n * k * cosets < k * n * order
+
+
 @pytest.mark.parametrize("make,p", [
     (lambda: unipotent_upper(3, F2), 2),
     (lambda: unipotent_upper(4, F3), 3),
