@@ -1014,26 +1014,21 @@ def parabolic_g_k(m: int, k: int, field: FieldSpec) -> MatrixGroup:
 
 
 def _keeps_values(field, rows, f):
-    """Mask of the n x n index matrices g with f(g.v) = f(v) at every v in
-    F_q^n, where (g.v)_i = sum_j g[i][j] v_j.  f is evaluated once on all
-    q^n points; the images g.v are formed over F_p a chunk at a time."""
-    n = rows.shape[1]
-    p, r, q = field.p, field.r, field.q
-    points = list(itertools.product(range(q), repeat=n))
-    values = np.array([f.evaluate(v).index for v in points])
-    # the base-p digits of every point, one column per point: (n r, q^n)
-    digits = field.digits(points).reshape(len(points), n * r).T \
-        .astype(_fp_dtype(field, n))
+    """Mask of the n x n index matrices g with f(g.e_j) = f(e_j) for every
+    basis vector e_j, where g.e_j is column j of g.  f is evaluated once on
+    all q^n points, the point v at index sum_i v_i q^(n-1-i), so the test is
+    one gather of f's values at the columns' indices, a chunk of about
+    CHUNK_ENTRIES entries at a time, with no field arithmetic."""
+    n, q = rows.shape[1], field.q
+    values = np.array([f.evaluate(v).index
+                       for v in itertools.product(range(q), repeat=n)])
     place = q ** np.arange(n - 1, -1, -1)
-    step = max(1, CHUNK_ENTRIES // (n * r * len(points)))
+    basis = values[place]  # e_j is at index q^(n-1-j)
+    step = max(1, CHUNK_ENTRIES // (n * n))
     keep = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
-        image = _matmul_mod(_expand(field, chunk), digits, p) \
-            .reshape(len(chunk), n, r, len(points))
-        moved = np.tensordot(place, field.indices(image, axis=2),
-                             axes=([0], [1]))
-        keep[start:start + step] = (values[moved] == values).all(axis=1)
+        columns = place @ rows[start:start + step]
+        keep[start:start + step] = (values[columns] == basis).all(axis=1)
     return keep
 
 
@@ -1041,13 +1036,13 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     """{g in G | f.g = f} for an enumerated G.
 
     f.g = f implies f(g.v) = f(v) for every v in F_q^n, since f.g sends x_i
-    to sum_j g[i][j] x_j (`Polynomial.act`).  That sound prefilter
-    (`_keeps_values`) rejects elements in batches, and the survivors are
-    checked exactly, all of them by one `mvpoly.fixed_by` call, which acts
-    on f by the whole stack through the job driver `mvpoly._act_blocks` and
-    compares each block of images with f on packed keys as it comes
-    (`_substitute` is its route where the field or the keys do not fit
-    numpy, and its oracle)."""
+    to sum_j g[i][j] x_j (`Polynomial.act`).  The sound prefilter
+    `_keeps_values` tests that at the basis vectors, the columns of g (a
+    base, as in backtrack search), and the survivors are checked exactly,
+    all of them by one `mvpoly.fixed_by` call, which acts on f by the whole
+    stack through the job driver `mvpoly._act_blocks` and compares each
+    block of images with f on packed keys as it comes (`_substitute` is its
+    route where the field or the keys do not fit numpy, and its oracle)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()

@@ -11,8 +11,10 @@ from modinvar import groups
 from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _closure, _digit_matmul, _index_dtype,
-                             _key_codec, _keys, _pk_assemble, _row_codec,
+                             _closure, _digit_matmul, _expand, _fp_dtype,
+                             _index_dtype, _keeps_values,
+                             _key_codec, _keys, _matmul_mod, _pk_assemble,
+                             _row_codec,
                              _row_table, _working_field,
                              MatrixGroup, NotEnumeratedError,
                              element_orders,
@@ -26,7 +28,8 @@ from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
                              stabilizer_sp, symplectic_j, trivial_group,
                              unipotent_order, unipotent_upper, usp_group,
                              usp_order, format_matrix)
-from modinvar.mvpoly import VariableSpace, parse_polynomial, symplectic_space
+from modinvar.mvpoly import (VariableSpace, fixed_by, parse_polynomial,
+                             symplectic_space)
 
 
 # -- scalar matrix helpers, the oracles of the batched kernel --
@@ -1051,6 +1054,23 @@ def group_and_polynomial(draw):
     return G, f
 
 
+def _point_table_mask(field, rows, f):
+    """Mask of the index matrices g with f(g.v) = f(v) at every one of the
+    q^n points v, the images g.v formed over F_p: the oracle of the
+    basis-column sieve `_keeps_values`, whose mask must contain it."""
+    n, p, r, q = rows.shape[1], field.p, field.r, field.q
+    points = list(itertools.product(range(q), repeat=n))
+    values = np.array([f.evaluate(v).index for v in points])
+    # the base-p digits of every point, one column per point: (n r, q^n)
+    digits = field.digits(points).reshape(len(points), n * r).T \
+        .astype(_fp_dtype(field, n))
+    image = _matmul_mod(_expand(field, rows), digits, p) \
+        .reshape(len(rows), n, r, len(points))
+    place = q ** np.arange(n - 1, -1, -1)
+    moved = np.tensordot(place, field.indices(image, axis=2), axes=([0], [1]))
+    return (values[moved] == values).all(axis=1)
+
+
 @settings(max_examples=120, deadline=None)
 @given(group_and_polynomial())
 def test_stabilizer_prefilter_matches_exact_loop(case):
@@ -1058,6 +1078,33 @@ def test_stabilizer_prefilter_matches_exact_loop(case):
     S = stabilizer_of_polynomial(G, f)
     assert [g.matrix for g in S.elements] == \
         [g.matrix for g in G.elements if f.act(g) == f]
+    # soundness: the sieve keeps every element the point table or the exact
+    # test keeps
+    rows = G.rows()
+    sieve = _keeps_values(G.field, rows, f)
+    assert not (fixed_by([f], rows)[0] & ~sieve).any()
+    assert not (_point_table_mask(G.field, rows, f) & ~sieve).any()
+
+
+def test_stabilizer_sieve_reads_columns_without_field_products(monkeypatch):
+    """The sieve of GL3(F3) against x2^2 - x1*x3 gathers f's values at the
+    columns of each matrix and forms no product over F_p; 480 of the 11,232
+    matrices pass it, and the exact test keeps 48 of those."""
+    space = VariableSpace(F3, ["x1", "x2", "x3"])
+    f = parse_polynomial(space, "x2^2 - x1*x3")
+    rows = gl_group(3, F3).enumerate().rows()
+    calls = []
+    matmul_mod = groups._matmul_mod
+
+    def spy(a, b, p):
+        calls.append(a.shape)
+        return matmul_mod(a, b, p)
+
+    monkeypatch.setattr(groups, "_matmul_mod", spy)
+    keep = _keeps_values(F3, rows, f)
+    assert calls == []
+    assert len(rows) == 11232 and keep.sum() == 480
+    assert fixed_by([f], rows[keep])[0].sum() == 48
 
 
 # -- the digit-polynomial and batched products against the scalar table
