@@ -416,15 +416,16 @@ class SymmetricPowers:
 
     So a degree step gathers the parent rows' entries, scatters each through
     the "multiply by x_j" index map of every j with g[i, j] != 0, multiplies
-    its value by g[i, j], and sums equal positions (`_combine_keys`).  Each
-    S^d(g) is a COO triple (rows, cols, digits) sorted by row and column;
-    values are base-p digit vectors, multiplied through the F_p matrices of
-    the entries of g (`FieldSpec.regular`) and added digit-wise, the same for
-    every GF(q).  The degree-d monomials are the distinct products x_j e of
-    the degree-(d-1) ones, lexicographically descending, so that the leading
-    column of a kernel row is its lex-greatest monomial; at degree 30 of the
-    Sylow subgroup of Sp4(F3) that halves the time of the elimination
-    against ascending order.
+    its value by g[i, j], and sums equal positions.  Each S^d(g) is a COO
+    triple (rows, cols, digits) sorted by row and column; values are base-p
+    digit vectors, multiplied through the F_p matrices of the entries of g
+    (`FieldSpec.regular`), the same for every GF(q), and folded into
+    indices (`FieldSpec.indices`) only around the sum of equal positions
+    (`_combine_keys`).  The degree-d monomials are the distinct products
+    x_j e of the degree-(d-1) ones, lexicographically descending, so that
+    the leading column of a kernel row is its lex-greatest monomial; at
+    degree 30 of the Sylow subgroup of Sp4(F3) that halves the time of the
+    elimination against ascending order.
 
     `MAX_KERNEL_MONOMIALS` bounds the monomials of any degree asked for
     (`at`), before any array of that degree is built, and
@@ -473,7 +474,8 @@ class SymmetricPowers:
         return size, self._powers
 
     def _step(self):
-        n, p = self.n, self.field.p
+        n, field = self.n, self.field
+        p = field.p
         moved = (self._exps[:, None, :] + np.eye(n, dtype=np.int64)) \
             .reshape(-1, n)
         # lex descending: the last lexsort key, column 0, sorts first
@@ -506,8 +508,9 @@ class SymmetricPowers:
             for y in range(digits.shape[1]):
                 values = (values + m[:, :, y] * digits[src, y, None]) % p
             keys, values = _combine_keys(owner * size + times[cols[src], j],
-                                         values, p)
-            powers.append((keys // size, keys % size, values))
+                                         field.indices(values), field)
+            powers.append((keys // size, keys % size,
+                           field.digits(values).astype(self._dtype)))
         self._exps, self._powers = exps, powers
         self.degree += 1
 
@@ -530,16 +533,15 @@ def invariant_dimension(group: MatrixGroup, d: int,
         return size
     field = group.field
     diagonal = np.arange(size)
-    minus_one = np.zeros((size, field.r), dtype=blocks[0][2].dtype)
-    minus_one[:, 0] = field.p - 1
+    minus_one = np.full(size, field.p - 1)  # the index of -1
     rows, cols, digits = [], [], []
     for gi, (k, c, values) in enumerate(blocks):
         keys, values = _combine_keys(
             np.concatenate((c * size + k, diagonal * (size + 1))),
-            np.concatenate((values, minus_one)), field.p)
+            np.concatenate((field.indices(values), minus_one)), field)
         rows.append(keys // size + gi * size)
         cols.append(keys % size)
-        digits.append(values)
+        digits.append(field.digits(values))
     rank = sparse_rank_mod_p(*fp_expand_coo(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(digits),
         field), field.p)

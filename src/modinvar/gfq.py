@@ -144,7 +144,6 @@ class FieldSpec:
         self._mul_table = None
         self._inv_table = None
         self._mul_array = None
-        self._digit_array = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -192,15 +191,14 @@ class FieldSpec:
         as nested lists, built in numpy for all pairs at once: digit x of
         a b is row x of regular(a) times the digits of b.
 
-        The numpy multiplication table (`_mul_array`, q x q indices) and the
-        base-p digits of every index (`_digit_array`, q x r) are kept for the
-        polynomial product (`mvpoly._mul_packed`)."""
+        The numpy multiplication table (`_mul_array`, q x q indices) is kept
+        for the polynomial product and action (`mvpoly._mul_packed`,
+        `mvpoly._act_packed`)."""
         p, q, r = self.p, self.q, self.r
         digits = self.digits(np.arange(q))
         mul = self.indices(self.regular(digits) @ digits.T % p, axis=1)
         self._mul_table = mul.tolist()
         self._mul_array = mul.astype(np.min_scalar_type(q - 1))
-        self._digit_array = digits.astype(np.min_scalar_type(p - 1))
         inv = np.argmax(mul == 1, axis=1)
         self._inv_table = inv.tolist()
         if r > 1:

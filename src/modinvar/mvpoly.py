@@ -13,11 +13,13 @@ Large products run in numpy on packed exponents (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors", CASC 2007) over every field with tables (q <= gfq.TABLE_LIMIT) and
 every prime field with p < 2^31, in memory that grows with the output; small
-products and the remaining fields run the scalar dict loop.  The right action
-runs on the same packed keys, for the terms of several polynomials and a
-whole stack of matrices, a bounded block of (term, matrix) jobs per kernel
-call (`_act_blocks`, `_act_packed`); the dict-based `_substitute` acts by
-one matrix (`Polynomial.act`) and is the kernel's fallback and oracle.
+products and the remaining fields run the scalar dict loop.  Like terms are
+summed on (key, coefficient index) pairs packed into int64 words, one sort
+of the words per combine (`_combine_keys`).  The right action runs on the
+same packed keys, for the terms of several polynomials and a whole stack of
+matrices, a bounded block of (term, matrix) jobs per kernel call
+(`_act_blocks`, `_act_packed`); the dict-based `_substitute` acts by one
+matrix (`Polynomial.act`) and is the kernel's fallback and oracle.
 """
 
 from __future__ import annotations
@@ -513,20 +515,48 @@ def _dict_arrays(terms, n):
             np.fromiter(terms.values(), dtype=np.int64, count=len(terms)))
 
 
-def _combine_keys(keys, coeffs, p):
-    """Sum the coefficients of equal keys mod p; drop the zero sums.  A
-    coefficient may be a row of base-p digits (coeffs of shape (len, r)),
-    summed digit-wise; it is dropped when every digit is zero.  The sums
-    keep the dtype of coeffs, which must hold every residue mod p."""
+def _combine_keys(keys, coeffs, field: FieldSpec):
+    """Sum the GF(q) coefficient indices (residues over GF(p)) of equal
+    nonnegative keys; drop the zero sums.  Returns the distinct keys,
+    ascending, and their sums as indices.
+
+    With b = (q - 1).bit_length(), a key and its index share one int64 word
+    key * 2^b + index whenever the largest key is below 2^(63 - b): one
+    `np.sort` of the words orders the keys and carries the indices along,
+    and a shift and a mask split them again.  Wider keys (object arrays,
+    or keys from 2^(63 - b) up, as p near 2^31 or radix^n near
+    PACKED_KEY_LIMIT give) and object coefficients are sorted by `argsort`
+    and two gathers instead.
+
+    The runs of equal keys are summed in the field.  In characteristic 2
+    the bits of an index are its base-2 digits, so the sum is the XOR of
+    the indices, for every r; over GF(p) it is the residue sum mod p; over
+    odd p^r the digits of the sorted indices are summed mod p and folded
+    back."""
     if not len(keys):
         return keys, coeffs
-    order = np.argsort(keys)
-    keys, coeffs = keys[order], coeffs[order]
+    b = (field.q - 1).bit_length()
+    if keys.dtype != object and coeffs.dtype != object and b < 63 and \
+            int(keys.max()) < 1 << (63 - b):
+        words = keys << b  # then in place: no third array of this length
+        words |= coeffs
+        words.sort()
+        coeffs = words & ((1 << b) - 1)
+        words >>= b
+        keys = words
+    else:
+        order = np.argsort(keys)
+        keys, coeffs = keys[order], coeffs[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = (np.add.reduceat(coeffs, starts) % p).astype(coeffs.dtype,
-                                                         copy=False)
-    keep = (sums != 0).reshape(len(sums), -1).any(axis=1)
-    return keys[starts][keep], sums[keep]
+    p = field.p
+    if p == 2:
+        sums = np.bitwise_xor.reduceat(coeffs, starts)
+    elif field.r == 1:
+        sums = np.add.reduceat(coeffs, starts) % p
+    else:
+        sums = field.indices(np.add.reduceat(field.digits(coeffs), starts) % p)
+    keep = sums != 0
+    return keys[starts[keep]], sums[keep]
 
 
 def _mul_packed(a, b, field: FieldSpec, n):
@@ -538,9 +568,8 @@ def _mul_packed(a, b, field: FieldSpec, n):
     layout of the packed families (`_key_weights`), with the radix above
     the product's total degree, so key sums are exponent sums.  Over GF(p)
     a coefficient product is a residue product; over GF(p^r) it is a gather
-    from the field's multiplication table, turned into a row of base-p
-    digits, which `_combine_keys` sums digit-wise; the digit rows become
-    indices once, at the end.
+    from the field's multiplication table.  Either way it is a coefficient
+    index, which `_combine_keys` sums.
 
     Term pairs are formed at most NUMPY_CHUNK at a time: all of a against a
     block of b's terms in lex order, the first variable most significant
@@ -562,32 +591,31 @@ def _mul_packed(a, b, field: FieldSpec, n):
         def products(x, y):
             return (x[:, None] * y % p).ravel()
     else:
-        table, digits = field._mul_array, field._digit_array
+        table = field._mul_array
 
         def products(x, y):
-            return digits[table[x[:, None], y].ravel()]
+            return table[x[:, None], y].ravel()
     rows = min(len(a), NUMPY_CHUNK)
     cols = max(1, NUMPY_CHUNK // rows)
     keys, coeffs = _folded((_combine_keys(
         (ka[t:t + rows, None] + kb[s:s + cols]).ravel(),
-        products(ca[t:t + rows], cb[s:s + cols]), p)
-        for s in range(0, len(b), cols) for t in range(0, len(a), rows)), p)
-    if field.r > 1:
-        coeffs = field.indices(coeffs)
+        products(ca[t:t + rows], cb[s:s + cols]), field)
+        for s in range(0, len(b), cols) for t in range(0, len(a), rows)),
+        field)
     return _term_dict(_unpack(keys, radix, n), coeffs)
 
 
-def _fold(parts, p):
-    """One (keys, coefficients) pair summing the combined parts."""
+def _fold(parts, field: FieldSpec):
+    """One (keys, coefficient indices) pair summing the combined parts."""
     if len(parts) == 1:
         return parts[0]
     return _combine_keys(np.concatenate([k for k, _ in parts]),
-                         np.concatenate([c for _, c in parts]), p)
+                         np.concatenate([c for _, c in parts]), field)
 
 
-def _folded(parts, p):
-    """The sum of a nonempty iterable of combined (keys, residues or base-p
-    digit rows) parts, taken in as they come: the pending parts are folded
+def _folded(parts, field: FieldSpec):
+    """The sum of a nonempty iterable of combined (keys, coefficient
+    indices) parts, taken in as they come: the pending parts are folded
     into the running sum whenever their total size passes both NUMPY_CHUNK
     and the running sum's size, so the folds sort at most twice the keys of
     the parts they take in, and the largest array holds about twice the
@@ -597,9 +625,9 @@ def _folded(parts, p):
         held.append(part)
         pending += len(part[0])
         if pending > max(NUMPY_CHUNK, running):
-            held = [_fold(held, p)]
+            held = [_fold(held, field)]
             running, pending = len(held[0][0]), 0
-    return _fold(held, p)
+    return _fold(held, field)
 
 
 # -- the action on stacks of matrices, on packed keys --
@@ -655,16 +683,15 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     together, one linear factor per step; equal (pair, key) entries are
     merged by `_combine_keys` once a step leaves more than NUMPY_CHUNK of
     them, and at the end.  Coefficients multiply as in `_mul_packed`:
-    residue products over GF(p), gathers from the multiplication table
-    summed as base-p digit rows over GF(p^r).
+    residue products over GF(p), gathers from the multiplication table over
+    GF(p^r), coefficient indices either way.
 
     Pairs go in chunks whose merged partial products hold at most about
     NUMPY_CHUNK entries (at least one pair each), bounded per pair by the
     monomials of its degree and by prod C(nnz_i + e_ik - 1, e_ik) over its
     factors, so a step forms at most n times NUMPY_CHUNK entries, or n
     times one pair's bound when that alone is more.  The chunk results fold
-    into a running sum (`_folded`), kept as base-p digit rows over GF(p^r)
-    and turned into indices once, at the end.  Its one caller, `_act_blocks`,
+    into a running sum (`_folded`).  Its one caller, `_act_blocks`,
     hands it a block of jobs whose terms stay within NUMPY_CHUNK, with only
     the matrices they name, so the input arrays, and the arrays
     `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
@@ -685,21 +712,11 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     if r == 1:
         def product(x, y):
             return x * y % p
-
-        def summands(values):
-            return values
     else:
-        table, digit_rows = field._mul_array, field._digit_array
+        table = field._mul_array
 
         def product(x, y):
             return table[x, y].astype(np.int64)
-
-        def summands(values):  # indices as base-p digit rows
-            return digit_rows[values]
-
-    def merge(keys, values):  # a step's merge, back to indices
-        keys, sums = _combine_keys(keys, summands(values), p)
-        return keys, sums if r == 1 else field.indices(sums)
     mats = np.asarray(mats, dtype=np.int64)
     weights = _key_weights(radix, n)
     forms = mats[:, None]  # forms[m, k, i, j] = frob^k(g_ij) of matrix m
@@ -762,15 +779,13 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
             keys = (keys[:, None] + shifts[k][:, None] * weights)[hit]
             values = product(values[:, None], form)[hit]
             if len(keys) > NUMPY_CHUNK:
-                keys, values = merge(keys, values)
+                keys, values = _combine_keys(keys, values, field)
         done.append((keys, values))
         keys = np.concatenate([k for k, _ in done])
         return _combine_keys(owner[chunk][keys // size] * size + keys % size,
-                             summands(np.concatenate([v for _, v in done])),
-                             p)
+                             np.concatenate([v for _, v in done]), field)
 
-    keys, sums = _folded(map(chunk_sums, np.split(live, stops[:-1])), p)
-    return keys, sums if r == 1 else field.indices(sums)
+    return _folded(map(chunk_sums, np.split(live, stops[:-1])), field)
 
 
 def _flat_rows(exps, coeffs, mats, which, weights, product):
@@ -855,8 +870,8 @@ def _act_sum(polys, mats) -> list:
     """The sums of f.g over the stack of index matrices mats, for each f of
     polys (of one space) in order: the transfer (`analysis.transfer`).
     Every (polynomial, matrix) pair is a job of `_act_blocks`,
-    matrix-major, and the block results fold into a running sum (`_folded`)
-    as base-p digit rows over GF(p^r)."""
+    matrix-major, and the block results fold into a running sum
+    (`_folded`)."""
     if not polys or not len(mats):
         return [f.space.zero() for f in polys]
     space, field = polys[0].space, polys[0].space.field
@@ -865,9 +880,7 @@ def _act_sum(polys, mats) -> list:
     blocks = _act_blocks(space, _family(polys, radix), picks,
                          np.repeat(np.arange(len(mats)), len(polys)), picks,
                          mats, radix)
-    keys, values = _folded(((k, field.digits(v) if field.r > 1 else v)
-                            for *_, (k, v) in blocks), field.p)
-    coeffs = field.indices(values) if field.r > 1 else values
+    keys, coeffs = _folded((out for *_, out in blocks), field)
     exps = _unpack(keys, radix, space.dim)
     bounds = _starts(keys, len(polys), radix ** space.dim).tolist()
     return [Polynomial._trusted(space, _term_dict(exps[a:b], coeffs[a:b]))
@@ -956,12 +969,11 @@ def _place(owner, size):
 
 def _differ(field: FieldSpec, a, b, size, first, stop):
     """Mask of the outputs first..stop-1 at which two packed families of
-    those outputs differ: the outputs with a term left in a - b."""
-    values = np.concatenate([a[1], b[1]])
-    if field.r > 1:
-        values = field.digits(values)
-    values[len(a[1]):] = -values[len(a[1]):] % field.p
-    keys, _ = _combine_keys(np.concatenate([a[0], b[0]]), values, field.p)
+    those outputs differ: the outputs with a term left in a - b, whose
+    coefficient indices are negated digit by digit."""
+    minus_b = field.indices(-field.digits(b[1]) % field.p)
+    keys, _ = _combine_keys(np.concatenate([a[0], b[0]]),
+                            np.concatenate([a[1], minus_b]), field)
     return np.bincount((keys // size).astype(np.int64) - first,
                        minlength=stop - first) > 0
 

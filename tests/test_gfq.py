@@ -262,10 +262,10 @@ def test_digits_indices_and_regular_match_the_scalar_field(case):
 
 
 def test_indices_fold_uint8_digit_rows_in_int64():
-    """The polynomial product folds rows of the uint8 `_digit_array`; at
-    q = 512 their indices pass 255."""
+    """Narrow digit rows fold into int64 indices: at q = 512 the indices
+    pass 255, which uint8 digits cannot hold."""
     F = build_field(2, 9)
-    assert F._digit_array.dtype == np.uint8
-    folded = F.indices(F._digit_array)
+    rows = F.digits(np.arange(F.q)).astype(np.uint8)
+    folded = F.indices(rows)
     assert folded.dtype == np.int64
     assert folded.tolist() == list(range(F.q))

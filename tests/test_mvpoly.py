@@ -533,9 +533,9 @@ def test_product_memory_is_bounded_by_the_output(field):
     for a, b in ((f, f), (f, x1 - x2)):
         sizes = []
 
-        def spy(keys, coeffs, p):
+        def spy(keys, coeffs, field):
             sizes.append(len(keys))
-            return combine(keys, coeffs, p)
+            return combine(keys, coeffs, field)
 
         with mock.patch.object(mvpoly, "NUMPY_CHUNK", chunk), \
                 mock.patch.object(mvpoly, "_combine_keys", spy):
@@ -545,6 +545,100 @@ def test_product_memory_is_bounded_by_the_output(field):
         assert len(a) * len(b) > 5 * bound
         assert len(sizes) > len(a) * len(b) // chunk
         assert max(sizes) <= bound, (field, len(product), max(sizes))
+
+
+def argsort_combine(keys, coeffs, p):
+    """The combine `mvpoly._combine_keys` replaced, kept here only as its
+    oracle: sum the coefficients of equal keys mod p, a coefficient being a
+    residue or a row of base-p digits (coeffs of shape (len, r)) summed
+    digit-wise, and drop the sums whose digits are all zero."""
+    if not len(keys):
+        return keys, coeffs
+    order = np.argsort(keys)
+    keys, coeffs = keys[order], coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = (np.add.reduceat(coeffs, starts) % p).astype(coeffs.dtype,
+                                                         copy=False)
+    keep = (sums != 0).reshape(len(sums), -1).any(axis=1)
+    return keys[starts][keep], sums[keep]
+
+
+# GF(2), GF(3) and GF(2^31 - 1); GF(4), GF(8), GF(9) and GF(512)
+COMBINE_FIELDS = (F2, F3, build_field(2 ** 31 - 1), F4, build_field(2, 3),
+                  F9, build_field(2, 9))
+
+
+def word_limit(field):
+    """The bound below which `_combine_keys` packs a key and its index
+    into one int64 word: 2^(63 - b), b = (q - 1).bit_length()."""
+    return 1 << (63 - (field.q - 1).bit_length())
+
+
+@st.composite
+def combine_inputs(draw):
+    """(field, keys, coefficient indices): keys drawn from a few values
+    near 0 or near the word limit (on both sides of it), some entries
+    followed by their negation so that runs cancel, and the arrays
+    sometimes empty, in a narrow coefficient dtype or with object keys."""
+    field = draw(st.sampled_from(COMBINE_FIELDS))
+    base = draw(st.sampled_from([0, word_limit(field) - 4]))
+    entries = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=field.q - 1), st.booleans()),
+        max_size=40))
+    keys, coeffs = [], []
+    for k, c, cancel in entries:
+        keys.append(base + k)
+        coeffs.append(c)
+        if cancel:
+            keys.append(base + k)
+            coeffs.append(field.neg(c))
+    keys = np.array(keys, dtype=np.int64)
+    coeffs = np.array(coeffs, dtype=draw(st.sampled_from(
+        [np.int64, np.min_scalar_type(field.q - 1)])))
+    if draw(st.booleans()):
+        keys = keys.astype(object)
+    return field, keys, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(combine_inputs())
+def test_combine_keys_matches_argsort_oracle(case):
+    field, keys, coeffs = case
+    got_keys, got = mvpoly._combine_keys(keys, coeffs, field)
+    want_keys, want = argsort_combine(
+        keys, field.digits(coeffs.astype(np.int64)), field.p)
+    assert got_keys.tolist() == want_keys.tolist()
+    assert got.tolist() == field.indices(want).tolist()
+
+
+@pytest.mark.parametrize("field", COMBINE_FIELDS)
+def test_combine_keys_sorts_words_below_the_limit(field):
+    """Keys below 2^(63 - b) share a word with their index and are sorted
+    by one `np.sort`, with no `argsort`; a key at the limit, or object
+    keys, take the `argsort` route.  Both give the oracle's sums."""
+    limit = word_limit(field)
+    coeffs = np.array([1, field.neg(1), 1, 0], dtype=np.int64)
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return argsort(*args, **kwargs)
+
+    for keys, wide in (([5, 5, 3, 3], False),
+                       ([limit - 1, limit - 1, 0, 0], False),
+                       ([limit, limit, 0, 0], True)):
+        for dtype in (np.int64, object):
+            array = np.array(keys, dtype=dtype)
+            calls.clear()
+            with mock.patch.object(np, "argsort", spy):
+                got_keys, got = mvpoly._combine_keys(array, coeffs, field)
+            assert bool(calls) == (wide or dtype is object)
+            want_keys, want = argsort_combine(array, field.digits(coeffs),
+                                              field.p)
+            assert got_keys.tolist() == want_keys.tolist() == [min(keys)]
+            assert got.tolist() == field.indices(want).tolist()
 
 
 def test_radix_overflow_falls_back_to_dict_loop():
