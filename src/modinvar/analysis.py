@@ -13,8 +13,9 @@ import numpy as np
 
 from modinvar.gfq import build_field
 from modinvar.gluing import GluingGroup, full_hom_module, glue
-from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
-                             _keys, _rows, _sorted_unique, unipotent_upper)
+from modinvar.groups import (DEFAULT_CAP, BudgetExceeded, MatrixGroup,
+                             NotEnumeratedError, _keys, _rows, _sorted_unique,
+                             unipotent_upper)
 from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute, span_basis,
@@ -22,7 +23,7 @@ from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  u_tilde, xi, xi_power)
 # in_row_space and rref_mod_p are unused here; the benchmark's tracer
 # self-test binds them
-from modinvar.linalg import (_matrix_dtype, _wide_dtype, fp_expand_coo,
+from modinvar.linalg import (_matrix_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space, rref_field,
                              rref_mod_p, sparse_rank_mod_p)
 from modinvar.mvpoly import (Polynomial, VariableSpace, _act_sum,
@@ -93,7 +94,7 @@ def transfer(polys, group: MatrixGroup) -> list:
 
 
 def transfer_factorization_check(polys, gluing: GluingGroup,
-                                 cap=10 ** 6) -> VerificationReport:
+                                 cap=DEFAULT_CAP) -> VerificationReport:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
     M, for each f of polys: the glued group, the M-block and the G1 x G2
     block are enumerated once, and three `transfer` calls form both sides
@@ -416,12 +417,10 @@ class SymmetricPowers:
 
     So a degree step gathers the parent rows' entries, scatters each through
     the "multiply by x_j" index map of every j with g[i, j] != 0, multiplies
-    its value by g[i, j], and sums equal positions.  Each S^d(g) is a COO
-    triple (rows, cols, digits) sorted by row and column; values are base-p
-    digit vectors, multiplied through the F_p matrices of the entries of g
-    (`FieldSpec.regular`), the same for every GF(q), and folded into
-    indices (`FieldSpec.indices`) only around the sum of equal positions
-    (`_combine_keys`).  The degree-d monomials are the distinct products
+    its value by g[i, j] (`FieldSpec.multiply`), and sums equal positions
+    (`_combine_keys`).  Each S^d(g) is a COO triple (rows, cols, values)
+    sorted by row and column, its values int64 coefficient indices, the same
+    for every GF(q).  The degree-d monomials are the distinct products
     x_j e of the degree-(d-1) ones, lexicographically descending, so that
     the leading column of a kernel row is its lex-greatest monomial; at
     degree 30 of the Sylow subgroup of Sp4(F3) that halves the time of the
@@ -434,25 +433,20 @@ class SymmetricPowers:
     instead of filling memory."""
 
     def __init__(self, group: MatrixGroup):
-        self.field = field = group.field
+        self.field = group.field
         self.n = group.n
-        self._dtype = _wide_dtype(field.p)
-        self._mats = [(g != 0,
-                       field.regular(field.digits(g)).astype(self._dtype))
-                      for g in group.generator_rows]
+        self._mats = list(group.generator_rows)
         self._reset()
 
     def _reset(self):
         self.degree = 0
         self._exps = np.zeros((1, self.n), dtype=np.int64)
-        one = np.zeros((1, self.field.r), dtype=self._dtype)
-        one[0, 0] = 1
-        zero = np.zeros(1, dtype=np.int64)
+        zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
         self._powers = [(zero, zero, one) for _ in self._mats]
 
     def at(self, d: int):
         """(K, powers): the number K of degree-d monomials and, for each
-        generator, S^d(g) as (rows, cols, digits).  Raises BudgetExceeded
+        generator, S^d(g) as (rows, cols, values).  Raises BudgetExceeded
         when K is over MAX_KERNEL_MONOMIALS or a step is over
         MAX_STEP_ENTRIES."""
         size = math.comb(self.n + d - 1, d)
@@ -475,7 +469,6 @@ class SymmetricPowers:
 
     def _step(self):
         n, field = self.n, self.field
-        p = field.p
         moved = (self._exps[:, None, :] + np.eye(n, dtype=np.int64)) \
             .reshape(-1, n)
         # lex descending: the last lexsort key, column 0, sorts first
@@ -493,8 +486,7 @@ class SymmetricPowers:
         a, j = np.nonzero(first[times] == np.arange(n))
         parent[times[a, j]] = a
         powers = []
-        for (support, mats), (rows, cols, digits) in zip(self._mats,
-                                                         self._powers):
+        for g, (rows, cols, values) in zip(self._mats, self._powers):
             counts = np.bincount(rows, minlength=len(self._exps))
             starts = np.cumsum(counts) - counts
             seg = counts[parent]
@@ -502,15 +494,12 @@ class SymmetricPowers:
             # entry t of the parent row of row m sits at starts[parent[m]] + t
             src = np.arange(len(owner)) + np.repeat(
                 starts[parent] - (np.cumsum(seg) - seg), seg)
-            e, j = np.nonzero(support[first[owner]])
-            src, owner, m = src[e], owner[e], mats[first[owner[e]], j]
-            values = np.zeros((len(e), digits.shape[1]), dtype=self._dtype)
-            for y in range(digits.shape[1]):
-                values = (values + m[:, :, y] * digits[src, y, None]) % p
-            keys, values = _combine_keys(owner * size + times[cols[src], j],
-                                         field.indices(values), field)
-            powers.append((keys // size, keys % size,
-                           field.digits(values).astype(self._dtype)))
+            e, j = np.nonzero(g[first[owner]])
+            src, owner = src[e], owner[e]
+            keys, sums = _combine_keys(
+                owner * size + times[cols[src], j],
+                field.multiply(g[first[owner], j], values[src]), field)
+            powers.append((keys // size, keys % size, sums))
         self._exps, self._powers = exps, powers
         self.degree += 1
 
@@ -533,12 +522,12 @@ def invariant_dimension(group: MatrixGroup, d: int,
         return size
     field = group.field
     diagonal = np.arange(size)
-    minus_one = np.full(size, field.p - 1)  # the index of -1
+    minus_one = np.full(size, field.neg(1))
     rows, cols, digits = [], [], []
     for gi, (k, c, values) in enumerate(blocks):
         keys, values = _combine_keys(
             np.concatenate((c * size + k, diagonal * (size + 1))),
-            np.concatenate((field.indices(values), minus_one)), field)
+            np.concatenate((values, minus_one)), field)
         rows.append(keys // size + gi * size)
         cols.append(keys % size)
         digits.append(field.digits(values))

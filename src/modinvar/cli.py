@@ -22,7 +22,7 @@ from modinvar import checks as checks_mod
 from modinvar.analysis import VerificationReport
 from modinvar.checks import build_gluing, build_group, run_check
 from modinvar.gfq import build_field
-from modinvar.groups import field_from_order, format_matrix
+from modinvar.groups import DEFAULT_CAP, field_from_order, format_matrix
 from modinvar.invariants import (dickson, family, n_k, orbit_product,
                                  partial_dickson, xi)
 from modinvar.mvpoly import (VariableSpace, format_polynomial,
@@ -300,7 +300,7 @@ def build_parser():
     p_group.add_argument("--m", type=int)
     p_group.add_argument("--k", type=int)
     p_group.add_argument("--q", type=int, required=True)
-    p_group.add_argument("--cap", type=int, default=10 ** 6)
+    p_group.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_group.add_argument("--verbose", action="store_true")
     p_group.set_defaults(func=cmd_group)
 
@@ -320,7 +320,7 @@ def build_parser():
     p_glue.add_argument("--q-sub", type=int, dest="q_sub")
     p_glue.add_argument("--module-file", dest="module_file")
     p_glue.add_argument("--partition")
-    p_glue.add_argument("--cap", type=int, default=10 ** 6)
+    p_glue.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_glue.set_defaults(func=cmd_glue)
 
     p_inv = sub.add_parser("inv", help="emit an invariant polynomial")
@@ -348,7 +348,7 @@ def build_parser():
         p_verify.add_argument(f"--{key}", type=int, default=None)
     p_verify.add_argument("--param", nargs=2, action="append",
                           metavar=("KEY", "VALUE"))
-    p_verify.add_argument("--cap", type=int, default=10 ** 6)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_verify.add_argument("--degree-bound", type=int, default=12,
                           dest="degree_bound")
     p_verify.set_defaults(func=cmd_verify)

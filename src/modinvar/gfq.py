@@ -5,15 +5,18 @@ of GF(p)[t] modulo a monic irreducible polynomial.  Internally an element is a
 single integer index in [0, q): the base-p digits of the index are the
 coordinates, so index 0 is the zero element and index 1 is the identity.  For
 small fields (q <= 512) all arithmetic is table driven, except addition and
-negation over prime fields, which reduce mod p.  The multiplication table and
-the digits of every index are also kept as numpy arrays, from which the
-polynomial product gathers its coefficient products.
+negation over prime fields, which reduce mod p.  The multiplication table is
+also kept as a numpy array, from which `FieldSpec.multiply` gathers.
 
 `FieldSpec.digits`, `indices` and `regular` are the one place where GF(p^r)
 is written over F_p for numpy: base-p digits of index arrays, and "multiply
 by a" as the r x r matrix sum_i digit_i(a) C^i, C the companion matrix of
-the modulus.  Row reduction, group closure, symmetric powers and the
-polynomial product all work over F_p through them.
+the modulus.  Row reduction and group closure work over F_p through them.
+
+`FieldSpec.multiply`, `power`, `negate` and `run_sums` are the GF(q)
+arithmetic on index arrays, and the one place that picks a route by the
+shape of the field; the polynomial product and action, the symmetric powers
+and the group constructors call them and never branch on the field.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 TABLE_LIMIT = 512
+# Products of residues below this prime bound fit in int64.
+RESIDUE_LIMIT = 1 << 31
 
 
 class FieldMismatchError(ValueError):
@@ -131,13 +136,14 @@ class FieldSpec:
             if r > 1 and not _poly_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
-        # column j of C^i holds the digits of t^(i+j) mod the modulus
+        # row s holds the digits of t^s mod the modulus, s < 2r - 1
         powers = [_poly_rem([0] * s + [1], list(modulus), p)
                   for s in range(2 * r - 1)]
-        powers = np.array([rem + [0] * (r - len(rem)) for rem in powers],
-                          dtype=np.int64)
-        self._companion = powers[np.add.outer(np.arange(r), np.arange(r))] \
-            .transpose(0, 2, 1)
+        self._powers = np.array([rem + [0] * (r - len(rem))
+                                 for rem in powers], dtype=np.int64)
+        # column j of C^i holds the digits of t^(i+j)
+        self._companion = self._powers[
+            np.add.outer(np.arange(r), np.arange(r))].transpose(0, 2, 1)
         self._place = p ** np.arange(r, dtype=np.int64)
         self._add_table = None
         self._neg_table = None
@@ -186,26 +192,91 @@ class FieldSpec:
         holds the digits of t^j a."""
         return np.tensordot(digits, self._companion, axes=1) % self.p
 
+    def multiply(self, a, b) -> np.ndarray:
+        """a b for broadcast index arrays, as int64 indices.  Over GF(p) the
+        residue product (in Python ints from p = RESIDUE_LIMIT, whose
+        products pass int64); over GF(p^r) a gather from the
+        multiplication table where the field has one, and otherwise the
+        convolution of the digit polynomials reduced by the modulus
+        (`reduce`)."""
+        p, r = self.p, self.r
+        if r == 1:
+            if p < RESIDUE_LIMIT:
+                return np.asarray(a, dtype=np.int64) * \
+                    np.asarray(b, dtype=np.int64) % p
+            return (np.asarray(a, dtype=object) * np.asarray(b, dtype=object)
+                    % p).astype(np.int64)
+        if self._mul_array is not None:
+            return self._mul_array[a, b]
+        x, y = self.digits(a), self.digits(b)
+        conv = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-1]
+                        + (2 * r - 1,), dtype=np.int64)
+        for s in range(r):
+            conv[..., s:s + r] += x[..., s, None] * y
+        return self.indices(self.reduce(conv))
+
+    def reduce(self, coeffs) -> np.ndarray:
+        """The (..., r) digits of (..., 2r - 1) int64 coefficient arrays of
+        products of digit polynomials, reduced by the monic modulus: one
+        matmul of the residues with the digits of t^s.  Over GF(p) only the
+        residue, as numpy runs the matmul one tiny product per row."""
+        if self.r == 1:
+            return coeffs % self.p
+        return coeffs % self.p @ self._powers % self.p
+
+    def power(self, a, e) -> np.ndarray:
+        """a^e for broadcast index and nonnegative int64 exponent arrays, as
+        int64 indices, by repeated squaring through `multiply` (a^0 = 1)."""
+        a, e = np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
+        out = np.ones(np.broadcast_shapes(a.shape, e.shape), dtype=np.int64)
+        while e.any():
+            out = np.where(e & 1, self.multiply(out, a), out)
+            e, a = e >> 1, self.multiply(a, a)
+        return out
+
+    def negate(self, a) -> np.ndarray:
+        """-a for an index array, as int64 indices: digit by digit mod p."""
+        return self.indices(-self.digits(a) % self.p)
+
+    def run_sums(self, a, starts) -> np.ndarray:
+        """The sums of the runs a[starts[i]:starts[i + 1]] of an index array
+        (the last run to the end), `np.reduceat` style.  In characteristic 2
+        the bits of an index are its base-2 digits, so a sum is the XOR of
+        the indices, for every r; over GF(p) it is the residue sum mod p;
+        over odd p^r the digits are summed mod p and folded back."""
+        p = self.p
+        if p == 2:
+            return np.bitwise_xor.reduceat(a, starts)
+        if self.r == 1:
+            return np.add.reduceat(a, starts) % p
+        return self.indices(np.add.reduceat(self.digits(a), starts) % p)
+
     def _build_tables(self):
         """Multiplication, inverse, and (r > 1) addition and negation tables
-        as nested lists, built in numpy for all pairs at once: digit x of
-        a b is row x of regular(a) times the digits of b.
+        as nested lists, built in numpy a block of q/8 rows at a time, so
+        that no temporary array holds more than about q^2 r / 4 entries:
+        the products by `multiply` before the table exists, the sums digit
+        by digit.
 
-        The numpy multiplication table (`_mul_array`, q x q indices) is kept
-        for the polynomial product and action (`mvpoly._mul_packed`,
-        `mvpoly._act_packed`)."""
+        The numpy multiplication table (`_mul_array`, q x q int64 indices)
+        is kept for `multiply`."""
         p, q, r = self.p, self.q, self.r
-        digits = self.digits(np.arange(q))
-        mul = self.indices(self.regular(digits) @ digits.T % p, axis=1)
+        every = np.arange(q)
+        digits = self.digits(every)
+        step = max(1, q // 8)
+        mul, add = [], []
+        for start in range(0, q, step):
+            block = every[start:start + step, None]
+            mul.append(self.multiply(block, every))
+            if r > 1:  # prime fields add with % p
+                add.append(self.indices((digits[block] + digits) % p).tolist())
+        mul = np.concatenate(mul)
         self._mul_table = mul.tolist()
-        self._mul_array = mul.astype(np.min_scalar_type(q - 1))
-        inv = np.argmax(mul == 1, axis=1)
-        self._inv_table = inv.tolist()
+        self._inv_table = np.argmax(mul == 1, axis=1).tolist()
         if r > 1:
-            # digit-wise sums and negatives; prime fields add with % p
-            self._add_table = self.indices(
-                (digits[:, None] + digits) % p).tolist()
-            self._neg_table = self.indices(-digits % p).tolist()
+            self._add_table = [row for rows in add for row in rows]
+            self._neg_table = self.negate(every).tolist()
+        self._mul_array = mul
 
     def add(self, a: int, b: int) -> int:
         p = self.p
@@ -213,13 +284,8 @@ class FieldSpec:
             return (a + b) % p
         if self._add_table is not None:
             return self._add_table[a][b]
-        s, shift = 0, 1
-        while a or b:
-            s += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return s
+        return self._index(list(map(int.__add__, self._digits(a),
+                                    self._digits(b))))
 
     def neg(self, a: int) -> int:
         p = self.p
@@ -227,12 +293,7 @@ class FieldSpec:
             return (-a) % p
         if self._neg_table is not None:
             return self._neg_table[a]
-        s, shift = 0, 1
-        while a:
-            s += ((p - a % p) % p) * shift
-            a //= p
-            shift *= p
-        return s
+        return self._index([-c for c in self._digits(a)])
 
     def sub(self, a: int, b: int) -> int:
         if self.r == 1:

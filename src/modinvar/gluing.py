@@ -96,8 +96,7 @@ class GluingGroup:
     is |G| * |M|."""
 
     def __init__(self, G1: MatrixGroup, G2: MatrixGroup, M: BimoduleBasis,
-                 flavor: str = "generic", name: str = "", transform=None,
-                 form=None):
+                 flavor: str = "generic", name: str = ""):
         self.G1 = G1
         self.G2 = G2
         self.M = M
@@ -105,8 +104,7 @@ class GluingGroup:
         self.field = M.field
         self.m = M.m
         self.n = M.n
-        self.transform = transform
-        self.form = form
+        self.form = None
         zero = np.zeros((self.m, self.n), dtype=np.int64)
         id1, id2 = np.eye(self.m, dtype=np.int64), np.eye(self.n, dtype=np.int64)
         gens1 = G1.generator_rows
@@ -459,9 +457,7 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
     if n == 0:
         M = zero_module(m, 0, field)
         G2 = trivial_group(field, 0)
-        gluing = GluingGroup(G1, G2, M, flavor="singular")
-        gluing.transform = P
-        return gluing
+        return GluingGroup(G1, G2, M, flavor="singular")
     quotient_gram = tuple(map(tuple, moved[m:, m:].tolist()))
     if form.kind == "alternating":
         T = _symplectic_basis_transform(field, quotient_gram)
@@ -480,7 +476,6 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
                          name=f"Isom({form.kind})", elements=elems)
     M = full_hom_module(m, n, field)
     gluing = glue(G1, G2, M, flavor="singular")
-    gluing.transform = P
     new_form = FormSpec(form.kind, field, gram=gram_new) \
         if form.kind != "quadratic" else None
     if new_form is not None:

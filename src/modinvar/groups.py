@@ -171,19 +171,16 @@ def index_matmul(field, a, b):
 def _digit_matmul(field, a, b):
     """a @ b over GF(q) for (N, i, j, r) and (N, j, k, r) digit arrays
     (`FieldSpec.digits`): each entry product is the product of the digit
-    polynomials reduced by the modulus.  This is the field's own arithmetic, not the
+    polynomials reduced by the modulus (`FieldSpec.reduce`, as in
+    `FieldSpec.multiply`).  This is the field's own arithmetic, not the
     regular representation of `_expand`, so the two can check each other:
     it stays as the oracle of `checks.check_semidirect_law`."""
-    p, r = field.p, field.r
+    r = field.r
     conv = np.einsum("nijs,njkt->nikst", a, b)
     coeffs = np.zeros(conv.shape[:3] + (2 * r - 1,), dtype=np.int64)
     for s in range(r):
         coeffs[..., s:s + r] += conv[..., s, :]
-    # t^d = -t^(d-r) (c_0 + ... + c_(r-1) t^(r-1)) for the monic modulus
-    low = np.array(field.modulus[:r], dtype=np.int64)
-    for d in range(2 * r - 2, r - 1, -1):
-        coeffs[..., d - r:d] -= coeffs[..., d, None] % p * low
-    return coeffs[..., :r] % p
+    return field.reduce(coeffs)
 
 
 def _keys(rows):
@@ -865,11 +862,6 @@ def symplectic_j(m: int, field: FieldSpec):
     return J
 
 
-def _neg(field, rows):
-    """-rows for an index array, digit by digit over F_p."""
-    return field.indices(-field.digits(rows) % field.p)
-
-
 def _check_symplectic(field, gens, m, name):
     """Raise ClaimRefuted for the first generator A of the (k, 2m, 2m) index
     array with A^T J A != J; the products of all generators are formed
@@ -913,7 +905,7 @@ def _pk_assemble(field, m, k, B1, B2, A):
     n = 2 * m
     M = _identities(len(A), n)
     M[:, :k, n - k:] = A
-    M[:, :k, k:m] = _neg(field, B2.transpose(0, 2, 1)[:, ::-1, ::-1])
+    M[:, :k, k:m] = field.negate(B2.transpose(0, 2, 1)[:, ::-1, ::-1])
     M[:, :k, m:n - k] = B1.transpose(0, 2, 1)[:, ::-1, ::-1]
     M[:, k:m, n - k:] = B1
     M[:, m:n - k, n - k:] = B2
@@ -1079,7 +1071,7 @@ class FormSpec:
         self.dim = len(gram)
         G = np.array(gram, dtype=np.int64).reshape(self.dim, self.dim)
         if kind == "alternating":
-            if (G.T != _neg(field, G)).any() or G.diagonal().any():
+            if (G.T != field.negate(G)).any() or G.diagonal().any():
                 raise ValueError("alternating Gram must be skew with zero diagonal")
         elif kind == "symmetric":
             if (G.T != G).any():

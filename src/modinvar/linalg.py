@@ -303,6 +303,5 @@ def nullspace_field(matrix, field: FieldSpec) -> np.ndarray:
     free = np.flatnonzero(free)
     basis = np.zeros((len(free), reduced.shape[1]), dtype=reduced.dtype)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.indices(-field.digits(reduced[:, free].T)
-                                     % field.p)
+    basis[:, pivots] = field.negate(reduced[:, free].T)
     return basis

@@ -11,15 +11,17 @@ and exact.
 
 Large products run in numpy on packed exponents (Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007) over every field with tables (q <= gfq.TABLE_LIMIT) and
-every prime field with p < 2^31, in memory that grows with the output; small
-products and the remaining fields run the scalar dict loop.  Like terms are
-summed on (key, coefficient index) pairs packed into int64 words, one sort
-of the words per combine (`_combine_keys`).  The right action runs on the
-same packed keys, for the terms of several polynomials and a whole stack of
-matrices, a bounded block of (term, matrix) jobs per kernel call
-(`_act_blocks`, `_act_packed`); the dict-based `_substitute` acts by one
-matrix (`Polynomial.act`) and is the kernel's fallback and oracle.
+vectors", CASC 2007) over every field, in memory that grows with the output;
+small products and exponents whose packed keys would reach PACKED_KEY_LIMIT
+run the scalar dict loop.  Like terms are summed on (key, coefficient index)
+pairs packed into int64 words, one sort of the words per combine
+(`_combine_keys`).  The right action runs on the same packed keys, for the
+terms of several polynomials and a whole stack of matrices, a bounded block
+of (term, matrix) jobs per kernel call (`_act_blocks`, `_act_packed`); the
+dict-based `_substitute` acts by one matrix (`Polynomial.act`) and is the
+kernel's fallback and oracle.  Coefficients are multiplied, negated and
+summed by the field's array arithmetic (`FieldSpec.multiply`, `power`,
+`negate`, `run_sums`), which alone chooses how for each field.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from modinvar.gfq import FieldMismatchError, FieldSpec, Scalar
 NUMPY_MIN_PRODUCTS = 64
 # Term products formed at once by the numpy product, bounding its memory.
 NUMPY_CHUNK = 1 << 16
-# Coefficient products of residues below this prime bound fit in int64.
-NUMPY_PRIME_LIMIT = 1 << 31
 # Packed exponent keys (and their sums) must stay below this.
 PACKED_KEY_LIMIT = 1 << 62
 
@@ -65,13 +65,12 @@ class VariableSpace:
     alignment between variables and matrix rows in the group action.
     """
 
-    def __init__(self, field: FieldSpec, names, convention: str = "generic"):
+    def __init__(self, field: FieldSpec, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         self.field = field
         self.names = names
-        self.convention = convention
         self.dim = len(names)
         self._pos = {v: i for i, v in enumerate(names)}
 
@@ -122,7 +121,7 @@ class VariableSpace:
 def symplectic_space(field: FieldSpec, m: int) -> VariableSpace:
     """Dual variables y1..ym, xm..x1 matching the pinned symplectic basis."""
     names = [f"y{i}" for i in range(1, m + 1)] + [f"x{i}" for i in range(m, 0, -1)]
-    return VariableSpace(field, names, convention="symplectic")
+    return VariableSpace(field, names)
 
 
 def gluing_space(field: FieldSpec, m: int, n: int) -> VariableSpace:
@@ -265,11 +264,10 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other):
-        """Product.  With at least NUMPY_MIN_PRODUCTS term pairs over a
-        field with tables (q <= gfq.TABLE_LIMIT) or a prime field with
-        p < 2^31 it runs in numpy (`_mul_packed`); small products, GF(p^r)
-        with r > 1 over gfq.TABLE_LIMIT, p >= 2^31 and exponents whose
-        packed keys would reach 2^62 run the scalar dict loop below."""
+        """Product.  With at least NUMPY_MIN_PRODUCTS term pairs it runs
+        in numpy (`_mul_packed`), over every field; small products and
+        exponents whose packed keys would reach PACKED_KEY_LIMIT run the
+        scalar dict loop below."""
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
@@ -279,9 +277,7 @@ class Polynomial:
         if not a:
             return Polynomial(self.space, {})
         field = self.space.field
-        if len(a) * len(b) >= NUMPY_MIN_PRODUCTS and (
-                field._mul_array is not None
-                or field.r == 1 and field.p < NUMPY_PRIME_LIMIT):
+        if len(a) * len(b) >= NUMPY_MIN_PRODUCTS:
             out = _mul_packed(a, b, field, self.space.dim)
             if out is not None:
                 return Polynomial._trusted(self.space, out)
@@ -526,13 +522,8 @@ def _combine_keys(keys, coeffs, field: FieldSpec):
     and a shift and a mask split them again.  Wider keys (object arrays,
     or keys from 2^(63 - b) up, as p near 2^31 or radix^n near
     PACKED_KEY_LIMIT give) and object coefficients are sorted by `argsort`
-    and two gathers instead.
-
-    The runs of equal keys are summed in the field.  In characteristic 2
-    the bits of an index are its base-2 digits, so the sum is the XOR of
-    the indices, for every r; over GF(p) it is the residue sum mod p; over
-    odd p^r the digits of the sorted indices are summed mod p and folded
-    back."""
+    and two gathers instead.  The runs of equal keys are summed by
+    `FieldSpec.run_sums`."""
     if not len(keys):
         return keys, coeffs
     b = (field.q - 1).bit_length()
@@ -548,28 +539,21 @@ def _combine_keys(keys, coeffs, field: FieldSpec):
         order = np.argsort(keys)
         keys, coeffs = keys[order], coeffs[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    p = field.p
-    if p == 2:
-        sums = np.bitwise_xor.reduceat(coeffs, starts)
-    elif field.r == 1:
-        sums = np.add.reduceat(coeffs, starts) % p
-    else:
-        sums = field.indices(np.add.reduceat(field.digits(coeffs), starts) % p)
+    sums = field.run_sums(coeffs, starts)
     keep = sums != 0
     return keys[starts[keep]], sums[keep]
 
 
 def _mul_packed(a, b, field: FieldSpec, n):
-    """Product of two term dicts over GF(q), with q <= gfq.TABLE_LIMIT or
-    q = p < NUMPY_PRIME_LIMIT, as a term dict, or None when the packed keys
-    would reach PACKED_KEY_LIMIT.  `a` is the operand with fewer terms.
+    """Product of two term dicts over GF(q) as a term dict, or None when
+    the packed keys would reach PACKED_KEY_LIMIT.  `a` is the operand with
+    fewer terms.
 
     Exponent vectors are packed into int64 keys sum_j e_j radix^j, the
     layout of the packed families (`_key_weights`), with the radix above
-    the product's total degree, so key sums are exponent sums.  Over GF(p)
-    a coefficient product is a residue product; over GF(p^r) it is a gather
-    from the field's multiplication table.  Either way it is a coefficient
-    index, which `_combine_keys` sums.
+    the product's total degree, so key sums are exponent sums.  The
+    coefficient products are indices (`FieldSpec.multiply`), which
+    `_combine_keys` sums.
 
     Term pairs are formed at most NUMPY_CHUNK at a time: all of a against a
     block of b's terms in lex order, the first variable most significant
@@ -586,20 +570,11 @@ def _mul_packed(a, b, field: FieldSpec, n):
     ka, kb = ea @ weights, eb @ weights
     order = np.argsort(eb @ weights[::-1])  # x_1 first: merges more per chunk
     kb, cb = kb[order], cb[order]
-    p = field.p
-    if field.r == 1:
-        def products(x, y):
-            return (x[:, None] * y % p).ravel()
-    else:
-        table = field._mul_array
-
-        def products(x, y):
-            return table[x[:, None], y].ravel()
     rows = min(len(a), NUMPY_CHUNK)
     cols = max(1, NUMPY_CHUNK // rows)
     keys, coeffs = _folded((_combine_keys(
         (ka[t:t + rows, None] + kb[s:s + cols]).ravel(),
-        products(ca[t:t + rows], cb[s:s + cols]), field)
+        field.multiply(ca[t:t + rows, None], cb[s:s + cols]).ravel(), field)
         for s in range(0, len(b), cols) for t in range(0, len(a), rows)),
         field)
     return _term_dict(_unpack(keys, radix, n), coeffs)
@@ -679,12 +654,12 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     a^e x_j^e, which is one shift of the key.  Every other row goes through
     the Frobenius shortcut of `Polynomial.__pow__`: with e_ik the base-p
     digits of e_i, x^e.g = prod_i prod_k (sum_j frob^k(g_ij) x_j^(p^k))^(e_ik),
-    so q-power exponents stay cheap.  All (term, matrix) pairs advance
-    together, one linear factor per step; equal (pair, key) entries are
-    merged by `_combine_keys` once a step leaves more than NUMPY_CHUNK of
-    them, and at the end.  Coefficients multiply as in `_mul_packed`:
-    residue products over GF(p), gathers from the multiplication table over
-    GF(p^r), coefficient indices either way.
+    so q-power exponents stay cheap; frob^k(g) is g raised to the p-th power
+    k times (`FieldSpec.power`).  All (term, matrix) pairs advance together,
+    one linear factor per step; equal (pair, key) entries are merged by
+    `_combine_keys` once a step leaves more than NUMPY_CHUNK of them, and at
+    the end.  Coefficients multiply as in `_mul_packed`, by
+    `FieldSpec.multiply`.
 
     Pairs go in chunks whose merged partial products hold at most about
     NUMPY_CHUNK entries (at least one pair each), bounded per pair by the
@@ -697,39 +672,23 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     `_flat_rows` forms from them, stay near NUMPY_CHUNK rows too.
 
     Only the inputs numpy cannot take go to `_act_substitute`, which is
-    also the oracle: fields without tables, p >= NUMPY_PRIME_LIMIT, keys
-    that would reach PACKED_KEY_LIMIT and spaces without variables (whose
-    terms are constants)."""
+    also the oracle: keys that would reach PACKED_KEY_LIMIT and spaces
+    without variables (whose terms are constants)."""
     field, n = space.field, space.dim
     size = radix ** n
     if not len(coeffs):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if not n or size * (int(owner.max()) + 1) >= PACKED_KEY_LIMIT or (
-            field._mul_array is None
-            and (field.r > 1 or field.p >= NUMPY_PRIME_LIMIT)):
+    if not n or size * (int(owner.max()) + 1) >= PACKED_KEY_LIMIT:
         return _act_substitute(space, exps, coeffs, mats, which, owner, radix)
     p, r = field.p, field.r
-    if r == 1:
-        def product(x, y):
-            return x * y % p
-    else:
-        table = field._mul_array
-
-        def product(x, y):
-            return table[x, y].astype(np.int64)
     mats = np.asarray(mats, dtype=np.int64)
     weights = _key_weights(radix, n)
-    forms = mats[:, None]  # forms[m, k, i, j] = frob^k(g_ij) of matrix m
-    if r > 1:
-        every = frobenius = np.arange(field.q)
-        for _ in range(p - 1):  # a^p for every index a
-            frobenius = table[frobenius, every]
-        forms = [mats]
-        for _ in range(1, r):
-            forms.append(frobenius[forms[-1]])
-        forms = np.stack(forms, axis=1)
+    forms = [mats]  # forms[m, k, i, j] = frob^k(g_ij) of matrix m
+    for _ in range(1, r):
+        forms.append(field.power(forms[-1], p))
+    forms = np.stack(forms, axis=1)
     keys0, scale, moved = _flat_rows(exps, coeffs, mats, which, weights,
-                                     product)
+                                     field)
     live = np.flatnonzero(scale)
     if not len(live):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -777,7 +736,7 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
             form = forms[mat[pair], k % r, i]
             hit = form != 0
             keys = (keys[:, None] + shifts[k][:, None] * weights)[hit]
-            values = product(values[:, None], form)[hit]
+            values = field.multiply(values[:, None], form)[hit]
             if len(keys) > NUMPY_CHUNK:
                 keys, values = _combine_keys(keys, values, field)
         done.append((keys, values))
@@ -788,7 +747,7 @@ def _act_packed(space: VariableSpace, exps, coeffs, mats, which, owner,
     return _folded(map(chunk_sums, np.split(live, stops[:-1])), field)
 
 
-def _flat_rows(exps, coeffs, mats, which, weights, product):
+def _flat_rows(exps, coeffs, mats, which, weights, field: FieldSpec):
     """The part of `_act_packed` done by the rows with at most one nonzero
     entry a (a is the row's sum), which send x_i^e to a^e x_j^e: the key
     shift and the coefficient of every term's image under those rows, and
@@ -802,11 +761,7 @@ def _flat_rows(exps, coeffs, mats, which, weights, product):
     fixed[base == 1] = 0
     scale = coeffs
     if fixed.any():
-        power = np.ones_like(fixed)
-        while fixed.any():
-            power = np.where(fixed & 1, product(power, base), power)
-            fixed, base = fixed >> 1, product(base, base)
-        scale = reduce(product, power.T, coeffs)
+        scale = reduce(field.multiply, field.power(base, fixed).T, coeffs)
     return keys0, scale, np.where(flat, 0, exps)
 
 
@@ -842,8 +797,8 @@ def _chunk_stops(exps, mats, which, digits, live, radix, most):
 def _act_substitute(space: VariableSpace, exps, coeffs, mats, which, owner,
                     radix):
     """`_act_packed` by `_substitute`, the polynomial of each (output,
-    matrix) pair at a time: its route where the packed keys or the field do
-    not fit numpy, and its oracle.  The keys are Python ints (an object
+    matrix) pair at a time: its route where the packed keys do not fit
+    int64 or the space has no variables, and its oracle.  The keys are Python ints (an object
     array) where they pass int64."""
     field, n = space.field, space.dim
     groups = {}
@@ -969,11 +924,9 @@ def _place(owner, size):
 
 def _differ(field: FieldSpec, a, b, size, first, stop):
     """Mask of the outputs first..stop-1 at which two packed families of
-    those outputs differ: the outputs with a term left in a - b, whose
-    coefficient indices are negated digit by digit."""
-    minus_b = field.indices(-field.digits(b[1]) % field.p)
+    those outputs differ: the outputs with a term left in a - b."""
     keys, _ = _combine_keys(np.concatenate([a[0], b[0]]),
-                            np.concatenate([a[1], minus_b]), field)
+                            np.concatenate([a[1], field.negate(b[1])]), field)
     return np.bincount((keys // size).astype(np.int64) - first,
                        minlength=stop - first) > 0
 

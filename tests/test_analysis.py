@@ -644,19 +644,20 @@ def test_invariant_dimension_matches_dense_act_oracle(group, top):
 
 
 def test_symmetric_powers_match_act():
-    """Row k of S^d(g) is the image of monomial k under `Polynomial.act`."""
+    """Row k of S^d(g) is the image of monomial k under `Polynomial.act`;
+    the values are coefficient indices."""
     F9 = build_field(3, 2)
     g = GroupElement(F9, ((1, 3, 0), (0, 4, 2), (5, 0, 1)))
     space = VariableSpace(F9, ["z1", "z2", "z3"])
     powers = SymmetricPowers(MatrixGroup(F9, 3, [g]))
     for d in (1, 2, 4, 3):
-        size, [(rows, cols, digits)] = powers.at(d)
+        size, [(rows, cols, values)] = powers.at(d)
         monos = [tuple(e) for e in powers._exps.tolist()]
         assert size == len(monos) == len(monomials_of_degree(space, d))
         assert monos == sorted(set(monos), reverse=True)
         image = {}
-        for k, c, x in zip(rows.tolist(), cols.tolist(), digits.tolist()):
-            image.setdefault(k, {})[monos[c]] = F9._index(x)
+        for k, c, x in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            image.setdefault(k, {})[monos[c]] = x
         for k, e in enumerate(monos):
             assert image.get(k, {}) == space.monomial(e).act(g)._terms
 

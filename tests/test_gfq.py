@@ -1,5 +1,8 @@
 import itertools
 import random
+import tracemalloc
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,8 +165,9 @@ def test_is_prime():
 
 
 def digit_add(field, a, b):
-    """The digit loop `FieldSpec.add` runs above TABLE_LIMIT, kept as the
-    oracle of the addition table."""
+    """Digit-by-digit addition on the integers, the oracle of the addition
+    table and of `FieldSpec.add` above TABLE_LIMIT (through `_digits` and
+    `_index`); `digit_neg` is the same for negation."""
     p = field.p
     s, shift = 0, 1
     while a or b:
@@ -269,3 +273,88 @@ def test_indices_fold_uint8_digit_rows_in_int64():
     folded = F.indices(rows)
     assert folded.dtype == np.int64
     assert folded.tolist() == list(range(F.q))
+
+
+# -- the array arithmetic against the scalar field --
+
+# prime fields on both sides of the residue-product limit 2^31, fields with
+# tables (q <= TABLE_LIMIT) and GF(3^6) and GF(2^10) without
+ARRAY_FIELDS = [(2, 1), (3, 1), (2 ** 31 - 1, 1), (2 ** 31 + 11, 1), (2, 2),
+                (3, 2), (2, 9), (3, 6), (2, 10)]
+
+
+@st.composite
+def array_operands(draw):
+    """A field of ARRAY_FIELDS and two index arrays whose shapes broadcast
+    against each other, empty ones among them."""
+    field = build_field(*draw(st.sampled_from(ARRAY_FIELDS)))
+    shape_a, shape_b = draw(st.sampled_from(
+        [((0,), (0,)), ((0,), (1,)), ((5,), (5,)), ((3, 1), (4,)),
+         ((1, 4), (3, 1)), ((2, 3), ())]))
+
+    def indices(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(
+            st.sampled_from([0, 1, field.p - 1, field.q - 1])
+            | st.integers(0, field.q - 1), min_size=size, max_size=size)),
+            dtype=np.int64).reshape(shape)
+
+    return field, indices(shape_a), indices(shape_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_operands(), st.integers(0, 2 * 3 ** 6))
+def test_array_arithmetic_matches_the_scalar_field(case, e):
+    """`multiply`, `power` and `negate` elementwise, broadcast, against the
+    scalar `mul`, `pow` and `neg`; `run_sums` of the runs of a against the
+    scalar `add`."""
+    F, a, b = case
+    scalar = np.vectorize(lambda x, y: F.mul(int(x), int(y)),
+                          otypes=[np.int64])
+    product = F.multiply(a, b)
+    assert product.dtype == np.int64
+    assert product.shape == np.broadcast_shapes(a.shape, b.shape)
+    assert product.tolist() == (scalar(a, b) if product.size else
+                                product).tolist()
+    powers = F.power(a, e)
+    assert powers.dtype == np.int64 and powers.shape == a.shape
+    assert powers.ravel().tolist() == [F.pow(x, e) for x in a.ravel().tolist()]
+    assert F.negate(a).tolist() == np.vectorize(
+        lambda x: F.neg(int(x)), otypes=[np.int64])(a).tolist()
+    flat = a.ravel()
+    # runs of equal parity; the first one starts at 0
+    starts = np.flatnonzero(np.diff(flat % 2, prepend=-1))
+    bounds = starts.tolist() + [len(flat)]
+    sums = [reduce(F.add, flat[lo:hi].tolist(), 0)
+            for lo, hi in zip(bounds, bounds[1:])]
+    assert F.run_sums(flat, starts).tolist() == sums
+
+
+def test_multiply_routes_by_the_field():
+    """Fields with tables gather from `_mul_array`; GF(3^6) and GF(2^10),
+    which have none, multiply through the modulus reduction `reduce`, the
+    one `groups._digit_matmul` uses too."""
+    every = np.arange(9)
+    for p, r in ((3, 2), (3, 6), (2, 10)):
+        F = build_field(p, r)
+        with mock.patch.object(FieldSpec, "reduce", autospec=True,
+                               side_effect=FieldSpec.reduce) as spy:
+            product = F.multiply(every[:, None], every)
+        assert spy.call_count == (F._mul_array is None)
+        assert product.tolist() == [[F.mul(a, b) for b in range(9)]
+                                    for a in range(9)]
+
+
+def test_tables_are_built_in_row_blocks():
+    """The transient memory of building the GF(512) tables (the peak less
+    what the field keeps) stays below the (q, r, q) int64 array of the
+    regular-representation product that built them before."""
+    p, r = 2, 9
+    tracemalloc.start()
+    try:
+        F = FieldSpec(p, r)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F._mul_array.shape == (F.q, F.q)
+    assert peak - kept < F.q * r * F.q * 8

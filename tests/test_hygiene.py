@@ -163,6 +163,38 @@ def test_f_p_coordinates_live_in_gfq():
     assert f_p_coordinate_layer_uses(ROOT / "src" / "modinvar" / "gfq.py")
 
 
+# The field's tables and the limits that choose its routes: only gfq reads
+# them, so that its array arithmetic (`FieldSpec.multiply`, `power`,
+# `negate`, `run_sums`) is the one place that branches on the field.
+FIELD_INTERNALS = {"_mul_array", "_mul_table", "_add_table", "_neg_table",
+                   "_inv_table", "TABLE_LIMIT", "NUMPY_PRIME_LIMIT"}
+
+
+def field_internal_uses(path):
+    """(line, name) of each name or attribute of FIELD_INTERNALS, or import
+    of one, in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in FIELD_INTERNALS:
+            found.append((getattr(node, "lineno", 0), name))
+    return found
+
+
+def test_field_tables_and_limits_live_in_gfq():
+    """No module outside gfq reads the field's tables or names the limits
+    that decide between tables, residue products and the modulus
+    reduction; they multiply, negate and sum indices through `FieldSpec`."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             if path.name != "gfq.py"
+             for line, name in field_internal_uses(path)]
+    assert not found, "field internals outside gfq:\n" + "\n".join(found)
+    assert field_internal_uses(ROOT / "src" / "modinvar" / "gfq.py")
+
+
 # Exceptions that `checks.run_check` alone turns into a report: a budget
 # overrun into "skipped", a refuted claim into "fail".
 REPORTED_EXCEPTIONS = {"BudgetExceeded", "ClaimRefuted", "InvarianceError"}
@@ -411,7 +443,6 @@ PRIVATE_IMPORTS = {
     *(("analysis", "groups", name)
       for name in ("_keys", "_rows", "_sorted_unique")),
     ("analysis", "linalg", "_matrix_dtype"),
-    ("analysis", "linalg", "_wide_dtype"),
     ("analysis", "invariants", "_as_field"),
     *(("checks", "groups", name) for name in (
         "_digit_matmul", "_expand", "_keys", "_matmul_mod",

@@ -437,11 +437,12 @@ def scalar_product(a: Polynomial, b: Polynomial) -> dict:
     return out
 
 
-# p = 2^31 - 1 is the largest prime the numpy product takes
-MUL_PRIMES = (2, 3, 5, 7, 2 ** 31 - 1)
-# extension fields up to gfq.TABLE_LIMIT = 512 = 2^9
+# residue products in int64 up to 2^31 - 1, in Python ints past 2^31
+MUL_PRIMES = (2, 3, 5, 7, 2 ** 31 - 1, 2 ** 31 + 11)
+# extension fields with tables (up to q = 512 = 2^9) and without
 MUL_FIELDS = tuple(build_field(p) for p in MUL_PRIMES) + tuple(
-    build_field(p, r) for p, r in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 9)))
+    build_field(p, r) for p, r in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 9),
+                                   (3, 6), (2, 10)))
 
 
 @st.composite
@@ -563,9 +564,11 @@ def argsort_combine(keys, coeffs, p):
     return keys[starts][keep], sums[keep]
 
 
-# GF(2), GF(3) and GF(2^31 - 1); GF(4), GF(8), GF(9) and GF(512)
-COMBINE_FIELDS = (F2, F3, build_field(2 ** 31 - 1), F4, build_field(2, 3),
-                  F9, build_field(2, 9))
+# GF(2), GF(3), GF(2^31 - 1) and GF(2^31 + 11); GF(4), GF(8), GF(9) and
+# GF(512) with tables, GF(3^6) without
+COMBINE_FIELDS = (F2, F3, build_field(2 ** 31 - 1), build_field(2 ** 31 + 11),
+                  F4, build_field(2, 3), F9, build_field(2, 9),
+                  build_field(3, 6))
 
 
 def word_limit(field):
@@ -683,8 +686,9 @@ def test_uniform_keys_past_the_limit_fall_back_to_dict_loop():
 
 
 def test_product_dispatch():
-    """numpy runs for large products over fields with tables and prime
-    fields below 2^31; GF(3^6) is over gfq.TABLE_LIMIT and has no tables."""
+    """numpy runs for every product of at least NUMPY_MIN_PRODUCTS term
+    pairs, whatever the field: with tables, without (GF(3^6), GF(2^10)) or
+    with residue products past int64 (2^31 + 11)."""
     big_p = 2 ** 31 + 11
 
     def operand(field, n_terms):
@@ -693,8 +697,11 @@ def test_product_dispatch():
 
     cases = [(F3, 8, 8, True), (F3, 2, 8, False), (F4, 8, 8, True),
              (F4, 2, 8, False), (build_field(2, 9), 8, 8, True),
-             (build_field(3, 6), 8, 8, False),
-             (build_field(big_p), 8, 8, False)]
+             (build_field(3, 6), 8, 8, True),
+             (build_field(3, 6), 2, 8, False),
+             (build_field(2, 10), 8, 8, True),
+             (build_field(big_p), 8, 8, True),
+             (build_field(big_p), 2, 8, False)]
     for field, la, lb, packed in cases:
         a, b = operand(field, la), operand(field, lb)
         with mock.patch.object(mvpoly, "_mul_packed",
@@ -706,8 +713,10 @@ def test_product_dispatch():
 
 # -- the action on stacks of matrices against substitution --
 
+# GF(2^10) has no tables; 2^31 + 11 multiplies in Python ints
 ACT_FIELDS = (build_field(2), build_field(3), build_field(2, 2),
-              build_field(5), build_field(2, 3), build_field(3, 2))
+              build_field(5), build_field(2, 3), build_field(3, 2),
+              build_field(2, 10), build_field(2 ** 31 + 11))
 
 
 def substituted(f, g):
@@ -734,13 +743,15 @@ def unpacked(family, space, radix, count):
 def action_stacks(draw):
     """Polynomials (the zero one among them) whose exponents reach p^2 and
     beyond, so that the Frobenius digits run, and a stack of 0-3 matrices:
-    random, identity, monomial and singular ones."""
+    random, identity, monomial and singular ones.  Over the large prime
+    only the exponents up to 2 are drawn, whose keys stay packed."""
     field = draw(st.sampled_from(ACT_FIELDS))
     p, q = field.p, field.q
     n = draw(st.integers(0, 4))
     sp = VariableSpace(field, [f"x{i}" for i in range(n)])
-    exponent = st.sampled_from([0, 1, 2, p - 1, p, p + 1, p * p, p * p + 1,
-                                2 * p * p + p - 1, p ** 3 - 1])
+    exponent = st.sampled_from([e for e in (
+        0, 1, 2, p - 1, p, p + 1, p * p, p * p + 1, 2 * p * p + p - 1,
+        p ** 3 - 1) if e < 1000])
     terms = st.dictionaries(st.tuples(*[exponent] * n),
                             st.integers(1, q - 1), max_size=6)
     polys = [Polynomial(sp, t)
@@ -855,20 +866,25 @@ def test_act_kernel_empty_inputs():
 
 
 @pytest.mark.parametrize("field", [build_field(2, 10),
-                                   build_field(2 ** 31 + 11)])
-def test_act_kernel_falls_back_beyond_numpy_fields(field):
-    """GF(2^10) has no tables and 2^31 + 11 is past NUMPY_PRIME_LIMIT: the
-    kernel behind the transfer sum and `fixed_by` runs `_act_substitute`,
-    with the substitution's result."""
+                                   build_field(2 ** 31 + 11),
+                                   build_field(3, 6)])
+def test_act_kernel_runs_packed_over_every_field(field):
+    """GF(2^10) and GF(3^6) have no tables and 2^31 + 11 multiplies in
+    Python ints: the kernel behind the transfer sum and `fixed_by` still
+    runs `_act_packed`, never `_act_substitute`, with the substitution's
+    result."""
     sp = space(field, "x", "y")
     f = Polynomial(sp, {(i, 13 - i): i + 1 for i in range(14)})
     g = np.array([[3, 1], [1, field.q - 1]], dtype=np.int64)
     stack = np.stack([g, np.eye(2, dtype=np.int64)])
     with mock.patch.object(mvpoly, "_act_substitute",
-                           wraps=mvpoly._act_substitute) as spy:
+                           wraps=mvpoly._act_substitute) as fallback, \
+            mock.patch.object(mvpoly, "_act_packed",
+                              wraps=mvpoly._act_packed) as packed:
         assert mvpoly._act_sum([f], stack)[0] == substituted(f, g) + f
         assert mvpoly.fixed_by([f], stack).tolist() == [[False, True]]
-    assert spy.call_count == 2
+    assert fallback.call_count == 0
+    assert packed.call_count == 2
 
 
 def test_act_kernel_falls_back_beyond_the_key_limit():
