@@ -13,9 +13,8 @@ import numpy as np
 
 from modinvar.gfq import build_field
 from modinvar.gluing import GluingGroup, full_hom_module, glue
-from modinvar.groups import (DEFAULT_CAP, BudgetExceeded, MatrixGroup,
-                             NotEnumeratedError, _keys, _rows, _sorted_unique,
-                             unipotent_upper)
+from modinvar.groups import (BudgetExceeded, MatrixGroup, NotEnumeratedError,
+                             _keys, _rows, _sorted_unique, unipotent_upper)
 from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  dickson_via_moore, n_k, orbit_product,
                                  partial_dickson, psi_substitute, span_basis,
@@ -93,15 +92,15 @@ def transfer(polys, group: MatrixGroup) -> list:
     return _act_sum(polys, group.rows())
 
 
-def transfer_factorization_check(polys, gluing: GluingGroup,
-                                 cap=DEFAULT_CAP) -> VerificationReport:
+def transfer_factorization_check(polys,
+                                 gluing: GluingGroup) -> VerificationReport:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
     M, for each f of polys: the glued group, the M-block and the G1 x G2
     block are enumerated once, and three `transfer` calls form both sides
     of every f.  The first f whose sides differ is reported."""
-    whole = gluing.enumerate(cap)
+    whole = gluing.enumerate()
     msub = gluing.m_subgroup()
-    factors = gluing.factor_subgroup().enumerate(cap)
+    factors = gluing.factor_subgroup().enumerate()
     lhs = transfer(polys, whole)
     rhs = transfer(transfer(polys, msub), factors)
     for f, left, right in zip(polys, lhs, rhs):

@@ -1,15 +1,16 @@
 """Named verification checks: the vocabulary shared by the CLI `verify`
 subcommand and scenario files.
 
-Every check returns a VerificationReport and runs through `run_check`, the
-one place that times a check (`millis`, from `time.perf_counter`) and the
-one place that turns an exception into a report.  A `BudgetExceeded` (an
-enumeration cap, a monomial budget, an exhaustive-search limit) raised
-anywhere inside a check becomes status "skipped" with its message as the
-note; a `ClaimRefuted` (an enumerated count against a claimed order, an
-`InvarianceError` of a family, a generator that breaks its form) becomes
-"fail" with its message as the witness.  Claims are certified where they
-are stated, so no check restates them; every other exception propagates.
+Every check is `check(params)`, returns a VerificationReport and runs
+through `run_check`, the one place that sets its budgets, times it
+(`millis`, from `time.perf_counter`) and turns an exception into a report.
+A `BudgetExceeded` (an enumeration cap, a monomial budget, an
+exhaustive-search limit) raised anywhere inside a check becomes status
+"skipped" with its message as the note; a `ClaimRefuted` (an enumerated
+count against a claimed order, an `InvarianceError` of a family, a
+generator that breaks its form) becomes "fail" with its message as the
+witness.  Claims are certified where they are stated, so no check restates
+them; every other exception propagates.
 """
 
 from __future__ import annotations
@@ -31,16 +32,15 @@ from modinvar.gfq import build_field
 from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
                              glue, scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
-from modinvar.groups import (CHUNK_ENTRIES, DEFAULT_CAP, BudgetExceeded,
-                             ClaimRefuted, FormSpec, GroupElement,
-                             MatrixGroup, _digit_matmul, _expand, _keys,
-                             _matmul_mod, _sorted_unique, element_orders,
-                             field_from_order, gl_group, index_matmul,
-                             o3_sylow_generators, o4_plus_sylow_generators,
-                             p_k_subgroup, parabolic_g_k, parse_matrix,
-                             sp_group, stabilizer_of_polynomial,
-                             stabilizer_sp, trivial_group, unipotent_upper,
-                             usp_group)
+from modinvar.groups import (CHUNK_ENTRIES, RUN_BUDGETS, BudgetExceeded,
+                             ClaimRefuted, FormSpec, GroupElement, MatrixGroup,
+                             _digit_matmul, _expand, _keys, _matmul_mod,
+                             _sorted_unique, element_orders, field_from_order,
+                             gl_group, index_matmul, o3_sylow_generators,
+                             o4_plus_sylow_generators, p_k_subgroup,
+                             parabolic_g_k, parse_matrix, run_budgets,
+                             sp_group, stabilizer_of_polynomial, stabilizer_sp,
+                             trivial_group, unipotent_upper, usp_group)
 from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute,
@@ -74,7 +74,7 @@ def build_group(kind: str, params: dict) -> MatrixGroup:
     return GROUP_KINDS[kind](params, field_from_order(params["q"]))
 
 
-def check_group_order(params, budgets) -> VerificationReport:
+def check_group_order(params) -> VerificationReport:
     """The constructor's claimed order matches an explicit pin, and
     enumeration certifies it."""
     G = build_group(params["kind"], params)
@@ -83,20 +83,19 @@ def check_group_order(params, budgets) -> VerificationReport:
         return VerificationReport("group_order", params, "fail",
                                   witness=f"formula order {G.claimed_order} "
                                           f"!= pinned order {pinned}")
-    G.enumerate(budgets.get("cap", DEFAULT_CAP))
+    G.enumerate()
     return VerificationReport("group_order", params, "pass")
 
 
-def check_glued_order(params, budgets) -> VerificationReport:
+def check_glued_order(params) -> VerificationReport:
     """|realized| = |G1| * |M| * |G2| for a described gluing: the realized
     group claims that product, and enumerating G1, G2 and the realized group
     certifies each claim."""
-    cap = budgets.get("cap", DEFAULT_CAP)
     gluing = build_gluing(params)
     expected = params.get("order")
-    R = gluing.enumerate(cap)
-    gluing.G1.enumerate(cap)
-    gluing.G2.enumerate(cap)
+    R = gluing.enumerate()
+    gluing.G1.enumerate()
+    gluing.G2.enumerate()
     if expected is not None and R.order() != expected:
         return VerificationReport("glued_order", params, "fail",
                                   witness=f"realized {R.order()} != pinned "
@@ -166,12 +165,11 @@ def build_gluing(params):
                 flavor="subfield" if module == "subfield" else "generic")
 
 
-def check_stabilizer_order(params, budgets) -> VerificationReport:
+def check_stabilizer_order(params) -> VerificationReport:
     """Order of the stabilizer of a named polynomial inside an enumerated
     general linear group."""
     q = params["q"]
     field = field_from_order(q)
-    cap = budgets.get("cap", DEFAULT_CAP)
     which = params["polynomial"]
     if which == "xi1":
         m = params.get("m", 1)
@@ -184,8 +182,7 @@ def check_stabilizer_order(params, budgets) -> VerificationReport:
         G = gl_group(3, field)
     else:
         raise ValueError(f"unknown polynomial token {which!r}")
-    G = G.enumerate(cap)
-    S = stabilizer_of_polynomial(G, f)
+    S = stabilizer_of_polynomial(G.enumerate(), f)
     expected = params["order"]
     if S.order() != expected:
         return VerificationReport("stabilizer_order", params, "fail",
@@ -194,14 +191,14 @@ def check_stabilizer_order(params, budgets) -> VerificationReport:
     return VerificationReport("stabilizer_order", params, "pass")
 
 
-def check_hilbert(params, budgets) -> VerificationReport:
+def check_hilbert(params) -> VerificationReport:
     G = build_group(params["group"]["kind"], params["group"])
-    D = params.get("D", budgets.get("degree_bound", 10))
+    D = params.get("D", RUN_BUDGETS.get()["degree_bound"])
     claim = HilbertClaim(params["generators"], params.get("relations", []))
     return hilbert_check(claim, G, D)
 
 
-def check_degree_product(params, budgets) -> VerificationReport:
+def check_degree_product(params) -> VerificationReport:
     fam = family(params["family"], **params.get("params", {}))
     drop = params.get("drop")
     if drop is not None:
@@ -212,7 +209,7 @@ def check_degree_product(params, budgets) -> VerificationReport:
     return degree_product_check(fam)
 
 
-def check_family(params, budgets) -> VerificationReport:
+def check_family(params) -> VerificationReport:
     """Construct a family; construction validates degrees and invariance."""
     fam = family(params["family"], **params.get("params", {}))
     return VerificationReport("family", params, "pass",
@@ -251,7 +248,7 @@ def _law_pairs(sizes, params, seed):
         lambda start, stop: drawn[start:stop]
 
 
-def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
+def check_semidirect_law(params) -> VerificationReport:
     """Triple product law against block matrix multiplication.
 
     Two routes that share no arithmetic meet on each pair of triples
@@ -263,13 +260,12 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
     matrices in the field's own digit-polynomial arithmetic
     (`groups._digit_matmul`).  The first pair whose block matrices differ
     is reported."""
-    cap = budgets.get("cap", DEFAULT_CAP)
     gluing = build_gluing(params)
-    G1 = gluing.G1.enumerate(cap)
-    G2 = gluing.G2.enumerate(cap)
+    G1 = gluing.G1.enumerate()
+    G2 = gluing.G2.enumerate()
     phis = gluing.M.elements()
     sizes = (G1.order(), len(phis), G2.order())
-    total, distinct, pair_ids = _law_pairs(sizes, params, seed)
+    total, distinct, pair_ids = _law_pairs(sizes, params, 0)
     field, m, n = gluing.field, gluing.m, gluing.n
     p, r = field.p, field.r
     a, k, b = np.unravel_index(distinct, sizes)
@@ -305,7 +301,7 @@ def check_semidirect_law(params, budgets, seed=0) -> VerificationReport:
                               notes=f"{total} of {total} pairs checked")
 
 
-def check_thin_glue(params, budgets) -> VerificationReport:
+def check_thin_glue(params) -> VerificationReport:
     """Dimension p^r + 1, faithfulness, and a maximal element order of
     p^(r+1).  Faithfulness is the realized group's claimed order
     p^r * p^(p^r), which its enumeration certifies.
@@ -323,9 +319,8 @@ def check_thin_glue(params, budgets) -> VerificationReport:
     with the same report."""
     p, r = params["p"], params["r"]
     field = build_field(p, r)
-    cap = budgets.get("cap", DEFAULT_CAP)
     gluing = thin_glue_regular(p, r, field)
-    R = gluing.enumerate(cap)
+    R = gluing.enumerate()
     size = p ** r
     if R.n != size + 1:
         return VerificationReport("thin_glue", params, "fail",
@@ -343,11 +338,11 @@ def check_thin_glue(params, budgets) -> VerificationReport:
     return VerificationReport("thin_glue", params, "pass")
 
 
-def check_transfer_example(params, budgets) -> VerificationReport:
+def check_transfer_example(params) -> VerificationReport:
     """Image of the module transfer: divisibility by tau up to the degree
     bound and attainment of tau at its own degree."""
     p = params["p"]
-    D = params.get("D", budgets.get("degree_bound", 12))
+    D = params.get("D", RUN_BUDGETS.get()["degree_bound"])
     gluing = u4_gluing(p)
     space = gluing_space(gluing.field, 2, 2)
     tau = dickson_in(space, ["x1", "x2"], 2) ** params.get("tau_power", 2)
@@ -358,7 +353,7 @@ def check_transfer_example(params, budgets) -> VerificationReport:
                               witness=rep.witness)
 
 
-def check_transfer_factorization(params, budgets) -> VerificationReport:
+def check_transfer_factorization(params) -> VerificationReport:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
     M, on random monomials, all of them in one
     `transfer_factorization_check`."""
@@ -370,8 +365,7 @@ def check_transfer_factorization(params, budgets) -> VerificationReport:
     polys = [space.monomial(tuple(rng.randrange(maxdeg + 1)
                                   for _ in range(space.dim)))
              for _ in range(count)]
-    rep = transfer_factorization_check(polys, gluing,
-                                       budgets.get("cap", DEFAULT_CAP))
+    rep = transfer_factorization_check(polys, gluing)
     if not rep.passed:
         rep.params.update(params)
         return rep
@@ -379,7 +373,7 @@ def check_transfer_factorization(params, budgets) -> VerificationReport:
                               notes=f"{count} monomials checked")
 
 
-def check_parabolic_family(params, budgets) -> VerificationReport:
+def check_parabolic_family(params) -> VerificationReport:
     """Substituted generators of a parabolic gluing: invariance under every
     realized generator (`GeneratorFamily.validate`) and the degree-product
     count."""
@@ -402,8 +396,7 @@ def check_parabolic_family(params, budgets) -> VerificationReport:
         [FamilyMember(label, poly, poly.degree()) for label, poly in members],
         gluing.realized)
     degprod = fam.degree_product()
-    cap = budgets.get("cap", DEFAULT_CAP)
-    order = gluing.enumerate(cap).order()
+    order = gluing.enumerate().order()
     if degprod != order:
         return VerificationReport("parabolic_family", params, "fail",
                                   witness=f"degree product {degprod} != "
@@ -412,17 +405,17 @@ def check_parabolic_family(params, budgets) -> VerificationReport:
                               notes=f"degrees {fam.degrees}, order {order}")
 
 
-def check_singular_form(params, budgets) -> VerificationReport:
+def check_singular_form(params) -> VerificationReport:
     """Alternating rank-2 form on a 3-space: the glued order
     |GL1| * q^2 * |Sp2|, certified by enumeration, and preservation of the
     form, certified on the generators by `singular_form_group`; the form is
     the one of `build_gluing`'s "singular" kind."""
     gluing = build_gluing({"kind": "singular", "q": params["q"]})
-    gluing.enumerate(budgets.get("cap", DEFAULT_CAP))
+    gluing.enumerate()
     return VerificationReport("singular_form", params, "pass")
 
 
-def check_orbit_additivity(params, budgets) -> VerificationReport:
+def check_orbit_additivity(params) -> VerificationReport:
     """Orbit products over the F_q-span of x1..xn are additive in the moving
     form: `orbit_product` (the Frobenius recursion) of fa + fb against the
     sum of the literal products (`subspace_product`) of fa and fb."""
@@ -447,7 +440,7 @@ def check_orbit_additivity(params, budgets) -> VerificationReport:
     return VerificationReport("orbit_additivity", params, "pass")
 
 
-def check_field_axioms(params, budgets) -> VerificationReport:
+def check_field_axioms(params) -> VerificationReport:
     import itertools as it
     p, r = params["p"], params.get("r", 1)
     field = build_field(p, r)
@@ -470,7 +463,7 @@ def check_field_axioms(params, budgets) -> VerificationReport:
     return VerificationReport("field_axioms", params, "pass")
 
 
-def check_action_compatibility(params, budgets) -> VerificationReport:
+def check_action_compatibility(params) -> VerificationReport:
     """f.(g h) = (f.g).h for random polynomials f and pairs of elements of
     GL_n: all pairs when there are at most 2500, else 50 pairs per
     polynomial, drawn as `rng.choice` over the elements draws them.  The
@@ -486,8 +479,7 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     q = params.get("q", 2)
     n = params.get("n", 2)
     field = field_from_order(q)
-    cap = budgets.get("cap", DEFAULT_CAP)
-    G = gl_group(n, field).enumerate(cap)
+    G = gl_group(n, field).enumerate()
     rows = G.rows()
     order = len(rows)
     rng = random.Random(params.get("seed", 0))
@@ -526,7 +518,7 @@ def check_action_compatibility(params, budgets) -> VerificationReport:
     return VerificationReport("action_compatibility", params, "pass")
 
 
-def check_transfer_module(params, budgets) -> VerificationReport:
+def check_transfer_module(params) -> VerificationReport:
     """Transfer is G-stable on translates and F[V]^G-linear on invariant
     multiples.  Each sample draws a monomial f, an element g and an
     invariant h; one `transfer` call forms Tr(f), Tr(f.g) and Tr(h f) for
@@ -560,12 +552,12 @@ def check_transfer_module(params, budgets) -> VerificationReport:
     return VerificationReport("transfer_module", params, "pass")
 
 
-def check_identity(params, budgets) -> VerificationReport:
+def check_identity(params) -> VerificationReport:
     name = params["name"]
     return identity_suite(name, params.get("params", {}))
 
 
-def check_gk_non_ci_conjecture(params, budgets) -> VerificationReport:
+def check_gk_non_ci_conjecture(params) -> VerificationReport:
     """The conjectured extra relations of the type-m parabolic invariant ring
     would need normal forms modulo the relation ideal; that machinery is out
     of scope, so the check is recorded as skipped."""
@@ -621,18 +613,22 @@ REQUIRED_PARAMS = {
 
 
 def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationReport:
-    """Run one named check, timed by a monotonic clock into `millis`.  A
-    BudgetExceeded raised anywhere inside the check becomes a skipped report
-    carrying its message, a ClaimRefuted a failed report with its message
-    as the witness; every other exception propagates."""
+    """Run one named check under budgets (`groups.run_budgets`), timed by a
+    monotonic clock into `millis`.  A BudgetExceeded raised anywhere inside
+    the check becomes a skipped report carrying its message, a ClaimRefuted
+    a failed report with its message as the witness; every other exception
+    propagates."""
     if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}; known: {sorted(CHECKS)}")
+    token = RUN_BUDGETS.set(run_budgets(budgets or {}))
     t0 = time.perf_counter()
     try:
-        report = CHECKS[kind](params, budgets or {})
+        report = CHECKS[kind](params)
     except BudgetExceeded as exc:
         report = VerificationReport(kind, params, "skipped", notes=str(exc))
     except ClaimRefuted as exc:
         report = VerificationReport(kind, params, "fail", witness=str(exc))
+    finally:
+        RUN_BUDGETS.reset(token)
     report.millis = (time.perf_counter() - t0) * 1000
     return report

@@ -22,7 +22,8 @@ from modinvar import checks as checks_mod
 from modinvar.analysis import VerificationReport
 from modinvar.checks import build_gluing, build_group, run_check
 from modinvar.gfq import build_field
-from modinvar.groups import DEFAULT_CAP, field_from_order, format_matrix
+from modinvar.groups import (BUDGET_DEFAULTS, BudgetExceeded,
+                             field_from_order, format_matrix, run_budgets)
 from modinvar.invariants import (dickson, family, n_k, orbit_product,
                                  partial_dickson, xi)
 from modinvar.mvpoly import (VariableSpace, format_polynomial,
@@ -36,6 +37,11 @@ def _int_or_str(text):
         return int(text)
     except ValueError:
         return text
+
+
+def _given(args, keys):
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def _params_from_pairs(pairs):
@@ -57,8 +63,7 @@ def cmd_field(args):
 
 
 def cmd_group(args):
-    params = {k: v for k, v in vars(args).items()
-              if k in ("n", "m", "k", "q") and v is not None}
+    params = _given(args, ("n", "m", "k", "q"))
     G = build_group(args.kind, params)
     if args.action == "order":
         print(G.claimed_order)
@@ -136,16 +141,12 @@ def cmd_inv(args):
 
 
 def cmd_verify(args):
-    params = _params_from_pairs(args.param or [])
-    for key in ("m", "k", "i", "j", "q", "p", "n", "sign", "ell", "r", "D"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    budgets = {"cap": args.cap, "degree_bound": args.degree_bound}
+    params = {**_params_from_pairs(args.param or []), **_given(
+        args, ("m", "k", "i", "j", "q", "p", "n", "sign", "ell", "r", "D"))}
     kind = args.name
     if kind not in checks_mod.CHECKS or kind == "identity":
         kind, params = "identity", {"name": args.name, "params": params}
-    report = run_check(kind, params, budgets)
+    report = run_check(kind, params, _given(args, BUDGET_DEFAULTS))
     line = json.dumps(report.to_dict(), sort_keys=True)
     print(line)
     return 0 if report.status == "pass" else 1
@@ -181,9 +182,7 @@ def load_scenario(path_text):
     if not isinstance(data, dict) or "checks" not in data:
         raise ValueError(f"scenario file {path} must be a mapping with a "
                          "'checks' list")
-    for key, value in (data.get("budgets") or {}).items():
-        if not isinstance(value, int) or value <= 0:
-            raise ValueError(f"budget {key!r} must be a positive integer")
+    run_budgets(data.get("budgets") or {})
     for entry in data["checks"]:
         if "check" not in entry:
             raise ValueError(f"scenario entry without a 'check' kind: {entry}")
@@ -200,7 +199,7 @@ def load_scenario(path_text):
 
 
 def run_scenario(data, json_path=None, quiet=False):
-    budgets = dict(data.get("budgets") or {})
+    budgets = run_budgets(data.get("budgets") or {})
     seed = data.get("seed", 1234)
     reports = []
     lines = []
@@ -246,15 +245,9 @@ def run_scenario(data, json_path=None, quiet=False):
 
 
 def cmd_run(args):
-    try:
-        data = load_scenario(args.scenario)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.cap:
-        data.setdefault("budgets", {})["cap"] = args.cap
-    if args.degree_bound:
-        data.setdefault("budgets", {})["degree_bound"] = args.degree_bound
+    data = load_scenario(args.scenario)
+    data["budgets"] = {**(data.get("budgets") or {}),
+                       **_given(args, BUDGET_DEFAULTS)}
     if args.seed is not None:
         data["seed"] = args.seed
     code, _ = run_scenario(data, json_path=args.json, quiet=args.quiet)
@@ -263,9 +256,6 @@ def cmd_run(args):
 
 def cmd_report(args):
     path = Path(args.jsonl)
-    if not path.exists():
-        print(f"error: no report at {path}", file=sys.stderr)
-        return 2
     counts = {"pass": 0, "fail": 0, "skipped": 0, "error": 0}
     for line in path.read_text().splitlines():
         if not line.strip():
@@ -300,7 +290,7 @@ def build_parser():
     p_group.add_argument("--m", type=int)
     p_group.add_argument("--k", type=int)
     p_group.add_argument("--q", type=int, required=True)
-    p_group.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_group.add_argument("--cap", type=int)
     p_group.add_argument("--verbose", action="store_true")
     p_group.set_defaults(func=cmd_group)
 
@@ -320,7 +310,7 @@ def build_parser():
     p_glue.add_argument("--q-sub", type=int, dest="q_sub")
     p_glue.add_argument("--module-file", dest="module_file")
     p_glue.add_argument("--partition")
-    p_glue.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_glue.add_argument("--cap", type=int)
     p_glue.set_defaults(func=cmd_glue)
 
     p_inv = sub.add_parser("inv", help="emit an invariant polynomial")
@@ -348,9 +338,8 @@ def build_parser():
         p_verify.add_argument(f"--{key}", type=int, default=None)
     p_verify.add_argument("--param", nargs=2, action="append",
                           metavar=("KEY", "VALUE"))
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_verify.add_argument("--degree-bound", type=int, default=12,
-                          dest="degree_bound")
+    p_verify.add_argument("--cap", type=int)
+    p_verify.add_argument("--degree-bound", type=int, dest="degree_bound")
     p_verify.set_defaults(func=cmd_verify)
 
     p_run = sub.add_parser("run", help="run a scenario file")
@@ -374,7 +363,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,12 +16,11 @@ import math
 import numpy as np
 
 from modinvar.gfq import FieldSpec, Scalar, build_field
-from modinvar.groups import (DEFAULT_CAP, ClaimRefuted, GroupElement,
-                             MatrixGroup, NotEnumeratedError, _index_rows,
+from modinvar.groups import (ClaimRefuted, FormSpec, GroupElement, MatrixGroup,
+                             NotEnumeratedError, _index_rows, form_preserved,
                              gl_group, index_inverse, index_matmul, mat_mul,
                              minimal_generators, product_group, sp_group,
-                             sp_order, symplectic_j, trivial_group, FormSpec,
-                             form_preserved)
+                             sp_order, symplectic_j, trivial_group)
 from modinvar.linalg import (in_reduced_row_space, nullspace_field, rref_field,
                              rref_mod_p)
 from modinvar.mvpoly import VariableSpace
@@ -169,7 +168,7 @@ class GluingGroup:
                                                   name="G1xG2-block")
         return self._factor_subgroup
 
-    def enumerate(self, cap: int = DEFAULT_CAP) -> MatrixGroup:
+    def enumerate(self, cap: int = None) -> MatrixGroup:
         return self.realized.enumerate(cap)
 
     def __repr__(self):
@@ -429,7 +428,7 @@ def _congruent(field, P, gram):
     return index_matmul(field, index_matmul(field, P.T, np.array(gram)), P)
 
 
-def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
+def singular_form_group(form: FormSpec) -> GluingGroup:
     """Isometry group of a degenerate form, realized as the gluing of the GL
     of the radical with the isometry group of the induced nondegenerate form.
 
@@ -470,7 +469,7 @@ def singular_form_group(form: FormSpec, cap: int = DEFAULT_CAP) -> GluingGroup:
         # enumerate the full linear group and filter; desk-scale fallback
         quotient_form = FormSpec(form.kind, field, gram=quotient_gram) \
             if form.kind != "quadratic" else _quadratic_on_quotient(form, P, m, n)
-        rows = gl_group(n, field).enumerate(cap).rows()
+        rows = gl_group(n, field).enumerate().rows()
         elems = rows[form_preserved(rows, quotient_form)]
         G2 = MatrixGroup(field, n, minimal_generators(field, elems),
                          name=f"Isom({form.kind})", elements=elems)

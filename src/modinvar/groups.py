@@ -8,6 +8,7 @@ identity.  All symplectic constructors use it.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 
@@ -17,7 +18,11 @@ from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.linalg import rref_field
 from modinvar.mvpoly import Polynomial, fixed_by
 
+# The budgets a run may set, at their defaults; `checks.run_check` sets a
+# check's (`run_budgets`), and every read of one goes through RUN_BUDGETS.
 DEFAULT_CAP = 10 ** 6
+BUDGET_DEFAULTS = {"cap": DEFAULT_CAP, "degree_bound": 12}
+RUN_BUDGETS = contextvars.ContextVar("run_budgets", default=BUDGET_DEFAULTS)
 
 # Bound on the entries of one batched product array; keeps the working set of
 # a closure or an order computation small whatever the group order.
@@ -41,6 +46,16 @@ class ClaimRefuted(AssertionError):
 
 class NotEnumeratedError(RuntimeError):
     """Operation requires a fully enumerated group."""
+
+
+def run_budgets(budgets: dict) -> dict:
+    """The defaults overridden by budgets; ValueError unless each is a known
+    budget with a positive integer value."""
+    for name, value in budgets.items():
+        if type(value) is not int or value < 1 or name not in BUDGET_DEFAULTS:
+            raise ValueError(f"bad budget {name}={value!r}: the budgets are "
+                             f"{sorted(BUDGET_DEFAULTS)}, positive integers")
+    return {**BUDGET_DEFAULTS, **budgets}
 
 
 def field_from_order(q: int) -> FieldSpec:
@@ -707,10 +722,11 @@ class MatrixGroup:
     def identity(self) -> GroupElement:
         return GroupElement(self.field, identity_matrix(self.n), check=False)
 
-    def enumerate(self, cap: int = DEFAULT_CAP) -> "MatrixGroup":
+    def enumerate(self, cap: int = None) -> "MatrixGroup":
         """The group, closed once: a group already enumerated is returned
-        as it is, unless its order exceeds cap, which raises the
-        BudgetExceeded the closure would have raised."""
+        as it is, unless its order exceeds cap (the run's cap when None),
+        which raises the BudgetExceeded the closure would have raised."""
+        cap = RUN_BUDGETS.get()["cap"] if cap is None else cap
         if cap < 1:
             raise ValueError("cap must be positive")
         name = self.name or "group"

@@ -58,6 +58,69 @@ def test_enumeration_cap_is_skipped():
     assert rep.status == "skipped" and "exceeds cap 10" in rep.notes
 
 
+def test_every_closure_in_a_check_obeys_the_run_cap():
+    """The M-block, closed inside `GluingGroup.m_subgroup` with no cap of
+    its own, is held to the run's cap."""
+    rep = run_check("transfer_example", {"p": 2, "D": 4}, {"cap": 2})
+    assert rep.status == "skipped" and rep.notes == "M-block exceeds cap 2"
+
+
+def test_sequential_runs_do_not_leak_budgets():
+    params = {"kind": "gl", "n": 2, "q": 3}
+    assert run_check("group_order", params, {"cap": 10}).status == "skipped"
+    assert run_check("group_order", params, {}).status == "pass"
+
+
+@pytest.mark.parametrize("inner_raises", [False, True])
+def test_nested_run_check_restores_the_outer_budgets(monkeypatch,
+                                                      inner_raises):
+    seen = []
+
+    def inner(params):
+        seen.append(groups.RUN_BUDGETS.get()["cap"])
+        if inner_raises:
+            raise KeyError("inner")
+        return VerificationReport("inner", params, "pass")
+
+    def outer(params):
+        seen.append(groups.RUN_BUDGETS.get()["cap"])
+        try:
+            run_check("inner", {}, {"cap": 5})
+        except KeyError:
+            pass
+        seen.append(groups.RUN_BUDGETS.get()["cap"])
+        return VerificationReport("outer", params, "pass")
+
+    monkeypatch.setitem(checks.CHECKS, "inner", inner)
+    monkeypatch.setitem(checks.CHECKS, "outer", outer)
+    assert run_check("outer", {}, {"cap": 7}).status == "pass"
+    assert seen == [7, 5, 7]
+    assert groups.RUN_BUDGETS.get() == groups.BUDGET_DEFAULTS
+
+
+@pytest.mark.parametrize("budgets", [{"cpa": 10}, {"cap": 0}])
+def test_unknown_or_bad_budget_is_refused(budgets):
+    with pytest.raises(ValueError, match=r"\['cap', 'degree_bound'\]"):
+        run_check("group_order", {"kind": "gl", "n": 2, "q": 2}, budgets)
+
+
+def test_hilbert_degree_bound_is_the_runs(monkeypatch):
+    """A hilbert check without D takes the run's degree bound, 12 unless
+    the run sets it."""
+    bounds = []
+
+    def record(claim, G, D):
+        bounds.append(D)
+        return VerificationReport("hilbert", {}, "pass")
+
+    monkeypatch.setattr(checks, "hilbert_check", record)
+    params = {"group": {"kind": "u", "n": 2, "q": 2}, "generators": [1, 2]}
+    run_check("hilbert", params)
+    run_check("hilbert", params, {"degree_bound": 5})
+    run_check("hilbert", {**params, "D": 3}, {"degree_bound": 5})
+    assert bounds == [12, 5, 3]
+
+
 def test_other_exceptions_propagate():
     with pytest.raises(KeyError):
         run_check("group_order", {"kind": "gl", "n": 2}, {})

@@ -91,6 +91,23 @@ def test_run_bundled_scenarios(capsys):
         assert code == 0, f"{name} failed:\n{out}"
 
 
+def test_desk_reports_match_the_recorded_ones():
+    """The five desk scenarios report what tests/data/desk_reports.jsonl
+    records, key for key apart from `millis`."""
+    recorded = [json.loads(line) for line in
+                (Path(__file__).parent / "data" / "desk_reports.jsonl")
+                .read_text().splitlines()]
+    reports = []
+    for name in ("acceptance", "orders_small", "ck_sp4_q2", "transfer_u4",
+                 "negative_controls"):
+        _, got = run_scenario(load_scenario(name), quiet=True)
+        for report in got:
+            line = json.loads(json.dumps(report.to_dict()))
+            del line["millis"]
+            reports.append({"scenario": name, **line})
+    assert reports == recorded
+
+
 def test_glue_kinds(capsys):
     code, out, _ = run_cli(capsys, "glue", "--kind", "thin", "--p", "2",
                            "--r", "2")
@@ -139,6 +156,25 @@ def test_bad_budget_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(scen))
     assert code == 2
     assert "budget" in err
+
+
+def test_unknown_budget_name_rejected(tmp_path, capsys):
+    scen = tmp_path / "budget.yaml"
+    scen.write_text("name: x\nbudgets: {cpa: 10}\nchecks:\n"
+                    "  - check: field_axioms\n    params: {p: 2}\n")
+    code, _, err = run_cli(capsys, "run", str(scen))
+    assert code == 2
+    assert "cpa" in err and "['cap', 'degree_bound']" in err
+
+
+def test_cap_overrun_is_an_error(capsys):
+    code, _, err = run_cli(capsys, "group", "enumerate", "--kind", "gl",
+                           "--n", "2", "--q", "3", "--cap", "10")
+    assert code == 2 and err == "error: GL2(F3) exceeds cap 10\n"
+    code, _, err = run_cli(capsys, "glue", "--q", "2", "--m", "2", "--n", "2",
+                           "--g1", "gl", "--g2", "gl", "--cap", "10")
+    assert code == 2 and err.startswith("error: ")
+    assert err.endswith(" exceeds cap 10\n")
 
 
 def test_run_missing_scenario(capsys):

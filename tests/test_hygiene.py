@@ -1,6 +1,7 @@
 """Every name a module under src/modinvar or tests/ imports is used there."""
 
 import ast
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -227,17 +228,40 @@ def reported_exception_handlers(path):
     return found
 
 
+# `checks.run_check` makes the reports; `cli.main` prints an overrun outside
+# any check (`group enumerate`, `glue`) as the command's error, no report.
+ALLOWED_HANDLERS = {("checks.py", "run_check"), ("cli.py", "main")}
+
+
 def test_only_run_check_turns_exceptions_into_reports():
     found = [f"{path.relative_to(ROOT).as_posix()}:{line} in {function}: "
              f"{name}"
              for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
              for line, function, name in reported_exception_handlers(path)
-             if (path.name, function) != ("checks.py", "run_check")]
+             if (path.name, function) not in ALLOWED_HANDLERS]
     assert not found, "handlers outside checks.run_check:\n" + \
         "\n".join(found)
     handled = {name for _, _, name in reported_exception_handlers(
         ROOT / "src" / "modinvar" / "checks.py")}
     assert handled == {"BudgetExceeded", "ClaimRefuted"}
+
+
+def test_checks_take_params_only():
+    """Budgets reach a check through the run (`checks.run_check`), never as
+    an argument."""
+    from modinvar.checks import CHECKS
+    found = {kind: list(inspect.signature(check).parameters)
+             for kind, check in CHECKS.items()}
+    assert {kind: names for kind, names in found.items()
+            if names != ["params"]} == {}
+
+
+def test_only_groups_names_default_cap():
+    """The default cap is a default of the run, held by `groups`."""
+    found = [path.name
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             if "DEFAULT_CAP" in path.read_text()]
+    assert found == ["groups.py"]
 
 
 def test_checks_restate_no_order_formula():
