@@ -13,9 +13,10 @@ from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
                              subfield_elements, subfield_hom_module,
                              thin_glue_regular, zero_module)
 from modinvar.groups import (FormSpec, GroupElement, MatrixGroup,
-                             _index_dtype, _keys, gl_group, trivial_group,
-                             unipotent_upper)
+                             _index_dtype, _keys, form_preserved, gl_group,
+                             trivial_group, unipotent_upper)
 from modinvar.linalg import nullspace_field, rref_field, rref_mod_p
+from modinvar.mvpoly import VariableSpace, parse_polynomial
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -484,3 +485,30 @@ def test_singular_symmetric_odd_char():
     assert R.order() == 2 * 9 * o2
     from modinvar.groups import form_preserved
     assert form_preserved([g.matrix for g in R.generators], gluing.form).all()
+
+
+@pytest.mark.parametrize("q,text,order,isometries", [
+    (3, "x1^2 + x2^2", 144, 8),
+    (3, "x1^2 - x2^2", 72, 4),
+    (5, "x1*x2", 800, 8),
+    (5, "x1^2 + 2*x2^2", 1200, 12)])
+def test_singular_quadratic_forms(q, text, order, isometries):
+    """Quadratic forms in x1, x2, x3 with the radical spanned by e3: the
+    quotient form is the restriction to the complement, whose isometries
+    G2 are filtered out of GL_2."""
+    field = build_field(q)
+    space = VariableSpace(field, ["x1", "x2", "x3"])
+    gluing = singular_form_group(FormSpec(
+        "quadratic", field, quadratic=parse_polynomial(space, text)))
+    assert len(gluing.G2.elements) == isometries
+    assert gluing.enumerate().order() == order
+
+
+@pytest.mark.parametrize("gram,order,isometries", [
+    (((0, 0), (0, 1)), 36, 3),
+    (((0, 0, 0), (0, 0, 1), (0, 1, 0)), 864, 18)])
+def test_singular_hermitian_forms(gram, order, isometries):
+    gluing = singular_form_group(FormSpec("hermitian", F4, gram=gram))
+    assert len(gluing.G2.elements) == isometries
+    assert gluing.enumerate().order() == order
+    assert form_preserved(gluing.realized.generator_rows, gluing.form).all()
