@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from modinvar.gfq import FieldSpec, Scalar, build_field
+from modinvar.gfq import FieldSpec, build_field
 from modinvar.groups import (ClaimRefuted, FormSpec, GroupElement, MatrixGroup,
                              NotEnumeratedError, _index_rows, form_preserved,
                              gl_group, index_inverse, index_matmul, mat_mul,
@@ -23,7 +23,7 @@ from modinvar.groups import (ClaimRefuted, FormSpec, GroupElement, MatrixGroup,
                              sp_order, symplectic_j, trivial_group)
 from modinvar.linalg import (in_reduced_row_space, nullspace_field, rref_field,
                              rref_mod_p)
-from modinvar.mvpoly import VariableSpace
+from modinvar.mvpoly import Polynomial, VariableSpace
 
 
 class BimoduleClosureError(ValueError):
@@ -360,72 +360,52 @@ def diagonal_glue(G: MatrixGroup, M: BimoduleBasis) -> GluingGroup:
 def _extend_to_basis(field, vectors, dim):
     """Extend independent columns (rows of an index array) to a full basis,
     greedily by standard vectors in index order: those at the pivot columns
-    of the matrix with the vectors, then the standard vectors, as columns."""
+    of the matrix with the vectors, then the standard vectors, as columns.
+    The basis comes back as the rows of an index array."""
     m = len(vectors)
     identity = np.eye(dim, dtype=np.int64)
-    columns = np.hstack([vectors.T, identity])
-    return vectors.tolist() + [
-        identity[c - m].tolist() for c in rref_field(columns, field)[1][m:]]
+    pivots = rref_field(np.hstack([vectors.T, identity]), field)[1]
+    return np.vstack([vectors, identity[[c - m for c in pivots[m:]]]])
 
 
 def _symplectic_basis_transform(field, gram):
     """P with P^T gram P equal to the pinned J, for a nondegenerate
-    alternating gram."""
+    alternating gram (an index array): hyperbolic pairs (u, f) chosen
+    greedily from a pool of index rows, the standard basis at first.  u is
+    the first row of the pool, paired with the whole pool in one product;
+    its partner is the first row v with <u, v> != 0, scaled to <u, f> = 1;
+    the rest of the pool w becomes w - <w, f> u - <u, w> f, orthogonal to
+    both, in one product of a coefficient block with [pool; u; f]."""
     n = len(gram)
-    m = n // 2
-
-    def pair_value(u, v):
-        s = 0
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj and gram[i][j]:
-                    s = field.add(s, field.mul(field.mul(ui, vj), gram[i][j]))
-        return s
-
-    std = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pool = [list(v) for v in std]
-    pairs = []
-    while pool:
-        u = pool.pop(0)
-        partner = None
-        for v in pool:
-            val = pair_value(u, v)
-            if val:
-                partner = v
-                break
-        if partner is None:
+    pool, pairs = np.eye(n, dtype=np.int64), []
+    while len(pool):
+        u, pool = pool[0], pool[1:]
+        values = index_matmul(field, index_matmul(field, u[None], gram),
+                              pool.T)[0]
+        hits = np.flatnonzero(values)
+        if not hits.size:
             raise ValueError("gram is degenerate")
-        pool.remove(partner)
-        inv = field.inv(pair_value(u, partner))
-        partner = [field.mul(inv, a) for a in partner]
-        # reduce the rest of the pool against the hyperbolic pair (u, partner)
-        newpool = []
-        for w in pool:
-            a = pair_value(w, partner)
-            b = pair_value(u, w)
-            w2 = [field.sub(wi, field.mul(a, ui)) for wi, ui in zip(w, u)]
-            w2 = [field.sub(w2i, field.mul(b, pi)) for w2i, pi in zip(w2, partner)]
-            if any(w2):
-                newpool.append(w2)
-        pool = newpool
-        pairs.append((u, partner))
-    # order: e_1..e_m then f_m..f_1 with <e_i, f_i> = 1
-    cols = [None] * n
-    for i, (e, f) in enumerate(pairs):
-        cols[i] = e
-        cols[n - 1 - i] = f
-    P = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    if (_congruent(field, P, gram) != symplectic_j(m, field)).any():
+        k = hits[0]
+        f = field.multiply(field.inv(int(values[k])), pool[k])
+        pool, values = np.delete(pool, k, axis=0), np.delete(values, k)
+        coeffs = np.column_stack([
+            np.eye(len(pool), dtype=np.int64),
+            field.negate(index_matmul(field, index_matmul(field, pool, gram),
+                                      f[:, None])[:, 0]),
+            field.negate(values)])
+        pool = index_matmul(field, coeffs, np.vstack([pool, u, f]))
+        pairs.append((u, f))
+    # columns e_1..e_m then f_m..f_1 with <e_i, f_i> = 1
+    es, fs = zip(*pairs)
+    P = np.array(es + fs[::-1]).T
+    if (_congruent(field, P, gram) != symplectic_j(n // 2, field)).any():
         raise AssertionError("symplectic basis transform failed")
     return P
 
 
 def _congruent(field, P, gram):
-    """P^T gram P as an index array (`index_matmul`)."""
-    P = np.array(P, dtype=np.int64).reshape(len(P), len(P))
-    return index_matmul(field, index_matmul(field, P.T, np.array(gram)), P)
+    """P^T gram P for index arrays (`index_matmul`)."""
+    return index_matmul(field, index_matmul(field, P.T, gram), P)
 
 
 def singular_form_group(form: FormSpec) -> GluingGroup:
@@ -446,20 +426,17 @@ def singular_form_group(form: FormSpec) -> GluingGroup:
     n = dim - m
     if m == 0:
         raise ValueError("form is nondegenerate; use the classical group directly")
-    basis_cols = _extend_to_basis(field, radical, dim)
-    P = tuple(tuple(basis_cols[j][i] for j in range(dim)) for i in range(dim))
+    P = _extend_to_basis(field, radical, dim).T
     moved = _congruent(field, P, gram)
     if moved[:m].any() or moved[:, :m].any():
         raise AssertionError("radical block not cleared by basis change")
-    gram_new = tuple(map(tuple, moved.tolist()))
     G1 = gl_group(m, field)
     if n == 0:
         M = zero_module(m, 0, field)
         G2 = trivial_group(field, 0)
         return GluingGroup(G1, G2, M, flavor="singular")
-    quotient_gram = tuple(map(tuple, moved[m:, m:].tolist()))
     if form.kind == "alternating":
-        T = _symplectic_basis_transform(field, quotient_gram)
+        T = _symplectic_basis_transform(field, moved[m:, m:])
         gens = index_matmul(field, index_matmul(
             field, T, sp_group(n // 2, field).generator_rows),
             index_inverse(field, T))
@@ -467,7 +444,7 @@ def singular_form_group(form: FormSpec) -> GluingGroup:
                          claimed_order=sp_order(n // 2, field.q))
     else:
         # enumerate the full linear group and filter; desk-scale fallback
-        quotient_form = FormSpec(form.kind, field, gram=quotient_gram) \
+        quotient_form = FormSpec(form.kind, field, gram=moved[m:, m:]) \
             if form.kind != "quadratic" else _quadratic_on_quotient(form, P, m, n)
         rows = gl_group(n, field).enumerate().rows()
         elems = rows[form_preserved(rows, quotient_form)]
@@ -475,32 +452,23 @@ def singular_form_group(form: FormSpec) -> GluingGroup:
                          name=f"Isom({form.kind})", elements=elems)
     M = full_hom_module(m, n, field)
     gluing = glue(G1, G2, M, flavor="singular")
-    new_form = FormSpec(form.kind, field, gram=gram_new) \
-        if form.kind != "quadratic" else None
-    if new_form is not None:
-        gluing.form = new_form
-        if not form_preserved(gluing.realized.generator_rows, new_form).all():
+    if form.kind != "quadratic":
+        gluing.form = FormSpec(form.kind, field, gram=moved)
+        if not form_preserved(gluing.realized.generator_rows, gluing.form).all():
             raise ClaimRefuted("realized generator does not preserve the form")
     return gluing
 
 
 def _quadratic_on_quotient(form, P, m, n):
-    """Restrict a quadratic form to the chosen complement of the radical."""
-    field = form.field
-    space = form.quadratic.space
-    sub = {}
-    for j, name in enumerate(space.names):
-        img = space.zero()
-        for i in range(n):
-            c = P[j][m + i]
-            if c:
-                img = img + space.variable(space.names[i]).scale(Scalar(field, c))
-        sub[name] = img
-    moved = form.quadratic.substitute(sub)
-    qspace = VariableSpace(field, space.names[:n])
-    out = qspace.zero()
-    for e, c in moved._terms.items():
-        if any(e[n:]):
-            raise AssertionError("quadratic form does not descend to the quotient")
-        out = out + qspace.monomial(e[:n], Scalar(field, c))
-    return FormSpec("quadratic", field, quadratic=out)
+    """Restrict a quadratic form to the chosen complement of the radical:
+    its action (`Polynomial.act`) by the complement columns of P, x_j ->
+    sum_i P[j, m + i] x_i, read in the first n variables."""
+    field, space = form.field, form.quadratic.space
+    sub = np.zeros((space.dim, space.dim), dtype=np.int64)
+    sub[:, :n] = P[:, m:]
+    moved = form.quadratic.act(sub)
+    if any(any(e[n:]) for e in moved._terms):
+        raise AssertionError("quadratic form does not descend to the quotient")
+    return FormSpec("quadratic", field, quadratic=Polynomial(
+        VariableSpace(field, space.names[:n]),
+        {e[:n]: c for e, c in moved._terms.items()}))

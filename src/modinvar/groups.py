@@ -880,11 +880,9 @@ def symplectic_j(m: int, field: FieldSpec):
 
 def _check_symplectic(field, gens, m, name):
     """Raise ClaimRefuted for the first generator A of the (k, 2m, 2m) index
-    array with A^T J A != J; the products of all generators are formed
-    together (`index_matmul`)."""
-    J = symplectic_j(m, field)
-    bad = (index_matmul(field, index_matmul(field, gens.transpose(0, 2, 1), J),
-                        gens) != J).any(axis=(1, 2))
+    array with A^T J A != J (`form_preserved` of the pinned form)."""
+    bad = ~form_preserved(gens, FormSpec("alternating", field,
+                                         gram=symplectic_j(m, field)))
     if bad.any():
         first = gens[np.argmax(bad)].tolist()
         raise ClaimRefuted(f"{name}: generator fails A^T J A = J:\n"
@@ -1050,7 +1048,9 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
     all of them by one `mvpoly.fixed_by` call, which acts on f by the whole
     stack through the job driver `mvpoly._act_blocks` and compares each
     block of images with f on packed keys as it comes (`_substitute` is its
-    route where the field or the keys do not fit numpy, and its oracle)."""
+    oracle, and through `mvpoly._act_substitute` its route only where the
+    packed keys would reach PACKED_KEY_LIMIT or the space has no
+    variables)."""
     if not group.is_enumerated:
         raise NotEnumeratedError("stabilizer needs an enumerated group")
     field, rows = group.field, group.rows()
@@ -1064,7 +1064,8 @@ def stabilizer_of_polynomial(group: MatrixGroup, f: Polynomial) -> MatrixGroup:
 # -- forms --
 
 class FormSpec:
-    """A bilinear, hermitian or quadratic form."""
+    """A bilinear, hermitian or quadratic form; the Gram matrix of a
+    bilinear or hermitian one is read once into an (n, n) index array."""
 
     KINDS = ("alternating", "symmetric", "hermitian", "quadratic")
 
@@ -1081,11 +1082,11 @@ class FormSpec:
             self.quadratic = quadratic
             self.dim = quadratic.space.dim
             return
-        gram = tuple(tuple(field.scalar(e).index if isinstance(e, (Scalar, str)) else e
-                           for e in row) for row in gram)
-        self.gram = gram
         self.dim = len(gram)
-        G = np.array(gram, dtype=np.int64).reshape(self.dim, self.dim)
+        self.gram = G = np.array(
+            [[field.scalar(e).index if isinstance(e, (Scalar, str)) else e
+              for e in row] for row in gram],
+            dtype=np.int64).reshape(self.dim, self.dim)
         if kind == "alternating":
             if (G.T != field.negate(G)).any() or G.diagonal().any():
                 raise ValueError("alternating Gram must be skew with zero diagonal")
@@ -1100,27 +1101,20 @@ class FormSpec:
 
     def _twist(self, rows):
         """Each entry of an index array raised to the power p^(r/2)."""
-        e = self.field.p ** (self.field.r // 2)
-        return np.array([self.field.pow(a, e) for a in range(self.field.q)])[rows]
+        return self.field.power(rows, self.field.p ** (self.field.r // 2))
 
-    def polar_gram(self):
-        """Gram matrix of the (polarized) bilinear form."""
+    def polar_gram(self) -> np.ndarray:
+        """Gram matrix of the (polarized) bilinear form, an index array: for
+        a quadratic form C + C^T, where C holds the coefficient of x_i x_j
+        (i <= j) at (i, j), so that c x_i^2 gives 2c on the diagonal."""
         if self.kind != "quadratic":
             return self.gram
-        f = self.quadratic
-        field = self.field
-        n = self.dim
-        gram = [[0] * n for _ in range(n)]
-        for e, c in f._terms.items():
-            idxs = [i for i, ei in enumerate(e) if ei]
-            if len(idxs) == 1:
-                i = idxs[0]
-                gram[i][i] = field.add(gram[i][i], field.add(c, c))
-            else:
-                i, j = idxs
-                gram[i][j] = field.add(gram[i][j], c)
-                gram[j][i] = field.add(gram[j][i], c)
-        return tuple(map(tuple, gram))
+        field, n, terms = self.field, self.dim, self.quadratic._terms
+        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), n)
+        C = np.zeros((n, n), dtype=np.int64)
+        C[exps.argmax(axis=1), n - 1 - exps[:, ::-1].argmax(axis=1)] = \
+            list(terms.values())
+        return field.indices((field.digits(C) + field.digits(C.T)) % field.p)
 
 
 def form_preserved(rows, form: FormSpec) -> np.ndarray:
@@ -1129,15 +1123,15 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
     form), with the products of all of them formed together
     (`index_matmul`); f.A = f for a quadratic form f, for all A by one
     `mvpoly.fixed_by` call, a bounded block per kernel call and comparison
-    (`Polynomial._substitute` is its route where the field or the keys do
-    not fit numpy, and its oracle)."""
+    (`Polynomial._substitute` is its oracle, and through
+    `mvpoly._act_substitute` its route only where the packed keys would
+    reach PACKED_KEY_LIMIT or the space has no variables)."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.shape[1:] != (form.dim, form.dim):
         raise ValueError("dimension mismatch between element and form")
     if form.kind == "quadratic":
         return fixed_by([form.quadratic], rows)[0]
-    field = form.field
-    gram = np.array(form.gram, dtype=np.int64).reshape(form.dim, form.dim)
+    field, gram = form.field, form.gram
     left = form._twist(rows) if form.kind == "hermitian" else rows
     return (index_matmul(field, index_matmul(field, left.transpose(0, 2, 1), gram),
                          rows) == gram).all(axis=(1, 2))

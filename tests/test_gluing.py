@@ -456,7 +456,7 @@ def test_extend_to_basis_is_the_greedy_choice(field, kind, gram):
     form = FormSpec(kind, field, gram=gram)
     radical = nullspace_field(form.polar_gram(), field)
     assert len(radical)
-    assert _extend_to_basis(field, radical, form.dim) == \
+    assert _extend_to_basis(field, radical, form.dim).tolist() == \
         greedy_extension(field, radical.tolist(), form.dim)
 
 

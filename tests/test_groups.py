@@ -425,6 +425,29 @@ def test_form_spec_validation():
     FormSpec("hermitian", F4, gram=((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("kind,field,gram,text", [
+    ("alternating", F3, ((0, 1), (2, 0)), None),
+    ("symmetric", F3, [[1, 0], [0, 2]], None),
+    ("hermitian", F4, np.array([[0, 1], [1, 0]]), None),
+    ("quadratic", F3, None, "x1^2 + x1*x2")])
+def test_form_grams_are_index_arrays(kind, field, gram, text):
+    """Whatever the Gram matrix is given as, `gram` and `polar_gram()` are
+    (n, n) int64 index arrays; the polar form of a quadratic form is built
+    from its terms."""
+    quadratic = None
+    if text is not None:
+        quadratic = parse_polynomial(VariableSpace(field, ["x1", "x2"]), text)
+    form = FormSpec(kind, field, gram=gram, quadratic=quadratic)
+    grams = [form.polar_gram()] + ([form.gram] if gram is not None else [])
+    for G in grams:
+        assert isinstance(G, np.ndarray)
+        assert G.dtype == np.int64 and G.shape == (2, 2)
+    if text is not None:
+        assert form.polar_gram().tolist() == [[2, 1], [1, 0]]
+    else:
+        assert form.gram.tolist() == np.asarray(gram).tolist()
+
+
 def test_matrix_text_roundtrip():
     m = parse_matrix(F3, "1,2;0,1")
     assert m == ((1, 2), (0, 1))
