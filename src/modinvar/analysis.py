@@ -20,8 +20,7 @@ from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  partial_dickson, psi_substitute, span_basis,
                                  subspace_product, symplectic_l_names,
                                  u_tilde, xi, xi_power)
-# in_row_space and rref_mod_p are unused here; the benchmark's tracer
-# self-test binds them
+# in_row_space is unused here; the benchmark's tracer self-test binds it
 from modinvar.linalg import (_matrix_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space, rref_field,
                              rref_mod_p, sparse_rank_mod_p)
@@ -183,15 +182,13 @@ def _rows_to_polys(space, monos, reduced):
 
 
 def _shift_basis(field, shifts):
-    """An F_p-basis of one y's shift set, by greedy span growth over the
-    shifts, or None when its span is not exactly the set."""
-    span, basis = {(0,) * len(shifts[0])}, []
-    for u in shifts:
-        if u not in span:
-            basis.append(u)
-            span = {tuple(field.add(a, field.mul(c, b)) for a, b in zip(v, u))
-                    for v in span for c in range(field.p)}
-    return basis if span == set(shifts) else None
+    """An F_p-basis of one y's shift set (distinct coefficient tuples), the
+    greedy one: the shifts at the pivot columns of their digit columns.  None
+    when the set is not its span, that is unless |set| = p^rank."""
+    digits = field.digits(shifts).reshape(len(shifts), -1)
+    pivots = rref_mod_p(digits.T, field.p)[1]
+    return [shifts[c] for c in pivots] \
+        if field.p ** len(pivots) == len(shifts) else None
 
 
 class TranslationSums:

@@ -31,6 +31,9 @@ from modinvar.mvpoly import (VariableSpace, format_polynomial,
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
+# The integer check parameters `verify` takes as options of their own.
+VERIFY_PARAMS = ("m", "k", "i", "j", "q", "p", "n", "sign", "ell", "r", "D")
+
 
 def _int_or_str(text):
     try:
@@ -84,17 +87,8 @@ def cmd_group(args):
 
 def cmd_glue(args):
     params = {"kind": args.kind, "m": args.m, "n": args.n, "g1": args.g1,
-              "g2": args.g2, "module": args.module}
-    if args.q is not None:
-        params["q"] = args.q
-    if args.p is not None:
-        params["p"] = args.p
-    if args.r is not None:
-        params["r"] = args.r
-    if args.q_sub:
-        params["q_sub"] = args.q_sub
-    if args.module_file:
-        params["module_file"] = args.module_file
+              "g2": args.g2, "module": args.module,
+              **_given(args, ("q", "p", "r", "q_sub", "module_file"))}
     if args.partition:
         params["partition"] = tuple(int(x) for x in args.partition.split(","))
     gluing = build_gluing(params)
@@ -141,8 +135,8 @@ def cmd_inv(args):
 
 
 def cmd_verify(args):
-    params = {**_params_from_pairs(args.param or []), **_given(
-        args, ("m", "k", "i", "j", "q", "p", "n", "sign", "ell", "r", "D"))}
+    params = {**_params_from_pairs(args.param or []),
+              **_given(args, VERIFY_PARAMS)}
     kind = args.name
     if kind not in checks_mod.CHECKS or kind == "identity":
         kind, params = "identity", {"name": args.name, "params": params}
@@ -334,7 +328,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a single named check")
     p_verify.add_argument("name")
-    for key in ("m", "k", "i", "j", "q", "p", "n", "sign", "ell", "r", "D"):
+    for key in VERIFY_PARAMS:
         p_verify.add_argument(f"--{key}", type=int, default=None)
     p_verify.add_argument("--param", nargs=2, action="append",
                           metavar=("KEY", "VALUE"))

@@ -10,9 +10,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("src/modinvar/checks.py", "invariant_dimension",
      "the benchmark tracer binds analysis functions through checks"),
-    ("src/modinvar/analysis.py", "rref_mod_p",
-     "the benchmark tracer self-test binds it in analysis, where the dense "
-     "Hilbert rank used it"),
     ("src/modinvar/analysis.py", "in_row_space",
      "the benchmark tracer self-test binds it in analysis, where the "
      "principal transfer check used it"),
