@@ -218,21 +218,21 @@ def check_family(params) -> VerificationReport:
 
 
 def _law_pairs(sizes, params, seed):
-    """The pairs of triples `semidirect_law` checks, as (total, distinct,
-    pair_ids).  A triple is an id into G1 x M x G2 of the given sizes
+    """The pairs of triples `semidirect_law` checks, as (total, pair_ids).
+    A triple is an id into G1 x M x G2 of the given sizes
     (`np.ravel_multi_index`); pair_ids(start, stop) gives pairs start to
-    stop - 1 as an (N, 2) id array, and distinct holds every id they use,
-    sorted.  Exhaustive mode takes all pairs in order; sampled triple ids
-    are uniform below |G1| |M| |G2|, which makes the three axes independent
-    and uniform.  They are drawn in bulk from random.Random(seed): the top
-    bit_length bits of 64-bit words from `randbytes`, ids past the range
-    rejected, a round of words at a time: enough for the ids still missing
-    at the rate that lands in range, and 64 more."""
+    stop - 1 as an (N, 2) id array.  Exhaustive mode takes all pairs in
+    order; sampled triple ids are uniform below |G1| |M| |G2|, which makes
+    the three axes independent and uniform.  They are drawn in bulk from
+    random.Random(seed): the top bit_length bits of 64-bit words from
+    `randbytes`, ids past the range rejected, a round of words at a time:
+    enough for the ids still missing at the rate that lands in range, and
+    64 more."""
     triples = sizes[0] * sizes[1] * sizes[2]
     if params.get("mode", "sample") == "exhaustive":
         def pair_ids(start, stop):
             return np.stack(np.divmod(np.arange(start, stop), triples), axis=1)
-        return triples ** 2, np.arange(triples), pair_ids
+        return triples ** 2, pair_ids
     rng = random.Random(params.get("seed", seed))
     total = params.get("samples", 10000)
     bits = triples.bit_length()
@@ -244,56 +244,86 @@ def _law_pairs(sizes, params, seed):
             >> np.uint64(64 - bits)
         drawn = np.append(drawn, words[words < triples].astype(np.int64))
     drawn = drawn[:2 * total].reshape(total, 2)
-    return total, _sorted_unique(drawn.ravel()), \
-        lambda start, stop: drawn[start:stop]
+    return total, lambda start, stop: drawn[start:stop]
 
 
 def check_semidirect_law(params) -> VerificationReport:
     """Triple product law against block matrix multiplication.
 
     Two routes that share no arithmetic meet on each pair of triples
-    (`_law_pairs`), a chunk of pairs at a time.  The block product X Y of
-    the two block matrices (`GluingGroup.blocks`) is formed over F_p through
-    the regular representation (`groups._expand`; only column 0 of each
-    r x r block, which holds the digits of the GF(q) entry).  The triple
-    formula (g1 h1, g1 psi + phi h2, g2 h2) is formed from the factor
-    matrices in the field's own digit-polynomial arithmetic
-    (`groups._digit_matmul`).  The first pair whose block matrices differ
-    is reported."""
+    (`_law_pairs`), a chunk of pairs at a time; a triple is named by its
+    factor ids (a, k, b) into G1, M and G2.  The block product X Y of the
+    two block matrices is formed over F_p through the regular
+    representation (`groups._expand`; of Y only column 0 of each r x r
+    block, which holds the digits of the GF(q) entry).  The rows of G1, the
+    module elements and the rows of G2 are expanded once each, and a chunk's
+    expanded block matrices are assembled from them (`GluingGroup.blocks`:
+    the expansion maps each entry to its r x r block).  The triple formula
+    (g1 h1, g1 psi + phi h2, g2 h2) is formed from the factor matrices in
+    the field's own digit-polynomial arithmetic (`groups._digit_matmul`),
+    once for each distinct pair of factors the checked pairs use: a first
+    pass over the chunks collects, for each of the four products, the codes
+    x |Y| + y of its (left id, right id) pairs, one `_digit_matmul` call
+    forms each product's table, and a second pass gathers each pair's
+    formula from the tables (`searchsorted`) and compares it with its block
+    product.  The first pair whose block matrices differ is reported."""
     gluing = build_gluing(params)
     G1 = gluing.G1.enumerate()
     G2 = gluing.G2.enumerate()
-    phis = gluing.M.elements()
-    sizes = (G1.order(), len(phis), G2.order())
-    total, distinct, pair_ids = _law_pairs(sizes, params, 0)
+    factors = (G1.rows(), gluing.M.elements(), G2.rows())
+    sizes = tuple(map(len, factors))
+    total, pair_ids = _law_pairs(sizes, params, 0)
     field, m, n = gluing.field, gluing.m, gluing.n
     p, r = field.p, field.r
-    a, k, b = np.unravel_index(distinct, sizes)
-    g1s, psis, g2s = G1.rows()[a], phis[k], G2.rows()[b]
-    expanded = _expand(field, gluing.blocks(g1s, psis, g2s))
-    g1s, psis, g2s = (field.digits(x) for x in (g1s, psis, g2s))
     step = max(1, CHUNK_ENTRIES // ((m + n) * r) ** 2)
-    for start in range(0, total, step):
-        left, right = np.searchsorted(
-            distinct, pair_ids(start, min(total, start + step))).T
-        product = _matmul_mod(expanded[left], expanded[right][..., ::r], p)
+    chunks = range(0, total, step)
+    # the factor products of the formula, as (left, right) axes of
+    # G1 x M x G2
+    factor_pairs = ((0, 0), (0, 1), (1, 2), (2, 2))
+
+    def triples(start):
+        """The factor ids (a, k, b) of the left and the right triples of a
+        chunk."""
+        ids = pair_ids(start, min(total, start + step))
+        return (np.unravel_index(ids[:, 0], sizes),
+                np.unravel_index(ids[:, 1], sizes))
+
+    def codes(left, right):
+        return [left[x] * sizes[y] + right[y] for x, y in factor_pairs]
+
+    used = [np.zeros(0, dtype=np.int64)] * len(factor_pairs)
+    for start in chunks:
+        used = [_sorted_unique(np.concatenate([u, c]))
+                for u, c in zip(used, codes(*triples(start)))]
+    digits = [field.digits(x) for x in factors]
+    tables = [_digit_matmul(field, digits[x][u // sizes[y]],
+                            digits[y][u % sizes[y]])
+              for (x, y), u in zip(factor_pairs, used)]
+    # the diagonal blocks as indices; the corner's two terms stay digits
+    tables[0], tables[3] = field.indices(tables[0]), field.indices(tables[3])
+    expanded = [_expand(field, x, m + n) for x in factors]
+    columns = [x[..., ::r] for x in expanded]
+    for start in chunks:
+        left, right = triples(start)
+        product = _matmul_mod(
+            gluing.blocks(*(x[i] for x, i in zip(expanded, left))),
+            gluing.blocks(*(x[i] for x, i in zip(columns, right))), p)
         product = field.indices(
-            product.reshape(len(left), m + n, r, m + n), axis=2)
-        mid = _digit_matmul(field, g1s[left], psis[right]) + \
-            _digit_matmul(field, psis[left], g2s[right])
-        formula = gluing.blocks(
-            field.indices(_digit_matmul(field, g1s[left], g1s[right])),
-            field.indices(mid % p),
-            field.indices(_digit_matmul(field, g2s[left], g2s[right])))
+            product.reshape(len(product), m + n, r, m + n), axis=2)
+        g1h1, g1psi, phih2, g2h2 = (
+            table[np.searchsorted(u, c)]
+            for table, u, c in zip(tables, used, codes(left, right)))
+        formula = gluing.blocks(g1h1, field.indices((g1psi + phih2) % p),
+                                g2h2)
         bad = (formula != product).any(axis=(1, 2))
         if bad.any():
             i = np.argmax(bad)
-            t1, t2 = ((GroupElement(field, G1.rows()[a[t]].tolist(),
+            t1, t2 = ((GroupElement(field, factors[0][a[i]].tolist(),
                                     check=False),
-                       tuple(map(tuple, phis[k[t]].tolist())),
-                       GroupElement(field, G2.rows()[b[t]].tolist(),
+                       tuple(map(tuple, factors[1][k[i]].tolist())),
+                       GroupElement(field, factors[2][b[i]].tolist(),
                                     check=False))
-                      for t in (left[i], right[i]))
+                      for a, k, b in (left, right))
             return VerificationReport(
                 "semidirect_law", params, "fail",
                 witness=f"triple law fails for {t1!r} * {t2!r}")

@@ -254,22 +254,30 @@ class FieldSpec:
     def _build_tables(self):
         """Multiplication, inverse, and (r > 1) addition and negation tables
         as nested lists, built in numpy a block of q/8 rows at a time, so
-        that no temporary array holds more than about q^2 r / 4 entries:
-        the products by `multiply` before the table exists, the sums digit
-        by digit.
+        that no temporary array holds more than about q^2 r / 4 entries.
+        The products are one float64 matmul per block: the digits of a c
+        are sum_s digit_s(a) times the digits of t^s c, column s of the
+        regular matrix of c, and these sums of r products of residues stay
+        far below 2^53 for every q <= TABLE_LIMIT, so they are exact.  The
+        sums go digit by digit.
 
         The numpy multiplication table (`_mul_array`, q x q int64 indices)
         is kept for `multiply`."""
         p, q, r = self.p, self.q, self.r
         every = np.arange(q)
         digits = self.digits(every)
+        # row s holds the digits of t^s c for every c, c-major
+        shifts = self.regular(digits).transpose(2, 0, 1) \
+            .reshape(r, q * r).astype(np.float64)
         step = max(1, q // 8)
         mul, add = [], []
         for start in range(0, q, step):
-            block = every[start:start + step, None]
-            mul.append(self.multiply(block, every))
+            block = digits[start:start + step]
+            products = (block @ shifts).astype(np.int64)
+            mul.append(self.indices(products.reshape(-1, q, r) % p))
             if r > 1:  # prime fields add with % p
-                add.append(self.indices((digits[block] + digits) % p).tolist())
+                add.append(self.indices((block[:, None] + digits) % p)
+                           .tolist())
         mul = np.concatenate(mul)
         self._mul_table = mul.tolist()
         self._inv_table = np.argmax(mul == 1, axis=1).tolist()

@@ -138,14 +138,20 @@ class GluingGroup:
     def blocks(self, g1_rows, phis, g2_rows) -> np.ndarray:
         """The (..., m+n, m+n) index arrays [[g1, phi], [0, g2]] of triples
         given as index arrays, broadcast over their leading axes (a single
-        matrix stands for every triple): the batched `triple`."""
-        m, n = self.m, self.n
-        lead = np.broadcast_shapes(*(np.shape(x)[:-2]
-                                     for x in (g1_rows, phis, g2_rows)))
-        out = np.zeros(lead + (m + n, m + n), dtype=np.int64)
-        out[..., :m, :m] = g1_rows
-        out[..., :m, m:] = phis
-        out[..., m:, m:] = g2_rows
+        matrix stands for every triple): the batched `triple`.  The block
+        sizes and the dtype are read from the operands, so the blocks may be
+        any arrays: of the expansions over F_p (`groups._expand`, which maps
+        each entry to an r x r block and 0 to a zero block) they assemble
+        the expansion of the block matrix.  Index arrays give int64."""
+        g1_rows, phis, g2_rows = parts = [np.asarray(x) for x in
+                                          (g1_rows, phis, g2_rows)]
+        (m, k), (n, l) = g1_rows.shape[-2:], g2_rows.shape[-2:]
+        lead = np.broadcast_shapes(*(x.shape[:-2] for x in parts))
+        out = np.zeros(lead + (m + n, k + l),
+                       dtype=np.result_type(np.int64, *parts))
+        out[..., :m, :k] = g1_rows
+        out[..., :m, k:] = phis
+        out[..., m:, k:] = g2_rows
         return out
 
     def m_subgroup(self) -> MatrixGroup:
@@ -368,15 +374,15 @@ def _extend_to_basis(field, vectors, dim):
     return np.vstack([vectors, identity[[c - m for c in pivots[m:]]]])
 
 
-def _symplectic_basis_transform(field, gram):
-    """P with P^T gram P equal to the pinned J, for a nondegenerate
-    alternating gram (an index array): hyperbolic pairs (u, f) chosen
+def _symplectic_basis_transform(form):
+    """P with P^T G P equal to the pinned J, for a nondegenerate
+    alternating form with Gram matrix G: hyperbolic pairs (u, f) chosen
     greedily from a pool of index rows, the standard basis at first.  u is
     the first row of the pool, paired with the whole pool in one product;
     its partner is the first row v with <u, v> != 0, scaled to <u, f> = 1;
     the rest of the pool w becomes w - <w, f> u - <u, w> f, orthogonal to
     both, in one product of a coefficient block with [pool; u; f]."""
-    n = len(gram)
+    field, gram, n = form.field, form.gram, form.dim
     pool, pairs = np.eye(n, dtype=np.int64), []
     while len(pool):
         u, pool = pool[0], pool[1:]
@@ -398,77 +404,80 @@ def _symplectic_basis_transform(field, gram):
     # columns e_1..e_m then f_m..f_1 with <e_i, f_i> = 1
     es, fs = zip(*pairs)
     P = np.array(es + fs[::-1]).T
-    if (_congruent(field, P, gram) != symplectic_j(n // 2, field)).any():
+    if (form.congruent(P) != symplectic_j(n // 2, field)).any():
         raise AssertionError("symplectic basis transform failed")
     return P
-
-
-def _congruent(field, P, gram):
-    """P^T gram P for index arrays (`index_matmul`)."""
-    return index_matmul(field, index_matmul(field, P.T, gram), P)
 
 
 def singular_form_group(form: FormSpec) -> GluingGroup:
     """Isometry group of a degenerate form, realized as the gluing of the GL
     of the radical with the isometry group of the induced nondegenerate form.
 
-    The result lives in a new basis listing the radical first; the
-    transformed form is stored on the gluing and every realized generator is
-    checked to preserve it (ClaimRefuted otherwise), which certifies the
-    whole realized group, since preservation is closed under products and
-    inverses.
+    The result lives in a new basis P listing the radical first.  The form
+    moved to it (`FormSpec.moved`) is stored on the gluing, and every
+    realized generator is checked to preserve it (ClaimRefuted otherwise),
+    which certifies the whole realized group, since preservation is closed
+    under products and inverses.  A quadratic form must vanish on the
+    radical of its polar form (ValueError otherwise) to descend to the
+    quotient.
     """
     field = form.field
-    gram = form.polar_gram()
-    radical = nullspace_field(gram, field)
+    radical = nullspace_field(form.polar_gram(), field)
     m = len(radical)
     dim = form.dim
     n = dim - m
     if m == 0:
         raise ValueError("form is nondegenerate; use the classical group directly")
     P = _extend_to_basis(field, radical, dim).T
-    moved = _congruent(field, P, gram)
-    if moved[:m].any() or moved[:, :m].any():
-        raise AssertionError("radical block not cleared by basis change")
+    moved = form.moved(P)
+    if form.kind == "quadratic":
+        quotient = _quadratic_on_quotient(moved, m)
+    else:
+        if moved.gram[:m].any() or moved.gram[:, :m].any():
+            raise AssertionError("radical block not cleared by basis change")
+        quotient = FormSpec(form.kind, field, gram=moved.gram[m:, m:])
     G1 = gl_group(m, field)
     if n == 0:
-        M = zero_module(m, 0, field)
-        G2 = trivial_group(field, 0)
-        return GluingGroup(G1, G2, M, flavor="singular")
-    if form.kind == "alternating":
-        T = _symplectic_basis_transform(field, moved[m:, m:])
-        gens = index_matmul(field, index_matmul(
-            field, T, sp_group(n // 2, field).generator_rows),
-            index_inverse(field, T))
-        G2 = MatrixGroup(field, n, gens, name=f"Sp{n}(F{field.q})~",
-                         claimed_order=sp_order(n // 2, field.q))
+        gluing = GluingGroup(G1, trivial_group(field, 0),
+                             zero_module(m, 0, field), flavor="singular")
     else:
-        # enumerate the full linear group and filter; desk-scale fallback
-        quotient_form = FormSpec(form.kind, field, gram=moved[m:, m:]) \
-            if form.kind != "quadratic" else _quadratic_on_quotient(form, P, m, n)
-        rows = gl_group(n, field).enumerate().rows()
-        elems = rows[form_preserved(rows, quotient_form)]
-        G2 = MatrixGroup(field, n, minimal_generators(field, elems),
-                         name=f"Isom({form.kind})", elements=elems)
-    M = full_hom_module(m, n, field)
-    gluing = glue(G1, G2, M, flavor="singular")
-    if form.kind != "quadratic":
-        gluing.form = FormSpec(form.kind, field, gram=moved)
-        if not form_preserved(gluing.realized.generator_rows, gluing.form).all():
-            raise ClaimRefuted("realized generator does not preserve the form")
+        if form.kind == "alternating":
+            T = _symplectic_basis_transform(quotient)
+            gens = index_matmul(field, index_matmul(
+                field, T, sp_group(n // 2, field).generator_rows),
+                index_inverse(field, T))
+            G2 = MatrixGroup(field, n, gens, name=f"Sp{n}(F{field.q})~",
+                             claimed_order=sp_order(n // 2, field.q))
+        else:
+            # enumerate the full linear group and filter; desk-scale fallback
+            rows = gl_group(n, field).enumerate().rows()
+            elems = rows[form_preserved(rows, quotient)]
+            G2 = MatrixGroup(field, n, minimal_generators(field, elems),
+                             name=f"Isom({form.kind})", elements=elems)
+        gluing = glue(G1, G2, full_hom_module(m, n, field), flavor="singular")
+    gluing.form = moved
+    if not form_preserved(gluing.realized.generator_rows, moved).all():
+        raise ClaimRefuted("realized generator does not preserve the form")
     return gluing
 
 
-def _quadratic_on_quotient(form, P, m, n):
-    """Restrict a quadratic form to the chosen complement of the radical:
-    its action (`Polynomial.act`) by the complement columns of P, x_j ->
-    sum_i P[j, m + i] x_i, read in the first n variables."""
-    field, space = form.field, form.quadratic.space
-    sub = np.zeros((space.dim, space.dim), dtype=np.int64)
-    sub[:, :n] = P[:, m:]
-    moved = form.quadratic.act(sub)
-    if any(any(e[n:]) for e in moved._terms):
-        raise AssertionError("quadratic form does not descend to the quotient")
+def _quadratic_on_quotient(moved, m):
+    """The quotient of a quadratic form moved to a basis that lists the m
+    radical vectors r_i of its polar form first, in its last n variables,
+    renamed to the first n.
+
+    The moved form has no term in the first m variables exactly when the
+    form vanishes on the radical: its coefficient of y_i^2 is Q(r_i), and of
+    y_i y_j (i < m) the polar value at r_i, which is 0.  On the radical Q is
+    additive and Q(c r) = c^2 Q(r), so it vanishes there when it vanishes at
+    the basis.  Where Q(r) != 0, Q(r + w) = Q(r) + Q(w) differs from Q(w),
+    so Q is no function on the quotient (ValueError)."""
+    field, space = moved.field, moved.quadratic.space
+    terms = moved.quadratic._terms
+    if any(any(e[:m]) for e in terms):
+        raise ValueError("quadratic form does not vanish on the radical of "
+                         "its polar form, so it does not descend to the "
+                         "quotient")
     return FormSpec("quadratic", field, quadratic=Polynomial(
-        VariableSpace(field, space.names[:n]),
-        {e[:n]: c for e, c in moved._terms.items()}))
+        VariableSpace(field, space.names[:space.dim - m]),
+        {e[m:]: c for e, c in terms.items()}))

@@ -156,11 +156,12 @@ def _matmul_mod(a, b, p):
     return prod
 
 
-def _expand(field, rows):
+def _expand(field, rows, size=None):
     """(..., n, k) index arrays -> (..., nr, kr) matrices over F_p, in the
-    dtype `_fp_dtype` gives the larger of n and k."""
+    dtype `_fp_dtype` gives size, by default the larger of n and k (a
+    block of a larger matrix is expanded with the larger size)."""
     r = field.r
-    dtype = _fp_dtype(field, max(rows.shape[-2:]))
+    dtype = _fp_dtype(field, size or max(rows.shape[-2:]))
     if r == 1:  # the indices are the residues
         return rows.astype(dtype)
     blocks = field.regular(field.digits(rows))
@@ -1103,6 +1104,27 @@ class FormSpec:
         """Each entry of an index array raised to the power p^(r/2)."""
         return self.field.power(rows, self.field.p ** (self.field.r // 2))
 
+    def congruent(self, rows) -> np.ndarray:
+        """The Gram matrices A^T G A of a bilinear or hermitian form in the
+        bases of the columns of the index matrices A in `rows`, broadcast
+        over their leading axes (A^T twisted entrywise for a hermitian
+        form), with the products of all of them formed together
+        (`index_matmul`)."""
+        field, rows = self.field, np.asarray(rows, dtype=np.int64)
+        left = self._twist(rows) if self.kind == "hermitian" else rows
+        return index_matmul(field, index_matmul(
+            field, left.swapaxes(-1, -2), self.gram), rows)
+
+    def moved(self, P) -> "FormSpec":
+        """The form in the basis of the columns of an invertible index
+        matrix P, whose value at y is the form's value at P y: the Gram
+        matrix `congruent(P)`, or for a quadratic form f its action f.P
+        (x_j -> sum_i P[j, i] x_i, `Polynomial.act`)."""
+        if self.kind == "quadratic":
+            return FormSpec("quadratic", self.field,
+                            quadratic=self.quadratic.act(P))
+        return FormSpec(self.kind, self.field, gram=self.congruent(P))
+
     def polar_gram(self) -> np.ndarray:
         """Gram matrix of the (polarized) bilinear form, an index array: for
         a quadratic form C + C^T, where C holds the coefficient of x_i x_j
@@ -1119,11 +1141,10 @@ class FormSpec:
 
 def form_preserved(rows, form: FormSpec) -> np.ndarray:
     """Mask of the n x n index matrices A in `rows` that preserve the form:
-    A^T G A = G for its Gram matrix G (A^T twisted entrywise for a hermitian
-    form), with the products of all of them formed together
-    (`index_matmul`); f.A = f for a quadratic form f, for all A by one
-    `mvpoly.fixed_by` call, a bounded block per kernel call and comparison
-    (`Polynomial._substitute` is its oracle, and through
+    A^T G A = G for its Gram matrix G (`FormSpec.congruent`, with A^T
+    twisted entrywise for a hermitian form); f.A = f for a quadratic form f,
+    for all A by one `mvpoly.fixed_by` call, a bounded block per kernel call
+    and comparison (`Polynomial._substitute` is its oracle, and through
     `mvpoly._act_substitute` its route only where the packed keys would
     reach PACKED_KEY_LIMIT or the space has no variables)."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -1131,10 +1152,7 @@ def form_preserved(rows, form: FormSpec) -> np.ndarray:
         raise ValueError("dimension mismatch between element and form")
     if form.kind == "quadratic":
         return fixed_by([form.quadratic], rows)[0]
-    field, gram = form.field, form.gram
-    left = form._twist(rows) if form.kind == "hermitian" else rows
-    return (index_matmul(field, index_matmul(field, left.transpose(0, 2, 1), gram),
-                         rows) == gram).all(axis=(1, 2))
+    return (form.congruent(rows) == form.gram).all(axis=(1, 2))
 
 
 def o3_sylow_generators(field: FieldSpec):

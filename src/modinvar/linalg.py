@@ -19,10 +19,12 @@ under 1 % nonzero) take another route to their rank.  `fp_expand_coo` is
 `sparse_rank_mod_p` is structured elimination in the sense of LaMacchia and
 Odlyzko ("Solving large sparse linear systems over finite fields", CRYPTO
 '90).  Rows and columns with a single entry are pivots found without
-arithmetic and are pruned in numpy, repeatedly.  The rows left are
-inserted sparsest first (ties by leading column) into an echelon form keyed
-by leading column; each new row is reduced by the pivots its leading
-entries hit, and only a row that survives as a new pivot is normalised.
+arithmetic and are pruned in numpy, repeatedly.  The core left is
+transposed if it is taller than wide, since rows beyond the rank cost a
+full reduction each and end as zero.  Its rows are inserted sparsest first
+(ties by leading column) into an echelon form keyed by leading column; each
+new row is reduced by the pivots its leading entries hit, and only a row
+that survives as a new pivot is normalised.
 For odd p a row is a {column: residue} dict of Python ints, so p may be of
 any size.  For p = 2 it is a bitset, one Python int with one bit per
 column, the first column in the highest bit: its leading column is read off
@@ -106,7 +108,9 @@ def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
     First the pruning steps of structured elimination, in numpy, until
     neither applies: a row with one entry is a pivot, so its column is
     cleared from every other row; a column with one entry makes its row a
-    pivot, so the row is dropped.  Then echelon insertion of the rows left.
+    pivot, so the row is dropped.  The core left is transposed when it has
+    more nonzero rows than columns (rank A = rank A^T), so that at most as
+    many rows as columns go in.  Then echelon insertion of the rows left.
     Rows go in by (nonzero count, leading column), sparsest first, so that
     the pivots stay short.  Each row is reduced by the pivot of its leading
     column until its leading column is free, where it becomes the pivot,
@@ -133,6 +137,11 @@ def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
         rank += found
         keep = ~cleared[cols] & ~dropped[rows]
         rows, cols, values = rows[keep], cols[keep], values[keep]
+    if np.count_nonzero(np.bincount(rows)) > \
+            np.count_nonzero(np.bincount(cols)):
+        # rank A = rank A^T: eliminate along the shorter side, since the
+        # rows beyond the rank reduce to zero at full cost
+        rows, cols = cols, rows
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
     fresh = np.diff(rows, prepend=-1) != 0

@@ -234,8 +234,8 @@ def scalar_law_pairs(G1, phis, G2, params, seed):
         triples = [(a, phi, b) for a in G1.elements for phi in phis
                    for b in G2.elements]
         return [(t1, t2) for t1 in triples for t2 in triples]
-    total, _, pair_ids = _law_pairs((G1.order(), len(phis), G2.order()),
-                                    params, seed)
+    total, pair_ids = _law_pairs((G1.order(), len(phis), G2.order()),
+                                 params, seed)
     return _as_triples(G1, phis, G2, pair_ids(0, total))
 
 
@@ -274,20 +274,18 @@ LAW_AXIS_SIZES = [1, 2, 4, 8, 16, 64, 1024, 48, 81, 27]
 def test_law_pairs_draw_ids_in_range_by_seed(sizes, size, axis, seed,
                                              samples):
     """`_law_pairs` draws 2 * samples triple ids below |G1| |M| |G2|, the
-    same ones for the same seed and others for another seed; distinct is
-    their sorted set.  Sizes of one, powers of two, the group sizes of the
-    benchmark and one axis of 2^31 (two would overflow the int64 ids)."""
+    same ones for the same seed and others for another seed.  Sizes of
+    one, powers of two, the group sizes of the benchmark and one axis of
+    2^31 (two would overflow the int64 ids)."""
     sizes.insert(axis, size)
     triples = math.prod(sizes)
-    total, distinct, pair_ids = _law_pairs(tuple(sizes), {"samples": samples},
-                                           seed)
+    total, pair_ids = _law_pairs(tuple(sizes), {"samples": samples}, seed)
     ids = pair_ids(0, total)
     assert total == samples and ids.shape == (samples, 2)
     assert ids.dtype == np.int64 and (0 <= ids).all() and (ids < triples).all()
-    assert distinct.tolist() == sorted(set(ids.ravel().tolist()))
-    again = _law_pairs(tuple(sizes), {"samples": samples}, seed)[2]
+    again = _law_pairs(tuple(sizes), {"samples": samples}, seed)[1]
     assert again(0, total).tolist() == ids.tolist()
-    other = _law_pairs(tuple(sizes), {"samples": samples}, seed + 1)[2]
+    other = _law_pairs(tuple(sizes), {"samples": samples}, seed + 1)[1]
     if triples ** (2 * samples) >= 2 ** 40:  # equal draws are unlikely
         assert other(0, total).tolist() != ids.tolist()
 
@@ -298,7 +296,7 @@ def test_law_pairs_draw_every_axis_uniformly(sizes):
     chi-square statistic of each axis stays within 5 standard deviations
     of its mean, size - 1 (the seed is fixed, so the counts are too).
     Folding ids past the range back in, instead of rejecting them, fails."""
-    total, _, pair_ids = _law_pairs(sizes, {"samples": 10000}, 0)
+    total, pair_ids = _law_pairs(sizes, {"samples": 10000}, 0)
     axes = np.unravel_index(pair_ids(0, total).ravel(), sizes)
     for size, axis in zip(sizes, axes):
         counts = np.bincount(axis, minlength=size)
@@ -321,21 +319,74 @@ def test_law_pairs_draw_in_bulk(monkeypatch):
     monkeypatch.setattr(random.Random, "getrandbits", counted)
     for seed in (0, 2 ** 70, "desk", b"\x01\x02"):
         calls.clear()
-        total, _, pair_ids = _law_pairs((48, 81, 27), {"samples": 10000}, seed)
+        total, pair_ids = _law_pairs((48, 81, 27), {"samples": 10000}, seed)
         assert total == 10000 and 1 <= len(calls) <= 4
-        again = _law_pairs((48, 81, 27), {"samples": 10000}, seed)[2]
+        again = _law_pairs((48, 81, 27), {"samples": 10000}, seed)[1]
         assert again(0, total).tolist() == pair_ids(0, total).tolist()
 
 
 def test_exhaustive_law_pairs_keep_their_order():
     params = dict(LAW_SHAPES[2], mode="exhaustive")
     _, G1, phis, G2 = _law_setting(params)
-    total, distinct, pair_ids = _law_pairs((2, 16, 2), params, 0)
-    assert total == 64 ** 2 and distinct.tolist() == list(range(64))
+    total, pair_ids = _law_pairs((2, 16, 2), params, 0)
+    assert total == 64 ** 2
     ids = np.concatenate([pair_ids(s, min(total, s + 1000))
                           for s in range(0, total, 1000)])
     assert _as_triples(G1, phis, G2, ids) == \
         scalar_law_pairs(G1, phis, G2, params, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(LAW_SHAPES), st.data())
+def test_blocks_of_expanded_factors_expand_the_block_matrix(shape, data):
+    """`GluingGroup.blocks` reads its block sizes and dtype from its
+    operands, so assembling the expansions of random factors over F_p
+    gives the expansion of their block matrix, and so do the column-0
+    slices that `semidirect_law` multiplies by."""
+    gluing, G1, phis, G2 = _law_setting(shape)
+    field, size, r = gluing.field, gluing.m + gluing.n, gluing.field.r
+    count = data.draw(st.integers(1, 5))
+    factors = [np.asarray(x)[data.draw(st.lists(
+        st.integers(0, len(x) - 1), min_size=count, max_size=count))]
+        for x in (G1.rows(), phis, G2.rows())]
+    whole = _expand(field, gluing.blocks(*factors))
+    parts = [_expand(field, x, size) for x in factors]
+    assert whole.dtype == parts[0].dtype
+    assert np.array_equal(gluing.blocks(*parts), whole)
+    assert np.array_equal(gluing.blocks(*(x[..., ::r] for x in parts)),
+                          whole[..., ::r])
+
+
+def test_exhaustive_thin_law_matches_the_scalar_law():
+    params = dict(LAW_SHAPES[4], mode="exhaustive")
+    gluing, G1, phis, G2 = _law_setting(params)
+    pairs = scalar_law_pairs(G1, phis, G2, params, 0)
+    rep = run_check("semidirect_law", params)
+    assert rep.status == "pass" and scalar_law(gluing, pairs) is None
+    assert rep.notes == f"{len(pairs)} of {len(pairs)} pairs checked"
+
+
+def test_law_forms_each_factor_product_once(monkeypatch):
+    """The triple formula makes one `_digit_matmul` call per factor product
+    (4, not one per product and chunk), each over the distinct pairs of
+    factor ids that the checked pairs use."""
+    params = dict(LAW_SHAPES[1], samples=10000, seed=1)
+    _, G1, phis, G2 = _law_setting(params)
+    sizes = (G1.order(), len(phis), G2.order())
+    total, pair_ids = _law_pairs(sizes, params, 0)
+    left, right = (np.unravel_index(ids, sizes)
+                   for ids in pair_ids(0, total).T)
+    distinct = [len({*zip(left[x].tolist(), right[y].tolist())})
+                for x, y in ((0, 0), (0, 1), (1, 2), (2, 2))]
+    calls = []
+    honest = checks._digit_matmul
+
+    def counted(field, a, b):
+        calls.append(len(a))
+        return honest(field, a, b)
+    monkeypatch.setattr(checks, "_digit_matmul", counted)
+    assert run_check("semidirect_law", params).status == "pass"
+    assert calls == distinct
 
 
 def _corrupt_products_of(monkeypatch, gluing, triple):

@@ -91,21 +91,39 @@ def test_run_bundled_scenarios(capsys):
         assert code == 0, f"{name} failed:\n{out}"
 
 
-def test_desk_reports_match_the_recorded_ones():
-    """The five desk scenarios report what tests/data/desk_reports.jsonl
-    records, key for key apart from `millis`."""
-    recorded = [json.loads(line) for line in
-                (Path(__file__).parent / "data" / "desk_reports.jsonl")
-                .read_text().splitlines()]
+def reports_of(names):
+    """The reports of the named bundled scenarios, as JSON objects with
+    their scenario name and without `millis`."""
     reports = []
-    for name in ("acceptance", "orders_small", "ck_sp4_q2", "transfer_u4",
-                 "negative_controls"):
+    for name in names:
         _, got = run_scenario(load_scenario(name), quiet=True)
         for report in got:
             line = json.loads(json.dumps(report.to_dict()))
             del line["millis"]
             reports.append({"scenario": name, **line})
-    assert reports == recorded
+    return reports
+
+
+def recorded(name):
+    return [json.loads(line) for line in
+            (Path(__file__).parent / "data" / name).read_text().splitlines()]
+
+
+def test_desk_reports_match_the_recorded_ones():
+    """The five desk scenarios report what tests/data/desk_reports.jsonl
+    records, key for key apart from `millis`."""
+    assert reports_of(("acceptance", "orders_small", "ck_sp4_q2",
+                       "transfer_u4", "negative_controls")) == \
+        recorded("desk_reports.jsonl")
+
+
+def test_stretch_reports_match_the_recorded_ones():
+    """The four stretch scenarios report what
+    tests/data/stretch_reports.jsonl records, key for key apart from
+    `millis`: about 4 s of checks, the Sylow Hilbert series of Sp4(F3) and
+    Sp6(F2) through the sparse rank among them."""
+    assert reports_of(("transfer_stretch", "hilbert_sylow", "ck_sp4_stretch",
+                       "closure_stretch")) == recorded("stretch_reports.jsonl")
 
 
 def test_glue_kinds(capsys):

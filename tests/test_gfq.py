@@ -345,6 +345,21 @@ def test_multiply_routes_by_the_field():
                                     for a in range(9)]
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (509, 1), (2, 2), (3, 2), (2, 8),
+                                 (2, 9), (3, 5), (7, 3)])
+def test_tables_match_the_convolution_route(p, r):
+    """The multiplication table, built by float64 matmuls of digits with
+    the regular matrices, is the product of the convolution route that
+    fields without tables take, and the inverse table inverts."""
+    F = FieldSpec(p, r)
+    every = np.arange(F.q)
+    with mock.patch.object(F, "_mul_array", None):
+        convolved = F.multiply(every[:, None], every)
+    assert np.array_equal(F._mul_array, convolved)
+    assert F._mul_table == convolved.tolist()
+    assert [F.mul(a, F.inv(a)) for a in range(1, F.q)] == [1] * (F.q - 1)
+
+
 def test_tables_are_built_in_row_blocks():
     """The transient memory of building the GF(512) tables (the peak less
     what the field keeps) stays below the (q, r, q) int64 array of the

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import build_field
 from modinvar.gluing import (BimoduleBasis, BimoduleClosureError, GluingGroup,
@@ -502,13 +503,67 @@ def test_singular_quadratic_forms(q, text, order, isometries):
         "quadratic", field, quadratic=parse_polynomial(space, text)))
     assert len(gluing.G2.elements) == isometries
     assert gluing.enumerate().order() == order
+    assert gluing.form.kind == "quadratic"
+    assert form_preserved(gluing.realized.generator_rows, gluing.form).all()
+
+
+def test_singular_quadratic_form_off_the_radical_is_refused():
+    """x1 x2 + x3^2 over F_2: its polar form has radical e3, where the form
+    is 1, so it does not descend to the quotient."""
+    space = VariableSpace(F2, ["x1", "x2", "x3"])
+    form = FormSpec("quadratic", F2,
+                    quadratic=parse_polynomial(space, "x1*x2 + x3^2"))
+    with pytest.raises(ValueError, match="does not vanish on the radical"):
+        singular_form_group(form)
 
 
 @pytest.mark.parametrize("gram,order,isometries", [
     (((0, 0), (0, 1)), 36, 3),
-    (((0, 0, 0), (0, 0, 1), (0, 1, 0)), 864, 18)])
+    (((0, 0, 0), (0, 0, 1), (0, 1, 0)), 864, 18),
+    (((1, 3), (2, 1)), 36, 3)])
 def test_singular_hermitian_forms(gram, order, isometries):
+    """((1, 3), (2, 1)) is u* u for u = (1, 3): its radical (1, 2) is not
+    fixed by the twist, so the Gram matrix moves by the twisted
+    congruence."""
     gluing = singular_form_group(FormSpec("hermitian", F4, gram=gram))
     assert len(gluing.G2.elements) == isometries
     assert gluing.enumerate().order() == order
+    assert form_preserved(gluing.realized.generator_rows, gluing.form).all()
+
+
+@st.composite
+def singular_hermitian_grams(draw):
+    """A singular hermitian Gram matrix over GF(4) or GF(9) of size 2 or 3:
+    twist(A)^T H A for a random A and a random hermitian H of smaller rank
+    (its last rows and columns zero), formed entry by entry."""
+    field = draw(st.sampled_from([F4, F9]))
+    dim = draw(st.integers(2, 3))
+    rank = draw(st.integers(0, dim - 1))
+    entry = st.integers(0, field.q - 1)
+    half = field.p ** (field.r // 2)
+    fixed = [a for a in range(field.q) if field.pow(a, half) == a]
+    H = [[0] * dim for _ in range(dim)]
+    for i in range(rank):
+        H[i][i] = draw(st.sampled_from(fixed))
+        for j in range(i + 1, rank):
+            H[i][j] = draw(entry)
+            H[j][i] = field.pow(H[i][j], half)
+    A = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    gram = [[0] * dim for _ in range(dim)]
+    for i, j, k, l in itertools.product(range(dim), repeat=4):
+        term = field.mul(field.mul(field.pow(A[k][i], half), H[k][l]),
+                         A[l][j])
+        gram[i][j] = field.add(gram[i][j], term)
+    return field, gram
+
+
+@settings(max_examples=30, deadline=None)
+@given(singular_hermitian_grams())
+def test_singular_hermitian_forms_realize(case):
+    """Every singular hermitian form realizes, and its generators preserve
+    the moved form stored on the gluing, whose radical block is zero."""
+    field, gram = case
+    gluing = singular_form_group(FormSpec("hermitian", field, gram=gram))
+    m = gluing.m
+    assert not gluing.form.gram[:m].any() and not gluing.form.gram[:, :m].any()
     assert form_preserved(gluing.realized.generator_rows, gluing.form).all()

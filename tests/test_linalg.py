@@ -285,6 +285,33 @@ def test_sparse_rank_prunes_and_eliminates():
     assert sparse_rank_mod_p([], [], [], 5) == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.booleans(),
+       st.integers(min_value=2, max_value=12),
+       st.integers(min_value=1, max_value=30),
+       st.sampled_from([0.05, 0.2, 0.5]), st.integers(0, 2 ** 32 - 1))
+def test_sparse_rank_of_tall_and_wide_cores(p, tall, short, extra, density,
+                                            seed):
+    """Matrices with at least two entries in every row and column, so that
+    nothing is pruned and the core is the whole matrix, taller than wide
+    (it is eliminated as its transpose) or wider than tall.  Both, and
+    their transposes, have the dense rank."""
+    rng = np.random.default_rng(seed)
+    shape = (short + extra, short) if tall else (short, short + extra)
+    A = np.where(rng.random(shape) < density,
+                 rng.integers(1, p, shape), 0)
+    for axis, size in enumerate(shape):
+        other = shape[1 - axis]
+        for i in range(size):
+            cells = rng.choice(other, size=2, replace=False)
+            index = (i, cells) if axis == 0 else (cells, i)
+            A[index] = rng.integers(1, p, 2)
+    expected = len(rref_mod_p(A, p)[1])
+    for M in (A, A.T):
+        rows, cols = np.nonzero(M)
+        assert sparse_rank_mod_p(rows, cols, M[rows, cols], p) == expected
+
+
 @st.composite
 def f2_matrices(draw):
     """A 0/1 matrix over F_2 of up to 40 x 200, so that its bitset rows are
