@@ -26,8 +26,7 @@ from modinvar.linalg import (_matrix_dtype, fp_expand_coo,
                              rref_mod_p, sparse_rank_mod_p)
 from modinvar.mvpoly import (Polynomial, VariableSpace, _act_sum,
                              _combine_keys, _key_weights, _stack,
-                             _term_arrays, gluing_space, monomial_array,
-                             symplectic_space)
+                             gluing_space, monomial_array, symplectic_space)
 
 
 class VerificationReport:
@@ -175,8 +174,8 @@ def _rows_to_polys(space, monos, reduced):
     terms = list(zip(*monos[cols].T.tolist()))
     out, start = [], 0
     for end in np.searchsorted(rows, np.arange(1, len(reduced) + 1)).tolist():
-        out.append(Polynomial(space, dict(zip(terms[start:end],
-                                              values[start:end]))))
+        out.append(Polynomial._trusted(space, dict(zip(terms[start:end],
+                                                       values[start:end]))))
         start = end
     return out
 
@@ -381,7 +380,7 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial
             image.group, image.space, dtau, sums=image.sums)
     else:
         monos, weights = _monomial_keys(image.space.dim, dtau)
-    exps, coeffs = _term_arrays(tau)
+    exps, coeffs, _ = _stack([tau])
     vector = _scatter(monos, weights, 1, [np.zeros_like(coeffs)],
                       [exps @ weights], [coeffs], _matrix_dtype(image.space.field))
     if not in_reduced_row_space(vector, reduced, image.space.field)[0]:

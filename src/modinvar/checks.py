@@ -647,9 +647,14 @@ def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationRepo
     monotonic clock into `millis`.  A BudgetExceeded raised anywhere inside
     the check becomes a skipped report carrying its message, a ClaimRefuted
     a failed report with its message as the witness; every other exception
-    propagates."""
+    propagates.  ValueError for a `samples` param that is not an int >= 1
+    or a degree bound `D` that is not an int >= 0."""
     if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}; known: {sorted(CHECKS)}")
+    for name, least in (("samples", 1), ("D", 0)):
+        value = params.get(name, least)
+        if type(value) is not int or value < least:
+            raise ValueError(f"bad {name}={value!r}: an int >= {least}")
     token = RUN_BUDGETS.set(run_budgets(budgets or {}))
     t0 = time.perf_counter()
     try:

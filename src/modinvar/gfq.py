@@ -71,6 +71,16 @@ def _poly_rem(a, m, p):
     del a[dm:]
     return a
 
+
+def _base_p_digits(i, p, r):
+    """The r base-p digits of the int i, lowest first."""
+    out = []
+    for _ in range(r):
+        i, d = divmod(i, p)
+        out.append(d)
+    return out
+
+
 def _poly_is_irreducible(m, p):
     """Trial division of the monic polynomial m by all lower-degree monics."""
     r = len(m) - 1
@@ -78,15 +88,7 @@ def _poly_is_irreducible(m, p):
         return True
     for d in range(1, r // 2 + 1):
         for idx in range(p ** d):
-            div = [0] * (d + 1)
-            k, v = 0, idx
-            while v:
-                div[k] = v % p
-                v //= p
-                k += 1
-            div[d] = 1
-            rem = _poly_rem(m, div, p)
-            if not any(rem):
+            if not any(_poly_rem(m, _base_p_digits(idx, p, d) + [1], p)):
                 return False
     return True
 
@@ -100,13 +102,7 @@ def _smallest_irreducible(p, r):
     if r == 1:
         return (0, 1)
     for idx in range(p ** r):
-        m = [0] * (r + 1)
-        k, v = 0, idx
-        while v:
-            m[k] = v % p
-            v //= p
-            k += 1
-        m[r] = 1
+        m = _base_p_digits(idx, p, r) + [1]
         if _poly_is_irreducible(m, p):
             return tuple(m)
     raise AssertionError("no irreducible polynomial found")
@@ -156,11 +152,7 @@ class FieldSpec:
     # -- index-level arithmetic (used by the polynomial layer) --
 
     def _digits(self, i):
-        out = [0] * self.r
-        for k in range(self.r):
-            out[k] = i % self.p
-            i //= self.p
-        return out
+        return _base_p_digits(i, self.p, self.r)
 
     def _index(self, digits):
         i = 0

@@ -230,25 +230,27 @@ def _contains(keys, probe):
     return keys[pos] == probe
 
 
-def _row_codec(work, n):
-    """(encode, decode, code dtype) between (..., n) index rows over the
-    working field `work` and their row codes, which compare as the rows do.
+def _digit_codec(base, n, dtype):
+    """(encode, decode, code dtype) between (..., n) arrays of base-`base`
+    digits and their codes, which compare as the digit rows do: a row of
+    field indices (base q) to its row code, or a matrix's row codes (base
+    q^n) to its closure key.
 
-    While q^n <= 2^63 a row's code is its row index: the entries read as
-    base-q digits, first entry most significant, an int64 in arithmetic and
-    the smallest big-endian unsigned dtype in keys.  Above that a code is
-    the row's bytes in the working field's index dtype."""
-    q = work.q
-    if q ** n <= 2 ** 63:
-        place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    While base^n <= 2^63 a code is the int64 that reads the digits first
+    most significant, stored in the smallest big-endian unsigned code
+    dtype; decode divides it out again.  Above that a code is the bytes of
+    the digits in `dtype`, which sort as the row does for a big-endian or
+    void `dtype`, and decode views it."""
+    if base ** n <= 2 ** 63:
+        place = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
         def encode(rows):
             return rows @ place
 
         def decode(codes):
-            return codes.astype(np.int64)[..., None] // place % q
-        return encode, decode, np.min_scalar_type(q ** n - 1).newbyteorder(">")
-    dtype = _index_dtype(work)
+            return codes.astype(np.int64)[..., None] // place % base
+        return encode, decode, np.min_scalar_type(base ** n - 1) \
+            .newbyteorder(">")
     code = np.dtype((np.void, n * dtype.itemsize))
 
     def encode(rows):
@@ -259,34 +261,6 @@ def _row_codec(work, n):
     return encode, decode, code
 
 
-def _key_codec(work, n, code):
-    """(encode, decode) between (N, n) row code arrays (`_row_codec`, code
-    dtype `code`) and the closure's dedup keys, which sort as the matrices
-    do.
-
-    While q^(n^2) < 2^63, q the order of the working field, a key is the
-    int64 whose base-q^n digits are the row codes, so its base-q digits are
-    the entries, entry (0, 0) most significant; decode divides it out
-    again.  Above that bound a key is the bytes of the row codes in the
-    code dtype, and decode views it."""
-    Q = work.q ** n
-    if Q ** n < 2 ** 63:
-        place = Q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-        def encode(codes):
-            return codes @ place
-
-        def decode(keys):
-            return keys[:, None] // place % Q
-    else:
-        def encode(codes):
-            return _keys(codes.astype(code))
-
-        def decode(keys):
-            return keys.view(code).reshape(len(keys), n)
-    return encode, decode
-
-
 def _row_products(work, gens, codes, dtype=np.int64):
     """The (k, m) row codes of v.g for each of the k n x n index matrices g
     of `gens` and each of the m row codes v, in `dtype` (void codes stay
@@ -294,7 +268,7 @@ def _row_products(work, gens, codes, dtype=np.int64):
     The closure's row-image step where F^n is too large for tables, and
     the builder and test oracle of those tables (`_row_table`)."""
     k, n = gens.shape[:2]
-    encode, decode, code = _row_codec(work, n)
+    encode, decode, code = _digit_codec(work.q, n, _index_dtype(work))
     out = np.empty((k, len(codes)), dtype=code if code.kind == "V" else dtype)
     step = max(1, CHUNK_ENTRIES // (k * n * work.r))
     for start in range(0, len(codes), step):
@@ -354,9 +328,9 @@ def _closure(field, n, generators, cap, name="group"):
     generated by n x n index matrices; with none, or with n = 0, the
     identity alone.
 
-    A matrix is held as its n row codes (`_row_codec`), and a matrix times
-    a generator is its rows each mapped to their images under it
-    (`_row_images`), a piece of about CHUNK_ENTRIES images at a time.
+    A matrix is held as its n row codes (`_digit_codec` in base q), and a
+    matrix times a generator is its rows each mapped to their images under
+    it (`_row_images`), a piece of about CHUNK_ENTRIES images at a time.
 
     The group is built as right cosets (Dimino's algorithm).  The first
     stage is <g_0>, its powers formed one product at a time; stage i then
@@ -382,17 +356,17 @@ def _closure(field, n, generators, cap, name="group"):
     `index_matmul` (`_row_products`).  F is the prime subfield when every
     generator entry lies in it (`_working_field`).  The group's keys are
     int64 where a matrix fits in one, else the bytes of the row codes
-    (`_key_codec`); those become byte keys of the entries a chunk at a time
-    at the end, the entries gathered from a table of every row code's
-    entries where tables were built, and divided out otherwise.
+    (`_digit_codec` in base q^n); those become byte keys of the entries a
+    chunk at a time at the end, the entries gathered from a table of every
+    row code's entries where tables were built, and divided out otherwise.
     """
     dtype = _index_dtype(field)
     if n == 0 or not len(generators):  # the trivial group
         return _keys(np.eye(n, dtype=dtype)[None])
     gens = np.array(generators, dtype=np.int64).reshape(len(generators), n, n)
     work = _working_field(field, gens)
-    encode_row, decode_row, code = _row_codec(work, n)
-    encode, decode = _key_codec(work, n, code)
+    encode_row, decode_row, code = _digit_codec(work.q, n, _index_dtype(work))
+    encode, decode, _ = _digit_codec(work.q ** n, n, code)
     store = code if code.kind == "V" else code.newbyteorder("=")
     piece = max(1, CHUNK_ENTRIES // n)
     table = None
@@ -657,8 +631,8 @@ class MatrixGroup:
     large); only the coset representatives' products with the generators
     are tested against the group.  The group is kept as sorted int64 keys,
     the entries as base-q digits, where a matrix fits in one, else as byte
-    keys of the row codes, and images come in chunks of at most about
-    CHUNK_ENTRIES entries.
+    keys of the row codes (both `_digit_codec`), and images come in chunks
+    of at most about CHUNK_ENTRIES entries.
 
     An enumerated group stores only the sorted byte keys of its index
     matrices (`keys`; `rows()` views them as an (N, n, n) array), so the

@@ -147,11 +147,18 @@ class Polynomial:
     def __init__(self, space: VariableSpace, terms: dict):
         """The polynomial of an exponent tuple -> coefficient index dict;
         ValueError for an index outside 1..q-1, which the field's tables
-        and the packed kernels would read differently."""
+        and the packed kernels would read differently, and for a key that
+        is not a tuple of space.dim nonnegative ints, which would print as
+        one monomial and multiply as another."""
         if terms and not (0 < min(terms.values())
                           and max(terms.values()) < space.field.q):
             raise ValueError(
                 f"coefficient indices must lie in 1..{space.field.q - 1}")
+        if not all(type(e) is tuple and len(e) == space.dim
+                   and all(type(x) is int and x >= 0 for x in e)
+                   for e in terms):
+            raise ValueError(f"exponent keys must be tuples of {space.dim} "
+                             "nonnegative ints")
         self.space = space
         self._terms = terms
         self._hash = None
@@ -164,12 +171,6 @@ class Polynomial:
         return f
 
     # -- inspection --
-
-    @property
-    def terms(self):
-        """Exponent tuple -> Scalar, a copy in canonical (grevlex) order."""
-        f = self.space.field
-        return {e: Scalar(f, c) for e, c in self.sorted_terms()}
 
     def sorted_terms(self):
         return sorted(self._terms.items(), key=lambda item: grevlex_key(item[0]))
@@ -229,14 +230,9 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         field = self.space.field
-        add = field.add
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = add(out.get(e, 0), c)
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            _add_term(field, out, e, c)
         return Polynomial._trusted(self.space, out)
 
     __radd__ = __add__
@@ -250,18 +246,10 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        sub = self.space.field.sub
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = sub(out.get(e, 0), c)
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Polynomial._trusted(self.space, out)
+        return self + -other
 
     def __rsub__(self, other):
-        return -(self - other)
+        return -self + other
 
     def __mul__(self, other):
         """Product.  With at least NUMPY_MIN_PRODUCTS term pairs it runs
@@ -345,7 +333,7 @@ class Polynomial:
         c_g_inv = field.inv(g._terms[lt_g])
         rem = dict(self._terms)
         quo = {}
-        mul, add, neg = field.mul, field.add, field.neg
+        mul, neg = field.mul, field.neg
         while rem:
             lt = min(rem, key=grevlex_key)
             diff = tuple(map(int.__sub__, lt, lt_g))
@@ -355,12 +343,8 @@ class Polynomial:
             c = mul(rem[lt], c_g_inv)
             quo[diff] = c
             for e2, c2 in g._terms.items():
-                e = tuple(map(int.__add__, diff, e2))
-                s = add(rem.get(e, 0), neg(mul(c, c2)))
-                if s:
-                    rem[e] = s
-                elif e in rem:
-                    del rem[e]
+                _add_term(field, rem, tuple(map(int.__add__, diff, e2)),
+                          neg(mul(c, c2)))
         return Polynomial._trusted(self.space, quo)
 
     def divides(self, other: "Polynomial") -> bool:
@@ -416,7 +400,7 @@ class Polynomial:
                 got = cache[key] = images[i] ** e
             return got
 
-        add, mul = field.add, field.mul
+        mul = field.mul
         zero = (0,) * target.dim
         out = {}
         for e, c in self._terms.items():
@@ -431,11 +415,7 @@ class Polynomial:
             else:
                 image = [(fixed, c)]
             for e3, c3 in image:
-                s = add(out.get(e3, 0), c3)
-                if s:
-                    out[e3] = s
-                elif e3 in out:
-                    del out[e3]
+                _add_term(field, out, e3, c3)
         return Polynomial._trusted(target, out)
 
     def evaluate(self, point) -> Scalar:
@@ -611,12 +591,6 @@ def _folded(parts, field: FieldSpec):
 # pair: term e of output o has the key o * radix^n + sum_j e_j radix^j, and
 # the keys ascend, so each output is a contiguous run.  The radix exceeds
 # every total degree, so no exponent carries into the next place.
-
-def _term_arrays(poly: Polynomial):
-    """The exponents (an int64 (len, dim) array) and coefficient indices of
-    a polynomial's terms."""
-    return _dict_arrays(poly._terms, poly.space.dim)
-
 
 def _key_weights(radix, n):
     """The place values radix^j of the packed keys of n variables: int64,
@@ -882,7 +856,7 @@ def _family(polys, radix):
 def _stack(polys):
     """The terms of several polynomials of one space: (exponents,
     coefficient indices, the index of each term's polynomial)."""
-    exps, coeffs = zip(*map(_term_arrays, polys))
+    exps, coeffs = zip(*(_dict_arrays(f._terms, f.space.dim) for f in polys))
     return (np.concatenate(exps), np.concatenate(coeffs),
             np.repeat(np.arange(len(polys)), [len(f) for f in polys]))
 

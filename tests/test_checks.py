@@ -27,6 +27,48 @@ from modinvar.groups import _expand, mat_mul
 from modinvar.mvpoly import VariableSpace, gluing_space, parse_polynomial
 
 
+SMALL_GLUING = {"q": 2, "m": 2, "n": 2, "g1": "u", "g2": "u",
+                "module": "full"}
+SMALL_HILBERT = {"group": {"kind": "u", "n": 2, "q": 2},
+                 "generators": [1, 2]}
+
+
+@pytest.mark.parametrize("kind,params,name,value", [
+    # these passed as "-5 of -5 pairs checked", "-2 monomials checked"
+    ("semidirect_law", SMALL_GLUING, "samples", -5),
+    ("transfer_factorization", SMALL_GLUING, "samples", -2),
+    ("action_compatibility", {"q": 2, "n": 2}, "samples", -1),
+    ("transfer_module", {"p": 2}, "samples", -3),
+    ("semidirect_law", SMALL_GLUING, "samples", 0),
+    ("transfer_module", {"p": 2}, "samples", "4"),
+    ("action_compatibility", {"q": 2, "n": 2}, "samples", True),
+    ("hilbert", SMALL_HILBERT, "D", -1),  # an IndexError
+    ("hilbert", SMALL_HILBERT, "D", 2.0),
+])
+def test_run_check_refuses_bad_sample_counts_and_degree_bounds(
+        kind, params, name, value):
+    """`samples` must be an int >= 1 and `D` an int >= 0, whichever check
+    takes them."""
+    with pytest.raises(ValueError, match=f"bad {name}={value!r}"):
+        run_check(kind, {**params, name: value})
+
+
+def test_bad_sample_counts_are_errors_in_verify_and_scenarios(capsys):
+    """`verify` exits 2 on a refused parameter; a scenario entry with one
+    reads `error`, and the entries after it still run."""
+    code = main(["verify", "transfer_module", "--p", "2",
+                 "--param", "samples", "-2"])
+    assert code == 2
+    assert "bad samples=-2" in capsys.readouterr().err
+    code, reports = run_scenario({"checks": [
+        {"check": "hilbert", "params": {**SMALL_HILBERT, "D": -1}},
+        {"check": "hilbert", "params": {**SMALL_HILBERT, "D": 0}}]},
+        quiet=True)
+    assert code == 1
+    assert [r.status for r in reports] == ["error", "pass"]
+    assert reports[0].witness == "ValueError: bad D=-1: an int >= 0"
+
+
 def test_monomial_budget_is_skipped(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_KERNEL_MONOMIALS", 10)
     params = {"group": {"kind": "u", "n": 3, "q": 2},
@@ -251,7 +293,7 @@ def scalar_law(gluing, pairs):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(LAW_SHAPES), st.integers(0, 10 ** 6),
-       st.integers(0, 60))
+       st.integers(1, 60))
 def test_batched_law_draws_the_scalar_pairs(shape, seed, samples):
     """The batched check and the scalar law, pair by pair, pass on the
     pairs `_law_pairs` draws."""

@@ -11,11 +11,10 @@ from modinvar import groups
 from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _closure, _digit_matmul, _expand, _fp_dtype,
-                             _index_dtype, _keeps_values,
-                             _key_codec, _keys, _matmul_mod, _pk_assemble,
-                             _row_codec,
-                             _row_table, _working_field,
+                             _closure, _digit_codec, _digit_matmul, _expand,
+                             _fp_dtype, _index_dtype, _keeps_values, _keys,
+                             _matmul_mod, _pk_assemble, _row_table,
+                             _working_field,
                              MatrixGroup, NotEnumeratedError,
                              element_orders,
                              field_from_order, form_preserved, gk_order,
@@ -571,8 +570,8 @@ def _closure_route(G):
     product is formed in the loop) of G's generators."""
     gens = G.generator_rows
     work = _working_field(G.field, gens)
-    encode_row, _, code = _row_codec(work, G.n)
-    encode, _ = _key_codec(work, G.n, code)
+    encode_row, _, code = _digit_codec(work.q, G.n, _index_dtype(work))
+    encode, _, _ = _digit_codec(work.q ** G.n, G.n, code)
     kind = encode(encode_row(np.eye(G.n, dtype=np.int64))[None]).dtype.kind
     table = _row_table(work, gens, math.inf)
     return work.q, kind, "index_matmul" if table is None else "table"
@@ -695,8 +694,8 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     G = make()
     expected = MatrixGroup(G.field, G.n, G.generator_rows).enumerate().keys
     products, images, decoded, entries, converted = [], [], [], [], []
-    matmul_mod, key_codec = groups._matmul_mod, groups._key_codec
-    row_codec, matmul = groups._row_codec, groups.index_matmul
+    matmul_mod, digit_codec = groups._matmul_mod, groups._digit_codec
+    matmul = groups.index_matmul
     keys_of = groups._keys
 
     def spy_matmul_mod(a, b, p):
@@ -709,8 +708,14 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
         images.append(out.size)
         return out
 
-    def spy_key_codec(work, n, code):
-        encode, decode = key_codec(work, n, code)
+    def spy_digit_codec(base, n, dtype):
+        encode, decode, code = digit_codec(base, n, dtype)
+        if base == work.q:  # row codes; keys have base q^n, and n >= 2
+            def spy_decode(codes):
+                rows = decode(codes)
+                entries.append(rows.size)
+                return rows
+            return encode, spy_decode, code
 
         def spy_encode(codes):
             images.append(codes.size)  # the gathered or formed row images
@@ -720,16 +725,7 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
             codes = decode(keys)
             decoded.append(codes.size)
             return codes
-        return spy_encode, spy_decode
-
-    def spy_row_codec(work, n):
-        encode, decode, code = row_codec(work, n)
-
-        def spy_decode(codes):
-            rows = decode(codes)
-            entries.append(rows.size)
-            return rows
-        return encode, spy_decode, code
+        return spy_encode, spy_decode, code
 
     def spy_keys(rows):
         if rows.ndim == 3:  # a chunk of the final conversion
@@ -739,8 +735,7 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
     monkeypatch.setattr(groups, "CHUNK_ENTRIES", chunk)
     monkeypatch.setattr(groups, "_matmul_mod", spy_matmul_mod)
     monkeypatch.setattr(groups, "index_matmul", spy_index_matmul)
-    monkeypatch.setattr(groups, "_key_codec", spy_key_codec)
-    monkeypatch.setattr(groups, "_row_codec", spy_row_codec)
+    monkeypatch.setattr(groups, "_digit_codec", spy_digit_codec)
     monkeypatch.setattr(groups, "_keys", spy_keys)
     k, n = G.generator_rows.shape[:2]
     work = _working_field(G.field, G.generator_rows)
@@ -763,6 +758,38 @@ def test_closure_memory_stays_in_chunks(monkeypatch, make, chunk):
         assert max(decoded + entries) <= max(chunk, n * n)
 
 
+@pytest.mark.parametrize("base,n,fits", [
+    (2, 63, True),
+    # the keys of GF(128) at n = 3: rows of 3 row codes below 2^21
+    (2 ** 7, 9, True), (2 ** 21, 3, True),
+    (2, 64, False), (2 ** 31 - 1, 3, False),
+])
+def test_digit_codec_round_trips_and_sorts_as_the_rows(base, n, fits):
+    """`_digit_codec` codes rows as int64 exactly while base^n <= 2^63 and
+    as bytes above; decode inverts encode on random digit rows, and the
+    codes sort as the rows do lexicographically.  The byte codes of the
+    same rows, a zero digit put in front to pass 2^63, sort as the int
+    codes do."""
+    dtype = np.min_scalar_type(base - 1).newbyteorder(">")
+    encode, decode, code = _digit_codec(base, n, dtype)
+    rng = np.random.default_rng(base + n)
+    rows = rng.integers(0, base, size=(64, n))
+    rows[32:, :n // 2] = rows[:32, :n // 2]  # shared prefixes
+    rows[-1], rows[-2] = rows[0], base - 1
+    codes = encode(rows)
+    assert code.kind == ("u" if fits else "V")
+    assert codes.dtype == (np.int64 if fits else code)
+    assert decode(codes).tolist() == rows.tolist()
+    lex = np.lexsort(rows.T[::-1]).tolist()
+    assert np.argsort(codes, kind="stable").tolist() == lex
+    if fits:
+        wide, _, wide_code = _digit_codec(base, n + 1, dtype)
+        padded = wide(np.hstack(
+            (np.zeros((len(rows), 1), dtype=np.int64), rows)))
+        assert wide_code.kind == "V" and padded.dtype == wide_code
+        assert np.argsort(padded, kind="stable").tolist() == lex
+
+
 TABLE_FIELDS = [build_field(2), build_field(3), build_field(2, 2),
                 build_field(5), build_field(2, 3), build_field(3, 2)]
 
@@ -779,7 +806,7 @@ def test_table_closure_matches_naive_closure_and_row_products(case, rnd):
     field, n, gens = case
     rows = np.array(gens, dtype=np.int64).reshape(len(gens), n, n)
     work = _working_field(field, rows)
-    encode, decode, _ = _row_codec(work, n)
+    encode, decode, _ = _digit_codec(work.q, n, _index_dtype(work))
     table = _row_table(work, rows, math.inf)
     assert table is not None and table.shape == (len(gens), work.q ** n)
     for v in rnd.sample(range(work.q ** n), min(20, work.q ** n)):

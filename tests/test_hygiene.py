@@ -459,8 +459,7 @@ def test_only_the_literal_oracle_forms_the_span_product():
 # public name instead.
 PRIVATE_IMPORTS = {
     *(("analysis", "mvpoly", name) for name in (
-        "_act_sum", "_combine_keys", "_key_weights", "_stack",
-        "_term_arrays")),
+        "_act_sum", "_combine_keys", "_key_weights", "_stack")),
     *(("analysis", "groups", name)
       for name in ("_keys", "_rows", "_sorted_unique")),
     ("analysis", "linalg", "_matrix_dtype"),
@@ -499,3 +498,62 @@ def test_no_new_private_imports_across_modules():
 
 def test_pinned_private_imports_are_still_imported():
     assert sorted(PRIVATE_IMPORTS - src_private_imports()) == []
+
+
+# (definition in src, why it stays although nothing in src calls it)
+CALLERLESS = {
+    ("semidirect_mul", "the benchmark tracer's target for the triple law"),
+    ("GluingGroup.triple", "the benchmark tracer's target for glued triples"),
+    ("MatrixGroup.generators", "the benchmark tracer reads each closure's "
+     "generators through it"),
+    ("monomials_of_degree", "test oracle: the monomial list of the dense "
+     "invariant-dimension and transfer routes"),
+    ("GroupElement.inverse", "test oracle of the scalar group law"),
+    ("GroupElement.is_identity", "test oracle of the scalar group law"),
+    ("GroupElement.apply", "test oracle of the action on vectors"),
+    ("MatrixGroup.identity", "test oracle of the scalar group law"),
+    ("Scalar.coeffs", "public API: the digits of a field element"),
+    ("Scalar.inverse", "public API: field inversion"),
+    ("Polynomial.coefficient", "public API: one coefficient"),
+}
+
+
+def callerless_definitions():
+    """The module-level functions and classes of src/modinvar that src
+    never references as a name, an attribute or an import alias, and the
+    non-dunder methods and nested classes (as "Class.member") that it
+    never references as an attribute."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))]
+    names, attributes = set(), set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = set()
+    for node in (n for tree in trees for n in tree.body
+                 if isinstance(n, kinds)):
+        if node.name not in names | attributes:
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{member.name}" for member in node.body
+                      if isinstance(member, kinds)
+                      and not member.name.startswith("__")
+                      and member.name not in attributes}
+    return found
+
+
+def test_src_defines_nothing_without_a_caller():
+    allowed = {name for name, _ in CALLERLESS}
+    found = sorted(callerless_definitions() - allowed)
+    assert not found, "definitions nothing in src references:\n" + \
+        "\n".join(found)
+
+
+def test_callerless_allowlist_entries_are_still_callerless():
+    allowed = {name for name, _ in CALLERLESS}
+    assert sorted(allowed - callerless_definitions()) == []

@@ -14,7 +14,7 @@ from modinvar.mvpoly import (InexactDivisionError, ParseError, Polynomial,
                              SpaceMismatchError, VariableSpace,
                              balanced_product, format_polynomial, grevlex_key,
                              monomial_array, monomials_of_degree,
-                             parse_polynomial)
+                             parse_polynomial, x_space)
 
 F2 = build_field(2)
 F3 = build_field(3)
@@ -78,6 +78,22 @@ def test_coefficient_indices_are_guarded():
     fixed = mvpoly.fixed_by([f], mats)[0]
     assert fixed.tolist() == [f.act(g.tolist()) == f for g in mats]
     assert fixed.sum() == 16  # the diagonal matrices: a^4 = d^8 = 1
+
+
+def test_exponent_keys_are_guarded():
+    """An exponent key must be a tuple of dim nonnegative ints.  A short
+    key printed as x1 but differed from it, a negative exponent printed
+    as x1 with degree 0, and a long key had degree 7 but gave x1^3 times
+    x1."""
+    sp = x_space(F3, 2)
+    for bad in ({(1,): 1}, {(1, -1): 1}, {(2, 0, 5): 1}, {(1, 0): 1, 7: 1},
+                {(1.0, 0): 1}, {(np.int64(1), 0): 1}):
+        with pytest.raises(ValueError, match="tuples of 2 nonnegative ints"):
+            Polynomial(sp, bad)
+    with pytest.raises(ValueError, match="tuples of 2"):
+        sp.monomial((1,))
+    x1 = sp.variable("x1")
+    assert sp.monomial((1, 0)) == x1 and Polynomial(sp, {(1, 0): 1}) == x1
 
 
 def test_degree_sentinel():
@@ -182,9 +198,9 @@ SUBSTITUTION_FIELDS = (F2, F3, F4, F9)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_sub_matches_adding_the_negation(field, data):
-    """f - g subtracts term by term with `field.sub`; the reference adds
-    -g.  Both give the same terms in the same insertion order, and a
-    difference with itself or a shared term cancels."""
+    """f - g and the reference f + (-g) give the same terms in the same
+    insertion order, and a difference with itself or a shared term
+    cancels."""
     sp = space(field, "x", "y")
     f = data.draw(small_poly(sp, max_exp=2))
     g = data.draw(small_poly(sp, max_exp=2)) + f.scale(data.draw(
