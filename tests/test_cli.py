@@ -209,12 +209,39 @@ def test_run_malformed_scenario(tmp_path, capsys):
     assert err.startswith(f"error: scenario file {bad} is not valid YAML")
 
 
-def fresh_interpreter(code):
+def fresh_interpreter(code, env=None):
     """Standard output of `code` run in a new interpreter that imports
-    modinvar from this source tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    modinvar from this source tree; `env` (default: this process's
+    environment) is its environment."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+THREADS = """
+import os
+import modinvar.checks
+print(os.environ["OPENBLAS_NUM_THREADS"])
+print(len(os.listdir("/proc/self/task"))
+      if os.path.isdir("/proc/self/task") else "-")
+"""
+
+
+def test_modinvar_runs_numpy_on_one_thread():
+    """Importing modinvar before numpy keeps OpenBLAS from starting a
+    worker thread, which would spin a second core after import."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    value, tasks = fresh_interpreter(THREADS, env).split()
+    assert value == "1"
+    if tasks != "-":
+        assert tasks == "1"
+
+
+def test_a_caller_set_blas_thread_count_wins():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    assert fresh_interpreter(THREADS, env).split()[0] == "2"
 
 
 def test_checks_and_cli_import_without_yaml():

@@ -381,3 +381,13 @@ def test_fp_expand_coo_matches_fp_expand(case):
     dense[R, C] = V
     assert (V != 0).all()
     assert (dense == fp_expand(A, field)).all()
+
+
+def test_fp_expand_coo_drops_prime_field_entries_that_vanish_mod_p():
+    """Over GF(p) entries pass through as residues: an entry whose digit is
+    p (or 2p) is zero and is dropped, one of p + 2 becomes 2."""
+    field = build_field(5, 1)
+    R, C, V = fp_expand_coo([0, 1, 2, 3], [3, 2, 1, 0],
+                            np.array([[5], [7], [10], [4]]), field)
+    assert R.tolist() == [1, 3] and C.tolist() == [2, 0]
+    assert V.tolist() == [2, 4]
