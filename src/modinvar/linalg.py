@@ -92,16 +92,10 @@ def fp_expand_coo(rows, cols, digits, field: FieldSpec):
     the base-p digits digits[e] (shape (nnz, r)).  Returns the nonzero
     entries (rows, cols, residues) of its (m r, n r) expansion over F_p:
     row i r + j, column k r + x holds digit x of t^j times entry (i, k),
-    column j of the entry's `FieldSpec.regular` matrix.  Over GF(p) the
-    expansion of an entry is the entry itself: its residue, where nonzero."""
+    column j of the entry's `FieldSpec.regular` matrix."""
     r = field.r
-    digits = np.asarray(digits, dtype=_wide_dtype(field.p))
-    if r == 1:
-        values = digits[:, 0] % field.p
-        keep = np.flatnonzero(values)
-        return (np.asarray(rows, dtype=np.int64)[keep],
-                np.asarray(cols, dtype=np.int64)[keep], values[keep])
-    values = field.regular(digits).swapaxes(1, 2)
+    values = field.regular(np.asarray(digits, dtype=_wide_dtype(field.p))) \
+        .swapaxes(1, 2)
     e, j, x = np.nonzero(values)
     return (np.asarray(rows, dtype=np.int64)[e] * r + j,
             np.asarray(cols, dtype=np.int64)[e] * r + x, values[e, j, x])

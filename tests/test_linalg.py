@@ -384,7 +384,7 @@ def test_fp_expand_coo_matches_fp_expand(case):
 
 
 def test_fp_expand_coo_drops_prime_field_entries_that_vanish_mod_p():
-    """Over GF(p) entries pass through as residues: an entry whose digit is
+    """Over GF(p) an entry expands to its residue: an entry whose digit is
     p (or 2p) is zero and is dropped, one of p + 2 becomes 2."""
     field = build_field(5, 1)
     R, C, V = fp_expand_coo([0, 1, 2, 3], [3, 2, 1, 0],
