@@ -1,16 +1,19 @@
 """Named verification checks: the vocabulary shared by the CLI `verify`
 subcommand and scenario files.
 
-Every check is `check(params)`, returns a VerificationReport and runs
-through `run_check`, the one place that sets its budgets, times it
-(`millis`, from `time.perf_counter`) and turns an exception into a report.
-A `BudgetExceeded` (an enumeration cap, a monomial budget, an
-exhaustive-search limit) raised anywhere inside a check becomes status
-"skipped" with its message as the note; a `ClaimRefuted` (an enumerated
-count against a claimed order, an `InvarianceError` of a family, a
-generator that breaks its form) becomes "fail" with its message as the
-witness.  Claims are certified where they are stated, so no check restates
-them; every other exception propagates.
+Every check is `check(params)` and runs through `run_check`, the one
+place that writes its report, sets its budgets and times it (`millis`,
+from `time.perf_counter`).  A check passes by returning its notes, a
+string or None, and fails by raising `ClaimRefuted` with its witness as
+the message, as anything it calls may (an enumerated count against a
+claimed order, an `InvarianceError` of a family, a generator that breaks
+its form); a `BudgetExceeded` raised inside it (an enumeration cap, a
+monomial budget, an exhaustive-search limit) makes the report "skipped"
+with its message as the note.  Claims are certified where they are
+stated, so no check restates them; every other exception propagates.  A
+check that delegates to a routine with a report of its own, naming other
+params or another check (`identity`, `hilbert`, `degree_product`, a
+failing `transfer_factorization`), returns that report as it is.
 """
 
 from __future__ import annotations
@@ -33,14 +36,15 @@ from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
                              glue, scalar_line_module, singular_form_group,
                              subfield_hom_module, thin_glue_regular)
 from modinvar.groups import (CHUNK_ENTRIES, RUN_BUDGETS, BudgetExceeded,
-                             ClaimRefuted, FormSpec, GroupElement, MatrixGroup,
+                             ClaimRefuted, FormSpec, MatrixGroup,
                              _digit_matmul, _expand, _keys, _matmul_mod,
                              _sorted_unique, element_orders, field_from_order,
-                             gl_group, index_matmul, o3_sylow_generators,
-                             o4_plus_sylow_generators, p_k_subgroup,
-                             parabolic_g_k, parse_matrix, run_budgets,
-                             sp_group, stabilizer_of_polynomial, stabilizer_sp,
-                             trivial_group, unipotent_upper, usp_group)
+                             format_matrix, gl_group, index_matmul,
+                             o3_sylow_generators, o4_plus_sylow_generators,
+                             p_k_subgroup, parabolic_g_k, parse_matrix,
+                             run_budgets, sp_group, stabilizer_of_polynomial,
+                             stabilizer_sp, trivial_group, unipotent_upper,
+                             usp_group)
 from modinvar.invariants import (FamilyMember, GeneratorFamily, dickson_in,
                                  family, orbit_product, parabolic_glue,
                                  parabolic_gl_group, psi_substitute,
@@ -74,20 +78,18 @@ def build_group(kind: str, params: dict) -> MatrixGroup:
     return GROUP_KINDS[kind](params, field_from_order(params["q"]))
 
 
-def check_group_order(params) -> VerificationReport:
+def check_group_order(params) -> str | None:
     """The constructor's claimed order matches an explicit pin, and
     enumeration certifies it."""
     G = build_group(params["kind"], params)
     pinned = params.get("order")
     if pinned is not None and pinned != G.claimed_order:
-        return VerificationReport("group_order", params, "fail",
-                                  witness=f"formula order {G.claimed_order} "
-                                          f"!= pinned order {pinned}")
+        raise ClaimRefuted(f"formula order {G.claimed_order} != pinned "
+                           f"order {pinned}")
     G.enumerate()
-    return VerificationReport("group_order", params, "pass")
 
 
-def check_glued_order(params) -> VerificationReport:
+def check_glued_order(params) -> str | None:
     """|realized| = |G1| * |M| * |G2| for a described gluing: the realized
     group claims that product, and enumerating G1, G2 and the realized group
     certifies each claim."""
@@ -97,10 +99,7 @@ def check_glued_order(params) -> VerificationReport:
     gluing.G1.enumerate()
     gluing.G2.enumerate()
     if expected is not None and R.order() != expected:
-        return VerificationReport("glued_order", params, "fail",
-                                  witness=f"realized {R.order()} != pinned "
-                                          f"{expected}")
-    return VerificationReport("glued_order", params, "pass")
+        raise ClaimRefuted(f"realized {R.order()} != pinned {expected}")
 
 
 def _module_from_file(field, m, n, path):
@@ -165,7 +164,7 @@ def build_gluing(params):
                 flavor="subfield" if module == "subfield" else "generic")
 
 
-def check_stabilizer_order(params) -> VerificationReport:
+def check_stabilizer_order(params) -> str | None:
     """Order of the stabilizer of a named polynomial inside an enumerated
     general linear group."""
     q = params["q"]
@@ -185,10 +184,8 @@ def check_stabilizer_order(params) -> VerificationReport:
     S = stabilizer_of_polynomial(G.enumerate(), f)
     expected = params["order"]
     if S.order() != expected:
-        return VerificationReport("stabilizer_order", params, "fail",
-                                  witness=f"stabilizer order {S.order()}, "
-                                          f"expected {expected}")
-    return VerificationReport("stabilizer_order", params, "pass")
+        raise ClaimRefuted(f"stabilizer order {S.order()}, expected "
+                           f"{expected}")
 
 
 def check_hilbert(params) -> VerificationReport:
@@ -209,12 +206,10 @@ def check_degree_product(params) -> VerificationReport:
     return degree_product_check(fam)
 
 
-def check_family(params) -> VerificationReport:
+def check_family(params) -> str | None:
     """Construct a family; construction validates degrees and invariance."""
     fam = family(params["family"], **params.get("params", {}))
-    return VerificationReport("family", params, "pass",
-                              notes=f"{len(fam.members)} members, degrees "
-                                    f"{fam.degrees}")
+    return f"{len(fam.members)} members, degrees {fam.degrees}"
 
 
 def _law_pairs(sizes, params, seed):
@@ -247,7 +242,7 @@ def _law_pairs(sizes, params, seed):
     return total, lambda start, stop: drawn[start:stop]
 
 
-def check_semidirect_law(params) -> VerificationReport:
+def check_semidirect_law(params) -> str | None:
     """Triple product law against block matrix multiplication.
 
     Two routes that share no arithmetic meet on each pair of triples
@@ -266,7 +261,8 @@ def check_semidirect_law(params) -> VerificationReport:
     x |Y| + y of its (left id, right id) pairs, one `_digit_matmul` call
     forms each product's table, and a second pass gathers each pair's
     formula from the tables (`searchsorted`) and compares it with its block
-    product.  The first pair whose block matrices differ is reported."""
+    product.  The first pair whose block matrices differ is reported, each
+    triple as (g, psi, h) with g and h in `format_matrix` text."""
     gluing = build_gluing(params)
     G1 = gluing.G1.enumerate()
     G2 = gluing.G2.enumerate()
@@ -318,20 +314,15 @@ def check_semidirect_law(params) -> VerificationReport:
         bad = (formula != product).any(axis=(1, 2))
         if bad.any():
             i = np.argmax(bad)
-            t1, t2 = ((GroupElement(field, factors[0][a[i]].tolist(),
-                                    check=False),
-                       tuple(map(tuple, factors[1][k[i]].tolist())),
-                       GroupElement(field, factors[2][b[i]].tolist(),
-                                    check=False))
+            t1, t2 = (f"({format_matrix(field, factors[0][a[i]].tolist())}, "
+                      f"{tuple(map(tuple, factors[1][k[i]].tolist()))}, "
+                      f"{format_matrix(field, factors[2][b[i]].tolist())})"
                       for a, k, b in (left, right))
-            return VerificationReport(
-                "semidirect_law", params, "fail",
-                witness=f"triple law fails for {t1!r} * {t2!r}")
-    return VerificationReport("semidirect_law", params, "pass",
-                              notes=f"{total} of {total} pairs checked")
+            raise ClaimRefuted(f"triple law fails for {t1} * {t2}")
+    return f"{total} of {total} pairs checked"
 
 
-def check_thin_glue(params) -> VerificationReport:
+def check_thin_glue(params) -> str | None:
     """Dimension p^r + 1, faithfulness, and a maximal element order of
     p^(r+1).  Faithfulness is the realized group's claimed order
     p^r * p^(p^r), which its enumeration certifies.
@@ -353,8 +344,7 @@ def check_thin_glue(params) -> VerificationReport:
     R = gluing.enumerate()
     size = p ** r
     if R.n != size + 1:
-        return VerificationReport("thin_glue", params, "fail",
-                                  witness=f"dimension {R.n} != {size + 1}")
+        raise ClaimRefuted(f"dimension {R.n} != {size + 1}")
     c = gluing.G1.generator_rows[0]
     witness = gluing.blocks(c, index_matmul(field, c, gluing.M.mats[0]),
                             np.eye(1, dtype=np.int64))
@@ -362,13 +352,11 @@ def check_thin_glue(params) -> VerificationReport:
     if maxorder != p ** (r + 1):
         maxorder = max(element_orders(field, R.rows()))
     if maxorder != p ** (r + 1):
-        return VerificationReport("thin_glue", params, "fail",
-                                  witness=f"maximal element order {maxorder} "
-                                          f"!= {p ** (r + 1)}")
-    return VerificationReport("thin_glue", params, "pass")
+        raise ClaimRefuted(f"maximal element order {maxorder} != "
+                           f"{p ** (r + 1)}")
 
 
-def check_transfer_example(params) -> VerificationReport:
+def check_transfer_example(params) -> str | None:
     """Image of the module transfer: divisibility by tau up to the degree
     bound and attainment of tau at its own degree."""
     p = params["p"]
@@ -379,14 +367,15 @@ def check_transfer_example(params) -> VerificationReport:
     msub = gluing.m_subgroup()
     image = transfer_image_basis(msub, space, D, m_split=2)
     rep = principal_transfer_check(image, tau)
-    return VerificationReport("transfer_example", params, rep.status,
-                              witness=rep.witness)
+    if not rep.passed:
+        raise ClaimRefuted(rep.witness)
 
 
-def check_transfer_factorization(params) -> VerificationReport:
+def check_transfer_factorization(params) -> VerificationReport | str:
     """Tr over the glued group equals Tr over G1 x G2 composed with Tr over
     M, on random monomials, all of them in one
-    `transfer_factorization_check`."""
+    `transfer_factorization_check`; a failure is its report, which names
+    the failing monomial as the `f` param."""
     gluing = build_gluing(params)
     space = gluing_space(gluing.field, gluing.m, gluing.n)
     rng = random.Random(params.get("seed", 0))
@@ -399,11 +388,10 @@ def check_transfer_factorization(params) -> VerificationReport:
     if not rep.passed:
         rep.params.update(params)
         return rep
-    return VerificationReport("transfer_factorization", params, "pass",
-                              notes=f"{count} monomials checked")
+    return f"{count} monomials checked"
 
 
-def check_parabolic_family(params) -> VerificationReport:
+def check_parabolic_family(params) -> str | None:
     """Substituted generators of a parabolic gluing: invariance under every
     realized generator (`GeneratorFamily.validate`) and the degree-product
     count."""
@@ -428,24 +416,19 @@ def check_parabolic_family(params) -> VerificationReport:
     degprod = fam.degree_product()
     order = gluing.enumerate().order()
     if degprod != order:
-        return VerificationReport("parabolic_family", params, "fail",
-                                  witness=f"degree product {degprod} != "
-                                          f"glued order {order}")
-    return VerificationReport("parabolic_family", params, "pass",
-                              notes=f"degrees {fam.degrees}, order {order}")
+        raise ClaimRefuted(f"degree product {degprod} != glued order {order}")
+    return f"degrees {fam.degrees}, order {order}"
 
 
-def check_singular_form(params) -> VerificationReport:
+def check_singular_form(params) -> str | None:
     """Alternating rank-2 form on a 3-space: the glued order
     |GL1| * q^2 * |Sp2|, certified by enumeration, and preservation of the
     form, certified on the generators by `singular_form_group`; the form is
     the one of `build_gluing`'s "singular" kind."""
-    gluing = build_gluing({"kind": "singular", "q": params["q"]})
-    gluing.enumerate()
-    return VerificationReport("singular_form", params, "pass")
+    build_gluing({"kind": "singular", "q": params["q"]}).enumerate()
 
 
-def check_orbit_additivity(params) -> VerificationReport:
+def check_orbit_additivity(params) -> str | None:
     """Orbit products over the F_q-span of x1..xn are additive in the moving
     form: `orbit_product` (the Frobenius recursion) of fa + fb against the
     sum of the literal products (`subspace_product`) of fa and fb."""
@@ -462,15 +445,11 @@ def check_orbit_additivity(params) -> VerificationReport:
     products = {f: subspace_product(space, names, f) for f in forms}
     for fa in (y1, y2):
         for fb in forms:
-            lhs = orbit_product(fa + fb, basis)
-            if lhs != products[fa] + products[fb]:
-                return VerificationReport(
-                    "orbit_additivity", params, "fail",
-                    witness=f"additivity fails for {fa!r} + {fb!r}")
-    return VerificationReport("orbit_additivity", params, "pass")
+            if orbit_product(fa + fb, basis) != products[fa] + products[fb]:
+                raise ClaimRefuted(f"additivity fails for {fa!r} + {fb!r}")
 
 
-def check_field_axioms(params) -> VerificationReport:
+def check_field_axioms(params) -> str | None:
     import itertools as it
     p, r = params["p"], params.get("r", 1)
     field = build_field(p, r)
@@ -480,20 +459,16 @@ def check_field_axioms(params) -> VerificationReport:
     for a, b, c in it.product(elems, repeat=3):
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c) \
                 or a * (b + c) != a * b + a * c:
-            return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"axiom fails at ({a},{b},{c})")
+            raise ClaimRefuted(f"axiom fails at ({a},{b},{c})")
     for a in elems:
         if a ** field.q != a:
-            return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"a^q != a at {a}")
+            raise ClaimRefuted(f"a^q != a at {a}")
     for a, b in it.product(elems, repeat=2):
         if (a + b).frobenius() != a.frobenius() + b.frobenius():
-            return VerificationReport("field_axioms", params, "fail",
-                                      witness=f"frobenius not additive at ({a},{b})")
-    return VerificationReport("field_axioms", params, "pass")
+            raise ClaimRefuted(f"frobenius not additive at ({a},{b})")
 
 
-def check_action_compatibility(params) -> VerificationReport:
+def check_action_compatibility(params) -> str | None:
     """f.(g h) = (f.g).h for random polynomials f and pairs of elements of
     GL_n: all pairs when there are at most 2500, else 50 pairs per
     polynomial, drawn as `rng.choice` over the elements draws them.  The
@@ -533,8 +508,6 @@ def check_action_compatibility(params) -> VerificationReport:
         if not exhaustive:
             draws = [rng.choice(range(order)) for _ in range(100)]
             pairs.append(products(draws[0::2], draws[1::2]))
-    if not polys:
-        return VerificationReport("action_compatibility", params, "pass")
     if exhaustive:
         pairs = [products(*np.divmod(np.arange(order ** 2), order))] * \
             len(polys)
@@ -543,12 +516,10 @@ def check_action_compatibility(params) -> VerificationReport:
     failed = compatibility_failures(polys, rows, poly, a, b, c)
     if failed.any():
         f = polys[poly[failed.argmax()]]
-        return VerificationReport("action_compatibility", params, "fail",
-                                  witness=f"compatibility fails for f={f!r}")
-    return VerificationReport("action_compatibility", params, "pass")
+        raise ClaimRefuted(f"compatibility fails for f={f!r}")
 
 
-def check_transfer_module(params) -> VerificationReport:
+def check_transfer_module(params) -> str | None:
     """Transfer is G-stable on translates and F[V]^G-linear on invariant
     multiples.  Each sample draws a monomial f, an element g and an
     invariant h; one `transfer` call forms Tr(f), Tr(f.g) and Tr(h f) for
@@ -574,12 +545,9 @@ def check_transfer_module(params) -> VerificationReport:
     for (e, _, _, h), tf, tfg, thf in zip(samples, images, images[count:],
                                           images[2 * count:]):
         if tfg != tf:
-            return VerificationReport("transfer_module", params, "fail",
-                                      witness=f"Tr(f.g) != Tr(f) at {e}")
+            raise ClaimRefuted(f"Tr(f.g) != Tr(f) at {e}")
         if thf != h * tf:
-            return VerificationReport("transfer_module", params, "fail",
-                                      witness=f"Tr(h f) != h Tr(f) at {e}")
-    return VerificationReport("transfer_module", params, "pass")
+            raise ClaimRefuted(f"Tr(h f) != h Tr(f) at {e}")
 
 
 def check_identity(params) -> VerificationReport:
@@ -644,11 +612,13 @@ REQUIRED_PARAMS = {
 
 def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationReport:
     """Run one named check under budgets (`groups.run_budgets`), timed by a
-    monotonic clock into `millis`.  A BudgetExceeded raised anywhere inside
-    the check becomes a skipped report carrying its message, a ClaimRefuted
-    a failed report with its message as the witness; every other exception
-    propagates.  ValueError for a `samples` param that is not an int >= 1
-    or a degree bound `D` that is not an int >= 0."""
+    monotonic clock into `millis`, and write its report.  The notes a check
+    returns make a passed report; a report it returns is taken as it is.  A
+    BudgetExceeded raised anywhere inside the check becomes a skipped
+    report carrying its message, a ClaimRefuted a failed report with its
+    message as the witness; every other exception propagates.  ValueError
+    for a `samples` param that is not an int >= 1 or a degree bound `D`
+    that is not an int >= 0."""
     if kind not in CHECKS:
         raise ValueError(f"unknown check kind {kind!r}; known: {sorted(CHECKS)}")
     for name, least in (("samples", 1), ("D", 0)):
@@ -659,6 +629,8 @@ def run_check(kind: str, params: dict, budgets: dict = None) -> VerificationRepo
     t0 = time.perf_counter()
     try:
         report = CHECKS[kind](params)
+        if not isinstance(report, VerificationReport):
+            report = VerificationReport(kind, params, "pass", notes=report)
     except BudgetExceeded as exc:
         report = VerificationReport(kind, params, "skipped", notes=str(exc))
     except ClaimRefuted as exc:

@@ -1,4 +1,5 @@
-"""`run_check` is the one place that times a check and that turns a budget
+"""`run_check` is the one place that writes a check's report: it times the
+check, makes the notes it returns a passed report, and turns a budget
 overrun (`BudgetExceeded`) into a skipped report and a refuted claim
 (`ClaimRefuted`) into a failed one; the batched triple law against the
 scalar loop it replaced, and its two routes against each other; the
@@ -22,7 +23,7 @@ from modinvar.analysis import VerificationReport
 from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul, singular_form_group
-from modinvar.gfq import FieldSpec, build_field
+from modinvar.gfq import FieldSpec, Scalar, build_field
 from modinvar.groups import _expand, mat_mul
 from modinvar.mvpoly import VariableSpace, gluing_space, parse_polynomial
 
@@ -238,6 +239,80 @@ def test_every_report_is_timed():
     _, reports = run_scenario(load_scenario("orders_small"), quiet=True)
     assert len(reports) == 8
     assert all(r.millis > 0 for r in reports)
+
+
+# -- every pass and fail branch of the check bodies, report for report --
+
+def _thin_glue_one_size_up(monkeypatch):
+    honest = checks.thin_glue_regular
+    monkeypatch.setattr(checks, "thin_glue_regular", lambda p, r, field:
+                        honest(p, r + 1, build_field(p, r + 1)))
+
+
+def _every_order_one(monkeypatch):
+    monkeypatch.setattr(checks, "element_orders",
+                        lambda field, matrices: [1] * len(matrices))
+
+
+def _degree_product_one(monkeypatch):
+    monkeypatch.setattr(invariants.GeneratorFamily, "degree_product",
+                        lambda self: 1)
+
+
+def _orbit_product_plus_form(monkeypatch):
+    honest = checks.orbit_product
+    monkeypatch.setattr(checks, "orbit_product",
+                        lambda form, basis: honest(form, basis) + form)
+
+
+def _addition_subtracts(monkeypatch):
+    monkeypatch.setattr(Scalar, "__add__", Scalar.__sub__)
+
+
+def _every_power_zero(monkeypatch):
+    monkeypatch.setattr(Scalar, "__pow__", lambda a, e: a - a)
+
+
+def _frobenius_plus_one(monkeypatch):
+    honest = Scalar.frobenius
+    monkeypatch.setattr(Scalar, "frobenius", lambda a: honest(a) + 1)
+
+
+GLUED_U2 = {"q": 2, "m": 2, "n": 1, "g1": "u", "module": "full"}
+
+
+@pytest.mark.parametrize("kind,params,patch,expected", [
+    ("glued_order", dict(GLUED_U2, order=9), None,
+     {"status": "fail", "witness": "realized 8 != pinned 9"}),
+    ("glued_order", dict(GLUED_U2, order=8), None, {"status": "pass"}),
+    ("stabilizer_order", {"q": 2, "polynomial": "o3_quadric", "order": 7},
+     None, {"status": "fail", "witness": "stabilizer order 6, expected 7"}),
+    ("family", {"family": "eapg", "params": {"m": 1, "q": 2}}, None,
+     {"status": "pass", "notes": "2 members, degrees [1, 2]"}),
+    ("thin_glue", {"p": 2, "r": 1}, _thin_glue_one_size_up,
+     {"status": "fail", "witness": "dimension 5 != 3"}),
+    ("thin_glue", {"p": 2, "r": 1}, _every_order_one,
+     {"status": "fail", "witness": "maximal element order 1 != 4"}),
+    ("parabolic_family", {"q": 2}, _degree_product_one,
+     {"status": "fail", "witness": "degree product 1 != glued order 32"}),
+    ("orbit_additivity", {"q": 2, "n": 1}, _orbit_product_plus_form,
+     {"status": "fail", "witness": "additivity fails for y1 + y2"}),
+    ("field_axioms", {"p": 3}, _addition_subtracts,
+     {"status": "fail", "witness": "axiom fails at (0,0,1)"}),
+    ("field_axioms", {"p": 3}, _every_power_zero,
+     {"status": "fail", "witness": "a^q != a at 1"}),
+    ("field_axioms", {"p": 3}, _frobenius_plus_one,
+     {"status": "fail", "witness": "frobenius not additive at (0,0)"}),
+])
+def test_check_branches_report_as_recorded(monkeypatch, kind, params, patch,
+                                           expected):
+    """A wrong `order` pin or a monkeypatched step drives each check into
+    one branch; the report, apart from `millis`, is the recorded one."""
+    if patch:
+        patch(monkeypatch)
+    report = run_check(kind, params).to_dict()
+    del report["millis"]
+    assert report == {"check": kind, "params": params, **expected}
     assert run_check("gk_non_ci_conjecture", {}).millis > 0
 
 

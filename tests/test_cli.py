@@ -9,6 +9,10 @@ import pytest
 from modinvar import checks, cli
 from modinvar.checks import run_check
 from modinvar.cli import SCENARIO_DIR, load_scenario, main, run_scenario
+from modinvar.gfq import build_field
+from modinvar.groups import format_matrix
+from modinvar.invariants import family, n_k, partial_dickson, xi
+from modinvar.mvpoly import format_polynomial, symplectic_space
 
 
 def run_cli(capsys, *argv):
@@ -416,3 +420,84 @@ def test_missing_required_param_is_refused_before_any_check(tmp_path,
     code, out, err = run_cli(capsys, "run", str(scen))
     assert code == 2 and not out
     assert "hilbert" in err and "'generators'" in err
+
+
+# -- each remaining subcommand path against the library call it wraps --
+
+def test_group_generators_prints_the_constructor_generators(capsys):
+    code, out, _ = run_cli(capsys, "group", "generators", "--kind", "gl",
+                           "--n", "2", "--q", "3")
+    G = checks.build_group("gl", {"n": 2, "q": 3})
+    assert code == 0
+    assert out.splitlines() == [format_matrix(G.field, g)
+                                for g in G.generator_rows.tolist()]
+
+
+def test_group_enumerate_verbose_prints_every_element(capsys):
+    code, out, _ = run_cli(capsys, "group", "enumerate", "--kind", "gl",
+                           "--n", "2", "--q", "2", "--verbose")
+    G = checks.build_group("gl", {"n": 2, "q": 2}).enumerate()
+    assert code == 0
+    assert out.splitlines() == ["order 6"] + [
+        format_matrix(G.field, g) for g in G.rows().tolist()]
+
+
+def test_glue_partition_builds_the_parabolic_gluing(capsys):
+    code, out, _ = run_cli(capsys, "glue", "--q", "2", "--g1", "pf",
+                           "--g2", "pf", "--module", "parabolic",
+                           "--partition", "1,1")
+    gluing = checks.build_gluing({"q": 2, "g1": "pf", "g2": "pf",
+                                  "module": "parabolic",
+                                  "partition": (1, 1)})
+    R = gluing.enumerate()
+    assert code == 0
+    assert out.splitlines() == [f"flavor: {gluing.flavor}",
+                                f"dimension: {R.n}",
+                                f"module F_p-dimension: {gluing.M.fp_dim}",
+                                f"realized order: {R.order()}"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("xi", "--m", "2", "--q", "2", "--i", "1"), lambda: xi(2, 2, 1)),
+    (("nk", "--k", "1", "--m", "2", "--q", "3"),
+     lambda: n_k(symplectic_space(build_field(3, 1), 2).variable("y1"),
+                 1, 2, 3)),
+    (("partial-dickson", "--i", "1", "--ell", "2", "--m", "1", "--q", "2"),
+     lambda: partial_dickson(1, 2, 1, 2)),
+])
+def test_inv_prints_the_library_polynomial(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "inv", *argv)
+    assert code == 0
+    assert out.strip() == format_polynomial(expected())
+
+
+def test_inv_family_verbose_prints_each_member(capsys):
+    code, out, _ = run_cli(capsys, "inv", "family", "--name", "eapg",
+                           "--param", "m", "1", "--param", "q", "2",
+                           "--verbose")
+    fam = family("eapg", m=1, q=2)
+    assert code == 0
+    assert out.splitlines() == [
+        f"family {fam.name} {fam.params}: {len(fam.members)} members, "
+        f"structure {fam.structure}"] + [
+        f"  {mem.label} (degree {mem.degree}): "
+        f"{format_polynomial(mem.poly)}" for mem in fam.members]
+
+
+def test_run_seed_overrides_the_scenario_seed(tmp_path, capsys):
+    scen = tmp_path / "seeded.yaml"
+    scen.write_text("name: seeded\nseed: 1\nchecks:\n"
+                    "  - check: semidirect_law\n"
+                    "    params: {q: 2, m: 1, n: 1, g1: u, g2: u, "
+                    "samples: 20}\n")
+    out_path = tmp_path / "out.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(scen), "--seed", "5", "--quiet",
+                         "--json", str(out_path))
+    _, (report,) = run_scenario({**load_scenario(str(scen)), "seed": 5},
+                                quiet=True)
+    (line,) = [json.loads(text) for text in
+               out_path.read_text().splitlines()]
+    assert code == 0 and line["params"]["seed"] == 5
+    expected = report.to_dict()
+    del line["millis"], expected["millis"]
+    assert line == expected

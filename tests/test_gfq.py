@@ -69,6 +69,22 @@ def test_inversion_of_zero():
         F3.zero().inverse()
 
 
+@pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (3, 2)])
+def test_scalar_subtraction_and_division_match_the_field(p, r):
+    """`a - b`, `k - a` for an int k, and `a / b` are the field's `sub`,
+    `sub` from the int's element, and `mul` by `inv`."""
+    F = build_field(p, r)
+    for a, b in itertools.product(F.elements(), repeat=2):
+        assert (a - b).index == F.sub(a.index, b.index)
+        assert (1 - a).index == F.sub(1, a.index)
+        if not b.is_zero():
+            assert (a / b).index == F.mul(a.index, F.inv(b.index))
+    a = F.one()
+    for op in (lambda: a - "1", lambda: "1" - a, lambda: a / "1"):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_mixed_fields_error():
     a = build_field(2).one()
     b = build_field(3).one()

@@ -243,6 +243,17 @@ def test_only_run_check_turns_exceptions_into_reports():
     assert handled == {"BudgetExceeded", "ClaimRefuted"}
 
 
+# A check fails by raising ClaimRefuted and passes by returning its notes;
+# `run_check` writes the report.  The gk stub is skipped by construction.
+REPORT_WRITERS = {"run_check", "check_gk_non_ci_conjecture"}
+
+
+def test_only_run_check_writes_check_reports():
+    found = sorted({function for _, function in functions_calling(
+        ROOT / "src" / "modinvar" / "checks.py", "VerificationReport")})
+    assert found == sorted(REPORT_WRITERS)
+
+
 def test_checks_take_params_only():
     """Budgets reach a check through the run (`checks.run_check`), never as
     an argument."""
@@ -401,8 +412,7 @@ def test_rref_mod_p_is_the_only_dense_elimination():
 # (`MatrixGroup.generator_rows`), and `MatrixGroup.generators` and
 # `elements` build their GroupElements through `groups._row_elements`.
 GROUP_ELEMENT_MAKERS = {"GroupElement.__mul__", "MatrixGroup.identity",
-                        "GluingGroup.triple", "semidirect_mul",
-                        "check_semidirect_law"}
+                        "GluingGroup.triple", "semidirect_mul"}
 
 
 def test_group_elements_are_made_only_at_the_api_edge():
