@@ -21,9 +21,9 @@ from modinvar.invariants import (GeneratorFamily, _as_field, dickson_in,
                                  subspace_product, symplectic_l_names,
                                  u_tilde, xi, xi_power)
 # in_row_space is unused here; the benchmark's tracer self-test binds it
-from modinvar.linalg import (_matrix_dtype, fp_expand_coo,
-                             in_reduced_row_space, in_row_space, rref_field,
-                             rref_mod_p, sparse_rank_mod_p)
+from modinvar.linalg import (fp_expand_coo, in_reduced_row_space,
+                             in_row_space, rref_field, rref_mod_p,
+                             sparse_rank_mod_p)
 from modinvar.mvpoly import (Polynomial, VariableSpace, _act_sum,
                              _combine_keys, _key_weights, _stack,
                              gluing_space, monomial_array, symplectic_space)
@@ -343,7 +343,7 @@ def _reduced_transfers(group, space, d, m_split=None, sums=None):
             values.append(coeffs)
             nrows = len(sums)
     matrix = _scatter(monos, weights, nrows, rows, keys, values,
-                      _matrix_dtype(field))
+                      np.min_scalar_type(field.q - 1))
     return monos, weights, rref_field(matrix, field)[0]
 
 
@@ -382,7 +382,8 @@ def principal_transfer_check(image: TransferImage, tau: Polynomial
         monos, weights = _monomial_keys(image.space.dim, dtau)
     exps, coeffs, _ = _stack([tau])
     vector = _scatter(monos, weights, 1, [np.zeros_like(coeffs)],
-                      [exps @ weights], [coeffs], _matrix_dtype(image.space.field))
+                      [exps @ weights], [coeffs],
+                      np.min_scalar_type(image.space.field.q - 1))
     if not in_reduced_row_space(vector, reduced, image.space.field)[0]:
         return VerificationReport("transfer_principal", params, "fail",
                                   witness="tau is not attained in the image "
@@ -518,16 +519,16 @@ def invariant_dimension(group: MatrixGroup, d: int,
     field = group.field
     diagonal = np.arange(size)
     minus_one = np.full(size, field.neg(1))
-    rows, cols, digits = [], [], []
+    rows, cols, entries = [], [], []
     for gi, (k, c, values) in enumerate(blocks):
         keys, values = _combine_keys(
             np.concatenate((c * size + k, diagonal * (size + 1))),
             np.concatenate((values, minus_one)), field)
         rows.append(keys // size + gi * size)
         cols.append(keys % size)
-        digits.append(field.digits(values))
+        entries.append(values)
     rank = sparse_rank_mod_p(*fp_expand_coo(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(digits),
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(entries),
         field), field.p)
     return size - rank // field.r
 

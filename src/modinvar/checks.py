@@ -37,9 +37,9 @@ from modinvar.gluing import (BimoduleBasis, diagonal_glue, full_hom_module,
                              subfield_hom_module, thin_glue_regular)
 from modinvar.groups import (CHUNK_ENTRIES, RUN_BUDGETS, BudgetExceeded,
                              ClaimRefuted, FormSpec, MatrixGroup,
-                             _digit_matmul, _expand, _keys, _matmul_mod,
+                             _digit_matmul, _keys, _matmul_mod,
                              _sorted_unique, element_orders, field_from_order,
-                             format_matrix, gl_group, index_matmul,
+                             format_matrix, fp_dtype, gl_group, index_matmul,
                              o3_sylow_generators, o4_plus_sylow_generators,
                              p_k_subgroup, parabolic_g_k, parse_matrix,
                              run_budgets, sp_group, stabilizer_of_polynomial,
@@ -248,12 +248,12 @@ def check_semidirect_law(params) -> str | None:
     Two routes that share no arithmetic meet on each pair of triples
     (`_law_pairs`), a chunk of pairs at a time; a triple is named by its
     factor ids (a, k, b) into G1, M and G2.  The block product X Y of the
-    two block matrices is formed over F_p through the regular
-    representation (`groups._expand`; of Y only column 0 of each r x r
-    block, which holds the digits of the GF(q) entry).  The rows of G1, the
-    module elements and the rows of G2 are expanded once each, and a chunk's
-    expanded block matrices are assembled from them (`GluingGroup.blocks`:
-    the expansion maps each entry to its r x r block).  The triple formula
+    two block matrices is formed over F_p as in `groups.index_matmul`: the
+    digit rows of X times the F_p form of Y (`FieldSpec.expand`), whose
+    product rows are the digits of the rows of X Y.  The rows of G1, the
+    module elements and the rows of G2 are written as digit rows and
+    expanded once each, and a chunk's block matrices of both kinds are
+    assembled from them (`GluingGroup.blocks`).  The triple formula
     (g1 h1, g1 psi + phi h2, g2 h2) is formed from the factor matrices in
     the field's own digit-polynomial arithmetic (`groups._digit_matmul`),
     once for each distinct pair of factors the checked pairs use: a first
@@ -297,15 +297,17 @@ def check_semidirect_law(params) -> str | None:
               for (x, y), u in zip(factor_pairs, used)]
     # the diagonal blocks as indices; the corner's two terms stay digits
     tables[0], tables[3] = field.indices(tables[0]), field.indices(tables[3])
-    expanded = [_expand(field, x, m + n) for x in factors]
-    columns = [x[..., ::r] for x in expanded]
+    dtype = fp_dtype(field, m + n)
+    rows = [d.reshape(*d.shape[:-2], d.shape[-2] * r).astype(dtype)
+            for d in digits]
+    expanded = [field.expand(x, dtype) for x in factors]
     for start in chunks:
         left, right = triples(start)
         product = _matmul_mod(
-            gluing.blocks(*(x[i] for x, i in zip(expanded, left))),
-            gluing.blocks(*(x[i] for x, i in zip(columns, right))), p)
+            gluing.blocks(*(x[i] for x, i in zip(rows, left))),
+            gluing.blocks(*(x[i] for x, i in zip(expanded, right))), p)
         product = field.indices(
-            product.reshape(len(product), m + n, r, m + n), axis=2)
+            product.reshape(len(product), m + n, m + n, r))
         g1h1, g1psi, phih2, g2h2 = (
             table[np.searchsorted(u, c)]
             for table, u, c in zip(tables, used, codes(left, right)))

@@ -8,10 +8,11 @@ small fields (q <= 512) all arithmetic is table driven, except addition and
 negation over prime fields, which reduce mod p.  The multiplication table is
 also kept as a numpy array, from which `FieldSpec.multiply` gathers.
 
-`FieldSpec.digits`, `indices` and `regular` are the one place where GF(p^r)
-is written over F_p for numpy: base-p digits of index arrays, and "multiply
-by a" as the r x r matrix sum_i digit_i(a) C^i, C the companion matrix of
-the modulus.  Row reduction and group closure work over F_p through them.
+`FieldSpec.digits`, `indices` and `expand` are the one place where GF(p^r)
+is written over F_p for numpy: base-p digits of index arrays, and a GF(q)
+index matrix as the F_p matrix whose r x r block of entry a has row j
+holding the digits of t^j a.  Products, element orders, group closure and
+row reduction all work over F_p through them.
 
 `FieldSpec.multiply`, `power`, `negate` and `run_sums` are the GF(q)
 arithmetic on index arrays, and the one place that picks a route by the
@@ -137,9 +138,10 @@ class FieldSpec:
                   for s in range(2 * r - 1)]
         self._powers = np.array([rem + [0] * (r - len(rem))
                                  for rem in powers], dtype=np.int64)
-        # column j of C^i holds the digits of t^(i+j)
+        # row j of _companion[i] holds the digits of t^(i+j): the transposed
+        # i-th power of the companion matrix of the modulus
         self._companion = self._powers[
-            np.add.outer(np.arange(r), np.arange(r))].transpose(0, 2, 1)
+            np.add.outer(np.arange(r), np.arange(r))]
         self._place = p ** np.arange(r, dtype=np.int64)
         self._add_table = None
         self._neg_table = None
@@ -161,9 +163,10 @@ class FieldSpec:
         return i
 
     def digits(self, indices) -> np.ndarray:
-        """(..., r) int64 base-p digits of an index array, lowest first."""
-        return np.asarray(indices, dtype=np.int64)[..., None] \
-            // self._place % self.p
+        """(..., r) int64 base-p digits of an index array, lowest first.
+        Over a prime field the index is its one digit, with no division."""
+        indices = np.asarray(indices, dtype=np.int64)[..., None]
+        return indices if self.r == 1 else indices // self._place % self.p
 
     def indices(self, digits, axis: int = -1) -> np.ndarray:
         """The indices of base-p digit arrays, digit x at position x of
@@ -178,11 +181,21 @@ class FieldSpec:
             out = out * self.p + digits[head + (x,)]
         return out
 
-    def regular(self, digits) -> np.ndarray:
-        """(..., r, r) matrices over F_p of "multiply by a" for (..., r)
-        digit arrays of elements a: sum_i digit_i(a) C^i, whose column j
-        holds the digits of t^j a."""
-        return np.tensordot(digits, self._companion, axes=1) % self.p
+    def expand(self, indices, dtype) -> np.ndarray:
+        """The F_p form of (..., n, k) index arrays, in `dtype`: row j of
+        block row i of the (..., n r, k r) result holds the digits of t^j
+        times row i, so row 0 holds the digits of row i.  The block of a is
+        sum_i digit_i(a) times the transposed i-th companion power; GF(q)
+        being commutative, this is a ring homomorphism, so products, powers
+        and row reduction all read it.  Over GF(p) the array itself."""
+        r = self.r
+        if r == 1:
+            return np.asarray(indices).astype(dtype)
+        blocks = np.tensordot(self.digits(indices), self._companion,
+                              axes=1) % self.p
+        *lead, n, k, _, _ = blocks.shape
+        return blocks.swapaxes(-3, -2).reshape(*lead, n * r, k * r) \
+            .astype(dtype)
 
     def multiply(self, a, b) -> np.ndarray:
         """a b for broadcast index arrays, as int64 indices.  Over GF(p) the
@@ -248,8 +261,8 @@ class FieldSpec:
         as nested lists, built in numpy a block of q/8 rows at a time, so
         that no temporary array holds more than about q^2 r / 4 entries.
         The products are one float64 matmul per block: the digits of a c
-        are sum_s digit_s(a) times the digits of t^s c, column s of the
-        regular matrix of c, and these sums of r products of residues stay
+        are sum_s digit_s(a) times the digits of t^s c, row s of the
+        `expand` form of c, and these sums of r products of residues stay
         far below 2^53 for every q <= TABLE_LIMIT, so they are exact.  The
         sums go digit by digit.
 
@@ -259,8 +272,7 @@ class FieldSpec:
         every = np.arange(q)
         digits = self.digits(every)
         # row s holds the digits of t^s c for every c, c-major
-        shifts = self.regular(digits).transpose(2, 0, 1) \
-            .reshape(r, q * r).astype(np.float64)
+        shifts = self.expand(every[None], np.float64)
         step = max(1, q // 8)
         mul, add = [], []
         for start in range(0, q, step):

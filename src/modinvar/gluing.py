@@ -140,9 +140,10 @@ class GluingGroup:
         given as index arrays, broadcast over their leading axes (a single
         matrix stands for every triple): the batched `triple`.  The block
         sizes and the dtype are read from the operands, so the blocks may be
-        any arrays: of the expansions over F_p (`groups._expand`, which maps
-        each entry to an r x r block and 0 to a zero block) they assemble
-        the expansion of the block matrix.  Index arrays give int64."""
+        any arrays: of the F_p forms (`FieldSpec.expand`, which maps each
+        entry to an r x r block and 0 to a zero block) they assemble the
+        F_p form of the block matrix, and of digit rows (its row 0 of each
+        block row) its digit rows.  Index arrays give int64."""
         g1_rows, phis, g2_rows = parts = [np.asarray(x) for x in
                                           (g1_rows, phis, g2_rows)]
         (m, k), (n, l) = g1_rows.shape[-2:], g2_rows.shape[-2:]

@@ -116,15 +116,16 @@ def parse_matrix(field: FieldSpec, text: str):
 
 # -- batched kernel over F_p --
 #
-# GF(p^r) acts on itself by F_p-linear maps: the index a becomes the r x r
-# block `FieldSpec.regular` of its digits, sum_i digit_i(a) C^i with C the
-# companion matrix of the modulus, so an n x n index matrix becomes an nr x nr
-# matrix over F_p and products agree.
-# Column 0 of a block holds the digits of its entry, which `FieldSpec.indices`
-# folds back into the index.  A prime field is the case r = 1.
-# The indices below p are the elements of the prime subfield F_p, with the
-# same index, so matrices whose entries all lie below p are multiplied as
-# matrices over F_p (r = 1), r^3 times fewer flops (`_working_field`).
+# An n x k index matrix is written over F_p as `FieldSpec.expand`: the
+# r x r block of entry a has row j holding the digits of t^j a, so row 0 of
+# each block row holds the digits of that row (`FieldSpec.digits`).
+# Expanding is a ring homomorphism, so a product A B is read as the digit
+# rows of A times the expansion of B: its rows are the digits of the rows
+# of A B, which `FieldSpec.indices` folds back.  A prime field is the case
+# r = 1.  The indices below p are the elements of the prime subfield F_p,
+# with the same index, so matrices whose entries all lie below p are
+# multiplied as matrices over F_p (r = 1), r^3 times fewer flops
+# (`_working_field`).
 
 def _index_dtype(field):
     """Smallest unsigned dtype holding q - 1, big-endian so that the bytes of
@@ -140,15 +141,17 @@ def _working_field(field, rows):
     return field
 
 
-def _fp_dtype(field, n):
-    """float64 while every sum of nr products of residues stays below 2^53,
-    where BLAS products are exact; Python ints beyond that."""
+def fp_dtype(field, n):
+    """The dtype of the F_p forms in a product whose GF(q) sums have n
+    terms: float64 while every sum of nr products of residues stays below
+    2^53, where BLAS products are exact; Python ints beyond that."""
     return np.float64 if n * field.r * (field.p - 1) ** 2 < 2 ** 53 else object
 
 
 def _matmul_mod(a, b, p):
-    """a @ b mod p for arrays from `_expand`, as exact integers.  Float
-    remainder is slow, so float64 products are reduced as int64."""
+    """a @ b mod p for arrays over F_p in one `fp_dtype`, as exact
+    integers.  Float remainder is slow, so float64 products are reduced as
+    int64."""
     prod = a @ b
     if prod.dtype != object:
         prod = prod.astype(np.int64)
@@ -156,32 +159,20 @@ def _matmul_mod(a, b, p):
     return prod
 
 
-def _expand(field, rows, size=None):
-    """(..., n, k) index arrays -> (..., nr, kr) matrices over F_p, in the
-    dtype `_fp_dtype` gives size, by default the larger of n and k (a
-    block of a larger matrix is expanded with the larger size)."""
-    r = field.r
-    dtype = _fp_dtype(field, size or max(rows.shape[-2:]))
-    if r == 1:  # the indices are the residues
-        return rows.astype(dtype)
-    blocks = field.regular(field.digits(rows))
-    *lead, n, k, _, _ = blocks.shape
-    return blocks.swapaxes(-3, -2).reshape(*lead, n * r, k * r).astype(dtype)
-
-
 def index_matmul(field, a, b):
     """a @ b over GF(q) for (..., n, k) and (..., k, l) index arrays,
     broadcast over the leading axes, as (..., n, l) int64 indices: one
-    matmul mod p of the expansions over F_p (`_expand`), of b only column 0
-    of each r x r block, which holds the digits of the product's entry
-    (`FieldSpec.indices`).  `mat_mul` is its scalar oracle."""
-    r = field.r
-    a, b = _expand(field, np.asarray(a)), _expand(field, np.asarray(b))[..., ::r]
-    if a.dtype != b.dtype:  # exact Python-int products for both
-        a, b = (x.astype(np.int64).astype(object) for x in (a, b))
-    prod = _matmul_mod(a, b, field.p)
-    *lead, nr, l = prod.shape
-    return field.indices(prod.reshape(*lead, nr // r, r, l), axis=-2)
+    matmul mod p of the digit rows of a (row 0 of each block row of its F_p
+    form) and the F_p form of b (`FieldSpec.expand`), in the `fp_dtype`
+    of the k terms of a sum.  The rows of the result are the digits of the
+    rows of a b (`FieldSpec.indices`).  `mat_mul` is its scalar oracle."""
+    a, b = np.asarray(a), np.asarray(b)
+    *lead, k = a.shape
+    dtype = fp_dtype(field, k)
+    rows = field.digits(a).reshape(*lead, k * field.r).astype(dtype)
+    prod = _matmul_mod(rows, field.expand(b, dtype), field.p)
+    return field.indices(prod.reshape(*prod.shape[:-1], b.shape[-1],
+                                      field.r))
 
 
 def _digit_matmul(field, a, b):
@@ -189,8 +180,8 @@ def _digit_matmul(field, a, b):
     (`FieldSpec.digits`): each entry product is the product of the digit
     polynomials reduced by the modulus (`FieldSpec.reduce`, as in
     `FieldSpec.multiply`).  This is the field's own arithmetic, not the
-    regular representation of `_expand`, so the two can check each other:
-    it stays as the oracle of `checks.check_semidirect_law`."""
+    F_p form of `FieldSpec.expand`, so the two can check each other: it
+    stays as the oracle of `checks.check_semidirect_law`."""
     r = field.r
     conv = np.einsum("nijs,njkt->nikst", a, b)
     coeffs = np.zeros(conv.shape[:3] + (2 * r - 1,), dtype=np.int64)
@@ -522,11 +513,11 @@ def element_orders(field, matrices):
     rows = rows.reshape(len(rows), n, n)
     field = _working_field(field, rows)
     nr = n * field.r
-    eye = np.eye(nr, dtype=_fp_dtype(field, n))
+    eye = np.eye(nr, dtype=fp_dtype(field, n))
     step = max(1, CHUNK_ENTRIES // max(1, nr * nr))
     orders = []
     for start in range(0, len(rows), step):
-        base = _expand(field, rows[start:start + step])
+        base = field.expand(rows[start:start + step], eye.dtype)
         found = np.zeros(len(base), dtype=np.int64)
         todo = np.arange(len(base))
         power, k = base, 1

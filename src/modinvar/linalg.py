@@ -3,8 +3,8 @@
 `rref_mod_p` holds the only elimination loop.  GF(p^r) is an r-dimensional
 F_p-space with basis 1, t, ..., t^(r-1), so a GF(q) index row v is written
 over F_p as the r rows t^j v (j < r), column (k, x) holding digit x of
-(t^j v)_k (`fp_expand`, from the digits and regular matrices of
-`FieldSpec`, which owns every F_p coordinate).  If R is the GF(q) reduced
+(t^j v)_k: the F_p form `FieldSpec.expand`, the one the group products
+read too (`FieldSpec` owns every F_p coordinate).  If R is the GF(q) reduced
 row echelon form, with pivots c_i, the rows t^j R_i are reduced over F_p
 with pivots c_i r + j and span the same F_p-space, so by uniqueness they are
 its F_p rref.  The rows whose pivot column is divisible by r, folded back
@@ -15,7 +15,7 @@ with a nonzero entry.
 
 Sparse matrices (the kernel stacks of `analysis.invariant_dimension`, well
 under 1 % nonzero) take another route to their rank.  `fp_expand_coo` is
-`fp_expand` on COO entries whose values are base-p digit vectors, and
+`FieldSpec.expand` on COO entries of GF(q) indices, and
 `sparse_rank_mod_p` is structured elimination in the sense of LaMacchia and
 Odlyzko ("Solving large sparse linear systems over finite fields", CRYPTO
 '90).  Rows and columns with a single entry are pivots found without
@@ -55,50 +55,23 @@ def _residue_dtype(p: int):
     return np.dtype(object)
 
 
-def _matrix_dtype(field: FieldSpec):
-    """The dtype `fp_expand` reads a GF(q) index matrix in: the smallest
-    unsigned one holding q - 1, or over a prime field `_residue_dtype(p)`,
-    in which the matrix is its own expansion."""
-    if field.r == 1:
-        return _residue_dtype(field.p)
-    return np.min_scalar_type(field.q - 1)
-
-
-def fp_expand(rows, field: FieldSpec) -> np.ndarray:
-    """The (m r, n r) matrix over F_p of an m x n matrix of GF(q) indices:
-    row j of block i holds t^j times row i, column x of block k digit x of
-    entry k, so block (i, k) is the transposed `FieldSpec.regular` matrix of
-    entry (i, k).  Returned in the dtype of `rref_mod_p`; over a prime field
-    that is the matrix itself, not copied when in `_matrix_dtype` already."""
-    rows = np.asarray(rows, dtype=_matrix_dtype(field))
-    if rows.ndim == 1:  # no rows at all
-        rows = rows.reshape(0, 0)
-    r = field.r
-    if r == 1:
-        return rows
-    m, n = rows.shape
-    return field.regular(field.digits(rows)).transpose(0, 3, 1, 2) \
-        .reshape(m * r, n * r).astype(_residue_dtype(field.p))
-
-
 def _wide_dtype(p: int):
     """`_residue_dtype` widened to int64, so that sums of many residues fit
     as well."""
     return np.promote_types(_residue_dtype(p), np.int64)
 
 
-def fp_expand_coo(rows, cols, digits, field: FieldSpec):
-    """`fp_expand` for a sparse GF(q) matrix: entry (rows[e], cols[e]) has
-    the base-p digits digits[e] (shape (nnz, r)).  Returns the nonzero
-    entries (rows, cols, residues) of its (m r, n r) expansion over F_p:
-    row i r + j, column k r + x holds digit x of t^j times entry (i, k),
-    column j of the entry's `FieldSpec.regular` matrix."""
+def fp_expand_coo(rows, cols, values, field: FieldSpec):
+    """`FieldSpec.expand` for a sparse GF(q) matrix with the index
+    values[e] at (rows[e], cols[e]).  Returns the nonzero entries (rows,
+    cols, residues) of its (m r, n r) form over F_p: row i r + j, column
+    k r + x holds digit x of t^j times entry (i, k)."""
     r = field.r
-    values = field.regular(np.asarray(digits, dtype=_wide_dtype(field.p))) \
-        .swapaxes(1, 2)
-    e, j, x = np.nonzero(values)
+    blocks = field.expand(np.asarray(values)[:, None, None],
+                          _wide_dtype(field.p))
+    e, j, x = np.nonzero(blocks)
     return (np.asarray(rows, dtype=np.int64)[e] * r + j,
-            np.asarray(cols, dtype=np.int64)[e] * r + x, values[e, j, x])
+            np.asarray(cols, dtype=np.int64)[e] * r + x, blocks[e, j, x])
 
 
 def sparse_rank_mod_p(rows, cols, values, p: int) -> int:
@@ -268,7 +241,11 @@ def rref_field(rows, field: FieldSpec):
     and their pivot columns.
     """
     r = field.r
-    reduced, fp_pivots = rref_mod_p(fp_expand(rows, field), field.p)
+    rows = np.asarray(rows)
+    if rows.ndim == 1:  # no rows at all
+        rows = rows.reshape(0, 0)
+    reduced, fp_pivots = rref_mod_p(
+        field.expand(rows, _residue_dtype(field.p)), field.p)
     keep = [i for i, c in enumerate(fp_pivots) if c % r == 0]
     out = field.indices(
         reduced[keep].reshape(len(keep), reduced.shape[1] // r, r))
@@ -285,13 +262,14 @@ def in_reduced_row_space(vectors, reduced, field: FieldSpec) -> np.ndarray:
     that row leaves zero.  Only the rows at pivots where some vector is
     nonzero are widened for the sum."""
     p, r = field.p, field.r
-    # row 0 of each expanded block holds the digits of its vector
-    coords = fp_expand(vectors, field)[::r].astype(_wide_dtype(p))
+    vectors = np.asarray(vectors)
+    coords = field.digits(vectors).reshape(
+        len(vectors), vectors.shape[-1] * r).astype(_wide_dtype(p))
     if len(reduced):
         pivots = np.argmax(np.asarray(reduced) != 0, axis=1)
         coeffs = coords[:, (pivots[:, None] * r + np.arange(r)).ravel()]
         hit = np.flatnonzero(coeffs.any(axis=0))
-        rows = fp_expand(reduced, field)[hit].astype(coords.dtype)
+        rows = field.expand(reduced, coords.dtype)[hit]
         coords = (coords - coeffs[:, hit] @ rows) % p
     return ~coords.any(axis=1)
 

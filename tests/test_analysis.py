@@ -23,7 +23,7 @@ from modinvar.groups import (BudgetExceeded, GroupElement, MatrixGroup,
                              gl_group, mat_mul, p_k_subgroup, trivial_group,
                              unipotent_upper, usp_group)
 from modinvar.invariants import dickson_in, family, xi
-from modinvar.linalg import fp_expand, rref_mod_p
+from modinvar.linalg import rref_mod_p
 from modinvar.mvpoly import (Polynomial, VariableSpace, gluing_space,
                              monomials_of_degree)
 
@@ -586,7 +586,7 @@ def _dense_invariant_dimension(group, d, space):
     """The dense route `invariant_dimension` replaced, kept here only as the
     oracle: each kernel row built with one `Polynomial.act` and one
     subtraction per monomial and generator, the rank taken by `rref_mod_p`
-    on the `fp_expand` of the dense stack."""
+    on the F_p form (`FieldSpec.expand`) of the dense stack."""
     monos = monomials_of_degree(space, d)
     index = {e: k for k, e in enumerate(monos)}
     K = len(monos)
@@ -597,7 +597,7 @@ def _dense_invariant_dimension(group, d, space):
         for gi, g in enumerate(group.generators):
             for pe, c in (base.act(g) - base)._terms.items():
                 rows[k, gi * K + index[pe]] = c
-    _, pivots = rref_mod_p(fp_expand(rows, field), field.p)
+    _, pivots = rref_mod_p(field.expand(rows, np.int64), field.p)
     return K - len(pivots) // field.r
 
 

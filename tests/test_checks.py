@@ -24,7 +24,7 @@ from modinvar.checks import _law_pairs, build_gluing, run_check
 from modinvar.cli import load_scenario, main, run_scenario
 from modinvar.gluing import semidirect_mul, singular_form_group
 from modinvar.gfq import FieldSpec, Scalar, build_field
-from modinvar.groups import _expand, mat_mul
+from modinvar.groups import fp_dtype, mat_mul
 from modinvar.mvpoly import VariableSpace, gluing_space, parse_polynomial
 
 
@@ -457,21 +457,23 @@ def test_exhaustive_law_pairs_keep_their_order():
 @given(st.sampled_from(LAW_SHAPES), st.data())
 def test_blocks_of_expanded_factors_expand_the_block_matrix(shape, data):
     """`GluingGroup.blocks` reads its block sizes and dtype from its
-    operands, so assembling the expansions of random factors over F_p
-    gives the expansion of their block matrix, and so do the column-0
-    slices that `semidirect_law` multiplies by."""
+    operands, so assembling the F_p forms of random factors gives the F_p
+    form of their block matrix, and assembling their digit rows, which
+    `semidirect_law` multiplies, gives its row 0 of each block row."""
     gluing, G1, phis, G2 = _law_setting(shape)
     field, size, r = gluing.field, gluing.m + gluing.n, gluing.field.r
     count = data.draw(st.integers(1, 5))
     factors = [np.asarray(x)[data.draw(st.lists(
         st.integers(0, len(x) - 1), min_size=count, max_size=count))]
         for x in (G1.rows(), phis, G2.rows())]
-    whole = _expand(field, gluing.blocks(*factors))
-    parts = [_expand(field, x, size) for x in factors]
+    dtype = fp_dtype(field, size)
+    whole = field.expand(gluing.blocks(*factors), dtype)
+    parts = [field.expand(x, dtype) for x in factors]
     assert whole.dtype == parts[0].dtype
     assert np.array_equal(gluing.blocks(*parts), whole)
-    assert np.array_equal(gluing.blocks(*(x[..., ::r] for x in parts)),
-                          whole[..., ::r])
+    rows = [field.digits(x).reshape(*x.shape[:-1], -1).astype(dtype)
+            for x in factors]
+    assert np.array_equal(gluing.blocks(*rows), whole[..., ::r, :])
 
 
 def test_exhaustive_thin_law_matches_the_scalar_law():
@@ -507,17 +509,17 @@ def test_law_forms_each_factor_product_once(monkeypatch):
 
 
 def _corrupt_products_of(monkeypatch, gluing, triple):
-    """Make the batched block product wrong wherever its left factor is the
-    block matrix of `triple`."""
+    """Make the batched block product wrong wherever its right factor is
+    the F_p form of the block matrix of `triple`."""
     field = gluing.field
-    target = _expand(field, np.array([gluing.triple(*triple).matrix]))[0]
-    size = target.shape[0]
+    matrix = np.array(gluing.triple(*triple).matrix)
+    target = field.expand(matrix, fp_dtype(field, len(matrix)))
     honest = checks._matmul_mod
 
     def corrupted(a, b, p):
         out = honest(a, b, p)
-        if a.shape[-2:] == (size, size):
-            hit = (a == target).all(axis=(1, 2))
+        if b.shape[-2:] == target.shape:
+            hit = (b == target).all(axis=(1, 2))
             out[hit, 0, 0] = (out[hit, 0, 0] + 1) % p
         return out
     monkeypatch.setattr(checks, "_matmul_mod", corrupted)
@@ -531,8 +533,8 @@ def _corrupt_products_of(monkeypatch, gluing, triple):
 def test_forced_mismatch_reports_the_first_failing_pair(monkeypatch, params):
     gluing, G1, phis, G2 = _law_setting(params)
     pairs = scalar_law_pairs(G1, phis, G2, params, 0)
-    culprit = pairs[len(pairs) // 3][0]
-    first = next((t1, t2) for t1, t2 in pairs if t1 == culprit)
+    culprit = pairs[len(pairs) // 3][1]
+    first = next((t1, t2) for t1, t2 in pairs if t2 == culprit)
     _corrupt_products_of(monkeypatch, gluing, culprit)
     rep = run_check("semidirect_law", params)
     assert rep.status == "fail"
@@ -540,8 +542,8 @@ def test_forced_mismatch_reports_the_first_failing_pair(monkeypatch, params):
 
 
 def test_law_fails_when_the_block_product_uses_another_field(monkeypatch):
-    """The block product goes through the regular representation, the
-    triple formula through the digit polynomials: with GF(9) represented
+    """The block product goes through the F_p form, the triple formula
+    through the digit polynomials: with GF(9) represented
     modulo x^2 + x + 2 instead of its own modulus the two disagree."""
     params = dict(LAW_SHAPES[3], samples=200)
     gluing = build_gluing(params)

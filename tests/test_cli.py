@@ -43,6 +43,20 @@ def test_group_order_refuses_a_field_order_that_is_not_a_prime_power(
     assert err.strip() == "error: q = 6 is not a prime power"
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "frobnicate", "--kind", "gl", "--n", "1", "--q", "2"),
+    ("inv", "frobnicate"),
+])
+def test_unknown_action_is_refused_by_the_parser(capsys, argv):
+    """argparse refuses an action outside its choices with its usage exit
+    code 2, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+
+
 def test_verify_u_lem_example(capsys):
     code, out, _ = run_cli(capsys, "verify", "u_lem", "--m", "2", "--k", "1",
                            "--i", "0", "--j", "1", "--q", "2")

@@ -264,7 +264,7 @@ def index_pairs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(index_pairs())
-def test_digits_indices_and_regular_match_the_scalar_field(case):
+def test_digits_indices_and_expand_match_the_scalar_field(case):
     F, a, b = case
     digits = F.digits(a)
     assert digits.dtype == np.int64 and digits.shape == a.shape + (F.r,)
@@ -276,7 +276,10 @@ def test_digits_indices_and_regular_match_the_scalar_field(case):
     # digits on another axis, and as Python ints
     assert (F.indices(np.moveaxis(digits, -1, 0), axis=0) == a).all()
     assert (F.indices(digits.astype(object)) == a).all()
-    product = (F.regular(digits) @ F.digits(b)[..., None])[..., 0] % F.p
+    # the digits of a b are the digits of a times the r x r F_p form of b
+    blocks = F.expand(b[..., None, None], np.int64)
+    assert (blocks[..., 0, :] == F.digits(b)).all()
+    product = (digits[..., None, :] @ blocks)[..., 0, :] % F.p
     assert F.indices(product).tolist() == np.vectorize(F.mul, otypes=[
         np.int64])(a, b).tolist()
 
@@ -365,8 +368,9 @@ def test_multiply_routes_by_the_field():
                                  (2, 9), (3, 5), (7, 3)])
 def test_tables_match_the_convolution_route(p, r):
     """The multiplication table, built by float64 matmuls of digits with
-    the regular matrices, is the product of the convolution route that
-    fields without tables take, and the inverse table inverts."""
+    the F_p forms of the elements (`FieldSpec.expand`), is the product of
+    the convolution route that fields without tables take, and the inverse
+    table inverts."""
     F = FieldSpec(p, r)
     every = np.arange(F.q)
     with mock.patch.object(F, "_mul_array", None):

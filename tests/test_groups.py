@@ -11,13 +11,14 @@ from modinvar import groups
 from modinvar.gfq import build_field
 from modinvar.gluing import thin_glue_regular
 from modinvar.groups import (BudgetExceeded, FormSpec, GroupElement,
-                             _closure, _digit_codec, _digit_matmul, _expand,
-                             _fp_dtype, _index_dtype, _keeps_values, _keys,
+                             _closure, _digit_codec, _digit_matmul,
+                             _index_dtype, _keeps_values, _keys,
                              _matmul_mod, _pk_assemble, _row_table,
                              _working_field,
                              MatrixGroup, NotEnumeratedError,
                              element_orders,
-                             field_from_order, form_preserved, gk_order,
+                             field_from_order, form_preserved, fp_dtype,
+                             gk_order,
                              gl_group, gl_order, identity_matrix,
                              index_matmul, mat_mul, minimal_generators,
                              o3_sylow_generators, o4_plus_sylow_generators,
@@ -1111,13 +1112,14 @@ def _point_table_mask(field, rows, f):
     n, p, r, q = rows.shape[1], field.p, field.r, field.q
     points = list(itertools.product(range(q), repeat=n))
     values = np.array([f.evaluate(v).index for v in points])
-    # the base-p digits of every point, one column per point: (n r, q^n)
-    digits = field.digits(points).reshape(len(points), n * r).T \
-        .astype(_fp_dtype(field, n))
-    image = _matmul_mod(_expand(field, rows), digits, p) \
-        .reshape(len(rows), n, r, len(points))
+    # the base-p digits of every point, one row per point: (q^n, n r), and
+    # the row (g v)^T = v^T g^T from the F_p form of each g^T
+    dtype = fp_dtype(field, n)
+    digits = field.digits(points).reshape(len(points), n * r).astype(dtype)
+    image = _matmul_mod(digits, field.expand(rows.swapaxes(1, 2), dtype), p) \
+        .reshape(len(rows), len(points), n, r)
     place = q ** np.arange(n - 1, -1, -1)
-    moved = np.tensordot(place, field.indices(image, axis=2), axes=([0], [1]))
+    moved = field.indices(image) @ place
     return (values[moved] == values).all(axis=1)
 
 
@@ -1200,12 +1202,68 @@ def test_digit_matmul_matches_mat_mul(pr, i, j, k, lead, rnd):
     assert [tuple(map(tuple, c)) for c in prod.tolist()] == expected
 
 
+# GF(2), GF(3), GF(4), GF(8) and GF(9) with tables, GF(2^10) without, and
+# GF(2^31 - 1), whose F_p products are Python ints
+ONE_FORM_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 10),
+                   (2 ** 31 - 1, 1)]
+
+
+@st.composite
+def broadcast_stacks(draw):
+    """(field, a, b): random (..., i, j) and (..., j, k) index stacks whose
+    leading axes broadcast against each other, dimensions 0 to 3."""
+    field = build_field(*draw(st.sampled_from(ONE_FORM_FIELDS)))
+    i, j, k = (draw(st.integers(0, 3)) for _ in range(3))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 1), (2, 3)]))
+    # each axis of b's batch shape is the same as a's, or 1
+    other = tuple(draw(st.sampled_from([n, 1])) for n in lead)
+    if draw(st.booleans()):
+        lead, other = other, lead
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (field, rng.integers(0, field.q, (*lead, i, j)),
+            rng.integers(0, field.q, (*other, j, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(broadcast_stacks())
+def test_expand_is_the_one_f_p_form_of_products(case):
+    """`index_matmul`, which reads a as digit rows and b through
+    `FieldSpec.expand`, against the field's own digit-polynomial products
+    (`_digit_matmul`, whose int64 sums are exact below 2^63) and against
+    scalar `mat_mul` on the first few matrices; expanding is a ring
+    homomorphism, expand(a b) = expand(a) expand(b) mod p; and row 0 of
+    each block row of expand(a) is the digits of that row of a."""
+    field, a, b = case
+    p, r = field.p, field.r
+    product = index_matmul(field, a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    (i, j), k = a.shape[-2:], b.shape[-1]
+    assert product.shape == (*lead, i, k)
+    A, B, C = (np.broadcast_to(x, (*lead, *x.shape[-2:]))
+               .reshape(math.prod(lead), *x.shape[-2:])
+               for x in (a, b, product))
+    if j * r * (p - 1) ** 2 < 2 ** 63:
+        digits = _digit_matmul(field, field.digits(A), field.digits(B))
+        assert np.array_equal(field.indices(digits), C)
+    for x, y, z in list(zip(A, B, C))[:3]:
+        assert z.tolist() == [list(row) for row in _mat_mul_reference(
+            field, x.tolist(), y.tolist(), k)]
+    dtype = fp_dtype(field, j)
+    expanded = _matmul_mod(field.expand(a, dtype), field.expand(b, dtype), p)
+    assert np.array_equal(expanded, field.expand(product, expanded.dtype))
+    rows = field.expand(a, np.int64)[..., ::r, :]
+    assert np.array_equal(rows, field.digits(a).reshape(*a.shape[:-1],
+                                                        j * r))
+
+
 def test_index_matmul_of_large_residues_is_exact():
     """Over GF(2^31 - 1) the F_p products are Python ints.  Over
-    GF(2^26 - 5) a 1 x 1 factor expands to float64 and a 1 x 3 one to
-    Python ints; the product is taken in Python ints."""
+    GF(2^26 - 5) a sum of one product stays below 2^53, so a 1 x 1 times a
+    1 x 3 factor is taken in float64, and a sum of three products does not,
+    so a 1 x 3 times a 3 x 1 factor is taken in Python ints; both exactly."""
     for p, shapes in ((2 ** 31 - 1, ((2, 2), (2, 2))),
-                      (2 ** 26 - 5, ((1, 1), (1, 3)))):
+                      (2 ** 26 - 5, ((1, 1), (1, 3))),
+                      (2 ** 26 - 5, ((1, 3), (3, 1)))):
         field = build_field(p)
         a, b = (np.arange(p - math.prod(s), p, dtype=np.int64).reshape(s)
                 for s in shapes)

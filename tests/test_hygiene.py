@@ -152,13 +152,42 @@ def f_p_coordinate_layer_uses(path):
 
 def test_f_p_coordinates_live_in_gfq():
     """GF(p^r) is written over F_p only by `FieldSpec.digits`, `indices`
-    and `regular`; every other module goes through them."""
+    and `expand`; every other module goes through them."""
     found = [f"{path.relative_to(ROOT).as_posix()}:{line}: {what}"
              for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
              if path.name != "gfq.py"
              for line, what in f_p_coordinate_layer_uses(path)]
     assert not found, "F_p coordinates outside gfq:\n" + "\n".join(found)
     assert f_p_coordinate_layer_uses(ROOT / "src" / "modinvar" / "gfq.py")
+
+
+# Builders of the F_p form of a GF(q) matrix that `FieldSpec.expand`
+# replaced: two block layouts, one the transpose of the other.
+REPLACED_FORMS = {"_expand", "fp_expand", "regular"}
+
+
+def f_p_form_builders(path):
+    """(line, what) of each definition named in REPLACED_FORMS and each
+    call of a `.regular(` method in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name in REPLACED_FORMS:
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.Call) and \
+                getattr(node.func, "attr", None) == "regular":
+            found.append((node.lineno, ".regular("))
+    return found
+
+
+def test_expand_is_the_one_f_p_form():
+    """`FieldSpec.expand` is the one builder of the F_p form of a GF(q)
+    matrix: no src module defines `_expand`, `fp_expand` or `regular`, or
+    calls a `.regular(` method."""
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "modinvar").glob("*.py"))
+             for line, name in f_p_form_builders(path)]
+    assert not found, "F_p form builders besides FieldSpec.expand:\n" + \
+        "\n".join(found)
 
 
 # The field's tables and the limits that choose its routes: only gfq reads
@@ -472,11 +501,9 @@ PRIVATE_IMPORTS = {
         "_act_sum", "_combine_keys", "_key_weights", "_stack")),
     *(("analysis", "groups", name)
       for name in ("_keys", "_rows", "_sorted_unique")),
-    ("analysis", "linalg", "_matrix_dtype"),
     ("analysis", "invariants", "_as_field"),
     *(("checks", "groups", name) for name in (
-        "_digit_matmul", "_expand", "_keys", "_matmul_mod",
-        "_sorted_unique")),
+        "_digit_matmul", "_keys", "_matmul_mod", "_sorted_unique")),
     ("gluing", "groups", "_index_rows"),
     ("invariants", "gluing", "_parabolic_blocks"),
 }

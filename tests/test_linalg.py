@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from modinvar.gfq import FieldSpec, build_field
-from modinvar.linalg import (_residue_dtype, fp_expand, fp_expand_coo,
+from modinvar.linalg import (_residue_dtype, fp_expand_coo,
                              in_reduced_row_space, in_row_space,
                              nullspace_field, rref_field, rref_mod_p,
                              sparse_rank_mod_p)
@@ -221,7 +221,7 @@ def test_fp_expand_is_multiplication_by_powers_of_t():
     F8 = build_field(2, 3)
     t = F8.p
     rows = [[5, 0, 7], [1, 6, 3]]
-    expanded = fp_expand(rows, F8)
+    expanded = F8.expand(rows, _residue_dtype(F8.p))
     assert expanded.shape == (6, 9)
     for i, row in enumerate(rows):
         for j in range(F8.r):
@@ -231,14 +231,15 @@ def test_fp_expand_is_multiplication_by_powers_of_t():
 
 
 def test_fp_expand_of_a_prime_field_is_the_matrix():
-    """Over GF(p) the expansion is the index matrix in the residue dtype,
-    as the digit-and-regular-matrix route computes it."""
+    """Over GF(p) the F_p expansion (`FieldSpec.expand`) is the index
+    matrix itself, in the dtype asked for, as its one-digit rows are."""
     for field in (build_field(3), build_field(251), FieldSpec(4294967311)):
         rows = [[0, 1, 2], [field.neg(1), 2, 0]]
-        expanded = fp_expand(rows, field)
-        assert expanded.dtype == _residue_dtype(field.p)
-        general = field.regular(field.digits(rows))
-        assert expanded.tolist() == general.reshape(2, 3).tolist() == rows
+        dtype = _residue_dtype(field.p)
+        expanded = field.expand(rows, dtype)
+        assert expanded.dtype == dtype
+        assert expanded.tolist() == field.digits(rows).reshape(2, 3) \
+            .tolist() == rows
 
 
 @st.composite
@@ -362,9 +363,10 @@ def test_f2_bitset_rank_of_gf2r_stacks(field, m, n, density, seed):
     A = np.where(rng.random((m, n)) < density,
                  rng.integers(1, field.q, (m, n)), 0)
     i, k = np.nonzero(A)
-    R, C, V = fp_expand_coo(i, k, field.digits(A[i, k]), field)
+    R, C, V = fp_expand_coo(i, k, A[i, k], field)
     rank = sparse_rank_mod_p(R, C, V, 2)
-    assert rank == (len(rref_mod_p(fp_expand(A, field), 2)[1]) if m else 0)
+    assert rank == (len(rref_mod_p(field.expand(A, np.int64), 2)[1])
+                    if m else 0)
     assert rank == field.r * (len(rref_field(A, field)[1]) if m else 0)
 
 
@@ -374,20 +376,22 @@ def test_fp_expand_coo_matches_fp_expand(case):
     field, width, rows = case
     A = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     i, k = np.nonzero(A)
-    digits = [field._digits(int(a)) for a in A[i, k]]
-    R, C, V = fp_expand_coo(i, k, np.array(digits).reshape(len(i), field.r),
-                            field)
+    R, C, V = fp_expand_coo(i, k, A[i, k], field)
     dense = np.zeros((len(rows) * field.r, width * field.r), dtype=np.int64)
     dense[R, C] = V
     assert (V != 0).all()
-    assert (dense == fp_expand(A, field)).all()
+    assert (dense == field.expand(A, np.int64)).all()
 
 
-def test_fp_expand_coo_drops_prime_field_entries_that_vanish_mod_p():
-    """Over GF(p) an entry expands to its residue: an entry whose digit is
-    p (or 2p) is zero and is dropped, one of p + 2 becomes 2."""
-    field = build_field(5, 1)
-    R, C, V = fp_expand_coo([0, 1, 2, 3], [3, 2, 1, 0],
-                            np.array([[5], [7], [10], [4]]), field)
+def test_fp_expand_coo_drops_zero_entries():
+    """Over GF(p) an entry expands to itself, so a zero entry is dropped;
+    over GF(4) an entry a expands to the nonzero digits of a and t a."""
+    R, C, V = fp_expand_coo([0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 0, 4],
+                            build_field(5, 1))
     assert R.tolist() == [1, 3] and C.tolist() == [2, 0]
     assert V.tolist() == [2, 4]
+    # 1 = (1, 0) and t 1 = (0, 1); 2 = t = (0, 1) and t t = t + 1 = (1, 1)
+    R, C, V = fp_expand_coo([0, 1, 1], [0, 0, 1], [1, 0, 2],
+                            build_field(2, 2))
+    assert list(zip(R.tolist(), C.tolist(), V.tolist())) == [
+        (0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1)]
